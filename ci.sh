@@ -9,6 +9,12 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
+echo "== chaos tests, release profile =="
+# The storm test races a kernel thread against wall-clock worker stalls,
+# so its outcome depends on how fast the kernel thread is: run it at
+# both speeds.
+cargo test -q --release -p scap-bench --test chaos
+
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
 
@@ -17,6 +23,13 @@ cargo fmt --check
 
 echo "== benches compile =="
 cargo bench --no-run
+
+echo "== perf/ package gate =="
+# Not a workspace member, so the steps above never see it: its own fmt,
+# clippy and unit tests, and a one-second smoke of all five measured
+# workloads with their output checks (conservation, delivered digests,
+# the drive-loop-vs-live-driver cross-check).
+perf/check.sh
 
 echo "== telemetry + store smoke run =="
 smoke_out=$(mktemp -d)

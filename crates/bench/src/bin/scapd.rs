@@ -33,7 +33,7 @@
 //! ```
 
 use scap::tenant::{TenantEngine, TenantSpec, TenantState};
-use scap::{EventKind, ScapConfig, ScapKernel};
+use scap::{ScapConfig, ScapKernel};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
 use scap_trace::Packet;
 use std::collections::{HashMap, HashSet};
@@ -569,17 +569,10 @@ fn main() {
     for (idx, pkt) in packets.iter().enumerate() {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-            while let Some(ev) = kernel.next_event(core) {
-                kernel.note_delivery(&ev, now);
-                d.engine.on_event(&ev, kernel.flight_mut());
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.service(now, |k, ev| {
+            d.engine.on_event(&ev, k.flight_mut());
+            k.release_event(ev);
+        });
         d.drain_into_spools();
         if ((idx + 1) % 64) == 0 {
             d.refresh_acks();
@@ -600,15 +593,10 @@ fn main() {
     }
 
     kernel.finish(now.saturating_add(1));
-    for core in 0..kernel.ncores() {
-        while let Some(ev) = kernel.next_event(core) {
-            kernel.note_delivery(&ev, now.saturating_add(1));
-            d.engine.on_event(&ev, kernel.flight_mut());
-            if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                kernel.release_data(ev.stream.uid, dir, chunk);
-            }
-        }
-    }
+    kernel.drain_events(now.saturating_add(1), |k, ev| {
+        d.engine.on_event(&ev, k.flight_mut());
+        k.release_event(ev);
+    });
 
     // Grace period: let live consumers ack and drain the tail. A
     // stalled consumer's window stays exhausted and cannot hold the

@@ -615,48 +615,31 @@ fn main() {
         streams: HashMap::new(),
     };
 
+    // Per-stream delivered-byte tally for the top-k panel.
+    fn tally(streams: &mut HashMap<u64, (String, u64)>, kernel: &mut ScapKernel, ev: scap::Event) {
+        if let EventKind::Data { chunk, .. } = &ev.kind {
+            let e = streams
+                .entry(ev.stream.uid)
+                .or_insert_with(|| (ev.stream.key.to_string(), 0));
+            e.1 += chunk.len as u64;
+        }
+        kernel.release_event(ev);
+    }
+
     let total = packets.len();
     let mut now = 0u64;
     for (i, pkt) in packets.iter().enumerate() {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for core in 0..kernel.ncores() {
-            if fastpath {
-                while kernel.poll_burst(core, now).is_some() {}
-            } else {
-                while kernel.kernel_poll(core, now).is_some() {}
-            }
-            kernel.kernel_timers(core, now);
-            while let Some(ev) = kernel.next_event(core) {
-                kernel.note_delivery(&ev, now);
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    let e = dash
-                        .streams
-                        .entry(ev.stream.uid)
-                        .or_insert_with(|| (ev.stream.key.to_string(), 0));
-                    e.1 += chunk.len as u64;
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.service(now, |k, ev| tally(&mut dash.streams, k, ev));
         if ((i + 1) as u64).is_multiple_of(dash.interval) {
             dash.render(&kernel, i + 1, total, now);
         }
     }
     kernel.finish(now.saturating_add(1));
-    for core in 0..kernel.ncores() {
-        while let Some(ev) = kernel.next_event(core) {
-            kernel.note_delivery(&ev, now.saturating_add(1));
-            if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                let e = dash
-                    .streams
-                    .entry(ev.stream.uid)
-                    .or_insert_with(|| (ev.stream.key.to_string(), 0));
-                e.1 += chunk.len as u64;
-                kernel.release_data(ev.stream.uid, dir, chunk);
-            }
-        }
-    }
+    kernel.drain_events(now.saturating_add(1), |k, ev| {
+        tally(&mut dash.streams, k, ev)
+    });
     dash.render(&kernel, total, total, now.saturating_add(1));
 
     let s = kernel.stats();

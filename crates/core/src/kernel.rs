@@ -740,6 +740,11 @@ impl ScapKernel {
         self.nic.stats()
     }
 
+    /// Overload-governor level in force (0 = configured behaviour).
+    pub fn governor_level(&self) -> u8 {
+        self.governor.level()
+    }
+
     /// Current arena fill fraction (diagnostics).
     pub fn memory_used_fraction(&self) -> f64 {
         self.arena.used_fraction()

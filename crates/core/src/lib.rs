@@ -50,6 +50,8 @@
 //! * [`stack`] — the simulation driver ([`stack::ScapSimStack`]) that
 //!   runs the same kernel under the discrete-time performance engine,
 //!   plus the built-in application models used by the experiments.
+//! * [`driver`] — the per-burst service step (poll dry, timers, drain
+//!   events) shared by the live driver, the shard fleet and `scapd`.
 //! * [`live`] — the threaded driver: per-core worker threads consuming
 //!   event queues, as `scap_start_capture` does.
 //! * [`sharing`] — multiple applications on one capture (§5.6): the
@@ -59,6 +61,7 @@
 
 pub mod checkpoint;
 pub mod config;
+pub mod driver;
 pub mod event;
 pub mod governor;
 pub mod kernel;
@@ -72,6 +75,7 @@ pub use checkpoint::{CheckpointError, CheckpointImage, TenantImage};
 pub use config::{
     ConfigDelta, ConfigError, CutoffPolicy, DispatchMode, PriorityPolicy, ScapConfig,
 };
+pub use driver::StageClock;
 pub use event::{Event, EventKind, PacketRecord, StreamSnapshot, StreamUid};
 pub use governor::{GovernorConfig, GovernorStats, OverloadGovernor};
 pub use kernel::{ControlOp, ResilienceStats, ScapKernel, ScapStats};

@@ -26,40 +26,39 @@
 //!
 //! The driver spawns one worker thread per configured worker (pinned
 //! one-to-one to the kernel event queues they cover), runs the kernel
-//! data path on the calling thread, and routes control operations and
-//! chunk returns back to the kernel — the PF_SCAP socket and shared
-//! memory of §5, as channels.
+//! data path on the calling thread in bursts, and routes control
+//! operations and chunk returns back to the kernel — the PF_SCAP socket
+//! and shared memory of §5, as channels. The worker side (threads,
+//! queues, watchdog) is the `crew` submodule.
 //!
 //! ## Fault tolerance
 //!
 //! A capture must outlive its workers. Each worker publishes a heartbeat
 //! (events completed) and the uid of the stream it is currently
 //! dispatching; a watchdog on the kernel thread notices dead workers
-//! (their thread finished while the event channel was still open) and
+//! (their thread finished while the event queue was still open) and
 //! wedged workers (heartbeat stalled with work outstanding). Dead workers
 //! are respawned on the same shared event queue, wedged ones get a fresh
 //! sibling on that queue, and the affected stream is flagged with
-//! [`StreamErrors::WORKER_FAILURE`]. [`Scap::start_capture`] therefore
+//! [`crate::StreamErrors::WORKER_FAILURE`]. [`Scap::start_capture`] therefore
 //! never panics because a callback did; the damage report is available
 //! from [`Scap::last_capture_error`].
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::config::{ConfigDelta, ConfigError, ScapConfig};
-use crate::event::{Event, EventKind, PacketRecord, StreamSnapshot};
+use crate::driver::StageClock;
+use crate::event::{PacketRecord, StreamSnapshot};
 use crate::kernel::{ControlOp, ScapKernel, ScapStats};
-use scap_faults::{FaultPlan, FrameFaultStats, WorkerFault, WorkerFaultKind};
+use crew::{Crew, WorkerHandlers};
+use scap_faults::{FaultPlan, FrameFaultStats, WorkerFault};
 use scap_filter::{Filter, FilterError};
-use scap_flight::{FlightEvent, FlightKind, FlightLayer};
-use scap_flow::StreamErrors;
 use scap_reassembly::{OverlapPolicy, ReassemblyMode};
-use scap_telemetry::{AtomicRegistry, Metric, Sampler, Snapshot, SpanTimer, Stage};
+use scap_telemetry::{Sampler, Snapshot, SpanTimer, Stage};
 use scap_trace::Packet;
 use scap_wire::Direction;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 
 /// Callback type: runs on worker threads.
 pub type Handler = Arc<dyn Fn(&StreamCtx<'_>) + Send + Sync>;
@@ -81,11 +80,6 @@ pub trait EventSink: Send + Sync {
     fn on_terminated(&self, _stream: &StreamSnapshot) {}
 }
 
-/// How long a worker's heartbeat may sit still (with work outstanding)
-/// before the watchdog declares it wedged.
-const STALL_GRACE: Duration = Duration::from_millis(30);
-/// Upper bound on waiting for workers to drain after the trace ends.
-const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 /// How many trailing flight-recorder events the crash black box keeps.
 const BLACK_BOX_TAIL: usize = 256;
 
@@ -383,7 +377,7 @@ impl ScapBuilder {
     /// checkpointed configuration replaces every builder knob except the
     /// fault plan and stats interval; stream uids, committed offsets and
     /// installed FDIR filters carry over, and resumed streams are marked
-    /// with [`StreamErrors::RESUMED`].
+    /// with [`crate::StreamErrors::RESUMED`].
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_path = Some(path.into());
         self
@@ -422,6 +416,7 @@ impl ScapBuilder {
             kernel,
             ckpt_every: self.ckpt_every,
             ckpt_seq: 0,
+            max_burst: MAX_BURST,
             died_at: None,
             last_ts_ns: 0,
             on_create: None,
@@ -488,6 +483,13 @@ pub struct WorkerStatus {
     pub stalls: u64,
     /// Replacement/sibling threads the watchdog spawned for it.
     pub restarts: u64,
+    /// Events the kernel thread handed this slot.
+    pub events_sent: u64,
+    /// Events its threads dispatched to completion.
+    pub events_handled: u64,
+    /// Events written off: held by a thread that died mid-dispatch, or
+    /// outstanding when the breaker parked the slot.
+    pub events_lost: u64,
 }
 
 impl WorkerStatus {
@@ -563,6 +565,16 @@ pub fn mangle_packets(
     (out, inj.stats())
 }
 
+/// Crash black box: the flight journal's tail, written next to the
+/// periodic checkpoint (when one is configured).
+fn write_black_box(ckpt: Option<&(u64, PathBuf)>, kernel: &ScapKernel) {
+    if let Some((_, path)) = ckpt {
+        let mut bb = path.clone().into_os_string();
+        bb.push(".flight");
+        let _ = std::fs::write(bb, kernel.flight().encode_tail(BLACK_BOX_TAIL));
+    }
+}
+
 /// A capture socket.
 pub struct Scap {
     cfg: Option<ScapConfig>,
@@ -571,6 +583,9 @@ pub struct Scap {
     kernel: Option<ScapKernel>,
     ckpt_every: Option<(u64, PathBuf)>,
     ckpt_seq: u64,
+    /// Burst cap: [`MAX_BURST`], except in tests that force per-packet
+    /// service to compare against.
+    max_burst: u64,
     died_at: Option<u64>,
     last_ts_ns: u64,
     on_create: Option<Handler>,
@@ -588,234 +603,9 @@ pub struct Scap {
 /// Periodic-stats callback type: runs on the kernel thread.
 pub type StatsHandler = Arc<dyn Fn(&Snapshot) + Send + Sync>;
 
-/// One worker slot's bookkeeping on the kernel thread.
-struct WorkerSlot {
-    /// Event sender; `None` once the capture is shutting down.
-    tx: Option<Sender<Event>>,
-    /// The queue, shared with the worker and any replacements.
-    rx: Arc<Mutex<Receiver<Event>>>,
-    /// Events completed by threads on this queue.
-    heartbeat: Arc<AtomicU64>,
-    /// Uid of the stream currently being dispatched (0 = idle).
-    current_uid: Arc<AtomicU64>,
-    /// Events sent into this queue.
-    sent: u64,
-    /// Events known lost to panics (held mid-dispatch by a dead thread).
-    lost: u64,
-    last_beat: u64,
-    last_beat_at: Instant,
-    stall_flagged: bool,
-    panics: u64,
-    stalls: u64,
-    restarts: u64,
-    /// Respawn circuit breaker: too many panics/stalls inside the
-    /// configured window parks the slot instead of thrashing forever.
-    breaker: scap_shard::CircuitBreaker,
-    /// Parked by the breaker: no further respawns; queued events are
-    /// accounted as lost and new events are recycled at fan-out.
-    parked: bool,
-}
-
-/// Spawn a worker thread on a shared event queue. The lock is held only
-/// for the `recv`, never across a callback, so a panicking callback
-/// cannot poison the queue for its replacement.
-#[allow(clippy::too_many_arguments)]
-fn spawn_worker<'scope>(
-    s: &'scope std::thread::Scope<'scope, '_>,
-    rx: Arc<Mutex<Receiver<Event>>>,
-    handlers: WorkerHandlers,
-    ctl: Sender<ControlOp>,
-    rel: Sender<Event>,
-    heartbeat: Arc<AtomicU64>,
-    current_uid: Arc<AtomicU64>,
-    faults: Vec<WorkerFault>,
-    tele: Arc<AtomicRegistry>,
-    shard: usize,
-) -> std::thread::ScopedJoinHandle<'scope, ()> {
-    s.spawn(move || {
-        let mut events_seen = 0u64;
-        loop {
-            // The guard is a temporary: it is released as soon as recv()
-            // returns, never held across a callback.
-            let msg = rx.lock().unwrap_or_else(|p| p.into_inner()).recv();
-            let Ok(ev) = msg else {
-                break; // channel closed and drained
-            };
-            events_seen += 1;
-            current_uid.store(ev.stream.uid, Ordering::SeqCst);
-            for f in &faults {
-                if f.after_events == events_seen {
-                    match f.kind {
-                        WorkerFaultKind::Stall(ns) => {
-                            std::thread::sleep(Duration::from_nanos(ns));
-                        }
-                        WorkerFaultKind::Panic => {
-                            panic!("injected worker fault");
-                        }
-                    }
-                }
-            }
-            let span = SpanTimer::start();
-            handlers.dispatch(&ev, &ctl);
-            span.finish(&tele, shard, Stage::Worker);
-            tele.inc(shard, Metric::WorkerEventsHandled);
-            if matches!(ev.kind, EventKind::Data { .. }) {
-                let _ = rel.send(ev);
-            }
-            heartbeat.fetch_add(1, Ordering::SeqCst);
-            current_uid.store(0, Ordering::SeqCst);
-        }
-    })
-}
-
-/// Park a worker slot whose circuit breaker tripped: close its queue,
-/// account every outstanding event as lost (so shutdown drain
-/// terminates), and surface the trip in `ResilienceStats` and the
-/// flight journal.
-fn park_slot(kernel: &mut ScapKernel, slot: &mut WorkerSlot, i: usize, now: u64) {
-    slot.parked = true;
-    slot.tx = None;
-    let beat = slot.heartbeat.load(Ordering::SeqCst);
-    slot.lost = slot.sent.saturating_sub(beat);
-    let fails = u64::from(slot.breaker.failures_in_window());
-    kernel.resilience_mut().watchdog_breaker_trips += 1;
-    kernel.flight_mut().emit(
-        0,
-        FlightEvent::new(FlightKind::BreakerTripped, FlightLayer::Worker, now)
-            .with_vals(i as u64, fails),
-    );
-}
-
-/// One watchdog pass: respawn dead workers, sibling wedged ones, flag the
-/// streams they were holding.
-#[allow(clippy::too_many_arguments)]
-fn watchdog<'scope>(
-    s: &'scope std::thread::Scope<'scope, '_>,
-    kernel: &mut ScapKernel,
-    slots: &mut [WorkerSlot],
-    handles: &mut [Option<std::thread::ScopedJoinHandle<'scope, ()>>],
-    extra: &mut Vec<std::thread::ScopedJoinHandle<'scope, ()>>,
-    handlers: &WorkerHandlers,
-    ctl: &Sender<ControlOp>,
-    rel: &Sender<Event>,
-    tele: &Arc<AtomicRegistry>,
-    now: u64,
-) {
-    for (i, slot) in slots.iter_mut().enumerate() {
-        if slot.parked {
-            continue;
-        }
-        // A finished thread while its channel is still open means the
-        // thread died: a clean exit only happens after channel close.
-        let died = slot.tx.is_some() && handles[i].as_ref().is_some_and(|h| h.is_finished());
-        if died {
-            if let Some(h) = handles[i].take() {
-                if h.join().is_err() {
-                    slot.panics += 1;
-                    slot.lost += 1; // the event it was dispatching is gone
-                    kernel.resilience_mut().worker_panics += 1;
-                    let uid = slot.current_uid.swap(0, Ordering::SeqCst);
-                    kernel.flight_mut().emit(
-                        0,
-                        FlightEvent::new(FlightKind::WorkerPanic, FlightLayer::Worker, now)
-                            .with_uid(uid)
-                            .with_vals(i as u64, 0),
-                    );
-                    if uid != 0 {
-                        kernel.flag_stream_error(uid, StreamErrors::WORKER_FAILURE);
-                    }
-                }
-            }
-            // M failures inside the window: stop respawning, park the
-            // slot, and account its outstanding events as lost so
-            // shutdown drain terminates.
-            if slot.breaker.record_failure(now) {
-                park_slot(kernel, slot, i, now);
-                continue;
-            }
-            // Respawn on the same shared queue; the replacement picks up
-            // exactly where the dead worker left off. Scheduled faults
-            // are not re-armed for replacements.
-            handles[i] = Some(spawn_worker(
-                s,
-                slot.rx.clone(),
-                handlers.clone(),
-                ctl.clone(),
-                rel.clone(),
-                slot.heartbeat.clone(),
-                slot.current_uid.clone(),
-                Vec::new(),
-                tele.clone(),
-                i,
-            ));
-            slot.restarts += 1;
-            kernel.resilience_mut().worker_restarts += 1;
-            kernel.flight_mut().emit(
-                0,
-                FlightEvent::new(FlightKind::WorkerRestart, FlightLayer::Worker, now)
-                    .with_vals(i as u64, 0),
-            );
-            slot.last_beat = slot.heartbeat.load(Ordering::SeqCst);
-            slot.last_beat_at = Instant::now();
-            slot.stall_flagged = false;
-            continue;
-        }
-
-        let beat = slot.heartbeat.load(Ordering::SeqCst);
-        if beat != slot.last_beat {
-            slot.last_beat = beat;
-            slot.last_beat_at = Instant::now();
-            slot.stall_flagged = false;
-            continue;
-        }
-        // Heartbeat flat: wedged if there is (or was) work it should be
-        // making progress on.
-        let busy = slot.current_uid.load(Ordering::SeqCst) != 0
-            || slot.sent > beat.saturating_add(slot.lost);
-        if busy && !slot.stall_flagged && slot.last_beat_at.elapsed() >= STALL_GRACE {
-            slot.stall_flagged = true;
-            slot.stalls += 1;
-            kernel.resilience_mut().worker_stalls_detected += 1;
-            let uid = slot.current_uid.load(Ordering::SeqCst);
-            kernel.flight_mut().emit(
-                0,
-                FlightEvent::new(FlightKind::WorkerStall, FlightLayer::Worker, now)
-                    .with_uid(uid)
-                    .with_vals(i as u64, 0),
-            );
-            if uid != 0 {
-                kernel.flag_stream_error(uid, StreamErrors::WORKER_FAILURE);
-            }
-            // Same breaker policy for the sibling path: a slot that
-            // keeps wedging stops getting fresh threads thrown at it.
-            if slot.breaker.record_failure(now) {
-                park_slot(kernel, slot, i, now);
-                continue;
-            }
-            // Threads cannot be killed; leave the wedged worker alone and
-            // put a fresh sibling on the same queue so the backlog moves.
-            extra.push(spawn_worker(
-                s,
-                slot.rx.clone(),
-                handlers.clone(),
-                ctl.clone(),
-                rel.clone(),
-                slot.heartbeat.clone(),
-                Arc::new(AtomicU64::new(0)),
-                Vec::new(),
-                tele.clone(),
-                i,
-            ));
-            slot.restarts += 1;
-            kernel.resilience_mut().worker_restarts += 1;
-            kernel.flight_mut().emit(
-                0,
-                FlightEvent::new(FlightKind::WorkerRestart, FlightLayer::Worker, now)
-                    .with_vals(i as u64, 0),
-            );
-        }
-    }
-}
+/// Most packets fed to the NIC between two service passes. Also the
+/// watchdog cadence, so a burst never spans a watchdog pass.
+const MAX_BURST: u64 = 256;
 
 impl Scap {
     /// Start configuring a capture (`scap_create`).
@@ -886,16 +676,24 @@ impl Scap {
     /// the configured worker threads; returns the final statistics.
     ///
     /// The packet source stands in for the monitored interface: a pcap
-    /// file reader, a synthetic generator, or any packet iterator. A
-    /// second call on the same socket returns the previous statistics
-    /// (the capture is already consumed).
+    /// file reader, a synthetic generator, or any packet iterator; it is
+    /// pulled one burst at a time, never materialized (except under a
+    /// fault plan, whose frame mangling reorders). A second call on the
+    /// same socket returns the previous statistics (the capture is
+    /// already consumed).
+    ///
+    /// The kernel thread works in bursts (DESIGN.md §4.1): up to 256
+    /// packets into the NIC, then one
+    /// [`ScapKernel::service_core`] pass per core, one batch of events to
+    /// each worker slot, one sweep of the channels back. A burst ends
+    /// early at any packet ordinal where a checkpoint, the injected
+    /// kill, the stats hook or the watchdog is due, after one governor
+    /// tick of trace time, and after a single packet under overload.
     pub fn start_capture(&mut self, packets: impl IntoIterator<Item = Packet>) -> ScapStats {
         let Some(cfg) = self.cfg.take() else {
             return self.last_stats.unwrap_or_default();
         };
         let nworkers = cfg.worker_threads.max(1);
-        let ncores = cfg.cores.max(1);
-        let dispatch = cfg.dispatch;
         let worker_faults: Vec<WorkerFault> = cfg
             .faults
             .as_ref()
@@ -905,14 +703,15 @@ impl Scap {
         // Wire-level fault mangling happens at the trace boundary, before
         // the NIC ever sees a frame.
         let mut frame_stats = None;
-        let packets: Vec<Packet> = match cfg.faults.as_ref() {
+        let source: Box<dyn Iterator<Item = Packet> + '_> = match cfg.faults.as_ref() {
             Some(plan) => {
                 let (v, s) = mangle_packets(plan, packets);
                 frame_stats = Some(s);
-                v
+                Box::new(v.into_iter())
             }
-            None => packets.into_iter().collect(),
+            None => Box::new(packets.into_iter()),
         };
+        let mut source = source.peekable();
 
         // Warm restart: reuse the kernel restored by `resume_from` (stream
         // uids, committed offsets and FDIR filters carry over) instead of
@@ -924,146 +723,85 @@ impl Scap {
         if let Some(s) = frame_stats {
             kernel.note_frame_faults(s);
         }
-        let kill_at = kernel
-            .config()
-            .faults
-            .as_ref()
-            .and_then(|p| p.kill_at_packet);
-        let ckpt = self.ckpt_every.clone();
-        let mut ckpt_seq = self.ckpt_seq;
-
+        let kcfg = kernel.config();
+        let ncores = kcfg.cores.max(1);
+        let kill_at = kcfg.faults.as_ref().and_then(|p| p.kill_at_packet);
+        let tick_ns = kcfg.governor.tick_ns;
+        // A burst the ring cannot hold would drop what per-packet
+        // service never did.
+        let max_burst = self.max_burst.min(kcfg.rx_ring_slots as u64).max(1);
+        let breaker = scap_shard::CircuitBreaker::new(
+            kcfg.watchdog_breaker_threshold,
+            kcfg.watchdog_breaker_window_ns,
+        );
         let handlers = WorkerHandlers {
             on_create: self.on_create.clone(),
             on_data: self.on_data.clone(),
             on_termination: self.on_termination.clone(),
             sinks: self.sinks.clone(),
         };
-
-        // PF_SCAP-socket stand-ins.
-        let (ctl_tx, ctl_rx) = channel::<ControlOp>();
-        let (rel_tx, rel_rx) = channel::<Event>();
-
-        // Worker-side telemetry is shared across threads, so it uses the
-        // atomic backend (one shard per worker slot); the kernel-side
-        // registries stay plain because only this thread drives them.
-        let worker_tele = Arc::new(AtomicRegistry::new(nworkers));
+        let ckpt = self.ckpt_every.clone();
+        let mut ckpt_seq = self.ckpt_seq;
         let on_stats = self.on_stats.clone();
         let stats_every = self.stats_interval;
 
-        let breaker_threshold = kernel.config().watchdog_breaker_threshold;
-        let breaker_window_ns = kernel.config().watchdog_breaker_window_ns;
         let scope_out = std::thread::scope(|s| {
-            let mut slots: Vec<WorkerSlot> = Vec::with_capacity(nworkers);
-            let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, ()>>> =
-                Vec::with_capacity(nworkers);
-            let mut extra: Vec<std::thread::ScopedJoinHandle<'_, ()>> = Vec::new();
-            for w in 0..nworkers {
-                let (tx, rx) = channel::<Event>();
-                let rx = Arc::new(Mutex::new(rx));
-                let heartbeat = Arc::new(AtomicU64::new(0));
-                let current_uid = Arc::new(AtomicU64::new(0));
-                let faults: Vec<WorkerFault> = worker_faults
-                    .iter()
-                    .copied()
-                    .filter(|f| f.worker == w)
-                    .collect();
-                handles.push(Some(spawn_worker(
-                    s,
-                    rx.clone(),
-                    handlers.clone(),
-                    ctl_tx.clone(),
-                    rel_tx.clone(),
-                    heartbeat.clone(),
-                    current_uid.clone(),
-                    faults,
-                    worker_tele.clone(),
-                    w,
-                )));
-                slots.push(WorkerSlot {
-                    tx: Some(tx),
-                    rx,
-                    heartbeat,
-                    current_uid,
-                    sent: 0,
-                    lost: 0,
-                    last_beat: 0,
-                    last_beat_at: Instant::now(),
-                    stall_flagged: false,
-                    panics: 0,
-                    stalls: 0,
-                    restarts: 0,
-                    breaker: scap_shard::CircuitBreaker::new(breaker_threshold, breaker_window_ns),
-                    parked: false,
-                });
-            }
-
+            let mut crew = Crew::start(s, handlers, nworkers, breaker, &worker_faults);
             let mut now = 0u64;
-            let mut since_watchdog = 0u32;
             let mut npkts = 0u64;
             let mut killed: Option<u64> = None;
-            for pkt in &packets {
-                now = pkt.ts_ns;
+            let mut burst: Vec<Packet> = Vec::with_capacity(max_burst as usize);
+            loop {
+                // Room until the next ordinal where something is due.
+                let mut room = max_burst.min(MAX_BURST - npkts % MAX_BURST);
+                for every in [ckpt.as_ref().map(|c| c.0), stats_every]
+                    .into_iter()
+                    .flatten()
+                {
+                    room = room.min(every - npkts % every);
+                }
+                if let Some(k) = kill_at.filter(|&k| k > npkts) {
+                    room = room.min(k - npkts);
+                }
+                if kernel.governor_level() > 0 {
+                    // Overload: chunks must come back as fast as they go
+                    // out, and replaying on past a worker that has
+                    // fallen a whole burst behind only fills the arena
+                    // with what it has not looked at yet.
+                    room = 1;
+                    crew.catch_up(&mut kernel, now, MAX_BURST);
+                }
+                burst.clear();
+                while (burst.len() as u64) < room {
+                    let first_ts = burst.first().map(|p| p.ts_ns);
+                    let in_tick =
+                        |p: &Packet| first_ts.is_none_or(|t| p.ts_ns.saturating_sub(t) < tick_ns);
+                    match source.next_if(in_tick) {
+                        Some(pkt) => burst.push(pkt),
+                        None => break,
+                    }
+                }
+                let Some(last) = burst.last() else {
+                    break; // source exhausted
+                };
+                now = last.ts_ns;
                 let span = SpanTimer::start();
-                kernel.nic_receive(pkt);
+                for pkt in &burst {
+                    kernel.nic_receive(pkt);
+                }
                 span.finish(kernel.telemetry(), 0, Stage::Nic);
                 for core in 0..ncores {
-                    let span = SpanTimer::start();
-                    match dispatch {
-                        crate::DispatchMode::Classic => {
-                            while kernel.kernel_poll(core, now).is_some() {}
-                        }
-                        crate::DispatchMode::Fastpath => {
-                            while kernel.poll_burst(core, now).is_some() {}
-                        }
-                    }
-                    kernel.kernel_timers(core, now);
-                    span.finish(
-                        kernel.telemetry(),
-                        core,
-                        match dispatch {
-                            crate::DispatchMode::Classic => Stage::Kernel,
-                            crate::DispatchMode::Fastpath => Stage::Fastpath,
-                        },
-                    );
-                    let span = SpanTimer::start();
-                    let mut fanned_out = false;
-                    while let Some(ev) = kernel.next_event(core) {
-                        fanned_out = true;
-                        // Delivery span on the trace clock: ingress of
-                        // the producing packet to worker hand-off.
-                        kernel.note_delivery(&ev, now);
-                        let slot = &mut slots[core % nworkers];
-                        slot.sent += 1;
-                        if let Some(tx) = slot.tx.as_ref() {
-                            let _ = tx.send(ev);
-                        } else {
-                            // Parked slot: the event cannot be handled;
-                            // count the loss and recycle its chunk.
-                            slot.lost += 1;
-                            if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                                kernel.release_data(ev.stream.uid, dir, chunk);
-                            }
-                        }
-                    }
-                    if fanned_out {
-                        span.finish(kernel.telemetry(), core, Stage::EventQueue);
-                    }
+                    kernel.service_core(core, now, StageClock::Wall, &mut |k, ev| {
+                        crew.fan_out(k, ev)
+                    });
+                    // Between cores, not once per burst: a small arena
+                    // needs its chunks back before the next core's
+                    // packets ask for them.
+                    crew.drain_released(&mut kernel);
                 }
-                while let Ok(op) = ctl_rx.try_recv() {
-                    kernel.control(op);
-                }
-                let span = SpanTimer::start();
-                let mut released = false;
-                while let Ok(ev) = rel_rx.try_recv() {
-                    released = true;
-                    if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                        kernel.release_data(ev.stream.uid, dir, chunk);
-                    }
-                }
-                if released {
-                    span.finish(kernel.telemetry(), 0, Stage::Memory);
-                }
-                npkts += 1;
+                crew.hand_off();
+                crew.drain_control(&mut kernel);
+                npkts += burst.len() as u64;
                 // Crash-consistent periodic checkpoints (§4 two-instance
                 // trick): snapshot between packets, atomically, without
                 // stopping dispatch.
@@ -1079,188 +817,60 @@ impl Scap {
                 // death would. Recovery goes through `resume_from`.
                 if kill_at == Some(npkts) {
                     killed = Some(npkts);
-                    // Black-box dump: persist the flight journal's tail
-                    // next to the checkpoint before "dying", so the
-                    // post-mortem (`scapstore verify`) can explain what
-                    // the capture was doing when it was killed.
-                    if let Some((_, path)) = ckpt.as_ref() {
-                        let mut bb = path.clone().into_os_string();
-                        bb.push(".flight");
-                        let _ = std::fs::write(bb, kernel.flight().encode_tail(BLACK_BOX_TAIL));
-                    }
+                    // Persist the flight journal's tail before "dying",
+                    // so the post-mortem (`scapstore verify`) can explain
+                    // what the capture was doing when it was killed.
+                    write_black_box(ckpt.as_ref(), &kernel);
                     break;
                 }
                 if let (Some(every), Some(hook)) = (stats_every, on_stats.as_ref()) {
                     if npkts.is_multiple_of(every) {
                         let mut snap = kernel.telemetry_snapshot();
-                        snap.merge(&worker_tele.snapshot());
+                        snap.merge(&crew.telemetry());
                         hook(&snap);
                     }
                 }
-                since_watchdog += 1;
-                if since_watchdog >= 256 {
-                    since_watchdog = 0;
-                    let beats: u64 = slots
-                        .iter()
-                        .map(|sl| sl.heartbeat.load(Ordering::SeqCst))
-                        .sum();
-                    kernel.set_worker_heartbeats(beats);
-                    watchdog(
-                        s,
-                        &mut kernel,
-                        &mut slots,
-                        &mut handles,
-                        &mut extra,
-                        &handlers,
-                        &ctl_tx,
-                        &rel_tx,
-                        &worker_tele,
-                        now,
-                    );
+                if npkts.is_multiple_of(MAX_BURST) {
+                    crew.watchdog(&mut kernel, now);
                 }
             }
 
             if killed.is_none() {
-                kernel.finish(now.saturating_add(1));
-                for core in 0..ncores {
-                    while let Some(ev) = kernel.next_event(core) {
-                        kernel.note_delivery(&ev, now.saturating_add(1));
-                        let slot = &mut slots[core % nworkers];
-                        slot.sent += 1;
-                        if let Some(tx) = slot.tx.as_ref() {
-                            let _ = tx.send(ev);
-                        } else {
-                            slot.lost += 1;
-                            if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                                kernel.release_data(ev.stream.uid, dir, chunk);
-                            }
-                        }
-                    }
-                }
-
-                // Wait for the workers to drain their queues, still
-                // watching for deaths and stalls (a wedged worker would
-                // otherwise hold the shutdown hostage). A killed capture
-                // skips this: the process is "dead", we only join threads.
-                let deadline = Instant::now() + DRAIN_DEADLINE;
-                loop {
-                    let done: u64 = slots
-                        .iter()
-                        .map(|sl| sl.heartbeat.load(Ordering::SeqCst) + sl.lost)
-                        .sum();
-                    let sent: u64 = slots.iter().map(|sl| sl.sent).sum();
-                    if done >= sent || Instant::now() > deadline {
-                        break;
-                    }
-                    watchdog(
-                        s,
-                        &mut kernel,
-                        &mut slots,
-                        &mut handles,
-                        &mut extra,
-                        &handlers,
-                        &ctl_tx,
-                        &rel_tx,
-                        &worker_tele,
-                        now,
-                    );
-                    while let Ok(op) = ctl_rx.try_recv() {
-                        kernel.control(op);
-                    }
-                    while let Ok(ev) = rel_rx.try_recv() {
-                        if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                            kernel.release_data(ev.stream.uid, dir, chunk);
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                let end = now.saturating_add(1);
+                kernel.finish(end);
+                kernel.drain_events(end, |k, ev| crew.fan_out(k, ev));
+                crew.hand_off();
+                // Wait for the workers to drain their queues. A killed
+                // capture skips this: the process is "dead", we only
+                // join threads.
+                crew.catch_up(&mut kernel, now, 0);
             }
-
-            // Close event channels; workers drain the remainder and exit.
-            for slot in slots.iter_mut() {
-                slot.tx = None;
-            }
-            for (i, h) in handles.iter_mut().enumerate() {
-                if let Some(h) = h.take() {
-                    if h.join().is_err() {
-                        // Died after the last watchdog pass.
-                        slots[i].panics += 1;
-                        kernel.resilience_mut().worker_panics += 1;
-                        let uid = slots[i].current_uid.swap(0, Ordering::SeqCst);
-                        kernel.flight_mut().emit(
-                            0,
-                            FlightEvent::new(FlightKind::WorkerPanic, FlightLayer::Worker, now)
-                                .with_uid(uid)
-                                .with_vals(i as u64, 0),
-                        );
-                        if uid != 0 {
-                            kernel.flag_stream_error(uid, StreamErrors::WORKER_FAILURE);
-                        }
-                    }
-                }
-            }
-            for h in extra {
-                let _ = h.join();
-            }
-
-            // Final releases and control ops.
-            while let Ok(op) = ctl_rx.try_recv() {
-                kernel.control(op);
-            }
-            while let Ok(ev) = rel_rx.try_recv() {
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-
-            let statuses: Vec<WorkerStatus> = slots
-                .iter()
-                .enumerate()
-                .map(|(i, sl)| WorkerStatus {
-                    worker: i,
-                    panics: sl.panics,
-                    stalls: sl.stalls,
-                    restarts: sl.restarts,
-                })
-                .collect();
-            let beats: u64 = slots
-                .iter()
-                .map(|sl| sl.heartbeat.load(Ordering::SeqCst))
-                .sum();
-            kernel.set_worker_heartbeats(beats);
-            // Hoist the telemetry out before the worker registries drop
-            // with the scope; the kernel itself survives the capture so
-            // it can be checkpointed or hot-reconfigured afterwards.
+            let (statuses, worker_tele) = crew.finish(&mut kernel, now);
+            // The kernel itself survives the capture so it can be
+            // checkpointed or hot-reconfigured afterwards.
             let mut telemetry = kernel.telemetry_snapshot();
-            telemetry.merge(&worker_tele.snapshot());
-            let series = kernel.telemetry_series().clone();
-            (kernel, statuses, telemetry, series, now, killed)
+            telemetry.merge(&worker_tele);
+            (kernel, statuses, telemetry, now, killed)
         });
-        let (kernel, statuses, telemetry, series, end_ts, killed) = scope_out;
+        let (kernel, statuses, telemetry, end_ts, killed) = scope_out;
 
         let stats = kernel.stats();
-        self.kernel = Some(kernel);
         self.died_at = killed;
         self.last_ts_ns = end_ts;
         self.ckpt_seq = ckpt_seq;
         self.last_error = if statuses.iter().all(WorkerStatus::is_clean) {
             None
         } else {
+            // Worker failures also leave a black box next to the
+            // checkpoint: the capture survived, but the journal tail
+            // records each panic and stall with the stream it was holding.
+            write_black_box(self.ckpt_every.as_ref(), &kernel);
             Some(CaptureError { workers: statuses })
         };
-        // Worker failures also leave a black box next to the checkpoint:
-        // the capture survived, but the journal tail records each panic
-        // and stall with the stream it was holding.
-        if self.last_error.is_some() {
-            if let (Some((_, path)), Some(k)) = (self.ckpt_every.as_ref(), self.kernel.as_ref()) {
-                let mut bb = path.clone().into_os_string();
-                bb.push(".flight");
-                let _ = std::fs::write(bb, k.flight().encode_tail(BLACK_BOX_TAIL));
-            }
-        }
+        self.last_series = Some(kernel.telemetry_series().clone());
+        self.kernel = Some(kernel);
         self.last_stats = Some(stats);
         self.last_telemetry = Some(telemetry);
-        self.last_series = Some(series);
         stats
     }
 
@@ -1333,61 +943,25 @@ impl Scap {
     }
 }
 
-#[derive(Clone)]
-struct WorkerHandlers {
-    on_create: Option<Handler>,
-    on_data: Option<Handler>,
-    on_termination: Option<Handler>,
-    sinks: Vec<Arc<dyn EventSink>>,
-}
-
-impl WorkerHandlers {
-    fn dispatch(&self, ev: &Event, ctl: &Sender<ControlOp>) {
-        let mut ctx = StreamCtx {
-            stream: &ev.stream,
-            dir: None,
-            data: None,
-            data_offset: 0,
-            packet_records: &[],
-            ctl,
-        };
-        let handler = match &ev.kind {
-            EventKind::Created => {
-                for s in &self.sinks {
-                    s.on_created(&ev.stream);
-                }
-                &self.on_create
-            }
-            EventKind::Data {
-                dir,
-                chunk,
-                packets,
-            } => {
-                ctx.dir = Some(*dir);
-                ctx.data = Some(chunk.bytes());
-                ctx.data_offset = chunk.start_offset;
-                ctx.packet_records = packets.as_slice();
-                for s in &self.sinks {
-                    s.on_data(&ev.stream, *dir, chunk.bytes(), chunk.start_offset);
-                }
-                &self.on_data
-            }
-            EventKind::Terminated => {
-                for s in &self.sinks {
-                    s.on_terminated(&ev.stream);
-                }
-                &self.on_termination
-            }
-        };
-        if let Some(h) = handler {
-            h(&ctx);
-        }
+#[cfg(test)]
+impl Scap {
+    /// Cap bursts at `n` packets (1 = per-packet service, the reference
+    /// the burst driver is compared against).
+    fn with_max_burst(mut self, n: u64) -> Self {
+        self.max_burst = n;
+        self
     }
 }
 
 #[cfg(test)]
+mod burst_tests;
+mod crew;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use scap_flight::{FlightKind, FlightLayer};
+    use scap_telemetry::Metric;
     use scap_trace::gen::{CampusMix, CampusMixConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1560,7 +1134,22 @@ mod tests {
             snap.total(Metric::WorkerEventsHandled)
         );
         assert!(snap.total(Metric::WorkerEventsHandled) > 0);
-        assert!(snap.stage(Stage::Nic).count() >= stats.stack.wire_packets);
+        // Kernel-side spans are per burst: one NIC span each, one kernel
+        // span per core each. Nothing cuts a burst here but the 256-packet
+        // cadence and one governor tick of trace time.
+        let (pkts, tick_ns) = (trace(), ScapConfig::default().governor.tick_ns);
+        let (mut bursts, mut first_ts) = (0u64, 0u64);
+        for (i, p) in pkts.iter().enumerate() {
+            if (i as u64).is_multiple_of(MAX_BURST) || p.ts_ns.saturating_sub(first_ts) >= tick_ns {
+                (bursts, first_ts) = (bursts + 1, p.ts_ns);
+            }
+        }
+        assert!(bursts < stats.stack.wire_packets / 8, "{bursts} bursts");
+        assert_eq!(snap.stage(Stage::Nic).count(), bursts);
+        assert_eq!(
+            snap.stage(Stage::Kernel).count(),
+            bursts * ScapConfig::default().cores as u64
+        );
         assert!(scap.telemetry_series().is_some());
     }
 

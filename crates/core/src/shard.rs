@@ -31,7 +31,7 @@
 
 use crate::checkpoint::CheckpointImage;
 use crate::config::ScapConfig;
-use crate::event::{Event, EventKind};
+use crate::event::Event;
 use crate::kernel::ScapKernel;
 use scap_faults::{FaultPlan, ShardFault, ShardFaultKind};
 use scap_flight::{FlightEvent, FlightKind, FlightLayer, FlightRecorder};
@@ -124,10 +124,15 @@ pub struct IncarnationTotals {
     pub resumed_streams: u64,
     /// Checkpoints written across incarnations.
     pub checkpoints_written: u64,
+    /// Non-empty fast-path burst pulls across incarnations (0 under
+    /// classic dispatch).
+    pub fastpath_bursts: u64,
 }
 
 impl IncarnationTotals {
-    fn absorb(&mut self, s: &crate::kernel::ScapStats) {
+    fn absorb(&mut self, kernel: &ScapKernel) {
+        let s = kernel.stats();
+        self.fastpath_bursts += kernel.fastpath_stats().bursts;
         self.wire_packets += s.stack.wire_packets;
         self.wire_bytes += s.stack.wire_bytes;
         self.delivered_packets += s.stack.delivered_packets;
@@ -262,6 +267,8 @@ pub struct FleetStats {
     pub resumed_streams: u64,
     /// Σ checkpoints written.
     pub checkpoints_written: u64,
+    /// Σ non-empty fast-path burst pulls (0 under classic dispatch).
+    pub fastpath_bursts: u64,
     /// Total shard kills (crashes + lease takedowns).
     pub kills: u64,
     /// Lease-deadline takedowns among those.
@@ -508,17 +515,10 @@ impl ShardFleet {
         let Some(kernel) = slot.kernel.as_mut() else {
             return;
         };
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-            while let Some(ev) = kernel.next_event(core) {
-                kernel.note_delivery(&ev, now);
-                sink(shard, &ev);
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.service(now, |k, ev| {
+            sink(shard, &ev);
+            k.release_event(ev);
+        });
         slot.pending_burst = 0;
         slot.lease.beat(now);
     }
@@ -588,12 +588,10 @@ impl ShardFleet {
         kernel.finish(now);
         for core in 0..kernel.ncores() {
             while let Some(ev) = kernel.next_event(core) {
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
+                kernel.release_event(ev);
             }
         }
-        slot.retired.absorb(&kernel.stats());
+        slot.retired.absorb(&kernel);
         slot.journals.push(kernel.flight().encode());
         slot.retired_pulse.merge(&kernel.pulse_snapshot());
         slot.kills += 1;
@@ -741,7 +739,7 @@ impl ShardFleet {
                     self.drive(shard, now, sink);
                     let slot = &mut self.slots[shard];
                     if let Some(kernel) = slot.kernel.take() {
-                        slot.retired.absorb(&kernel.stats());
+                        slot.retired.absorb(&kernel);
                         slot.journals.push(kernel.flight().encode());
                         slot.retired_pulse.merge(&kernel.pulse_snapshot());
                     }
@@ -771,7 +769,7 @@ impl ShardFleet {
         for slot in &self.slots {
             let mut t = slot.retired;
             if let Some(kernel) = slot.kernel.as_ref() {
-                t.absorb(&kernel.stats());
+                t.absorb(kernel);
             }
             f.delivered_packets += t.delivered_packets;
             f.dropped_packets += t.dropped_packets;
@@ -784,6 +782,7 @@ impl ShardFleet {
             f.resume_gap_bytes += t.resume_gap_bytes;
             f.resumed_streams += t.resumed_streams;
             f.checkpoints_written += t.checkpoints_written;
+            f.fastpath_bursts += t.fastpath_bursts;
             f.shard_down_packets += slot.down_pkts;
             f.shard_down_bytes += slot.down_bytes;
             f.kills += slot.kills;

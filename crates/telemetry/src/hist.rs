@@ -156,14 +156,6 @@ impl HistSnapshot {
         bucket_range(BUCKETS - 1).0
     }
 
-    /// The lower bound of the bucket containing the `q`-quantile — the
-    /// pre-interpolation conservative estimate, kept for callers that
-    /// need a value guaranteed ≤ the true quantile.
-    #[deprecated(note = "use `quantile`, which interpolates within the bucket")]
-    pub fn quantile_lower_bound(&self, q: f64) -> u64 {
-        self.quantile_floor(q)
-    }
-
     /// Element-wise accumulate another histogram into this one. The sum
     /// wraps like the recording path does, so merging shard snapshots
     /// of extreme values cannot panic.
@@ -233,11 +225,8 @@ mod tests {
         assert_eq!(s.quantile(0.5), 1);
         let (lo, hi) = bucket_range(bucket_of(1000));
         assert_eq!(s.quantile(0.99), lo + (hi - lo) / 2);
-        #[allow(deprecated)]
-        {
-            assert_eq!(s.quantile_lower_bound(0.99), lo);
-            assert_eq!(s.quantile_lower_bound(0.5), 1);
-        }
+        assert_eq!(s.quantile_floor(0.99), lo);
+        assert_eq!(s.quantile_floor(0.5), 1);
         assert!((s.mean() - 250.75).abs() < 1e-9);
         assert_eq!(HistSnapshot::default().quantile(0.5), 0);
     }
@@ -316,8 +305,7 @@ mod tests {
                 lo <= est && est <= hi,
                 "estimate {est} escaped bucket [{lo},{hi}] of true quantile {exact}"
             );
-            #[allow(deprecated)]
-            let cons = merged.quantile_lower_bound(q);
+            let cons = merged.quantile_floor(q);
             prop_assert!(cons <= exact, "conservative estimate {cons} > true {exact}");
         }
     }

@@ -9,6 +9,7 @@ use scap::flight::{decode_journal, DropReason, FlightKind, FlightLayer};
 use scap::{FaultPlan, FleetConfig, ScapConfig, ShardFleet, ShardMap, ShardState};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
 use scap_wire::{FlowKey, Transport};
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Partition properties
@@ -182,4 +183,63 @@ fn quiet_fleet_attributes_nothing_to_blackouts() {
     assert_eq!(fs.shard_down_packets, 0);
     assert_eq!(fs.shard_down_bytes, 0);
     assert!(fs.packets_conserved() && fs.bytes_conserved());
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch mode: a fast-path fleet really runs the fast path
+// ---------------------------------------------------------------------------
+
+/// Delivered bytes by stream and direction.
+type Streams<T> = BTreeMap<(String, usize), T>;
+
+/// Drive a quiet 2-shard fleet in `dispatch` mode; returns its statistics
+/// and every stream's delivered bytes (per direction, in offset order).
+fn dispatch_fleet(dispatch: scap::DispatchMode) -> (scap::FleetStats, Streams<Vec<u8>>) {
+    let mut fleet = ShardFleet::new(FleetConfig {
+        nshards: 2,
+        shard: ScapConfig {
+            dispatch,
+            ..ScapConfig::default()
+        },
+        ..FleetConfig::default()
+    });
+    let mut chunks: Streams<Vec<(u64, Vec<u8>)>> = BTreeMap::new();
+    let mut sink = |_shard: usize, ev: &scap::Event| {
+        if let scap::EventKind::Data { dir, chunk, .. } = &ev.kind {
+            chunks
+                .entry((ev.stream.key.to_string(), dir.index()))
+                .or_default()
+                .push((chunk.start_offset, chunk.bytes().to_vec()));
+        }
+    };
+    let mut last = 0u64;
+    for p in CampusMix::new(CampusMixConfig::sized(9, 2 << 20)) {
+        last = p.ts_ns;
+        fleet.offer_with(&p, &mut sink);
+    }
+    fleet.finish_with(last + 1, &mut sink);
+    let streams = chunks
+        .into_iter()
+        .map(|(k, mut parts)| {
+            parts.sort();
+            (k, parts.into_iter().flat_map(|(_, b)| b).collect())
+        })
+        .collect();
+    (fleet.fleet_stats(), streams)
+}
+
+#[test]
+fn fastpath_fleet_runs_the_fast_path_and_delivers_the_same_bytes() {
+    let (classic, classic_streams) = dispatch_fleet(scap::DispatchMode::Classic);
+    let (fast, fast_streams) = dispatch_fleet(scap::DispatchMode::Fastpath);
+    assert_eq!(classic.fastpath_bursts, 0);
+    assert!(fast.fastpath_bursts > 0, "{fast:?}");
+    for fs in [&classic, &fast] {
+        assert!(fs.packets_conserved() && fs.bytes_conserved(), "{fs:?}");
+        assert_eq!(fs.shard_down_packets, 0);
+    }
+    assert!(fast.delivered_bytes > 0);
+    assert_eq!(fast.delivered_bytes, classic.delivered_bytes);
+    assert_eq!(fast_streams.len(), classic_streams.len());
+    assert!(fast_streams == classic_streams, "per-stream bytes differ");
 }
