@@ -250,6 +250,24 @@ cargo run --release -p scap-bench --bin scapstore -- verify "$store_out/archive"
     || { echo "scapstore verify failed on a fresh archive"; exit 1; }
 rm -rf "$store_out"
 
+echo "== on-disk compatibility fixtures =="
+# Written by the code at commit 46c75b1 (tests/fixtures/README.md): a
+# drift in the framing, the CRC kernel or an encoder must fail here,
+# not at some later restart. tests/fixtures.rs checks the bytes; this
+# checks the tool an operator would reach for.
+for f in ckpt_v1.bin archive_v1; do
+    cargo run --release -p scap-bench --bin scapstore -- verify "tests/fixtures/$f" >/dev/null \
+        || { echo "fixture $f no longer verifies"; exit 1; }
+done
+fx_log=$(cargo run --release -p scap-bench --bin scapstore -- \
+    verify tests/fixtures/journal_v1.flight) \
+    || { echo "fixture journal no longer decodes"; exit 1; }
+echo "$fx_log" | grep -q "flight black box is clean" \
+    || { echo "fixture journal did not report clean: $fx_log"; exit 1; }
+if echo "$fx_log" | grep -q "torn tail"; then
+    echo "fixture journal reads as torn: $fx_log"; exit 1
+fi
+
 echo "== tenants isolation gate =="
 tenants_out=$(mktemp -d)
 # The experiment asserts the slow-consumer ladder, the per-tenant

@@ -4,11 +4,19 @@
 //! from the wire: per-core stream records and their kernel-side
 //! reassembly state, the global uid counter, the overload-governor
 //! escalation level, the installed FDIR filter set, and the active
-//! [`ScapConfig`]. The on-disk format reuses the checksummed record
-//! framing the `scap-store` archive proved out — this module *is* that
-//! codec now: `scap-store` re-exports the constants and framing
-//! functions defined here, so there is exactly one CRC table, one record
-//! frame, and one torn-tail scanner in the tree.
+//! [`ScapConfig`]. The on-disk format is the checksummed record framing
+//! of [`scap_flight::framing`] — one CRC-32 kernel, one file header and
+//! one record frame for checkpoints, the `scap-store` archive and flight
+//! journals — re-exported here (which is where `scap-store` imports it
+//! from) next to the torn-tail scanner.
+//!
+//! An image is written in one pass by [`ImageWriter`]: every record is
+//! framed in place in the caller's buffer (header reserved, body
+//! appended, length and CRC patched), and the kernel lends its live
+//! stream state through [`KStateView`] so pending chunk bytes and
+//! buffered out-of-order segments go from stream memory straight into
+//! the image. The owned [`StreamImage`] is the decode product; it
+//! re-encodes through the same writer by lending itself the same way.
 //!
 //! # File layout
 //!
@@ -51,72 +59,22 @@ use scap_filter::Filter;
 use scap_flow::{DirStats, StreamStatus};
 use scap_memory::PplConfig;
 use scap_nic::{FdirAction, FdirFilter, FlexMatch, OffloadAction, OffloadRule};
-use scap_reassembly::{ConnCheckpoint, ConnPhase, DirState, OverlapPolicy, ReassemblyMode};
+use scap_reassembly::{
+    ConnCheckpoint, ConnPhase, DirState, OverlapPolicy, ReassemblyMode, TcpConn,
+};
 use scap_wire::{Direction, FlowKey, IpAddrBytes, Transport};
 
 // ---------------------------------------------------------------------------
 // Shared record codec (also used by scap-store via re-export)
 // ---------------------------------------------------------------------------
 
-/// On-disk format version shared by checkpoints and the archive.
-pub const FORMAT_VERSION: u32 = 1;
-/// File header length: magic + version + file id.
-pub const FILE_HEADER_LEN: usize = 16;
-/// Record frame header length: magic + body length + CRC-32.
-pub const REC_HEADER_LEN: usize = 12;
-/// Per-record magic ("RECD").
-pub const REC_MAGIC: u32 = 0x4443_4552;
-/// Checkpoint-file magic ("SCKP").
-pub const CKPT_MAGIC: u32 = 0x504B_4353;
-
-/// CRC-32 (IEEE 802.3) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
+pub use scap_flight::framing::{
+    crc32, file_header, frame_record, frame_record_into, FILE_HEADER_LEN, FORMAT_VERSION,
+    REC_HEADER_LEN, REC_MAGIC,
 };
 
-/// CRC-32 checksum (IEEE), the integrity check on every record frame.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// Standard 16-byte file header: magic, format version, file id.
-pub fn file_header(magic: u32, id: u64) -> [u8; FILE_HEADER_LEN] {
-    let mut h = [0u8; FILE_HEADER_LEN];
-    h[0..4].copy_from_slice(&magic.to_le_bytes());
-    h[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    h[8..16].copy_from_slice(&id.to_le_bytes());
-    h
-}
-
-/// Frame a record body: magic, length, CRC-32, body.
-pub fn frame_record(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(REC_HEADER_LEN + body.len());
-    out.extend_from_slice(&REC_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
-    out
-}
+/// Checkpoint-file magic ("SCKP").
+pub const CKPT_MAGIC: u32 = 0x504B_4353;
 
 /// One structurally valid record found by [`scan_records`].
 #[derive(Debug, Clone)]
@@ -266,12 +224,13 @@ pub struct CheckpointGlobals {
 
 /// One direction's chunk-assembler state: the committed offset and the
 /// buffered partial-chunk bytes (which the committed offset includes).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AsmImage {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AsmImage<B = Vec<u8>> {
     /// Next byte offset the assembler will write (committed frontier).
     pub committed: u64,
-    /// Partial-chunk bytes buffered at checkpoint time.
-    pub pending: Vec<u8>,
+    /// Partial-chunk bytes buffered at checkpoint time (`&[u8]` when
+    /// lent by a live assembler, see [`KStateView`]).
+    pub pending: B,
 }
 
 /// Kernel-side per-stream state (absent for TIME_WAIT tombstones).
@@ -289,11 +248,69 @@ pub struct KStateImage {
     pub asm: [Option<AsmImage>; 2],
 }
 
+/// A connection's reassembly state as the encoder reads it.
+#[derive(Debug, Clone, Copy)]
+pub enum ConnView<'a> {
+    /// Still inside the kernel: buffered out-of-order segments are
+    /// written from the reassembler's own memory.
+    Live(&'a TcpConn),
+    /// Decoded from an earlier image.
+    Image(&'a ConnCheckpoint),
+}
+
+/// Borrowed form of [`KStateImage`], the only shape the stream-record
+/// encoder reads: the kernel fills it from a live stream's state, a
+/// decoded [`KStateImage`] lends itself as one. No payload byte is
+/// copied to build it.
+#[derive(Debug, Clone, Copy)]
+pub struct KStateView<'a> {
+    /// See [`KStateImage::fdir_installed`].
+    pub fdir_installed: bool,
+    /// See [`KStateImage::fdir_timeout_ns`].
+    pub fdir_timeout_ns: u64,
+    /// See [`KStateImage::fdir_software_fallback`].
+    pub fdir_software_fallback: bool,
+    /// TCP connection state, if tracked.
+    pub conn: Option<ConnView<'a>>,
+    /// Per-direction chunk-assembler state, indexed by `Direction`.
+    pub asm: [Option<AsmImage<&'a [u8]>>; 2],
+}
+
+/// Kernel-side stream state the encoder can borrow as a [`KStateView`].
+pub trait KStateSource {
+    /// Lend this state to the encoder.
+    fn view(&self) -> KStateView<'_>;
+}
+
+impl KStateSource for KStateView<'_> {
+    fn view(&self) -> KStateView<'_> {
+        *self
+    }
+}
+
+impl KStateSource for KStateImage {
+    fn view(&self) -> KStateView<'_> {
+        KStateView {
+            fdir_installed: self.fdir_installed,
+            fdir_timeout_ns: self.fdir_timeout_ns,
+            fdir_software_fallback: self.fdir_software_fallback,
+            conn: self.conn.as_ref().map(ConnView::Image),
+            asm: self.asm.each_ref().map(|a| {
+                a.as_ref().map(|a| AsmImage {
+                    committed: a.committed,
+                    pending: a.pending.as_slice(),
+                })
+            }),
+        }
+    }
+}
+
 /// One checkpointed stream: the flow-table record plus (for live
 /// streams) the kernel state needed to resume reassembly exactly at the
-/// committed offset.
+/// committed offset. `K` is the owned [`KStateImage`] in a decoded
+/// image and a [`KStateView`] while the kernel is writing one.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamImage {
+pub struct StreamImage<K = KStateImage> {
     /// Core (flow table) the stream lives on.
     pub core: u32,
     /// Stable stream uid.
@@ -333,7 +350,7 @@ pub struct StreamImage {
     /// Bytes already skipped over earlier restart blackouts.
     pub resume_gap_bytes: u64,
     /// Kernel state; `None` marks a TIME_WAIT tombstone (record only).
-    pub kstate: Option<KStateImage>,
+    pub kstate: Option<K>,
 }
 
 /// A decoded checkpoint: everything [`crate::ScapKernel`] needs to
@@ -467,10 +484,9 @@ fn status_to_u8(s: StreamStatus) -> u8 {
     }
 }
 
-fn encode_config_body(cfg: &ScapConfig) -> Vec<u8> {
-    let mut b = Vec::with_capacity(256);
+fn put_config(b: &mut Vec<u8>, cfg: &ScapConfig) {
     b.push(REC_CONFIG);
-    put_u64(&mut b, cfg.memory_bytes as u64);
+    put_u64(b, cfg.memory_bytes as u64);
     b.push(match cfg.reassembly_mode {
         ReassemblyMode::Strict => 0,
         ReassemblyMode::Fast => 1,
@@ -480,108 +496,160 @@ fn encode_config_body(cfg: &ScapConfig) -> Vec<u8> {
     match &cfg.filter {
         Some(f) => {
             b.push(1);
-            put_str(&mut b, f.source());
+            put_str(b, f.source());
         }
         None => b.push(0),
     }
-    put_opt_u64(&mut b, cfg.cutoff.default);
-    put_opt_u64(&mut b, cfg.cutoff.per_direction[0]);
-    put_opt_u64(&mut b, cfg.cutoff.per_direction[1]);
-    put_u32(&mut b, cfg.cutoff.classes.len() as u32);
+    put_opt_u64(b, cfg.cutoff.default);
+    put_opt_u64(b, cfg.cutoff.per_direction[0]);
+    put_opt_u64(b, cfg.cutoff.per_direction[1]);
+    put_u32(b, cfg.cutoff.classes.len() as u32);
     for (f, v) in &cfg.cutoff.classes {
-        put_str(&mut b, f.source());
-        put_u64(&mut b, *v);
+        put_str(b, f.source());
+        put_u64(b, *v);
     }
-    put_u32(&mut b, cfg.priorities.classes.len() as u32);
+    put_u32(b, cfg.priorities.classes.len() as u32);
     for (f, p) in &cfg.priorities.classes {
-        put_str(&mut b, f.source());
+        put_str(b, f.source());
         b.push(*p);
     }
-    put_u64(&mut b, cfg.worker_threads as u64);
-    put_u64(&mut b, cfg.cores as u64);
-    put_u64(&mut b, cfg.chunk_size as u64);
-    put_u64(&mut b, cfg.overlap as u64);
-    put_u64(&mut b, cfg.flush_timeout_ns);
-    put_u64(&mut b, cfg.inactivity_timeout_ns);
-    put_f64(&mut b, cfg.ppl.base_threshold);
+    put_u64(b, cfg.worker_threads as u64);
+    put_u64(b, cfg.cores as u64);
+    put_u64(b, cfg.chunk_size as u64);
+    put_u64(b, cfg.overlap as u64);
+    put_u64(b, cfg.flush_timeout_ns);
+    put_u64(b, cfg.inactivity_timeout_ns);
+    put_f64(b, cfg.ppl.base_threshold);
     b.push(cfg.ppl.num_priorities);
-    put_opt_u64(&mut b, cfg.ppl.overload_cutoff);
+    put_opt_u64(b, cfg.ppl.overload_cutoff);
     b.push(u8::from(cfg.use_fdir));
     b.push(u8::from(cfg.use_fdir_balancing));
-    put_f64(&mut b, cfg.balance_threshold);
-    put_u64(&mut b, cfg.rx_ring_slots as u64);
-    put_u64(&mut b, cfg.event_queue_cap as u64);
+    put_f64(b, cfg.balance_threshold);
+    put_u64(b, cfg.rx_ring_slots as u64);
+    put_u64(b, cfg.event_queue_cap as u64);
     for e in cfg.governor.enter {
-        put_f64(&mut b, e);
+        put_f64(b, e);
     }
-    put_f64(&mut b, cfg.governor.exit);
-    put_u32(&mut b, cfg.governor.calm_ticks);
-    put_u64(&mut b, cfg.governor.tick_ns);
-    put_u64(&mut b, cfg.governor.cutoff_caps[0]);
-    put_u64(&mut b, cfg.governor.cutoff_caps[1]);
-    put_f64(&mut b, cfg.governor.ppl_boost);
-    put_u64(&mut b, cfg.governor.evict_batch as u64);
-    put_u64(&mut b, cfg.telemetry_sample_interval_ns);
-    put_u64(&mut b, cfg.telemetry_series_cap as u64);
-    put_u64(&mut b, cfg.flight_ring_cap as u64);
+    put_f64(b, cfg.governor.exit);
+    put_u32(b, cfg.governor.calm_ticks);
+    put_u64(b, cfg.governor.tick_ns);
+    put_u64(b, cfg.governor.cutoff_caps[0]);
+    put_u64(b, cfg.governor.cutoff_caps[1]);
+    put_f64(b, cfg.governor.ppl_boost);
+    put_u64(b, cfg.governor.evict_batch as u64);
+    put_u64(b, cfg.telemetry_sample_interval_ns);
+    put_u64(b, cfg.telemetry_series_cap as u64);
+    put_u64(b, cfg.flight_ring_cap as u64);
     b.push(match cfg.dispatch {
         crate::config::DispatchMode::Classic => 0,
         crate::config::DispatchMode::Fastpath => 1,
     });
-    put_u64(&mut b, cfg.fastpath_burst as u64);
+    put_u64(b, cfg.fastpath_burst as u64);
     b.push(u8::from(cfg.use_offload));
-    put_u64(&mut b, cfg.offload_capacity as u64);
-    put_u32(&mut b, cfg.watchdog_breaker_threshold);
-    put_u64(&mut b, cfg.watchdog_breaker_window_ns);
-    put_u32(&mut b, cfg.pulse_exemplar_permille);
-    put_u64(&mut b, cfg.pulse_exemplar_cap as u64);
-    b
+    put_u64(b, cfg.offload_capacity as u64);
+    put_u32(b, cfg.watchdog_breaker_threshold);
+    put_u64(b, cfg.watchdog_breaker_window_ns);
+    put_u32(b, cfg.pulse_exemplar_permille);
+    put_u64(b, cfg.pulse_exemplar_cap as u64);
 }
 
-fn encode_globals_body(g: &CheckpointGlobals) -> Vec<u8> {
-    let mut b = Vec::with_capacity(32);
+fn put_globals(b: &mut Vec<u8>, g: &CheckpointGlobals) {
     b.push(REC_GLOBALS);
-    put_u64(&mut b, g.ts_ns);
-    put_u64(&mut b, g.uid_counter);
+    put_u64(b, g.ts_ns);
+    put_u64(b, g.uid_counter);
     b.push(g.governor_level);
-    put_u64(&mut b, g.restarts);
-    b
+    put_u64(b, g.restarts);
 }
 
-fn encode_dir_state(b: &mut Vec<u8>, d: &DirState) {
-    match d.base_seq {
+/// One direction's reassembly state: `counters` are the delivered,
+/// duplicate and gap byte totals, `segments` the buffered out-of-order
+/// extents in ascending offset order.
+fn put_dir_state<'a>(
+    b: &mut Vec<u8>,
+    base_seq: Option<u32>,
+    expected: u64,
+    flags: u8,
+    counters: [u64; 3],
+    segments: impl ExactSizeIterator<Item = (u64, &'a [u8])>,
+) {
+    match base_seq {
         Some(s) => {
             b.push(1);
             put_u32(b, s);
         }
         None => b.push(0),
     }
-    put_u64(b, d.expected);
-    b.push(d.flags);
-    put_u64(b, d.delivered_bytes);
-    put_u64(b, d.duplicate_bytes);
-    put_u64(b, d.gap_bytes);
-    put_u32(b, d.segments.len() as u32);
-    for (off, data) in &d.segments {
-        put_u64(b, *off);
+    put_u64(b, expected);
+    b.push(flags);
+    for v in counters {
+        put_u64(b, v);
+    }
+    put_u32(b, segments.len() as u32);
+    for (off, data) in segments {
+        put_u64(b, off);
         put_bytes(b, data);
     }
 }
 
-fn encode_stream_body(s: &StreamImage) -> Vec<u8> {
-    let mut b = Vec::with_capacity(256);
+fn put_conn(b: &mut Vec<u8>, conn: ConnView<'_>) {
+    let (phase, client_dir, fin_seen) = match conn {
+        ConnView::Live(c) => (c.phase(), c.client_dir(), c.fin_seen()),
+        ConnView::Image(c) => (c.phase, c.client_dir, c.fin_seen),
+    };
+    b.push(match phase {
+        ConnPhase::Opening => 0,
+        ConnPhase::Established => 1,
+        ConnPhase::ClosedFin => 2,
+        ConnPhase::ClosedRst => 3,
+    });
+    match client_dir {
+        Some(d) => {
+            b.push(1);
+            b.push(d.index() as u8);
+        }
+        None => b.push(0),
+    }
+    b.push(u8::from(fin_seen[0]));
+    b.push(u8::from(fin_seen[1]));
+    match conn {
+        ConnView::Live(c) => {
+            for d in [Direction::Forward, Direction::Reverse].map(|d| c.dir(d)) {
+                let counters = [d.delivered_bytes, d.duplicate_bytes, d.gap_bytes];
+                put_dir_state(
+                    b,
+                    d.base_seq(),
+                    d.expected(),
+                    d.flags.0,
+                    counters,
+                    d.segments(),
+                );
+            }
+        }
+        ConnView::Image(c) => {
+            for d in &c.dirs {
+                let counters = [d.delivered_bytes, d.duplicate_bytes, d.gap_bytes];
+                let segments = d.segments.iter().map(|(off, data)| (*off, data.as_slice()));
+                put_dir_state(b, d.base_seq, d.expected, d.flags, counters, segments);
+            }
+        }
+    }
+}
+
+/// The one stream-record encoder: owned images and the kernel's live
+/// views both come through here.
+fn put_stream<K: KStateSource>(b: &mut Vec<u8>, s: &StreamImage<K>) {
     b.push(REC_STREAM);
-    put_u32(&mut b, s.core);
-    put_u64(&mut b, s.uid);
-    put_key(&mut b, &s.key);
+    put_u32(b, s.core);
+    put_u64(b, s.uid);
+    put_key(b, &s.key);
     b.push(s.first_dir.index() as u8);
-    put_u64(&mut b, s.first_ts_ns);
-    put_u64(&mut b, s.last_ts_ns);
+    put_u64(b, s.first_ts_ns);
+    put_u64(b, s.last_ts_ns);
     b.push(status_to_u8(s.status));
     b.push(s.errors);
     b.push(s.priority);
-    put_opt_u64(&mut b, s.cutoff[0]);
-    put_opt_u64(&mut b, s.cutoff[1]);
+    put_opt_u64(b, s.cutoff[0]);
+    put_opt_u64(b, s.cutoff[1]);
     b.push(u8::from(s.cutoff_exceeded));
     b.push(u8::from(s.discarded));
     for d in &s.dirs {
@@ -595,11 +663,11 @@ fn encode_stream_body(s: &StreamImage) -> Vec<u8> {
             d.dropped_pkts,
             d.dropped_bytes,
         ] {
-            put_u64(&mut b, v);
+            put_u64(b, v);
         }
     }
-    put_u32(&mut b, s.chunk_size);
-    put_u32(&mut b, s.overlap);
+    put_u32(b, s.chunk_size);
+    put_u32(b, s.overlap);
     match s.reassembly_policy {
         Some(p) => {
             b.push(1);
@@ -607,53 +675,34 @@ fn encode_stream_body(s: &StreamImage) -> Vec<u8> {
         }
         None => b.push(0),
     }
-    put_u64(&mut b, s.processing_time_ns);
-    put_u64(&mut b, s.chunks);
-    put_u64(&mut b, s.resume_gap_bytes);
-    match &s.kstate {
+    put_u64(b, s.processing_time_ns);
+    put_u64(b, s.chunks);
+    put_u64(b, s.resume_gap_bytes);
+    let Some(ks) = s.kstate.as_ref().map(KStateSource::view) else {
+        b.push(0);
+        return;
+    };
+    b.push(1);
+    b.push(u8::from(ks.fdir_installed));
+    put_u64(b, ks.fdir_timeout_ns);
+    b.push(u8::from(ks.fdir_software_fallback));
+    match ks.conn {
         None => b.push(0),
-        Some(ks) => {
+        Some(conn) => {
             b.push(1);
-            b.push(u8::from(ks.fdir_installed));
-            put_u64(&mut b, ks.fdir_timeout_ns);
-            b.push(u8::from(ks.fdir_software_fallback));
-            match &ks.conn {
-                None => b.push(0),
-                Some(c) => {
-                    b.push(1);
-                    b.push(match c.phase {
-                        ConnPhase::Opening => 0,
-                        ConnPhase::Established => 1,
-                        ConnPhase::ClosedFin => 2,
-                        ConnPhase::ClosedRst => 3,
-                    });
-                    match c.client_dir {
-                        Some(d) => {
-                            b.push(1);
-                            b.push(d.index() as u8);
-                        }
-                        None => b.push(0),
-                    }
-                    b.push(u8::from(c.fin_seen[0]));
-                    b.push(u8::from(c.fin_seen[1]));
-                    for d in &c.dirs {
-                        encode_dir_state(&mut b, d);
-                    }
-                }
-            }
-            for a in &ks.asm {
-                match a {
-                    None => b.push(0),
-                    Some(a) => {
-                        b.push(1);
-                        put_u64(&mut b, a.committed);
-                        put_bytes(&mut b, &a.pending);
-                    }
-                }
+            put_conn(b, conn);
+        }
+    }
+    for a in ks.asm {
+        match a {
+            None => b.push(0),
+            Some(a) => {
+                b.push(1);
+                put_u64(b, a.committed);
+                put_bytes(b, a.pending);
             }
         }
     }
-    b
 }
 
 fn encode_filter(f: &FdirFilter) -> Vec<u8> {
@@ -677,19 +726,17 @@ fn encode_filter(f: &FdirFilter) -> Vec<u8> {
     b
 }
 
-fn encode_fdir_body(filters: &[FdirFilter]) -> Vec<u8> {
-    // FDIR tables hash by key, so the caller's iteration order is not
-    // deterministic; sort by encoded bytes so identical filter sets
-    // always produce identical checkpoints.
-    let mut enc: Vec<Vec<u8>> = filters.iter().map(encode_filter).collect();
+/// Body of the FDIR and offload records: `kind`, a count, then the
+/// per-entry encodings sorted by their bytes. Both tables hash by key,
+/// so the caller's iteration order is not deterministic; sorting makes
+/// identical sets always produce identical checkpoints.
+fn put_sorted(b: &mut Vec<u8>, kind: u8, mut enc: Vec<Vec<u8>>) {
     enc.sort_unstable();
-    let mut b = Vec::with_capacity(16 + enc.len() * 48);
-    b.push(REC_FDIR);
-    put_u32(&mut b, enc.len() as u32);
+    b.push(kind);
+    put_u32(b, enc.len() as u32);
     for e in enc {
         b.extend_from_slice(&e);
     }
-    b
 }
 
 fn encode_offload_rule(r: &OffloadRule) -> Vec<u8> {
@@ -702,20 +749,6 @@ fn encode_offload_rule(r: &OffloadRule) -> Vec<u8> {
         OffloadAction::Sample(n) => put_u32(&mut b, n),
     }
     b.push(r.priority);
-    b
-}
-
-fn encode_offload_body(rules: &[OffloadRule]) -> Vec<u8> {
-    // Same determinism discipline as the FDIR record: the table hashes
-    // by key, so sort the encodings before writing.
-    let mut enc: Vec<Vec<u8>> = rules.iter().map(encode_offload_rule).collect();
-    enc.sort_unstable();
-    let mut b = Vec::with_capacity(16 + enc.len() * 48);
-    b.push(REC_OFFLOAD);
-    put_u32(&mut b, enc.len() as u32);
-    for e in enc {
-        b.extend_from_slice(&e);
-    }
     b
 }
 
@@ -743,35 +776,32 @@ fn decode_offload_body(c: &mut Cursor<'_>) -> Result<Vec<OffloadRule>, Checkpoin
     Ok(out)
 }
 
-fn encode_tenants_body(tenants: &[TenantImage]) -> Vec<u8> {
+fn put_tenants(b: &mut Vec<u8>, tenants: &[TenantImage]) {
     // Ascending-id order regardless of input order: the byte output is
     // a pure function of the tenant table.
-    let mut order: Vec<usize> = (0..tenants.len()).collect();
-    order.sort_by_key(|&i| tenants[i].id);
-    let mut b = Vec::with_capacity(32 + tenants.len() * 64);
+    let mut order: Vec<&TenantImage> = tenants.iter().collect();
+    order.sort_by_key(|t| t.id);
     b.push(REC_TENANTS);
-    put_u32(&mut b, tenants.len() as u32);
-    for i in order {
-        let t = &tenants[i];
-        put_u64(&mut b, t.id);
-        put_str(&mut b, &t.name);
+    put_u32(b, tenants.len() as u32);
+    for t in order {
+        put_u64(b, t.id);
+        put_str(b, &t.name);
         match &t.filter_src {
             Some(src) => {
                 b.push(1);
-                put_str(&mut b, src);
+                put_str(b, src);
             }
             None => b.push(0),
         }
-        put_opt_u64(&mut b, t.cutoff);
+        put_opt_u64(b, t.cutoff);
         b.push(t.priority);
-        put_u32(&mut b, t.mem_share);
-        put_u32(&mut b, t.disk_share);
+        put_u32(b, t.mem_share);
+        put_u32(b, t.disk_share);
         b.push(t.state);
-        put_u64(&mut b, t.delivered_bytes);
-        put_u64(&mut b, t.dropped_bytes);
-        put_u64(&mut b, t.discarded_bytes);
+        put_u64(b, t.delivered_bytes);
+        put_u64(b, t.dropped_bytes);
+        put_u64(b, t.discarded_bytes);
     }
-    b
 }
 
 fn decode_tenants_body(c: &mut Cursor<'_>) -> Result<Vec<TenantImage>, CheckpointError> {
@@ -810,6 +840,60 @@ fn decode_tenants_body(c: &mut Cursor<'_>) -> Result<Vec<TenantImage>, Checkpoin
     Ok(tenants)
 }
 
+/// One-pass checkpoint encoder over a caller-owned buffer: every record
+/// is framed in place, so an image costs one write per byte and, when
+/// the buffer held an earlier image, no allocation.
+#[derive(Debug)]
+pub struct ImageWriter<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+impl<'a> ImageWriter<'a> {
+    /// Start an image in `out`, replacing whatever it held (only the
+    /// allocation is kept): file header, config and globals records.
+    pub fn begin(
+        out: &'a mut Vec<u8>,
+        seq: u64,
+        cfg: &ScapConfig,
+        globals: &CheckpointGlobals,
+    ) -> Self {
+        out.clear();
+        out.extend_from_slice(&file_header(CKPT_MAGIC, seq));
+        frame_record_into(out, |b| put_config(b, cfg));
+        frame_record_into(out, |b| put_globals(b, globals));
+        ImageWriter { out }
+    }
+
+    /// Append one stream record. The image's bytes are a pure function
+    /// of the captured state only if streams arrive in ascending-uid
+    /// order, equal uids in a stable order: the caller sorts.
+    pub fn stream<K: KStateSource>(&mut self, s: &StreamImage<K>) {
+        frame_record_into(self.out, |b| put_stream(b, s));
+    }
+
+    /// Close the image: the FDIR filter set, the offload rules and the
+    /// tenant table (the last two only when non-empty), the end marker.
+    pub fn finish(self, fdir: &[FdirFilter], offload: &[OffloadRule], tenants: &[TenantImage]) {
+        let out = self.out;
+        frame_record_into(out, |b| {
+            put_sorted(b, REC_FDIR, fdir.iter().map(encode_filter).collect());
+        });
+        if !offload.is_empty() {
+            frame_record_into(out, |b| {
+                put_sorted(
+                    b,
+                    REC_OFFLOAD,
+                    offload.iter().map(encode_offload_rule).collect(),
+                );
+            });
+        }
+        if !tenants.is_empty() {
+            frame_record_into(out, |b| put_tenants(b, tenants));
+        }
+        frame_record_into(out, |b| b.push(REC_END));
+    }
+}
+
 /// Encode a full checkpoint file from its parts. `streams` are written
 /// in ascending-uid order regardless of input order, so the byte output
 /// is a pure function of the captured state.
@@ -823,22 +907,13 @@ pub fn encode_image(
     tenants: &[TenantImage],
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(&file_header(CKPT_MAGIC, seq));
-    out.extend_from_slice(&frame_record(&encode_config_body(cfg)));
-    out.extend_from_slice(&frame_record(&encode_globals_body(globals)));
-    let mut order: Vec<usize> = (0..streams.len()).collect();
-    order.sort_by_key(|&i| streams[i].uid);
-    for i in order {
-        out.extend_from_slice(&frame_record(&encode_stream_body(&streams[i])));
+    let mut order: Vec<&StreamImage> = streams.iter().collect();
+    order.sort_by_key(|s| s.uid);
+    let mut w = ImageWriter::begin(&mut out, seq, cfg, globals);
+    for s in order {
+        w.stream(s);
     }
-    out.extend_from_slice(&frame_record(&encode_fdir_body(fdir)));
-    if !offload.is_empty() {
-        out.extend_from_slice(&frame_record(&encode_offload_body(offload)));
-    }
-    if !tenants.is_empty() {
-        out.extend_from_slice(&frame_record(&encode_tenants_body(tenants)));
-    }
-    out.extend_from_slice(&frame_record(&[REC_END]));
+    w.finish(fdir, offload, tenants);
     out
 }
 
@@ -1562,11 +1637,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
     fn image_round_trips() {
         let bytes = sample_image_bytes();
         let img = CheckpointImage::decode(&bytes).unwrap();
@@ -1690,10 +1760,8 @@ mod tests {
         put_u32(&mut body, 0); // rate 0: invalid
         body.push(0); // priority
         let mut bad = Vec::new();
-        bad.extend_from_slice(&file_header(CKPT_MAGIC, 0));
-        bad.extend_from_slice(&frame_record(&encode_config_body(&cfg)));
-        bad.extend_from_slice(&frame_record(&encode_globals_body(&globals)));
-        bad.extend_from_slice(&frame_record(&encode_fdir_body(&[])));
+        ImageWriter::begin(&mut bad, 0, &cfg, &globals);
+        frame_record_into(&mut bad, |b| put_sorted(b, REC_FDIR, Vec::new()));
         bad.extend_from_slice(&frame_record(&body));
         bad.extend_from_slice(&frame_record(&[REC_END]));
         let err = CheckpointImage::decode(&bad).unwrap_err();

@@ -10,7 +10,8 @@
 //! discarded, dropped, reported) lives here, once.
 
 use crate::checkpoint::{
-    self, AsmImage, CheckpointError, CheckpointGlobals, CheckpointImage, KStateImage, StreamImage,
+    self, AsmImage, CheckpointError, CheckpointGlobals, CheckpointImage, ConnView, KStateView,
+    StreamImage,
 };
 use crate::config::{ConfigDelta, ScapConfig};
 use crate::event::{Event, EventKind, PacketRecord, StreamSnapshot, StreamUid};
@@ -2753,69 +2754,82 @@ impl ScapKernel {
     /// always consistent. The caller persists the bytes with
     /// [`checkpoint::write_atomic`].
     pub fn checkpoint_bytes(&mut self, now_ns: u64, seq: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.checkpoint_into(now_ns, seq, &mut out);
+        out
+    }
+
+    /// [`ScapKernel::checkpoint_bytes`] into a caller-owned buffer,
+    /// replacing its contents: a periodic checkpointer passes the image
+    /// it is about to retire and pays for no allocation. The image is
+    /// written in one pass — stream records are encoded straight from
+    /// the flow tables, the assemblers' pending chunks and the
+    /// reassemblers' buffered segments, with no intermediate copy.
+    pub fn checkpoint_into(&mut self, now_ns: u64, seq: u64, out: &mut Vec<u8>) {
         let globals = CheckpointGlobals {
             ts_ns: now_ns,
             uid_counter: self.uid_counter,
             governor_level: self.governor.level(),
             restarts: self.stats.resilience.restarts,
         };
-        let mut streams = Vec::new();
+        // Ascending uid; the stable sort keeps TIME_WAIT tombstones
+        // (uid 0) in table order.
+        let mut order = Vec::new();
         for (c, core) in self.cores.iter().enumerate() {
             for rec in core.flows.iter() {
                 let ks = core.kstates.get(&rec.id);
-                let kstate = ks.map(|ks| KStateImage {
+                order.push((ks.map_or(0, |k| k.uid), c as u32, rec, ks));
+            }
+        }
+        order.sort_by_key(|&(uid, ..)| uid);
+        out.clear();
+        let mut image = checkpoint::ImageWriter::begin(out, seq, &self.cfg, &globals);
+        for (uid, core, rec, ks) in order {
+            image.stream(&StreamImage {
+                core,
+                uid,
+                key: rec.key,
+                first_dir: rec.first_dir,
+                first_ts_ns: rec.first_ts_ns,
+                last_ts_ns: rec.last_ts_ns,
+                status: rec.status,
+                errors: rec.errors.0,
+                priority: rec.priority,
+                cutoff: rec.cutoff,
+                cutoff_exceeded: rec.cutoff_exceeded,
+                discarded: rec.discarded,
+                dirs: rec.dirs,
+                chunk_size: rec.chunk_size,
+                overlap: rec.overlap,
+                reassembly_policy: rec.reassembly_policy,
+                processing_time_ns: rec.processing_time_ns,
+                chunks: rec.chunks,
+                resume_gap_bytes: rec.resume_gap_bytes,
+                kstate: ks.map(|ks| KStateView {
                     fdir_installed: ks.fdir_installed,
                     fdir_timeout_ns: ks.fdir_timeout_ns,
                     fdir_software_fallback: ks.fdir_software_fallback,
-                    conn: ks.conn.as_ref().map(|conn| conn.export_state()),
-                    asm: [0usize, 1].map(|d| {
-                        ks.asm[d].as_ref().map(|a| AsmImage {
+                    conn: ks.conn.as_ref().map(ConnView::Live),
+                    asm: ks.asm.each_ref().map(|a| {
+                        a.as_ref().map(|a| AsmImage {
                             committed: a.stream_offset(),
-                            pending: a.pending_bytes().to_vec(),
+                            pending: a.pending_bytes(),
                         })
                     }),
-                });
-                streams.push(StreamImage {
-                    core: c as u32,
-                    uid: ks.map_or(0, |k| k.uid),
-                    key: rec.key,
-                    first_dir: rec.first_dir,
-                    first_ts_ns: rec.first_ts_ns,
-                    last_ts_ns: rec.last_ts_ns,
-                    status: rec.status,
-                    errors: rec.errors.0,
-                    priority: rec.priority,
-                    cutoff: rec.cutoff,
-                    cutoff_exceeded: rec.cutoff_exceeded,
-                    discarded: rec.discarded,
-                    dirs: rec.dirs,
-                    chunk_size: rec.chunk_size,
-                    overlap: rec.overlap,
-                    reassembly_policy: rec.reassembly_policy,
-                    processing_time_ns: rec.processing_time_ns,
-                    chunks: rec.chunks,
-                    resume_gap_bytes: rec.resume_gap_bytes,
-                    kstate,
-                });
-            }
+                }),
+            });
         }
-        let fdir = self.nic.fdir().filters();
-        let offload = self.nic.offload().rules();
-        self.stats.resilience.checkpoints_written += 1;
-        let bytes = checkpoint::encode_image(
-            seq,
-            &self.cfg,
-            &globals,
-            &streams,
-            &fdir,
-            &offload,
+        image.finish(
+            &self.nic.fdir().filters(),
+            &self.nic.offload().rules(),
             &self.tenant_table,
         );
+        self.stats.resilience.checkpoints_written += 1;
         // Pulse: checkpoint span from the deterministic encode+sync
         // model over the image size.
         self.pulse.record(
             PulseStage::Checkpoint,
-            cycles_to_ns(cost::checkpoint_cycles(bytes.len() as u64)),
+            cycles_to_ns(cost::checkpoint_cycles(out.len() as u64)),
         );
         self.flight.emit(
             0,
@@ -2824,9 +2838,8 @@ impl ScapKernel {
                 FlightLayer::Checkpoint,
                 now_ns,
             )
-            .with_vals(seq, bytes.len() as u64),
+            .with_vals(seq, out.len() as u64),
         );
-        bytes
     }
 
     /// Rebuild a kernel mid-capture from a decoded checkpoint (warm
@@ -3840,5 +3853,96 @@ mod tests {
         let restored = ScapKernel::from_image(img, None).unwrap();
         assert_eq!(restored.config().dispatch, crate::DispatchMode::Fastpath);
         assert_eq!(restored.config().fastpath_burst, 16);
+    }
+
+    /// Feed `pkts` through whichever dispatch path the kernel is
+    /// configured for, handing every chunk straight back.
+    fn service_all(k: &mut ScapKernel, pkts: &[Packet]) {
+        for p in pkts {
+            k.nic_receive(p);
+            k.service(p.ts_ns, |k, ev| k.release_event(ev));
+        }
+    }
+
+    /// A kernel stopped mid-`CampusMix` with partial chunks pending and
+    /// out-of-order segments buffered, and the trace it was fed.
+    fn mid_capture(dispatch: crate::DispatchMode) -> (ScapKernel, Vec<Packet>, usize) {
+        let pkts = CampusMix::new(CampusMixConfig::sized(9, 2 << 20)).collect_all();
+        let mut k = kernel(ScapConfig {
+            dispatch,
+            chunk_size: 4096,
+            inactivity_timeout_ns: 2_000_000_000,
+            ..Default::default()
+        });
+        // Stop at the first packet (past the middle) that leaves both
+        // kinds of borrowed payload in the kernel.
+        let mut stop = pkts.len() / 2;
+        service_all(&mut k, &pkts[..stop]);
+        let both = |k: &ScapKernel| {
+            let states = || k.cores.iter().flat_map(|c| c.kstates.values());
+            states().any(|ks| {
+                ks.asm
+                    .iter()
+                    .flatten()
+                    .any(|a| !a.pending_bytes().is_empty())
+            }) && states().any(|ks| {
+                ks.conn.as_ref().is_some_and(|c| {
+                    c.dir(Direction::Forward).buffered_bytes()
+                        + c.dir(Direction::Reverse).buffered_bytes()
+                        > 0
+                })
+            })
+        };
+        while !both(&k) {
+            service_all(&mut k, &pkts[stop..stop + 1]);
+            stop += 1;
+        }
+        (k, pkts, stop)
+    }
+
+    #[test]
+    fn one_pass_image_equals_the_owned_re_encode_and_resumes() {
+        for dispatch in [crate::DispatchMode::Classic, crate::DispatchMode::Fastpath] {
+            let (mut k, pkts, stop) = mid_capture(dispatch);
+            let now = pkts[stop - 1].ts_ns;
+            let mut bytes = Vec::new();
+            k.checkpoint_into(now, 4, &mut bytes);
+            let img = CheckpointImage::decode(&bytes).expect("image decodes");
+            assert!(img.streams.len() > 10, "{dispatch:?}: trivial image");
+            assert_eq!(
+                img.to_bytes(),
+                bytes,
+                "{dispatch:?}: borrowed and owned encodings differ"
+            );
+
+            // … and the capture resumes from it to the end of the trace.
+            let live_streams = img.streams.iter().filter(|s| s.kstate.is_some()).count();
+            let mut k2 = ScapKernel::from_image(img, None).expect("restore");
+            service_all(&mut k2, &pkts[stop..]);
+            k2.finish(pkts.last().unwrap().ts_ns + 1);
+            for ev in collect_events(&mut k2) {
+                k2.release_event(ev);
+            }
+            let st = k2.stats();
+            assert_eq!(st.resilience.restarts, 1);
+            assert_eq!(st.resilience.resumed_streams, live_streams as u64);
+            assert!(st.stack.streams_created > 0);
+        }
+    }
+
+    #[test]
+    fn checkpoint_into_leaves_no_stale_tail_in_a_reused_buffer() {
+        let (mut k, pkts, stop) = mid_capture(crate::DispatchMode::Classic);
+        let now = pkts[stop - 1].ts_ns;
+        let fresh = k.checkpoint_bytes(now, 1);
+        // A buffer that held a larger image (and arbitrary bytes).
+        let mut reused = vec![0xEE; fresh.len() * 2 + 13];
+        k.checkpoint_into(now, 1, &mut reused);
+        assert_eq!(reused, fresh);
+        // … and one that held a smaller one.
+        let mut small = fresh[..fresh.len() / 3].to_vec();
+        k.checkpoint_into(now, 1, &mut small);
+        assert_eq!(small, fresh);
+        assert_eq!(k.stats().resilience.checkpoints_written, 3);
     }
 }

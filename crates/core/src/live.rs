@@ -742,6 +742,8 @@ impl Scap {
         };
         let ckpt = self.ckpt_every.clone();
         let mut ckpt_seq = self.ckpt_seq;
+        // One buffer for every periodic checkpoint of this capture.
+        let mut ckpt_image = Vec::new();
         let on_stats = self.on_stats.clone();
         let stats_every = self.stats_interval;
 
@@ -808,8 +810,8 @@ impl Scap {
                 if let Some((every, path)) = ckpt.as_ref() {
                     if npkts.is_multiple_of(*every) {
                         ckpt_seq += 1;
-                        let bytes = kernel.checkpoint_bytes(now, ckpt_seq);
-                        let _ = checkpoint::write_atomic(path, &bytes);
+                        kernel.checkpoint_into(now, ckpt_seq, &mut ckpt_image);
+                        let _ = checkpoint::write_atomic(path, &ckpt_image);
                     }
                 }
                 // Injected crash: abandon the capture mid-flight without

@@ -459,12 +459,15 @@ impl ShardFleet {
         kernel.nic_receive(pkt);
         slot.lease.beat(now);
         slot.pending_burst += 1;
-        if slot.pending_burst >= self.cfg.drive_burst {
+        // A checkpoint is taken of a drained kernel, so its boundary
+        // closes the burst too — once, also when both boundaries fall
+        // on this packet.
+        let ckpt_due =
+            slot.offered_pkts - slot.last_ckpt_at_pkts >= self.cfg.checkpoint_interval_pkts;
+        if ckpt_due || slot.pending_burst >= self.cfg.drive_burst {
             self.drive(shard, now, sink);
         }
-        let slot = &mut self.slots[shard];
-        if slot.offered_pkts - slot.last_ckpt_at_pkts >= self.cfg.checkpoint_interval_pkts {
-            self.drive(shard, now, sink);
+        if ckpt_due {
             self.checkpoint(shard, now);
         }
     }
@@ -530,9 +533,11 @@ impl ShardFleet {
             return;
         };
         slot.ckpt_seq += 1;
-        let bytes = kernel.checkpoint_bytes(now, slot.ckpt_seq);
-        slot.ckpt_previous = slot.ckpt_latest.take();
-        slot.ckpt_latest = Some(bytes);
+        // The new image is written into the allocation of the one being
+        // retired; `latest` moves down to `previous` untouched.
+        let mut image = slot.ckpt_previous.take().unwrap_or_default();
+        kernel.checkpoint_into(now, slot.ckpt_seq, &mut image);
+        slot.ckpt_previous = slot.ckpt_latest.replace(image);
         slot.last_ckpt_at_pkts = slot.offered_pkts;
     }
 
@@ -950,31 +955,47 @@ mod tests {
 
     #[test]
     fn checkpoint_corruption_falls_back_to_previous_image() {
-        let faults = FaultPlan {
-            seed: 3,
-            shards: vec![
-                ShardFault {
-                    shard: 0,
-                    at_packet: 700,
-                    kind: ShardFaultKind::CorruptCheckpoint,
-                },
-                ShardFault {
-                    shard: 0,
-                    at_packet: 720,
-                    kind: ShardFaultKind::Kill,
-                },
-            ],
-            ..Default::default()
-        };
-        let fleet = run_fleet(small_cfg(1, Some(faults)), 2 << 20);
-        let f = fleet.fleet_stats();
-        assert_eq!(f.kills, 1);
-        assert!(
-            f.ckpt_fallbacks + f.cold_starts >= 1,
-            "a corrupt latest image must force a fallback or cold start: {f:?}"
-        );
-        assert!(f.packets_conserved(), "{f:?}");
-        assert!(f.bytes_conserved(), "{f:?}");
+        // Images land every 256 packets. At 700 the pair is the first
+        // two allocations; at 1300 the buffers have rotated three times,
+        // so the image corrupted and the one fallen back to both sit in
+        // recycled allocations.
+        for corrupt_at in [700, 1300] {
+            let faults = FaultPlan {
+                seed: 3,
+                shards: vec![
+                    ShardFault {
+                        shard: 0,
+                        at_packet: corrupt_at,
+                        kind: ShardFaultKind::CorruptCheckpoint,
+                    },
+                    ShardFault {
+                        shard: 0,
+                        at_packet: corrupt_at + 20,
+                        kind: ShardFaultKind::Kill,
+                    },
+                    // A later kill finds a clean lineage again.
+                    ShardFault {
+                        shard: 0,
+                        at_packet: corrupt_at + 2_000,
+                        kind: ShardFaultKind::Kill,
+                    },
+                ],
+                ..Default::default()
+            };
+            let fleet = run_fleet(small_cfg(1, Some(faults)), 2 << 20);
+            let f = fleet.fleet_stats();
+            assert_eq!(f.kills, 2, "{f:?}");
+            assert_eq!(f.respawns, 2, "{f:?}");
+            assert_eq!(
+                (f.ckpt_fallbacks, f.cold_starts),
+                (1, 0),
+                "corrupt latest image at {corrupt_at}: exactly one fallback to the \
+                 previous image, never a cold start: {f:?}"
+            );
+            assert!(f.resumed_streams > 0, "{f:?}");
+            assert!(f.packets_conserved(), "{f:?}");
+            assert!(f.bytes_conserved(), "{f:?}");
+        }
     }
 
     #[test]

@@ -1,0 +1,181 @@
+//! The record framing every Scap file family shares — checkpoints,
+//! archive index records and segment payload frames, flight journals:
+//! a 16-byte file header, `(magic, body length, CRC-32)` record frames,
+//! and the CRC-32 kernel itself. It lives in this dependency-free crate
+//! because `scap` and `scap-store` both sit above it; `scap::checkpoint`
+//! re-exports it, so there is one table set and one framer in the tree.
+
+/// On-disk format version shared by checkpoints, the archive and
+/// flight journals.
+pub const FORMAT_VERSION: u32 = 1;
+/// File header length: magic, version, file id.
+pub const FILE_HEADER_LEN: usize = 16;
+/// Record frame header: magic, body length, CRC-32.
+pub const REC_HEADER_LEN: usize = 12;
+/// Record magic: `RECD` little-endian.
+pub const REC_MAGIC: u32 = 0x4443_4552;
+
+/// Bytes the CRC kernel folds per step.
+const SLICE: usize = 16;
+
+/// Slicing tables for CRC-32 (IEEE 802.3, reflected polynomial
+/// `0xEDB8_8320`), built at compile time: `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table, `CRC_TABLES[k][b]` is the CRC state after byte
+/// `b` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; SLICE] = {
+    let mut t = [[0u32; 256]; SLICE];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 checksum (IEEE), the integrity check on every record and
+/// payload frame. Slicing-by-16: sixteen independent table lookups fold
+/// sixteen input bytes per step (only four of them wait on the running
+/// state), the tail goes byte-at-a-time.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    let mut blocks = data.chunks_exact(SLICE);
+    for block in &mut blocks {
+        let state = c.to_le_bytes();
+        let mut next = 0u32;
+        for (i, &b) in block.iter().enumerate() {
+            let b = if i < 4 { b ^ state[i] } else { b };
+            next ^= CRC_TABLES[SLICE - 1 - i][usize::from(b)];
+        }
+        c = next;
+    }
+    for &b in blocks.remainder() {
+        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// Standard 16-byte file header: magic, format version, file id.
+pub fn file_header(magic: u32, id: u64) -> [u8; FILE_HEADER_LEN] {
+    let mut h = [0u8; FILE_HEADER_LEN];
+    h[0..4].copy_from_slice(&magic.to_le_bytes());
+    h[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    h[8..16].copy_from_slice(&id.to_le_bytes());
+    h
+}
+
+/// Frame a record in place at the end of `out`: reserve the header, let
+/// `body` append the record body, then patch in its length and CRC-32.
+/// The body bytes are written once, where they stay.
+pub fn frame_record_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&REC_MAGIC.to_le_bytes());
+    out.extend_from_slice(&[0u8; REC_HEADER_LEN - 4]);
+    let body_start = out.len();
+    body(out);
+    let len = (out.len() - body_start) as u32;
+    let crc = crc32(&out[body_start..]);
+    out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
+    out[start + 8..body_start].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Frame a record body: magic, length, CRC-32, body.
+pub fn frame_record(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(REC_HEADER_LEN + body.len());
+    frame_record_into(&mut out, |b| b.extend_from_slice(body));
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Byte-at-a-time, bit-by-bit reference that shares nothing with the
+    /// slicing tables.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            let mut x = (c ^ u32::from(b)) & 0xFF;
+            for _ in 0..8 {
+                x = if x & 1 != 0 {
+                    0xEDB8_8320 ^ (x >> 1)
+                } else {
+                    x >> 1
+                };
+            }
+            c = x ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn seeded_bytes(mut s: u64, n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                // splitmix64
+                s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_known_vectors() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_reference() {
+        // Every length across several block boundaries, at every
+        // alignment of the block loop relative to the buffer start.
+        let buf = seeded_bytes(1, 8 + 64);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_reference(s), "start {start} len {len}");
+            }
+        }
+        let big = seeded_bytes(2, 1 << 20);
+        assert_eq!(crc32(&big), crc32_reference(&big));
+    }
+
+    #[test]
+    fn in_place_framing_equals_copy_framing() {
+        let body = seeded_bytes(3, 300);
+        let framed = frame_record(&body);
+        assert_eq!(framed.len(), REC_HEADER_LEN + body.len());
+        assert_eq!(framed[0..4], REC_MAGIC.to_le_bytes());
+        assert_eq!(framed[4..8], (body.len() as u32).to_le_bytes());
+        assert_eq!(framed[8..12], crc32(&body).to_le_bytes());
+        assert_eq!(framed[12..], body[..]);
+        // Framing behind existing bytes patches its own header only.
+        let mut out = vec![0xAB; 7];
+        frame_record_into(&mut out, |b| b.extend_from_slice(&body));
+        assert_eq!(out[..7], [0xAB; 7]);
+        assert_eq!(out[7..], framed[..]);
+        // An empty body is a valid record.
+        assert_eq!(frame_record(&[]).len(), REC_HEADER_LEN);
+    }
+}

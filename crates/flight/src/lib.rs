@@ -36,6 +36,12 @@
 
 use std::collections::BTreeMap;
 
+pub mod framing;
+pub use framing::{
+    crc32, file_header, frame_record, frame_record_into, FILE_HEADER_LEN, FORMAT_VERSION,
+    REC_HEADER_LEN, REC_MAGIC,
+};
+
 // ---------------------------------------------------------------------------
 // Static event identities
 // ---------------------------------------------------------------------------
@@ -581,19 +587,19 @@ impl FlightRecorder {
             FILE_HEADER_LEN + 64 + events.len() * (REC_HEADER_LEN + 1 + EVENT_LEN),
         );
         out.extend_from_slice(&file_header(FLIGHT_MAGIC, self.rings.len() as u64));
-        let mut meta = Vec::with_capacity(1 + 8 + self.rings.len() * 16);
-        meta.push(TAG_META);
-        meta.extend_from_slice(&(self.cap as u64).to_le_bytes());
-        for r in &self.rings {
-            meta.extend_from_slice(&r.recorded.to_le_bytes());
-            meta.extend_from_slice(&r.dropped.to_le_bytes());
-        }
-        out.extend_from_slice(&frame_record(&meta));
+        frame_record_into(&mut out, |meta| {
+            meta.push(TAG_META);
+            meta.extend_from_slice(&(self.cap as u64).to_le_bytes());
+            for r in &self.rings {
+                meta.extend_from_slice(&r.recorded.to_le_bytes());
+                meta.extend_from_slice(&r.dropped.to_le_bytes());
+            }
+        });
         for ev in events {
-            let mut body = Vec::with_capacity(1 + EVENT_LEN);
-            body.push(TAG_EVENT);
-            body.extend_from_slice(&ev.encode());
-            out.extend_from_slice(&frame_record(&body));
+            frame_record_into(&mut out, |body| {
+                body.push(TAG_EVENT);
+                body.extend_from_slice(&ev.encode());
+            });
         }
         out
     }
@@ -603,16 +609,9 @@ impl FlightRecorder {
 // Journal file format (shares the checkpoint framing discipline)
 // ---------------------------------------------------------------------------
 
-/// Journal file magic: `SFLT` little-endian.
+/// Journal file magic: `SFLT` little-endian (the header's file id is
+/// the ring count).
 pub const FLIGHT_MAGIC: u32 = 0x544C_4653;
-/// Journal format version.
-pub const FORMAT_VERSION: u32 = 1;
-/// File header length: magic, version, ring count.
-pub const FILE_HEADER_LEN: usize = 16;
-/// Record frame header: magic, body length, CRC-32.
-pub const REC_HEADER_LEN: usize = 12;
-/// Record magic: `RECD` little-endian (same as the checkpoint format).
-pub const REC_MAGIC: u32 = 0x4443_4552;
 
 const TAG_META: u8 = 0;
 const TAG_EVENT: u8 = 1;
@@ -641,54 +640,6 @@ impl From<std::io::Error> for FlightError {
     fn from(e: std::io::Error) -> Self {
         FlightError::Io(e)
     }
-}
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE), the integrity check on every record frame.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// Standard 16-byte file header: magic, format version, file id.
-pub fn file_header(magic: u32, id: u64) -> [u8; FILE_HEADER_LEN] {
-    let mut h = [0u8; FILE_HEADER_LEN];
-    h[0..4].copy_from_slice(&magic.to_le_bytes());
-    h[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    h[8..16].copy_from_slice(&id.to_le_bytes());
-    h
-}
-
-/// Frame a record body: magic, length, CRC-32, body.
-pub fn frame_record(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(REC_HEADER_LEN + body.len());
-    out.extend_from_slice(&REC_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
-    out
 }
 
 /// A decoded flight journal (full journal or black-box dump).

@@ -91,19 +91,19 @@ impl TcpConn {
         }
     }
 
-    /// Snapshot the connection for a checkpoint.
-    pub fn export_state(&self) -> ConnCheckpoint {
-        ConnCheckpoint {
-            phase: match self.state {
-                ConnState::Opening => ConnPhase::Opening,
-                ConnState::Established => ConnPhase::Established,
-                ConnState::Closed(CloseKind::Fin) => ConnPhase::ClosedFin,
-                ConnState::Closed(CloseKind::Rst) => ConnPhase::ClosedRst,
-            },
-            client_dir: self.client_dir,
-            fin_seen: self.fin_seen,
-            dirs: [self.dirs[0].export_state(), self.dirs[1].export_state()],
+    /// Lifecycle phase, in its checkpoint form.
+    pub fn phase(&self) -> ConnPhase {
+        match self.state {
+            ConnState::Opening => ConnPhase::Opening,
+            ConnState::Established => ConnPhase::Established,
+            ConnState::Closed(CloseKind::Fin) => ConnPhase::ClosedFin,
+            ConnState::Closed(CloseKind::Rst) => ConnPhase::ClosedRst,
         }
+    }
+
+    /// FIN observed per canonical direction.
+    pub fn fin_seen(&self) -> [bool; 2] {
+        self.fin_seen
     }
 
     /// Rebuild a connection from a checkpoint, re-anchoring both

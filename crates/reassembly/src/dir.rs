@@ -123,22 +123,16 @@ impl DirReassembler {
         }
     }
 
-    /// Snapshot this direction's state for a checkpoint. The export is
-    /// deterministic: buffered extents come out in ascending offset order.
-    pub fn export_state(&self) -> DirState {
-        DirState {
-            base_seq: self.base_seq,
-            expected: self.expected,
-            flags: self.flags.0,
-            delivered_bytes: self.delivered_bytes,
-            duplicate_bytes: self.duplicate_bytes,
-            gap_bytes: self.gap_bytes,
-            segments: self
-                .buffer
-                .iter()
-                .map(|(off, data)| (off, data.to_vec()))
-                .collect(),
-        }
+    /// Sequence number of stream byte 0, if the direction is anchored.
+    pub fn base_seq(&self) -> Option<u32> {
+        self.base_seq
+    }
+
+    /// Buffered out-of-order extents as `(relative offset, bytes)`, in
+    /// ascending offset order — borrowed, so a checkpoint writes them
+    /// without copying them first.
+    pub fn segments(&self) -> impl ExactSizeIterator<Item = (u64, &[u8])> {
+        self.buffer.iter()
     }
 
     /// Rebuild a direction from a checkpointed [`DirState`], re-anchored

@@ -56,7 +56,7 @@ impl SegmentBuffer {
 
     /// Iterate buffered extents in ascending offset order (deterministic;
     /// used by the checkpoint serializer).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, &[u8])> {
         self.segs.iter().map(|(off, data)| (*off, data.as_slice()))
     }
 

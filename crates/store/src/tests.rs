@@ -107,22 +107,50 @@ fn round_trip_bytes_and_metadata() {
     assert_eq!(report.orphan_frames, 0);
 }
 
+/// The placement rule `stream_data` implements, spelled naively: grow
+/// with zeroes to the chunk's end, then overwrite.
+fn place(model: &mut Vec<u8>, data: &[u8], offset: usize) {
+    let end = offset + data.len();
+    if model.len() < end {
+        model.resize(end, 0);
+    }
+    model[offset..end].copy_from_slice(data);
+}
+
 #[test]
-fn chunk_overlap_and_gap_placement() {
+fn chunk_placement_matches_the_naive_model() {
     let dir = tmp_dir("placement");
     let mut w = StoreWriter::open(StoreConfig::new(&dir)).unwrap();
     let s = snap(7, 80, 0, 0, 30);
+    let (fwd, rev) = (Direction::Forward, Direction::Reverse);
+    let big = payload(9, 5000);
+    // Both directions of one stream, interleaved and sealed in one call.
+    let ops: &[(Direction, usize, &[u8])] = &[
+        (fwd, 0, b"hello "),
+        (fwd, 6, b"world"), // in order: a plain append
+        (fwd, 6, b"W"),     // overlap: a rewrite of delivered bytes wins
+        (rev, 0, &big[..4096]),
+        (fwd, 13, b"!"),   // gap: the skipped hole is zero-filled
+        (fwd, 12, b"d!?"), // overlap running past the end
+        (rev, 4096, &big[4096..]),
+        (rev, 4000, &big[..200]), // overlap inside a long buffer
+        (fwd, 20, b""),           // an empty chunk past the end still fills the hole
+        (rev, 6000, b"tail"),     // gap after a long buffer
+        (fwd, 20, b"end"),
+    ];
+    let mut model = [Vec::new(), Vec::new()];
     w.stream_created(&s);
-    w.stream_data(&s, Direction::Forward, b"hello ", 0);
-    w.stream_data(&s, Direction::Forward, b"world", 6);
-    // Overlap: rewrite of an already-delivered region wins.
-    w.stream_data(&s, Direction::Forward, b"W", 6);
-    // Gap: skipped hole is zero-filled.
-    w.stream_data(&s, Direction::Forward, b"!", 13);
+    for &(dir, offset, data) in ops {
+        w.stream_data(&s, dir, data, offset as u64);
+        place(&mut model[dir.index()], data, offset);
+    }
     w.stream_terminated(&s).unwrap();
     drop(w);
+    assert_eq!(model[0], b"hello World\0d!?\0\0\0\0\0end");
+    assert_eq!(model[1].len(), 6004);
     let r = StoreReader::open(&dir).unwrap();
-    assert_eq!(r.read_stream(7).unwrap()[0], b"hello World\0\0!");
+    assert_eq!(r.read_stream(7).unwrap(), model);
+    assert!(r.verify().unwrap().is_clean());
 }
 
 #[test]

@@ -124,8 +124,8 @@ impl StoreStats {
     }
 }
 
-/// A stream still in flight: its latest snapshot and the reassembled
-/// bytes delivered so far, per direction.
+/// A stream still in flight: the reassembled bytes delivered so far,
+/// per direction. (The final snapshot arrives with the termination.)
 struct Pending {
     data: [Vec<u8>; 2],
 }
@@ -310,20 +310,24 @@ impl StoreWriter {
     }
 
     /// Observe a data delivery: `data` starts at stream `offset` in
-    /// direction `dir`. Chunks arrive in order; an offset below the
-    /// buffered length (chunk overlap) overwrites, a gap (sequence holes
-    /// skipped in fast mode) is zero-filled.
+    /// direction `dir`. Chunks arrive in order, so the common case is a
+    /// plain append; an offset below the buffered length (chunk overlap)
+    /// overwrites, a gap (sequence holes skipped in fast mode) is
+    /// zero-filled.
     pub fn stream_data(&mut self, s: &StreamSnapshot, dir: Direction, data: &[u8], offset: u64) {
         let p = self.pending.entry(s.uid).or_insert_with(|| Pending {
             data: [Vec::new(), Vec::new()],
         });
         let buf = &mut p.data[dir.index()];
         let off = offset as usize;
-        let end = off + data.len();
-        if buf.len() < end {
-            buf.resize(end, 0);
+        if off < buf.len() {
+            let overlap = data.len().min(buf.len() - off);
+            buf[off..off + overlap].copy_from_slice(&data[..overlap]);
+            buf.extend_from_slice(&data[overlap..]);
+        } else {
+            buf.resize(off, 0);
+            buf.extend_from_slice(data);
         }
-        buf[off..end].copy_from_slice(data);
     }
 
     /// Observe a stream termination: seal its buffered bytes into

@@ -192,17 +192,16 @@ fn quiet_fleet_attributes_nothing_to_blackouts() {
 /// Delivered bytes by stream and direction.
 type Streams<T> = BTreeMap<(String, usize), T>;
 
-/// Drive a quiet 2-shard fleet in `dispatch` mode; returns its statistics
-/// and every stream's delivered bytes (per direction, in offset order).
-fn dispatch_fleet(dispatch: scap::DispatchMode) -> (scap::FleetStats, Streams<Vec<u8>>) {
-    let mut fleet = ShardFleet::new(FleetConfig {
+/// Drive a quiet 2-shard fleet configured by `tweak`; returns the fleet
+/// (finished) and every stream's delivered bytes (per direction, in
+/// offset order).
+fn quiet_fleet(tweak: impl FnOnce(&mut FleetConfig)) -> (ShardFleet, Streams<Vec<u8>>) {
+    let mut cfg = FleetConfig {
         nshards: 2,
-        shard: ScapConfig {
-            dispatch,
-            ..ScapConfig::default()
-        },
         ..FleetConfig::default()
-    });
+    };
+    tweak(&mut cfg);
+    let mut fleet = ShardFleet::new(cfg);
     let mut chunks: Streams<Vec<(u64, Vec<u8>)>> = BTreeMap::new();
     let mut sink = |_shard: usize, ev: &scap::Event| {
         if let scap::EventKind::Data { dir, chunk, .. } = &ev.kind {
@@ -225,7 +224,41 @@ fn dispatch_fleet(dispatch: scap::DispatchMode) -> (scap::FleetStats, Streams<Ve
             (k, parts.into_iter().flat_map(|(_, b)| b).collect())
         })
         .collect();
+    (fleet, streams)
+}
+
+fn dispatch_fleet(dispatch: scap::DispatchMode) -> (scap::FleetStats, Streams<Vec<u8>>) {
+    let (fleet, streams) = quiet_fleet(|cfg| cfg.shard.dispatch = dispatch);
     (fleet.fleet_stats(), streams)
+}
+
+/// With the defaults a burst boundary (256) and a checkpoint boundary
+/// (512) meet on every 512th packet of a shard; the shard is serviced
+/// once there, and nothing observable depends on whether the two
+/// boundaries meet at all.
+#[test]
+fn coinciding_burst_and_checkpoint_boundaries_change_nothing() {
+    let (meeting, meeting_streams) = quiet_fleet(|_| {});
+    let (apart, apart_streams) = quiet_fleet(|cfg| cfg.drive_burst = 255);
+    let interval = FleetConfig::default().checkpoint_interval_pkts;
+    assert_eq!(interval, 512);
+    for fleet in [&meeting, &apart] {
+        let fs = fleet.fleet_stats();
+        assert!(fs.packets_conserved() && fs.bytes_conserved(), "{fs:?}");
+        assert_eq!(fs.shard_down_packets, 0);
+        // One image per full interval of each shard, no more, no fewer.
+        let due: u64 = fleet
+            .status()
+            .iter()
+            .map(|s| s.offered_pkts / interval)
+            .sum();
+        assert!(due > 4);
+        assert_eq!(fs.checkpoints_written, due);
+    }
+    let (a, b) = (meeting.fleet_stats(), apart.fleet_stats());
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "fleet ledgers differ");
+    assert!(a.delivered_bytes > 0);
+    assert!(meeting_streams == apart_streams, "per-stream bytes differ");
 }
 
 #[test]
