@@ -32,6 +32,12 @@ echo "== perf/ package gate =="
 perf/check.sh
 
 echo "== telemetry + store smoke run =="
+# The gates below take a zero exit of `experiments` as their proof, so
+# an id it does not know must not exit zero.
+if cargo run --release -p scap-bench --bin experiments -- \
+    --exp nosuch --scale smoke >/dev/null 2>&1; then
+    echo "experiments --exp nosuch exited 0"; exit 1
+fi
 smoke_out=$(mktemp -d)
 cargo run --release -p scap-bench --bin experiments -- \
     --exp telemetry store --scale smoke --out "$smoke_out" >/dev/null
@@ -135,6 +141,8 @@ echo "$bench_log" | grep -q "fastpath_dispatch/bypass_burst64_128k_flows" \
     || { echo "fastpath dispatch benches missing from micro-bench output"; exit 1; }
 echo "$bench_log" | grep -q "flow_table/hit_probe_1m_entries" \
     || { echo "million-entry flow-table probe bench missing"; exit 1; }
+echo "$bench_log" | grep -q "nic/toeplitz_rss_v4" \
+    || { echo "RSS queue_for bench missing from micro-bench output"; exit 1; }
 
 echo "== fastpath throughput gate =="
 fp_out=$(mktemp -d)

@@ -65,6 +65,18 @@ fn main() {
         }
     }
 
+    // Every id is checked before anything runs: a gate that takes a zero
+    // exit as proof must not pass on a mistyped experiment.
+    if let Some(bad) = exps
+        .iter()
+        .find(|e| *e != "all" && !ALL_EXPERIMENTS.contains(&e.as_str()))
+    {
+        eprintln!(
+            "unknown experiment '{bad}' (ids: {})",
+            ALL_EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
+    }
     if exps.is_empty() || exps.iter().any(|e| e == "all") {
         exps = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
@@ -94,10 +106,7 @@ fn main() {
                 produced.extend(results);
                 println!("[{id} done in {:.1}s]", t0.elapsed().as_secs_f64());
             }
-            None => eprintln!(
-                "unknown experiment '{id}' (ids: {})",
-                ALL_EXPERIMENTS.join(" ")
-            ),
+            None => unreachable!("'{id}' is listed in ALL_EXPERIMENTS but not runnable"),
         }
     }
 

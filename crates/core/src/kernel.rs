@@ -19,7 +19,9 @@ use crate::governor::OverloadGovernor;
 use scap_fastpath::{hash_key, BurstStats, HashedKey};
 use scap_faults::{ArenaInjector, FaultPlan, FrameFaultStats, RingInjector};
 use scap_flight::{DropReason, FlightEvent, FlightKind, FlightLayer, FlightRecorder};
-use scap_flow::{FlowTable, FlowTableConfig, StreamErrors, StreamId, StreamRecord, StreamStatus};
+use scap_flow::{
+    FlowTable, FlowTableConfig, SideTable, StreamErrors, StreamId, StreamRecord, StreamStatus,
+};
 use scap_memory::{Arena, ChunkAssembler, ChunkBuf, PplVerdict};
 use scap_nic::{FdirError, FdirFilter, Nic, NicVerdict, OffloadAction, OffloadError, OffloadRule};
 use scap_reassembly::{CloseKind, ReasmConfig, ReasmFlags, TcpConn};
@@ -55,7 +57,9 @@ const OFFLOAD_EVICT_SCAN: usize = 64;
 /// Per-stream kernel-side state (parallel to the flow record).
 struct StreamKState {
     uid: StreamUid,
-    conn: Option<TcpConn>,
+    /// Allocated on the first TCP segment, so that UDP streams, and the
+    /// empty side-table slots under TIME_WAIT tombstones, do not carry it.
+    conn: Option<Box<TcpConn>>,
     asm: [Option<ChunkAssembler>; 2],
     pkt_records: [Vec<PacketRecord>; 2],
     flush_armed: [bool; 2],
@@ -87,6 +91,12 @@ impl StreamKState {
             kept: [None, None],
         }
     }
+}
+
+/// A fresh chunk assembler with the geometry the stream's record carries.
+fn assembler_for(rec: &StreamRecord) -> ChunkAssembler {
+    let chunk = rec.chunk_size.max(1) as usize;
+    ChunkAssembler::new(chunk, (rec.overlap as usize).min(chunk - 1))
 }
 
 /// A transiently failed FDIR install awaiting its next attempt.
@@ -122,7 +132,9 @@ pub enum ControlOp {
 /// One core's kernel instance.
 struct CoreState {
     flows: FlowTable,
-    kstates: HashMap<StreamId, StreamKState>,
+    /// Kernel-side state of every live stream, at its record's pool slot:
+    /// the flow probe's `StreamId` indexes it, nothing is hashed twice.
+    kstates: SideTable<StreamKState>,
     events: VecDeque<Event>,
     /// (deadline, stream, dir, chunk offset when armed) flush timers.
     flush_timers: VecDeque<(u64, StreamId, Direction, u64)>,
@@ -294,7 +306,7 @@ impl ScapKernel {
         let cores = (0..ncores)
             .map(|i| CoreState {
                 flows: FlowTable::new(FlowTableConfig::default(), 0x5CA9_0000 + i as u64),
-                kstates: HashMap::new(),
+                kstates: SideTable::new(),
                 events: VecDeque::new(),
                 flush_timers: VecDeque::new(),
             })
@@ -435,7 +447,7 @@ impl ScapKernel {
                         rec.chunk_size = chunk_size;
                         rec.overlap = overlap;
                     }
-                    if let Some(ks) = self.cores[core].kstates.get_mut(&id) {
+                    if let Some(ks) = self.cores[core].kstates.get_mut(id) {
                         for asm in ks.asm.iter_mut().flatten() {
                             asm.set_geometry(chunk_size as usize, overlap as usize);
                         }
@@ -462,7 +474,7 @@ impl ScapKernel {
         if !exceeded {
             return;
         }
-        let Some(ks) = self.cores[core].kstates.get(&id) else {
+        let Some(ks) = self.cores[core].kstates.get(id) else {
             return; // tombstone: nothing to re-open
         };
         let still_beyond = (0..2).any(|d| {
@@ -485,7 +497,7 @@ impl ScapKernel {
         if had_offload {
             self.remove_offload_rule(key, &mut work);
         }
-        if let Some(ks) = self.cores[core].kstates.get_mut(&id) {
+        if let Some(ks) = self.cores[core].kstates.get_mut(id) {
             ks.fdir_installed = false;
             ks.fdir_timeout_ns = FDIR_INITIAL_TIMEOUT_NS;
             ks.fdir_retry_pending = false;
@@ -592,6 +604,20 @@ impl ScapKernel {
                 .with_reason(reason)
                 .with_uid(uid)
                 .with_vals(pkts, bytes),
+        );
+    }
+
+    /// A dispatched packet whose record or kernel state is missing (a
+    /// broken internal invariant): discarded, so conservation holds.
+    fn discard_internal(&mut self, core: usize, now: u64, uid: StreamUid, pkt: &Packet) {
+        self.acct_discarded(
+            core,
+            now,
+            uid,
+            FlightLayer::Kernel,
+            DropReason::Internal,
+            1,
+            pkt.len() as u64,
         );
     }
 
@@ -935,26 +961,21 @@ impl ScapKernel {
     /// Steer a new stream away from an overloaded core (§2.4).
     fn maybe_rebalance(&mut self, key: &FlowKey) {
         let target = self.nic.rss_queue(key);
-        let counts: Vec<usize> = (0..self.cores.len())
-            .map(|c| self.cores[c].flows.len())
-            .collect();
-        let total: usize = counts.iter().sum();
+        // One pass: total, the target's count, and the first coldest core.
+        let (mut total, mut coldest) = (0usize, 0usize);
+        for (c, core) in self.cores.iter().enumerate() {
+            total += core.flows.len();
+            if core.flows.len() < self.cores[coldest].flows.len() {
+                coldest = c;
+            }
+        }
         if total < self.cores.len() * 8 {
             return; // too few streams for imbalance to mean anything
         }
         let avg = total as f64 / self.cores.len() as f64;
-        if (counts[target] as f64) <= avg * self.cfg.balance_threshold {
+        if (self.cores[target].flows.len() as f64) <= avg * self.cfg.balance_threshold {
             return;
         }
-        // Invariant: `cores` is never empty (ncores is clamped to >= 1).
-        let Some(coldest) = counts
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| **c)
-            .map(|(i, _)| i)
-        else {
-            return;
-        };
         if coldest == target || self.nic.fdir().free() < 2 {
             return;
         }
@@ -1077,8 +1098,8 @@ impl ScapKernel {
 
     /// Memory-pressure input to the PPL verdict: arena occupancy plus the
     /// governor's per-level watermark tightening.
-    fn ppl_pressure(&self) -> f64 {
-        (self.arena.used_fraction() + self.governor.ppl_boost()).min(1.0)
+    fn ppl_pressure(arena: &Arena, governor: &OverloadGovernor) -> f64 {
+        (arena.used_fraction() + governor.ppl_boost()).min(1.0)
     }
 
     fn snapshot_rec(rec: &StreamRecord, uid: StreamUid) -> StreamSnapshot {
@@ -1097,16 +1118,6 @@ impl ScapKernel {
             processing_time_ns: rec.processing_time_ns,
             resume_gap_bytes: rec.resume_gap_bytes,
         }
-    }
-
-    fn snapshot(&self, core: usize, id: StreamId) -> Option<StreamSnapshot> {
-        let rec = self.cores[core].flows.get(id)?;
-        let uid = self.cores[core]
-            .kstates
-            .get(&id)
-            .map(|k| k.uid)
-            .unwrap_or(0);
-        Some(Self::snapshot_rec(rec, uid))
     }
 
     fn enqueue_event(&mut self, core: usize, mut ev: Event, now: u64, work: &mut Work) {
@@ -1276,7 +1287,7 @@ impl ScapKernel {
         // table slot until the inactivity timeout so stray teardown ACKs
         // and late retransmissions do not spawn ghost streams. Tombstones
         // are exactly the records without kernel-side state.
-        if !lookup.created && !self.cores[core].kstates.contains_key(&id) {
+        if !lookup.created && self.cores[core].kstates.get(id).is_none() {
             self.acct_discarded(
                 core,
                 now,
@@ -1303,12 +1314,13 @@ impl ScapKernel {
                 .unwrap_or_else(|| self.cfg.priorities.for_key(&key));
             // Invariant: `lookup.created` implies the slot is live.
             debug_assert!(self.cores[core].flows.get(id).is_some());
-            if let Some(rec) = self.cores[core].flows.get_mut(id) {
+            let snap = self.cores[core].flows.get_mut(id).map(|rec| {
                 rec.cutoff = cutoffs;
                 rec.priority = priority;
                 rec.chunk_size = self.cfg.chunk_size as u32;
                 rec.overlap = self.cfg.overlap as u32;
-            }
+                Self::snapshot_rec(rec, uid)
+            });
             self.cores[core].kstates.insert(id, StreamKState::new(uid));
             self.uid_index.insert(uid, (core, id));
             self.stats.stack.streams_created += 1;
@@ -1316,7 +1328,7 @@ impl ScapKernel {
                 core,
                 FlightEvent::new(FlightKind::StreamCreated, FlightLayer::Kernel, now).with_uid(uid),
             );
-            if let Some(snap) = self.snapshot(core, id) {
+            if let Some(snap) = snap {
                 self.enqueue_event(
                     core,
                     Event {
@@ -1360,7 +1372,10 @@ impl ScapKernel {
         now: u64,
         work: &mut Work,
     ) {
-        let uid = self.cores[core].kstates.get(&id).map_or(0, |k| k.uid);
+        let d = dir.index();
+        let ks = self.cores[core].kstates.get(id);
+        let uid = ks.map_or(0, |k| k.uid);
+        let asm_offset = ks.map(|k| k.asm[d].as_ref().map_or(0, |a| a.stream_offset()));
         let Some(meta) = parsed.tcp else {
             // Transport said TCP but the header would not parse: nothing
             // to reassemble.
@@ -1378,26 +1393,13 @@ impl ScapKernel {
         let payload = parsed.payload();
 
         // Invariant: process_packet only dispatches live, tracked streams.
-        debug_assert!(self.cores[core].flows.get(id).is_some());
-        let Some((priority, cutoff, discarded_flag, cutoff_exceeded)) =
-            self.cores[core].flows.get(id).map(|rec| {
-                (
-                    rec.priority,
-                    rec.cutoff[dir.index()],
-                    rec.discarded,
-                    rec.cutoff_exceeded,
-                )
-            })
-        else {
-            self.acct_discarded(
-                core,
-                now,
-                uid,
-                FlightLayer::Kernel,
-                DropReason::Internal,
-                1,
-                pkt.len() as u64,
-            );
+        let rec = self.cores[core].flows.get(id);
+        debug_assert!(asm_offset.is_some() && rec.is_some());
+        let (Some(asm_offset), Some((priority, cutoff, discarded_flag, cutoff_exceeded))) = (
+            asm_offset,
+            rec.map(|r| (r.priority, r.cutoff[d], r.discarded, r.cutoff_exceeded)),
+        ) else {
+            self.discard_internal(core, now, uid, pkt);
             return;
         };
 
@@ -1412,33 +1414,14 @@ impl ScapKernel {
             .flags
             .intersects(TcpFlags::SYN | TcpFlags::FIN | TcpFlags::RST);
 
-        debug_assert!(self.cores[core].kstates.contains_key(&id));
-        let Some(asm_offset) = self.cores[core].kstates.get(&id).map(|ks| {
-            ks.asm[dir.index()]
-                .as_ref()
-                .map(|a| a.stream_offset())
-                .unwrap_or(0)
-        }) else {
-            self.acct_discarded(
-                core,
-                now,
-                uid,
-                FlightLayer::Kernel,
-                DropReason::Internal,
-                1,
-                pkt.len() as u64,
-            );
-            return;
-        };
-
         // Zero cutoff (flow-stats-only applications, §3.3.1) and
         // exceeded cutoffs: discard data before any reassembly work.
         let beyond_cutoff = effective_cutoff.is_some_and(|c| asm_offset >= c);
         let beyond_configured = cutoff.is_some_and(|c| asm_offset >= c);
         if (beyond_cutoff || discarded_flag) && !is_control && !payload.is_empty() {
             if let Some(rec) = self.cores[core].flows.get_mut(id) {
-                rec.dirs[dir.index()].discarded_pkts += 1;
-                rec.dirs[dir.index()].discarded_bytes += pkt.len() as u64;
+                rec.dirs[d].discarded_pkts += 1;
+                rec.dirs[d].discarded_bytes += pkt.len() as u64;
                 rec.cutoff_exceeded = rec.cutoff_exceeded || beyond_cutoff;
             }
             let reason = if discarded_flag && !beyond_cutoff {
@@ -1488,7 +1471,7 @@ impl ScapKernel {
         // governor's watermark tightening rides on the pressure input.
         if !payload.is_empty()
             && self.cfg.ppl.verdict_recorded(
-                self.ppl_pressure(),
+                Self::ppl_pressure(&self.arena, &self.governor),
                 priority,
                 asm_offset,
                 &self.tele,
@@ -1496,8 +1479,8 @@ impl ScapKernel {
             ) != PplVerdict::Accept
         {
             if let Some(rec) = self.cores[core].flows.get_mut(id) {
-                rec.dirs[dir.index()].dropped_pkts += 1;
-                rec.dirs[dir.index()].dropped_bytes += pkt.len() as u64;
+                rec.dirs[d].dropped_pkts += 1;
+                rec.dirs[d].dropped_bytes += pkt.len() as u64;
             }
             self.acct_dropped(
                 core,
@@ -1512,33 +1495,21 @@ impl ScapKernel {
             return;
         }
 
-        // Borrow dance: lift the connection and assembler out of the
-        // kstate so the delivery sink can borrow the arena freely.
-        let Some(mut ks) = self.cores[core].kstates.remove(&id) else {
-            self.acct_discarded(
-                core,
-                now,
-                uid,
-                FlightLayer::Kernel,
-                DropReason::Internal,
-                1,
-                pkt.len() as u64,
-            );
+        // Reassemble in place: the stream's state, its record, the
+        // core's timers and the arena are disjoint borrows, so the
+        // delivery sink writes chunks without anything being lifted out.
+        let cs = &mut self.cores[core];
+        let (Some(ks), Some(rec)) = (cs.kstates.get_mut(id), cs.flows.get_mut(id)) else {
+            self.discard_internal(core, now, uid, pkt);
             return;
         };
-        let mut conn = ks.conn.take().unwrap_or_else(|| {
-            TcpConn::new(
+        let conn = ks.conn.get_or_insert_with(|| {
+            Box::new(TcpConn::new(
                 ReasmConfig::for_mode(self.cfg.reassembly_mode)
                     .with_policy(self.cfg.overlap_policy),
-            )
+            ))
         });
-        let (stream_chunk, stream_overlap) = match self.cores[core].flows.get(id) {
-            Some(rec) => (rec.chunk_size.max(1) as usize, rec.overlap as usize),
-            None => (self.cfg.chunk_size.max(1), self.cfg.overlap),
-        };
-        let mut asm = ks.asm[dir.index()].take().unwrap_or_else(|| {
-            ChunkAssembler::new(stream_chunk, stream_overlap.min(stream_chunk - 1))
-        });
+        let asm = ks.asm[d].get_or_insert_with(|| assembler_for(rec));
 
         let copied_before = asm.bytes_copied;
         let mut completed: Vec<ChunkBuf> = Vec::new();
@@ -1547,17 +1518,13 @@ impl ScapKernel {
         let cutoff_cap = effective_cutoff.unwrap_or(u64::MAX);
         let outcome = {
             let arena = &mut self.arena;
-            let asm_ref = &mut asm;
             let mut sink = |off: u64, data: &[u8]| {
                 first_delivery.get_or_insert(off);
                 if off >= cutoff_cap {
                     return;
                 }
                 let allowed = ((cutoff_cap - off) as usize).min(data.len());
-                if asm_ref
-                    .append(arena, &data[..allowed], &mut completed)
-                    .is_err()
-                {
+                if asm.append(arena, &data[..allowed], &mut completed).is_err() {
                     oom = true;
                 }
             };
@@ -1565,21 +1532,18 @@ impl ScapKernel {
         };
 
         let copied = asm.bytes_copied - copied_before;
+        let offset_after = asm.stream_offset();
         work.k_bytes_copied += copied;
         self.tele.add(core, Metric::KernelBytesCopied, copied);
         if copied > 0 {
             if let Some(c) = self.cache.as_mut() {
-                let base = Self::chunk_region_addr(
-                    ks.uid,
-                    dir,
-                    asm.stream_offset().saturating_sub(copied),
-                );
+                let base = Self::chunk_region_addr(uid, dir, offset_after.saturating_sub(copied));
                 work.k_cache_misses += c.access(base, copied as usize);
             }
         }
 
         if self.cfg.need_pkts && !payload.is_empty() {
-            ks.pkt_records[dir.index()].push(PacketRecord {
+            ks.pkt_records[d].push(PacketRecord {
                 ts_ns: pkt.ts_ns,
                 wire_len: pkt.len() as u32,
                 payload_len: payload.len() as u32,
@@ -1589,51 +1553,77 @@ impl ScapKernel {
             });
         }
 
-        // Accounting and error mapping. Every packet that reached this
-        // point takes exactly one stack-level exit — dropped (OOM),
-        // discarded (pure duplicate), or delivered — so the conservation
-        // identity `wire = delivered + dropped + discarded` holds.
+        // Per-stream accounting and error mapping.
         let captured = outcome.data.delivered > 0 || outcome.data.buffered > 0;
         let dup_only = !captured && outcome.data.duplicate > 0;
-        if let Some(rec) = self.cores[core].flows.get_mut(id) {
-            let d = &mut rec.dirs[dir.index()];
-            if captured {
-                d.captured_pkts += 1;
-                d.captured_bytes +=
-                    (outcome.data.delivered + outcome.data.buffered).min(payload.len() as u64);
+        let dstats = &mut rec.dirs[d];
+        if captured {
+            dstats.captured_pkts += 1;
+            dstats.captured_bytes +=
+                (outcome.data.delivered + outcome.data.buffered).min(payload.len() as u64);
+        }
+        if oom {
+            dstats.dropped_pkts += 1;
+            dstats.dropped_bytes += pkt.len() as u64;
+        } else if dup_only {
+            dstats.discarded_pkts += 1;
+            dstats.discarded_bytes += outcome.data.duplicate;
+        }
+        // First segment after a warm restart: the hole it skipped is
+        // the blackout window, annotated on the record (bounded by
+        // the traffic between the checkpoint and the crash).
+        if outcome.data.resume_gap > 0 {
+            rec.resume_gap_bytes += outcome.data.resume_gap;
+            self.stats.resilience.resume_gap_bytes += outcome.data.resume_gap;
+        }
+        let f = conn.flags();
+        for (rf, sf) in [
+            (
+                ReasmFlags::INCOMPLETE_HANDSHAKE,
+                StreamErrors::INCOMPLETE_HANDSHAKE,
+            ),
+            (ReasmFlags::SEQUENCE_GAP, StreamErrors::SEQUENCE_GAP),
+            (
+                ReasmFlags::INCONSISTENT_OVERLAP,
+                StreamErrors::INCONSISTENT_OVERLAP,
+            ),
+            (ReasmFlags::INVALID_SEQUENCE, StreamErrors::INVALID_SEQUENCE),
+        ] {
+            if f.contains(rf) {
+                rec.errors.set(sf);
             }
-            if oom {
-                d.dropped_pkts += 1;
-                d.dropped_bytes += pkt.len() as u64;
-            } else if dup_only {
-                d.discarded_pkts += 1;
-                d.discarded_bytes += outcome.data.duplicate;
-            }
-            // First segment after a warm restart: the hole it skipped is
-            // the blackout window, annotated on the record (bounded by
-            // the traffic between the checkpoint and the crash).
-            if outcome.data.resume_gap > 0 {
-                rec.resume_gap_bytes += outcome.data.resume_gap;
-                self.stats.resilience.resume_gap_bytes += outcome.data.resume_gap;
-            }
-            let f = conn.flags();
-            for (rf, sf) in [
-                (
-                    ReasmFlags::INCOMPLETE_HANDSHAKE,
-                    StreamErrors::INCOMPLETE_HANDSHAKE,
-                ),
-                (ReasmFlags::SEQUENCE_GAP, StreamErrors::SEQUENCE_GAP),
-                (
-                    ReasmFlags::INCONSISTENT_OVERLAP,
-                    StreamErrors::INCONSISTENT_OVERLAP,
-                ),
-                (ReasmFlags::INVALID_SEQUENCE, StreamErrors::INVALID_SEQUENCE),
-            ] {
-                if f.contains(rf) {
-                    rec.errors.set(sf);
+        }
+
+        // Newly exceeded cutoff: flush the final partial chunk now and
+        // install NIC filters so the tail never reaches memory.
+        let newly_beyond = !cutoff_exceeded && effective_cutoff.is_some_and(|c| offset_after >= c);
+        if newly_beyond {
+            rec.cutoff_exceeded = true;
+            if let Some(tail) = asm.flush() {
+                if tail.len > 0 {
+                    completed.push(tail);
+                } else {
+                    self.arena.release(tail);
                 }
             }
         }
+
+        // Flush-timer arming for the partial chunk.
+        if asm.has_pending() && !ks.flush_armed[d] {
+            ks.flush_armed[d] = true;
+            cs.flush_timers
+                .push_back((now + self.cfg.flush_timeout_ns, id, dir, offset_after));
+        }
+        let mut packets = Vec::new();
+        if !completed.is_empty() {
+            ks.flush_armed[d] = false;
+            packets = std::mem::take(&mut ks.pkt_records[d]);
+        }
+
+        // Stack-level accounting. Every packet that reached this point
+        // takes exactly one exit — dropped (OOM), discarded (pure
+        // duplicate), or delivered — so the conservation identity
+        // `wire = delivered + dropped + discarded` holds.
         if oom {
             self.acct_dropped(
                 core,
@@ -1660,15 +1650,8 @@ impl ScapKernel {
         }
         self.acct_delivered(core, 0, copied);
 
-        // Newly exceeded cutoff: flush the final partial chunk now and
-        // install NIC filters so the tail never reaches memory.
-        let now_beyond = effective_cutoff.is_some_and(|c| asm.stream_offset() >= c);
-        let mut install_filters = false;
-        if now_beyond && !cutoff_exceeded {
-            if let Some(rec) = self.cores[core].flows.get_mut(id) {
-                rec.cutoff_exceeded = true;
-            }
-            let reason = if beyond_configured || cutoff.is_some_and(|c| asm.stream_offset() >= c) {
+        if newly_beyond {
+            let reason = if cutoff.is_some_and(|c| offset_after >= c) {
                 DropReason::Cutoff
             } else {
                 DropReason::GovernorClamp
@@ -1678,48 +1661,20 @@ impl ScapKernel {
                 FlightEvent::new(FlightKind::CutoffHit, FlightLayer::Kernel, now)
                     .with_reason(reason)
                     .with_uid(uid)
-                    .with_vals(asm.stream_offset(), 0),
+                    .with_vals(offset_after, 0),
             );
-            if let Some(tail) = asm.flush() {
-                if tail.len > 0 {
-                    completed.push(tail);
-                } else {
-                    self.arena.release(tail);
-                }
-            }
-            install_filters = self.cfg.use_fdir || self.cfg.use_offload;
         }
-
-        // Flush-timer arming for the partial chunk.
-        if asm.has_pending() && !ks.flush_armed[dir.index()] {
-            ks.flush_armed[dir.index()] = true;
-            self.cores[core].flush_timers.push_back((
-                now + self.cfg.flush_timeout_ns,
-                id,
-                dir,
-                asm.stream_offset(),
-            ));
-        }
-
-        let closed = outcome.closed_now;
-        let packets = std::mem::take(&mut ks.pkt_records[dir.index()]);
-        ks.conn = Some(conn);
-        ks.asm[dir.index()] = Some(asm);
-        if !completed.is_empty() {
-            ks.flush_armed[dir.index()] = false;
-        }
-        self.cores[core].kstates.insert(id, ks);
 
         self.emit_data_events(core, id, dir, completed, packets, pkt.ts_ns, now, work);
 
-        if install_filters {
+        if newly_beyond && (self.cfg.use_fdir || self.cfg.use_offload) {
             let offloaded = self.cfg.use_offload && self.install_offload(core, id, now, work);
             if !offloaded && self.cfg.use_fdir {
                 self.install_fdir(core, id, now, false, work);
             }
         }
 
-        if let Some(kind) = closed {
+        if let Some(kind) = outcome.closed_now {
             let status = match kind {
                 CloseKind::Fin => StreamStatus::ClosedFin,
                 CloseKind::Rst => StreamStatus::ClosedRst,
@@ -1746,63 +1701,32 @@ impl ScapKernel {
             self.acct_delivered(core, 1, 0);
             return;
         }
+        let d = dir.index();
         // Invariant: process_packet only dispatches live, tracked streams.
-        debug_assert!(self.cores[core].flows.get(id).is_some());
-        let uid = self.cores[core].kstates.get(&id).map_or(0, |k| k.uid);
-        let Some((priority, cutoff, discarded_flag, cutoff_exceeded, stream_chunk, stream_overlap)) =
-            self.cores[core].flows.get(id).map(|rec| {
-                (
-                    rec.priority,
-                    rec.cutoff[dir.index()],
-                    rec.discarded,
-                    rec.cutoff_exceeded,
-                    rec.chunk_size.max(1) as usize,
-                    rec.overlap as usize,
-                )
-            })
-        else {
-            self.acct_discarded(
-                core,
-                now,
-                uid,
-                FlightLayer::Kernel,
-                DropReason::Internal,
-                1,
-                pkt.len() as u64,
-            );
+        // State, record and timers are borrowed in place, side by side.
+        let cs = &mut self.cores[core];
+        let (ks, rec) = (cs.kstates.get_mut(id), cs.flows.get_mut(id));
+        debug_assert!(ks.is_some() && rec.is_some());
+        let uid = ks.as_ref().map_or(0, |k| k.uid);
+        let (Some(ks), Some(rec)) = (ks, rec) else {
+            self.discard_internal(core, now, uid, pkt);
             return;
         };
+        let (priority, cutoff, discarded_flag) = (rec.priority, rec.cutoff[d], rec.discarded);
         let effective_cutoff = match (cutoff, self.governor.cutoff_cap()) {
             (Some(c), Some(cap)) => Some(c.min(cap)),
             (None, Some(cap)) => Some(cap),
             (c, None) => c,
         };
-        let Some(mut ks) = self.cores[core].kstates.remove(&id) else {
-            self.acct_discarded(
-                core,
-                now,
-                uid,
-                FlightLayer::Kernel,
-                DropReason::Internal,
-                1,
-                pkt.len() as u64,
-            );
-            return;
-        };
-        let mut asm = ks.asm[dir.index()].take().unwrap_or_else(|| {
-            ChunkAssembler::new(stream_chunk, stream_overlap.min(stream_chunk - 1))
-        });
+        let asm = ks.asm[d].get_or_insert_with(|| assembler_for(rec));
         let offset = asm.stream_offset();
 
         let beyond_configured = cutoff.is_some_and(|c| offset >= c);
         let beyond_effective = effective_cutoff.is_some_and(|c| offset >= c);
-        let beyond = beyond_effective || discarded_flag;
-        if beyond {
-            if let Some(rec) = self.cores[core].flows.get_mut(id) {
-                rec.dirs[dir.index()].discarded_pkts += 1;
-                rec.dirs[dir.index()].discarded_bytes += pkt.len() as u64;
-                rec.cutoff_exceeded = true;
-            }
+        if beyond_effective || discarded_flag {
+            let cutoff_exceeded = std::mem::replace(&mut rec.cutoff_exceeded, true);
+            rec.dirs[d].discarded_pkts += 1;
+            rec.dirs[d].discarded_bytes += pkt.len() as u64;
             let reason = if discarded_flag && !beyond_effective {
                 DropReason::AppDiscard
             } else if beyond_effective && !beyond_configured && !discarded_flag {
@@ -1831,20 +1755,18 @@ impl ScapKernel {
             if beyond_effective && !beyond_configured && !discarded_flag {
                 self.stats.resilience.governor_cutoff_clamps += 1;
             }
-            ks.asm[dir.index()] = Some(asm);
-            self.cores[core].kstates.insert(id, ks);
             return;
         }
-        if self
-            .cfg
-            .ppl
-            .verdict_recorded(self.ppl_pressure(), priority, offset, &self.tele, core)
-            != PplVerdict::Accept
+        if self.cfg.ppl.verdict_recorded(
+            Self::ppl_pressure(&self.arena, &self.governor),
+            priority,
+            offset,
+            &self.tele,
+            core,
+        ) != PplVerdict::Accept
         {
-            if let Some(rec) = self.cores[core].flows.get_mut(id) {
-                rec.dirs[dir.index()].dropped_pkts += 1;
-                rec.dirs[dir.index()].dropped_bytes += pkt.len() as u64;
-            }
+            rec.dirs[d].dropped_pkts += 1;
+            rec.dirs[d].dropped_bytes += pkt.len() as u64;
             self.acct_dropped(
                 core,
                 now,
@@ -1854,8 +1776,6 @@ impl ScapKernel {
                 1,
                 pkt.len() as u64,
             );
-            ks.asm[dir.index()] = Some(asm);
-            self.cores[core].kstates.insert(id, ks);
             return;
         }
 
@@ -1870,29 +1790,43 @@ impl ScapKernel {
             .add(core, Metric::KernelBytesCopied, allowed as u64);
         if allowed > 0 {
             if let Some(c) = self.cache.as_mut() {
-                let base = Self::chunk_region_addr(ks.uid, dir, offset);
+                let base = Self::chunk_region_addr(uid, dir, offset);
                 work.k_cache_misses += c.access(base, allowed);
             }
         }
 
         if self.cfg.need_pkts {
-            ks.pkt_records[dir.index()].push(PacketRecord {
+            ks.pkt_records[d].push(PacketRecord {
                 ts_ns: pkt.ts_ns,
                 wire_len: pkt.len() as u32,
                 payload_len: payload.len() as u32,
                 chunk_off: offset.min(u64::from(u32::MAX)) as u32,
             });
         }
-        // One stack-level exit per packet (conservation identity).
-        if let Some(rec) = self.cores[core].flows.get_mut(id) {
-            let d = &mut rec.dirs[dir.index()];
-            d.captured_pkts += 1;
-            d.captured_bytes += allowed as u64;
-            if oom {
-                d.dropped_pkts += 1;
-                d.dropped_bytes += pkt.len() as u64;
-            }
+        let dstats = &mut rec.dirs[d];
+        dstats.captured_pkts += 1;
+        dstats.captured_bytes += allowed as u64;
+        if oom {
+            dstats.dropped_pkts += 1;
+            dstats.dropped_bytes += pkt.len() as u64;
         }
+
+        if asm.has_pending() && !ks.flush_armed[d] {
+            ks.flush_armed[d] = true;
+            cs.flush_timers.push_back((
+                now + self.cfg.flush_timeout_ns,
+                id,
+                dir,
+                asm.stream_offset(),
+            ));
+        }
+        let mut packets = Vec::new();
+        if !completed.is_empty() {
+            ks.flush_armed[d] = false;
+            packets = std::mem::take(&mut ks.pkt_records[d]);
+        }
+
+        // One stack-level exit per packet (conservation identity).
         if oom {
             self.acct_dropped(
                 core,
@@ -1907,29 +1841,14 @@ impl ScapKernel {
             self.acct_delivered(core, 1, 0);
         }
         self.acct_delivered(core, 0, allowed as u64);
-
-        if asm.has_pending() && !ks.flush_armed[dir.index()] {
-            ks.flush_armed[dir.index()] = true;
-            self.cores[core].flush_timers.push_back((
-                now + self.cfg.flush_timeout_ns,
-                id,
-                dir,
-                asm.stream_offset(),
-            ));
-        }
-        let packets = std::mem::take(&mut ks.pkt_records[dir.index()]);
-        ks.asm[dir.index()] = Some(asm);
-        if !completed.is_empty() {
-            ks.flush_armed[dir.index()] = false;
-        }
-        self.cores[core].kstates.insert(id, ks);
         self.emit_data_events(core, id, dir, completed, packets, pkt.ts_ns, now, work);
     }
 
-    /// Emit data events for completed chunks of a live stream.
-    /// `ingress_ns` is the NIC-ingress timestamp of the packet that
-    /// completed the chunk (the flush tick for timer-driven flushes);
-    /// `now` is the processing clock at emission.
+    /// Emit data events for completed chunks of a live stream; `packets`
+    /// are the records of the packets that filled them. `ingress_ns` is
+    /// the NIC-ingress timestamp of the packet that completed the chunk
+    /// (the flush tick for timer-driven flushes); `now` is the
+    /// processing clock at emission.
     #[allow(clippy::too_many_arguments)]
     fn emit_data_events(
         &mut self,
@@ -1942,47 +1861,27 @@ impl ScapKernel {
         now: u64,
         work: &mut Work,
     ) {
-        if completed.is_empty() {
-            // Nothing emitted: retain packet records for the next chunk.
-            if !packets.is_empty() {
-                if let Some(ks) = self.cores[core].kstates.get_mut(&id) {
-                    let mut packets = packets;
-                    packets.append(&mut ks.pkt_records[dir.index()]);
-                    ks.pkt_records[dir.index()] = packets;
-                }
-            }
-            return;
-        }
-        let uid = self.cores[core]
-            .kstates
-            .get(&id)
-            .map(|k| k.uid)
-            .unwrap_or(0);
         let mut packets = Some(packets);
         for chunk in completed {
             // `scap_keep_stream_chunk`: a held-back previous chunk is
             // merged in front of this one (§3.2).
-            let mut chunk = match self.cores[core]
-                .kstates
-                .get_mut(&id)
-                .and_then(|ks| ks.kept[dir.index()].take())
-            {
+            let ks = self.cores[core].kstates.get_mut(id);
+            let uid = ks.as_ref().map_or(0, |k| k.uid);
+            let mut chunk = match ks.and_then(|ks| ks.kept[dir.index()].take()) {
                 Some(kept) => self.merge_chunks(core, kept, chunk, work),
                 None => chunk,
             };
             if self.cache.is_some() {
                 chunk.sim_addr = Self::chunk_region_addr(uid, dir, chunk.start_offset);
             }
-            if let Some(rec) = self.cores[core].flows.get_mut(id) {
-                rec.chunks += 1;
-            }
-            let Some(snap) = self.snapshot(core, id) else {
+            let Some(rec) = self.cores[core].flows.get_mut(id) else {
                 // Record vanished mid-delivery: reclaim the chunk.
                 self.arena.release(chunk);
                 continue;
             };
+            rec.chunks += 1;
             let ev = Event {
-                stream: snap,
+                stream: Self::snapshot_rec(rec, uid),
                 kind: EventKind::Data {
                     dir,
                     chunk,
@@ -2031,7 +1930,7 @@ impl ScapKernel {
     pub fn release_data(&mut self, uid: StreamUid, dir: Direction, chunk: ChunkBuf) {
         if self.pending_keep.remove(&(uid, dir.index() as u8)) {
             if let Some(&(core, id)) = self.uid_index.get(&uid) {
-                if let Some(ks) = self.cores[core].kstates.get_mut(&id) {
+                if let Some(ks) = self.cores[core].kstates.get_mut(id) {
                     if let Some(old) = ks.kept[dir.index()].replace(chunk) {
                         self.arena.release(old);
                     }
@@ -2057,7 +1956,7 @@ impl ScapKernel {
         };
         let key = rec.key;
         let priority = rec.priority;
-        let uid = match self.cores[core].kstates.get(&id) {
+        let uid = match self.cores[core].kstates.get(id) {
             Some(ks) if ks.offload_installed => return true, // already shunting
             Some(ks) => ks.uid,
             None => return false,
@@ -2071,7 +1970,7 @@ impl ScapKernel {
             if let Some(evicted) = self.nic.offload_evict(OFFLOAD_EVICT_SCAN) {
                 let ekey = evicted.key.canonical().0;
                 if let Some((ecore, eid, _euid)) = self.offload_owners.remove(&ekey) {
-                    if let Some(eks) = self.cores[ecore].kstates.get_mut(&eid) {
+                    if let Some(eks) = self.cores[ecore].kstates.get_mut(eid) {
                         eks.offload_installed = false;
                     }
                 }
@@ -2090,7 +1989,7 @@ impl ScapKernel {
             Ok(()) | Err(OffloadError::Duplicate) => {}
             Err(_) => return false, // Busy/TableFull: fall back to FDIR
         }
-        if let Some(ks) = self.cores[core].kstates.get_mut(&id) {
+        if let Some(ks) = self.cores[core].kstates.get_mut(id) {
             ks.offload_installed = true;
         }
         self.offload_owners.insert(rule.key, (core, id, uid));
@@ -2134,7 +2033,7 @@ impl ScapKernel {
         let uid;
         let timeout;
         {
-            let Some(ks) = self.cores[core].kstates.get_mut(&id) else {
+            let Some(ks) = self.cores[core].kstates.get_mut(id) else {
                 return;
             };
             if ks.fdir_installed || ks.fdir_retry_pending || ks.fdir_software_fallback {
@@ -2157,7 +2056,7 @@ impl ScapKernel {
             };
             let _ = deadline;
             self.remove_fdir_filters(ekey, work);
-            if let Some(ks) = self.cores[ecore].kstates.get_mut(&eid) {
+            if let Some(ks) = self.cores[ecore].kstates.get_mut(eid) {
                 ks.fdir_installed = false;
             }
             self.fdir_expiries.remove(&(deadline, euid));
@@ -2168,7 +2067,7 @@ impl ScapKernel {
         }
 
         if self.try_install_fdir_filters(key, work) {
-            if let Some(ks) = self.cores[core].kstates.get_mut(&id) {
+            if let Some(ks) = self.cores[core].kstates.get_mut(id) {
                 ks.fdir_installed = true;
             }
             self.fdir_expiries
@@ -2221,7 +2120,7 @@ impl ScapKernel {
         attempts: u32,
         now: u64,
     ) {
-        if let Some(ks) = self.cores[core].kstates.get_mut(&id) {
+        if let Some(ks) = self.cores[core].kstates.get_mut(id) {
             ks.fdir_retry_pending = true;
         }
         // Exponential backoff, capped, with deterministic jitter: up to
@@ -2291,10 +2190,10 @@ impl ScapKernel {
         let key = rec.key;
         let timeout = self.cores[r.core]
             .kstates
-            .get(&r.id)
+            .get(r.id)
             .map_or(FDIR_INITIAL_TIMEOUT_NS, |ks| ks.fdir_timeout_ns);
         if self.nic.fdir().free() >= 4 && self.try_install_fdir_filters(key, work) {
-            if let Some(ks) = self.cores[r.core].kstates.get_mut(&r.id) {
+            if let Some(ks) = self.cores[r.core].kstates.get_mut(r.id) {
                 ks.fdir_retry_pending = false;
                 ks.fdir_installed = true;
             }
@@ -2311,7 +2210,7 @@ impl ScapKernel {
         if r.attempts + 1 >= FDIR_RETRY_MAX_ATTEMPTS {
             // Give up on the hardware: the kernel discard path already
             // enforces the cutoff; it just costs a DMA + header touch.
-            if let Some(ks) = self.cores[r.core].kstates.get_mut(&r.id) {
+            if let Some(ks) = self.cores[r.core].kstates.get_mut(r.id) {
                 ks.fdir_retry_pending = false;
                 ks.fdir_software_fallback = true;
             }
@@ -2340,7 +2239,7 @@ impl ScapKernel {
                 if rec.priority != 0 || rec.discarded {
                     continue;
                 }
-                if let Some(ks) = core.kstates.get(&rec.id) {
+                if let Some(ks) = core.kstates.get(rec.id) {
                     candidates.push((ks.uid, c, rec.id));
                 }
             }
@@ -2351,7 +2250,7 @@ impl ScapKernel {
                 rec.discarded = true;
             }
             let mut freed: Vec<ChunkBuf> = Vec::new();
-            if let Some(ks) = self.cores[c].kstates.get_mut(&id) {
+            if let Some(ks) = self.cores[c].kstates.get_mut(id) {
                 for d in [0usize, 1] {
                     if let Some(kept) = ks.kept[d].take() {
                         freed.push(kept);
@@ -2401,7 +2300,7 @@ impl ScapKernel {
     /// totals from sequence numbers (per-filter NIC counters don't exist,
     /// §5.5).
     fn estimate_fdir_sizes(&mut self, core: usize, id: StreamId, meta: &TcpMeta, dir: Direction) {
-        let Some(ks) = self.cores[core].kstates.get(&id) else {
+        let Some(ks) = self.cores[core].kstates.get(id) else {
             return;
         };
         if !ks.fdir_installed {
@@ -2437,7 +2336,7 @@ impl ScapKernel {
         let Some(mut rec) = self.cores[core].flows.remove(id) else {
             return;
         };
-        let ks = self.cores[core].kstates.remove(&id);
+        let ks = self.cores[core].kstates.remove(id);
         if ks.is_none() {
             // Already-reported tombstone: drop silently.
             return;
@@ -2445,9 +2344,6 @@ impl ScapKernel {
         rec.status = status;
         let key = rec.key;
         let last_ts = rec.last_ts_ns;
-        self.cores[core]
-            .flush_timers
-            .retain(|(_, tid, _, _)| *tid != id);
         self.finish_removed_stream(core, rec, ks, now, work);
         if timewait {
             // A full table just means no tombstone: late packets of the
@@ -2587,10 +2483,12 @@ impl ScapKernel {
             let Some((_, id, dir, armed_offset)) = due else {
                 break;
             };
-            work.k_timer_ops += 1;
-            let Some(ks) = self.cores[core].kstates.get_mut(&id) else {
+            // A timer outlives a stream that ended first: its id no
+            // longer resolves (not even once the slot is reused).
+            let Some(ks) = self.cores[core].kstates.get_mut(id) else {
                 continue;
             };
+            work.k_timer_ops += 1;
             ks.flush_armed[dir.index()] = false;
             let Some(asm) = ks.asm[dir.index()].as_mut() else {
                 continue;
@@ -2617,7 +2515,7 @@ impl ScapKernel {
         for rec in expired {
             work.k_timer_ops += 1;
             let id = rec.id;
-            let ks = self.cores[core].kstates.remove(&id);
+            let ks = self.cores[core].kstates.remove(id);
             let Some(ks) = ks else {
                 // TIME_WAIT tombstone aging out: already reported.
                 continue;
@@ -2628,9 +2526,6 @@ impl ScapKernel {
                     .with_uid(ks.uid),
             );
             self.stats.expired_streams += 1;
-            self.cores[core]
-                .flush_timers
-                .retain(|(_, tid, _, _)| *tid != id);
             self.finish_removed_stream(core, rec, Some(ks), now, &mut work);
         }
 
@@ -2693,7 +2588,7 @@ impl ScapKernel {
                 }
                 self.fdir_expiries.remove(&(deadline, uid));
                 self.remove_fdir_filters(ekey, &mut work);
-                if let Some(ks) = self.cores[ecore].kstates.get_mut(&eid) {
+                if let Some(ks) = self.cores[ecore].kstates.get_mut(eid) {
                     ks.fdir_installed = false;
                 }
                 self.flight.emit(
@@ -2777,7 +2672,7 @@ impl ScapKernel {
         let mut order = Vec::new();
         for (c, core) in self.cores.iter().enumerate() {
             for rec in core.flows.iter() {
-                let ks = core.kstates.get(&rec.id);
+                let ks = core.kstates.get(rec.id);
                 order.push((ks.map_or(0, |k| k.uid), c as u32, rec, ks));
             }
         }
@@ -2809,7 +2704,7 @@ impl ScapKernel {
                     fdir_installed: ks.fdir_installed,
                     fdir_timeout_ns: ks.fdir_timeout_ns,
                     fdir_software_fallback: ks.fdir_software_fallback,
-                    conn: ks.conn.as_ref().map(ConnView::Live),
+                    conn: ks.conn.as_deref().map(ConnView::Live),
                     asm: ks.asm.each_ref().map(|a| {
                         a.as_ref().map(|a| AsmImage {
                             committed: a.stream_offset(),
@@ -2907,7 +2802,10 @@ impl ScapKernel {
             ks.fdir_installed = ksi.fdir_installed;
             ks.fdir_timeout_ns = ksi.fdir_timeout_ns;
             ks.fdir_software_fallback = ksi.fdir_software_fallback;
-            ks.conn = ksi.conn.as_ref().map(|ck| TcpConn::restore(reasm_cfg, ck));
+            ks.conn = ksi
+                .conn
+                .as_ref()
+                .map(|ck| Box::new(TcpConn::restore(reasm_cfg, ck)));
             let chunk_size = if s.chunk_size == 0 {
                 k.cfg.chunk_size.max(1)
             } else {
@@ -2980,7 +2878,7 @@ impl ScapKernel {
                 Some(OffloadAction::Drop)
             ) {
                 if let Some(&(core, id)) = k.uid_index.get(&s.uid) {
-                    if let Some(ks) = k.cores[core].kstates.get_mut(&id) {
+                    if let Some(ks) = k.cores[core].kstates.get_mut(id) {
                         ks.offload_installed = true;
                     }
                     k.offload_owners
@@ -3509,6 +3407,52 @@ mod tests {
         }
         let after: usize = collect_events(&mut k).iter().map(|e| e.data_len()).sum();
         assert_eq!(after, 500);
+    }
+
+    /// Flush timers are not scrubbed when a stream ends; the fire path
+    /// tells a dead stream's timer from its slot's next tenant by id.
+    #[test]
+    fn a_dead_streams_flush_timer_spares_the_successor_in_its_slot() {
+        let mut k = kernel(ScapConfig {
+            cores: 1,
+            flush_timeout_ns: 50_000_000,
+            chunk_size: 1 << 20,
+            ..Default::default()
+        });
+        let data_len =
+            |k: &mut ScapKernel| -> usize { collect_events(k).iter().map(|e| e.data_len()).sum() };
+        // Stream A arms a timer (due at 54 ms) and ends before it fires.
+        drive(&mut k, &http_session(&[b'A'; 500], b"")[..4]);
+        let a = k.streams_on_core(0).next().unwrap().id;
+        assert_eq!(k.cores[0].flush_timers.len(), 1);
+        let mut work = Work::default();
+        k.terminate_stream(
+            0,
+            a,
+            StreamStatus::ClosedTimeout,
+            5_000_000,
+            false,
+            &mut work,
+        );
+        assert_eq!(data_len(&mut k), 500);
+        // Stream B moves into A's slot and arms its own (due at 80 ms).
+        let b_frame = PacketBuilder::udp_v4([10, 0, 0, 2], [10, 0, 0, 3], 5000, 53, &[b'B'; 300]);
+        drive(&mut k, &[Packet::new(30_000_000, b_frame)]);
+        let b = k.streams_on_core(0).next().unwrap().id;
+        assert_eq!(b.slot(), a.slot());
+        assert_ne!(b, a);
+        // A's timer comes due: no flush, no timer work, B stays armed.
+        assert_eq!(k.kernel_timers(0, 60_000_000).k_timer_ops, 0);
+        assert_eq!(data_len(&mut k), 0);
+        assert!(k.cores[0]
+            .kstates
+            .get(b)
+            .unwrap()
+            .flush_armed
+            .contains(&true));
+        // B's own timer still delivers its partial chunk.
+        assert_eq!(k.kernel_timers(0, 90_000_000).k_timer_ops, 1);
+        assert_eq!(data_len(&mut k), 300);
     }
 
     #[test]

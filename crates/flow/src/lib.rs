@@ -17,12 +17,17 @@
 //! * an **access list** (intrusive LRU, constant-time touch) keeps active
 //!   streams sorted by last access so inactivity expiration scans only
 //!   the stale tail, and so "evict the oldest stream" under memory
-//!   pressure is O(1).
+//!   pressure is O(1);
+//! * state that other layers keep per stream hangs off the record's pool
+//!   slot in a [`SideTable`], so the one hash probe that finds the record
+//!   also finds everything else about the stream.
 
 pub mod record;
+pub mod side;
 pub mod table;
 
 pub use record::{DirStats, StreamErrors, StreamId, StreamRecord, StreamStatus};
+pub use side::SideTable;
 pub use table::{FlowTable, FlowTableConfig, Lookup};
 
 #[cfg(test)]

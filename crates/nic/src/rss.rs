@@ -11,8 +11,19 @@
 //! this so each bidirectional TCP connection is handled by one core. The
 //! [`SYMMETRIC_RSS_KEY`] here is the `0x6D5A` repetition from their
 //! report.
+//!
+//! The hash is linear over XOR, so the hash of an input is the XOR of the
+//! hashes of its bytes taken alone, each at its position. [`RssHasher`]
+//! builds one 256-entry table per byte position from the bit-serial
+//! definition ([`toeplitz_bitwise`]) when it is created and hashes with
+//! one load per input byte. A key that repeats every 16 bits shows byte
+//! positions *i* and *i*+2 the same key windows, so two tables (2 KB)
+//! serve every position of IPv4 and IPv6 inputs alike.
 
 use scap_wire::{FlowKey, IpAddrBytes};
+
+/// Longest hash input: an IPv6 address pair plus the two ports.
+const MAX_INPUT: usize = 36;
 
 /// The symmetric RSS key (repeating 0x6D5A), 40 bytes — enough windows for
 /// IPv6 inputs (36 input bytes need 36+4 key bytes; we keep 52 for slack).
@@ -26,10 +37,39 @@ pub const SYMMETRIC_RSS_KEY: [u8; 52] = {
     k
 };
 
+/// The Toeplitz hash by its definition, one input bit at a time: the
+/// reference the per-byte tables of [`RssHasher`] are built from and
+/// tested against.
+pub fn toeplitz_bitwise(key: &[u8; 52], input: &[u8]) -> u32 {
+    debug_assert!(input.len() + 4 <= key.len());
+    let mut result: u32 = 0;
+    // The running 32-bit key window, advanced one bit per input bit.
+    let mut window: u32 = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
+    for (i, &byte) in input.iter().enumerate() {
+        let next_key_byte = 4 + i;
+        for bit in (0..8).rev() {
+            if byte >> bit & 1 == 1 {
+                result ^= window;
+            }
+            // Shift the window left one bit, pulling in the next key bit.
+            let next_bit = if next_key_byte < key.len() {
+                (key[next_key_byte] >> bit) & 1
+            } else {
+                0
+            };
+            window = (window << 1) | u32::from(next_bit);
+        }
+    }
+    result
+}
+
 /// Toeplitz hasher with an indirection table, as on the 82599.
 #[derive(Debug, Clone)]
 pub struct RssHasher {
-    key: [u8; 52],
+    /// `tables[i & pos_mask][b]` is the hash of byte `b` alone at input
+    /// position `i`.
+    tables: Box<[[u32; 256]]>,
+    pos_mask: usize,
     /// 128-entry indirection table mapping hash LSBs to queues.
     indirection: [u8; 128],
 }
@@ -43,8 +83,29 @@ impl RssHasher {
         for (i, e) in indirection.iter_mut().enumerate() {
             *e = (i % nqueues) as u8;
         }
+        Self::with_key(&SYMMETRIC_RSS_KEY, indirection)
+    }
+
+    fn with_key(key: &[u8; 52], indirection: [u8; 128]) -> Self {
+        // With a 16-bit period, positions of equal parity see the same
+        // key windows and share a table.
+        let (positions, pos_mask) = if key.windows(3).all(|w| w[0] == w[2]) {
+            (2, 1)
+        } else {
+            (MAX_INPUT, MAX_INPUT.next_power_of_two() - 1)
+        };
+        let tables = (0..positions)
+            .map(|pos| {
+                let mut input = [0u8; MAX_INPUT];
+                std::array::from_fn(|b| {
+                    input[pos] = b as u8;
+                    toeplitz_bitwise(key, &input[..=pos])
+                })
+            })
+            .collect();
         RssHasher {
-            key: SYMMETRIC_RSS_KEY,
+            tables,
+            pos_mask,
             indirection,
         }
     }
@@ -54,34 +115,17 @@ impl RssHasher {
         self.indirection = table;
     }
 
-    /// Toeplitz hash of an arbitrary input against the key.
+    /// Toeplitz hash of an input of at most 36 bytes against the key.
     pub fn toeplitz(&self, input: &[u8]) -> u32 {
-        debug_assert!(input.len() + 4 <= self.key.len());
-        let mut result: u32 = 0;
-        // The running 32-bit key window, advanced one bit per input bit.
-        let mut window: u32 =
-            u32::from_be_bytes([self.key[0], self.key[1], self.key[2], self.key[3]]);
-        for (i, &byte) in input.iter().enumerate() {
-            let next_key_byte = 4 + i;
-            for bit in (0..8).rev() {
-                if byte >> bit & 1 == 1 {
-                    result ^= window;
-                }
-                // Shift the window left one bit, pulling in the next key bit.
-                let next_bit = if next_key_byte < self.key.len() {
-                    (self.key[next_key_byte] >> bit) & 1
-                } else {
-                    0
-                };
-                window = (window << 1) | u32::from(next_bit);
-            }
-        }
-        result
+        assert!(input.len() <= MAX_INPUT);
+        input.iter().enumerate().fold(0, |h, (i, &b)| {
+            h ^ self.tables[i & self.pos_mask][usize::from(b)]
+        })
     }
 
     /// RSS hash of a flow key (5-tuple input in the standard field order).
     pub fn hash_key(&self, key: &FlowKey) -> u32 {
-        let mut input = [0u8; 36];
+        let mut input = [0u8; MAX_INPUT];
         let len = match (key.src(), key.dst()) {
             (IpAddrBytes::V4(s), IpAddrBytes::V4(d)) => {
                 input[0..4].copy_from_slice(&s);
@@ -123,13 +167,20 @@ mod tests {
         0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
     ];
 
-    fn ms_hasher() -> RssHasher {
+    fn ms_key() -> [u8; 52] {
         let mut key = [0u8; 52];
         key[..40].copy_from_slice(&MS_KEY);
-        RssHasher {
-            key,
-            indirection: [0u8; 128],
-        }
+        key
+    }
+
+    fn ms_hasher() -> RssHasher {
+        RssHasher::with_key(&ms_key(), [0u8; 128])
+    }
+
+    #[test]
+    fn symmetric_key_shares_two_tables_and_a_plain_key_does_not() {
+        assert_eq!(RssHasher::symmetric(8).tables.len(), 2);
+        assert_eq!(ms_hasher().tables.len(), MAX_INPUT);
     }
 
     /// Known-answer tests from the Microsoft RSS verification suite
@@ -207,6 +258,23 @@ mod tests {
     }
 
     proptest! {
+        /// The table path equals the bit-serial definition for arbitrary
+        /// bytes at every input length, for a plain key (one table per
+        /// position) and for the symmetric key (two shared tables).
+        #[test]
+        fn tables_match_the_bitwise_reference(bytes: [u8; 36]) {
+            let ms = ms_hasher();
+            let sym = RssHasher::symmetric(8);
+            for len in 0..=MAX_INPUT {
+                let input = &bytes[..len];
+                prop_assert_eq!(ms.toeplitz(input), toeplitz_bitwise(&ms_key(), input));
+                prop_assert_eq!(
+                    sym.toeplitz(input),
+                    toeplitz_bitwise(&SYMMETRIC_RSS_KEY, input)
+                );
+            }
+        }
+
         /// Symmetry holds for arbitrary v4 flow keys.
         #[test]
         fn symmetric_for_all_keys(s: [u8;4], d: [u8;4], sp: u16, dp: u16) {
