@@ -15,6 +15,12 @@ echo "== chaos tests, release profile =="
 # both speeds.
 cargo test -q --release -p scap-bench --test chaos
 
+echo "== incremental checkpoints, release profile =="
+# Debug builds compare every checkpoint image with a full encode inside
+# `checkpoint_into`; that check is compiled out here, so the explicit
+# differential test is the net.
+cargo test -q --release -p scap-bench --test checkpoint_incremental
+
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
 
@@ -143,6 +149,10 @@ echo "$bench_log" | grep -q "flow_table/hit_probe_1m_entries" \
     || { echo "million-entry flow-table probe bench missing"; exit 1; }
 echo "$bench_log" | grep -q "nic/toeplitz_rss_v4" \
     || { echo "RSS queue_for bench missing from micro-bench output"; exit 1; }
+echo "$bench_log" | grep -q "core/checkpoint_idle" \
+    || { echo "idle checkpoint bench missing from micro-bench output"; exit 1; }
+echo "$bench_log" | grep -q "core/checkpoint_all_dirty" \
+    || { echo "all-dirty checkpoint bench missing from micro-bench output"; exit 1; }
 
 echo "== fastpath throughput gate =="
 fp_out=$(mktemp -d)

@@ -361,6 +361,60 @@ fn bench_fastpath_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
+/// The incremental checkpoint encoder at its two ends, on one kernel
+/// stopped 16 Ki packets into the amplified campus mix (≈ 700 tracked
+/// streams, a 250 KB image — what a `ShardFleet` shard images every 512
+/// packets, and the kernel `perf`'s `core.checkpoint_bytes.ms` times):
+/// `checkpoint_idle` re-images it with nothing touched in between, so
+/// every stream frame is copied from the retained image;
+/// `checkpoint_all_dirty` images a kernel just restored from that image,
+/// where every stream goes through the encoder and the CRC — what every
+/// image cost before the encoder was incremental.
+fn bench_checkpoint(c: &mut Criterion) {
+    use scap::checkpoint::CheckpointImage;
+    use scap::{ScapConfig, ScapKernel};
+    use scap_trace::{Amplifier, AmplifyConfig};
+
+    let base = CampusMix::new(CampusMixConfig::sized(42, 16 << 20)).collect_all();
+    let pkts: Vec<scap_trace::Packet> = Amplifier::new(base.into_iter(), AmplifyConfig::by(4))
+        .take(1 << 14)
+        .collect();
+    let now = pkts.last().unwrap().ts_ns;
+    let mut kernel = ScapKernel::new(ScapConfig::default());
+    for batch in pkts.chunks(256) {
+        for p in batch {
+            kernel.nic_receive(p);
+        }
+        kernel.service(batch.last().unwrap().ts_ns, |k, ev| k.release_event(ev));
+    }
+    let mut image = Vec::new();
+    kernel.checkpoint_into(now, 1, &mut image);
+    let streams = CheckpointImage::decode(&image).unwrap().streams.len();
+    assert!(streams > 500, "only {streams} streams to image");
+
+    let mut g = c.benchmark_group("core");
+    g.throughput(Throughput::Bytes(image.len() as u64));
+    g.bench_function("checkpoint_idle", |b| {
+        b.iter(|| {
+            kernel.checkpoint_into(now, 2, &mut image);
+            black_box(image.len())
+        })
+    });
+    g.bench_function("checkpoint_all_dirty", |b| {
+        let mut out = Vec::with_capacity(image.len());
+        b.iter_batched(
+            || ScapKernel::from_image(CheckpointImage::decode(&image).unwrap(), None).unwrap(),
+            |mut restored| {
+                restored.checkpoint_into(now, 2, &mut out);
+                black_box(out.len());
+                restored
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 fn bench_scap_end_to_end(c: &mut Criterion) {
     use scap::apps::PatternMatchApp;
     use scap::{ScapConfig, ScapKernel, ScapSimStack};
@@ -416,6 +470,7 @@ criterion_group!(
     bench_telemetry,
     bench_fastpath_stages,
     bench_fastpath_dispatch,
+    bench_checkpoint,
     bench_scap_end_to_end,
 );
 criterion_main!(benches);

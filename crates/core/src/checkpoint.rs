@@ -871,6 +871,20 @@ impl<'a> ImageWriter<'a> {
         frame_record_into(self.out, |b| put_stream(b, s));
     }
 
+    /// Append a stream record that is already framed: one whole
+    /// `(magic, len, CRC, body)` frame cut from an earlier image. A frame
+    /// is a pure function of its stream's state, so for a stream that
+    /// has not changed since it is what [`ImageWriter::stream`] would
+    /// write again.
+    pub fn stream_frame(&mut self, frame: &[u8]) {
+        self.out.extend_from_slice(frame);
+    }
+
+    /// Bytes written so far: where the next record's frame will start.
+    pub fn position(&self) -> usize {
+        self.out.len()
+    }
+
     /// Close the image: the FDIR filter set, the offload rules and the
     /// tenant table (the last two only when non-empty), the end marker.
     pub fn finish(self, fdir: &[FdirFilter], offload: &[OffloadRule], tenants: &[TenantImage]) {

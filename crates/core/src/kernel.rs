@@ -34,6 +34,7 @@ use scap_telemetry::{
 use scap_trace::Packet;
 use scap_wire::{parse_frame, Direction, FlowKey, ParsedPacket, TcpFlags, TcpMeta, Transport};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 
 /// Approximate header bytes the kernel touches per packet.
 const HDR_TOUCH_BYTES: u64 = 64;
@@ -127,6 +128,20 @@ pub enum ControlOp {
     /// Change the stream's chunk size and overlap
     /// (`scap_set_stream_parameter`); applies from the next chunk.
     SetChunkGeometry(StreamUid, u32, u32),
+}
+
+/// What the kernel keeps of the last checkpoint image it wrote, so that
+/// the next one re-encodes only the streams touched since (DESIGN §7,
+/// "Incremental images").
+#[derive(Default)]
+struct LastImage {
+    /// The image, byte for byte, in the kernel's own copy: whatever
+    /// happens to the bytes handed to the caller — a fault plan corrupts
+    /// stored images — never reaches the next one.
+    bytes: Vec<u8>,
+    /// `frames[core][slot]`: where the framed stream record of that flow
+    /// slot sits in `bytes`; empty for a slot no image has covered.
+    frames: Vec<Vec<Range<usize>>>,
 }
 
 /// One core's kernel instance.
@@ -297,6 +312,12 @@ pub struct ScapKernel {
     /// processing stages record the deterministic virtual costs from
     /// [`scap_telemetry::pulse::cost`], so seeded runs are reproducible.
     pulse: Pulse,
+    /// The previous checkpoint image and where each stream sits in it.
+    last_image: LastImage,
+    /// [`ScapKernel::poll_burst`]'s packet and hashed-key buffers, taken
+    /// for the length of a burst and put back empty.
+    burst_pkts: Vec<Packet>,
+    burst_hashed: Vec<Option<HashedKey>>,
 }
 
 impl ScapKernel {
@@ -353,6 +374,9 @@ impl ScapKernel {
             fp_stats: BurstStats::default(),
             flow_lookups: 0,
             pulse: Pulse::new(cfg.pulse_exemplar_permille, cfg.pulse_exemplar_cap),
+            last_image: LastImage::default(),
+            burst_pkts: Vec::new(),
+            burst_hashed: Vec::new(),
             cfg,
         }
     }
@@ -850,25 +874,33 @@ impl ScapKernel {
     /// NIC admission (hardware path, not CPU-budgeted): RSS/FDIR decide
     /// the fate and queue. Returns the verdict for telemetry.
     pub fn nic_receive(&mut self, pkt: &Packet) -> NicVerdict {
+        self.nic_receive_parsed(pkt, parse_frame(&pkt.frame).ok().as_ref())
+    }
+
+    /// [`ScapKernel::nic_receive`] for a caller that has already parsed
+    /// the frame (a fleet parses it to pick the shard): `parsed` is
+    /// `parse_frame(&pkt.frame)`, `None` where that failed.
+    pub fn nic_receive_parsed(
+        &mut self,
+        pkt: &Packet,
+        parsed: Option<&ParsedPacket<'_>>,
+    ) -> NicVerdict {
         self.excuse_blackout(pkt.ts_ns);
         self.stats.stack.wire_packets += 1;
         self.stats.stack.wire_bytes += pkt.len() as u64;
         self.tele.inc(0, Metric::WirePackets);
         self.tele.add(0, Metric::WireBytes, pkt.len() as u64);
-        let parsed = match parse_frame(&pkt.frame) {
-            Ok(p) => p,
-            Err(_) => {
-                self.acct_discarded(
-                    0,
-                    pkt.ts_ns,
-                    0,
-                    FlightLayer::Nic,
-                    DropReason::ParseError,
-                    1,
-                    0,
-                );
-                return NicVerdict::DroppedByFilter;
-            }
+        let Some(parsed) = parsed else {
+            self.acct_discarded(
+                0,
+                pkt.ts_ns,
+                0,
+                FlightLayer::Nic,
+                DropReason::ParseError,
+                1,
+                0,
+            );
+            return NicVerdict::DroppedByFilter;
         };
         // Dynamic load balancing (§2.4): a brand-new stream whose RSS
         // target core is overloaded gets steered — both directions — to
@@ -880,7 +912,7 @@ impl ScapKernel {
                 }
             }
         }
-        let verdict = self.nic.receive(&parsed, pkt.clone());
+        let verdict = self.nic.receive(parsed, pkt.clone());
         // Pulse: deterministic admission cost, plus the offload-stage
         // consult when that stage is enabled.
         self.pulse.record(
@@ -1037,10 +1069,11 @@ impl ScapKernel {
             }
         }
         let burst = self.cfg.fastpath_burst.max(1);
-        let mut pkts: Vec<Packet> = Vec::with_capacity(burst);
+        let mut pkts = std::mem::take(&mut self.burst_pkts);
         scap_fastpath::pull_burst(self.nic.queue_mut(core), burst, &mut pkts);
         self.fp_stats.record(pkts.len(), burst);
         if pkts.is_empty() {
+            self.burst_pkts = pkts;
             return None;
         }
         // Stage 1: parse the whole burst (header lines only).
@@ -1049,7 +1082,7 @@ impl ScapKernel {
         // Stage 2: canonicalize + hash every key against this core's
         // table seed in one arithmetic-only sweep.
         let seed = self.cores[core].flows.seed();
-        let mut hashed: Vec<Option<HashedKey>> = Vec::with_capacity(pkts.len());
+        let mut hashed = std::mem::take(&mut self.burst_hashed);
         scap_fastpath::hash_burst(
             seed,
             parsed.iter().map(|p| p.as_ref().and_then(|p| p.key)),
@@ -1088,6 +1121,9 @@ impl ScapKernel {
         // into the arena, so the per-byte kernel copy charge of the
         // emulated path does not apply here.
         work.k_bytes_copied = 0;
+        pkts.clear();
+        self.burst_pkts = pkts;
+        self.burst_hashed = hashed;
         Some(work)
     }
 
@@ -2656,10 +2692,17 @@ impl ScapKernel {
 
     /// [`ScapKernel::checkpoint_bytes`] into a caller-owned buffer,
     /// replacing its contents: a periodic checkpointer passes the image
-    /// it is about to retire and pays for no allocation. The image is
-    /// written in one pass — stream records are encoded straight from
-    /// the flow tables, the assemblers' pending chunks and the
-    /// reassemblers' buffered segments, with no intermediate copy.
+    /// it is about to retire and pays for no allocation.
+    ///
+    /// The encode is incremental. The kernel keeps its own copy of the
+    /// last image and where each stream's framed record sits in it; a
+    /// stream whose flow record and kernel state nobody has borrowed
+    /// mutably since (the flow and side tables stamp every such borrow)
+    /// is copied frame and all, and only the rest are encoded — straight
+    /// from the flow tables, the assemblers' pending chunks and the
+    /// reassemblers' buffered segments — and checksummed. The result is
+    /// byte for byte the image a from-scratch encode produces, which a
+    /// fresh or just-restored kernel, with every stream touched, does.
     pub fn checkpoint_into(&mut self, now_ns: u64, seq: u64, out: &mut Vec<u8>) {
         let globals = CheckpointGlobals {
             ts_ns: now_ns,
@@ -2667,58 +2710,25 @@ impl ScapKernel {
             governor_level: self.governor.level(),
             restarts: self.stats.resilience.restarts,
         };
-        // Ascending uid; the stable sort keeps TIME_WAIT tombstones
-        // (uid 0) in table order.
-        let mut order = Vec::new();
-        for (c, core) in self.cores.iter().enumerate() {
-            for rec in core.flows.iter() {
-                let ks = core.kstates.get(rec.id);
-                order.push((ks.map_or(0, |k| k.uid), c as u32, rec, ks));
-            }
-        }
-        order.sort_by_key(|&(uid, ..)| uid);
+        let mut last = std::mem::take(&mut self.last_image);
         out.clear();
-        let mut image = checkpoint::ImageWriter::begin(out, seq, &self.cfg, &globals);
-        for (uid, core, rec, ks) in order {
-            image.stream(&StreamImage {
-                core,
-                uid,
-                key: rec.key,
-                first_dir: rec.first_dir,
-                first_ts_ns: rec.first_ts_ns,
-                last_ts_ns: rec.last_ts_ns,
-                status: rec.status,
-                errors: rec.errors.0,
-                priority: rec.priority,
-                cutoff: rec.cutoff,
-                cutoff_exceeded: rec.cutoff_exceeded,
-                discarded: rec.discarded,
-                dirs: rec.dirs,
-                chunk_size: rec.chunk_size,
-                overlap: rec.overlap,
-                reassembly_policy: rec.reassembly_policy,
-                processing_time_ns: rec.processing_time_ns,
-                chunks: rec.chunks,
-                resume_gap_bytes: rec.resume_gap_bytes,
-                kstate: ks.map(|ks| KStateView {
-                    fdir_installed: ks.fdir_installed,
-                    fdir_timeout_ns: ks.fdir_timeout_ns,
-                    fdir_software_fallback: ks.fdir_software_fallback,
-                    conn: ks.conn.as_deref().map(ConnView::Live),
-                    asm: ks.asm.each_ref().map(|a| {
-                        a.as_ref().map(|a| AsmImage {
-                            committed: a.stream_offset(),
-                            pending: a.pending_bytes(),
-                        })
-                    }),
-                }),
-            });
+        out.reserve(last.bytes.len());
+        self.write_image(&globals, seq, out, &mut last);
+        #[cfg(debug_assertions)]
+        {
+            let mut full = Vec::new();
+            self.write_image(&globals, seq, &mut full, &mut LastImage::default());
+            assert!(
+                *out == full,
+                "incremental checkpoint {seq} differs from a full encode"
+            );
         }
-        image.finish(
-            &self.nic.fdir().filters(),
-            &self.nic.offload().rules(),
-            &self.tenant_table,
-        );
+        last.bytes.clone_from(out);
+        self.last_image = last;
+        for core in &mut self.cores {
+            core.flows.next_epoch();
+            core.kstates.next_epoch();
+        }
         self.stats.resilience.checkpoints_written += 1;
         // Pulse: checkpoint span from the deterministic encode+sync
         // model over the image size.
@@ -2734,6 +2744,85 @@ impl ScapKernel {
                 now_ns,
             )
             .with_vals(seq, out.len() as u64),
+        );
+    }
+
+    /// Write one image into `out`, copying from `last` the frame of every
+    /// stream untouched since `last` was written and encoding the others,
+    /// and leave in `last.frames` where each stream's frame now sits in
+    /// `out` (the caller makes `last.bytes` match). With an empty `last`
+    /// every stream is encoded.
+    fn write_image(
+        &self,
+        globals: &CheckpointGlobals,
+        seq: u64,
+        out: &mut Vec<u8>,
+        last: &mut LastImage,
+    ) {
+        // Ascending uid; the stable sort keeps TIME_WAIT tombstones
+        // (uid 0) in table order.
+        let mut order = Vec::new();
+        for (c, core) in self.cores.iter().enumerate() {
+            for rec in core.flows.iter() {
+                let ks = core.kstates.get(rec.id);
+                order.push((ks.map_or(0, |k| k.uid), c, rec, ks));
+            }
+        }
+        order.sort_by_key(|&(uid, ..)| uid);
+        last.frames.resize_with(self.cores.len(), Vec::new);
+        let mut image = checkpoint::ImageWriter::begin(out, seq, &self.cfg, globals);
+        for (uid, c, rec, ks) in order {
+            let core = &self.cores[c];
+            let frames = &mut last.frames[c];
+            let slot = rec.id.slot();
+            if slot >= frames.len() {
+                frames.resize(slot + 1, 0..0);
+            }
+            let kept = frames[slot].clone();
+            let at = image.position();
+            if !kept.is_empty() && !core.flows.touched(rec.id) && !core.kstates.touched(rec.id) {
+                image.stream_frame(&last.bytes[kept]);
+            } else {
+                image.stream(&StreamImage {
+                    core: c as u32,
+                    uid,
+                    key: rec.key,
+                    first_dir: rec.first_dir,
+                    first_ts_ns: rec.first_ts_ns,
+                    last_ts_ns: rec.last_ts_ns,
+                    status: rec.status,
+                    errors: rec.errors.0,
+                    priority: rec.priority,
+                    cutoff: rec.cutoff,
+                    cutoff_exceeded: rec.cutoff_exceeded,
+                    discarded: rec.discarded,
+                    dirs: rec.dirs,
+                    chunk_size: rec.chunk_size,
+                    overlap: rec.overlap,
+                    reassembly_policy: rec.reassembly_policy,
+                    processing_time_ns: rec.processing_time_ns,
+                    chunks: rec.chunks,
+                    resume_gap_bytes: rec.resume_gap_bytes,
+                    kstate: ks.map(|ks| KStateView {
+                        fdir_installed: ks.fdir_installed,
+                        fdir_timeout_ns: ks.fdir_timeout_ns,
+                        fdir_software_fallback: ks.fdir_software_fallback,
+                        conn: ks.conn.as_deref().map(ConnView::Live),
+                        asm: ks.asm.each_ref().map(|a| {
+                            a.as_ref().map(|a| AsmImage {
+                                committed: a.stream_offset(),
+                                pending: a.pending_bytes(),
+                            })
+                        }),
+                    }),
+                });
+            }
+            frames[slot] = at..image.position();
+        }
+        image.finish(
+            &self.nic.fdir().filters(),
+            &self.nic.offload().rules(),
+            &self.tenant_table,
         );
     }
 
@@ -3888,5 +3977,69 @@ mod tests {
         k.checkpoint_into(now, 1, &mut small);
         assert_eq!(small, fresh);
         assert_eq!(k.stats().resilience.checkpoints_written, 3);
+    }
+
+    /// A timer can change a stream's kernel state with no packet of the
+    /// stream in sight (its NIC filters swallow them): the side table's
+    /// stamp alone must get the stream re-encoded.
+    #[test]
+    fn a_filter_timeout_alone_reaches_the_next_image() {
+        let mut k = kernel(ScapConfig {
+            cutoff: crate::config::CutoffPolicy {
+                default: Some(1000),
+                ..Default::default()
+            },
+            use_fdir: true,
+            chunk_size: 4096,
+            ..Default::default()
+        });
+        let pkts = http_session(b"Q", &vec![b'R'; 40_000]);
+        // Stop mid-response, past the cutoff: filters are installed.
+        let stop = pkts.len() - 6;
+        service_all(&mut k, &pkts[..stop]);
+        let now = pkts[stop - 1].ts_ns;
+        let fdir_installed = |bytes: &[u8]| {
+            let img = CheckpointImage::decode(bytes).expect("image decodes");
+            assert_eq!(img.streams.len(), 1);
+            img.streams[0].kstate.as_ref().unwrap().fdir_installed
+        };
+        let mut image = Vec::new();
+        k.checkpoint_into(now, 1, &mut image);
+        assert!(fdir_installed(&image));
+        // Nothing touched since: every frame is copied, same image.
+        let first = image.clone();
+        k.checkpoint_into(now, 1, &mut image);
+        assert_eq!(image, first);
+        // The filters time out on core 0's timer pass.
+        let later = now + FDIR_INITIAL_TIMEOUT_NS + 1;
+        k.kernel_timers(0, later);
+        assert_eq!(k.fdir_filters(), 0);
+        k.checkpoint_into(later, 2, &mut image);
+        assert!(!fdir_installed(&image));
+        assert_eq!(CheckpointImage::decode(&image).unwrap().to_bytes(), image);
+    }
+
+    /// The kernel copies clean frames from its own copy of the last
+    /// image: what happens to the bytes it handed out (the fleet's fault
+    /// plan flips some in a stored image) never reaches the next one.
+    #[test]
+    fn a_corrupted_copy_of_the_last_image_does_not_propagate() {
+        let (mut k, pkts, stop) = mid_capture(crate::DispatchMode::Classic);
+        let now = pkts[stop - 1].ts_ns;
+        let mut image = Vec::new();
+        k.checkpoint_into(now, 1, &mut image);
+        let clean = image.clone();
+        for b in image.iter_mut().skip(clean.len() / 2).take(8) {
+            *b ^= 0xFF;
+        }
+        assert!(CheckpointImage::decode(&image).is_err());
+        // Into the corrupted buffer itself, as a rotation would.
+        k.checkpoint_into(now, 1, &mut image);
+        assert_eq!(image, clean);
+        // … and the traffic that follows dirties only part of the image.
+        service_all(&mut k, &pkts[stop..stop + 40]);
+        k.checkpoint_into(pkts[stop + 39].ts_ns, 2, &mut image);
+        let img = CheckpointImage::decode(&image).expect("next image decodes clean");
+        assert_eq!(img.to_bytes(), image);
     }
 }

@@ -413,11 +413,14 @@ impl ShardFleet {
     /// chunks are recycled.
     pub fn offer_with(&mut self, pkt: &Packet, sink: &mut dyn FnMut(usize, &Event)) {
         let now = pkt.ts_ns.max(self.now_ns);
-        self.tick_with(now, sink);
-        // Non-IP / unparseable frames have no flow key; they ride on
-        // shard 0 so every frame has exactly one deterministic owner.
-        let shard = parse_frame(&pkt.frame)
-            .ok()
+        self.tick(now);
+        // Parsed once, here: the key picks the shard and the shard's NIC
+        // stage takes the parsed view. Non-IP / unparseable frames have
+        // no flow key; they ride on shard 0 so every frame has exactly
+        // one deterministic owner.
+        let parsed = parse_frame(&pkt.frame).ok();
+        let shard = parsed
+            .as_ref()
             .and_then(|p| p.key)
             .map_or(0, |k| self.map.shard_of(&k));
         let bytes = pkt.frame.len() as u64;
@@ -440,7 +443,7 @@ impl ShardFleet {
                 .copied();
             let Some(f) = due else { break };
             self.slots[shard].next_fault += 1;
-            self.apply_fault(shard, f.kind, now, sink);
+            self.apply_fault(shard, f.kind, now);
         }
 
         let slot = &mut self.slots[shard];
@@ -456,7 +459,7 @@ impl ShardFleet {
             return;
         }
         let kernel = slot.kernel.as_mut().expect("up shard has a kernel");
-        kernel.nic_receive(pkt);
+        kernel.nic_receive_parsed(pkt, parsed.as_ref());
         slot.lease.beat(now);
         slot.pending_burst += 1;
         // A checkpoint is taken of a drained kernel, so its boundary
@@ -475,10 +478,6 @@ impl ShardFleet {
     /// Advance supervisor time: expire leases (taking wedged shards
     /// down) and respawn shards whose backoff has elapsed.
     pub fn tick(&mut self, now_ns: u64) {
-        self.tick_with(now_ns, &mut |_, _| {});
-    }
-
-    fn tick_with(&mut self, now_ns: u64, sink: &mut dyn FnMut(usize, &Event)) {
         self.now_ns = self.now_ns.max(now_ns);
         let now = self.now_ns;
         for shard in 0..self.slots.len() {
@@ -499,7 +498,7 @@ impl ShardFleet {
                             )
                             .with_vals(shard as u64, age),
                         );
-                        self.kill(shard, now, sink);
+                        self.kill(shard, now);
                     }
                 }
                 ShardState::Respawning => {
@@ -541,17 +540,11 @@ impl ShardFleet {
         slot.last_ckpt_at_pkts = slot.offered_pkts;
     }
 
-    fn apply_fault(
-        &mut self,
-        shard: usize,
-        kind: ShardFaultKind,
-        now: u64,
-        sink: &mut dyn FnMut(usize, &Event),
-    ) {
+    fn apply_fault(&mut self, shard: usize, kind: ShardFaultKind, now: u64) {
         match kind {
             ShardFaultKind::Kill => {
                 if self.slots[shard].state == ShardState::Up {
-                    self.kill(shard, now, sink);
+                    self.kill(shard, now);
                 }
             }
             ShardFaultKind::StallHeartbeat(ns) => {
@@ -582,10 +575,10 @@ impl ShardFleet {
     /// packet is classified and the incarnation's own conservation
     /// identity holds), harvest its statistics and journal, and either
     /// schedule a respawn or park the shard if the breaker trips.
-    /// Post-mortem events are *not* delivered to the sink — a crashed
+    /// Post-mortem events are *not* delivered to any sink — a crashed
     /// shard's unflushed events are lost, exactly as in a real crash —
     /// but they stay classified in the incarnation's counters.
-    fn kill(&mut self, shard: usize, now: u64, _sink: &mut dyn FnMut(usize, &Event)) {
+    fn kill(&mut self, shard: usize, now: u64) {
         let slot = &mut self.slots[shard];
         let Some(mut kernel) = slot.kernel.take() else {
             return;
@@ -958,8 +951,14 @@ mod tests {
         // Images land every 256 packets. At 700 the pair is the first
         // two allocations; at 1300 the buffers have rotated three times,
         // so the image corrupted and the one fallen back to both sit in
-        // recycled allocations.
-        for corrupt_at in [700, 1300] {
+        // recycled allocations. A kill 20 packets behind the corruption
+        // finds the corrupted image and falls back; a kill 300 packets
+        // behind it finds the next periodic image, which the surviving
+        // kernel built from its own copy of the last one and not from
+        // the stored bytes the fault flipped.
+        for (corrupt_at, kill_after, fallbacks) in
+            [(700, 20, 1), (1300, 20, 1), (700, 300, 0), (1300, 300, 0)]
+        {
             let faults = FaultPlan {
                 seed: 3,
                 shards: vec![
@@ -970,7 +969,7 @@ mod tests {
                     },
                     ShardFault {
                         shard: 0,
-                        at_packet: corrupt_at + 20,
+                        at_packet: corrupt_at + kill_after,
                         kind: ShardFaultKind::Kill,
                     },
                     // A later kill finds a clean lineage again.
@@ -982,15 +981,35 @@ mod tests {
                 ],
                 ..Default::default()
             };
-            let fleet = run_fleet(small_cfg(1, Some(faults)), 2 << 20);
+            let mut fleet = ShardFleet::new(small_cfg(1, Some(faults)));
+            let mut last = 0;
+            let mut healed = false;
+            for p in CampusMix::new(CampusMixConfig::sized(7, 2 << 20)) {
+                last = p.ts_ns;
+                fleet.offer(&p);
+                // The first image written behind the corruption, by the
+                // surviving kernel or by the one respawned from the
+                // previous image.
+                let slot = &fleet.slots[0];
+                if !healed && slot.last_ckpt_at_pkts > corrupt_at {
+                    let latest = slot.ckpt_latest.as_deref().expect("an image was written");
+                    let img = CheckpointImage::decode(latest)
+                        .expect("the image after a corrupted one decodes clean");
+                    assert!(img.to_bytes() == latest);
+                    healed = true;
+                }
+            }
+            fleet.finish(last + 1);
+            assert!(healed, "no image behind the corruption at {corrupt_at}");
             let f = fleet.fleet_stats();
             assert_eq!(f.kills, 2, "{f:?}");
             assert_eq!(f.respawns, 2, "{f:?}");
             assert_eq!(
                 (f.ckpt_fallbacks, f.cold_starts),
-                (1, 0),
-                "corrupt latest image at {corrupt_at}: exactly one fallback to the \
-                 previous image, never a cold start: {f:?}"
+                (fallbacks, 0),
+                "latest image corrupted at {corrupt_at}, kill {kill_after} packets on: \
+                 a fallback to the previous image only if the kill finds the \
+                 corrupted one, never a cold start: {f:?}"
             );
             assert!(f.resumed_streams > 0, "{f:?}");
             assert!(f.packets_conserved(), "{f:?}");

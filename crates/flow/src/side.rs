@@ -8,20 +8,37 @@
 //! to. A lookup is one bounds check and one compare, the entry is
 //! borrowed in place, and a stale handle (an older generation of a
 //! recycled slot) resolves to `None` — never to the successor's state.
+//!
+//! Like the flow table, a side table stamps a slot with its current
+//! touch epoch whenever the slot's state is inserted, mutably borrowed
+//! or removed; [`SideTable::touched`] and [`SideTable::next_epoch`] are
+//! the read side (see `FlowTable`'s "Touch epochs").
 
 use crate::record::StreamId;
+
+/// One slot: the state, the generation that owns it (meaningful while
+/// `value` is `Some`), and the epoch the slot was last written in.
+#[derive(Debug)]
+struct Entry<T> {
+    generation: u32,
+    stamp: u32,
+    value: Option<T>,
+}
 
 /// Per-stream state of type `T`, indexed by [`StreamId`].
 #[derive(Debug)]
 pub struct SideTable<T> {
-    /// `entries[slot]` holds the owning generation and its state.
-    entries: Vec<Option<(u32, T)>>,
+    entries: Vec<Entry<T>>,
+    /// Current touch epoch; starts at 1 so a never-used slot (stamp 0)
+    /// reads as untouched.
+    epoch: u32,
 }
 
 impl<T> Default for SideTable<T> {
     fn default() -> Self {
         SideTable {
             entries: Vec::new(),
+            epoch: 1,
         }
     }
 }
@@ -38,41 +55,67 @@ impl<T> SideTable<T> {
     pub fn insert(&mut self, id: StreamId, value: T) {
         let slot = id.slot();
         if slot >= self.entries.len() {
-            self.entries.resize_with(slot + 1, || None);
+            self.entries.resize_with(slot + 1, || Entry {
+                generation: 0,
+                stamp: 0,
+                value: None,
+            });
         }
-        self.entries[slot] = Some((id.generation, value));
+        self.entries[slot] = Entry {
+            generation: id.generation,
+            stamp: self.epoch,
+            value: Some(value),
+        };
     }
 
     /// The state of `id` (`None` for an unknown or stale handle).
     #[inline]
     pub fn get(&self, id: StreamId) -> Option<&T> {
-        match self.entries.get(id.slot())? {
-            Some((generation, value)) if *generation == id.generation => Some(value),
-            _ => None,
+        let e = self.entries.get(id.slot())?;
+        if e.generation != id.generation {
+            return None;
         }
+        e.value.as_ref()
     }
 
-    /// Mutable access to the state of `id`, in place.
+    /// Mutable access to the state of `id`, in place. Marks the slot
+    /// touched in the current epoch whether or not the caller writes.
     #[inline]
     pub fn get_mut(&mut self, id: StreamId) -> Option<&mut T> {
-        match self.entries.get_mut(id.slot())? {
-            Some((generation, value)) if *generation == id.generation => Some(value),
-            _ => None,
+        let e = self.entries.get_mut(id.slot())?;
+        if e.generation != id.generation {
+            return None;
         }
+        e.stamp = self.epoch;
+        e.value.as_mut()
     }
 
     /// Take the state of `id` out of the table.
     pub fn remove(&mut self, id: StreamId) -> Option<T> {
-        let entry = self.entries.get_mut(id.slot())?;
-        if !matches!(entry, Some((generation, _)) if *generation == id.generation) {
+        let e = self.entries.get_mut(id.slot())?;
+        if e.generation != id.generation {
             return None;
         }
-        entry.take().map(|(_, value)| value)
+        e.stamp = self.epoch;
+        e.value.take()
     }
 
     /// Every stored value, in slot order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.entries.iter().flatten().map(|(_, value)| value)
+        self.entries.iter().filter_map(|e| e.value.as_ref())
+    }
+
+    /// True when state was inserted at, mutably borrowed from or removed
+    /// from the slot of `id` since the last [`SideTable::next_epoch`].
+    pub fn touched(&self, id: StreamId) -> bool {
+        self.entries
+            .get(id.slot())
+            .is_some_and(|e| e.stamp == self.epoch)
+    }
+
+    /// Start a new touch epoch (wrap-around errs towards "touched").
+    pub fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
     }
 }
 
@@ -109,6 +152,41 @@ mod tests {
         assert_eq!(side.get(new), Some(&"new"));
         assert_eq!(side.remove(new), Some("new"));
         assert_eq!(side.values().count(), 0);
+    }
+
+    #[test]
+    fn touch_epochs_follow_insert_borrow_and_remove() {
+        let mut flows = FlowTable::new(FlowTableConfig::default(), 1);
+        let mut side = SideTable::new();
+        let ids: Vec<StreamId> = (0..4)
+            .map(|i| flows.lookup_or_insert(&key(i), 0).unwrap().id)
+            .collect();
+        // A slot the table has never grown to is untouched.
+        assert!(!side.touched(ids[3]));
+        for &id in &ids[..3] {
+            side.insert(id, 0u32);
+        }
+        assert!(ids[..3].iter().all(|&id| side.touched(id)));
+        side.next_epoch();
+        assert!(!ids.iter().any(|&id| side.touched(id)));
+        assert_eq!(side.get(ids[0]), Some(&0));
+        assert_eq!(side.values().count(), 3);
+        assert!(!side.touched(ids[0]), "reads are not touches");
+        *side.get_mut(ids[1]).unwrap() += 1;
+        assert_eq!(side.remove(ids[2]), Some(0));
+        let touched: Vec<bool> = ids.iter().map(|&id| side.touched(id)).collect();
+        assert_eq!(touched, [false, true, true, false]);
+        // The stamp outlives the state it was taken for.
+        assert_eq!(side.get(ids[2]), None);
+        side.next_epoch();
+        assert!(!side.touched(ids[2]));
+        // A stale handle neither borrows nor stamps.
+        flows.remove(ids[0]).unwrap();
+        let new = flows.lookup_or_insert(&key(9), 0).unwrap().id;
+        assert_eq!(new.slot(), ids[0].slot());
+        assert_eq!(side.get_mut(new), None);
+        assert_eq!(side.remove(new), None);
+        assert!(!side.touched(new));
     }
 
     proptest! {

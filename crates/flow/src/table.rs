@@ -31,6 +31,17 @@
 //! The record pool (slot + generation) and the intrusive access-list
 //! LRU are unchanged from the chained design: [`StreamId`]s stay stable
 //! across rehashes, checkpoints, and both dispatch paths.
+//!
+//! # Touch epochs
+//!
+//! Every way to change a record goes through this module — insert,
+//! [`FlowTable::get_mut`], [`FlowTable::touch`], [`FlowTable::remove`] —
+//! and each of them stamps the record's pool slot with the table's
+//! current epoch. [`FlowTable::touched`] reads the stamp back and
+//! [`FlowTable::next_epoch`] starts a new one, so "which records could
+//! have changed since I last looked" is answered by construction rather
+//! than by the caller remembering its own writes (the incremental
+//! checkpoint encoder is that caller).
 
 use crate::record::{StreamId, StreamRecord};
 use scap_wire::{Direction, FlowKey};
@@ -93,6 +104,9 @@ pub enum TableFull {
 
 struct Slot {
     generation: u32,
+    /// Epoch of the last insert into, `&mut` borrow of, or removal from
+    /// this slot (see the module docs).
+    stamp: u32,
     record: Option<StreamRecord>,
 }
 
@@ -220,6 +234,9 @@ pub struct FlowTable {
     len: usize,
     seed: u64,
     cfg: FlowTableConfig,
+    /// Current touch epoch; starts at 1 so a never-used slot (stamp 0)
+    /// reads as untouched.
+    epoch: u32,
     /// Head (most recent) of the access list.
     lru_head: Option<u32>,
     /// Tail (least recent) of the access list.
@@ -243,6 +260,7 @@ impl FlowTable {
             len: 0,
             seed,
             cfg,
+            epoch: 1,
             lru_head: None,
             lru_tail: None,
             probes: 0,
@@ -420,15 +438,21 @@ impl FlowTable {
             None => {
                 self.slots.push(Slot {
                     generation: 0,
+                    stamp: 0,
                     record: None,
                 });
                 (self.slots.len() - 1) as u32
             }
         };
-        let generation = self.slots[slot as usize].generation + 1;
-        self.slots[slot as usize].generation = generation;
-        let id = StreamId { slot, generation };
-        self.slots[slot as usize].record = Some(StreamRecord::new(id, *canon, dir, now));
+        let epoch = self.epoch;
+        let s = &mut self.slots[slot as usize];
+        s.generation += 1;
+        s.stamp = epoch;
+        let id = StreamId {
+            slot,
+            generation: s.generation,
+        };
+        s.record = Some(StreamRecord::new(id, *canon, dir, now));
         self.index.insert(h, slot);
         self.len += 1;
         self.lru_push_front(slot);
@@ -449,13 +473,32 @@ impl FlowTable {
         s.record.as_ref()
     }
 
-    /// Mutable access by handle.
+    /// Mutable access by handle. Marks the record touched in the
+    /// current epoch whether or not the caller ends up writing.
     pub fn get_mut(&mut self, id: StreamId) -> Option<&mut StreamRecord> {
         let s = self.slots.get_mut(id.slot as usize)?;
         if s.generation != id.generation {
             return None;
         }
+        s.stamp = self.epoch;
         s.record.as_mut()
+    }
+
+    /// True when the record of `id` was created, mutably borrowed or
+    /// removed since the last [`FlowTable::next_epoch`]. A record for
+    /// which this reads false is exactly what it was when the epoch
+    /// began (its access-list links aside, which only this table reads).
+    pub fn touched(&self, id: StreamId) -> bool {
+        self.slots
+            .get(id.slot as usize)
+            .is_some_and(|s| s.stamp == self.epoch)
+    }
+
+    /// Start a new touch epoch: [`FlowTable::touched`] reads false for
+    /// every record until it is next written. The counter may wrap; a
+    /// stamp as old as that reads as touched, which errs on the safe side.
+    pub fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
     }
 
     /// Record activity: stamp `last_ts_ns` and move to the front of the
@@ -489,7 +532,9 @@ impl FlowTable {
         self.lru_unlink(slot);
         self.len -= 1;
         self.free.push(slot);
-        self.slots[slot as usize].record.take()
+        let s = &mut self.slots[slot as usize];
+        s.stamp = self.epoch;
+        s.record.take()
     }
 
     /// Expire streams whose `last_ts_ns` is older than `now - timeout_ns`,
@@ -688,6 +733,51 @@ mod tests {
         assert_ne!(l2.id.generation, l.id.generation);
         assert!(t.get(l.id).is_none());
         assert!(t.get(l2.id).is_some());
+    }
+
+    #[test]
+    fn touch_epochs_mark_every_mutable_gateway_and_nothing_else() {
+        let mut t = table();
+        let ids: Vec<StreamId> = (0..6)
+            .map(|i| t.lookup_or_insert(&key(i), 10).unwrap().id)
+            .collect();
+        assert!(ids.iter().all(|&id| t.touched(id)), "inserts are touches");
+        t.next_epoch();
+        assert!(!ids.iter().any(|&id| t.touched(id)));
+        // Reads, probes of an existing key and relinking a neighbour in
+        // the access list leave a record untouched.
+        assert!(t.get(ids[0]).is_some());
+        assert!(!t.lookup_or_insert(&key(1), 20).unwrap().created);
+        assert_eq!(t.iter().count(), 6);
+        t.touch(ids[2], 30); // ids[1] and ids[3] are its list neighbours
+        t.get_mut(ids[4]).unwrap().priority = 3;
+        assert!(t.get_mut(ids[5]).is_some(), "a borrow alone is a touch");
+        let touched: Vec<bool> = ids.iter().map(|&id| t.touched(id)).collect();
+        assert_eq!(touched, [false, false, true, false, true, true]);
+        // A stale handle stamps nothing.
+        let stale = StreamId {
+            slot: ids[0].slot,
+            generation: ids[0].generation + 1,
+        };
+        assert!(t.get_mut(stale).is_none());
+        assert!(!t.touched(ids[0]));
+        // Removal and reuse of the slot both read as touched.
+        t.next_epoch();
+        t.remove(ids[0]).unwrap();
+        assert!(t.touched(ids[0]));
+        t.next_epoch();
+        let reused = t.lookup_or_insert(&key(99), 40).unwrap().id;
+        assert_eq!(reused.slot, ids[0].slot);
+        assert!(t.touched(reused));
+        assert!(!t.touched(ids[1]));
+        // Expiry goes through `remove`; survivors stay clean.
+        t.next_epoch();
+        t.touch(reused, 1_000_000);
+        t.next_epoch();
+        let gone = t.expire_inactive(1_000_000, 10, 64);
+        assert_eq!(gone.len(), 5);
+        assert!(gone.iter().all(|r| t.touched(r.id)));
+        assert!(!t.touched(reused));
     }
 
     #[test]

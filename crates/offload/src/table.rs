@@ -337,6 +337,11 @@ impl OffloadTable {
     /// Snapshot every installed rule (checkpointing; order unspecified,
     /// the codec sorts by encoding for determinism).
     pub fn rules(&self) -> Vec<OffloadRule> {
+        if self.len == 0 {
+            // Every periodic checkpoint asks; a capture that installs no
+            // rule must not pay a walk over the whole index for it.
+            return Vec::new();
+        }
         self.slots
             .iter()
             .flatten()

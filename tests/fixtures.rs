@@ -167,21 +167,26 @@ fn config() -> ScapConfig {
     cfg
 }
 
-/// Run `trace` through a kernel, handing every event to `on_event`.
+/// Run `trace` through a kernel, handing every event to `on_event` and
+/// taking a checkpoint once each of `ckpt_after` packets are in.
 fn drive(
     trace: &[Packet],
     finish: bool,
+    ckpt_after: &[usize],
     mut on_event: impl FnMut(&scap::Event),
 ) -> (ScapKernel, u64) {
     let mut kernel = ScapKernel::new(config());
     let mut now = 0;
-    for pkt in trace {
+    for (i, pkt) in trace.iter().enumerate() {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
         kernel.service(now, |k, ev| {
             on_event(&ev);
             k.release_event(ev);
         });
+        if let Some(n) = ckpt_after.iter().position(|&after| after == i + 1) {
+            kernel.checkpoint_bytes(now, n as u64 + 1);
+        }
     }
     if finish {
         now += 1_000_000;
@@ -198,7 +203,9 @@ fn drive(
 
 /// The checkpoint and the flight journal of a capture stopped with
 /// stream A half-delivered, stream B closed and a lone UDP datagram.
-fn build_checkpoint_and_journal() -> (Vec<u8>, Vec<u8>) {
+/// Checkpoints taken on the way (`earlier`, in packets fed) must not
+/// show in the image; the journal records every one.
+fn build_checkpoint_and_journal(earlier: &[usize]) -> (Vec<u8>, Vec<u8>) {
     let mut trace = stream_b();
     trace.push(Packet::new(
         2_500_000,
@@ -206,7 +213,7 @@ fn build_checkpoint_and_journal() -> (Vec<u8>, Vec<u8>) {
     ));
     trace.extend(stream_a());
     trace.sort_by_key(|p| p.ts_ns);
-    let (mut kernel, now) = drive(&trace, false, |_| {});
+    let (mut kernel, now) = drive(&trace, false, earlier, |_| {});
     let ckpt = kernel.checkpoint_bytes(now, 3);
     (ckpt, kernel.flight().encode())
 }
@@ -216,7 +223,7 @@ fn build_archive(dir: &Path) {
     let mut trace = stream_a();
     trace.extend(stream_b());
     let mut writer = StoreWriter::open(StoreConfig::new(dir)).unwrap();
-    drive(&trace, true, |ev| writer.observe(ev).unwrap());
+    drive(&trace, true, &[], |ev| writer.observe(ev).unwrap());
     writer.finish().unwrap();
 }
 
@@ -251,8 +258,14 @@ fn checkpoint_fixture_decodes_and_re_encodes_byte_identically() {
         "re-encode drifted from the parent's bytes"
     );
 
-    let (fresh, _) = build_checkpoint_and_journal();
+    let (fresh, _) = build_checkpoint_and_journal(&[]);
     assert_eq!(fresh, old, "same trace no longer yields the parent's image");
+    // … nor does it from a kernel that has taken two checkpoints on the
+    // way: one with stream A's response under way, one with A stopped
+    // and B's close under way. The last image then copies A's frame —
+    // pending chunk, buffered segment and all — and encodes the rest.
+    let (third, _) = build_checkpoint_and_journal(&[6, 19]);
+    assert_eq!(third, old, "earlier checkpoints changed the image");
     ScapKernel::from_image(img, None).expect("fixture image restores");
 }
 
@@ -309,7 +322,7 @@ fn flight_journal_fixture_decodes_and_is_reproduced() {
         .events
         .iter()
         .any(|e| e.kind == scap::flight::FlightKind::CheckpointWritten));
-    let (_, fresh) = build_checkpoint_and_journal();
+    let (_, fresh) = build_checkpoint_and_journal(&[]);
     assert_eq!(
         fresh, old,
         "same trace no longer yields the parent's journal"

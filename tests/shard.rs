@@ -104,6 +104,16 @@ fn mid_storm_kills_never_lose_or_double_count_bytes() {
         let fleet = storm_fleet(seed, 4, 4 << 20);
         let fs = fleet.fleet_stats();
         assert!(fs.kills > 0, "seed {seed}: the storm must kill shards");
+        // What the storm's corrupt-then-kill pair comes to on these
+        // traces, and the images written, as at commit 23d8856 (before
+        // images were encoded incrementally).
+        let images = [(3, 10), (17, 13), (91, 10)];
+        let (_, written) = images.iter().find(|(s, _)| *s == seed).unwrap();
+        assert_eq!(
+            (fs.ckpt_fallbacks, fs.cold_starts, fs.checkpoints_written),
+            (0, 0, *written),
+            "seed {seed}"
+        );
 
         // Conservation: every wire packet and byte took exactly one exit
         // in exactly one shard incarnation — or is attributed to a
@@ -156,6 +166,64 @@ fn mid_storm_kills_never_lose_or_double_count_bytes() {
                 st.state
             );
         }
+    }
+}
+
+/// A corrupted stored image costs at most the one respawn that finds it.
+/// The shard kernel builds each image from its own copy of the last one,
+/// not from the fleet's stored bytes, so the image after a corrupted one
+/// is clean again: a kill behind it respawns from it (no fallback, no
+/// cold start), a kill ahead of it falls back once to the previous one.
+/// The counts are those of commit 23d8856, which encoded every image
+/// from scratch.
+#[test]
+fn a_corrupted_image_does_not_outlive_the_next_periodic_one() {
+    use scap::{ShardFault, ShardFaultKind};
+    // Images land at 512, 1024, 1536, …; the one taken at 1024 is
+    // corrupted.
+    for (kill_at, fallbacks) in [(1_220, 1), (1_600, 0)] {
+        let fault = |at_packet, kind| ShardFault {
+            shard: 0,
+            at_packet,
+            kind,
+        };
+        let cfg = FleetConfig {
+            nshards: 1,
+            shard: ScapConfig {
+                memory_bytes: 16 << 20,
+                cores: 1,
+                inactivity_timeout_ns: u64::MAX / 2,
+                ..ScapConfig::default()
+            },
+            faults: Some(FaultPlan {
+                seed: 3,
+                shards: vec![
+                    fault(1_200, ShardFaultKind::CorruptCheckpoint),
+                    fault(kill_at, ShardFaultKind::Kill),
+                    fault(kill_at + 2_000, ShardFaultKind::Kill),
+                ],
+                ..Default::default()
+            }),
+            ..FleetConfig::default()
+        };
+        let cap_ns = cfg.backoff_cap_ns;
+        let mut fleet = ShardFleet::new(cfg);
+        let mut last = 0u64;
+        for p in CampusMix::new(CampusMixConfig::sized(7, 4 << 20)) {
+            last = p.ts_ns;
+            fleet.offer(&p);
+        }
+        fleet.tick(last + cap_ns + 1);
+        fleet.finish(last + cap_ns + 2);
+        let fs = fleet.fleet_stats();
+        assert_eq!((fs.kills, fs.respawns), (2, 2), "kill at {kill_at}: {fs:?}");
+        assert_eq!(
+            (fs.ckpt_fallbacks, fs.cold_starts),
+            (fallbacks, 0),
+            "kill at {kill_at}: {fs:?}"
+        );
+        assert!(fs.resumed_streams > 0, "kill at {kill_at}: {fs:?}");
+        assert!(fs.packets_conserved() && fs.bytes_conserved(), "{fs:?}");
     }
 }
 
