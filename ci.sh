@@ -135,24 +135,19 @@ echo "$fp_top_log" | grep -q "fast path      burst fill" \
 echo "$fp_top_log" | grep -q "flow table     load" \
     || { echo "scaptop rendered no flow-table panel"; exit 1; }
 
-echo "== fastpath micro-bench smoke =="
+echo "== micro-bench smoke =="
 # `cargo bench --no-run` above proved the bench target compiles; this
-# runs the fastpath groups for real so a wall-clock regression or a
-# panic in the batched pipeline fails the gate.
+# runs the groups `perf`'s layer table has no row for, so a panic in
+# the batched pipeline or the checkpoint encoder fails the gate.
 bench_log=$(cargo bench -p scap-bench --bench micro 2>&1) \
     || { echo "micro-bench run failed: $bench_log"; exit 1; }
-echo "$bench_log" | grep -q "fastpath/hash_burst_64" \
-    || { echo "fastpath stage benches missing from micro-bench output"; exit 1; }
-echo "$bench_log" | grep -q "fastpath_dispatch/bypass_burst64_128k_flows" \
-    || { echo "fastpath dispatch benches missing from micro-bench output"; exit 1; }
-echo "$bench_log" | grep -q "flow_table/hit_probe_1m_entries" \
-    || { echo "million-entry flow-table probe bench missing"; exit 1; }
-echo "$bench_log" | grep -q "nic/toeplitz_rss_v4" \
-    || { echo "RSS queue_for bench missing from micro-bench output"; exit 1; }
-echo "$bench_log" | grep -q "core/checkpoint_idle" \
-    || { echo "idle checkpoint bench missing from micro-bench output"; exit 1; }
-echo "$bench_log" | grep -q "core/checkpoint_all_dirty" \
-    || { echo "all-dirty checkpoint bench missing from micro-bench output"; exit 1; }
+for name in fastpath/pull_burst_64 \
+            fastpath_dispatch/classic_128k_flows \
+            fastpath_dispatch/bypass_burst64_128k_flows \
+            core/checkpoint_idle core/checkpoint_all_dirty; do
+    echo "$bench_log" | grep -q "$name" \
+        || { echo "$name missing from micro-bench output"; exit 1; }
+done
 
 echo "== fastpath throughput gate =="
 fp_out=$(mktemp -d)

@@ -1,0 +1,129 @@
+//! The emit stage: event creation. It owns the per-core event queues
+//! and the pending keep-chunk requests, builds every event the kernel
+//! reports from a consistent snapshot of the stream's record, and books
+//! what a full queue loses.
+
+use super::ledger::{At, Ledger};
+use crate::event::{Event, EventKind, StreamSnapshot, StreamUid};
+use scap_flight::{DropReason, FlightLayer};
+use scap_flow::StreamRecord;
+use scap_memory::Arena;
+use scap_telemetry::{Metric, PulseStage};
+use scap_wire::Direction;
+use std::collections::{HashSet, VecDeque};
+
+pub(crate) struct Emitter {
+    queues: Vec<VecDeque<Event>>,
+    /// Keep-chunk requests awaiting the chunk's return.
+    pending_keep: HashSet<(StreamUid, u8)>,
+    queue_cap: usize,
+}
+
+fn snapshot(rec: &StreamRecord, uid: StreamUid) -> StreamSnapshot {
+    StreamSnapshot {
+        uid,
+        key: rec.key,
+        first_dir: rec.first_dir,
+        status: rec.status,
+        errors: rec.errors,
+        priority: rec.priority,
+        cutoff_exceeded: rec.cutoff_exceeded,
+        dirs: rec.dirs,
+        first_ts_ns: rec.first_ts_ns,
+        last_ts_ns: rec.last_ts_ns,
+        chunks: rec.chunks,
+        processing_time_ns: rec.processing_time_ns,
+        resume_gap_bytes: rec.resume_gap_bytes,
+    }
+}
+
+impl Emitter {
+    pub(super) fn new(ncores: usize, queue_cap: usize) -> Self {
+        Emitter {
+            queues: (0..ncores).map(|_| VecDeque::new()).collect(),
+            pending_keep: HashSet::new(),
+            queue_cap,
+        }
+    }
+
+    /// Queue an event of stream `at.uid` on `at.core`, or — the queue
+    /// being full — drop it, returning a data event's chunk to the arena
+    /// and booking its bytes lost. `ingress_ns` is the NIC-ingress
+    /// timestamp of the packet that produced it (the tick, for
+    /// timer-driven events); `at.now` is the processing clock.
+    pub(super) fn enqueue(
+        &mut self,
+        ledger: &mut Ledger,
+        arena: &mut Arena,
+        at: At,
+        rec: &StreamRecord,
+        kind: EventKind,
+        ingress_ns: u64,
+    ) {
+        let queue = &mut self.queues[at.core];
+        if queue.len() >= self.queue_cap {
+            ledger.stats.events_dropped += 1;
+            ledger.tele.inc(at.core, Metric::KernelEventsDropped);
+            if let EventKind::Data { chunk, .. } = kind {
+                let at = At::new(at.core, rec.last_ts_ns, at.uid);
+                let why = DropReason::EventQueueFull;
+                ledger.dropped(at, FlightLayer::EventQueue, why, 0, chunk.len as u64);
+                arena.release(chunk);
+            }
+            return;
+        }
+        ledger.work.k_events += 1;
+        ledger.tele.inc(at.core, Metric::KernelEventsEnqueued);
+        if matches!(kind, EventKind::Data { .. }) {
+            ledger.stats.chunks += 1;
+            ledger.tele.inc(at.core, Metric::KernelChunksPlaced);
+        }
+        // Pulse: dispatch latency — NIC ingress of the producing packet
+        // to event-queue admission (ring residency + kernel processing).
+        let delay = at.now.saturating_sub(ingress_ns);
+        ledger.latency(
+            PulseStage::KernelDispatch,
+            FlightLayer::EventQueue,
+            at,
+            delay,
+        );
+        queue.push_back(Event {
+            stream: snapshot(rec, at.uid),
+            kind,
+            core: at.core,
+            ingress_ns,
+            enqueued_ns: at.now,
+        });
+    }
+
+    /// Pop the next event from a core's queue (user side).
+    pub(super) fn pop(&mut self, core: usize) -> Option<Event> {
+        self.queues[core].pop_front()
+    }
+
+    pub(super) fn backlog(&self, core: usize) -> usize {
+        self.queues[core].len()
+    }
+
+    /// Fill of the fullest queue, as a fraction of its capacity.
+    pub(super) fn pressure(&self) -> f64 {
+        let fullest = self.queues.iter().map(VecDeque::len).max().unwrap_or(0);
+        fullest as f64 / self.queue_cap.max(1) as f64
+    }
+
+    /// `scap_keep_stream_chunk`: hold the stream's next returned chunk.
+    pub(super) fn keep(&mut self, uid: StreamUid, dir: Direction) {
+        self.pending_keep.insert((uid, dir.index() as u8));
+    }
+
+    /// Whether a returned chunk was asked to be kept (asked once).
+    pub(super) fn take_keep(&mut self, uid: StreamUid, dir: Direction) -> bool {
+        self.pending_keep.remove(&(uid, dir.index() as u8))
+    }
+
+    /// A stream ended: its keep requests end with it.
+    pub(super) fn forget(&mut self, uid: StreamUid) {
+        self.pending_keep.remove(&(uid, 0));
+        self.pending_keep.remove(&(uid, 1));
+    }
+}

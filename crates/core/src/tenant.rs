@@ -760,16 +760,10 @@ mod tests {
         for pkt in packets {
             now = pkt.ts_ns;
             kernel.nic_receive(pkt);
-            for core in 0..kernel.ncores() {
-                while kernel.kernel_poll(core, now).is_some() {}
-                kernel.kernel_timers(core, now);
-                while let Some(ev) = kernel.next_event(core) {
-                    engine.on_event(&ev, kernel.flight_mut());
-                    if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                        kernel.release_data(ev.stream.uid, dir, chunk);
-                    }
-                }
-            }
+            kernel.service(now, |k, ev| {
+                engine.on_event(&ev, k.flight_mut());
+                k.release_event(ev);
+            });
             for &id in &ids {
                 let seen = events_seen.entry(id).or_insert(0);
                 let stall = stalled
@@ -782,15 +776,12 @@ mod tests {
                 *seen += engine.drain(id, u64::MAX).len() as u64;
             }
         }
-        kernel.finish(now.saturating_add(1));
-        for core in 0..kernel.ncores() {
-            while let Some(ev) = kernel.next_event(core) {
-                engine.on_event(&ev, kernel.flight_mut());
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        let end = now.saturating_add(1);
+        kernel.finish(end);
+        kernel.drain_events(end, |k, ev| {
+            engine.on_event(&ev, k.flight_mut());
+            k.release_event(ev);
+        });
         // Healthy consumers drain whatever the finish flush enqueued.
         for &id in &ids {
             let seen = events_seen.entry(id).or_insert(0);

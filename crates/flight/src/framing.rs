@@ -105,6 +105,81 @@ pub fn frame_record(body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// One structurally valid record found by [`scan_records`].
+#[derive(Debug, Clone)]
+pub struct RawRecord {
+    /// Byte offset of the record's frame header within the file.
+    pub frame_start: usize,
+    /// Byte range of the record body within the file.
+    pub body: core::ops::Range<usize>,
+}
+
+/// The result of scanning a record-framed file.
+#[derive(Debug, Clone)]
+pub struct RecordScan {
+    /// Structurally valid records in file order.
+    pub records: Vec<RawRecord>,
+    /// File id from the header (a checkpoint's sequence number, a flight
+    /// journal's ring count).
+    pub file_id: u64,
+    /// Length of the valid prefix (header + intact records).
+    pub valid_len: usize,
+    /// Bytes past the valid prefix (a torn tail from a crashed write).
+    pub torn_bytes: usize,
+}
+
+/// Scan a record-framed file: validate the header, then walk frames
+/// checking magic, length, and CRC, stopping at the first invalid byte.
+/// Everything before that point is the crash-consistent valid prefix.
+/// The error is the reason the header was refused, for the caller to
+/// wrap in its own error type.
+pub fn scan_records(data: &[u8], file_magic: u32) -> Result<RecordScan, String> {
+    if data.len() < FILE_HEADER_LEN {
+        return Err(format!("file too short for header: {} bytes", data.len()));
+    }
+    let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
+    if magic != file_magic {
+        return Err(format!("bad file magic {magic:#010x}"));
+    }
+    let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
+    if version != FORMAT_VERSION {
+        return Err(format!("unsupported format version {version}"));
+    }
+    let file_id = u64::from_le_bytes(data[8..16].try_into().unwrap());
+
+    let mut records = Vec::new();
+    let mut pos = FILE_HEADER_LEN;
+    loop {
+        if pos + REC_HEADER_LEN > data.len() {
+            break;
+        }
+        let magic = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
+        if magic != REC_MAGIC {
+            break;
+        }
+        let len = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(data[pos + 8..pos + 12].try_into().unwrap());
+        let body_start = pos + REC_HEADER_LEN;
+        let Some(body_end) = body_start.checked_add(len) else {
+            break;
+        };
+        if body_end > data.len() || crc32(&data[body_start..body_end]) != crc {
+            break;
+        }
+        records.push(RawRecord {
+            frame_start: pos,
+            body: body_start..body_end,
+        });
+        pos = body_end;
+    }
+    Ok(RecordScan {
+        records,
+        file_id,
+        valid_len: pos,
+        torn_bytes: data.len() - pos,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

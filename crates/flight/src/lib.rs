@@ -685,49 +685,10 @@ impl Journal {
 /// *inside* the valid prefix (bad magic/version, bad identity bytes in a
 /// CRC-clean record) is an error.
 pub fn decode_journal(data: &[u8]) -> Result<Journal, FlightError> {
-    if data.len() < FILE_HEADER_LEN {
-        return Err(FlightError::Corrupt(format!(
-            "file too short for header: {} bytes",
-            data.len()
-        )));
-    }
-    let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
-    if magic != FLIGHT_MAGIC {
-        return Err(FlightError::Corrupt(format!(
-            "bad file magic {magic:#010x}"
-        )));
-    }
-    let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(FlightError::Corrupt(format!(
-            "unsupported format version {version}"
-        )));
-    }
-    let ncores = u64::from_le_bytes(data[8..16].try_into().unwrap()) as usize;
-
-    let mut pos = FILE_HEADER_LEN;
-    let mut bodies: Vec<&[u8]> = Vec::new();
-    loop {
-        if pos + REC_HEADER_LEN > data.len() {
-            break;
-        }
-        let magic = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-        if magic != REC_MAGIC {
-            break;
-        }
-        let len = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(data[pos + 8..pos + 12].try_into().unwrap());
-        let start = pos + REC_HEADER_LEN;
-        let Some(end) = start.checked_add(len).filter(|&e| e <= data.len()) else {
-            break;
-        };
-        if crc32(&data[start..end]) != crc {
-            break;
-        }
-        bodies.push(&data[start..end]);
-        pos = end;
-    }
-    let torn_bytes = data.len() - pos;
+    let scan = framing::scan_records(data, FLIGHT_MAGIC).map_err(FlightError::Corrupt)?;
+    let ncores = scan.file_id as usize;
+    let torn_bytes = scan.torn_bytes;
+    let bodies: Vec<&[u8]> = scan.records.iter().map(|r| &data[r.body.clone()]).collect();
 
     let Some((meta, event_bodies)) = bodies.split_first() else {
         return Err(FlightError::Corrupt("journal has no meta record".into()));

@@ -286,11 +286,20 @@ impl DirReassembler {
         if rel == self.expected {
             // In-order: deliver directly, then drain whatever unblocked.
             sink(rel, payload);
-            self.expected = rel + payload.len() as u64;
             out.delivered += payload.len() as u64;
-            let before = self.expected;
-            self.expected = self.buffer.drain_from(self.expected, |o, d| sink(o, d));
-            out.delivered += self.expected - before;
+            self.expected = rel + payload.len() as u64;
+            if !self.buffer.is_empty() {
+                // The segment may span buffered ones (a coalesced
+                // retransmission): what the frontier passes loses to
+                // the bytes just delivered, so nothing buffered is ever
+                // at or below `expected`.
+                let end = self.expected;
+                let passed = self.buffer.discard_below(end);
+                out.duplicate += passed;
+                self.duplicate_bytes += passed;
+                self.expected = self.buffer.drain_from(end, |o, d| sink(o, d));
+                out.delivered += self.expected - end;
+            }
             self.delivered_bytes += out.delivered;
             return out;
         }

@@ -429,7 +429,7 @@ pub struct IndexScan {
 
 /// Scan the sidecar index, validating each record frame and stopping at
 /// the first invalid byte. Structural validation (header, record framing,
-/// CRC) is the shared `scap::checkpoint` scanner; body decoding is the
+/// CRC) is the shared `scap_flight::framing` scanner; body decoding is the
 /// archive's own, and a structurally valid frame whose body fails to
 /// decode is treated as torn along with everything after it.
 pub fn scan_index(path: &Path) -> Result<IndexScan, StoreError> {
@@ -441,7 +441,7 @@ pub fn scan_index(path: &Path) -> Result<IndexScan, StoreError> {
             torn_bytes: data.len() as u64,
         });
     }
-    let scan = scap::checkpoint::scan_records(&data, IDX_MAGIC)
+    let scan = scap_flight::framing::scan_records(&data, IDX_MAGIC)
         .map_err(|_| StoreError::Corrupt(format!("{}: bad index header", path.display())))?;
     let mut entries = Vec::new();
     let mut valid_len = scan.valid_len as u64;

@@ -156,7 +156,10 @@ fn scenario(seed: u64, expiring: bool) -> (Scenario, proptest::TestRng) {
             rng.random_range(0..n),
             Op::Offload {
                 pick: rng.random_range(0..n),
-                action: rng.random_range(0..2u8),
+                // A `Sample` rule's 1-in-N phase is the NIC's own count,
+                // not part of an image: a resumed capture keeps other
+                // frames of a sampled flow than the uninterrupted one.
+                action: rng.random_range(0..if expiring { 3u8 } else { 2 }),
             },
         ));
     }
@@ -304,13 +307,10 @@ impl Replay {
                 let Some(key) = parse_frame(&sc.trace[pick].frame).ok().and_then(|p| p.key) else {
                     return;
                 };
-                // No `Sample` rule: on a sampled TCP flow the reassembler's
-                // `skip_gap` can meet a buffered segment at or below its
-                // frontier (a debug assertion there, whatever the
-                // checkpoints do) — ROADMAP item 3.
                 let action = match action {
                     0 => OffloadAction::Mark(3),
-                    _ => OffloadAction::Bypass,
+                    1 => OffloadAction::Bypass,
+                    _ => OffloadAction::Sample(2),
                 };
                 let _ = self
                     .kernel

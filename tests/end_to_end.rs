@@ -174,13 +174,19 @@ fn keep_chunk_merges_into_next_delivery() {
         chunk_size: 1024,
         ..ScapConfig::default()
     });
+    // Feed one frame and service the kernel; returns the data event it
+    // produced, if any.
     let mut now = 0u64;
-    let mut feed = |kernel: &mut ScapKernel, frame: Vec<u8>| {
+    let mut feed = |kernel: &mut ScapKernel, frame: Vec<u8>| -> Option<scap::Event> {
         now += 1_000_000;
         kernel.nic_receive(&scap_trace::Packet::new(now, frame));
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-        }
+        let mut data = None;
+        kernel.service(now, |_, ev| {
+            if matches!(ev.kind, EventKind::Data { .. }) {
+                data = Some(ev);
+            }
+        });
+        data
     };
     feed(
         &mut kernel,
@@ -191,26 +197,11 @@ fn keep_chunk_merges_into_next_delivery() {
         PacketBuilder::tcp_v4(s, c, 80, 7, 500, 101, TcpFlags::SYN | TcpFlags::ACK, b""),
     );
     // First 1 KB chunk completes.
-    feed(
+    let ev1 = feed(
         &mut kernel,
         PacketBuilder::tcp_v4(c, s, 7, 80, 101, 501, TcpFlags::ACK, &[b'a'; 1024]),
-    );
-
-    let next_data = |kernel: &mut ScapKernel| -> Option<scap::Event> {
-        for core in 0..kernel.ncores() {
-            while let Some(ev) = kernel.next_event(core) {
-                if matches!(ev.kind, EventKind::Data { .. }) {
-                    return Some(ev);
-                }
-                if let EventKind::Data { chunk, dir, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
-        None
-    };
-
-    let ev1 = next_data(&mut kernel).expect("first chunk");
+    )
+    .expect("first chunk");
     let uid = ev1.stream.uid;
     let EventKind::Data { chunk, dir, .. } = ev1.kind else {
         unreachable!()
@@ -223,11 +214,11 @@ fn keep_chunk_merges_into_next_delivery() {
     kernel.release_data(uid, dir, chunk);
 
     // Second 1 KB of data: its completed chunk must come out merged.
-    feed(
+    let ev2 = feed(
         &mut kernel,
         PacketBuilder::tcp_v4(c, s, 7, 80, 1125, 501, TcpFlags::ACK, &[b'b'; 1024]),
-    );
-    let ev2 = next_data(&mut kernel).expect("merged chunk");
+    )
+    .expect("merged chunk");
     let EventKind::Data { chunk, .. } = ev2.kind else {
         unreachable!()
     };

@@ -266,3 +266,94 @@ fn retransmissions_do_not_duplicate_data() {
     );
     assert_eq!(got, b"0123456789abcdefghij");
 }
+
+/// A sampled TCP flow (`OffloadAction::Sample(2)`: the NIC keeps every
+/// other frame) is all holes, and a coalesced retransmission that fills
+/// one hole can span a segment buffered beyond it. The frontier then
+/// passes that segment; the reassembler must drop it there, or a later
+/// hole skip meets it at or below the frontier and delivers it a second
+/// time, out of order.
+#[test]
+fn sampled_flow_never_delivers_a_passed_segment() {
+    use scap::{EventKind, OffloadAction, OffloadRule, ScapConfig, ScapKernel};
+    use scap_wire::parse_frame;
+
+    let (isn_c, isn_s) = (1000u32, 2000u32);
+    // 100-byte segments, each filled with its own index.
+    let seg = |i: u32, n: u32| -> Vec<u8> { (i..i + n).flat_map(|j| [j as u8; 100]).collect() };
+    let client = |off: u32, data: &[u8]| {
+        PacketBuilder::tcp_v4(
+            C,
+            S,
+            CP,
+            SP,
+            isn_c + 1 + off,
+            isn_s + 1,
+            TcpFlags::ACK | TcpFlags::PSH,
+            data,
+        )
+    };
+    let ack = || PacketBuilder::tcp_v4(S, C, SP, CP, isn_s + 1, isn_c + 1, TcpFlags::ACK, b"");
+    let mut frames = vec![
+        PacketBuilder::tcp_v4(C, S, CP, SP, isn_c, 0, TcpFlags::SYN, b""),
+        PacketBuilder::tcp_v4(
+            S,
+            C,
+            SP,
+            CP,
+            isn_s,
+            isn_c + 1,
+            TcpFlags::SYN | TcpFlags::ACK,
+            b"",
+        ),
+    ];
+    let handshake = frames.len();
+    // From here the rule keeps the even frames: segment 0 arrives in
+    // order, 1 and 3 are lost, 2 and 4 are buffered behind the holes.
+    frames.extend((0..5).map(|i| client(i * 100, &seg(i, 1))));
+    frames.push(ack());
+    // Kept: segments 1–3 in one retransmission. It fills the hole at 1,
+    // spans buffered segment 2, and segment 4 drains behind it.
+    frames.push(client(100, &seg(1, 3)));
+    // Every other one of these is kept, each behind a new hole, until
+    // the out-of-order buffer overflows and skips holes.
+    frames.extend((5..205).map(|i| client(i * 100, &seg(i, 1))));
+
+    let mut k = ScapKernel::new(ScapConfig {
+        use_offload: true,
+        ..ScapConfig::default()
+    });
+    let mut delivered: Vec<u8> = Vec::new();
+    let mut collect = |k: &mut ScapKernel, ev: scap::Event| {
+        if let EventKind::Data { chunk, .. } = &ev.kind {
+            delivered.extend_from_slice(chunk.bytes());
+        }
+        k.release_event(ev);
+    };
+    for (i, frame) in frames.into_iter().enumerate() {
+        let pkt = Packet::new((i as u64 + 1) * 1_000_000, frame);
+        if i == handshake {
+            let key = parse_frame(&pkt.frame).unwrap().key.unwrap();
+            k.offload_install(OffloadRule::new(key, OffloadAction::Sample(2), 1))
+                .unwrap();
+        }
+        k.nic_receive(&pkt);
+        k.service(pkt.ts_ns, &mut collect);
+    }
+    k.finish(1_000_000_000);
+    k.drain_events(1_000_000_000, &mut collect);
+
+    let segments: Vec<u8> = delivered.chunks(100).map(|s| s[0]).collect();
+    assert!(delivered.chunks(100).all(|s| s.iter().all(|&b| b == s[0])));
+    assert!(
+        segments.windows(2).all(|w| w[0] < w[1]),
+        "segments delivered twice or out of order: {segments:?}"
+    );
+    assert_eq!(&segments[..5], [0, 1, 2, 3, 4]);
+    let s = k.stats().stack;
+    assert_eq!(
+        s.wire_packets,
+        s.delivered_packets + s.dropped_packets + s.discarded_packets
+    );
+    assert_eq!(s.delivered_bytes, delivered.len() as u64);
+}

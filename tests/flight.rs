@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use scap::flight::{self, DropReason, FlightEvent, FlightKind, FlightLayer, FlightRecorder};
-use scap::{EventKind, ScapConfig, ScapKernel};
+use scap::{ScapConfig, ScapKernel};
 use scap_faults::{FaultPlan, FlightFaultConfig};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
 
@@ -179,24 +179,11 @@ fn drive(seed: u64, plan: Option<FaultPlan>) -> (ScapKernel, Vec<u8>) {
     for pkt in &trace {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-            while let Some(ev) = kernel.next_event(core) {
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.service(now, |k, ev| k.release_event(ev));
     }
-    kernel.finish(now.saturating_add(1));
-    for core in 0..kernel.ncores() {
-        while let Some(ev) = kernel.next_event(core) {
-            if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                kernel.release_data(ev.stream.uid, dir, chunk);
-            }
-        }
-    }
+    let end = now.saturating_add(1);
+    kernel.finish(end);
+    kernel.drain_events(end, |k, ev| k.release_event(ev));
     let journal = kernel.flight().encode();
     (kernel, journal)
 }

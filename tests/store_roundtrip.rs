@@ -56,42 +56,35 @@ fn drive(seed: u64, dir: &Path) -> (Truth, scap_store::StoreStats) {
         data: HashMap::new(),
         snaps: HashMap::new(),
     };
-    let drain = |kernel: &mut ScapKernel, writer: &mut StoreWriter, truth: &mut Truth| {
-        for core in 0..kernel.ncores() {
-            while let Some(ev) = kernel.next_event(core) {
-                writer.observe(&ev).unwrap();
-                match ev.kind {
-                    EventKind::Created | EventKind::Data { .. } => {}
-                    EventKind::Terminated => {
-                        truth.snaps.insert(ev.stream.uid, ev.stream.clone());
-                    }
+    let mut sink = |kernel: &mut ScapKernel, ev: scap::Event| {
+        writer.observe(&ev).unwrap();
+        match &ev.kind {
+            EventKind::Created => {}
+            EventKind::Terminated => {
+                truth.snaps.insert(ev.stream.uid, ev.stream.clone());
+            }
+            EventKind::Data { dir, chunk, .. } => {
+                let buf = truth.data.entry((ev.stream.uid, dir.index())).or_default();
+                let off = chunk.start_offset as usize;
+                let end = off + chunk.bytes().len();
+                if buf.len() < end {
+                    buf.resize(end, 0);
                 }
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    let buf = truth.data.entry((ev.stream.uid, dir.index())).or_default();
-                    let off = chunk.start_offset as usize;
-                    let end = off + chunk.bytes().len();
-                    if buf.len() < end {
-                        buf.resize(end, 0);
-                    }
-                    buf[off..end].copy_from_slice(chunk.bytes());
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
+                buf[off..end].copy_from_slice(chunk.bytes());
             }
         }
+        kernel.release_event(ev);
     };
 
     let mut now = 0;
     for pkt in &trace {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-        }
-        drain(&mut kernel, &mut writer, &mut truth);
+        kernel.service(now, &mut sink);
     }
-    kernel.finish(now.saturating_add(1));
-    drain(&mut kernel, &mut writer, &mut truth);
+    let end = now.saturating_add(1);
+    kernel.finish(end);
+    kernel.drain_events(end, &mut sink);
     let stats = writer.finish().unwrap();
     (truth, stats)
 }
@@ -219,14 +212,7 @@ fn checkpoint_repair_is_idempotent() {
     for pkt in &trace[..trace.len() / 2] {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for c in 0..kernel.ncores() {
-            while kernel.kernel_poll(c, now).is_some() {}
-            while let Some(ev) = kernel.next_event(c) {
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.service(now, |k, ev| k.release_event(ev));
     }
     let bytes = kernel.checkpoint_bytes(now, 7);
     checkpoint::write_atomic(&path, &bytes).unwrap();
