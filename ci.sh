@@ -21,6 +21,12 @@ echo "== incremental checkpoints, release profile =="
 # differential test is the net.
 cargo test -q --release -p scap-bench --test checkpoint_incremental
 
+echo "== staged bursts against per-packet dispatch, release profile =="
+# Overflow checks and `debug_assert!`s are compiled out here and the
+# staging loads are only worth anything optimised: the differential runs
+# on the code the benchmark measures, too.
+cargo test -q --release -p scap --lib staged_bursts_change_nothing_but_the_clock
+
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
 
@@ -144,6 +150,8 @@ bench_log=$(cargo bench -p scap-bench --bench micro 2>&1) \
 for name in fastpath/pull_burst_64 \
             fastpath_dispatch/classic_128k_flows \
             fastpath_dispatch/bypass_burst64_128k_flows \
+            fastpath_dispatch/classic_cold_128k_flows \
+            fastpath_dispatch/bypass_burst64_cold_128k_flows \
             core/checkpoint_idle core/checkpoint_all_dirty; do
     echo "$bench_log" | grep -q "$name" \
         || { echo "$name missing from micro-bench output"; exit 1; }

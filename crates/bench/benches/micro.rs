@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for what `perf`'s layer table
 //! (`BENCHMARK.json`, `per_layer`) has no row for: the ring pull of one
 //! burst, classic against fast-path dispatch at several burst sizes on a
-//! preloaded table, and the checkpoint encoder at its idle and all-dirty
-//! ends. Every other layer is timed by `perf run`.
+//! preloaded table — hot (the same 4096 flows every iteration) and cold
+//! (all 128 K in seeded random order) — and the checkpoint encoder at its
+//! idle and all-dirty ends. Every other layer is timed by `perf run`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
@@ -37,12 +38,18 @@ fn bench_pull_burst(c: &mut Criterion) {
 /// Real wall-clock dispatch throughput (pkts/s) on a table preloaded
 /// with 128 K live flows: classic per-packet polling vs. the batched
 /// fast path at several burst sizes. The kernel is built and loaded
-/// once per row; each iteration replays a 4096-packet hit batch.
+/// once per row; each iteration replays a 4096-packet hit batch. The
+/// `_128k_flows` rows replay the same batch every time, so the 4096
+/// flows it hits stay in cache and the rows show per-packet work; the
+/// `cold_` rows walk a seeded random draw over all the flows, so every
+/// hit is a probe of lines last seen ≈ 128 K packets ago — the case a
+/// burst stages its table walk for (DESIGN §9.1).
 fn bench_fastpath_dispatch(c: &mut Criterion) {
     use scap::{DispatchMode, ScapConfig, ScapKernel};
 
     const FLOWS: u32 = 1 << 17;
     const HITS: usize = 4096;
+    const COLD_SEED: u64 = 42;
 
     let udp = |i: u32, reversed: bool| {
         let src = [10, (i >> 16) as u8, (i >> 8) as u8, i as u8];
@@ -70,19 +77,27 @@ fn bench_fastpath_dispatch(c: &mut Criterion) {
         }
     };
 
-    let hit_pkts: Vec<scap_trace::Packet> = (0..HITS as u32)
+    let hit = |j: u32, flow: u32| scap_trace::Packet::new(u64::from(FLOWS + j), udp(flow, true));
+    let hot_pkts: Vec<scap_trace::Packet> = (0..HITS as u32)
+        .map(|j| hit(j, j * (FLOWS / HITS as u32)))
+        .collect();
+    let cold_pkts: Vec<scap_trace::Packet> = (0..FLOWS)
         .map(|j| {
-            scap_trace::Packet::new(u64::from(FLOWS + j), udp(j * (FLOWS / HITS as u32), true))
+            let draw = scap_wire::splitmix64(COLD_SEED ^ u64::from(j));
+            hit(j % HITS as u32, (draw % u64::from(FLOWS)) as u32)
         })
         .collect();
 
     let mut g = c.benchmark_group("fastpath_dispatch");
     g.throughput(Throughput::Elements(HITS as u64));
-    for (id, mode, burst) in [
-        ("classic_128k_flows", DispatchMode::Classic, 64),
-        ("bypass_burst8_128k_flows", DispatchMode::Fastpath, 8),
-        ("bypass_burst64_128k_flows", DispatchMode::Fastpath, 64),
-        ("bypass_burst128_128k_flows", DispatchMode::Fastpath, 128),
+    use DispatchMode::{Classic, Fastpath};
+    for (id, mode, burst, cold) in [
+        ("classic_128k_flows", Classic, 64, false),
+        ("bypass_burst8_128k_flows", Fastpath, 8, false),
+        ("bypass_burst64_128k_flows", Fastpath, 64, false),
+        ("bypass_burst128_128k_flows", Fastpath, 128, false),
+        ("classic_cold_128k_flows", Classic, 64, true),
+        ("bypass_burst64_cold_128k_flows", Fastpath, 64, true),
     ] {
         let cfg = ScapConfig {
             dispatch: mode,
@@ -102,9 +117,12 @@ fn bench_fastpath_dispatch(c: &mut Criterion) {
             }
         }
         drain(&mut kernel, fastpath, u64::from(FLOWS));
+        let mut batches = if cold { &cold_pkts } else { &hot_pkts }
+            .chunks(HITS)
+            .cycle();
         g.bench_function(id, |b| {
             b.iter(|| {
-                for p in &hit_pkts {
+                for p in batches.next().expect("a cycle does not end") {
                     kernel.nic_receive(black_box(p));
                 }
                 drain(&mut kernel, fastpath, u64::from(FLOWS) + HITS as u64);

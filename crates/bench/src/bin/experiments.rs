@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! The experiments binary: regenerate any table/figure of the paper.
 //!
 //! ```text

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! scapcat — a tcpdump-flavoured flow analyzer built on the Scap library.
 //!
 //! Reads a pcap file (or generates a synthetic campus trace), runs the

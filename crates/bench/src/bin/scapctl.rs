@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! scapctl — client for a running scapd control directory.
 //!
 //! Speaks the scapd filesystem protocol (see `scapd.rs`): attach

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! scapd — multi-tenant capture daemon over a filesystem control dir.
 //!
 //! N tenants attach with their own capture spec (BPF filter, cutoff,

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! scapstore — front-end for the persistent stream archive.
 //!
 //! ```text

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! scaptop — a `top`-style live dashboard over a Scap capture.
 //!
 //! Drives the kernel synchronously over a pcap file (or a synthetic

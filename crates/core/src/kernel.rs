@@ -57,7 +57,7 @@ use scap_flow::{StreamErrors, StreamRecord};
 use scap_memory::ChunkBuf;
 use scap_nic::OffloadRule;
 use scap_sim::CacheSim;
-use scap_telemetry::{PlainRegistry, Pulse, PulseSnapshot, Sampler, Snapshot};
+use scap_telemetry::{PlainRegistry, PulseSnapshot, Sampler, Snapshot};
 use scap_wire::{Direction, FlowKey};
 
 /// Per-stream control operations (the `scap_set_stream_*` family and
@@ -284,13 +284,6 @@ impl ScapKernel {
         self.ledger.pulse.snapshot()
     }
 
-    /// Mutable access to the pulse plane (drivers append spans the
-    /// kernel cannot see, e.g. store-seal latency in single-process
-    /// harnesses).
-    pub fn pulse_mut(&mut self) -> &mut Pulse {
-        &mut self.ledger.pulse
-    }
-
     /// Record end-to-end delivery latency for one event: the delta from
     /// the producing packet's NIC-ingress timestamp to `now_ns`, the
     /// moment a worker actually received the event. Exemplar-eligible —
@@ -378,15 +371,6 @@ impl ScapKernel {
     /// Current arena fill fraction (diagnostics).
     pub fn memory_used_fraction(&self) -> f64 {
         self.place.arena.used_fraction()
-    }
-
-    /// Peak arena fill fraction over the capture (diagnostics).
-    pub fn memory_peak_fraction(&self) -> f64 {
-        if self.cfg.memory_bytes == 0 {
-            1.0
-        } else {
-            self.place.arena.peak_used as f64 / self.cfg.memory_bytes as f64
-        }
     }
 
     /// Arena allocation failures (diagnostics).

@@ -1,7 +1,8 @@
 //! The admission stage: the emulated NIC with its RX rings, and the two
 //! ends of a ring — frames going in (`receive`: RSS, FDIR and the
 //! offload table decide fate and queue, before any CPU is spent) and
-//! coming out (`pop` / `pull`, behind the injected ring stalls).
+//! coming out (`pop` / `pull`, behind the injected ring stalls). A frame
+//! is parsed once, on the way in; the ring carries what the parse found.
 
 use super::ledger::{At, Ledger};
 use super::probe::FlowProbe;
@@ -13,20 +14,34 @@ use scap_nic::{FdirFilter, Nic, NicVerdict};
 use scap_telemetry::pulse::cost;
 use scap_telemetry::{cycles_to_ns, Metric, PulseStage};
 use scap_trace::Packet;
-use scap_wire::{FlowKey, ParsedPacket};
+use scap_wire::{FlowKey, FrameMeta, ParsedPacket};
+
+/// What an RX ring holds: a frame and what admission parsed out of it.
+pub(super) struct Admitted {
+    pub pkt: Packet,
+    pub meta: FrameMeta,
+}
+
+impl Admitted {
+    /// The parse, over the frame it was made from.
+    #[inline]
+    pub(super) fn parsed(&self) -> ParsedPacket<'_> {
+        self.meta.attach(&self.pkt.frame)
+    }
+}
 
 pub(crate) struct NicStage {
     /// Lent to the hardware-cutoff stage for filter management.
-    pub(super) nic: Nic<Packet>,
+    pub(super) nic: Nic<Admitted>,
     /// RX ring stall injection (None without a fault plan).
     pub(super) ring_faults: Option<RingInjector>,
     /// `finish()` drains rings unconditionally, stall windows included.
     pub(super) drain_mode: bool,
     /// Poll-mode burst-fill statistics (fast path only).
     pub(super) fp_stats: BurstStats,
-    /// The fast path's packet and hashed-key buffers, taken for the
+    /// The fast path's frame and hashed-key buffers, taken for the
     /// length of a burst and put back empty.
-    burst_pkts: Vec<Packet>,
+    burst_frames: Vec<Admitted>,
     burst_hashed: Vec<Option<HashedKey>>,
 }
 
@@ -47,7 +62,7 @@ impl NicStage {
             ring_faults: cfg.faults.as_ref().map(|plan| plan.ring_injector()),
             drain_mode: false,
             fp_stats: BurstStats::default(),
-            burst_pkts: Vec::new(),
+            burst_frames: Vec::new(),
             burst_hashed: Vec::new(),
         }
     }
@@ -84,7 +99,11 @@ impl NicStage {
                 }
             }
         }
-        let verdict = self.nic.receive(parsed, pkt.clone());
+        let admitted = Admitted {
+            pkt: pkt.clone(),
+            meta: parsed.meta(),
+        };
+        let verdict = self.nic.receive(parsed, admitted);
         // Pulse: deterministic admission cost, plus the offload-stage
         // consult when that stage is enabled.
         ledger.pulse.record(
@@ -186,7 +205,7 @@ impl NicStage {
 
     /// The next frame of a core's RX ring.
     #[inline]
-    pub(super) fn pop(&mut self, core: usize, now: u64) -> Option<Packet> {
+    pub(super) fn pop(&mut self, core: usize, now: u64) -> Option<Admitted> {
         if self.stalled(now) {
             return None;
         }
@@ -201,23 +220,23 @@ impl NicStage {
         core: usize,
         now: u64,
         burst: usize,
-    ) -> Option<(Vec<Packet>, Vec<Option<HashedKey>>)> {
+    ) -> Option<(Vec<Admitted>, Vec<Option<HashedKey>>)> {
         if self.stalled(now) {
             return None;
         }
-        let mut pkts = std::mem::take(&mut self.burst_pkts);
-        scap_fastpath::pull_burst(self.nic.queue_mut(core), burst, &mut pkts);
-        self.fp_stats.record(pkts.len(), burst);
-        if pkts.is_empty() {
-            self.burst_pkts = pkts;
+        let mut frames = std::mem::take(&mut self.burst_frames);
+        scap_fastpath::pull_burst(self.nic.queue_mut(core), burst, &mut frames);
+        self.fp_stats.record(frames.len(), burst);
+        if frames.is_empty() {
+            self.burst_frames = frames;
             return None;
         }
-        Some((pkts, std::mem::take(&mut self.burst_hashed)))
+        Some((frames, std::mem::take(&mut self.burst_hashed)))
     }
 
-    pub(super) fn recycle(&mut self, mut pkts: Vec<Packet>, hashed: Vec<Option<HashedKey>>) {
-        pkts.clear();
-        self.burst_pkts = pkts;
+    pub(super) fn recycle(&mut self, mut frames: Vec<Admitted>, hashed: Vec<Option<HashedKey>>) {
+        frames.clear();
+        self.burst_frames = frames;
         self.burst_hashed = hashed;
     }
 }

@@ -1,9 +1,11 @@
-//! The burst loop. NIC admission feeds the rings; a poll pulls one frame
-//! or a burst off a ring and walks each through the stages — flow probe,
-//! then the stream's [`Lane`] (gate → reassemble → place → emit), then
-//! whatever the stream is still owed from the hardware-cutoff stage —
-//! handing each stage the disjoint borrows it works on. Both dispatch
-//! paths run this one path.
+//! The burst loop. NIC admission parses a frame and feeds the rings; a
+//! poll pulls one frame or a burst off a ring, each with its parse, and
+//! walks it through the stages — flow probe, then the stream's [`Lane`]
+//! (gate → reassemble → place → emit), then whatever the stream is still
+//! owed from the hardware-cutoff stage — handing each stage the disjoint
+//! borrows it works on. Both dispatch paths run this one path; a burst
+//! first hashes its keys and stages its table walk (loads only), so that
+//! the per-packet pass meets the flow table in cache.
 
 use super::hw::estimate_filtered_sizes;
 use super::lane::Lane;
@@ -46,21 +48,19 @@ impl ScapKernel {
     /// Process one packet from a core's RX ring. Returns the work done,
     /// or `None` when the ring was empty.
     pub fn kernel_poll(&mut self, core: usize, now: u64) -> Option<Work> {
-        let pkt = self.nic.pop(core, now)?;
+        let frame = self.nic.pop(core, now)?;
         self.ledger.work = Work {
             k_packets: 1,
             ..Default::default()
         };
-        let parsed = parse_frame(&pkt.frame);
-        self.process_frame(core, &pkt, parsed.as_ref().ok(), None, now);
+        self.process_frame(core, &frame.pkt, &frame.parsed(), None, now);
         Some(std::mem::take(&mut self.ledger.work))
     }
 
     /// Poll-mode fast path: pull up to `fastpath_burst` packets from a
     /// core's RX ring and run the burst through the batched pipeline —
-    /// parse all → hash all → flow lookup → reassembly/cutoff →
-    /// delivery. Returns the burst's work receipt, or `None` when the
-    /// ring was empty.
+    /// hash all → flow lookup → reassembly/cutoff → delivery. Returns
+    /// the burst's work receipt, or `None` when the ring was empty.
     ///
     /// Delivered streams are byte-identical to per-packet
     /// [`ScapKernel::kernel_poll`] dispatch: both funnel into the same
@@ -72,18 +72,17 @@ impl ScapKernel {
     /// the arena chunks by reference (no kernel copy charge).
     pub fn poll_burst(&mut self, core: usize, now: u64) -> Option<Work> {
         let burst = self.cfg.fastpath_burst.max(1);
-        let (pkts, mut hashed) = self.nic.pull(core, now, burst)?;
-        // Stage 1: parse the whole burst (header lines only).
-        let parsed: Vec<Option<ParsedPacket<'_>>> =
-            pkts.iter().map(|p| parse_frame(&p.frame).ok()).collect();
-        // Stage 2: canonicalize + hash every key against this core's
-        // table seed in one arithmetic-only sweep.
+        let (frames, mut hashed) = self.nic.pull(core, now, burst)?;
+        // Canonicalize + hash every key against this core's table seed
+        // in one arithmetic-only sweep.
         let seed = self.flows.cores[core].flows.seed();
-        let keys = parsed.iter().map(|p| p.as_ref().and_then(|p| p.key));
-        scap_fastpath::hash_burst(seed, keys, &mut hashed);
-        // Stages 3–5: prehashed flow lookup, reassembly/cutoff, delivery
-        // — the same per-packet path the classic poll uses.
-        let n = pkts.len() as u64;
+        scap_fastpath::hash_burst(seed, frames.iter().map(|f| f.meta.key()), &mut hashed);
+        // Walk the table for the whole burst, loads only, so that the
+        // per-packet pass below finds its lines in cache.
+        self.flows.stage(core, &hashed);
+        // Prehashed flow lookup, reassembly/cutoff, delivery — the same
+        // per-packet path the classic poll uses.
+        let n = frames.len() as u64;
         self.ledger.work = Work {
             fp_bursts: 1,
             fp_packets: n,
@@ -91,20 +90,19 @@ impl ScapKernel {
         };
         self.ledger.tele.inc(core, Metric::FastpathBursts);
         self.ledger.tele.add(core, Metric::FastpathPackets, n);
-        for ((pkt, parsed), hk) in pkts.iter().zip(&parsed).zip(&hashed) {
-            self.process_frame(core, pkt, parsed.as_ref(), hk.as_ref(), now);
+        for (frame, hk) in frames.iter().zip(&hashed) {
+            self.process_frame(core, &frame.pkt, &frame.parsed(), hk.as_ref(), now);
         }
         // Zero-copy delivery: chunk payload is handed over by reference
         // into the arena, so the per-byte kernel copy charge of the
         // emulated path does not apply here.
         self.ledger.work.k_bytes_copied = 0;
-        drop(parsed);
-        self.nic.recycle(pkts, hashed);
+        self.nic.recycle(frames, hashed);
         Some(std::mem::take(&mut self.ledger.work))
     }
 
-    /// One frame off a ring (`parsed`: `None` where it would not parse):
-    /// the socket-wide filter, the flow probe, and the stream's lane.
+    /// One frame off a ring, with the parse admission made of it: the
+    /// socket-wide filter, the flow probe, and the stream's lane.
     /// `prehashed` carries the canonical key, direction and table hash
     /// when the batched hash stage already computed them; the classic
     /// path passes `None` and pays for them inline. Either way the probe,
@@ -114,18 +112,13 @@ impl ScapKernel {
         &mut self,
         core: usize,
         pkt: &Packet,
-        parsed: Option<&ParsedPacket<'_>>,
+        parsed: &ParsedPacket<'_>,
         prehashed: Option<&HashedKey>,
         now: u64,
     ) {
         let len = pkt.len() as u64;
         self.ledger.work.k_bytes_touched += HDR_TOUCH_BYTES.min(len);
         let (at, kernel) = (At::new(core, now, 0), FlightLayer::Kernel);
-        let Some(parsed) = parsed else {
-            return self
-                .ledger
-                .discarded(at, kernel, DropReason::ParseError, 1, 0);
-        };
         // Socket-wide BPF filter: discard early, in the kernel.
         let filter = self.cfg.filter.as_ref();
         if filter.is_some_and(|f| !f.matches_frame(&pkt.frame)) {

@@ -7,6 +7,7 @@
 //! per-stream [`FilterState`]. It borrows the NIC from the admission
 //! stage and the streams from the flow probe; nothing else writes these.
 
+use super::admit::Admitted;
 use super::ledger::{At, Ledger};
 use super::probe::{CoreFlows, FlowProbe};
 use crate::config::ScapConfig;
@@ -15,7 +16,6 @@ use scap_flight::{FlightEvent, FlightKind, FlightLayer};
 use scap_flow::StreamId;
 use scap_nic::{FdirError, FdirFilter, Nic, OffloadAction, OffloadError, OffloadRule};
 use scap_telemetry::Metric;
-use scap_trace::Packet;
 use scap_wire::{Direction, FlowKey, TcpFlags, TcpMeta, Transport};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -100,7 +100,7 @@ struct FdirRetry {
 /// What the stage borrows from the burst loop for the length of a call.
 pub(crate) struct HwDeps<'a> {
     pub cfg: &'a ScapConfig,
-    pub nic: &'a mut Nic<Packet>,
+    pub nic: &'a mut Nic<Admitted>,
     pub flows: &'a mut FlowProbe,
     pub ledger: &'a mut Ledger,
 }
@@ -530,7 +530,7 @@ mod tests {
     /// install, one tracked TCP stream, a ledger — no `ScapKernel`.
     struct Bench {
         cfg: ScapConfig,
-        nic: Nic<Packet>,
+        nic: Nic<Admitted>,
         flows: FlowProbe,
         ledger: Ledger,
         hw: HwCutoff,

@@ -80,12 +80,6 @@ impl ScapKernel {
         self.imager.tenant_table = tenants;
     }
 
-    /// The tenant table restored from a checkpoint (empty when the
-    /// capture is single-tenant).
-    pub fn tenant_table(&self) -> &[TenantImage] {
-        &self.imager.tenant_table
-    }
-
     /// Write one image into `out`, copying from `last` the frame of every
     /// stream untouched since `last` was written and encoding the others,
     /// and leave in `last.frames` where each stream's frame now sits in

@@ -16,6 +16,7 @@ use scap_telemetry::pulse::cost;
 use scap_telemetry::{cycles_to_ns, Metric, PulseStage};
 use scap_wire::Direction;
 use std::collections::HashMap;
+use std::hint::black_box;
 
 /// Per-stream kernel-side state (parallel to the flow record).
 pub(crate) struct StreamKState {
@@ -64,6 +65,57 @@ impl CoreFlows {
     }
 }
 
+/// The slots and access-list neighbours [`CoreFlows::stage`] carries from
+/// one sweep to the next, kept between bursts.
+#[derive(Default)]
+pub(crate) struct StageScratch {
+    slots: Vec<Option<u32>>,
+    links: Vec<u32>,
+}
+
+impl CoreFlows {
+    /// Read ahead for a burst about to be probed, touched and borrowed
+    /// key by key: three sweeps over the burst, each issuing for every
+    /// key the loads the next sweep's addresses come from, so that the
+    /// cache misses of different flows are in flight together instead of
+    /// one packet's chain after another's. Loads only (`scap_flow`'s
+    /// "Staging a burst"): the per-packet pass that follows does and
+    /// counts exactly what it would have without this.
+    pub(super) fn stage(&self, hashed: &[Option<HashedKey>], scratch: &mut StageScratch) {
+        let StageScratch { slots, links } = scratch;
+        slots.clear();
+        links.clear();
+        // Index lines → the slot each key will resolve to.
+        slots.extend(trains(hashed).map(|hk| self.flows.stage_probe(hk.hash)));
+        // Record and kernel state at that slot → its list neighbours.
+        for (hk, slot) in trains(hashed).zip(slots.iter()) {
+            let Some(slot) = *slot else { continue };
+            let neighbours = self.flows.stage_record(slot, &hk.canon);
+            links.extend(neighbours.into_iter().flatten());
+            if let Some(ks) = self.kstates.stage(slot as usize) {
+                let offsets = ks
+                    .asm
+                    .each_ref()
+                    .map(|a| a.as_ref().map(|a| a.stream_offset()));
+                black_box((ks.uid, offsets));
+            }
+        }
+        // The neighbours' links, which the touch rewrites.
+        for &slot in links.iter() {
+            self.flows.stage_links(slot);
+        }
+    }
+}
+
+/// The burst's keys, a train of one flow's packets counted once.
+fn trains(hashed: &[Option<HashedKey>]) -> impl Iterator<Item = &HashedKey> {
+    let mut last = None;
+    hashed
+        .iter()
+        .flatten()
+        .filter(move |hk| last.replace(hk.hash) != Some(hk.hash))
+}
+
 /// What one packet's probe found.
 pub(crate) struct Probed {
     pub id: StreamId,
@@ -85,6 +137,7 @@ pub(crate) struct FlowProbe {
     /// Flow-table lookups performed (denominator of the mean
     /// probe-length gauge; `Metric::KernelHashProbes` is the numerator).
     pub(super) lookups: u64,
+    stage_scratch: StageScratch,
 }
 
 impl FlowProbe {
@@ -100,7 +153,13 @@ impl FlowProbe {
             uid_index: HashMap::new(),
             uid_counter: 0,
             lookups: 0,
+            stage_scratch: StageScratch::default(),
         }
+    }
+
+    /// [`CoreFlows::stage`] for `core`, with the probe's own scratch.
+    pub(super) fn stage(&mut self, core: usize, hashed: &[Option<HashedKey>]) {
+        self.cores[core].stage(hashed, &mut self.stage_scratch);
     }
 
     /// Look the packet's flow up, or open a record for it, and record the

@@ -947,3 +947,213 @@ fn a_corrupted_copy_of_the_last_image_does_not_propagate() {
     let img = CheckpointImage::decode(&image).expect("next image decodes clean");
     assert_eq!(img.to_bytes(), image);
 }
+
+/// The traffic of one differential case, burst by burst: a preload that
+/// leaves the (single) core's index a few inserts short of growing, then
+/// bursts of the given sizes (the first a full 128, so that the index
+/// grows in the middle of it) drawn from: new UDP flows, hits on old ones
+/// in either direction, whole TCP sessions back to back — opened, fed,
+/// FIN-closed from both ends and opened again on the same 5-tuple — RSTs
+/// and late data on sessions already closed, ICMP (IP without a flow
+/// key), ARP (not IP) and frames too short to parse.
+fn differential_trace(seed: u64, sizes: &[usize]) -> Vec<Vec<Packet>> {
+    use scap_wire::splitmix64;
+    use std::collections::VecDeque;
+
+    let mut state = seed;
+    let mut draw = move || {
+        state = splitmix64(state);
+        state
+    };
+    let udp = |i: u64, reply: bool, len: usize| {
+        let client = [10, (i >> 16) as u8, (i >> 8) as u8, i as u8];
+        let (server, cport) = ([172, 16, 0, 1], 1024 + (i % 60_000) as u16);
+        let payload = vec![i as u8; len];
+        if reply {
+            PacketBuilder::udp_v4(server, client, 53, cport, &payload)
+        } else {
+            PacketBuilder::udp_v4(client, server, cport, 53, &payload)
+        }
+    };
+    // Segment `step` of TCP session `i`, whose ISNs follow `life` (a
+    // re-opened session is a new connection on the old 5-tuple).
+    let tcp = |i: u64, life: u32, step: u8| {
+        let c = [11, (i >> 16) as u8, (i >> 8) as u8, i as u8];
+        let (s, cp, sp) = ([93, 184, 216, 34], 2000 + (i % 60_000) as u16, 80);
+        let (ic, is) = (1_000 + life * 100_000, 5_000 + life * 100_000);
+        let ack = TcpFlags::ACK;
+        let data = [b'a' + step; 100];
+        match step {
+            0 => PacketBuilder::tcp_v4(c, s, cp, sp, ic, 0, TcpFlags::SYN, b""),
+            1 => PacketBuilder::tcp_v4(s, c, sp, cp, is, ic + 1, TcpFlags::SYN | ack, b""),
+            2 => PacketBuilder::tcp_v4(c, s, cp, sp, ic + 1, is + 1, ack, b""),
+            3 => PacketBuilder::tcp_v4(c, s, cp, sp, ic + 1, is + 1, ack, &data),
+            4 => PacketBuilder::tcp_v4(s, c, sp, cp, is + 1, ic + 101, ack, &data),
+            5 => PacketBuilder::tcp_v4(c, s, cp, sp, ic + 101, is + 101, TcpFlags::FIN | ack, b""),
+            6 => PacketBuilder::tcp_v4(s, c, sp, cp, is + 101, ic + 102, TcpFlags::FIN | ack, b""),
+            7 => PacketBuilder::tcp_v4(c, s, cp, sp, ic + 102, is + 102, TcpFlags::RST, b""),
+            _ => PacketBuilder::tcp_v4(c, s, cp, sp, ic + 102, is + 102, ack, &data),
+        }
+    };
+
+    let preload = 7_168 - 4 - seed % 12;
+    let (mut udp_flows, mut tcp_flows) = (preload, 0u64);
+    // The preload fits inside one inactivity timeout (8 ms), so nothing
+    // expires before the index has grown; the bursts then span several.
+    let (mut ts, mut gap) = (0u64, 1_000);
+    let mut stamp = |frame: Vec<u8>, gap: u64| {
+        ts += gap;
+        Packet::new(ts, frame)
+    };
+    let mut trace: Vec<Vec<Packet>> = (0..preload)
+        .map(|i| stamp(udp(i, false, 20), gap))
+        .collect::<Vec<_>>()
+        .chunks(256)
+        .map(<[Packet]>::to_vec)
+        .collect();
+    gap = 10_000;
+    let mut session: VecDeque<Vec<u8>> = VecDeque::new();
+    for &size in std::iter::once(&128).chain(sizes) {
+        let mut burst = Vec::with_capacity(size);
+        while burst.len() < size {
+            if let Some(frame) = session.pop_front() {
+                burst.push(stamp(frame, gap));
+                continue;
+            }
+            let d = draw();
+            let (kind, pick) = (d % 16, d >> 8);
+            let frame = match kind {
+                0..=4 => {
+                    udp_flows += 1;
+                    udp(udp_flows - 1, false, 20)
+                }
+                5..=8 | 10 => udp(
+                    pick % udp_flows,
+                    pick & 1 << 40 != 0,
+                    (pick >> 41) as usize % 64,
+                ),
+                9 => {
+                    tcp_flows += 1;
+                    let i = tcp_flows - 1;
+                    session.extend((1..=6).map(|step| tcp(i, 0, step)));
+                    session.extend([0, 1, 2, 3].map(|step| tcp(i, 1, step)));
+                    tcp(i, 0, 0)
+                }
+                11 => {
+                    PacketBuilder::icmp_echo_v4([10, 0, 0, 1], [10, 0, 0, 2], 7, d as u16, b"ping")
+                }
+                12 => {
+                    let mut arp = vec![0u8; 60];
+                    arp[12..14].copy_from_slice(&[0x08, 0x06]);
+                    arp
+                }
+                13 => vec![0xEE; 10],
+                _ if tcp_flows == 0 => udp(pick % udp_flows, true, 0),
+                14 => tcp(pick % tcp_flows, (pick >> 32) as u32 % 2, 7),
+                _ => tcp(pick % tcp_flows, 0, 8),
+            };
+            burst.push(stamp(frame, gap));
+        }
+        trace.push(burst);
+    }
+    trace
+}
+
+/// Everything the three dispatch configurations must agree on.
+#[derive(Debug, PartialEq)]
+struct DifferentialOutcome {
+    stats: String,
+    delivered: std::collections::BTreeMap<(StreamUid, usize), Vec<u8>>,
+    table_probes: Vec<u64>,
+    hash_probes: u64,
+    cache_misses: u64,
+    index_capacity: usize,
+    /// Create / terminate / drop / discard: kind, reason, uid, values.
+    journal: Vec<(FlightKind, DropReason, u64, u64, u64)>,
+}
+
+fn differential_run(
+    dispatch: crate::DispatchMode,
+    burst: usize,
+    trace: &[Vec<Packet>],
+) -> DifferentialOutcome {
+    let mut k = kernel(ScapConfig {
+        dispatch,
+        fastpath_burst: burst,
+        cores: 1,
+        chunk_size: 64,
+        inactivity_timeout_ns: 8_000_000,
+        flight_ring_cap: 1 << 17,
+        ..Default::default()
+    });
+    k.set_cache(scap_sim::CacheSim::paper_l2());
+    let mut delivered = std::collections::BTreeMap::<_, Vec<u8>>::new();
+    let mut work = scap_sim::Work::default();
+    for group in trace {
+        for p in group {
+            k.nic_receive(p);
+        }
+        let now = group.last().unwrap().ts_ns;
+        let poll = match dispatch {
+            crate::DispatchMode::Classic => ScapKernel::kernel_poll,
+            crate::DispatchMode::Fastpath => ScapKernel::poll_burst,
+        };
+        while let Some(w) = poll(&mut k, 0, now) {
+            work.add(&w);
+        }
+        k.kernel_timers(0, now);
+        k.drain_events(now, |k, ev| {
+            if let EventKind::Data { dir, chunk, .. } = &ev.kind {
+                let stream = delivered.entry((ev.stream.uid, dir.index())).or_default();
+                stream.extend_from_slice(chunk.bytes());
+            }
+            k.release_event(ev);
+        });
+    }
+    let flows = &k.flows.cores[0].flows;
+    let journal = k.flight().events();
+    assert_eq!(
+        journal.len() as u64,
+        k.flight().total_recorded(),
+        "ring too small"
+    );
+    let lifecycle = |kind| {
+        use FlightKind::{Discard, Drop, StreamCreated, StreamTerminated};
+        matches!(kind, StreamCreated | StreamTerminated | Drop | Discard)
+    };
+    DifferentialOutcome {
+        stats: format!("{:?}", k.stats()),
+        delivered,
+        table_probes: k.flows.cores.iter().map(|c| c.flows.probes).collect(),
+        hash_probes: work.k_hash_probes,
+        cache_misses: work.k_cache_misses,
+        index_capacity: flows.index_capacity(),
+        journal: journal
+            .iter()
+            .filter(|e| lifecycle(e.kind))
+            .map(|e| (e.kind, e.reason, e.uid, e.a, e.b))
+            .collect(),
+    }
+}
+
+proptest::proptest! {
+    /// Classic dispatch, the fast path a frame at a time and the fast
+    /// path in staged bursts of 64 are one machine: same statistics, same
+    /// bytes per stream, same probe counts in the table, the receipts and
+    /// the cache model, same journal — while streams are created, closed
+    /// and re-opened inside a burst and the index grows under it.
+    #[test]
+    fn staged_bursts_change_nothing_but_the_clock(
+        seed: u64,
+        sizes in proptest::collection::vec(1usize..129, 3..9),
+    ) {
+        let trace = differential_trace(seed, &sizes);
+        let classic = differential_run(crate::DispatchMode::Classic, 64, &trace);
+        assert!(classic.index_capacity > 8192, "the index never grew");
+        assert!(classic.delivered.len() > 1 && classic.cache_misses > 0);
+        for burst in [1, 64] {
+            let fast = differential_run(crate::DispatchMode::Fastpath, burst, &trace);
+            assert_eq!(classic, fast, "fast path, burst {burst}");
+        }
+    }
+}

@@ -1,30 +1,40 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # scap-fastpath
 //!
 //! Poll-mode kernel-bypass primitives: the batched building blocks of
 //! Scap's fast dispatch path. A poll-mode driver pulls packets from the
-//! NIC descriptor rings in bursts (DPDK-style, ~64 frames per pull) and
-//! runs each burst through a pipeline of batched stages:
+//! NIC descriptor rings in bursts (DPDK-style, ~64 frames per pull); a
+//! ring entry carries what admission parsed out of its frame, so a burst
+//! comes off the ring ready for a pipeline of stages that each sweep the
+//! whole burst:
 //!
 //! ```text
-//! pull burst ──► parse all ──► hash all (Toeplitz / sym_hash)
-//!            ──► flow-table lookup ──► reassembly/cutoff ──► delivery
+//! pull burst ──► hash all ──► stage the table walk ──► per packet: probe ─► lane
+//! (frames +      (canonical    (loads only, three        (every line it needs
+//!  their parse)   key, dir,     sweeps: index lines →     already on its way
+//!                 sym_hash)     record + state → list     into cache)
+//!                               neighbours)
 //! ```
 //!
-//! Batching amortizes the per-packet entry cost (ring doorbell, branch
-//! and cache warm-up) over the whole burst, and hashing a burst up
-//! front separates the pure arithmetic stage from the memory-bound
-//! table-probe stage, so each stays in its own hot working set.
+//! Batching amortizes the per-burst entry cost (ring access, poll
+//! bookkeeping) over its frames. Its larger gift is that a burst knows
+//! its next few dozen flow-table probes ahead of time: hashing the burst
+//! up front yields every address the first link of each probe's miss
+//! chain needs, the staging sweeps issue those loads for all keys before
+//! any is used, and the cache misses of different flows overlap instead
+//! of queueing one packet behind another (`scap_flow::table`, "Staging a
+//! burst"; DESIGN §9.1 has the measurements).
 //!
 //! This crate is deliberately a leaf: it knows about rings
-//! ([`scap_nic::RxQueue`]), keys ([`scap_wire::FlowKey`]) and the
-//! Toeplitz hasher ([`scap_nic::RssHasher`]) — not about the kernel,
-//! arena, or event machinery. The `scap` core composes these
-//! primitives into its `poll_burst` dispatch loop so both the classic
-//! and fast paths share one set of processing and accounting funnels.
+//! ([`scap_nic::RxQueue`]) and keys ([`scap_wire::FlowKey`]) — not about
+//! the flow table, kernel, arena, or event machinery. The `scap` core
+//! composes these primitives with the table's staging calls into its
+//! `poll_burst` dispatch loop, so both the classic and fast paths share
+//! one set of processing and accounting funnels.
 
-use scap_nic::{RssHasher, RxQueue};
+use scap_nic::RxQueue;
 use scap_wire::{Direction, FlowKey};
 
 /// Default frames pulled per burst (the DPDK sweet spot: large enough
@@ -81,15 +91,6 @@ pub fn hash_burst(
 ) {
     out.clear();
     out.extend(keys.map(|k| k.map(|k| hash_key(seed, &k))));
-}
-
-/// Batched hardware-Toeplitz stage: hash a whole burst of keys the way
-/// the NIC's RSS engine would, one tight sweep over the hasher state
-/// (used to verify software steering agrees with the card and to
-/// pre-compute queue targets for generated workloads).
-pub fn toeplitz_burst(hasher: &RssHasher, keys: &[FlowKey], out: &mut Vec<u32>) {
-    out.clear();
-    out.extend(keys.iter().map(|k| hasher.hash_key(k)));
 }
 
 /// Rolling burst-fill statistics for a poll-mode loop.
@@ -183,19 +184,6 @@ mod tests {
         assert_eq!(a.canon, b.canon);
         assert_eq!(a.hash, b.hash);
         assert_ne!(a.dir, b.dir);
-    }
-
-    #[test]
-    fn toeplitz_burst_matches_scalar_rss() {
-        let hasher = RssHasher::symmetric(8);
-        let keys: Vec<FlowKey> = (0..16).map(key).collect();
-        let mut out = Vec::new();
-        toeplitz_burst(&hasher, &keys, &mut out);
-        for (k, h) in keys.iter().zip(&out) {
-            assert_eq!(*h, hasher.hash_key(k));
-            // Symmetric seed: both directions hash identically.
-            assert_eq!(*h, hasher.hash_key(&k.reversed()));
-        }
     }
 
     #[test]

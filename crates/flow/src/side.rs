@@ -90,6 +90,16 @@ impl<T> SideTable<T> {
         e.value.as_mut()
     }
 
+    /// Whatever state pool slot `slot` holds, of whichever generation:
+    /// for reading ahead of a [`SideTable::get_mut`] (see `FlowTable`'s
+    /// "Staging a burst"), not for acting on. Nothing is stamped.
+    #[inline]
+    pub fn stage(&self, slot: usize) -> Option<&T> {
+        let e = self.entries.get(slot)?;
+        std::hint::black_box(e.generation);
+        e.value.as_ref()
+    }
+
     /// Take the state of `id` out of the table.
     pub fn remove(&mut self, id: StreamId) -> Option<T> {
         let e = self.entries.get_mut(id.slot())?;

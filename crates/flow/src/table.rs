@@ -42,9 +42,25 @@
 //! have changed since I last looked" is answered by construction rather
 //! than by the caller remembering its own writes (the incremental
 //! checkpoint encoder is that caller).
+//!
+//! # Staging a burst
+//!
+//! A probe of a cold flow is a chain of dependent cache misses — ctrl
+//! group, then cached hash and entry, then the record, then the two
+//! access-list neighbours a touch relinks — and one packet at a time
+//! they are taken one after the other. A caller holding a whole burst of
+//! hashed keys can instead issue each link of the chain for every key
+//! before anything needs the next: [`FlowTable::stage_probe`],
+//! [`FlowTable::stage_record`] and [`FlowTable::stage_links`] are those
+//! loads and nothing else. They take `&self`: no probe is counted, no
+//! epoch stamped, no list relinked, nothing returned that a lookup would
+//! trust — the slot they pass along is a guess (tag and cached hash
+//! matched; the key was not compared), and the real probe that follows
+//! finds whatever it would have found, faster.
 
 use crate::record::{StreamId, StreamRecord};
 use scap_wire::{Direction, FlowKey};
+use std::hint::black_box;
 
 /// Tags scanned per probe step (one ctrl group; 16 tags = a quarter of
 /// a 64-byte line, so neighbouring groups share lines).
@@ -148,26 +164,30 @@ impl Index {
         (h as usize & self.mask) / GROUP
     }
 
-    /// Probe for `h`/`canon`, counting ctrl groups examined into
-    /// `probes`. Returns the position of the matching FULL entry.
-    fn find(&self, h: u64, canon: &FlowKey, slots: &[Slot], probes: &mut u64) -> Option<usize> {
+    /// Walk `h`'s probe sequence a ctrl group at a time (`group` runs
+    /// once per group examined) up to the first group with an EMPTY tag.
+    /// Returns the first FULL position whose tag and cached hash are
+    /// `h`'s and that `accept`s.
+    #[inline]
+    fn scan(
+        &self,
+        h: u64,
+        mut group: impl FnMut(),
+        mut accept: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
         let t = tag(h);
         let ngroups = self.ngroups();
         let mut g = self.home_group(h);
         for _ in 0..ngroups {
-            *probes += 1;
+            group();
             let base = g * GROUP;
             let mut saw_empty = false;
             for pos in base..base + GROUP {
                 let c = self.ctrl[pos];
                 if c == CTRL_EMPTY {
                     saw_empty = true;
-                } else if c == t && self.hashes[pos] == h {
-                    if let Some(rec) = slots[self.entries[pos] as usize].record.as_ref() {
-                        if rec.key == *canon {
-                            return Some(pos);
-                        }
-                    }
+                } else if c == t && self.hashes[pos] == h && accept(pos) {
+                    return Some(pos);
                 }
             }
             if saw_empty {
@@ -176,6 +196,27 @@ impl Index {
             g = (g + 1) & (ngroups - 1);
         }
         None
+    }
+
+    /// Probe for `h`/`canon`, counting ctrl groups examined into
+    /// `probes`. Returns the position of the matching FULL entry.
+    fn find(&self, h: u64, canon: &FlowKey, slots: &[Slot], probes: &mut u64) -> Option<usize> {
+        self.scan(
+            h,
+            || *probes += 1,
+            |pos| {
+                let rec = slots[self.entries[pos] as usize].record.as_ref();
+                rec.is_some_and(|rec| rec.key == *canon)
+            },
+        )
+    }
+
+    /// The pool slot behind the first position `h`'s tag and cached hash
+    /// match: where [`Index::find`] will almost surely end up, learnt
+    /// from the index lines alone.
+    fn candidate(&self, h: u64) -> Option<u32> {
+        let pos = self.scan(h, || {}, |_| true)?;
+        Some(self.entries[pos])
     }
 
     /// First insertable position in `h`'s probe sequence: the earliest
@@ -504,14 +545,13 @@ impl FlowTable {
     /// Record activity: stamp `last_ts_ns` and move to the front of the
     /// access list (constant time).
     pub fn touch(&mut self, id: StreamId, now: u64) {
-        if self.get(id).is_none() {
-            return;
-        }
-        let slot = id.slot;
-        self.lru_unlink(slot);
-        self.lru_push_front(slot);
-        if let Some(rec) = self.get_mut(id) {
-            rec.last_ts_ns = rec.last_ts_ns.max(now);
+        let Some(rec) = self.get_mut(id) else { return };
+        rec.last_ts_ns = rec.last_ts_ns.max(now);
+        // The head is where a relink would put it: a train of one flow's
+        // packets writes its neighbours' links once, not per packet.
+        if self.lru_head != Some(id.slot) {
+            self.lru_unlink(id.slot);
+            self.lru_push_front(id.slot);
         }
     }
 
@@ -614,6 +654,47 @@ impl FlowTable {
     pub fn drain_all(&mut self) -> Vec<StreamRecord> {
         let ids: Vec<StreamId> = self.iter().map(|r| r.id).collect();
         ids.into_iter().filter_map(|id| self.remove(id)).collect()
+    }
+
+    // ---- staging (see the module docs) ----
+
+    /// First link of the chain: read `h`'s index lines — the active
+    /// index, then the pending old one — and return the pool slot a
+    /// probe for `h` will most likely resolve to.
+    pub fn stage_probe(&self, h: u64) -> Option<u32> {
+        let old = || self.old.as_ref().and_then(|(old, _)| old.candidate(h));
+        self.index.candidate(h).or_else(old)
+    }
+
+    /// Second link: read what a probe for `canon`, a touch and the wire
+    /// accounting read of the record in pool slot `slot`. Returns its
+    /// access-list neighbours (previous, next) for the third.
+    pub fn stage_record(&self, slot: u32, canon: &FlowKey) -> [Option<u32>; 2] {
+        let Some(s) = self.slots.get(slot as usize) else {
+            return [None; 2];
+        };
+        let Some(rec) = s.record.as_ref() else {
+            return [None; 2];
+        };
+        black_box((
+            s.generation,
+            rec.key == *canon,
+            rec.last_ts_ns,
+            rec.dirs[0].total_pkts,
+            rec.dirs[1].total_pkts,
+            rec.discarded,
+        ));
+        [rec.lru_prev, rec.lru_next]
+    }
+
+    /// Third link: read the access-list links of the record in pool slot
+    /// `slot`, which relinking a neighbour writes.
+    pub fn stage_links(&self, slot: u32) {
+        let rec = self
+            .slots
+            .get(slot as usize)
+            .and_then(|s| s.record.as_ref());
+        black_box(rec.map(|rec| (rec.lru_prev, rec.lru_next)));
     }
 
     // ---- intrusive access list ----
@@ -778,6 +859,169 @@ mod tests {
         assert_eq!(gone.len(), 5);
         assert!(gone.iter().all(|r| t.touched(r.id)));
         assert!(!t.touched(reused));
+    }
+
+    #[test]
+    fn touching_the_head_rewrites_nobodys_links() {
+        let mut t = table();
+        let [a, b, c] = [1, 2, 3].map(|i| t.lookup_or_insert(&key(i), 10).unwrap().id);
+        t.next_epoch();
+        let links = |t: &FlowTable, id: StreamId| {
+            let rec = t.get(id).unwrap();
+            (rec.lru_prev, rec.lru_next)
+        };
+        let (of_a, of_b) = (links(&t, a), links(&t, b));
+        assert_eq!(
+            of_b,
+            (Some(c.slot), Some(a.slot)),
+            "c is the head, then b, a"
+        );
+        t.touch(c, 50);
+        assert_eq!(t.get(c).unwrap().last_ts_ns, 50);
+        assert!(t.touched(c));
+        assert_eq!((links(&t, a), links(&t, b)), (of_a, of_b));
+        assert_eq!(links(&t, c), (None, Some(b.slot)));
+        assert!(!t.touched(a) && !t.touched(b));
+        // Anyone else still moves to the front, in front of the old head.
+        t.touch(a, 60);
+        assert_eq!(links(&t, a), (None, Some(c.slot)));
+        assert_eq!(links(&t, c), (Some(a.slot), Some(b.slot)));
+        let order = std::iter::from_fn(|| t.evict_oldest().map(|r| r.id));
+        assert_eq!(order.collect::<Vec<_>>(), [b, c, a]);
+    }
+
+    /// A table small enough to rehash early, with the state of each of
+    /// its streams beside it — and the history the staging tests need:
+    /// a removed key (a TOMBSTONE in the index), a key removed and seen
+    /// again (its slot reused under a new generation, no state: the
+    /// kernel's TIME_WAIT records), and a rehash left pending.
+    fn staging_fixture() -> (FlowTable, crate::SideTable<u32>, Vec<StreamId>) {
+        let cfg = FlowTableConfig {
+            initial_capacity: 16,
+            max_flows: None,
+        };
+        let (mut t, mut side) = (FlowTable::new(cfg, 0x57A6E), crate::SideTable::new());
+        let mut ids = Vec::new();
+        let mut i = 0;
+        while !t.rehash_pending() || ids.len() < 40 {
+            let id = t.lookup_or_insert(&key(i), u64::from(i)).unwrap().id;
+            side.insert(id, i);
+            ids.push(id);
+            if i == 20 {
+                t.remove(ids[3]).unwrap();
+                side.remove(ids[3]);
+                t.remove(ids[5]).unwrap();
+                ids.push(t.lookup_or_insert(&key(5), 20).unwrap().id);
+            }
+            i += 1;
+        }
+        (t, side, ids)
+    }
+
+    /// What a burst does before its per-packet pass, key by key.
+    fn stage(t: &FlowTable, side: &crate::SideTable<u32>, burst: &[FlowKey]) {
+        for k in burst {
+            let (canon, _) = k.canonical();
+            let Some(slot) = t.stage_probe(t.hash(&canon)) else {
+                continue;
+            };
+            black_box(side.stage(slot as usize));
+            for neighbour in t.stage_record(slot, &canon).into_iter().flatten() {
+                t.stage_links(neighbour);
+            }
+        }
+    }
+
+    #[test]
+    fn staging_guesses_the_slot_a_probe_finds() {
+        let (mut t, _, ids) = staging_fixture();
+        assert!(t.rehash_pending(), "some keys are still in the old index");
+        let live: Vec<StreamId> = ids
+            .iter()
+            .copied()
+            .filter(|&id| t.get(id).is_some())
+            .collect();
+        assert_eq!(live.len(), t.len());
+        for id in live {
+            let k = t.get(id).unwrap().key;
+            assert_eq!(t.stage_probe(t.hash(&k)), Some(id.slot), "{k}");
+            assert_eq!(t.lookup(&k.reversed()).unwrap().0, id);
+        }
+        // A key that was removed, and keys never seen.
+        for i in [3, 1000, 1001, 1002] {
+            assert_eq!(t.stage_probe(t.hash(&key(i).canonical().0)), None);
+        }
+        // A slot is a guess, not a handle: one past the pool is nothing.
+        let past = t.slots.len() as u32;
+        assert_eq!(t.stage_record(past, &key(0)), [None; 2]);
+        t.stage_links(past);
+    }
+
+    #[test]
+    fn staging_leaves_no_trace() {
+        let (mut staged, mut staged_side, ids) = staging_fixture();
+        let (mut twin, mut twin_side, _) = staging_fixture();
+        for t in [&mut staged, &mut twin] {
+            t.next_epoch();
+        }
+        for side in [&mut staged_side, &mut twin_side] {
+            side.next_epoch();
+        }
+        // Hits in both directions, misses, the removed key, the reused
+        // slot, a stale handle's key — several times over, in a burst far
+        // longer than the table has ctrl groups.
+        let burst: Vec<FlowKey> = (0..200u32)
+            .map(|n| match n % 4 {
+                0 => key(n % 40),
+                1 => key(n % 40).reversed(),
+                2 => key(5_000 + n),
+                _ => key([3, 5][n as usize / 4 % 2]),
+            })
+            .collect();
+        assert!(burst.len() > staged.index.ngroups());
+        assert!(staged.rehash_pending());
+        let probes = staged.probes;
+        stage(&staged, &staged_side, &burst);
+        assert_eq!(staged.probes, probes);
+        assert!(staged.rehash_pending(), "staging migrates nothing");
+        assert!(!ids
+            .iter()
+            .any(|&id| staged.touched(id) || staged_side.touched(id)));
+
+        // The same operations on both from here on, the staged table
+        // staging each before it happens: nothing ever tells them apart.
+        for (n, k) in burst.iter().enumerate() {
+            let now = 1_000 + n as u64;
+            stage(&staged, &staged_side, &burst[n..(n + 8).min(burst.len())]);
+            let seen = [&mut staged, &mut twin].map(|t| {
+                let l = t.lookup_or_insert(k, now).unwrap();
+                t.touch(l.id, now);
+                (l, t.probes, t.rehash_pending())
+            });
+            assert_eq!(seen[0], seen[1], "{k}");
+            for side in [&mut staged_side, &mut twin_side] {
+                if let Some(v) = side.get_mut(seen[0].0.id) {
+                    *v += 1;
+                }
+            }
+        }
+        for id in ids
+            .iter()
+            .copied()
+            .chain(staged.iter().map(|r| r.id).collect::<Vec<_>>())
+        {
+            assert_eq!(staged.touched(id), twin.touched(id));
+            assert_eq!(staged_side.touched(id), twin_side.touched(id));
+            assert_eq!(staged_side.get(id), twin_side.get(id));
+        }
+        let drain = |t: &mut FlowTable| -> Vec<(StreamId, u64)> {
+            std::iter::from_fn(|| t.evict_oldest())
+                .map(|r| (r.id, r.last_ts_ns))
+                .collect()
+        };
+        let order = drain(&mut staged);
+        assert!(order.len() > 40);
+        assert_eq!(order, drain(&mut twin));
     }
 
     #[test]

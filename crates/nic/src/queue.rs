@@ -4,6 +4,13 @@
 //! the host is too slow to replenish descriptors, arriving frames are
 //! dropped at the NIC — the overload mechanism every drop-rate figure in
 //! the paper ultimately measures.
+//!
+//! `capacity` is where the ring starts dropping, not what it allocates:
+//! storage grows to the depth the ring was ever filled to, and a ring
+//! drained empty starts over at its first slot. A consumer that keeps up
+//! therefore works in the same few cache lines, whatever the size of an
+//! item, instead of walking — and keeping resident — all `capacity` slots
+//! (8 rings × 4,096 entries of 104 B would be 3.4 MB a kernel).
 
 use std::collections::VecDeque;
 
@@ -25,7 +32,7 @@ impl<T> RxQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         RxQueue {
-            ring: VecDeque::with_capacity(capacity),
+            ring: VecDeque::new(),
             capacity,
             enqueued: 0,
             dropped: 0,
@@ -48,7 +55,13 @@ impl<T> RxQueue<T> {
 
     /// Dequeue the oldest item.
     pub fn pop(&mut self) -> Option<T> {
-        self.ring.pop_front()
+        let item = self.ring.pop_front();
+        // Start over at the first slot: `clear` rewinds an empty
+        // `VecDeque` (were it ever not to, only the locality is lost).
+        if self.ring.is_empty() {
+            self.ring.clear();
+        }
+        item
     }
 
     /// Current occupancy.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # scap-wire
@@ -139,6 +140,53 @@ impl<'a> ParsedPacket<'a> {
     /// True when the packet is a UDP datagram.
     pub fn is_udp(&self) -> bool {
         self.ip_proto == Some(ip_proto::UDP)
+    }
+
+    /// Everything the parse found, without the borrow of the frame: what
+    /// a queue stores beside the frame so that nobody parses it again.
+    pub fn meta(&self) -> FrameMeta {
+        FrameMeta {
+            ethertype: self.ethertype,
+            key: self.key,
+            ip_proto: self.ip_proto,
+            payload_off: self.payload_off,
+            payload_len: self.payload_len,
+            tcp: self.tcp,
+        }
+    }
+}
+
+/// A [`ParsedPacket`] without its `frame`: owned, `Copy`, and valid only
+/// for the frame it was taken from ([`ParsedPacket::meta`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameMeta {
+    ethertype: EtherType,
+    key: Option<FlowKey>,
+    ip_proto: Option<u8>,
+    payload_off: usize,
+    payload_len: usize,
+    tcp: Option<TcpMeta>,
+}
+
+impl FrameMeta {
+    /// The flow key the parse found.
+    pub fn key(&self) -> Option<FlowKey> {
+        self.key
+    }
+
+    /// The parsed packet again, over the frame the metadata came from
+    /// (over any other, [`ParsedPacket::payload`] is the wrong bytes or a
+    /// panic, as for a hand-built `ParsedPacket`).
+    pub fn attach<'a>(&self, frame: &'a [u8]) -> ParsedPacket<'a> {
+        ParsedPacket {
+            frame,
+            ethertype: self.ethertype,
+            key: self.key,
+            ip_proto: self.ip_proto,
+            payload_off: self.payload_off,
+            payload_len: self.payload_len,
+            tcp: self.tcp,
+        }
     }
 }
 
@@ -299,6 +347,30 @@ mod tests {
         let key = p.key.unwrap();
         assert_eq!(key.src_port(), 1234);
         assert_eq!(key.dst_port(), 80);
+    }
+
+    #[test]
+    fn meta_reattached_to_its_frame_is_the_parse() {
+        let tcp = PacketBuilder::tcp_v4(
+            [10, 0, 0, 1],
+            [10, 0, 0, 2],
+            1234,
+            80,
+            7,
+            9,
+            TcpFlags::ACK,
+            b"payload",
+        );
+        let udp = PacketBuilder::udp_v4([1, 1, 1, 1], [2, 2, 2, 2], 10, 20, b"x");
+        let mut arp = vec![0u8; 60];
+        arp[12..14].copy_from_slice(&[0x08, 0x06]);
+        for frame in [tcp, udp, arp] {
+            let parsed = parse_frame(&frame).unwrap();
+            let meta = parsed.meta();
+            assert_eq!(meta.key(), parsed.key);
+            assert_eq!(meta.attach(&frame), parsed);
+        }
+        assert!(std::mem::size_of::<FrameMeta>() <= 80);
     }
 
     #[test]
