@@ -27,6 +27,25 @@ echo "== staged bursts against per-packet dispatch, release profile =="
 # on the code the benchmark measures, too.
 cargo test -q --release -p scap --lib staged_bursts_change_nothing_but_the_clock
 
+echo "== table reference models, release profile =="
+# The proptests of the shared index and of both tables built on it
+# (against HashMap / BTreeMap models), on the optimised code the
+# benchmark measures.
+cargo test -q --release -p scap-flow -p scap-offload
+
+echo "== one index, one slot =="
+# The probe discipline is written once (scap_flow::index) and the
+# per-stream state lives in the flow table's slot: a second copy of
+# either, or the sidecar coming back, fails here.
+for def in 'const CTRL_TOMB' 'fn insert_pos'; do
+    files=$(grep -rl --include='*.rs' "$def" crates/ | wc -l)
+    [ "$files" -eq 1 ] || { echo "\`$def\` is defined in $files files under crates/"; exit 1; }
+done
+if grep -rn --exclude-dir=target --exclude-dir=.git --exclude=CHANGES.md \
+        --exclude=EXPERIMENTS.md --exclude=ISSUE.md --exclude=ci.sh 'SideTable' . ; then
+    echo "SideTable is back (see above)"; exit 1
+fi
+
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
 

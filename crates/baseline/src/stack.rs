@@ -25,7 +25,6 @@ use scap_reassembly::{OverlapPolicy, ReasmConfig, ReassemblyMode, TcpConn};
 use scap_sim::{CacheSim, CaptureStack, CoreBudgets, StackStats, Work};
 use scap_trace::Packet;
 use scap_wire::{parse_frame, Direction, Transport};
-use std::collections::HashMap;
 
 /// Baseline stack configuration.
 #[derive(Debug, Clone)]
@@ -115,8 +114,8 @@ pub struct UserStack<A: BaselineApp> {
     cfg: UserStackConfig,
     nic: Nic<Packet>,
     ring: PacketRing,
-    flows: FlowTable,
-    ustates: HashMap<StreamId, UState>,
+    /// Records and, in the same slots, the user-level stream state.
+    flows: FlowTable<UState>,
     app: A,
     cache: Option<CacheSim>,
     stats: StackStats,
@@ -131,14 +130,13 @@ impl<A: BaselineApp> UserStack<A> {
         UserStack {
             nic: Nic::new(cfg.cores.max(1), 4096),
             ring: PacketRing::new(cfg.ring_bytes),
-            flows: FlowTable::new(
+            flows: FlowTable::with_state(
                 FlowTableConfig {
                     initial_capacity: 4096,
                     max_flows: Some(cfg.max_flows),
                 },
                 0xBA5E_11E5,
             ),
-            ustates: HashMap::new(),
             app,
             cache: None,
             stats: StackStats::default(),
@@ -219,29 +217,25 @@ impl<A: BaselineApp> UserStack<A> {
             let trackable =
                 !self.cfg.require_handshake || key.transport() != Transport::Tcp || is_syn;
             self.uid_counter += 1;
-            self.ustates.insert(
-                id,
-                UState {
-                    uid: self.uid_counter,
-                    conn: None,
-                    buf: [Vec::new(), Vec::new()],
-                    delivered: [0, 0],
-                    tracked: trackable,
-                },
-            );
+            let fresh = UState {
+                uid: self.uid_counter,
+                conn: None,
+                buf: [Vec::new(), Vec::new()],
+                delivered: [0, 0],
+                tracked: trackable,
+            };
+            self.flows.set_state(id, fresh);
             if trackable {
                 self.stats.streams_created += 1;
             }
         }
 
-        {
-            let rec = self.flows.get_mut(id).expect("live");
-            rec.dirs[dir.index()].total_pkts += 1;
-            rec.dirs[dir.index()].total_bytes += pkt.len() as u64;
-        }
         self.flows.touch(id, now);
-
-        let Some(mut ust) = self.ustates.remove(&id) else {
+        let (ust, rec) = self.flows.stream_mut(id);
+        let rec = rec.expect("live");
+        rec.dirs[dir.index()].total_pkts += 1;
+        rec.dirs[dir.index()].total_bytes += pkt.len() as u64;
+        let Some(ust) = ust else {
             // TIME_WAIT tombstone: absorb silently.
             self.stats.discarded_packets += 1;
             return work;
@@ -249,7 +243,6 @@ impl<A: BaselineApp> UserStack<A> {
         if !ust.tracked {
             self.stats.discarded_packets += 1;
             self.stats.discarded_bytes += pkt.len() as u64;
-            self.ustates.insert(id, ust);
             return work;
         }
 
@@ -288,7 +281,6 @@ impl<A: BaselineApp> UserStack<A> {
                     );
                 }
                 if outcome.data.delivered > 0 || outcome.data.buffered > 0 {
-                    let rec = self.flows.get_mut(id).expect("live");
                     rec.dirs[dir.index()].captured_pkts += 1;
                     rec.dirs[dir.index()].captured_bytes += appended;
                 }
@@ -317,7 +309,6 @@ impl<A: BaselineApp> UserStack<A> {
             ust.buf[dir.index()].extend_from_slice(&payload[..take]);
             self.buffered_bytes += take;
             work.u_bytes_copied += take as u64;
-            let rec = self.flows.get_mut(id).expect("live");
             rec.dirs[dir.index()].captured_pkts += 1;
             rec.dirs[dir.index()].captured_bytes += take as u64;
         }
@@ -341,6 +332,7 @@ impl<A: BaselineApp> UserStack<A> {
         }
 
         if let Some(_kind) = closed {
+            let ust = self.flows.take_state(id).expect("borrowed above");
             self.finish_stream(id, ust, &mut work);
             // TIME_WAIT tombstone.
             let l = self
@@ -348,8 +340,6 @@ impl<A: BaselineApp> UserStack<A> {
                 .lookup_or_insert(&key, now)
                 .expect("slot just freed");
             let _ = l;
-        } else {
-            self.ustates.insert(id, ust);
         }
         work
     }
@@ -405,7 +395,7 @@ impl<A: BaselineApp> UserStack<A> {
             }
             for rec in expired {
                 let id = rec.id;
-                if let Some(ust) = self.ustates.remove(&id) {
+                if let Some(ust) = self.flows.take_state(id) {
                     // Reinstate briefly so finish_stream can read totals.
                     // (The record is already removed; use its values.)
                     let mut ust = ust;
@@ -534,7 +524,7 @@ impl<A: BaselineApp> CaptureStack for UserStack<A> {
         let ids: Vec<StreamId> = self.flows.iter().map(|r| r.id).collect();
         let mut work = Work::default();
         for id in ids {
-            if let Some(ust) = self.ustates.remove(&id) {
+            if let Some(ust) = self.flows.take_state(id) {
                 self.finish_stream(id, ust, &mut work);
             } else {
                 self.flows.remove(id);

@@ -219,8 +219,8 @@ impl ScapKernel {
     /// [`ControlOp::SetCutoff`] and the hot-reload path, which both go
     /// through [`ScapKernel::control`].
     fn reopen_if_within_cutoff(&mut self, o: Owner) {
-        let cf = &mut self.flows.cores[o.core];
-        let (Some(ks), Some(rec)) = (cf.kstates.get(o.id), cf.flows.get(o.id)) else {
+        let flows = &mut self.flows.cores[o.core];
+        let (Some(ks), Some(rec)) = (flows.state(o.id), flows.get(o.id)) else {
             return; // tombstone: nothing to re-open
         };
         let still_beyond = (0..2).any(|d| {
@@ -231,7 +231,7 @@ impl ScapKernel {
             return;
         }
         let key = rec.key;
-        if let Some(rec) = cf.flows.get_mut(o.id) {
+        if let Some(rec) = flows.get_mut(o.id) {
             rec.cutoff_exceeded = false;
         }
         let (hw, mut deps) = self.hw();
@@ -426,12 +426,12 @@ impl ScapKernel {
 
     /// Streams currently tracked on a core.
     pub fn tracked_streams(&self, core: usize) -> usize {
-        self.flows.cores[core].flows.len()
+        self.flows.cores[core].len()
     }
 
     /// Iterate live records on a core (tests and diagnostics).
     pub fn streams_on_core(&self, core: usize) -> impl Iterator<Item = &StreamRecord> {
-        self.flows.cores[core].flows.iter()
+        self.flows.cores[core].iter()
     }
 
     /// Pop the next event from a core's queue (user side).

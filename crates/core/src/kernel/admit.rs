@@ -161,7 +161,7 @@ impl NicStage {
         key: &FlowKey,
     ) {
         let target = self.nic.rss_queue(key);
-        let tracked = |c: usize| flows.cores[c].flows.len();
+        let tracked = |c: usize| flows.cores[c].len();
         // One pass: total, the target's count, and the first coldest core.
         let ncores = flows.cores.len();
         let (mut total, mut coldest) = (0usize, 0usize);

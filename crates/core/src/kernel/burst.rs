@@ -75,7 +75,7 @@ impl ScapKernel {
         let (frames, mut hashed) = self.nic.pull(core, now, burst)?;
         // Canonicalize + hash every key against this core's table seed
         // in one arithmetic-only sweep.
-        let seed = self.flows.cores[core].flows.seed();
+        let seed = self.flows.cores[core].seed();
         scap_fastpath::hash_burst(seed, frames.iter().map(|f| f.meta.key()), &mut hashed);
         // Walk the table for the whole burst, loads only, so that the
         // per-packet pass below finds its lines in cache.
@@ -136,7 +136,7 @@ impl ScapKernel {
         // canonical key and its symmetric hash.
         let hk = match prehashed {
             Some(hk) => *hk,
-            None => hash_key(self.flows.cores[core].flows.seed(), &key),
+            None => hash_key(self.flows.cores[core].seed(), &key),
         };
         let Ok(probed) = self.flows.probe(&mut self.ledger, core, &hk, now) else {
             // Flow table at its configured cap (a flood can get here):
@@ -152,9 +152,9 @@ impl ScapKernel {
             self.open_stream(core, id, &key, pkt.ts_ns, now);
         }
 
-        let cf = &mut self.flows.cores[core];
-        cf.flows.touch(id, now);
-        let (Some(ks), Some(rec)) = cf.stream_mut(id) else {
+        let flows = &mut self.flows.cores[core];
+        flows.touch(id, now);
+        let (Some(ks), Some(rec)) = flows.stream_mut(id) else {
             // TIME_WAIT tombstone: a stream that already terminated keeps
             // its table slot until the inactivity timeout so stray
             // teardown ACKs and late retransmissions do not spawn ghost
@@ -209,7 +209,7 @@ impl ScapKernel {
         let created = FlightEvent::new(FlightKind::StreamCreated, FlightLayer::Kernel, now);
         self.ledger.journal(at, created);
         // Invariant: `created` implies the slot is live.
-        let rec = self.flows.cores[core].flows.get_mut(id);
+        let rec = self.flows.cores[core].get_mut(id);
         debug_assert!(rec.is_some());
         let Some(rec) = rec else { return };
         rec.cutoff = self.cfg.cutoff.effective(key);

@@ -9,11 +9,11 @@
 
 use super::admit::Admitted;
 use super::ledger::{At, Ledger};
-use super::probe::{CoreFlows, FlowProbe};
+use super::probe::{FlowProbe, StreamKState};
 use crate::config::ScapConfig;
 use crate::event::StreamUid;
 use scap_flight::{FlightEvent, FlightKind, FlightLayer};
-use scap_flow::StreamId;
+use scap_flow::{FlowTable, StreamId};
 use scap_nic::{FdirError, FdirFilter, Nic, OffloadAction, OffloadError, OffloadRule};
 use scap_telemetry::Metric;
 use scap_wire::{Direction, FlowKey, TcpFlags, TcpMeta, Transport};
@@ -107,7 +107,7 @@ pub(crate) struct HwDeps<'a> {
 
 impl HwDeps<'_> {
     fn filter_state(&mut self, o: Owner) -> Option<&mut FilterState> {
-        let ks = self.flows.cores[o.core].kstates.get_mut(o.id)?;
+        let ks = self.flows.cores[o.core].state_mut(o.id)?;
         Some(&mut ks.hw)
     }
 
@@ -163,12 +163,12 @@ impl HwCutoff {
     /// rule is live; on a transient hardware failure the caller composes
     /// with the classic FDIR install/retry path instead.
     fn install_offload(&mut self, d: &mut HwDeps<'_>, core: usize, id: StreamId, now: u64) -> bool {
-        let cf = &d.flows.cores[core];
-        let Some(rec) = cf.flows.get(id) else {
+        let flows = &d.flows.cores[core];
+        let Some(rec) = flows.get(id) else {
             return false;
         };
         let rule = OffloadRule::new(rec.key, OffloadAction::Drop, rec.priority);
-        let uid = match cf.kstates.get(id) {
+        let uid = match flows.state(id) {
             Some(ks) if ks.hw.offload_installed => return true, // already shunting
             Some(ks) => ks.uid,
             None => return false,
@@ -231,13 +231,13 @@ impl HwCutoff {
         now: u64,
         reinstall: bool,
     ) {
-        let Some(key) = d.flows.cores[core].flows.get(id).map(|rec| rec.key) else {
+        let Some(key) = d.flows.cores[core].get(id).map(|rec| rec.key) else {
             return;
         };
         if key.transport() != Transport::Tcp {
             return;
         }
-        let Some(ks) = d.flows.cores[core].kstates.get_mut(id) else {
+        let Some(ks) = d.flows.cores[core].state_mut(id) else {
             return;
         };
         let fs = &mut ks.hw;
@@ -408,7 +408,7 @@ impl HwCutoff {
     /// enforcement for the stream's remaining lifetime.
     fn retry(&mut self, d: &mut HwDeps<'_>, r: FdirRetry, now: u64) -> bool {
         let o = r.owner;
-        let Some(key) = d.flows.cores[o.core].flows.get(o.id).map(|rec| rec.key) else {
+        let Some(key) = d.flows.cores[o.core].get(o.id).map(|rec| rec.key) else {
             return false;
         };
         if d.nic.fdir().free() >= 4 && Self::try_install_filters(d, key) {
@@ -494,12 +494,12 @@ impl HwCutoff {
 /// On FIN/RST of an FDIR-filtered stream, estimate per-direction totals
 /// from sequence numbers (per-filter NIC counters don't exist, §5.5).
 pub(super) fn estimate_filtered_sizes(
-    cf: &mut CoreFlows,
+    flows: &mut FlowTable<StreamKState>,
     id: StreamId,
     meta: &TcpMeta,
     dir: Direction,
 ) {
-    let Some(ks) = cf.kstates.get(id) else {
+    let Some(ks) = flows.state(id) else {
         return;
     };
     if !ks.hw.fdir_installed {
@@ -508,7 +508,7 @@ pub(super) fn estimate_filtered_sizes(
     let Some(conn) = ks.conn.as_ref() else { return };
     let fwd_est = conn.dir(dir).rel_offset_of(meta.seq);
     let rev_est = conn.dir(dir.flip()).rel_offset_of(meta.ack);
-    if let Some(rec) = cf.flows.get_mut(id) {
+    if let Some(rec) = flows.get_mut(id) {
         if let Some(e) = fwd_est {
             let d = &mut rec.dirs[dir.index()];
             d.total_bytes = d.total_bytes.max(e);
@@ -547,7 +547,7 @@ mod tests {
             nic.fdir_mut().set_fault_injector(Self::hardware(1.0));
             let mut flows = FlowProbe::new(1);
             let key = FlowKey::new_v4([10, 0, 0, 1], [10, 0, 0, 2], 4000, 80, Transport::Tcp);
-            let id = flows.cores[0].flows.lookup_or_insert(&key, 0).unwrap().id;
+            let id = flows.cores[0].lookup_or_insert(&key, 0).unwrap().id;
             let uid = flows.open(0, id);
             Bench {
                 ledger: Ledger::new(&cfg, 1, 1024),
@@ -583,7 +583,7 @@ mod tests {
         }
 
         fn state(&self) -> FilterState {
-            self.flows.cores[0].kstates.get(self.owner.id).unwrap().hw
+            self.flows.cores[0].state(self.owner.id).unwrap().hw
         }
 
         fn journal(&self) -> Vec<FlightEvent> {

@@ -63,9 +63,9 @@ impl Imager {
         }
         self.resume_epoch_pending = false;
         for core in &mut flows.cores {
-            let ids: Vec<StreamId> = core.flows.iter().map(|r| r.id).collect();
+            let ids: Vec<StreamId> = core.iter().map(|r| r.id).collect();
             for id in ids {
-                core.flows.touch(id, now);
+                core.touch(id, now);
             }
         }
     }
@@ -97,8 +97,8 @@ impl ScapKernel {
         // (uid 0) in table order.
         let mut order = Vec::new();
         for (c, core) in cores.iter().enumerate() {
-            for rec in core.flows.iter() {
-                let ks = core.kstates.get(rec.id);
+            for rec in core.iter() {
+                let ks = core.state(rec.id);
                 order.push((ks.map_or(0, |k| k.uid), c, rec, ks));
             }
         }
@@ -114,7 +114,7 @@ impl ScapKernel {
             }
             let kept = frames[slot].clone();
             let at = image.position();
-            if !kept.is_empty() && !core.flows.touched(rec.id) && !core.kstates.touched(rec.id) {
+            if !kept.is_empty() && !core.touched(rec.id) {
                 image.stream_frame(&last.bytes[kept]);
             } else {
                 image.stream(&StreamImage {
@@ -179,7 +179,7 @@ impl ScapKernel {
     /// The encode is incremental. The kernel keeps its own copy of the
     /// last image and where each stream's framed record sits in it; a
     /// stream whose flow record and kernel state nobody has borrowed
-    /// mutably since (the flow and side tables stamp every such borrow)
+    /// mutably since (the flow table stamps the slot on every such borrow)
     /// is copied frame and all, and only the rest are encoded — straight
     /// from the flow tables, the assemblers' pending chunks and the
     /// reassemblers' buffered segments — and checksummed. The result is
@@ -208,8 +208,7 @@ impl ScapKernel {
         last.bytes.clone_from(out);
         self.imager.last_image = last;
         for core in &mut self.flows.cores {
-            core.flows.next_epoch();
-            core.kstates.next_epoch();
+            core.next_epoch();
         }
         let ledger = &mut self.ledger;
         ledger.stats.resilience.checkpoints_written += 1;
@@ -291,7 +290,7 @@ impl ScapKernel {
     ) -> Result<Option<Owner>, CheckpointError> {
         let corrupt = |what: &str| CheckpointError::Corrupt(format!("{what} stream uid {}", s.uid));
         let core = s.core as usize;
-        let flows = &mut self.flows.cores[core].flows;
+        let flows = &mut self.flows.cores[core];
         let id = flows
             .lookup_or_insert(&s.key, s.first_ts_ns)
             .map_err(|_| corrupt("flow table full restoring"))?

@@ -1,15 +1,15 @@
-//! The flow-probe stage: the per-core flow tables, the kernel-side state
-//! of every live stream at its record's pool slot, and the capture-wide
-//! uid space. One probe per packet resolves record and state together;
-//! the later stages mutate both in place through the [`CoreFlows`] the
-//! burst loop lends them.
+//! The flow-probe stage: the per-core flow tables, each slot holding a
+//! stream's record and its kernel-side state, and the capture-wide uid
+//! space. One probe per packet resolves record and state together; the
+//! later stages mutate both in place through the table the burst loop
+//! lends them.
 
 use super::hw::FilterState;
 use super::ledger::Ledger;
 use crate::event::{PacketRecord, StreamUid};
 use scap_fastpath::HashedKey;
 use scap_flow::table::TableFull;
-use scap_flow::{FlowTable, FlowTableConfig, SideTable, StreamId, StreamRecord};
+use scap_flow::{FlowTable, FlowTableConfig, StreamId, StreamRecord};
 use scap_memory::{ChunkAssembler, ChunkBuf};
 use scap_reassembly::TcpConn;
 use scap_telemetry::pulse::cost;
@@ -18,11 +18,11 @@ use scap_wire::Direction;
 use std::collections::HashMap;
 use std::hint::black_box;
 
-/// Per-stream kernel-side state (parallel to the flow record).
+/// Per-stream kernel-side state (in the flow record's slot).
 pub(crate) struct StreamKState {
     pub(super) uid: StreamUid,
-    /// Allocated on the first TCP segment, so that UDP streams, and the
-    /// empty side-table slots under TIME_WAIT tombstones, do not carry it.
+    /// Allocated on the first TCP segment, so that UDP streams do not
+    /// carry it.
     pub(super) conn: Option<Box<TcpConn>>,
     pub(super) asm: [Option<ChunkAssembler>; 2],
     pub(super) pkt_records: [Vec<PacketRecord>; 2],
@@ -47,64 +47,12 @@ impl StreamKState {
     }
 }
 
-/// One core's flow table and the state of its live streams; the flow
-/// probe's `StreamId` indexes both, nothing is hashed twice.
-pub(crate) struct CoreFlows {
-    pub(super) flows: FlowTable,
-    pub(super) kstates: SideTable<StreamKState>,
-}
-
-impl CoreFlows {
-    /// A stream's state and record, borrowed side by side.
-    #[inline]
-    pub(super) fn stream_mut(
-        &mut self,
-        id: StreamId,
-    ) -> (Option<&mut StreamKState>, Option<&mut StreamRecord>) {
-        (self.kstates.get_mut(id), self.flows.get_mut(id))
-    }
-}
-
-/// The slots and access-list neighbours [`CoreFlows::stage`] carries from
+/// The slots and access-list neighbours [`FlowProbe::stage`] carries from
 /// one sweep to the next, kept between bursts.
 #[derive(Default)]
-pub(crate) struct StageScratch {
+struct StageScratch {
     slots: Vec<Option<u32>>,
     links: Vec<u32>,
-}
-
-impl CoreFlows {
-    /// Read ahead for a burst about to be probed, touched and borrowed
-    /// key by key: three sweeps over the burst, each issuing for every
-    /// key the loads the next sweep's addresses come from, so that the
-    /// cache misses of different flows are in flight together instead of
-    /// one packet's chain after another's. Loads only (`scap_flow`'s
-    /// "Staging a burst"): the per-packet pass that follows does and
-    /// counts exactly what it would have without this.
-    pub(super) fn stage(&self, hashed: &[Option<HashedKey>], scratch: &mut StageScratch) {
-        let StageScratch { slots, links } = scratch;
-        slots.clear();
-        links.clear();
-        // Index lines → the slot each key will resolve to.
-        slots.extend(trains(hashed).map(|hk| self.flows.stage_probe(hk.hash)));
-        // Record and kernel state at that slot → its list neighbours.
-        for (hk, slot) in trains(hashed).zip(slots.iter()) {
-            let Some(slot) = *slot else { continue };
-            let neighbours = self.flows.stage_record(slot, &hk.canon);
-            links.extend(neighbours.into_iter().flatten());
-            if let Some(ks) = self.kstates.stage(slot as usize) {
-                let offsets = ks
-                    .asm
-                    .each_ref()
-                    .map(|a| a.as_ref().map(|a| a.stream_offset()));
-                black_box((ks.uid, offsets));
-            }
-        }
-        // The neighbours' links, which the touch rewrites.
-        for &slot in links.iter() {
-            self.flows.stage_links(slot);
-        }
-    }
 }
 
 /// The burst's keys, a train of one flow's packets counted once.
@@ -128,7 +76,9 @@ pub(crate) struct Probed {
 }
 
 pub(crate) struct FlowProbe {
-    pub(super) cores: Vec<CoreFlows>,
+    /// One table per core: record and kernel state share a slot, the
+    /// probe's `StreamId` reaches both, nothing is hashed twice.
+    pub(super) cores: Vec<FlowTable<StreamKState>>,
     /// Capture-wide uid → (core, id) for control operations.
     uid_index: HashMap<StreamUid, (usize, StreamId)>,
     /// The last uid handed out (checkpointed, so uids stay unique
@@ -143,10 +93,7 @@ pub(crate) struct FlowProbe {
 impl FlowProbe {
     pub(super) fn new(ncores: usize) -> Self {
         let cores = (0..ncores)
-            .map(|i| CoreFlows {
-                flows: FlowTable::new(FlowTableConfig::default(), 0x5CA9_0000 + i as u64),
-                kstates: SideTable::new(),
-            })
+            .map(|i| FlowTable::with_state(FlowTableConfig::default(), 0x5CA9_0000 + i as u64))
             .collect();
         FlowProbe {
             cores,
@@ -157,9 +104,37 @@ impl FlowProbe {
         }
     }
 
-    /// [`CoreFlows::stage`] for `core`, with the probe's own scratch.
+    /// Read ahead in the table of `core` for a burst about to be probed,
+    /// touched and borrowed key by key: three sweeps over the burst, each
+    /// issuing for every key the loads the next sweep's addresses come
+    /// from, so that the cache misses of different flows are in flight
+    /// together instead of one packet's chain after another's. Loads only
+    /// (`scap_flow`'s "Staging a burst"): the per-packet pass that follows
+    /// does and counts exactly what it would have without this.
     pub(super) fn stage(&mut self, core: usize, hashed: &[Option<HashedKey>]) {
-        self.cores[core].stage(hashed, &mut self.stage_scratch);
+        let flows = &self.cores[core];
+        let StageScratch { slots, links } = &mut self.stage_scratch;
+        slots.clear();
+        links.clear();
+        // Index lines → the slot each key will resolve to.
+        slots.extend(trains(hashed).map(|hk| flows.stage_probe(hk.hash)));
+        // Record and kernel state in that slot → its list neighbours.
+        for (hk, slot) in trains(hashed).zip(slots.iter()) {
+            let Some(slot) = *slot else { continue };
+            let neighbours = flows.stage_record(slot, &hk.canon);
+            links.extend(neighbours.into_iter().flatten());
+            if let Some(ks) = flows.stage_state(slot) {
+                let offsets = ks
+                    .asm
+                    .each_ref()
+                    .map(|a| a.as_ref().map(|a| a.stream_offset()));
+                black_box((ks.uid, offsets));
+            }
+        }
+        // The neighbours' links, which the touch rewrites.
+        for &slot in links.iter() {
+            flows.stage_links(slot);
+        }
     }
 
     /// Look the packet's flow up, or open a record for it, and record the
@@ -172,7 +147,7 @@ impl FlowProbe {
         hk: &HashedKey,
         now: u64,
     ) -> Result<Probed, TableFull> {
-        let flows = &mut self.cores[core].flows;
+        let flows = &mut self.cores[core];
         let probes_before = flows.probes;
         self.lookups += 1;
         let lookup = flows.lookup_or_insert_prehashed(&hk.canon, hk.dir, hk.hash, now)?;
@@ -198,7 +173,7 @@ impl FlowProbe {
         let uid = self.uid_counter;
         // Built in the slot: the state is 360 bytes, and this is the
         // create path of every stream.
-        self.cores[core].kstates.insert(id, StreamKState::new(uid));
+        self.cores[core].set_state(id, StreamKState::new(uid));
         self.uid_index.insert(uid, (core, id));
         uid
     }
@@ -206,7 +181,7 @@ impl FlowProbe {
     /// Install a restored stream's kernel state under the uid it carries.
     pub(super) fn adopt(&mut self, core: usize, id: StreamId, ks: StreamKState) {
         self.uid_index.insert(ks.uid, (core, id));
-        self.cores[core].kstates.insert(id, ks);
+        self.cores[core].set_state(id, ks);
     }
 
     /// A stream ended: its uid no longer resolves.
@@ -221,13 +196,13 @@ impl FlowProbe {
     /// The record behind a live uid.
     pub(super) fn record_mut(&mut self, uid: StreamUid) -> Option<&mut StreamRecord> {
         let (core, id) = self.resolve(uid)?;
-        self.cores[core].flows.get_mut(id)
+        self.cores[core].get_mut(id)
     }
 
     /// The kernel state behind a live uid.
     pub(super) fn state_mut(&mut self, uid: StreamUid) -> Option<&mut StreamKState> {
         let (core, id) = self.resolve(uid)?;
-        self.cores[core].kstates.get_mut(id)
+        self.cores[core].state_mut(id)
     }
 
     /// Every live uid, ascending.

@@ -469,12 +469,8 @@ fn a_dead_streams_flush_timer_spares_the_successor_in_its_slot() {
     // A's timer comes due: no flush, no timer work, B stays armed.
     assert_eq!(k.kernel_timers(0, 60_000_000).k_timer_ops, 0);
     assert_eq!(data_len(&mut k), 0);
-    assert!(k.flows.cores[0]
-        .kstates
-        .get(b)
-        .unwrap()
-        .flush_armed
-        .contains(&true));
+    let b_state = k.flows.cores[0].state(b).unwrap();
+    assert!(b_state.flush_armed.contains(&true));
     // B's own timer still delivers its partial chunk.
     assert_eq!(k.kernel_timers(0, 90_000_000).k_timer_ops, 1);
     assert_eq!(data_len(&mut k), 300);
@@ -818,7 +814,10 @@ fn mid_capture(dispatch: crate::DispatchMode) -> (ScapKernel, Vec<Packet>, usize
     let mut stop = pkts.len() / 2;
     service_all(&mut k, &pkts[..stop]);
     let both = |k: &ScapKernel| {
-        let states = || k.flows.cores.iter().flat_map(|c| c.kstates.values());
+        let states = || {
+            let cores = k.flows.cores.iter();
+            cores.flat_map(|c| c.iter().filter_map(move |r| c.state(r.id)))
+        };
         states().any(|ks| {
             ks.asm
                 .iter()
@@ -885,8 +884,8 @@ fn checkpoint_into_leaves_no_stale_tail_in_a_reused_buffer() {
 }
 
 /// A timer can change a stream's kernel state with no packet of the
-/// stream in sight (its NIC filters swallow them): the side table's
-/// stamp alone must get the stream re-encoded.
+/// stream in sight (its NIC filters swallow them): the stamp of a
+/// state borrow alone must get the stream re-encoded.
 #[test]
 fn a_filter_timeout_alone_reaches_the_next_image() {
     let mut k = kernel(ScapConfig {
@@ -1110,7 +1109,7 @@ fn differential_run(
             k.release_event(ev);
         });
     }
-    let flows = &k.flows.cores[0].flows;
+    let flows = &k.flows.cores[0];
     let journal = k.flight().events();
     assert_eq!(
         journal.len() as u64,
@@ -1124,7 +1123,7 @@ fn differential_run(
     DifferentialOutcome {
         stats: format!("{:?}", k.stats()),
         delivered,
-        table_probes: k.flows.cores.iter().map(|c| c.flows.probes).collect(),
+        table_probes: k.flows.cores.iter().map(|c| c.probes).collect(),
         hash_probes: work.k_hash_probes,
         cache_misses: work.k_cache_misses,
         index_capacity: flows.index_capacity(),

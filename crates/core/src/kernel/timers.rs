@@ -28,12 +28,10 @@ impl ScapKernel {
 
         // Inactivity expiration.
         let idle = self.cfg.inactivity_timeout_ns;
-        let expired = self.flows.cores[core]
-            .flows
-            .expire_inactive(now, idle, EXPIRE_BATCH);
+        let expired = self.flows.cores[core].expire_inactive(now, idle, EXPIRE_BATCH);
         for rec in expired {
             self.ledger.work.k_timer_ops += 1;
-            let Some(ks) = self.flows.cores[core].kstates.remove(rec.id) else {
+            let Some(ks) = self.flows.cores[core].take_state(rec.id) else {
                 // TIME_WAIT tombstone aging out: already reported.
                 continue;
             };
@@ -129,9 +127,9 @@ impl ScapKernel {
         for (c, core) in self.flows.cores.iter().enumerate() {
             fill = fill.max(nic.queue(c).fill_level());
             backlog += self.emit.backlog(c);
-            streams += core.flows.len();
-            flow_load = flow_load.max(core.flows.load_permille());
-            flow_probes += core.flows.probes;
+            streams += core.len();
+            flow_load = flow_load.max(core.load_permille());
+            flow_probes += core.probes;
         }
         let mut g = [0u64; Gauge::COUNT];
         g[Gauge::RingFillPermille.idx()] = (fill * 1000.0) as u64;
@@ -157,11 +155,11 @@ impl ScapKernel {
     fn evict_low_priority(&mut self, quota: usize, now: u64) {
         let mut candidates: Vec<(StreamUid, usize, StreamId)> = Vec::new();
         for (c, core) in self.flows.cores.iter().enumerate() {
-            for rec in core.flows.iter() {
+            for rec in core.iter() {
                 if rec.priority != 0 || rec.discarded {
                     continue;
                 }
-                if let Some(ks) = core.kstates.get(rec.id) {
+                if let Some(ks) = core.state(rec.id) {
                     candidates.push((ks.uid, c, rec.id));
                 }
             }
@@ -204,11 +202,11 @@ impl ScapKernel {
         now: u64,
         timewait: bool,
     ) {
-        let cf = &mut self.flows.cores[core];
-        let Some(mut rec) = cf.flows.remove(id) else {
+        let flows = &mut self.flows.cores[core];
+        let Some(mut rec) = flows.remove(id) else {
             return;
         };
-        let Some(ks) = cf.kstates.remove(id) else {
+        let Some(ks) = flows.take_state(id) else {
             // Already-reported tombstone: drop silently.
             return;
         };
@@ -218,7 +216,7 @@ impl ScapKernel {
         if timewait {
             // A full table just means no tombstone: late packets of the
             // 5-tuple will create a fresh (noise) stream instead.
-            let flows = &mut self.flows.cores[core].flows;
+            let flows = &mut self.flows.cores[core];
             if let Ok(lookup) = flows.lookup_or_insert(&key, last_ts) {
                 if let Some(t) = flows.get_mut(lookup.id) {
                     t.status = status;
@@ -308,7 +306,7 @@ impl ScapKernel {
         self.nic.drain_mode = true;
         for core in 0..self.ncores() {
             while self.kernel_poll(core, now).is_some() {}
-            let ids: Vec<StreamId> = self.flows.cores[core].flows.iter().map(|r| r.id).collect();
+            let ids: Vec<StreamId> = self.flows.cores[core].iter().map(|r| r.id).collect();
             for id in ids {
                 self.terminate_stream(core, id, StreamStatus::ClosedTimeout, now, false);
             }

@@ -19,16 +19,19 @@
 //!   streams sorted by last access so inactivity expiration scans only
 //!   the stale tail, and so "evict the oldest stream" under memory
 //!   pressure is O(1);
-//! * state that other layers keep per stream hangs off the record's pool
-//!   slot in a [`SideTable`], so the one hash probe that finds the record
-//!   also finds everything else about the stream.
+//! * state that other layers keep per stream lives in the record's pool
+//!   slot ([`FlowTable<S>`](FlowTable)), so the one hash probe that finds
+//!   the record has found everything else about the stream;
+//! * the open-addressed index under the table ([`GroupIndex`]: ctrl-tag
+//!   groups, cached hashes, one payload per position) is its own module,
+//!   and the NIC offload rule table is built on the same one.
 
+pub mod index;
 pub mod record;
-pub mod side;
 pub mod table;
 
+pub use index::GroupIndex;
 pub use record::{DirStats, StreamErrors, StreamId, StreamRecord, StreamStatus};
-pub use side::SideTable;
 pub use table::{FlowTable, FlowTableConfig, Lookup};
 
 #[cfg(test)]

@@ -11,7 +11,8 @@ pub struct StreamId {
 }
 
 impl StreamId {
-    /// A dense index usable for side tables (valid while the stream lives).
+    /// The pool slot: a dense index, for arrays kept per stream (valid
+    /// while the stream lives).
     pub fn slot(&self) -> usize {
         self.slot as usize
     }

@@ -4,22 +4,11 @@
 //!
 //! # Layout
 //!
-//! The index is open-addressed and cache-line-packed, sized for millions
-//! of concurrent flows. Three parallel arrays make up the index:
-//!
-//! ```text
-//! ctrl:    [u8]  one tag byte per position   0x00 EMPTY
-//!                                            0x01 TOMBSTONE
-//!                                            0x80|top7(hash) FULL
-//! entries: [u32] slot index into the record pool
-//! hashes:  [u64] cached full 64-bit hash (no record touch on mismatch)
-//! ```
-//!
-//! Positions are probed in aligned groups of [`GROUP`] tags; a probe
-//! scans a whole group at once and stops at the first group containing
-//! an EMPTY tag, so a negative lookup usually costs a single cache-line
-//! touch of the ctrl array. `probes` counts *groups* examined — i.e.
-//! index cache-line touches — which is what the cost model charges.
+//! The index is the open-addressed, cache-line-packed [`GroupIndex`]
+//! (ctrl tags probed a group of [`GROUP`] at a time, cached hashes), its
+//! payload the slot of the record in the pool, sized for millions of
+//! concurrent flows. `probes` counts the ctrl *groups* a lookup examined
+//! — i.e. index cache-line touches — which is what the cost model charges.
 //!
 //! Growth is an **incremental rehash**: when the index passes a 7/8
 //! load factor a new (usually doubled) index is allocated, the old one
@@ -32,13 +21,31 @@
 //! LRU are unchanged from the chained design: [`StreamId`]s stay stable
 //! across rehashes, checkpoints, and both dispatch paths.
 //!
+//! # A slot, not a sidecar
+//!
+//! A pool slot holds the record *and* whatever else the table's owner
+//! keeps per stream: `FlowTable<S>` stores an `Option<S>` next to the
+//! record, under the slot's one generation ([`FlowTable::state`],
+//! [`FlowTable::state_mut`], [`FlowTable::stream_mut`],
+//! [`FlowTable::set_state`], [`FlowTable::take_state`]). The probe that
+//! finds the record has found the state: no second table, no second
+//! bounds check or generation compare, and the two sit on adjacent
+//! lines. The table never looks inside an `S`. State is set on a live
+//! record and outlives the record's removal — [`FlowTable::remove`] and
+//! the expiry and eviction calls hand back the record, the owner then
+//! takes the state — until it is taken or the slot's next tenant arrives.
+//! A record without state is a complete thing (the kernel's TIME_WAIT
+//! tombstones), and `FlowTable<()>`, a table of bare records, is the
+//! default.
+//!
 //! # Touch epochs
 //!
-//! Every way to change a record goes through this module — insert,
-//! [`FlowTable::get_mut`], [`FlowTable::touch`], [`FlowTable::remove`] —
-//! and each of them stamps the record's pool slot with the table's
-//! current epoch. [`FlowTable::touched`] reads the stamp back and
-//! [`FlowTable::next_epoch`] starts a new one, so "which records could
+//! Every way to change a record or its state goes through this module —
+//! insert, [`FlowTable::get_mut`], [`FlowTable::touch`],
+//! [`FlowTable::remove`], and every state call that takes `&mut self` —
+//! and each of them stamps the pool slot with the table's current epoch.
+//! [`FlowTable::touched`] reads the stamp back and
+//! [`FlowTable::next_epoch`] starts a new one, so "which streams could
 //! have changed since I last looked" is answered by construction rather
 //! than by the caller remembering its own writes (the incremental
 //! checkpoint encoder is that caller).
@@ -46,38 +53,30 @@
 //! # Staging a burst
 //!
 //! A probe of a cold flow is a chain of dependent cache misses — ctrl
-//! group, then cached hash and entry, then the record, then the two
-//! access-list neighbours a touch relinks — and one packet at a time
+//! group, then cached hash and entry, then the record and state, then the
+//! two access-list neighbours a touch relinks — and one packet at a time
 //! they are taken one after the other. A caller holding a whole burst of
 //! hashed keys can instead issue each link of the chain for every key
 //! before anything needs the next: [`FlowTable::stage_probe`],
-//! [`FlowTable::stage_record`] and [`FlowTable::stage_links`] are those
-//! loads and nothing else. They take `&self`: no probe is counted, no
-//! epoch stamped, no list relinked, nothing returned that a lookup would
-//! trust — the slot they pass along is a guess (tag and cached hash
-//! matched; the key was not compared), and the real probe that follows
-//! finds whatever it would have found, faster.
+//! [`FlowTable::stage_record`], [`FlowTable::stage_state`] and
+//! [`FlowTable::stage_links`] are those loads and nothing else. They take
+//! `&self`: no probe is counted, no epoch stamped, no list relinked,
+//! nothing returned that a lookup would trust — the slot they pass along
+//! is a guess (tag and cached hash matched; the key was not compared),
+//! and the real probe that follows finds whatever it would have found,
+//! faster.
 
+use crate::index::GroupIndex;
 use crate::record::{StreamId, StreamRecord};
 use scap_wire::{Direction, FlowKey};
 use std::hint::black_box;
 
-/// Tags scanned per probe step (one ctrl group; 16 tags = a quarter of
-/// a 64-byte line, so neighbouring groups share lines).
-pub const GROUP: usize = 16;
-
-const CTRL_EMPTY: u8 = 0x00;
-const CTRL_TOMB: u8 = 0x01;
+pub use crate::index::GROUP;
 
 /// Old-index groups migrated per mutating call during incremental
 /// rehash. At 4 groups × 16 tags per insert, a doubled index drains
 /// well before the new one can refill to its own growth threshold.
 const MIGRATE_GROUPS: usize = 4;
-
-#[inline]
-fn tag(h: u64) -> u8 {
-    0x80 | ((h >> 57) as u8)
-}
 
 /// Flow-table configuration.
 #[derive(Debug, Clone)]
@@ -118,166 +117,52 @@ pub enum TableFull {
     MaxFlows,
 }
 
-struct Slot {
+struct Slot<S> {
     generation: u32,
     /// Epoch of the last insert into, `&mut` borrow of, or removal from
-    /// this slot (see the module docs).
-    stamp: u32,
+    /// this slot (see the module docs). Sixteen bits, so that with the
+    /// generation and the one byte an `Option<()>` takes the header of a
+    /// `Slot<()>` is still eight bytes.
+    stamp: u16,
     record: Option<StreamRecord>,
+    state: Option<S>,
 }
 
-/// One open-addressed index: parallel ctrl/entry/hash arrays.
-struct Index {
-    ctrl: Vec<u8>,
-    entries: Vec<u32>,
-    hashes: Vec<u64>,
-    mask: usize,
-    /// FULL positions.
-    used: usize,
-    /// TOMBSTONE positions (reclaimed by the next rehash).
-    tombs: usize,
+/// Probe `index` for `h`/`canon`, counting ctrl groups examined into
+/// `probes`. Returns the position of the matching FULL entry.
+fn find<S>(
+    index: &GroupIndex<u32>,
+    h: u64,
+    canon: &FlowKey,
+    slots: &[Slot<S>],
+    probes: &mut u64,
+) -> Option<usize> {
+    index.scan(
+        h,
+        || *probes += 1,
+        |&slot| {
+            let rec = slots[slot as usize].record.as_ref();
+            rec.is_some_and(|rec| rec.key == *canon)
+        },
+    )
 }
 
-impl Index {
-    fn with_capacity(cap: usize) -> Self {
-        let cap = cap.max(2 * GROUP).next_power_of_two();
-        Index {
-            ctrl: vec![CTRL_EMPTY; cap],
-            entries: vec![0; cap],
-            hashes: vec![0; cap],
-            mask: cap - 1,
-            used: 0,
-            tombs: 0,
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    fn ngroups(&self) -> usize {
-        self.capacity() / GROUP
-    }
-
-    #[inline]
-    fn home_group(&self, h: u64) -> usize {
-        (h as usize & self.mask) / GROUP
-    }
-
-    /// Walk `h`'s probe sequence a ctrl group at a time (`group` runs
-    /// once per group examined) up to the first group with an EMPTY tag.
-    /// Returns the first FULL position whose tag and cached hash are
-    /// `h`'s and that `accept`s.
-    #[inline]
-    fn scan(
-        &self,
-        h: u64,
-        mut group: impl FnMut(),
-        mut accept: impl FnMut(usize) -> bool,
-    ) -> Option<usize> {
-        let t = tag(h);
-        let ngroups = self.ngroups();
-        let mut g = self.home_group(h);
-        for _ in 0..ngroups {
-            group();
-            let base = g * GROUP;
-            let mut saw_empty = false;
-            for pos in base..base + GROUP {
-                let c = self.ctrl[pos];
-                if c == CTRL_EMPTY {
-                    saw_empty = true;
-                } else if c == t && self.hashes[pos] == h && accept(pos) {
-                    return Some(pos);
-                }
-            }
-            if saw_empty {
-                return None;
-            }
-            g = (g + 1) & (ngroups - 1);
-        }
-        None
-    }
-
-    /// Probe for `h`/`canon`, counting ctrl groups examined into
-    /// `probes`. Returns the position of the matching FULL entry.
-    fn find(&self, h: u64, canon: &FlowKey, slots: &[Slot], probes: &mut u64) -> Option<usize> {
-        self.scan(
-            h,
-            || *probes += 1,
-            |pos| {
-                let rec = slots[self.entries[pos] as usize].record.as_ref();
-                rec.is_some_and(|rec| rec.key == *canon)
-            },
-        )
-    }
-
-    /// The pool slot behind the first position `h`'s tag and cached hash
-    /// match: where [`Index::find`] will almost surely end up, learnt
-    /// from the index lines alone.
-    fn candidate(&self, h: u64) -> Option<u32> {
-        let pos = self.scan(h, || {}, |_| true)?;
-        Some(self.entries[pos])
-    }
-
-    /// First insertable position in `h`'s probe sequence: the earliest
-    /// TOMBSTONE, or the first EMPTY if no tombstone precedes it.
-    fn insert_pos(&self, h: u64) -> usize {
-        let ngroups = self.ngroups();
-        let mut g = self.home_group(h);
-        let mut first_tomb: Option<usize> = None;
-        for _ in 0..ngroups {
-            let base = g * GROUP;
-            for pos in base..base + GROUP {
-                match self.ctrl[pos] {
-                    CTRL_EMPTY => return first_tomb.unwrap_or(pos),
-                    CTRL_TOMB => first_tomb = first_tomb.or(Some(pos)),
-                    _ => {}
-                }
-            }
-            g = (g + 1) & (ngroups - 1);
-        }
-        first_tomb.expect("index kept below load threshold")
-    }
-
-    fn insert(&mut self, h: u64, slot: u32) {
-        let pos = self.insert_pos(h);
-        if self.ctrl[pos] == CTRL_TOMB {
-            self.tombs -= 1;
-        }
-        self.ctrl[pos] = tag(h);
-        self.entries[pos] = slot;
-        self.hashes[pos] = h;
-        self.used += 1;
-    }
-
-    fn erase(&mut self, pos: usize) {
-        self.ctrl[pos] = CTRL_TOMB;
-        self.used -= 1;
-        self.tombs += 1;
-    }
-
-    /// Past the 7/8 load factor (tombstones count: they lengthen
-    /// probe chains exactly like live entries).
-    fn over_threshold(&self) -> bool {
-        (self.used + self.tombs) * 8 >= self.capacity() * 7
-    }
-}
-
-/// The flow table.
-pub struct FlowTable {
+/// The flow table; `S` is the per-stream state its owner keeps in the
+/// record's slot (see the module docs).
+pub struct FlowTable<S = ()> {
     /// Active open-addressed index.
-    index: Index,
+    index: GroupIndex<u32>,
     /// Pending old index during incremental rehash, with the next
     /// group to migrate.
-    old: Option<(Index, usize)>,
-    slots: Vec<Slot>,
+    old: Option<(GroupIndex<u32>, usize)>,
+    slots: Vec<Slot<S>>,
     free: Vec<u32>,
     len: usize,
     seed: u64,
     cfg: FlowTableConfig,
     /// Current touch epoch; starts at 1 so a never-used slot (stamp 0)
     /// reads as untouched.
-    epoch: u32,
+    epoch: u16,
     /// Head (most recent) of the access list.
     lru_head: Option<u32>,
     /// Tail (least recent) of the access list.
@@ -288,13 +173,21 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
-    /// Create a table; `seed` randomizes the hash function (§5.2).
+    /// Create a table of bare records; `seed` randomizes the hash
+    /// function (§5.2).
     pub fn new(cfg: FlowTableConfig, seed: u64) -> Self {
+        Self::with_state(cfg, seed)
+    }
+}
+
+impl<S> FlowTable<S> {
+    /// [`FlowTable::new`] for a table whose slots also hold an `S`.
+    pub fn with_state(cfg: FlowTableConfig, seed: u64) -> Self {
         // Size the index so `initial_capacity` records fit under the
         // 7/8 growth threshold without rehashing.
         let want = cfg.initial_capacity.max(16) * 8 / 7 + GROUP;
         FlowTable {
-            index: Index::with_capacity(want),
+            index: GroupIndex::with_capacity(want),
             old: None,
             slots: Vec::with_capacity(cfg.initial_capacity),
             free: Vec::new(),
@@ -332,7 +225,7 @@ impl FlowTable {
 
     /// Occupancy of the active index in permille (load-factor gauge).
     pub fn load_permille(&self) -> u64 {
-        (self.index.used as u64 * 1000) / self.index.capacity() as u64
+        (self.index.len() as u64 * 1000) / self.index.capacity() as u64
     }
 
     /// True while an incremental rehash is still draining its old index.
@@ -354,39 +247,30 @@ impl FlowTable {
     /// Find the index position of `canon` in the active index or the
     /// pending old one.
     fn find_pos(&mut self, h: u64, canon: &FlowKey) -> Option<(bool, usize)> {
-        if let Some(pos) = self.index.find(h, canon, &self.slots, &mut self.probes) {
+        if let Some(pos) = find(&self.index, h, canon, &self.slots, &mut self.probes) {
             return Some((false, pos));
         }
-        if let Some((old, _)) = self.old.as_ref() {
-            if let Some(pos) = old.find(h, canon, &self.slots, &mut self.probes) {
-                return Some((true, pos));
-            }
-        }
-        None
+        let (old, _) = self.old.as_ref()?;
+        let pos = find(old, h, canon, &self.slots, &mut self.probes)?;
+        Some((true, pos))
     }
 
     /// Migrate a few old-index groups into the active index; drops the
     /// old index once drained. Called from every mutating operation.
     fn migrate_step(&mut self, groups: usize) {
-        let Some((mut old, mut cursor)) = self.old.take() else {
+        let Some((mut old, cursor)) = self.old.take() else {
             return;
         };
-        let ngroups = old.ngroups();
-        let end = (cursor + groups).min(ngroups);
-        while cursor < end {
-            let base = cursor * GROUP;
-            for pos in base..base + GROUP {
-                if old.ctrl[pos] & 0x80 != 0 {
-                    self.index.insert(old.hashes[pos], old.entries[pos]);
-                    // Tombstone, not EMPTY: later probes of the old
-                    // index must keep walking past migrated positions.
-                    old.ctrl[pos] = CTRL_TOMB;
-                }
-            }
-            cursor += 1;
+        let ngroups = old.capacity() / GROUP;
+        let end = cursor.saturating_add(groups).min(ngroups);
+        let mut span = cursor * GROUP..end * GROUP;
+        // A migrated position is a tombstone, not EMPTY: later probes of
+        // the old index must keep walking past it.
+        while let Some((h, slot)) = old.take_next(&mut span) {
+            self.index.insert(h, slot);
         }
-        if cursor < ngroups {
-            self.old = Some((old, cursor));
+        if end < ngroups {
+            self.old = Some((old, end));
         }
     }
 
@@ -409,7 +293,7 @@ impl FlowTable {
         let new_cap = (self.len.max(1) * 2)
             .next_power_of_two()
             .max(self.index.capacity());
-        let fresh = Index::with_capacity(new_cap);
+        let fresh = GroupIndex::with_capacity(new_cap);
         let old = std::mem::replace(&mut self.index, fresh);
         self.old = Some((old, 0));
         self.migrate_step(MIGRATE_GROUPS);
@@ -436,7 +320,7 @@ impl FlowTable {
         } else {
             &self.index
         };
-        let rec = self.slots[idx.entries[pos] as usize]
+        let rec = self.slots[*idx.get(pos) as usize]
             .record
             .as_ref()
             .expect("found position holds live record");
@@ -481,6 +365,7 @@ impl FlowTable {
                     generation: 0,
                     stamp: 0,
                     record: None,
+                    state: None,
                 });
                 (self.slots.len() - 1) as u32
             }
@@ -494,6 +379,8 @@ impl FlowTable {
             generation: s.generation,
         };
         s.record = Some(StreamRecord::new(id, *canon, dir, now));
+        // Whatever an earlier tenant left behind goes with it.
+        s.state = None;
         self.index.insert(h, slot);
         self.len += 1;
         self.lru_push_front(slot);
@@ -505,30 +392,80 @@ impl FlowTable {
         })
     }
 
-    /// Get a record by handle (None if the handle is stale).
-    pub fn get(&self, id: StreamId) -> Option<&StreamRecord> {
+    /// The slot of `id`, while `id` is the generation occupying it.
+    #[inline]
+    fn slot(&self, id: StreamId) -> Option<&Slot<S>> {
         let s = self.slots.get(id.slot as usize)?;
-        if s.generation != id.generation {
-            return None;
-        }
-        s.record.as_ref()
+        (s.generation == id.generation).then_some(s)
     }
 
-    /// Mutable access by handle. Marks the record touched in the
-    /// current epoch whether or not the caller ends up writing.
-    pub fn get_mut(&mut self, id: StreamId) -> Option<&mut StreamRecord> {
+    /// [`FlowTable::slot`] to write through: the one place a slot is
+    /// lent out mutably by handle, and so where it is stamped.
+    #[inline]
+    fn slot_mut(&mut self, id: StreamId) -> Option<&mut Slot<S>> {
         let s = self.slots.get_mut(id.slot as usize)?;
         if s.generation != id.generation {
             return None;
         }
         s.stamp = self.epoch;
-        s.record.as_mut()
+        Some(s)
     }
 
-    /// True when the record of `id` was created, mutably borrowed or
-    /// removed since the last [`FlowTable::next_epoch`]. A record for
-    /// which this reads false is exactly what it was when the epoch
-    /// began (its access-list links aside, which only this table reads).
+    /// Get a record by handle (None if the handle is stale).
+    pub fn get(&self, id: StreamId) -> Option<&StreamRecord> {
+        self.slot(id)?.record.as_ref()
+    }
+
+    /// Mutable access by handle. Marks the slot touched in the
+    /// current epoch whether or not the caller ends up writing.
+    pub fn get_mut(&mut self, id: StreamId) -> Option<&mut StreamRecord> {
+        self.slot_mut(id)?.record.as_mut()
+    }
+
+    /// The state of stream `id` (`None` for a stale handle, and for a
+    /// record that was never given any).
+    #[inline]
+    pub fn state(&self, id: StreamId) -> Option<&S> {
+        self.slot(id)?.state.as_ref()
+    }
+
+    /// The state of stream `id`, in place. A touch, like
+    /// [`FlowTable::get_mut`].
+    #[inline]
+    pub fn state_mut(&mut self, id: StreamId) -> Option<&mut S> {
+        self.slot_mut(id)?.state.as_mut()
+    }
+
+    /// A stream's state and record, borrowed side by side: one bounds
+    /// check, one generation compare, one stamp.
+    #[inline]
+    pub fn stream_mut(&mut self, id: StreamId) -> (Option<&mut S>, Option<&mut StreamRecord>) {
+        match self.slot_mut(id) {
+            Some(s) => (s.state.as_mut(), s.record.as_mut()),
+            None => (None, None),
+        }
+    }
+
+    /// Make `state` the state of stream `id`, replacing any it had. A
+    /// stale handle stores nothing.
+    pub fn set_state(&mut self, id: StreamId, state: S) {
+        if let Some(s) = self.slot_mut(id) {
+            s.state = Some(state);
+        }
+    }
+
+    /// Take the state of stream `id` out of its slot — also after the
+    /// record itself was removed, for as long as the slot has no new
+    /// tenant.
+    pub fn take_state(&mut self, id: StreamId) -> Option<S> {
+        self.slot_mut(id)?.state.take()
+    }
+
+    /// True when the record of `id` was created or removed, or it or its
+    /// state mutably borrowed, set or taken, since the last
+    /// [`FlowTable::next_epoch`]. A stream for which this reads false is
+    /// exactly what it was when the epoch began (its access-list links
+    /// aside, which only this table reads).
     pub fn touched(&self, id: StreamId) -> bool {
         self.slots
             .get(id.slot as usize)
@@ -536,8 +473,9 @@ impl FlowTable {
     }
 
     /// Start a new touch epoch: [`FlowTable::touched`] reads false for
-    /// every record until it is next written. The counter may wrap; a
-    /// stamp as old as that reads as touched, which errs on the safe side.
+    /// every record until it is next written. The counter wraps; a stamp
+    /// exactly 65,536 epochs old reads as touched, which errs on the safe
+    /// side.
     pub fn next_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
     }
@@ -650,7 +588,7 @@ impl FlowTable {
         self.slots.iter().filter_map(|s| s.record.as_ref())
     }
 
-    /// Drain every live record (end-of-capture flush), most recent first.
+    /// Drain every live record (end-of-capture flush), in slot order.
     pub fn drain_all(&mut self) -> Vec<StreamRecord> {
         let ids: Vec<StreamId> = self.iter().map(|r| r.id).collect();
         ids.into_iter().filter_map(|id| self.remove(id)).collect()
@@ -663,7 +601,7 @@ impl FlowTable {
     /// probe for `h` will most likely resolve to.
     pub fn stage_probe(&self, h: u64) -> Option<u32> {
         let old = || self.old.as_ref().and_then(|(old, _)| old.candidate(h));
-        self.index.candidate(h).or_else(old)
+        self.index.candidate(h).or_else(old).copied()
     }
 
     /// Second link: read what a probe for `canon`, a touch and the wire
@@ -685,6 +623,14 @@ impl FlowTable {
             rec.discarded,
         ));
         [rec.lru_prev, rec.lru_next]
+    }
+
+    /// With the second link: whatever state pool slot `slot` holds, of
+    /// whichever generation — for reading ahead of a
+    /// [`FlowTable::stream_mut`], not for acting on.
+    #[inline]
+    pub fn stage_state(&self, slot: u32) -> Option<&S> {
+        self.slots.get(slot as usize)?.state.as_ref()
     }
 
     /// Third link: read the access-list links of the record in pool slot
@@ -890,42 +836,42 @@ mod tests {
         assert_eq!(order.collect::<Vec<_>>(), [b, c, a]);
     }
 
-    /// A table small enough to rehash early, with the state of each of
-    /// its streams beside it — and the history the staging tests need:
-    /// a removed key (a TOMBSTONE in the index), a key removed and seen
-    /// again (its slot reused under a new generation, no state: the
-    /// kernel's TIME_WAIT records), and a rehash left pending.
-    fn staging_fixture() -> (FlowTable, crate::SideTable<u32>, Vec<StreamId>) {
+    /// A table small enough to rehash early, every stream's slot holding
+    /// a state — and the history the staging tests need: a removed key (a
+    /// TOMBSTONE in the index), a key removed and seen again (its slot
+    /// reused under a new generation, no state: the kernel's TIME_WAIT
+    /// records), and a rehash left pending.
+    fn staging_fixture() -> (FlowTable<u32>, Vec<StreamId>) {
         let cfg = FlowTableConfig {
             initial_capacity: 16,
             max_flows: None,
         };
-        let (mut t, mut side) = (FlowTable::new(cfg, 0x57A6E), crate::SideTable::new());
+        let mut t = FlowTable::with_state(cfg, 0x57A6E);
         let mut ids = Vec::new();
         let mut i = 0;
         while !t.rehash_pending() || ids.len() < 40 {
             let id = t.lookup_or_insert(&key(i), u64::from(i)).unwrap().id;
-            side.insert(id, i);
+            t.set_state(id, i);
             ids.push(id);
             if i == 20 {
                 t.remove(ids[3]).unwrap();
-                side.remove(ids[3]);
+                t.take_state(ids[3]);
                 t.remove(ids[5]).unwrap();
                 ids.push(t.lookup_or_insert(&key(5), 20).unwrap().id);
             }
             i += 1;
         }
-        (t, side, ids)
+        (t, ids)
     }
 
     /// What a burst does before its per-packet pass, key by key.
-    fn stage(t: &FlowTable, side: &crate::SideTable<u32>, burst: &[FlowKey]) {
+    fn stage(t: &FlowTable<u32>, burst: &[FlowKey]) {
         for k in burst {
             let (canon, _) = k.canonical();
             let Some(slot) = t.stage_probe(t.hash(&canon)) else {
                 continue;
             };
-            black_box(side.stage(slot as usize));
+            black_box(t.stage_state(slot));
             for neighbour in t.stage_record(slot, &canon).into_iter().flatten() {
                 t.stage_links(neighbour);
             }
@@ -934,7 +880,7 @@ mod tests {
 
     #[test]
     fn staging_guesses_the_slot_a_probe_finds() {
-        let (mut t, _, ids) = staging_fixture();
+        let (mut t, ids) = staging_fixture();
         assert!(t.rehash_pending(), "some keys are still in the old index");
         let live: Vec<StreamId> = ids
             .iter()
@@ -959,13 +905,10 @@ mod tests {
 
     #[test]
     fn staging_leaves_no_trace() {
-        let (mut staged, mut staged_side, ids) = staging_fixture();
-        let (mut twin, mut twin_side, _) = staging_fixture();
+        let (mut staged, ids) = staging_fixture();
+        let (mut twin, _) = staging_fixture();
         for t in [&mut staged, &mut twin] {
             t.next_epoch();
-        }
-        for side in [&mut staged_side, &mut twin_side] {
-            side.next_epoch();
         }
         // Hits in both directions, misses, the removed key, the reused
         // slot, a stale handle's key — several times over, in a burst far
@@ -978,32 +921,28 @@ mod tests {
                 _ => key([3, 5][n as usize / 4 % 2]),
             })
             .collect();
-        assert!(burst.len() > staged.index.ngroups());
+        assert!(burst.len() > staged.index.capacity() / GROUP);
         assert!(staged.rehash_pending());
         let probes = staged.probes;
-        stage(&staged, &staged_side, &burst);
+        stage(&staged, &burst);
         assert_eq!(staged.probes, probes);
         assert!(staged.rehash_pending(), "staging migrates nothing");
-        assert!(!ids
-            .iter()
-            .any(|&id| staged.touched(id) || staged_side.touched(id)));
+        assert!(!ids.iter().any(|&id| staged.touched(id)));
 
         // The same operations on both from here on, the staged table
         // staging each before it happens: nothing ever tells them apart.
         for (n, k) in burst.iter().enumerate() {
             let now = 1_000 + n as u64;
-            stage(&staged, &staged_side, &burst[n..(n + 8).min(burst.len())]);
+            stage(&staged, &burst[n..(n + 8).min(burst.len())]);
             let seen = [&mut staged, &mut twin].map(|t| {
                 let l = t.lookup_or_insert(k, now).unwrap();
                 t.touch(l.id, now);
+                if let (Some(v), Some(_)) = t.stream_mut(l.id) {
+                    *v += 1;
+                }
                 (l, t.probes, t.rehash_pending())
             });
             assert_eq!(seen[0], seen[1], "{k}");
-            for side in [&mut staged_side, &mut twin_side] {
-                if let Some(v) = side.get_mut(seen[0].0.id) {
-                    *v += 1;
-                }
-            }
         }
         for id in ids
             .iter()
@@ -1011,10 +950,9 @@ mod tests {
             .chain(staged.iter().map(|r| r.id).collect::<Vec<_>>())
         {
             assert_eq!(staged.touched(id), twin.touched(id));
-            assert_eq!(staged_side.touched(id), twin_side.touched(id));
-            assert_eq!(staged_side.get(id), twin_side.get(id));
+            assert_eq!(staged.state(id), twin.state(id));
         }
-        let drain = |t: &mut FlowTable| -> Vec<(StreamId, u64)> {
+        let drain = |t: &mut FlowTable<u32>| -> Vec<(StreamId, u64)> {
             std::iter::from_fn(|| t.evict_oldest())
                 .map(|r| (r.id, r.last_ts_ns))
                 .collect()
@@ -1022,6 +960,86 @@ mod tests {
         let order = drain(&mut staged);
         assert!(order.len() > 40);
         assert_eq!(order, drain(&mut twin));
+    }
+
+    #[test]
+    fn a_recycled_slot_never_shows_its_predecessor() {
+        let mut t: FlowTable<&str> = FlowTable::with_state(FlowTableConfig::default(), 1);
+        let old = t.lookup_or_insert(&key(1), 0).unwrap().id;
+        t.set_state(old, "old");
+        // The state outlives the record, for its owner to take ...
+        t.remove(old).unwrap();
+        assert_eq!(t.state(old), Some(&"old"));
+        // ... until a successor takes the slot: from then on neither
+        // handle sees, or can write, the other's state.
+        let new = t.lookup_or_insert(&key(2), 0).unwrap().id;
+        assert_eq!(new.slot(), old.slot());
+        assert_eq!(t.state(new), None);
+        assert_eq!(t.take_state(new), None);
+        t.set_state(old, "stale");
+        assert_eq!(t.stage_state(new.slot), None);
+        t.set_state(new, "new");
+        assert_eq!(t.state(old), None);
+        assert_eq!(t.state_mut(old), None);
+        assert_eq!(t.take_state(old), None);
+        assert!(matches!(t.stream_mut(old), (None, None)));
+        assert_eq!(t.state(new), Some(&"new"));
+        assert_eq!(t.stage_state(new.slot), Some(&"new"));
+        assert_eq!(t.take_state(new), Some("new"));
+        assert_eq!(t.state(new), None);
+        assert!(t.get(new).is_some(), "a record without state is whole");
+    }
+
+    #[test]
+    fn touch_epochs_follow_state_set_borrow_and_take() {
+        let mut t: FlowTable<u32> = FlowTable::with_state(FlowTableConfig::default(), 1);
+        let ids: Vec<StreamId> = (0..5)
+            .map(|i| t.lookup_or_insert(&key(i), 0).unwrap().id)
+            .collect();
+        t.next_epoch();
+        for &id in &ids[..3] {
+            t.set_state(id, 0);
+        }
+        let touched = |t: &FlowTable<u32>| ids.iter().map(|&id| t.touched(id)).collect::<Vec<_>>();
+        assert_eq!(touched(&t), [true, true, true, false, false]);
+        t.next_epoch();
+        assert_eq!(t.state(ids[0]), Some(&0));
+        assert_eq!(t.stage_state(ids[0].slot), Some(&0));
+        assert!(!t.touched(ids[0]), "reads are not touches");
+        *t.state_mut(ids[1]).unwrap() += 1;
+        assert_eq!(t.take_state(ids[2]), Some(0));
+        assert!(
+            t.state_mut(ids[3]).is_none(),
+            "a borrow of nothing is a touch"
+        );
+        assert_eq!(touched(&t), [false, true, true, true, false]);
+        t.next_epoch();
+        let (state, rec) = t.stream_mut(ids[0]);
+        assert!(state.is_some() && rec.is_some());
+        assert_eq!(touched(&t), [true, false, false, false, false]);
+        // The stamp outlives the state it was taken for, by one epoch.
+        assert_eq!(t.state(ids[2]), None);
+        // A stale handle neither borrows nor stamps.
+        t.next_epoch();
+        t.remove(ids[0]).unwrap();
+        let new = t.lookup_or_insert(&key(9), 0).unwrap().id;
+        assert_eq!(new.slot(), ids[0].slot());
+        t.next_epoch();
+        assert_eq!(t.state_mut(ids[0]), None);
+        assert_eq!(t.take_state(ids[0]), None);
+        t.set_state(ids[0], 7);
+        assert!(matches!(t.stream_mut(ids[0]), (None, None)));
+        assert!(!t.touched(new));
+    }
+
+    #[test]
+    fn a_table_of_bare_records_pays_nothing_for_the_state_it_lacks() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Slot<()>>(), size_of::<StreamRecord>() + 8);
+        assert_eq!(
+            size_of::<Slot<[u64; 4]>>(),
+            size_of::<Slot<()>>() + size_of::<Option<[u64; 4]>>()
+        );
     }
 
     #[test]
@@ -1183,6 +1201,75 @@ mod tests {
     }
 
     proptest! {
+        /// With slots recycled and generations bumped the way the kernel
+        /// sees them, the state API agrees with a `HashMap<StreamId, _>`
+        /// on every handle ever issued — live, removed, and stale.
+        #[test]
+        fn state_matches_a_hashmap_keyed_by_stream_id(
+            ops in proptest::collection::vec((0u8..5, 0u32..12), 1..400)
+        ) {
+            let mut t: FlowTable<u64> = FlowTable::with_state(
+                FlowTableConfig { initial_capacity: 4, max_flows: None },
+                0x51DE,
+            );
+            let mut model: std::collections::HashMap<StreamId, u64> = Default::default();
+            let mut issued: Vec<StreamId> = Vec::new();
+            for (n, (op, i)) in ops.into_iter().enumerate() {
+                let n = n as u64;
+                match op {
+                    // A stream appears (or is seen again) and gets state.
+                    0 => {
+                        let id = t.lookup_or_insert(&key(i), n).unwrap().id;
+                        issued.push(id);
+                        t.set_state(id, n);
+                        model.insert(id, n);
+                    }
+                    // A stream ends; its owner takes the state after it.
+                    1 => {
+                        if let Some((id, _)) = t.lookup(&key(i)) {
+                            t.remove(id).unwrap();
+                            prop_assert_eq!(t.take_state(id), model.remove(&id));
+                        }
+                    }
+                    // A stream ends and a tombstone without state takes
+                    // its slot (the kernel's TIME_WAIT records) — with
+                    // the state taken first, or left for the table to drop.
+                    2 => {
+                        if let Some((id, _)) = t.lookup(&key(i)) {
+                            t.remove(id).unwrap();
+                            let gone = model.remove(&id);
+                            if n.is_multiple_of(2) {
+                                prop_assert_eq!(t.take_state(id), gone);
+                            }
+                            let tomb = t.lookup_or_insert(&key(i), n).unwrap().id;
+                            prop_assert_eq!(tomb.slot(), id.slot());
+                            issued.push(tomb);
+                        }
+                    }
+                    // In-place mutation through any handle ever issued.
+                    3 => {
+                        if let Some(&id) = issued.get(i as usize % issued.len().max(1)) {
+                            match (t.stream_mut(id).0, model.get_mut(&id)) {
+                                (Some(a), Some(b)) => { *a += 1; *b += 1; }
+                                (a, b) => prop_assert_eq!(a, b),
+                            }
+                        }
+                    }
+                    // Removal through any handle ever issued.
+                    _ => {
+                        if let Some(&id) = issued.get(i as usize % issued.len().max(1)) {
+                            prop_assert_eq!(t.take_state(id), model.remove(&id));
+                        }
+                    }
+                }
+                for id in &issued {
+                    prop_assert_eq!(t.state(*id), model.get(id));
+                }
+                let held = (0..t.slots.len() as u32).filter_map(|s| t.stage_state(s)).count();
+                prop_assert_eq!(held, model.len());
+            }
+        }
+
         /// Random interleavings of insert/remove/touch keep the table
         /// internally consistent (LRU list matches live set).
         #[test]

@@ -30,8 +30,8 @@
 //! connection setup and teardown — the property Scap's FIN/RST-based
 //! flow-size estimation depends on (§5.5 of the paper).
 //!
-//! The table itself is the open-addressed cache-line-packed layout of
-//! the kernel flow table (ctrl-tag groups, parallel hash array), but
+//! The table is built on the kernel flow table's open-addressed index
+//! (`scap_flow::GroupIndex`: ctrl-tag groups, parallel hash array), but
 //! **fixed-capacity**: hardware tables do not rehash. Pressure is
 //! handled by tiered, priority-aware clock eviction
 //! ([`OffloadTable::evict_tiered`]), and evicted rules fold their
@@ -40,7 +40,7 @@
 
 mod table;
 
-pub use table::{OffloadStats, OffloadTable, GROUP};
+pub use table::{OffloadStats, OffloadTable};
 
 use scap_wire::FlowKey;
 

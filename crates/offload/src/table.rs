@@ -1,28 +1,17 @@
 //! The fixed-capacity open-addressed rule table.
 //!
-//! Same index layout as the kernel flow table — one ctrl tag byte per
-//! position (EMPTY / TOMBSTONE / 0x80|top7(hash)), probed in aligned
-//! groups of [`GROUP`], with a parallel array of cached 64-bit hashes —
-//! but sized once at construction and never rehashed: hardware flow
-//! tables have a fixed number of entries. Deleting rules leaves
-//! tombstones; when tombstones would start lengthening probe chains
-//! noticeably (a quarter of the index), the table compacts in place,
-//! which stands in for the background re-programming real firmware does.
+//! The index is the kernel flow table's ([`GroupIndex`]: ctrl tags probed
+//! a group at a time, cached 64-bit hashes) with the rule itself as the
+//! payload of its position, so a hit touches no second structure — but
+//! sized once at construction and never rehashed: hardware flow tables
+//! have a fixed number of entries. Deleting rules leaves tombstones; when
+//! tombstones would start lengthening probe chains noticeably (a quarter
+//! of the index), the table compacts in place, which stands in for the
+//! background re-programming real firmware does.
 
 use crate::{OffloadAction, OffloadError, OffloadRule, OffloadVerdict};
+use scap_flow::index::{GroupIndex, GROUP};
 use scap_wire::{FlowKey, ParsedPacket, TcpFlags};
-
-/// Tags scanned per probe step (one ctrl group, matching the flow
-/// table's cache-line discipline).
-pub const GROUP: usize = 16;
-
-const CTRL_EMPTY: u8 = 0x00;
-const CTRL_TOMB: u8 = 0x01;
-
-#[inline]
-fn tag(h: u64) -> u8 {
-    0x80 | ((h >> 57) as u8)
-}
 
 /// Aggregate offload accounting. Per-rule hit/byte counters fold into
 /// `evicted_hits`/`evicted_bytes` when a rule is evicted or removed, so
@@ -77,16 +66,21 @@ struct Entry {
     sample_seq: u32,
 }
 
+impl Entry {
+    fn rule(&self) -> OffloadRule {
+        OffloadRule {
+            key: self.key,
+            action: self.action,
+            priority: self.priority,
+        }
+    }
+}
+
 /// The programmable flow-offload table.
 #[derive(Debug)]
 pub struct OffloadTable {
-    ctrl: Vec<u8>,
-    hashes: Vec<u64>,
-    slots: Vec<Option<Entry>>,
-    mask: usize,
-    /// Installed rules.
-    len: usize,
-    tombs: usize,
+    /// The installed rules, each at its index position (FULL ⇔ `Some`).
+    index: GroupIndex<Option<Entry>>,
     /// Hard rule limit (the hardware table size).
     capacity: usize,
     seed: u64,
@@ -101,17 +95,9 @@ impl OffloadTable {
     /// hash (the same symmetric hash both directions share).
     pub fn new(capacity: usize, seed: u64) -> Self {
         let capacity = capacity.max(1);
-        // Index sized so `capacity` rules stay under a 7/8 load factor.
-        let want = (capacity * 8 / 7 + GROUP)
-            .max(2 * GROUP)
-            .next_power_of_two();
         OffloadTable {
-            ctrl: vec![CTRL_EMPTY; want],
-            hashes: vec![0; want],
-            slots: vec![None; want],
-            mask: want - 1,
-            len: 0,
-            tombs: 0,
+            // Sized so `capacity` rules stay under a 7/8 load factor.
+            index: GroupIndex::with_capacity(capacity * 8 / 7 + GROUP),
             capacity,
             seed,
             clock: 0,
@@ -128,17 +114,17 @@ impl OffloadTable {
 
     /// Installed rules.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// True when no rules are installed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.index.is_empty()
     }
 
     /// Remaining rule capacity.
     pub fn free(&self) -> usize {
-        self.capacity - self.len
+        self.capacity - self.len()
     }
 
     /// The hard rule limit.
@@ -148,21 +134,12 @@ impl OffloadTable {
 
     /// Rule occupancy in permille of the hardware capacity.
     pub fn load_permille(&self) -> u64 {
-        (self.len as u64 * 1000) / self.capacity as u64
+        (self.len() as u64 * 1000) / self.capacity as u64
     }
 
     /// Aggregate accounting.
     pub fn stats(&self) -> OffloadStats {
         self.stats
-    }
-
-    fn ngroups(&self) -> usize {
-        (self.mask + 1) / GROUP
-    }
-
-    #[inline]
-    fn home_group(&self, h: u64) -> usize {
-        (h as usize & self.mask) / GROUP
     }
 
     fn hash(&self, canon: &FlowKey) -> u64 {
@@ -171,93 +148,36 @@ impl OffloadTable {
 
     /// Position of the rule for `canon`, if installed.
     fn find(&self, h: u64, canon: &FlowKey) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let t = tag(h);
-        let ngroups = self.ngroups();
-        let mut g = self.home_group(h);
-        for _ in 0..ngroups {
-            let base = g * GROUP;
-            let mut saw_empty = false;
-            for pos in base..base + GROUP {
-                let c = self.ctrl[pos];
-                if c == CTRL_EMPTY {
-                    saw_empty = true;
-                } else if c == t && self.hashes[pos] == h {
-                    if let Some(e) = self.slots[pos].as_ref() {
-                        if e.key == *canon {
-                            return Some(pos);
-                        }
-                    }
-                }
-            }
-            if saw_empty {
-                return None;
-            }
-            g = (g + 1) & (ngroups - 1);
-        }
-        None
+        let same_flow = |e: &Option<Entry>| e.as_ref().is_some_and(|e| e.key == *canon);
+        self.index.scan(h, || {}, same_flow)
     }
 
-    fn insert_pos(&self, h: u64) -> usize {
-        let ngroups = self.ngroups();
-        let mut g = self.home_group(h);
-        let mut first_tomb: Option<usize> = None;
-        for _ in 0..ngroups {
-            let base = g * GROUP;
-            for pos in base..base + GROUP {
-                match self.ctrl[pos] {
-                    CTRL_EMPTY => return first_tomb.unwrap_or(pos),
-                    CTRL_TOMB => first_tomb = first_tomb.or(Some(pos)),
-                    _ => {}
-                }
-            }
-            g = (g + 1) & (ngroups - 1);
-        }
-        first_tomb.expect("index sized above rule capacity")
+    fn rule_at(&self, pos: usize) -> &Entry {
+        self.index.get(pos).as_ref().expect("rule at FULL position")
     }
 
     fn erase(&mut self, pos: usize) -> Entry {
-        let e = self.slots[pos].take().expect("erase of live position");
-        self.ctrl[pos] = CTRL_TOMB;
-        self.len -= 1;
-        self.tombs += 1;
-        self.fold_counters(&e);
-        self.maybe_compact();
-        e
-    }
-
-    /// Fold a departing rule's counters into the aggregates so no hit
-    /// is lost when the rule goes away.
-    fn fold_counters(&mut self, e: &Entry) {
+        let e = self.index.erase(pos).expect("rule at FULL position");
+        // Fold the departing rule's counters into the aggregates so no
+        // hit is lost when the rule goes away.
         self.stats.evicted_hits += e.hits;
         self.stats.evicted_bytes += e.bytes;
+        self.maybe_compact();
+        e
     }
 
     /// Compact in place once tombstones cover a quarter of the index
     /// (fixed tables cannot rehash away probe-chain rot; firmware
     /// re-programs instead).
     fn maybe_compact(&mut self) {
-        if self.tombs * 4 < self.ctrl.len() {
+        if self.index.tombstones() * 4 < self.index.capacity() {
             return;
         }
-        let cap = self.ctrl.len();
-        let mut live: Vec<(u64, Entry)> = Vec::with_capacity(self.len);
-        for pos in 0..cap {
-            if self.ctrl[pos] & 0x80 != 0 {
-                live.push((self.hashes[pos], self.slots[pos].take().expect("full slot")));
-            }
-        }
-        self.ctrl.iter_mut().for_each(|c| *c = CTRL_EMPTY);
-        self.tombs = 0;
-        self.len = 0;
+        let mut all = 0..self.index.capacity();
+        let live: Vec<_> = std::iter::from_fn(|| self.index.take_next(&mut all)).collect();
+        self.index.clear();
         for (h, e) in live {
-            let pos = self.insert_pos(h);
-            self.ctrl[pos] = tag(h);
-            self.hashes[pos] = h;
-            self.slots[pos] = Some(e);
-            self.len += 1;
+            self.index.insert(h, e);
         }
     }
 
@@ -279,24 +199,18 @@ impl OffloadTable {
         if self.find(h, &canon).is_some() {
             return Err(OffloadError::Duplicate);
         }
-        if self.len >= self.capacity {
+        if self.len() >= self.capacity {
             return Err(OffloadError::TableFull);
         }
-        let pos = self.insert_pos(h);
-        if self.ctrl[pos] == CTRL_TOMB {
-            self.tombs -= 1;
-        }
-        self.ctrl[pos] = tag(h);
-        self.hashes[pos] = h;
-        self.slots[pos] = Some(Entry {
+        let entry = Entry {
             key: canon,
             action: rule.action,
             priority: rule.priority,
             hits: 0,
             bytes: 0,
             sample_seq: 0,
-        });
-        self.len += 1;
+        };
+        self.index.insert(h, Some(entry));
         self.stats.ops += 1;
         Ok(())
     }
@@ -310,19 +224,14 @@ impl OffloadTable {
         };
         let e = self.erase(pos);
         self.stats.ops += 1;
-        Ok(OffloadRule {
-            key: e.key,
-            action: e.action,
-            priority: e.priority,
-        })
+        Ok(e.rule())
     }
 
     /// The installed action for a flow, if any (no counters touched).
     pub fn action_for(&self, key: &FlowKey) -> Option<OffloadAction> {
         let canon = key.canonical().0;
         let h = self.hash(&canon);
-        self.find(h, &canon)
-            .map(|pos| self.slots[pos].as_ref().expect("found slot").action)
+        self.find(h, &canon).map(|pos| self.rule_at(pos).action)
     }
 
     /// The mark tag for a flow, if a `Mark` rule is installed — the
@@ -337,19 +246,13 @@ impl OffloadTable {
     /// Snapshot every installed rule (checkpointing; order unspecified,
     /// the codec sorts by encoding for determinism).
     pub fn rules(&self) -> Vec<OffloadRule> {
-        if self.len == 0 {
-            // Every periodic checkpoint asks; a capture that installs no
-            // rule must not pay a walk over the whole index for it.
-            return Vec::new();
-        }
-        self.slots
-            .iter()
-            .flatten()
-            .map(|e| OffloadRule {
-                key: e.key,
-                action: e.action,
-                priority: e.priority,
-            })
+        // Every periodic checkpoint asks: walk the tag bytes, not the
+        // rules, and no further than the last rule installed — a capture
+        // that installs none pays nothing.
+        let installed = self.index.full(0..self.index.capacity());
+        installed
+            .take(self.len())
+            .map(|pos| self.rule_at(pos).rule())
             .collect()
     }
 
@@ -358,48 +261,37 @@ impl OffloadTable {
     /// hits breaks ties, so cold rules go before hot ones). Returns the
     /// evicted rule. Counters fold into the aggregates first.
     pub fn evict_tiered(&mut self, max_scan: usize) -> Option<OffloadRule> {
-        if self.len == 0 {
-            return None;
-        }
-        let cap = self.ctrl.len();
+        let (cap, window) = (self.index.capacity(), max_scan.max(1));
         let mut best: Option<(u8, u64, usize)> = None;
-        let mut scanned = 0usize;
-        let mut pos = self.clock & self.mask;
-        for _ in 0..cap {
-            if self.ctrl[pos] & 0x80 != 0 {
-                let e = self.slots[pos].as_ref().expect("full slot");
-                let cand = (e.priority, e.hits, pos);
-                let better = match best {
-                    None => true,
-                    Some((p, hits, _)) => (e.priority, e.hits) < (p, hits),
-                };
-                if better {
-                    best = Some(cand);
-                }
-                scanned += 1;
-                if scanned >= max_scan.max(1) {
-                    break;
-                }
+        let mut last = self.clock;
+        // At most one turn of the clock.
+        for pos in self.index.full(self.clock..self.clock + cap).take(window) {
+            let e = self.rule_at(pos);
+            if best.is_none_or(|(p, hits, _)| (e.priority, e.hits) < (p, hits)) {
+                best = Some((e.priority, e.hits, pos));
             }
-            pos = (pos + 1) & self.mask;
+            last = pos;
         }
-        self.clock = (pos + 1) & self.mask;
         let (_, _, victim) = best?;
+        // The hand stops on the last rule of a full window; with fewer
+        // rules than that it has come all the way round.
+        let hand = if self.len() >= window {
+            last
+        } else {
+            self.clock
+        };
+        self.clock = (hand + 1) & (cap - 1);
         let e = self.erase(victim);
         self.stats.evictions += 1;
         self.stats.ops += 1;
-        Some(OffloadRule {
-            key: e.key,
-            action: e.action,
-            priority: e.priority,
-        })
+        Some(e.rule())
     }
 
     /// Hardware lookup for one frame. Returns `None` when no rule
     /// matches (the frame continues to FDIR/RSS) — including TCP
     /// control packets punted past drop-class rules.
     pub fn lookup(&mut self, parsed: &ParsedPacket<'_>) -> Option<OffloadVerdict> {
-        if self.len == 0 {
+        if self.is_empty() {
             return None;
         }
         let key = parsed.key.as_ref()?;
@@ -413,14 +305,13 @@ impl OffloadTable {
         if let Some(tcp) = parsed.tcp.as_ref() {
             let ctl = TcpFlags(TcpFlags::SYN.0 | TcpFlags::FIN.0 | TcpFlags::RST.0);
             let is_control = tcp.flags.0 & ctl.0 != 0;
-            let action = self.slots[pos].as_ref().expect("found slot").action;
-            if is_control && action.can_drop() {
+            if is_control && self.rule_at(pos).action.can_drop() {
                 self.stats.control_passthrough += 1;
                 return None;
             }
         }
 
-        let e = self.slots[pos].as_mut().expect("found slot");
+        let e = self.index.get_mut(pos).as_mut().expect("found rule");
         e.hits += 1;
         e.bytes += len;
         self.stats.hits += 1;

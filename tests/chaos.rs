@@ -137,24 +137,10 @@ fn ring_stalls_register_without_losing_accounting() {
     for pkt in &packets {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-            while let Some(ev) = kernel.next_event(core) {
-                if let scap::EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.service(now, |k, ev| k.release_event(ev));
     }
     kernel.finish(now.saturating_add(1));
-    for core in 0..kernel.ncores() {
-        while let Some(ev) = kernel.next_event(core) {
-            if let scap::EventKind::Data { dir, chunk, .. } = ev.kind {
-                kernel.release_data(ev.stream.uid, dir, chunk);
-            }
-        }
-    }
+    kernel.drain_events(now, |k, ev| k.release_event(ev));
     let stats = kernel.stats();
     let st = &stats.stack;
     assert_eq!(
@@ -189,27 +175,17 @@ fn drive_store(writer: &mut scap_store::StoreWriter) {
         ..ScapConfig::default()
     });
     let mut now = 0;
-    let mut drain = |kernel: &mut ScapKernel| {
-        for core in 0..kernel.ncores() {
-            while let Some(ev) = kernel.next_event(core) {
-                let _ = writer.observe(&ev);
-                if let scap::EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+    let mut archive = |k: &mut ScapKernel, ev: scap::Event| {
+        let _ = writer.observe(&ev);
+        k.release_event(ev);
     };
     for pkt in &trace {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-        }
-        drain(&mut kernel);
+        kernel.service(now, &mut archive);
     }
     kernel.finish(now.saturating_add(1));
-    drain(&mut kernel);
+    kernel.drain_events(now, archive);
 }
 
 /// Archive chaos: a seeded fault storm against the store writer. A torn
@@ -319,21 +295,20 @@ struct RunObs {
     first_chunk_offset: std::collections::HashMap<(u64, usize), u64>,
 }
 
-fn drain_into(kernel: &mut ScapKernel, obs: &mut RunObs) {
-    for core in 0..kernel.ncores() {
-        while let Some(ev) = kernel.next_event(core) {
-            if let scap::EventKind::Terminated = ev.kind {
-                obs.terminated.insert(ev.stream.uid, ev.stream.clone());
-            }
-            if let scap::EventKind::Data { dir, chunk, .. } = ev.kind {
-                let e = obs
-                    .first_chunk_offset
-                    .entry((ev.stream.uid, dir.index()))
-                    .or_insert(u64::MAX);
-                *e = (*e).min(chunk.start_offset);
-                kernel.release_data(ev.stream.uid, dir, chunk);
-            }
+/// The event sink of a run: note what `obs` keeps, give the chunk back.
+fn observe(obs: &mut RunObs) -> impl FnMut(&mut ScapKernel, scap::Event) + '_ {
+    |kernel, ev| {
+        if let scap::EventKind::Terminated = ev.kind {
+            obs.terminated.insert(ev.stream.uid, ev.stream.clone());
         }
+        if let scap::EventKind::Data { dir, chunk, .. } = &ev.kind {
+            let e = obs
+                .first_chunk_offset
+                .entry((ev.stream.uid, dir.index()))
+                .or_insert(u64::MAX);
+            *e = (*e).min(chunk.start_offset);
+        }
+        kernel.release_event(ev);
     }
 }
 
@@ -354,11 +329,7 @@ fn drive_range(
     for (i, pkt) in trace[from..to].iter().enumerate() {
         let now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-        }
-        drain_into(kernel, obs);
+        kernel.service(now, observe(obs));
         if let Some(every) = every {
             if (i as u64 + 1).is_multiple_of(every) {
                 seq += 1;
@@ -371,7 +342,7 @@ fn drive_range(
 
 fn finish_run(kernel: &mut ScapKernel, now: u64, obs: &mut RunObs) {
     kernel.finish(now);
-    drain_into(kernel, obs);
+    kernel.drain_events(now, observe(obs));
 }
 
 /// The warm-restart acceptance storm: kill the capture at a seeded
@@ -532,15 +503,7 @@ fn storm_capture_is_deterministic_per_seed() {
         for pkt in &packets {
             now = pkt.ts_ns;
             kernel.nic_receive(pkt);
-            for core in 0..kernel.ncores() {
-                while kernel.kernel_poll(core, now).is_some() {}
-                kernel.kernel_timers(core, now);
-                while let Some(ev) = kernel.next_event(core) {
-                    if let scap::EventKind::Data { dir, chunk, .. } = ev.kind {
-                        kernel.release_data(ev.stream.uid, dir, chunk);
-                    }
-                }
-            }
+            kernel.service(now, |k, ev| k.release_event(ev));
         }
         kernel.finish(now.saturating_add(1));
         kernel.stats()

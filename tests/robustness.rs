@@ -43,9 +43,7 @@ proptest! {
         let n = frames.len() as u64;
         for (i, f) in frames.into_iter().enumerate() {
             kernel.nic_receive(&Packet::new(i as u64 * 1000, f));
-            for c in 0..kernel.ncores() {
-                while kernel.kernel_poll(c, i as u64 * 1000).is_some() {}
-            }
+            kernel.service(i as u64 * 1000, |k, ev| k.release_event(ev));
         }
         kernel.finish(u64::MAX / 2);
         let st = kernel.stats();
@@ -63,9 +61,7 @@ proptest! {
         let cut = cut.min(frame.len());
         let mut kernel = ScapKernel::new(ScapConfig::default());
         kernel.nic_receive(&Packet::new(0, frame[..cut].to_vec()));
-        for c in 0..kernel.ncores() {
-            while kernel.kernel_poll(c, 0).is_some() {}
-        }
+        kernel.service(0, |k, ev| k.release_event(ev));
         kernel.finish(1);
     }
 
@@ -90,9 +86,7 @@ proptest! {
         frame.extend_from_slice(&garbage);
         let mut kernel = ScapKernel::new(ScapConfig::default());
         kernel.nic_receive(&Packet::new(0, frame));
-        for c in 0..kernel.ncores() {
-            while kernel.kernel_poll(c, 0).is_some() {}
-        }
+        kernel.service(0, |k, ev| k.release_event(ev));
         kernel.finish(1);
         let st = kernel.stats().stack;
         prop_assert_eq!(st.wire_packets, 1);
@@ -113,10 +107,7 @@ proptest! {
         let mut kernel = ScapKernel::new(ScapConfig::default());
         let feed = |kernel: &mut ScapKernel, now: u64, frame: Vec<u8>| {
             kernel.nic_receive(&Packet::new(now, frame));
-            for core in 0..kernel.ncores() {
-                while kernel.kernel_poll(core, now).is_some() {}
-                kernel.kernel_timers(core, now);
-            }
+            kernel.service(now, |k, ev| k.release_event(ev));
         };
         feed(&mut kernel, 1_000_000_000,
              PacketBuilder::tcp_v4(c, s, 5, 80, 100, 0, TcpFlags::SYN, b""));
@@ -159,15 +150,7 @@ fn sample_checkpoint(seed: u64) -> Vec<u8> {
     for pkt in &trace[..trace.len() / 2] {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for c in 0..kernel.ncores() {
-            while kernel.kernel_poll(c, now).is_some() {}
-            kernel.kernel_timers(c, now);
-            while let Some(ev) = kernel.next_event(c) {
-                if let scap::EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.service(now, |k, ev| k.release_event(ev));
     }
     let bytes = kernel.checkpoint_bytes(now, 1);
     cache.lock().unwrap().insert(seed, bytes.clone());
