@@ -62,24 +62,79 @@ echo "== perf/ package gate =="
 # the drive-loop-vs-live-driver cross-check).
 perf/check.sh
 
-echo "== telemetry + store smoke run =="
-# The gates below take a zero exit of `experiments` as their proof, so
-# an id it does not know must not exit zero.
-if cargo run --release -p scap-bench --bin experiments -- \
-    --exp nosuch --scale smoke >/dev/null 2>&1; then
+echo "== experiments is the model: two same-seed runs, one diff =="
+# `experiments` reads no clock, so every file it writes except the
+# stamped trajectory.jsonl is a function of (--exp, --scale, --seed).
+# Two full runs must agree byte for byte with each other and with the
+# tables committed under results/ — the net every refactor leans on. The
+# experiments assert their own identities (conservation, flight-vs-
+# telemetry reconciliation, restart and tenant ladders, blackout bounds,
+# bypass > classic) and panic on a mismatch, so a zero exit is that
+# proof — which is why an id `experiments` does not know must not exit
+# zero. Seed 42, not a fresh one: `tenants` asserts a drop-free
+# well-behaved tenant, which its finish-time flush does not give every
+# trace (seed 7 fails there).
+if target/release/experiments --exp nosuch --scale smoke >/dev/null 2>&1; then
     echo "experiments --exp nosuch exited 0"; exit 1
 fi
-smoke_out=$(mktemp -d)
-cargo run --release -p scap-bench --bin experiments -- \
-    --exp telemetry store --scale smoke --out "$smoke_out" >/dev/null
-for f in telemetry_counters.csv telemetry_series.csv telemetry_table.txt \
-         telemetry_stages.csv store_archive.csv store_priorities.csv \
-         BENCH_summary.json; do
-    test -s "$smoke_out/$f" || { echo "missing $f"; exit 1; }
+if grep -nE 'Instant::now|SystemTime' crates/bench/src/figures.rs crates/bench/src/common.rs; then
+    echo "the model reads a clock (see above)"; exit 1
+fi
+if grep -rnE 'fn [a-z_]*_section' crates/bench/src/; then
+    echo "a bespoke summary section is back (see above)"; exit 1
+fi
+run_a=$(mktemp -d)
+run_b=$(mktemp -d)
+for out in "$run_a" "$run_b"; do
+    target/release/experiments --exp all --scale smoke --seed 42 --out "$out" >/dev/null \
+        || { echo "experiments --exp all failed"; exit 1; }
 done
-grep -q '"store"' "$smoke_out/BENCH_summary.json" \
-    || { echo "BENCH_summary.json lacks a store section"; exit 1; }
-rm -rf "$smoke_out"
+diff -r -x trajectory.jsonl "$run_a" "$run_b" \
+    || { echo "two same-seed runs differ (see above)"; exit 1; }
+for f in $(git ls-files results | grep -v trajectory.jsonl); do
+    cmp "$f" "$run_a/${f#results/}" \
+        || { echo "$f is stale: rerun that command without --out"; exit 1; }
+done
+# BENCH_summary.json is the run's tables and nothing else: every table
+# once, equal to its .csv cell for cell.
+python3 - "$run_a" <<'EOF' || { echo "BENCH_summary.json check failed"; exit 1; }
+import csv, glob, json, os, sys
+out = sys.argv[1]
+doc = json.load(open(f"{out}/BENCH_summary.json"))
+assert doc["schema"] == "scap-bench-summary/2" and doc["clock"] == "virtual", doc["schema"]
+assert (doc["scale"], doc["seed"]) == ("smoke", 42)
+tables = doc["tables"]
+# telemetry_{counters,series}.csv are registry exports, not tables.
+on_disk = {os.path.basename(p)[:-4] for p in glob.glob(f"{out}/*.csv")}
+on_disk -= {"telemetry_counters", "telemetry_series"}
+assert set(tables) == on_disk, set(tables) ^ on_disk
+same = lambda j, c: float(c) == j if isinstance(j, (int, float)) else c == j
+for name, t in tables.items():
+    head, *rows = csv.reader(open(f"{out}/{name}.csv"))
+    assert head == t["headers"], name
+    assert len(rows) == len(t["rows"]), name
+    for want, got in zip(rows, t["rows"]):
+        assert len(want) == len(got) and all(map(same, got, want)), (name, want, got)
+# The pulse plane reports a real delivery tail and feeds the trajectory.
+for exp in ("fastpath", "soak"):
+    p99 = {r[0]: r[3] for r in tables[f"{exp}_latency"]["rows"]}
+    assert p99["delivery"] > 0 and p99["kernel_dispatch"] > 0, (exp, p99)
+traj = json.loads(open(f"{out}/trajectory.jsonl").readlines()[-1])
+for key in ("git_sha", "p99_delivery_ns", "fastpath_pkts_per_sec", "soak_max_blackout_ms"):
+    assert key in traj, key
+assert "soak_pkts_per_sec" not in traj, "a wall-clock rate is back in the model"
+EOF
+for f in telemetry_counters.csv telemetry_series.csv telemetry_table.txt; do
+    test -s "$run_a/$f" || { echo "missing $f"; exit 1; }
+done
+target/release/scapstore verify "$run_a/flight_journal.bin" >/dev/null \
+    || { echo "flight journal failed to decode"; exit 1; }
+fq=$(target/release/scapstore fquery "$run_a/soak_store" "tcp and port 80" \
+    --timeout-ms 10000 | tail -5) \
+    || { echo "federated query over the soak archives failed"; exit 1; }
+echo "$fq" | grep -q "shard(s)" \
+    || { echo "fquery printed no per-shard status: $fq"; exit 1; }
+rm -rf "$run_a" "$run_b"
 
 echo "== warm-restart chaos seed matrix =="
 for seed in 11 23 47; do
@@ -87,16 +142,6 @@ for seed in 11 23 47; do
         kill_and_resume_storm_preserves_streams >/dev/null \
         || { echo "kill/resume storm failed with seed $seed"; exit 1; }
 done
-
-echo "== warm-restart recovery table =="
-restart_out=$(mktemp -d)
-cargo run --release -p scap-bench --bin experiments -- \
-    --exp restart --scale smoke --out "$restart_out" >/dev/null
-grep -q '"restart"' "$restart_out/BENCH_summary.json" \
-    || { echo "BENCH_summary.json lacks a restart section"; exit 1; }
-test -s "$restart_out/restart_recovery.csv" \
-    || { echo "missing restart_recovery.csv"; exit 1; }
-rm -rf "$restart_out"
 
 echo "== scapcat --supervise smoke =="
 sup_out=$(mktemp -d)
@@ -121,21 +166,6 @@ bb_log=$(cargo run --release -p scap-bench --bin scapstore -- \
 echo "$bb_log" | grep -q "flight black box is clean" \
     || { echo "black box decode did not report clean: $bb_log"; exit 1; }
 rm -rf "$sup_out"
-
-echo "== flight reconciliation =="
-flight_out=$(mktemp -d)
-# The experiment asserts flight-vs-telemetry sums, the conservation
-# identity, determinism, and the restart cross-check; any mismatch
-# panics, so a zero exit *is* the reconciliation proof.
-cargo run --release -p scap-bench --bin experiments -- \
-    --exp flight --scale smoke --out "$flight_out" >/dev/null \
-    || { echo "flight reconciliation failed"; exit 1; }
-grep -q '"flight"' "$flight_out/BENCH_summary.json" \
-    || { echo "BENCH_summary.json lacks a flight section"; exit 1; }
-cargo run --release -p scap-bench --bin scapstore -- \
-    verify "$flight_out/flight_journal.bin" >/dev/null \
-    || { echo "flight journal failed to decode"; exit 1; }
-rm -rf "$flight_out"
 
 echo "== scaptop smoke =="
 top_log=$(cargo run --release -p scap-bench --bin scaptop -- \
@@ -176,59 +206,6 @@ for name in fastpath/pull_burst_64 \
         || { echo "$name missing from micro-bench output"; exit 1; }
 done
 
-echo "== fastpath throughput gate =="
-fp_out=$(mktemp -d)
-# The experiment asserts conservation, exact flight reconciliation
-# (with induced ring-overflow drops), identical delivery on both
-# dispatch paths, and bypass > classic pkts/s at 1M+ concurrent
-# flows; any violation panics, so a zero exit is the proof.
-cargo run --release -p scap-bench --bin experiments -- \
-    --exp fastpath --scale smoke --out "$fp_out" >/dev/null \
-    || { echo "fastpath throughput experiment failed"; exit 1; }
-grep -q '"fastpath"' "$fp_out/BENCH_summary.json" \
-    || { echo "BENCH_summary.json lacks a fastpath section"; exit 1; }
-grep -q '"pkts_per_sec"' "$fp_out/BENCH_summary.json" \
-    || { echo "fastpath section lacks a pkts_per_sec field"; exit 1; }
-grep -q '"burst_ablation"' "$fp_out/BENCH_summary.json" \
-    || { echo "fastpath section lacks the burst ablation"; exit 1; }
-test -s "$fp_out/fastpath_throughput.csv" \
-    || { echo "missing fastpath_throughput.csv"; exit 1; }
-# The pulse plane must report a real (nonzero) delivery tail and feed
-# the trajectory record.
-python3 - "$fp_out/BENCH_summary.json" <<'EOF' \
-    || { echo "latency section missing or delivery p99 is zero"; exit 1; }
-import json, sys
-rows = {r["stage"]: r for r in json.load(open(sys.argv[1]))["latency"]["fastpath"]}
-assert rows["delivery"]["p99_ns"] > 0, "delivery p99 is zero"
-assert rows["kernel_dispatch"]["p99_ns"] > 0, "dispatch p99 is zero"
-EOF
-grep -q '"p99_delivery_ns"' "$fp_out/trajectory.jsonl" \
-    || { echo "trajectory record lacks p99_delivery_ns"; exit 1; }
-rm -rf "$fp_out"
-
-echo "== offload engine gate =="
-off_out=$(mktemp -d)
-# The experiment asserts conservation on every run, that the offload
-# stage absorbs every cutoff rule (fdir_ops == 0), >=10x amplified
-# memory-bounded replay, and byte-exact flight reconciliation of
-# NIC-resolved drops; any violation panics, so a zero exit is the
-# proof.
-cargo run --release -p scap-bench --bin experiments -- \
-    --exp offload --scale smoke --out "$off_out" >/dev/null \
-    || { echo "offload experiment failed"; exit 1; }
-grep -q '"offload"' "$off_out/BENCH_summary.json" \
-    || { echo "BENCH_summary.json lacks an offload section"; exit 1; }
-grep -q '"hit_rate_pct"' "$off_out/BENCH_summary.json" \
-    || { echo "offload section lacks a hit_rate_pct field"; exit 1; }
-for f in offload_fig8_softirq.csv offload_scale.csv offload_action_mix.csv; do
-    test -s "$off_out/$f" || { echo "missing $f"; exit 1; }
-done
-test -s "$off_out/trajectory.jsonl" \
-    || { echo "experiments run appended no trajectory.jsonl record"; exit 1; }
-grep -q '"git_sha"' "$off_out/trajectory.jsonl" \
-    || { echo "trajectory record lacks a git_sha stamp"; exit 1; }
-rm -rf "$off_out"
-
 echo "== scaptop --offload panel smoke =="
 off_top_log=$(cargo run --release -p scap-bench --bin scaptop -- \
     --gen 2 --interval 2000 --topk 5 --offload --cutoff 16384) \
@@ -237,35 +214,6 @@ echo "$off_top_log" | grep -q "offload        rules" \
     || { echo "scaptop --offload rendered no offload panel"; exit 1; }
 echo "$off_top_log" | grep -q "offload mix    drop" \
     || { echo "scaptop --offload rendered no action-mix line"; exit 1; }
-
-echo "== shard soak gate =="
-soak_out=$(mktemp -d)
-# The soak drives the amplified replay through a supervised shard fleet
-# under the seeded shard-kill storm. The experiment asserts byte-exact
-# fleet conservation, journal reconciliation of every blackout, that
-# every killed shard respawned or parked within the blackout bound, and
-# federated partial-result honesty; any violation panics, so a zero
-# exit is the proof.
-cargo run --release -p scap-bench --bin experiments -- \
-    --exp soak --scale smoke --out "$soak_out" >/dev/null \
-    || { echo "shard soak experiment failed"; exit 1; }
-grep -q '"soak"' "$soak_out/BENCH_summary.json" \
-    || { echo "BENCH_summary.json lacks a soak section"; exit 1; }
-grep -q '"max_blackout_ms"' "$soak_out/BENCH_summary.json" \
-    || { echo "soak section lacks a max_blackout_ms field"; exit 1; }
-for f in soak_fleet.csv soak_shards.csv soak_federated.csv; do
-    test -s "$soak_out/$f" || { echo "missing $f"; exit 1; }
-done
-grep -q '"soak_pkts_per_sec"' "$soak_out/trajectory.jsonl" \
-    || { echo "trajectory record lacks the soak throughput"; exit 1; }
-grep -q '"latency"' "$soak_out/BENCH_summary.json" \
-    || { echo "soak run produced no latency section"; exit 1; }
-fq=$(cargo run --release -p scap-bench --bin scapstore -- \
-    fquery "$soak_out/soak_store" "tcp and port 80" --timeout-ms 10000 | tail -5) \
-    || { echo "federated query over the soak archives failed"; exit 1; }
-echo "$fq" | grep -q "shard(s)" \
-    || { echo "fquery printed no per-shard status: $fq"; exit 1; }
-rm -rf "$soak_out"
 
 echo "== scaptop --shards panel smoke =="
 shards_log=$(cargo run --release -p scap-bench --bin scaptop -- \
@@ -307,19 +255,6 @@ echo "$fx_log" | grep -q "flight black box is clean" \
 if echo "$fx_log" | grep -q "torn tail"; then
     echo "fixture journal reads as torn: $fx_log"; exit 1
 fi
-
-echo "== tenants isolation gate =="
-tenants_out=$(mktemp -d)
-# The experiment asserts the slow-consumer ladder, the per-tenant
-# conservation identity, exact flight-journal reconciliation, the
-# >=95% isolation bound, and per-seed determinism; a zero exit is the
-# proof.
-cargo run --release -p scap-bench --bin experiments -- \
-    --exp tenants --scale smoke --out "$tenants_out" >/dev/null \
-    || { echo "tenants isolation experiment failed"; exit 1; }
-grep -q '"tenants"' "$tenants_out/BENCH_summary.json" \
-    || { echo "BENCH_summary.json lacks a tenants section"; exit 1; }
-rm -rf "$tenants_out"
 
 echo "== scapd smoke (two clients, one stalled) =="
 scapd_dir=$(mktemp -d)

@@ -12,7 +12,7 @@ use scap_trace::replay::{natural_rate_bps, RateReplay};
 use scap_trace::stats::TraceStats;
 use scap_trace::Packet;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Experiment sizing. The paper's testbed replays a 46 GB trace against
@@ -162,17 +162,79 @@ impl FigureResult {
         out
     }
 
+    /// Render as a JSON object `{"headers", "rows", "notes"}`; cells go
+    /// through [`json_value`].
+    pub fn to_json(&self) -> String {
+        let strings = |v: &[String]| -> String {
+            let items: Vec<String> = v
+                .iter()
+                .map(|s| format!("\"{}\"", json_escape(s)))
+                .collect();
+            format!("[{}]", items.join(", "))
+        };
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                let cells: Vec<String> = r.iter().map(|c| json_value(c)).collect();
+                format!("[{}]", cells.join(", "))
+            })
+            .collect();
+        format!(
+            "{{\"headers\": {}, \"rows\": [{}], \"notes\": {}}}",
+            strings(&self.headers),
+            rows.join(", "),
+            strings(&self.notes)
+        )
+    }
+
     /// Write `name.txt` and `name.csv` into the output directory.
-    pub fn write(&self, out_dir: &PathBuf) -> std::io::Result<()> {
+    pub fn write(&self, out_dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(out_dir)?;
         let mut t = std::fs::File::create(out_dir.join(format!("{}.txt", self.name)))?;
         t.write_all(self.to_table().as_bytes())?;
         let mut c = std::fs::File::create(out_dir.join(format!("{}.csv", self.name)))?;
-        writeln!(c, "{}", self.headers.join(","))?;
-        for row in &self.rows {
-            writeln!(c, "{}", row.join(","))?;
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            let cells: Vec<String> = row.iter().map(|c| csv_cell(c)).collect();
+            writeln!(c, "{}", cells.join(","))?;
         }
         Ok(())
+    }
+}
+
+/// A CSV field: quoted (inner quotes doubled) when it holds a comma, a
+/// quote or a line break, so such a cell cannot tear its row.
+fn csv_cell(cell: &str) -> String {
+    if cell.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", cell.replace('"', "\"\""))
+    } else {
+        cell.to_string()
+    }
+}
+
+/// Escape a string for inclusion in a JSON string literal.
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Emit a cell as a bare JSON number when it parses as one (the tables
+/// pre-format all numerics), otherwise as a quoted string.
+pub(crate) fn json_value(cell: &str) -> String {
+    match cell.parse::<f64>() {
+        Ok(v) if v.is_finite() => cell.to_string(),
+        _ => format!("\"{}\"", json_escape(cell)),
     }
 }
 
@@ -466,6 +528,15 @@ mod tests {
         assert!(t.contains("rate"));
         assert!(t.contains("81.2"));
         assert!(t.contains("note: hello"));
+    }
+
+    #[test]
+    fn csv_quotes_only_cells_that_would_tear_the_row() {
+        assert_eq!(csv_cell("81.2"), "81.2");
+        assert_eq!(csv_cell("shared/solo %"), "shared/solo %");
+        assert_eq!(csv_cell("error: a, b"), "\"error: a, b\"");
+        assert_eq!(csv_cell("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(csv_cell("two\nlines"), "\"two\nlines\"");
     }
 
     #[test]

@@ -1005,8 +1005,8 @@ pub fn store(cfg: &ExpConfig) -> Vec<FigureResult> {
         ],
         notes: vec![
             format!(
-                "archive at {} (seed {}): same seed ⇒ byte-identical index dump",
-                archive_dir.display(),
+                "archive at store_archive/ under --out (seed {}): same seed ⇒ byte-identical \
+                 index dump",
                 cfg.seed
             ),
             "durability by write ordering: payload frames flush before their index record".into(),
@@ -2558,7 +2558,6 @@ pub fn soak(cfg: &ExpConfig) -> Vec<FigureResult> {
     let mut wire_in = 0u64;
     let mut wire_bytes_in = 0u64;
     let mut last_ts = 0u64;
-    let wall = std::time::Instant::now();
     for p in amplified {
         wire_in += 1;
         wire_bytes_in += p.frame.len() as u64;
@@ -2576,7 +2575,6 @@ pub fn soak(cfg: &ExpConfig) -> Vec<FigureResult> {
     fleet.finish_with(last_ts + backoff_cap_ns + 2, &mut |shard, ev| {
         writers[shard].observe(ev).expect("shard archive write");
     });
-    let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
     let mut streams_archived = 0u64;
     for w in &mut writers {
         streams_archived += w.finish().expect("shard archive finish").streams_archived;
@@ -2692,8 +2690,6 @@ pub fn soak(cfg: &ExpConfig) -> Vec<FigureResult> {
         "a zero budget must be reported as partial, never as an empty success"
     );
 
-    let mpps = wire_in as f64 / elapsed / 1e6;
-    let gbps = wire_bytes_in as f64 * 8.0 / elapsed / 1e9;
     let fleet_fig = FigureResult {
         name: "soak_fleet".into(),
         headers: vec!["metric".into(), "value".into()],
@@ -2726,8 +2722,6 @@ pub fn soak(cfg: &ExpConfig) -> Vec<FigureResult> {
                 fs.checkpoints_written.to_string(),
             ],
             vec!["streams_archived".into(), streams_archived.to_string()],
-            vec!["throughput_mpps".into(), f2(mpps)],
-            vec!["throughput_gbps".into(), f2(gbps)],
         ],
         notes: vec![
             "asserted: fleet conservation exact in packets and bytes (wire == \
@@ -2795,22 +2789,12 @@ pub fn soak(cfg: &ExpConfig) -> Vec<FigureResult> {
                 ShardOutcome::Error(e) => (format!("error: {e}"), "-".into()),
                 ShardOutcome::TimedOut => ("timed out".into(), "-".into()),
             };
-            vec![
-                s.shard.to_string(),
-                outcome,
-                n,
-                f2(s.elapsed.as_secs_f64() * 1e3),
-            ]
+            vec![s.shard.to_string(), outcome, n]
         })
         .collect();
     let fed_fig = FigureResult {
         name: "soak_federated".into(),
-        headers: vec![
-            "shard".into(),
-            "outcome".into(),
-            "records".into(),
-            "elapsed_ms".into(),
-        ],
+        headers: vec!["shard".into(), "outcome".into(), "records".into()],
         rows: fed_rows,
         notes: vec![format!(
             "federated `tcp and port 80` over {} shard archives: {} records, \

@@ -1,463 +1,37 @@
-//! Machine-readable run summary: `BENCH_summary.json`.
+//! Machine-readable run summary: `BENCH_summary.json`, and the
+//! `trajectory.jsonl` line of headline figures.
 //!
-//! At the end of an `experiments` run, the harness distills the produced
-//! [`FigureResult`]s into one JSON document a CI job or notebook can
-//! consume without parsing text tables: the maximum loss-free rate per
-//! worker count (Fig. 10b), the processed-traffic ratio per stack at the
-//! highest replay rate (Fig. 6b), and the per-stage span quantiles from
-//! the telemetry experiment. Sections whose source experiment did not
-//! run in this invocation are omitted. The JSON is hand-rolled — the
-//! workspace carries no serialization dependency.
+//! The summary is every table of the run ([`FigureResult::to_json`]),
+//! keyed by name in run order. `experiments` reads no clock, so the
+//! document says `"clock": "virtual"` once for all of it: every number
+//! in it is modelled. Measured numbers are `perf`'s (`perf/out/`).
 
-use crate::common::{ExpConfig, FigureResult};
+use crate::common::{json_escape, json_value, ExpConfig, FigureResult};
 use std::path::PathBuf;
-
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Emit a cell as a bare JSON number when it parses as one (the tables
-/// pre-format all numerics), otherwise as a quoted string.
-fn json_value(cell: &str) -> String {
-    match cell.parse::<f64>() {
-        Ok(v) if v.is_finite() => cell.to_string(),
-        _ => format!("\"{}\"", json_escape(cell)),
-    }
-}
 
 fn find<'a>(results: &'a [FigureResult], name: &str) -> Option<&'a FigureResult> {
     results.iter().find(|r| r.name == name)
 }
 
-/// Fig. 10b rows (`workers`, `max_lossfree_gbps`) as a JSON array.
-fn lossfree_section(fig: &FigureResult) -> String {
-    let items: Vec<String> = fig
-        .rows
-        .iter()
-        .filter(|r| r.len() >= 2)
-        .map(|r| {
-            format!(
-                "{{\"workers\": {}, \"gbps\": {}}}",
-                json_value(&r[0]),
-                json_value(&r[1])
-            )
-        })
-        .collect();
-    format!("  \"max_lossfree_gbps\": [{}]", items.join(", "))
-}
-
-/// The last (highest-rate) Fig. 6b row keyed by stack-name headers.
-fn processed_section(fig: &FigureResult) -> Option<String> {
-    let row = fig.rows.last()?;
-    let mut fields = Vec::new();
-    for (h, cell) in fig.headers.iter().zip(row.iter()) {
-        fields.push(format!("\"{}\": {}", json_escape(h), json_value(cell)));
-    }
-    Some(format!(
-        "  \"processed_traffic_percent_at_max_rate\": {{{}}}",
-        fields.join(", ")
-    ))
-}
-
-/// Per-stage count/mean/p50/p99 from the telemetry experiment.
-fn stages_section(fig: &FigureResult) -> String {
-    let items: Vec<String> = fig
-        .rows
-        .iter()
-        .filter(|r| r.len() >= 5)
-        .map(|r| {
-            format!(
-                "{{\"stage\": {}, \"count\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}}}",
-                format_args!("\"{}\"", json_escape(&r[0])),
-                json_value(&r[1]),
-                json_value(&r[2]),
-                json_value(&r[3]),
-                json_value(&r[4])
-            )
-        })
-        .collect();
-    format!("  \"stage_spans\": [{}]", items.join(", "))
-}
-
-/// The archive counters plus per-priority retention from the store
-/// experiment, as one `"store"` object.
-fn store_section(archive: &FigureResult, priorities: Option<&FigureResult>) -> String {
-    let mut fields: Vec<String> = archive
-        .rows
-        .iter()
-        .filter(|r| r.len() >= 2)
-        .map(|r| {
-            format!(
-                "\"{}\": {}",
-                json_escape(&json_key(&r[0])),
-                json_value(&r[1])
-            )
-        })
-        .collect();
-    if let Some(p) = priorities {
-        let items: Vec<String> = p
-            .rows
-            .iter()
-            .filter(|r| r.len() >= 5)
-            .map(|r| {
-                format!(
-                    "{{\"priority\": {}, \"archived\": {}, \"pruned\": {}, \
-                     \"discard_ratio\": {}, \"live_bytes\": {}}}",
-                    json_value(&r[0]),
-                    json_value(&r[1]),
-                    json_value(&r[2]),
-                    json_value(&r[3]),
-                    json_value(&r[4])
-                )
-            })
-            .collect();
-        fields.push(format!("\"by_priority\": [{}]", items.join(", ")));
-    }
-    format!("  \"store\": {{{}}}", fields.join(", "))
-}
-
-/// One object per checkpoint interval from the warm-restart experiment,
-/// keyed by the figure's own column headers.
-fn restart_section(fig: &FigureResult) -> String {
-    let items: Vec<String> = fig
-        .rows
-        .iter()
-        .map(|row| {
-            let fields: Vec<String> = fig
-                .headers
-                .iter()
-                .zip(row.iter())
-                .map(|(h, cell)| format!("\"{}\": {}", json_escape(h), json_value(cell)))
-                .collect();
-            format!("{{{}}}", fields.join(", "))
-        })
-        .collect();
-    format!("  \"restart\": [{}]", items.join(", "))
-}
-
-/// Normalize a human table label into a snake_case JSON key.
-fn json_key(label: &str) -> String {
-    let mut key = String::new();
-    for c in label.chars() {
-        if c.is_alphanumeric() {
-            key.push(c.to_ascii_lowercase());
-        } else if !key.is_empty() && !key.ends_with('_') {
-            key.push('_');
-        }
-    }
-    key.trim_end_matches('_').to_string()
-}
-
-/// The flight-recorder reconciliation (flight vs telemetry, per check)
-/// plus the drop-attribution rows, as one `"flight"` object. The
-/// restart row doubles as the `ResilienceStats`-vs-journal cross-check.
-fn flight_section(recon: &FigureResult, attribution: Option<&FigureResult>) -> String {
-    let mut fields: Vec<String> = recon
-        .rows
-        .iter()
-        .filter(|r| r.len() >= 3)
-        .map(|r| {
-            format!(
-                "\"{}\": {{\"flight\": {}, \"telemetry\": {}}}",
-                json_escape(&json_key(&r[0])),
-                json_value(&r[1]),
-                json_value(&r[2])
-            )
-        })
-        .collect();
-    if let Some(a) = attribution {
-        let items: Vec<String> = a
-            .rows
-            .iter()
-            .filter(|r| r.len() >= 6)
-            .map(|r| {
-                format!(
-                    "{{\"kind\": \"{}\", \"layer\": \"{}\", \"reason\": \"{}\", \
-                     \"events\": {}, \"pkts\": {}, \"bytes\": {}}}",
-                    json_escape(&r[0]),
-                    json_escape(&r[1]),
-                    json_escape(&r[2]),
-                    json_value(&r[3]),
-                    json_value(&r[4]),
-                    json_value(&r[5])
-                )
-            })
-            .collect();
-        fields.push(format!("\"attribution\": [{}]", items.join(", ")));
-    }
-    format!("  \"flight\": {{{}}}", fields.join(", "))
-}
-
-/// The per-tenant isolation/fairness and conservation tables from the
-/// tenants experiment, joined by tenant name into one `"tenants"` array.
-fn tenants_section(isolation: &FigureResult, conservation: Option<&FigureResult>) -> String {
-    let items: Vec<String> = isolation
-        .rows
-        .iter()
-        .filter(|r| r.len() >= 6)
-        .map(|r| {
-            let mut fields = vec![
-                format!("\"tenant\": \"{}\"", json_escape(&r[0])),
-                format!("\"state\": \"{}\"", json_escape(&r[1])),
-                format!("\"solo_delivered_bytes\": {}", json_value(&r[2])),
-                format!("\"shared_delivered_bytes\": {}", json_value(&r[3])),
-                format!("\"shared_solo_percent\": {}", json_value(&r[4])),
-                format!("\"hostile\": {}", r[5] == "yes"),
-            ];
-            if let Some(c) = conservation {
-                if let Some(cr) = c.rows.iter().find(|cr| cr.len() >= 8 && cr[0] == r[0]) {
-                    fields.push(format!("\"matched_bytes\": {}", json_value(&cr[1])));
-                    fields.push(format!("\"dropped_bytes\": {}", json_value(&cr[3])));
-                    fields.push(format!("\"discarded_bytes\": {}", json_value(&cr[4])));
-                    fields.push(format!("\"journal_dropped_bytes\": {}", json_value(&cr[5])));
-                    fields.push(format!("\"strikes\": {}", json_value(&cr[6])));
-                    fields.push(format!("\"disconnected\": {}", cr[7] != "0"));
-                }
-            }
-            format!("{{{}}}", fields.join(", "))
-        })
-        .collect();
-    format!("  \"tenants\": [{}]", items.join(", "))
-}
-
-/// The fast-path head-to-head (classic vs. kernel-bypass dispatch at
-/// 1M+ concurrent flows) plus the burst-size ablation, as one
-/// `"fastpath"` object with absolute `pkts_per_sec` figures.
-fn fastpath_section(throughput: &FigureResult, ablation: Option<&FigureResult>) -> String {
-    // Mpkt/s column -> absolute pkts/s.
-    let pps = |cell: &str| -> String {
-        cell.parse::<f64>()
-            .map(|v| format!("{:.0}", v * 1e6))
-            .unwrap_or_else(|_| "null".into())
-    };
-    let mut fields = Vec::new();
-    for r in throughput.rows.iter().filter(|r| r.len() >= 8) {
-        let key = if r[0] == "fastpath" {
-            "bypass"
-        } else {
-            "classic"
-        };
-        fields.push(format!(
-            "\"{}\": {{\"pkts_per_sec\": {}, \"cycles_per_pkt\": {}, \"burst\": {}, \
-             \"speedup\": {}}}",
-            key,
-            pps(&r[5]),
-            json_value(&r[4]),
-            json_value(&r[1]),
-            json_value(&r[6])
-        ));
-    }
-    if let Some(r) = throughput.rows.iter().find(|r| r.len() >= 4) {
-        fields.push(format!("\"concurrent_flows\": {}", json_value(&r[3])));
-    }
-    if let Some(a) = ablation {
-        let items: Vec<String> = a
-            .rows
-            .iter()
-            .filter(|r| r.len() >= 6 && r[0] == "fastpath")
-            .map(|r| {
-                format!(
-                    "{{\"burst\": {}, \"pkts_per_sec\": {}, \"cycles_per_pkt\": {}, \
-                     \"speedup\": {}, \"fill_permille\": {}}}",
-                    json_value(&r[1]),
-                    pps(&r[3]),
-                    json_value(&r[2]),
-                    json_value(&r[4]),
-                    json_value(&r[5])
-                )
-            })
-            .collect();
-        fields.push(format!("\"burst_ablation\": [{}]", items.join(", ")));
-    }
-    format!("  \"fastpath\": {{{}}}", fields.join(", "))
-}
-
-/// The programmable offload engine: the amplified million-flow replay's
-/// headline numbers plus the per-cutoff hit-rate/softirq-savings curve,
-/// as one `"offload"` object.
-fn offload_section(scale: &FigureResult, fig8: Option<&FigureResult>) -> String {
-    let metric = |name: &str| -> String {
-        scale
-            .rows
-            .iter()
-            .find(|r| r.len() >= 2 && r[0] == name)
-            .map(|r| json_value(r[1].trim_end_matches('x')))
-            .unwrap_or_else(|| "null".into())
-    };
-    let mut fields = vec![
-        format!("\"flows_replayed\": {}", metric("flows_replayed")),
-        format!("\"amplification\": {}", metric("amplification")),
-        format!("\"concurrent_at_end\": {}", metric("concurrent_at_end")),
-        format!("\"wire_pkts\": {}", metric("wire_pkts")),
-        format!("\"hit_rate_pct\": {}", metric("offload_hit_rate%")),
-        format!("\"nic_dropped_pkts\": {}", metric("nic_dropped_pkts")),
-        format!("\"evictions\": {}", metric("evictions")),
-        format!("\"table_load_permille\": {}", metric("table_load_permille")),
-    ];
-    if let Some(f) = fig8 {
-        let items: Vec<String> = f
-            .rows
-            .iter()
-            .filter(|r| r.len() >= 6)
-            .map(|r| {
-                format!(
-                    "{{\"cutoff\": \"{}\", \"hit_rate_pct\": {}, \"softirq_none_pct\": {}, \
-                     \"softirq_offload_pct\": {}, \"savings_pp\": {}}}",
-                    json_escape(&r[0]),
-                    json_value(&r[1]),
-                    json_value(&r[2]),
-                    json_value(&r[4]),
-                    json_value(&r[5])
-                )
-            })
-            .collect();
-        fields.push(format!("\"per_cutoff\": [{}]", items.join(", ")));
-    }
-    format!("  \"offload\": {{{}}}", fields.join(", "))
-}
-
-/// The pulse plane: one array of per-stage latency rows per experiment
-/// that reported it (`<exp>_latency` figures), keyed by experiment, as
-/// one `"latency"` object. Quantiles are interpolated nanoseconds;
-/// `exemplars`/`threshold_ns` describe the tail-sample set riding with
-/// each histogram.
-fn latency_section(figs: &[&FigureResult]) -> String {
-    let objs: Vec<String> = figs
-        .iter()
-        .map(|f| {
-            let key = f.name.trim_end_matches("_latency");
-            let items: Vec<String> = f
-                .rows
-                .iter()
-                .filter(|r| r.len() >= 7)
-                .map(|r| {
-                    format!(
-                        "{{\"stage\": \"{}\", \"count\": {}, \"p50_ns\": {}, \
-                         \"p99_ns\": {}, \"p999_ns\": {}, \"exemplars\": {}, \
-                         \"threshold_ns\": {}}}",
-                        json_escape(&r[0]),
-                        json_value(&r[1]),
-                        json_value(&r[2]),
-                        json_value(&r[3]),
-                        json_value(&r[4]),
-                        json_value(&r[5]),
-                        json_value(&r[6])
-                    )
-                })
-                .collect();
-            format!("\"{}\": [{}]", json_escape(key), items.join(", "))
-        })
-        .collect();
-    format!("  \"latency\": {{{}}}", objs.join(", "))
-}
-
-/// The sharded soak run: fleet-wide conservation, storm/recovery
-/// counters, and the federated-query outcome as one `"soak"` object.
-fn soak_section(fleet: &FigureResult, federated: Option<&FigureResult>) -> String {
-    let metric = |name: &str| -> String {
-        fleet
-            .rows
-            .iter()
-            .find(|r| r.len() >= 2 && r[0] == name)
-            .map(|r| json_value(r[1].trim_end_matches('x')))
-            .unwrap_or_else(|| "null".into())
-    };
-    let mut fields = vec![
-        format!("\"shards\": {}", metric("shards")),
-        format!("\"amplification\": {}", metric("amplification")),
-        format!("\"flows_tracked\": {}", metric("flows_tracked")),
-        format!("\"wire_pkts\": {}", metric("wire_pkts")),
-        format!("\"shard_down_pkts\": {}", metric("shard_down_pkts")),
-        format!("\"shard_down_bytes\": {}", metric("shard_down_bytes")),
-        format!("\"kills\": {}", metric("kills")),
-        format!("\"respawns\": {}", metric("respawns")),
-        format!("\"parked\": {}", metric("parked")),
-        format!("\"max_blackout_ms\": {}", metric("max_blackout_ms")),
-        format!("\"throughput_mpps\": {}", metric("throughput_mpps")),
-    ];
-    if let Some(f) = federated {
-        let ok = f
-            .rows
-            .iter()
-            .filter(|r| r.len() >= 2 && r[1] == "ok")
-            .count();
-        fields.push(format!(
-            "\"federated\": {{\"shards_ok\": {ok}, \"shards_total\": {}}}",
-            f.rows.len()
-        ));
-    }
-    format!("  \"soak\": {{{}}}", fields.join(", "))
-}
-
-/// Render the summary document from every figure produced in this run.
+/// Render the summary document: every figure produced in this run.
 pub fn render_bench_summary(cfg: &ExpConfig, results: &[FigureResult]) -> String {
-    let mut sections = vec![
-        "  \"schema\": \"scap-bench-summary/1\"".to_string(),
-        format!("  \"scale\": \"{}\"", json_escape(cfg.scale.name)),
-        format!("  \"seed\": {}", cfg.seed),
-        format!(
-            "  \"experiments\": [{}]",
-            results
-                .iter()
-                .map(|r| format!("\"{}\"", json_escape(&r.name)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    ];
-    if let Some(fig) = find(results, "fig10b_max_lossfree_rate") {
-        sections.push(lossfree_section(fig));
-    }
-    if let Some(sec) = find(results, "fig6b_matched").and_then(processed_section) {
-        sections.push(sec);
-    }
-    if let Some(fig) = find(results, "telemetry_stages") {
-        sections.push(stages_section(fig));
-    }
-    if let Some(fig) = find(results, "store_archive") {
-        sections.push(store_section(fig, find(results, "store_priorities")));
-    }
-    if let Some(fig) = find(results, "restart_recovery") {
-        sections.push(restart_section(fig));
-    }
-    if let Some(fig) = find(results, "flight_reconciliation") {
-        sections.push(flight_section(fig, find(results, "flight_attribution")));
-    }
-    if let Some(fig) = find(results, "tenants_isolation") {
-        sections.push(tenants_section(fig, find(results, "tenants_conservation")));
-    }
-    if let Some(fig) = find(results, "fastpath_throughput") {
-        sections.push(fastpath_section(
-            fig,
-            find(results, "fastpath_burst_ablation"),
-        ));
-    }
-    if let Some(fig) = find(results, "offload_scale") {
-        sections.push(offload_section(fig, find(results, "offload_fig8_softirq")));
-    }
-    if let Some(fig) = find(results, "soak_fleet") {
-        sections.push(soak_section(fig, find(results, "soak_federated")));
-    }
-    let latency_figs: Vec<&FigureResult> = results
+    let tables: Vec<String> = results
         .iter()
-        .filter(|r| r.name.ends_with("_latency"))
+        .map(|r| format!("    \"{}\": {}", json_escape(&r.name), r.to_json()))
         .collect();
-    if !latency_figs.is_empty() {
-        sections.push(latency_section(&latency_figs));
-    }
-    format!("{{\n{}\n}}\n", sections.join(",\n"))
+    let tables = if tables.is_empty() {
+        "{}".to_string()
+    } else {
+        format!("{{\n{}\n  }}", tables.join(",\n"))
+    };
+    let fields = [
+        "\"schema\": \"scap-bench-summary/2\"".to_string(),
+        "\"clock\": \"virtual\"".to_string(),
+        format!("\"scale\": \"{}\"", json_escape(cfg.scale.name)),
+        format!("\"seed\": {}", cfg.seed),
+        format!("\"tables\": {tables}"),
+    ];
+    format!("{{\n  {}\n}}\n", fields.join(",\n  "))
 }
 
 /// Convert unix days to a civil (year, month, day) date
@@ -537,11 +111,6 @@ pub fn render_trajectory_record(cfg: &ExpConfig, results: &[FigureResult]) -> St
                 .find(|r| r.len() >= 2 && r[0] == name)
                 .map(|r| json_value(&r[1]))
         };
-        if let Some(v) = metric("throughput_mpps") {
-            if let Ok(mpps) = v.parse::<f64>() {
-                fields.push(format!("\"soak_pkts_per_sec\": {:.0}", mpps * 1e6));
-            }
-        }
         if let Some(v) = metric("flows_tracked") {
             fields.push(format!("\"soak_flows_tracked\": {v}"));
         }
@@ -601,13 +170,24 @@ mod tests {
     }
 
     #[test]
-    fn sections_appear_only_when_their_figures_ran() {
+    fn every_table_appears_once_with_headers_rows_and_notes() {
         let cfg = ExpConfig::new(Scale::smoke());
-        let none = render_bench_summary(&cfg, &[]);
-        assert!(none.contains("\"schema\": \"scap-bench-summary/1\""));
-        assert!(!none.contains("max_lossfree_gbps"));
-        assert!(!none.contains("stage_spans"));
+        let empty = render_bench_summary(&cfg, &[]);
+        assert!(empty.contains("\"schema\": \"scap-bench-summary/2\""));
+        assert!(empty.contains("\"clock\": \"virtual\""));
+        assert!(empty.contains("\"scale\": \"smoke\""));
+        assert!(empty.contains("\"seed\": 42"));
+        assert!(empty.contains("\"tables\": {}"));
 
+        let mut noted = fig(
+            "store_archive",
+            &["counter", "value"],
+            vec![
+                vec!["verify clean".into(), "true".into()],
+                vec!["index query 'tcp and port 80' hits".into(), "12".into()],
+            ],
+        );
+        noted.notes = vec!["a \"quoted\" note".into(), "second".into()];
         let results = vec![
             fig(
                 "fig10b_max_lossfree_rate",
@@ -617,392 +197,32 @@ mod tests {
                     vec!["8".into(), "5.50".into()],
                 ],
             ),
-            fig(
-                "fig6b_matched",
-                &["rate_gbps", "libnids", "snort", "scap", "scap_pkts"],
-                vec![vec![
-                    "6.00".into(),
-                    "8.1".into(),
-                    "9.0".into(),
-                    "52.3".into(),
-                    "47.0".into(),
-                ]],
-            ),
-            fig(
-                "telemetry_stages",
-                &["stage", "count", "mean", "p50", "p99"],
-                vec![vec![
-                    "kernel".into(),
-                    "1000".into(),
-                    "812.5".into(),
-                    "700".into(),
-                    "3100".into(),
-                ]],
-            ),
-        ];
-        let full = render_bench_summary(&cfg, &results);
-        assert!(full.contains("\"max_lossfree_gbps\": [{\"workers\": 1, \"gbps\": 1.25}"));
-        assert!(full.contains("\"processed_traffic_percent_at_max_rate\": {\"rate_gbps\": 6.00"));
-        assert!(full.contains("\"stage\": \"kernel\", \"count\": 1000"));
-        assert!(!full.contains("\"store\""));
-    }
-
-    #[test]
-    fn store_section_keys_and_priorities() {
-        let cfg = ExpConfig::new(Scale::smoke());
-        let results = vec![
-            fig(
-                "store_archive",
-                &["counter", "value"],
-                vec![
-                    vec!["streams archived".into(), "12".into()],
-                    vec!["verify clean".into(), "true".into()],
-                ],
-            ),
-            fig(
-                "store_priorities",
-                &[
-                    "priority",
-                    "archived",
-                    "pruned",
-                    "discard_ratio",
-                    "live_bytes",
-                ],
-                vec![vec![
-                    "0".into(),
-                    "5".into(),
-                    "3".into(),
-                    "0.375".into(),
-                    "4096".into(),
-                ]],
-            ),
-        ];
-        let full = render_bench_summary(&cfg, &results);
-        assert!(full.contains("\"store\": {"));
-        assert!(full.contains("\"streams_archived\": 12"));
-        assert!(full.contains("\"verify_clean\": \"true\""));
-        assert!(full.contains(
-            "\"by_priority\": [{\"priority\": 0, \"archived\": 5, \"pruned\": 3, \
-             \"discard_ratio\": 0.375, \"live_bytes\": 4096}]"
-        ));
-    }
-
-    #[test]
-    fn flight_section_reconciliation_and_attribution() {
-        let cfg = ExpConfig::new(Scale::smoke());
-        let results = vec![
-            fig(
-                "flight_reconciliation",
-                &["check", "flight", "telemetry"],
-                vec![
-                    vec!["dropped packets".into(), "7".into(), "7".into()],
-                    vec![
-                        "restarts (counter vs journal)".into(),
-                        "1".into(),
-                        "1".into(),
-                    ],
-                ],
-            ),
-            fig(
-                "flight_attribution",
-                &["kind", "layer", "reason", "events", "pkts", "bytes"],
-                vec![vec![
-                    "drop".into(),
-                    "kernel".into(),
-                    "ring_full".into(),
-                    "7".into(),
-                    "7".into(),
-                    "448".into(),
-                ]],
-            ),
-        ];
-        let full = render_bench_summary(&cfg, &results);
-        assert!(full.contains("\"dropped_packets\": {\"flight\": 7, \"telemetry\": 7}"));
-        assert!(full.contains("\"restarts_counter_vs_journal\": {\"flight\": 1, \"telemetry\": 1}"));
-        assert!(full.contains(
-            "\"attribution\": [{\"kind\": \"drop\", \"layer\": \"kernel\", \
-             \"reason\": \"ring_full\", \"events\": 7, \"pkts\": 7, \"bytes\": 448}]"
-        ));
-    }
-
-    #[test]
-    fn tenants_section_joins_isolation_and_conservation() {
-        let cfg = ExpConfig::new(Scale::smoke());
-        let results = vec![
-            fig(
-                "tenants_isolation",
-                &[
-                    "tenant",
-                    "state",
-                    "solo_delivered_B",
-                    "shared_delivered_B",
-                    "shared/solo %",
-                    "hostile",
-                ],
-                vec![
-                    vec![
-                        "web".into(),
-                        "active".into(),
-                        "1000".into(),
-                        "1000".into(),
-                        "100".into(),
-                        "no".into(),
-                    ],
-                    vec![
-                        "bulk".into(),
-                        "disconnected".into(),
-                        "9000".into(),
-                        "30".into(),
-                        "0".into(),
-                        "yes".into(),
-                    ],
-                ],
-            ),
-            fig(
-                "tenants_conservation",
-                &[
-                    "tenant",
-                    "matched_B",
-                    "delivered_B",
-                    "dropped_B",
-                    "discarded_B",
-                    "journal_dropped_B",
-                    "strikes",
-                    "disconnected",
-                ],
-                vec![
-                    vec![
-                        "web".into(),
-                        "1500".into(),
-                        "1000".into(),
-                        "0".into(),
-                        "500".into(),
-                        "0".into(),
-                        "0".into(),
-                        "0".into(),
-                    ],
-                    vec![
-                        "bulk".into(),
-                        "130".into(),
-                        "30".into(),
-                        "100".into(),
-                        "0".into(),
-                        "100".into(),
-                        "8".into(),
-                        "1".into(),
-                    ],
-                ],
-            ),
+            noted,
+            fig("faults_timeline", &["t_ms", "event"], vec![]),
         ];
         let full = render_bench_summary(&cfg, &results);
         assert!(full.contains(
-            "\"tenants\": [{\"tenant\": \"web\", \"state\": \"active\", \
-             \"solo_delivered_bytes\": 1000, \"shared_delivered_bytes\": 1000, \
-             \"shared_solo_percent\": 100, \"hostile\": false, \"matched_bytes\": 1500"
+            "\"fig10b_max_lossfree_rate\": {\"headers\": [\"workers\", \
+             \"max_lossfree_gbps\"], \"rows\": [[1, 1.25], [8, 5.50]], \"notes\": []}"
         ));
-        assert!(full.contains("\"hostile\": true"));
-        assert!(
-            full.contains("\"journal_dropped_bytes\": 100, \"strikes\": 8, \"disconnected\": true")
-        );
-    }
-
-    #[test]
-    fn fastpath_section_pkts_per_sec_and_ablation() {
-        let cfg = ExpConfig::new(Scale::smoke());
-        let results = vec![
-            fig(
-                "fastpath_throughput",
-                &[
-                    "path",
-                    "burst",
-                    "wire_pkts",
-                    "concurrent_flows",
-                    "cycles/pkt",
-                    "Mpkt/s",
-                    "speedup",
-                    "induced_drops",
-                ],
-                vec![
-                    vec![
-                        "classic".into(),
-                        "-".into(),
-                        "2097152".into(),
-                        "1048576".into(),
-                        "990.2".into(),
-                        "16.16".into(),
-                        "1.00".into(),
-                        "3232".into(),
-                    ],
-                    vec![
-                        "fastpath".into(),
-                        "64".into(),
-                        "2097152".into(),
-                        "1048576".into(),
-                        "549.6".into(),
-                        "29.11".into(),
-                        "1.80".into(),
-                        "3232".into(),
-                    ],
-                ],
-            ),
-            fig(
-                "fastpath_burst_ablation",
-                &[
-                    "path",
-                    "burst",
-                    "cycles/pkt",
-                    "Mpkt/s",
-                    "speedup",
-                    "fill_permille",
-                ],
-                vec![
-                    vec![
-                        "classic".into(),
-                        "-".into(),
-                        "984.5".into(),
-                        "16.25".into(),
-                        "1.00".into(),
-                        "-".into(),
-                    ],
-                    vec![
-                        "fastpath".into(),
-                        "8".into(),
-                        "609.5".into(),
-                        "26.25".into(),
-                        "1.62".into(),
-                        "1000".into(),
-                    ],
-                ],
-            ),
-        ];
-        let out = render_bench_summary(&cfg, &results);
-        assert!(out.contains("\"fastpath\": {"));
-        assert!(out.contains("\"bypass\": {\"pkts_per_sec\": 29110000"));
-        assert!(out.contains("\"classic\": {\"pkts_per_sec\": 16160000"));
-        assert!(out.contains("\"concurrent_flows\": 1048576"));
-        assert!(out.contains("\"burst_ablation\": [{\"burst\": 8, \"pkts_per_sec\": 26250000"));
-        // The classic reference row stays out of the ablation array.
-        assert!(!out.contains("\"burst\": \"-\", \"pkts_per_sec\""));
-    }
-
-    #[test]
-    fn offload_section_headline_and_per_cutoff() {
-        let cfg = ExpConfig::new(Scale::smoke());
-        let results = vec![
-            fig(
-                "offload_scale",
-                &["metric", "value"],
-                vec![
-                    vec!["base_flows".into(), "671".into()],
-                    vec!["amplification".into(), "15x".into()],
-                    vec!["flows_replayed".into(), "10065".into()],
-                    vec!["concurrent_at_end".into(), "10065".into()],
-                    vec!["wire_pkts".into(), "264210".into()],
-                    vec!["offload_hit_rate%".into(), "52.2".into()],
-                    vec!["nic_dropped_pkts".into(), "137876".into()],
-                    vec!["evictions".into(), "0".into()],
-                    vec!["table_load_permille".into(), "3".into()],
-                ],
-            ),
-            fig(
-                "offload_fig8_softirq",
-                &[
-                    "cutoff",
-                    "hit_rate%",
-                    "softirq_none%",
-                    "softirq_fdir%",
-                    "softirq_offload%",
-                    "savings_pp",
-                ],
-                vec![vec![
-                    "10K".into(),
-                    "57.8".into(),
-                    "4.2".into(),
-                    "2.5".into(),
-                    "2.4".into(),
-                    "1.8".into(),
-                ]],
-            ),
-        ];
-        let out = render_bench_summary(&cfg, &results);
-        assert!(out.contains("\"offload\": {"));
-        assert!(out.contains("\"flows_replayed\": 10065"));
-        assert!(out.contains("\"amplification\": 15"));
-        assert!(out.contains("\"hit_rate_pct\": 52.2"));
-        assert!(out.contains(
-            "\"per_cutoff\": [{\"cutoff\": \"10K\", \"hit_rate_pct\": 57.8, \
-             \"softirq_none_pct\": 4.2, \"softirq_offload_pct\": 2.4, \"savings_pp\": 1.8}]"
-        ));
-    }
-
-    #[test]
-    fn latency_section_keys_by_experiment_and_feeds_trajectory() {
-        let cfg = ExpConfig::new(Scale::smoke());
-        let lat_headers = [
-            "stage",
-            "count",
-            "p50_ns",
-            "p99_ns",
-            "p999_ns",
-            "exemplars",
-            "threshold_ns",
-        ];
-        let results = vec![
-            fig(
-                "fastpath_latency",
-                &lat_headers,
-                vec![
-                    vec![
-                        "kernel_dispatch".into(),
-                        "2097152".into(),
-                        "25500".into(),
-                        "50600".into(),
-                        "51000".into(),
-                        "8".into(),
-                        "32768".into(),
-                    ],
-                    vec![
-                        "delivery".into(),
-                        "2097152".into(),
-                        "25700".into(),
-                        "50900".into(),
-                        "51050".into(),
-                        "8".into(),
-                        "32768".into(),
-                    ],
-                ],
-            ),
-            fig(
-                "soak_latency",
-                &lat_headers,
-                vec![vec![
-                    "delivery".into(),
-                    "884000".into(),
-                    "110000".into(),
-                    "420000".into(),
-                    "510000".into(),
-                    "6".into(),
-                    "262144".into(),
-                ]],
-            ),
-        ];
-        let full = render_bench_summary(&cfg, &results);
-        assert!(full.contains("\"latency\": {\"fastpath\": ["));
         assert!(full.contains(
-            "{\"stage\": \"delivery\", \"count\": 2097152, \"p50_ns\": 25700, \
-             \"p99_ns\": 50900, \"p999_ns\": 51050, \"exemplars\": 8, \
-             \"threshold_ns\": 32768}"
+            "\"store_archive\": {\"headers\": [\"counter\", \"value\"], \"rows\": \
+             [[\"verify clean\", \"true\"], [\"index query 'tcp and port 80' hits\", 12]], \
+             \"notes\": [\"a \\\"quoted\\\" note\", \"second\"]}"
         ));
-        assert!(full.contains("\"soak\": [{\"stage\": \"delivery\""));
-
-        // Trajectory takes the first delivery row's p99.
-        let line = render_trajectory_record(&cfg, &results);
-        assert!(line.contains("\"p99_delivery_ns\": 50900"));
-
-        // No latency figures -> no section, no trajectory field.
-        let none = render_bench_summary(&cfg, &[]);
-        assert!(!none.contains("\"latency\""));
-        assert!(!render_trajectory_record(&cfg, &[]).contains("p99_delivery_ns"));
+        assert!(full.contains(
+            "\"faults_timeline\": {\"headers\": [\"t_ms\", \"event\"], \"rows\": [], \
+             \"notes\": []}"
+        ));
+        // Run order, each exactly once.
+        let at = |name: &str| {
+            let key = format!("\n    \"{name}\": {{");
+            assert_eq!(full.matches(&key).count(), 1, "{name}");
+            full.find(&key).unwrap()
+        };
+        assert!(at("fig10b_max_lossfree_rate") < at("store_archive"));
+        assert!(at("store_archive") < at("faults_timeline"));
+        assert_eq!(full.matches("\"headers\"").count(), results.len());
     }
 
     #[test]
@@ -1048,9 +268,53 @@ mod tests {
                     vec!["wire_pkts".into(), "264210".into()],
                 ],
             ),
+            // The soak table has no throughput row: `perf` measures that.
+            fig(
+                "soak_fleet",
+                &["metric", "value"],
+                vec![
+                    vec!["flows_tracked".into(), "20130".into()],
+                    vec!["max_blackout_ms".into(), "41.00".into()],
+                ],
+            ),
+            fig(
+                "fastpath_latency",
+                &["stage", "count", "p50_ns", "p99_ns"],
+                vec![
+                    vec![
+                        "kernel_dispatch".into(),
+                        "2097152".into(),
+                        "25500".into(),
+                        "50600".into(),
+                    ],
+                    vec![
+                        "delivery".into(),
+                        "2097152".into(),
+                        "25700".into(),
+                        "50900".into(),
+                    ],
+                ],
+            ),
+            fig(
+                "soak_latency",
+                &["stage", "count", "p50_ns", "p99_ns"],
+                vec![vec![
+                    "delivery".into(),
+                    "884000".into(),
+                    "110000".into(),
+                    "420000".into(),
+                ]],
+            ),
         ];
         let line = render_trajectory_record(&cfg, &results);
         assert!(line.ends_with("}\n"));
+        assert!(line.contains("\"soak_flows_tracked\": 20130"));
+        assert!(line.contains("\"soak_max_blackout_ms\": 41.00"));
+        assert!(!line.contains("soak_pkts_per_sec"));
+        // The first delivery row's p99 is the latency headline; a run
+        // with no latency table has none.
+        assert!(line.contains("\"p99_delivery_ns\": 50900"));
+        assert!(!render_trajectory_record(&cfg, &[]).contains("p99_delivery_ns"));
         assert!(line.contains("\"fastpath_pkts_per_sec\": 29110000"));
         assert!(line.contains("\"offload_hit_rate_pct\": 52.2"));
         assert!(line.contains("\"offload_flows_replayed\": 10065"));

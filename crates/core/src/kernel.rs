@@ -57,7 +57,7 @@ use scap_flow::{StreamErrors, StreamRecord};
 use scap_memory::ChunkBuf;
 use scap_nic::OffloadRule;
 use scap_sim::CacheSim;
-use scap_telemetry::{PlainRegistry, PulseSnapshot, Sampler, Snapshot};
+use scap_telemetry::{Metric, PlainRegistry, PulseSnapshot, Sampler, Snapshot};
 use scap_wire::{Direction, FlowKey};
 
 /// Per-stream control operations (the `scap_set_stream_*` family and
@@ -248,15 +248,26 @@ impl ScapKernel {
         self.flows.cores.len()
     }
 
-    /// Aggregate statistics (NIC counters merged in).
+    /// Aggregate statistics: a view over the registry for the facts that
+    /// have a cell, the ledger's plain fields for the rest, NIC counters
+    /// merged in.
     pub fn stats(&self) -> ScapStats {
         let mut s = self.ledger.stats;
+        let t = &self.ledger.tele;
         let nic = &self.nic.nic;
         let n = nic.stats();
+        s.stack.wire_packets = t.total(Metric::WirePackets);
+        s.stack.wire_bytes = t.total(Metric::WireBytes);
+        s.stack.delivered_packets = t.total(Metric::DeliveredPackets);
+        s.stack.delivered_bytes = t.total(Metric::DeliveredBytes);
+        s.stack.dropped_packets = t.total(Metric::DroppedPackets) + n.ring_dropped_frames;
+        s.stack.dropped_bytes = t.total(Metric::DroppedBytes) + n.ring_dropped_bytes;
+        s.stack.discarded_packets = t.total(Metric::DiscardedPackets);
+        s.stack.discarded_bytes = t.total(Metric::DiscardedBytes);
+        s.chunks = t.total(Metric::KernelChunksPlaced);
+        s.events_dropped = t.total(Metric::KernelEventsDropped);
         s.stack.nic_filtered_packets =
             n.fdir_dropped_frames + n.offload_dropped_frames + n.offload_sampled_frames;
-        s.stack.dropped_packets += n.ring_dropped_frames;
-        s.stack.dropped_bytes += n.ring_dropped_bytes;
         s.resilience.fdir_transient_failures = nic.fdir().transient_failures;
         s.resilience.fdir_slow_installs = nic.fdir().slow_installs;
         if let Some(inj) = &self.nic.ring_faults {

@@ -80,8 +80,6 @@ impl NicStage {
         parsed: Option<&ParsedPacket<'_>>,
     ) -> NicVerdict {
         let len = pkt.len() as u64;
-        ledger.stats.stack.wire_packets += 1;
-        ledger.stats.stack.wire_bytes += len;
         ledger.tele.inc(0, Metric::WirePackets);
         ledger.tele.add(0, Metric::WireBytes, len);
         let at = At::new(0, pkt.ts_ns, 0);

@@ -62,7 +62,6 @@ impl Emitter {
     ) {
         let queue = &mut self.queues[at.core];
         if queue.len() >= self.queue_cap {
-            ledger.stats.events_dropped += 1;
             ledger.tele.inc(at.core, Metric::KernelEventsDropped);
             if let EventKind::Data { chunk, .. } = kind {
                 let at = At::new(at.core, rec.last_ts_ns, at.uid);
@@ -75,7 +74,6 @@ impl Emitter {
         ledger.work.k_events += 1;
         ledger.tele.inc(at.core, Metric::KernelEventsEnqueued);
         if matches!(kind, EventKind::Data { .. }) {
-            ledger.stats.chunks += 1;
             ledger.tele.inc(at.core, Metric::KernelChunksPlaced);
         }
         // Pulse: dispatch latency — NIC ingress of the producing packet

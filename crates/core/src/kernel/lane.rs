@@ -525,7 +525,7 @@ mod tests {
                     let journal = lane.ledger.flight.events();
                     assert_eq!(journal[0].kind, FlightKind::Discard);
                     assert_eq!((journal[0].uid, journal[0].a, journal[0].b), (42, 1, 140));
-                    assert_eq!(lane.ledger.stats.stack.discarded_packets, 1);
+                    assert_eq!(lane.ledger.tele.total(Metric::DiscardedPackets), 1);
                     assert_eq!(lane.rec.dirs[1].discarded_bytes, 140);
                     assert_eq!(beyond, journal.len() == 2, "a first hit is journalled");
                     let clamps = lane.ledger.stats.resilience.governor_cutoff_clamps;

@@ -119,6 +119,9 @@ impl At {
 }
 
 pub(crate) struct Ledger {
+    /// The facts that have no registry cell. Those that have one
+    /// (`stack.{wire,delivered,dropped,discarded}_*`, `chunks`,
+    /// `events_dropped`) stay zero here: `tele` is their only store.
     pub(super) stats: ScapStats,
     /// Per-core telemetry counters (shard = core; the NIC-admission path
     /// records into shard 0 because no core is involved yet).
@@ -172,14 +175,11 @@ impl Ledger {
         }
     }
 
-    /// Stack-level delivered accounting. `ScapStats` and the telemetry
-    /// registry move in lockstep through these three funnels, so the
-    /// conservation identity `wire = delivered + dropped + discarded`
-    /// can be cross-checked against either source.
+    /// Stack-level delivered accounting. The conservation counters are
+    /// booked once, in their registry cells, through these three funnels;
+    /// [`super::ScapKernel::stats`] reads them back from there.
     #[inline]
     pub(super) fn delivered(&mut self, core: usize, pkts: u64, bytes: u64) {
-        self.stats.stack.delivered_packets += pkts;
-        self.stats.stack.delivered_bytes += bytes;
         self.tele.add(core, Metric::DeliveredPackets, pkts);
         self.tele.add(core, Metric::DeliveredBytes, bytes);
     }
@@ -197,8 +197,6 @@ impl Ledger {
         pkts: u64,
         bytes: u64,
     ) {
-        self.stats.stack.dropped_packets += pkts;
-        self.stats.stack.dropped_bytes += bytes;
         self.tele.add(at.core, Metric::DroppedPackets, pkts);
         self.tele.add(at.core, Metric::DroppedBytes, bytes);
         let loss = FlightEvent::new(FlightKind::Drop, layer, at.now).with_reason(why);
@@ -216,8 +214,6 @@ impl Ledger {
         pkts: u64,
         bytes: u64,
     ) {
-        self.stats.stack.discarded_packets += pkts;
-        self.stats.stack.discarded_bytes += bytes;
         self.tele.add(at.core, Metric::DiscardedPackets, pkts);
         self.tele.add(at.core, Metric::DiscardedBytes, bytes);
         let loss = FlightEvent::new(FlightKind::Discard, layer, at.now).with_reason(why);

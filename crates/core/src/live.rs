@@ -1123,6 +1123,8 @@ mod tests {
         scap.dispatch_data(|_| {});
         let stats = scap.start_capture(trace());
         let snap = scap.telemetry_snapshot().expect("telemetry captured");
+        // One value compared with itself by construction: `stats()` reads
+        // the wire count from the registry cell the snapshot copies.
         assert_eq!(snap.total(Metric::WirePackets), stats.stack.wire_packets);
         assert_eq!(
             snap.total(Metric::WirePackets),

@@ -115,9 +115,15 @@ pub struct Nic<T> {
     fdir: FdirTable,
     offload: OffloadTable,
     queues: Vec<RxQueue<T>>,
-    stats: NicStats,
     /// Telemetry: per-queue shards; table-wide FDIR ops land in shard 0.
+    /// The only store of every frame count [`Nic::stats`] reports.
     tele: PlainRegistry,
+    /// Bytes of the frames that left through a hardware exit, which have
+    /// no registry cell (the frames themselves do).
+    fdir_dropped_bytes: u64,
+    offload_dropped_bytes: u64,
+    offload_sampled_bytes: u64,
+    offload_bypass_bytes: u64,
 }
 
 /// Seed for the offload table's symmetric flow hash (deterministic, like
@@ -141,8 +147,11 @@ impl<T> Nic<T> {
             fdir: FdirTable::new(fdir::PERFECT_FILTER_CAPACITY),
             offload: OffloadTable::new(BASELINE_OFFLOAD_RULES, OFFLOAD_HASH_SEED),
             queues: (0..nqueues).map(|_| RxQueue::new(ring_capacity)).collect(),
-            stats: NicStats::default(),
             tele: PlainRegistry::new(nqueues),
+            fdir_dropped_bytes: 0,
+            offload_dropped_bytes: 0,
+            offload_sampled_bytes: 0,
+            offload_bypass_bytes: 0,
         }
     }
 
@@ -194,9 +203,37 @@ impl<T> Nic<T> {
         &self.offload
     }
 
-    /// Aggregate counters.
+    /// Aggregate counters: a view over the NIC's registry. A frame leaves
+    /// exactly one way — a ring, a bypass rule, an FDIR or offload drop, a
+    /// full ring — so the common exit (delivered) is derived from the
+    /// arrivals and the rare exits instead of being counted per frame.
     pub fn stats(&self) -> NicStats {
-        self.stats
+        let t = |m: Metric| self.tele.total(m);
+        let rx_bytes = t(Metric::NicRxBytes);
+        // The NIC books `DroppedBytes` for ring overflows only.
+        let ring_dropped_bytes = t(Metric::DroppedBytes);
+        let offload_bypass_frames = t(Metric::NicOffloadBypassFrames);
+        NicStats {
+            rx_frames: t(Metric::NicRxFrames),
+            rx_bytes,
+            fdir_dropped_frames: t(Metric::NicFdirDropFrames),
+            fdir_dropped_bytes: self.fdir_dropped_bytes,
+            fdir_steered_frames: t(Metric::NicFdirSteeredFrames),
+            ring_dropped_frames: t(Metric::NicRingFullDrops),
+            ring_dropped_bytes,
+            delivered_frames: t(Metric::NicRingPushes) + offload_bypass_frames,
+            delivered_bytes: rx_bytes
+                - self.fdir_dropped_bytes
+                - self.offload_dropped_bytes
+                - self.offload_sampled_bytes
+                - ring_dropped_bytes,
+            offload_dropped_frames: t(Metric::NicOffloadDropFrames),
+            offload_dropped_bytes: self.offload_dropped_bytes,
+            offload_sampled_frames: t(Metric::NicOffloadSampleDrops),
+            offload_sampled_bytes: self.offload_sampled_bytes,
+            offload_bypass_frames,
+            offload_bypass_bytes: self.offload_bypass_bytes,
+        }
     }
 
     /// The RSS queue a flow key maps to (used by the load balancer to know
@@ -210,34 +247,27 @@ impl<T> Nic<T> {
     /// `item` is the host-side handle; it is only stored if the frame
     /// survives to a ring.
     pub fn receive(&mut self, parsed: &ParsedPacket<'_>, item: T) -> NicVerdict {
-        self.stats.rx_frames += 1;
-        self.stats.rx_bytes += parsed.frame.len() as u64;
+        let len = parsed.frame.len() as u64;
         self.tele.inc(0, Metric::NicRxFrames);
-        self.tele
-            .add(0, Metric::NicRxBytes, parsed.frame.len() as u64);
+        self.tele.add(0, Metric::NicRxBytes, len);
 
         if let Some(verdict) = self.offload.lookup(parsed) {
             self.tele.inc(0, Metric::NicOffloadHits);
             match verdict {
                 OffloadVerdict::Drop => {
-                    self.stats.offload_dropped_frames += 1;
-                    self.stats.offload_dropped_bytes += parsed.frame.len() as u64;
+                    self.offload_dropped_bytes += len;
                     self.tele.inc(0, Metric::NicOffloadDropFrames);
                     return NicVerdict::DroppedByOffload;
                 }
                 OffloadVerdict::SampleDrop => {
-                    self.stats.offload_sampled_frames += 1;
-                    self.stats.offload_sampled_bytes += parsed.frame.len() as u64;
+                    self.offload_sampled_bytes += len;
                     self.tele.inc(0, Metric::NicOffloadSampleDrops);
                     return NicVerdict::SampledByOffload;
                 }
                 OffloadVerdict::Bypass => {
                     // Shunted: complete at the NIC, counted delivered so
                     // the conservation identity holds without a softirq.
-                    self.stats.offload_bypass_frames += 1;
-                    self.stats.offload_bypass_bytes += parsed.frame.len() as u64;
-                    self.stats.delivered_frames += 1;
-                    self.stats.delivered_bytes += parsed.frame.len() as u64;
+                    self.offload_bypass_bytes += len;
                     self.tele.inc(0, Metric::NicOffloadBypassFrames);
                     return NicVerdict::BypassedByOffload;
                 }
@@ -253,30 +283,23 @@ impl<T> Nic<T> {
         if let Some(action) = self.fdir.lookup(parsed) {
             match action {
                 FdirAction::Drop => {
-                    self.stats.fdir_dropped_frames += 1;
-                    self.stats.fdir_dropped_bytes += parsed.frame.len() as u64;
+                    self.fdir_dropped_bytes += len;
                     self.tele.inc(0, Metric::NicFdirDropFrames);
                     return NicVerdict::DroppedByFilter;
                 }
                 FdirAction::ToQueue(q) => {
                     let q = q.min(self.queues.len() - 1);
-                    self.stats.fdir_steered_frames += 1;
                     self.tele.inc(q, Metric::NicFdirSteeredFrames);
                     return if self.queues[q].push(item) {
-                        self.stats.delivered_frames += 1;
-                        self.stats.delivered_bytes += parsed.frame.len() as u64;
                         self.tele.inc(q, Metric::NicRingPushes);
                         NicVerdict::SteeredToQueue(q)
                     } else {
-                        self.stats.ring_dropped_frames += 1;
-                        self.stats.ring_dropped_bytes += parsed.frame.len() as u64;
                         self.tele.inc(q, Metric::NicRingFullDrops);
                         // Ring overflows count as stack-level drops when
                         // ScapStats are snapshotted; mirror that here so
                         // the merged telemetry conserves packets too.
                         self.tele.inc(q, Metric::DroppedPackets);
-                        self.tele
-                            .add(q, Metric::DroppedBytes, parsed.frame.len() as u64);
+                        self.tele.add(q, Metric::DroppedBytes, len);
                         NicVerdict::DroppedRingFull(q)
                     };
                 }
@@ -290,17 +313,12 @@ impl<T> Nic<T> {
             None => 0,
         };
         if self.queues[q].push(item) {
-            self.stats.delivered_frames += 1;
-            self.stats.delivered_bytes += parsed.frame.len() as u64;
             self.tele.inc(q, Metric::NicRingPushes);
             NicVerdict::HashedToQueue(q)
         } else {
-            self.stats.ring_dropped_frames += 1;
-            self.stats.ring_dropped_bytes += parsed.frame.len() as u64;
             self.tele.inc(q, Metric::NicRingFullDrops);
             self.tele.inc(q, Metric::DroppedPackets);
-            self.tele
-                .add(q, Metric::DroppedBytes, parsed.frame.len() as u64);
+            self.tele.add(q, Metric::DroppedBytes, len);
             NicVerdict::DroppedRingFull(q)
         }
     }
@@ -375,6 +393,7 @@ impl<T> Nic<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prop_assert_eq;
     use scap_wire::{parse_frame, PacketBuilder, TcpFlags};
 
     fn frame(sp: u16, dp: u16, flags: TcpFlags) -> Vec<u8> {
@@ -574,5 +593,164 @@ mod tests {
         assert_eq!(t.total(Metric::NicOffloadSampleDrops), 2);
         assert_eq!(t.total(Metric::NicOffloadOps), 1);
         assert_eq!(nic.offload().stats().sample_kept_frames, 2);
+    }
+
+    /// Frame `i` of the property test: one flow per `i`, each a different
+    /// length so byte counts cannot agree by accident.
+    fn flow_frame(i: u16, fin: bool) -> Vec<u8> {
+        let flags = if fin {
+            TcpFlags::FIN | TcpFlags::ACK
+        } else {
+            TcpFlags::ACK
+        };
+        let payload = vec![0x5a; 4 + 7 * i as usize];
+        PacketBuilder::tcp_v4(
+            [10, 0, 0, 1],
+            [10, 0, 0, 2],
+            1000 + i,
+            80,
+            1,
+            1,
+            flags,
+            &payload,
+        )
+    }
+
+    proptest::proptest! {
+        /// `stats()` is a view: frame counts read back from the registry,
+        /// the delivered exit derived from the others. Check every field
+        /// against counts kept by hand from the rules in force and the
+        /// ring occupancy, and the one-way-out identity, after each frame.
+        #[test]
+        fn stats_view_matches_hand_counts(
+            // Per flow: offload rule kind, FDIR filter kind.
+            setup in proptest::collection::vec((0u8..5, 0u8..4), 6..7),
+            ring in 1usize..4,
+            // (flow | pop a ring, FIN instead of a data segment)
+            ops in proptest::collection::vec((0u16..8, 0u8..4), 1..120),
+        ) {
+            const QUEUES: usize = 2;
+            let mut nic: Nic<usize> = Nic::new(QUEUES, ring);
+            for (i, &(rule, filter)) in setup.iter().enumerate() {
+                let frame = flow_frame(i as u16, false);
+                let key = parse_frame(&frame).unwrap().key.unwrap();
+                let action = match rule {
+                    1 => Some(OffloadAction::Drop),
+                    2 => Some(OffloadAction::Sample(3)),
+                    3 => Some(OffloadAction::Bypass),
+                    4 => Some(OffloadAction::Mark(2)),
+                    _ => None,
+                };
+                if let Some(action) = action {
+                    nic.offload_install(OffloadRule::new(key, action, 0)).unwrap();
+                }
+                let filter = match filter {
+                    1 => Some(FdirFilter::drop_tcp_flags(key, TcpFlags::ACK)),
+                    2 => Some(FdirFilter::steer(key, 0)),
+                    // Queue 5 does not exist: the NIC clamps to the last.
+                    3 => Some(FdirFilter::steer(key, 5)),
+                    _ => None,
+                };
+                if let Some(filter) = filter {
+                    nic.fdir_install(filter).unwrap();
+                }
+            }
+
+            let mut want = NicStats::default();
+            let mut occupancy = [0usize; QUEUES];
+            let mut sample_seq = [0u32; 6];
+            for (n, &(i, fin)) in ops.iter().enumerate() {
+                if i as usize >= setup.len() {
+                    let q = i as usize % QUEUES;
+                    let popped = nic.queue_mut(q).pop().is_some();
+                    prop_assert_eq!(popped, occupancy[q] > 0);
+                    occupancy[q] -= popped as usize;
+                    continue;
+                }
+                let fin = fin == 0;
+                let frame = flow_frame(i, fin);
+                let parsed = parse_frame(&frame).unwrap();
+                let len = frame.len() as u64;
+                let (rule, filter) = setup[i as usize];
+                want.rx_frames += 1;
+                want.rx_bytes += len;
+
+                // Drop-class rules punt a FIN past the offload stage and
+                // the ACK-flags FDIR filter does not match it.
+                let offload_exit = match rule {
+                    1 if !fin => {
+                        want.offload_dropped_frames += 1;
+                        want.offload_dropped_bytes += len;
+                        Some(NicVerdict::DroppedByOffload)
+                    }
+                    2 if !fin => {
+                        let keep = sample_seq[i as usize] % 3 == 0;
+                        sample_seq[i as usize] += 1;
+                        if keep {
+                            None
+                        } else {
+                            want.offload_sampled_frames += 1;
+                            want.offload_sampled_bytes += len;
+                            Some(NicVerdict::SampledByOffload)
+                        }
+                    }
+                    3 if !fin => {
+                        want.offload_bypass_frames += 1;
+                        want.offload_bypass_bytes += len;
+                        want.delivered_frames += 1;
+                        want.delivered_bytes += len;
+                        Some(NicVerdict::BypassedByOffload)
+                    }
+                    _ => None,
+                };
+                let expect = offload_exit.unwrap_or_else(|| {
+                    let steered = match filter {
+                        1 if !fin => {
+                            want.fdir_dropped_frames += 1;
+                            want.fdir_dropped_bytes += len;
+                            return NicVerdict::DroppedByFilter;
+                        }
+                        2 => Some(0),
+                        3 => Some(QUEUES - 1),
+                        _ => None,
+                    };
+                    want.fdir_steered_frames += steered.is_some() as u64;
+                    let rss = nic.rss_queue(parsed.key.as_ref().unwrap());
+                    let q = steered.unwrap_or(rss);
+                    if occupancy[q] == ring {
+                        want.ring_dropped_frames += 1;
+                        want.ring_dropped_bytes += len;
+                        return NicVerdict::DroppedRingFull(q);
+                    }
+                    occupancy[q] += 1;
+                    want.delivered_frames += 1;
+                    want.delivered_bytes += len;
+                    match steered {
+                        Some(q) => NicVerdict::SteeredToQueue(q),
+                        None => NicVerdict::HashedToQueue(q),
+                    }
+                });
+                prop_assert_eq!(nic.receive(&parsed, n), expect);
+
+                let got = nic.stats();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(
+                    got.rx_frames,
+                    got.delivered_frames
+                        + got.fdir_dropped_frames
+                        + got.offload_dropped_frames
+                        + got.offload_sampled_frames
+                        + got.ring_dropped_frames
+                );
+                prop_assert_eq!(
+                    got.rx_bytes,
+                    got.delivered_bytes
+                        + got.fdir_dropped_bytes
+                        + got.offload_dropped_bytes
+                        + got.offload_sampled_bytes
+                        + got.ring_dropped_bytes
+                );
+            }
+        }
     }
 }

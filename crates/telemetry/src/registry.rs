@@ -70,6 +70,13 @@ impl<C: MetricCell> Registry<C> {
         self.shards[shard].counters[m.idx()].get()
     }
 
+    /// A counter summed over every shard, read in place (no snapshot, no
+    /// histogram copy): what a stats view reads for a fact whose only
+    /// store is its cell.
+    pub fn total(&self, m: Metric) -> u64 {
+        self.shards.iter().map(|s| s.counters[m.idx()].get()).sum()
+    }
+
     /// Overwrite a gauge.
     #[inline]
     pub fn gauge_set(&self, shard: usize, g: Gauge, v: u64) {

@@ -55,6 +55,10 @@ fn jsonl_round_trips_a_real_snapshot() {
 #[test]
 fn merged_counters_agree_with_scap_stats() {
     let (snap, _, stats) = run_sim(11);
+    // `ScapKernel::stats()` reads these facts from the registry cells the
+    // snapshot copies (their only store), so each pair below is one value
+    // compared with itself by construction; kept so that a second store
+    // coming back cannot drift unnoticed.
     assert_eq!(snap.total(Metric::WirePackets), stats.stack.wire_packets);
     assert_eq!(snap.total(Metric::WireBytes), stats.stack.wire_bytes);
     assert_eq!(
