@@ -15,6 +15,24 @@ echo "== chaos tests, release profile =="
 # both speeds.
 cargo test -q --release -p scap-bench --test chaos
 
+echo "== archive pipeline, release profile =="
+# Each StoreWriter hands its bytes to a writer thread of its own: run
+# the store's tests, the round trip and the on-disk fixtures on the
+# optimised build too, and the archive fault storm twenty times over.
+cargo test -q --release -p scap-store
+cargo test -q --release -p scap-bench --test store_roundtrip --test fixtures
+for i in $(seq 20); do
+    cargo test -q --release -p scap-bench --test chaos store_fault_storm >/dev/null \
+        || { echo "store fault storm failed on run $i"; exit 1; }
+done
+# Interleavings are forced with channels, not sleeps; no unsafe; and
+# the bytes in flight are bounded by a constant, not a knob.
+if grep -rnE 'thread::sleep|unsafe *(\{|fn|impl)' crates/store/src/; then
+    echo "a sleep or unsafe code in scap-store (see above)"; exit 1
+fi
+grep -qE '^const MAX_IN_FLIGHT_BYTES: usize = ' crates/store/src/writer.rs \
+    || { echo "the archive writer's in-flight bound is not a const"; exit 1; }
+
 echo "== incremental checkpoints, release profile =="
 # Debug builds compare every checkpoint image with a full encode inside
 # `checkpoint_into`; that check is compiled out here, so the explicit
@@ -71,9 +89,8 @@ echo "== experiments is the model: two same-seed runs, one diff =="
 # telemetry reconciliation, restart and tenant ladders, blackout bounds,
 # bypass > classic) and panic on a mismatch, so a zero exit is that
 # proof — which is why an id `experiments` does not know must not exit
-# zero. Seed 42, not a fresh one: `tenants` asserts a drop-free
-# well-behaved tenant, which its finish-time flush does not give every
-# trace (seed 7 fails there).
+# zero. Two seeds: 42, whose tables are committed, and 7, a second trace
+# (the one whose finish-time flush used to overrun a tenant's queue).
 if target/release/experiments --exp nosuch --scale smoke >/dev/null 2>&1; then
     echo "experiments --exp nosuch exited 0"; exit 1
 fi
@@ -83,14 +100,18 @@ fi
 if grep -rnE 'fn [a-z_]*_section' crates/bench/src/; then
     echo "a bespoke summary section is back (see above)"; exit 1
 fi
-run_a=$(mktemp -d)
-run_b=$(mktemp -d)
-for out in "$run_a" "$run_b"; do
-    target/release/experiments --exp all --scale smoke --seed 42 --out "$out" >/dev/null \
-        || { echo "experiments --exp all failed"; exit 1; }
+for seed in 7 42; do
+    run_a=$(mktemp -d)
+    run_b=$(mktemp -d)
+    for out in "$run_a" "$run_b"; do
+        target/release/experiments --exp all --scale smoke --seed "$seed" --out "$out" >/dev/null \
+            || { echo "experiments --exp all --seed $seed failed"; exit 1; }
+    done
+    diff -r -x trajectory.jsonl "$run_a" "$run_b" \
+        || { echo "two seed-$seed runs differ (see above)"; exit 1; }
+    [ "$seed" = 42 ] || rm -rf "$run_a" "$run_b"
 done
-diff -r -x trajectory.jsonl "$run_a" "$run_b" \
-    || { echo "two same-seed runs differ (see above)"; exit 1; }
+# From here on, seed 42's runs.
 for f in $(git ls-files results | grep -v trajectory.jsonl); do
     cmp "$f" "$run_a/${f#results/}" \
         || { echo "$f is stale: rerun that command without --out"; exit 1; }

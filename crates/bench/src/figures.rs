@@ -1546,6 +1546,10 @@ pub fn tenants(cfg: &ExpConfig) -> Vec<FigureResult> {
             drain_pass(&mut engine, &mut drained_events);
         }
         kernel.finish(now.saturating_add(1));
+        // Consumers keep draining through the finish-time flush, a core
+        // at a time, as they do between packets: a trace that leaves
+        // more behind than a tenant's queue holds must not read as a
+        // slow consumer.
         for core in 0..kernel.ncores() {
             while let Some(ev) = kernel.next_event(core) {
                 engine.on_event(&ev, kernel.flight_mut());
@@ -1553,8 +1557,8 @@ pub fn tenants(cfg: &ExpConfig) -> Vec<FigureResult> {
                     kernel.release_data(ev.stream.uid, dir, chunk);
                 }
             }
+            drain_pass(&mut engine, &mut drained_events);
         }
-        drain_pass(&mut engine, &mut drained_events);
         (engine, kernel)
     };
 

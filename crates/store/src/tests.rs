@@ -1,11 +1,13 @@
 //! End-to-end writer/reader tests over real temp directories.
 
-use crate::{StoreConfig, StoreError, StoreReader, StoreWriter};
+use crate::{Extent, StoreConfig, StoreError, StoreReader, StoreWriter};
+use proptest::prelude::*;
 use scap::{StreamSnapshot, StreamUid};
-use scap_faults::{FaultPlan, StoreFault, StoreFaultConfig};
+use scap_faults::{FaultPlan, StoreFault, StoreFaultConfig, StoreInjector};
 use scap_flow::{DirStats, StreamErrors, StreamStatus};
 use scap_telemetry::Metric;
 use scap_wire::{Direction, FlowKey, Transport};
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
 /// A fresh per-test temp directory (no wall clock: keyed on pid + name).
@@ -182,9 +184,6 @@ fn retention_prunes_lowest_priority_first_and_compaction_reclaims() {
     // Third stream exceeds the budget: the priority-0 stream (uid 2)
     // must be the victim, not the older high-priority one.
     archive_one(&mut w, &snap(3, 443, 1, 3_000, 600), &payload(3, 600), &[]);
-    let before = std::fs::metadata(crate::segment_path(&dir, 0))
-        .unwrap()
-        .len();
     let stats = w.finish().unwrap();
     assert_eq!(stats.streams_pruned, 1);
     assert_eq!(stats.bytes_pruned, 600);
@@ -192,7 +191,7 @@ fn retention_prunes_lowest_priority_first_and_compaction_reclaims() {
     assert_eq!(stats.by_priority.get(&2).unwrap().pruned, 0);
     assert!((stats.discard_ratio(0) - 1.0).abs() < f64::EPSILON);
     // finish() compacted the tombstone away and reclaimed segment bytes.
-    assert!(stats.bytes_reclaimed > 0, "{stats:?} (seg was {before}B)");
+    assert!(stats.bytes_reclaimed > 0, "{stats:?}");
     drop(w);
 
     let r = StoreReader::open(&dir).unwrap();
@@ -400,4 +399,234 @@ fn federated_query_merges_shards_and_reports_partial() {
         .any(|s| matches!(s.outcome, ShardOutcome::Ok(_))));
     assert_eq!(res.statuses[0].outcome, ShardOutcome::TimedOut);
     assert_eq!(res.statuses[2].outcome, ShardOutcome::TimedOut);
+}
+
+/// The writer thread holds the queue at a batch boundary (the pace
+/// channel) while the caller seals, leaves a half-full batch and drops
+/// the writer from another thread: the drop must queue that batch and
+/// wait for all of it.
+#[test]
+fn drop_mid_pipeline_keeps_every_sealed_stream() {
+    let dir = tmp_dir("drop-mid-pipeline");
+    let (pace, paced) = std::sync::mpsc::sync_channel(0);
+    let cfg = StoreConfig::new(&dir).segment_bytes(50_000);
+    let mut w = StoreWriter::open_paced(cfg, Some(pace)).unwrap();
+    for uid in 1..=12u64 {
+        let s = snap(uid, 80, 0, uid * 1_000, 20_000);
+        archive_one(&mut w, &s, &payload(uid, 20_000), &payload(uid + 50, 99));
+    }
+    paced.recv().unwrap(); // the thread takes its first batch, no more
+    let dropper = std::thread::spawn(move || drop(w));
+    // One rendezvous per batch left; the iterator ends when the thread
+    // exits and drops its end.
+    assert!(paced.iter().count() >= 2, "sealed bytes fit one batch");
+    dropper.join().unwrap();
+
+    let r = StoreReader::open(&dir).unwrap();
+    assert_eq!(r.len(), 12);
+    for uid in 1..=12u64 {
+        let want = [payload(uid, 20_000), payload(uid + 50, 99)];
+        assert_eq!(r.read_stream(uid).unwrap(), want);
+    }
+    let report = r.verify().unwrap();
+    assert!(report.is_clean() && report.orphan_frames == 0, "{report}");
+}
+
+/// What the format says a writer leaves behind, spelled plainly: naive
+/// chunk placement, frames back to back from offset 16 with a fresh
+/// segment once one reaches its threshold, one injector verdict per
+/// frame, budget victims by (priority, age, uid), compaction in uid
+/// order. `Err(None)` stands for `StoreError::Dead`.
+struct Model {
+    cfg: StoreConfig,
+    inj: StoreInjector,
+    bufs: HashMap<StreamUid, [Vec<u8>; 2]>,
+    live: BTreeMap<StreamUid, ([Vec<u8>; 2], [Extent; 2])>,
+    seg: Option<u64>,
+    seg_len: u64,
+    segments: u64,
+    dead: bool,
+    torn: bool,
+    tombstones: u64,
+    /// Streams archived, bytes archived, streams pruned, write errors.
+    counts: [u64; 4],
+}
+
+impl Model {
+    fn frame(&mut self, len: u64) -> Result<Extent, Option<StoreFault>> {
+        if self.seg.is_none() || self.seg_len >= self.cfg.segment_bytes {
+            (self.seg, self.segments, self.seg_len) = (Some(self.segments), self.segments + 1, 16);
+        }
+        let fault = self.inj.on_append();
+        if fault != StoreFault::None {
+            (self.dead, self.torn) = (true, fault == StoreFault::TornAppend);
+            return Err(Some(fault));
+        }
+        let (segment, offset) = (self.seg.unwrap(), self.seg_len);
+        self.seg_len += 24 + len;
+        Ok(Extent {
+            segment,
+            offset,
+            len,
+        })
+    }
+
+    fn frames(&mut self, lens: [usize; 2]) -> Result<[Extent; 2], Option<StoreFault>> {
+        let mut extents = [Extent::default(); 2];
+        for (e, len) in extents.iter_mut().zip(lens).filter(|(_, len)| *len > 0) {
+            *e = self.frame(len as u64)?;
+        }
+        Ok(extents)
+    }
+
+    fn seal(&mut self, uid: StreamUid) -> Result<(), Option<StoreFault>> {
+        if self.dead {
+            return Err(None);
+        }
+        let bufs = self.bufs.remove(&uid).unwrap_or_default();
+        let extents = self.frames([bufs[0].len(), bufs[1].len()])?;
+        self.counts[0] += 1;
+        self.counts[1] += extents[0].len + extents[1].len;
+        self.live.insert(uid, (bufs, extents));
+        let stored = |m: &Self| {
+            m.live
+                .values()
+                .map(|(b, _)| b[0].len() + b[1].len())
+                .sum::<usize>()
+        };
+        while self
+            .cfg
+            .disk_budget
+            .is_some_and(|b| stored(self) as u64 > b)
+        {
+            let victim = *self.live.keys().min_by_key(|&&u| (u % 3, u)).unwrap();
+            self.live.remove(&victim);
+            (self.counts[2], self.tombstones) = (self.counts[2] + 1, self.tombstones + 1);
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), Option<StoreFault>> {
+        match (self.tombstones, self.dead) {
+            (0, _) => return Ok(()),
+            (_, true) => return Err(None),
+            _ => self.seg = None,
+        }
+        let lens: Vec<_> = self
+            .live
+            .iter()
+            .map(|(&u, (b, _))| (u, [b[0].len(), b[1].len()]))
+            .collect();
+        let mut moved = Vec::new();
+        for (uid, lens) in lens {
+            moved.push((uid, self.frames(lens)?));
+        }
+        for (uid, extents) in moved {
+            self.live.get_mut(&uid).unwrap().1 = extents;
+        }
+        (self.seg, self.tombstones) = (None, 0);
+        Ok(())
+    }
+}
+
+fn outcome<T>(r: Result<T, StoreError>) -> Result<(), Option<StoreFault>> {
+    match r {
+        Ok(_) => Ok(()),
+        Err(StoreError::Injected(f)) => Err(Some(f)),
+        Err(StoreError::Dead) => Err(None),
+        Err(e) => panic!("unexpected archive error: {e}"),
+    }
+}
+
+proptest! {
+    /// Random creates, in-order / overlapping / gapped chunks and
+    /// terminations over small segments, a budget and a fault at a
+    /// random append, through the pipeline and through the model: every
+    /// call's result and the stats agree, and after `finish()` or a bare
+    /// drop the archive holds exactly the model's streams, bytes and
+    /// extents — and again after writer-side recovery.
+    #[test]
+    fn pipeline_matches_a_plain_model_of_the_format(
+        ops in proptest::collection::vec((0u8..7, 1u64..6, 0usize..2, 1usize..600), 1..80),
+        segment_bytes in 40u64..3000,
+        budget in 0u64..5000,
+        fault in (0u8..3, 1u64..30),
+        finish: bool,
+    ) {
+        let dir = tmp_dir("pipeline-model");
+        let mut cfg = StoreConfig::new(&dir).segment_bytes(segment_bytes);
+        if budget > 0 {
+            cfg = cfg.disk_budget(budget);
+        }
+        let mut plan = FaultPlan::new(fault.1);
+        plan.store = StoreFaultConfig {
+            torn_append_prob: if fault.0 == 2 { 0.05 } else { 0.0 },
+            kill_after_appends: if fault.0 == 1 { fault.1 } else { 0 },
+        };
+        let mut w = StoreWriter::open(cfg.clone()).unwrap();
+        w.attach_faults(&plan);
+        let mut m = Model {
+            cfg,
+            inj: plan.store_injector(),
+            bufs: HashMap::new(),
+            live: BTreeMap::new(),
+            seg: None,
+            seg_len: 0,
+            segments: 0,
+            dead: false,
+            torn: false,
+            tombstones: 0,
+            counts: [0; 4],
+        };
+        let mut generation = [1u64; 6];
+        for (kind, slot, dir, len) in ops {
+            let uid = generation[slot as usize] * 10 + slot;
+            let s = snap(uid, 80, (uid % 3) as u8, uid * 1_000, 0);
+            match kind {
+                0 => w.stream_created(&s),
+                1..=4 => {
+                    let buf = &mut m.bufs.entry(uid).or_default()[dir];
+                    let offset = match kind {
+                        1 => buf.len(),                      // in order
+                        2 => buf.len().saturating_sub(2 * len), // a rewrite
+                        3 => buf.len().saturating_sub(len / 2), // overlap past the end
+                        _ => buf.len() + len / 3,            // a gap
+                    };
+                    let data = payload(uid + offset as u64, len);
+                    place(buf, &data, offset);
+                    let d = [Direction::Forward, Direction::Reverse][dir];
+                    w.stream_data(&s, d, &data, offset as u64);
+                }
+                _ => {
+                    let want = m.seal(uid);
+                    m.counts[3] += u64::from(want.is_err());
+                    prop_assert_eq!(outcome(w.stream_terminated(&s)), want);
+                    generation[slot as usize] += 1;
+                }
+            }
+        }
+        let st = w.stats();
+        let counts = [st.streams_archived, st.bytes_archived, st.streams_pruned, st.write_errors];
+        prop_assert_eq!(counts, m.counts);
+        if finish {
+            prop_assert_eq!(outcome(w.finish()), m.finish());
+        }
+        prop_assert_eq!(w.stats().segments_created, m.segments);
+        drop(w);
+
+        let check = |clean: bool| {
+            let r = StoreReader::open(&dir).unwrap();
+            let uids: Vec<StreamUid> = r.iter().map(|rec| rec.uid).collect();
+            assert_eq!(uids, m.live.keys().copied().collect::<Vec<_>>());
+            for (&uid, (bufs, extents)) in &m.live {
+                assert_eq!(&r.get(uid).unwrap().extents, extents, "stream {uid}");
+                assert_eq!(&r.read_stream(uid).unwrap(), bufs, "stream {uid}");
+            }
+            let report = r.verify().unwrap();
+            assert_eq!(report.is_clean(), clean, "{report}");
+        };
+        check(!m.torn);
+        drop(StoreWriter::open(StoreConfig::new(&dir)).unwrap());
+        check(true);
+    }
 }
