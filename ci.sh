@@ -45,6 +45,23 @@ echo "== staged bursts against per-packet dispatch, release profile =="
 # on the code the benchmark measures, too.
 cargo test -q --release -p scap --lib staged_bursts_change_nothing_but_the_clock
 
+echo "== the cutoff-0 fast path, release profile =="
+# The journal's fold against its run-length model, the integer flow-key
+# order and clock against the derived order and the float formula, the
+# lent RX ring: on the optimised code the benchmark measures.
+cargo test -q --release -p scap-flight -p scap-wire -p scap-nic -p scap-fastpath
+# A burst is processed where it sits in the RX ring: no second path
+# that pulls it into a Vec and recycles the buffer. The pulse clock is
+# integer arithmetic.
+if grep -rnE 'pull_burst|fn recycle' crates/fastpath crates/core/src/kernel; then
+    echo "a pull-into-Vec burst path is back (see above)"; exit 1
+fi
+clock=$(sed -n '/^pub fn cycles_to_ns/,/^}/p' crates/telemetry/src/pulse.rs)
+[ -n "$clock" ] || { echo "cycles_to_ns not found in scap-telemetry's pulse.rs"; exit 1; }
+if echo "$clock" | grep -q 'f64'; then
+    echo "cycles_to_ns uses floating point: $clock"; exit 1
+fi
+
 echo "== table reference models, release profile =="
 # The proptests of the shared index and of both tables built on it
 # (against HashMap / BTreeMap models), on the optimised code the
@@ -59,7 +76,7 @@ for def in 'const CTRL_TOMB' 'fn insert_pos'; do
     files=$(grep -rl --include='*.rs' "$def" crates/ | wc -l)
     [ "$files" -eq 1 ] || { echo "\`$def\` is defined in $files files under crates/"; exit 1; }
 done
-if grep -rn --exclude-dir=target --exclude-dir=.git --exclude=CHANGES.md \
+if grep -rn --exclude-dir=target --exclude-dir=.git --exclude=CHANGES.md --exclude=ROADMAP.md \
         --exclude=EXPERIMENTS.md --exclude=ISSUE.md --exclude=ci.sh 'SideTable' . ; then
     echo "SideTable is back (see above)"; exit 1
 fi
@@ -217,8 +234,7 @@ echo "== micro-bench smoke =="
 # the batched pipeline or the checkpoint encoder fails the gate.
 bench_log=$(cargo bench -p scap-bench --bench micro 2>&1) \
     || { echo "micro-bench run failed: $bench_log"; exit 1; }
-for name in fastpath/pull_burst_64 \
-            fastpath_dispatch/classic_128k_flows \
+for name in fastpath_dispatch/classic_128k_flows \
             fastpath_dispatch/bypass_burst64_128k_flows \
             fastpath_dispatch/classic_cold_128k_flows \
             fastpath_dispatch/bypass_burst64_cold_128k_flows \

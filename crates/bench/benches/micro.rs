@@ -1,39 +1,14 @@
 //! Criterion micro-benchmarks for what `perf`'s layer table
-//! (`BENCHMARK.json`, `per_layer`) has no row for: the ring pull of one
-//! burst, classic against fast-path dispatch at several burst sizes on a
-//! preloaded table — hot (the same 4096 flows every iteration) and cold
-//! (all 128 K in seeded random order) — and the checkpoint encoder at its
-//! idle and all-dirty ends. Every other layer is timed by `perf run`.
+//! (`BENCHMARK.json`, `per_layer`) has no row for: classic against
+//! fast-path dispatch at several burst sizes on a preloaded table — hot
+//! (the same 4096 flows every iteration) and cold (all 128 K in seeded
+//! random order) — and the checkpoint encoder at its idle and all-dirty
+//! ends. Every other layer is timed by `perf run`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
 use scap_wire::PacketBuilder;
 use std::hint::black_box;
-
-fn bench_pull_burst(c: &mut Criterion) {
-    use scap_fastpath::{pull_burst, DEFAULT_BURST};
-    use scap_nic::RxQueue;
-
-    let mut g = c.benchmark_group("fastpath");
-    g.throughput(Throughput::Elements(DEFAULT_BURST as u64));
-    g.bench_function("pull_burst_64", |b| {
-        b.iter_batched(
-            || {
-                let mut ring = RxQueue::new(128);
-                for i in 0..DEFAULT_BURST as u32 {
-                    assert!(ring.push(i));
-                }
-                ring
-            },
-            |mut ring| {
-                let mut out = Vec::with_capacity(DEFAULT_BURST);
-                black_box(pull_burst(&mut ring, DEFAULT_BURST, &mut out))
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
 
 /// Real wall-clock dispatch throughput (pkts/s) on a table preloaded
 /// with 128 K live flows: classic per-packet polling vs. the batched
@@ -186,10 +161,5 @@ fn bench_checkpoint(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_pull_burst,
-    bench_fastpath_dispatch,
-    bench_checkpoint,
-);
+criterion_group!(benches, bench_fastpath_dispatch, bench_checkpoint,);
 criterion_main!(benches);

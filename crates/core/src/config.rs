@@ -279,7 +279,7 @@ pub struct ScapConfig {
     /// How packets are dispatched from the RX rings (classic per-packet
     /// emulated path vs. poll-mode kernel-bypass bursts).
     pub dispatch: DispatchMode,
-    /// Frames pulled per burst on the fast path (clamped to ≥ 1).
+    /// Frames per burst on the fast path (clamped to ≥ 1).
     pub fastpath_burst: usize,
     /// Use the programmable flow-offload engine for cutoff enforcement
     /// (one bidirectional rule per stream instead of four FDIR filters)

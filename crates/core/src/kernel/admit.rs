@@ -1,8 +1,9 @@
 //! The admission stage: the emulated NIC with its RX rings, and the two
 //! ends of a ring — frames going in (`receive`: RSS, FDIR and the
 //! offload table decide fate and queue, before any CPU is spent) and
-//! coming out (`pop` / `pull`, behind the injected ring stalls). A frame
-//! is parsed once, on the way in; the ring carries what the parse found.
+//! coming out (`pop` one, or `lend` the ring for a burst, behind the
+//! injected ring stalls). A frame is parsed once, on the way in; the ring
+//! carries what the parse found.
 
 use super::ledger::{At, Ledger};
 use super::probe::FlowProbe;
@@ -15,6 +16,7 @@ use scap_telemetry::pulse::cost;
 use scap_telemetry::{cycles_to_ns, Metric, PulseStage};
 use scap_trace::Packet;
 use scap_wire::{FlowKey, FrameMeta, ParsedPacket};
+use std::collections::VecDeque;
 
 /// What an RX ring holds: a frame and what admission parsed out of it.
 pub(super) struct Admitted {
@@ -39,10 +41,9 @@ pub(crate) struct NicStage {
     pub(super) drain_mode: bool,
     /// Poll-mode burst-fill statistics (fast path only).
     pub(super) fp_stats: BurstStats,
-    /// The fast path's frame and hashed-key buffers, taken for the
-    /// length of a burst and put back empty.
-    burst_frames: Vec<Admitted>,
-    burst_hashed: Vec<Option<HashedKey>>,
+    /// The fast path's hashed-key buffer, taken for the length of a
+    /// burst.
+    pub(super) hashed: Vec<Option<HashedKey>>,
 }
 
 impl NicStage {
@@ -62,8 +63,7 @@ impl NicStage {
             ring_faults: cfg.faults.as_ref().map(|plan| plan.ring_injector()),
             drain_mode: false,
             fp_stats: BurstStats::default(),
-            burst_frames: Vec::new(),
-            burst_hashed: Vec::new(),
+            hashed: Vec::new(),
         }
     }
 
@@ -210,31 +210,22 @@ impl NicStage {
         self.nic.queue_mut(core).pop()
     }
 
-    /// Up to `burst` frames of a core's RX ring, with the hashed-key
-    /// buffer that goes with them; `None` when the ring was empty. The
-    /// caller returns both through [`NicStage::recycle`].
-    pub(super) fn pull(
+    /// A core's RX ring, lent out for one burst, and the number of frames
+    /// at its front the burst takes (at most `burst`); `None` when the
+    /// ring is stalled or empty. The caller drains those frames and hands
+    /// the ring back through [`scap_nic::RxQueue::put_back`].
+    pub(super) fn lend(
         &mut self,
         core: usize,
         now: u64,
         burst: usize,
-    ) -> Option<(Vec<Admitted>, Vec<Option<HashedKey>>)> {
+    ) -> Option<(VecDeque<Admitted>, usize)> {
         if self.stalled(now) {
             return None;
         }
-        let mut frames = std::mem::take(&mut self.burst_frames);
-        scap_fastpath::pull_burst(self.nic.queue_mut(core), burst, &mut frames);
-        self.fp_stats.record(frames.len(), burst);
-        if frames.is_empty() {
-            self.burst_frames = frames;
-            return None;
-        }
-        Some((frames, std::mem::take(&mut self.burst_hashed)))
-    }
-
-    pub(super) fn recycle(&mut self, mut frames: Vec<Admitted>, hashed: Vec<Option<HashedKey>>) {
-        frames.clear();
-        self.burst_frames = frames;
-        self.burst_hashed = hashed;
+        let queue = self.nic.queue_mut(core);
+        let n = queue.len().min(burst);
+        self.fp_stats.record(n, burst);
+        (n > 0).then(|| (queue.take(), n))
     }
 }

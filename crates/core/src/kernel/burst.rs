@@ -1,11 +1,12 @@
 //! The burst loop. NIC admission parses a frame and feeds the rings; a
-//! poll pulls one frame or a burst off a ring, each with its parse, and
-//! walks it through the stages — flow probe, then the stream's [`Lane`]
-//! (gate → reassemble → place → emit), then whatever the stream is still
-//! owed from the hardware-cutoff stage — handing each stage the disjoint
-//! borrows it works on. Both dispatch paths run this one path; a burst
-//! first hashes its keys and stages its table walk (loads only), so that
-//! the per-packet pass meets the flow table in cache.
+//! poll takes one frame off a ring, or works on a burst where it sits at
+//! the ring's front, each frame with its parse, and walks it through the
+//! stages — flow probe, then the stream's [`Lane`] (gate → reassemble →
+//! place → emit), then whatever the stream is still owed from the
+//! hardware-cutoff stage — handing each stage the disjoint borrows it
+//! works on. Both dispatch paths run this one path; a burst first hashes
+//! its keys and stages its table walk (loads only), so that the
+//! per-packet pass meets the flow table in cache.
 
 use super::hw::estimate_filtered_sizes;
 use super::lane::Lane;
@@ -29,7 +30,7 @@ impl ScapKernel {
     /// NIC admission (hardware path, not CPU-budgeted): RSS/FDIR decide
     /// the fate and queue. Returns the verdict for telemetry.
     pub fn nic_receive(&mut self, pkt: &Packet) -> NicVerdict {
-        self.nic_receive_parsed(pkt, parse_frame(&pkt.frame).ok().as_ref())
+        self.nic_receive_parsed(pkt, parse_frame(&pkt.frame).as_ref().ok())
     }
 
     /// [`ScapKernel::nic_receive`] for a caller that has already parsed
@@ -57,47 +58,53 @@ impl ScapKernel {
         Some(std::mem::take(&mut self.ledger.work))
     }
 
-    /// Poll-mode fast path: pull up to `fastpath_burst` packets from a
-    /// core's RX ring and run the burst through the batched pipeline —
-    /// hash all → flow lookup → reassembly/cutoff → delivery. Returns
-    /// the burst's work receipt, or `None` when the ring was empty.
+    /// Poll-mode fast path: run up to `fastpath_burst` packets at the
+    /// front of a core's RX ring through the batched pipeline, where they
+    /// sit — hash all → flow lookup → reassembly/cutoff → delivery — and
+    /// drain them. Returns the burst's work receipt, or `None` when the
+    /// ring was empty.
     ///
     /// Delivered streams are byte-identical to per-packet
     /// [`ScapKernel::kernel_poll`] dispatch: both funnel into the same
     /// per-packet processing and accounting, so the conservation
     /// identity and flight reconciliation hold unchanged. What differs
-    /// is the cost structure: the ring pull is paid once per burst
+    /// is the cost structure: the ring access is paid once per burst
     /// (`fp_bursts`), each packet is charged the amortized batched rate
     /// (`fp_packets`) instead of the softirq entry, and payload reaches
     /// the arena chunks by reference (no kernel copy charge).
     pub fn poll_burst(&mut self, core: usize, now: u64) -> Option<Work> {
         let burst = self.cfg.fastpath_burst.max(1);
-        let (frames, mut hashed) = self.nic.pull(core, now, burst)?;
+        // The burst stays where it sits, at the front of the ring.
+        let (mut ring, n) = self.nic.lend(core, now, burst)?;
+        let mut hashed = std::mem::take(&mut self.nic.hashed);
         // Canonicalize + hash every key against this core's table seed
         // in one arithmetic-only sweep.
         let seed = self.flows.cores[core].seed();
-        scap_fastpath::hash_burst(seed, frames.iter().map(|f| f.meta.key()), &mut hashed);
+        scap_fastpath::hash_burst(seed, ring.range(..n).map(|f| f.meta.key()), &mut hashed);
         // Walk the table for the whole burst, loads only, so that the
         // per-packet pass below finds its lines in cache.
         self.flows.stage(core, &hashed);
         // Prehashed flow lookup, reassembly/cutoff, delivery — the same
         // per-packet path the classic poll uses.
-        let n = frames.len() as u64;
         self.ledger.work = Work {
             fp_bursts: 1,
-            fp_packets: n,
+            fp_packets: n as u64,
             ..Default::default()
         };
         self.ledger.tele.inc(core, Metric::FastpathBursts);
-        self.ledger.tele.add(core, Metric::FastpathPackets, n);
-        for (frame, hk) in frames.iter().zip(&hashed) {
+        self.ledger
+            .tele
+            .add(core, Metric::FastpathPackets, n as u64);
+        for (frame, hk) in ring.range(..n).zip(&hashed) {
             self.process_frame(core, &frame.pkt, &frame.parsed(), hk.as_ref(), now);
         }
         // Zero-copy delivery: chunk payload is handed over by reference
         // into the arena, so the per-byte kernel copy charge of the
         // emulated path does not apply here.
         self.ledger.work.k_bytes_copied = 0;
-        self.nic.recycle(frames, hashed);
+        ring.drain(..n);
+        self.nic.nic.queue_mut(core).put_back(ring);
+        self.nic.hashed = hashed;
         Some(std::mem::take(&mut self.ledger.work))
     }
 

@@ -790,6 +790,120 @@ fn fastpath_counts_bursts_and_checkpoints_dispatch_mode() {
     assert_eq!(restored.config().fastpath_burst, 16);
 }
 
+/// A fast-path burst works on frames where they sit in the RX ring. An
+/// injected ring stall in the middle of a run must find the ring as it
+/// was: the stalled poll takes nothing, loses nothing and drops nothing,
+/// and once the window has passed the same frames go through, every one
+/// accounted for.
+#[test]
+fn a_ring_stall_mid_run_leaves_the_lent_ring_intact() {
+    use scap_faults::{FaultPlan, RingFaultConfig};
+    let plan = FaultPlan {
+        ring: RingFaultConfig {
+            stall_count: 1,
+            stall_ns: 1_000_000,
+            period_ns: 1_000_000_000,
+        },
+        ..FaultPlan::new(7)
+    };
+    // Where the window falls on the kernel's clock, which the first poll
+    // (at 0) anchors.
+    let mut clock = plan.ring_injector();
+    assert!(!clock.stalled(0));
+    let stall = (0..1_000_000_000)
+        .step_by(250_000)
+        .find(|&t| clock.stalled(t))
+        .expect("the plan has a window");
+    let after = stall + 1_000_000;
+    assert!(!clock.stalled(after));
+
+    let mut k = kernel(ScapConfig {
+        dispatch: crate::DispatchMode::Fastpath,
+        fastpath_burst: 16,
+        cores: 1,
+        faults: Some(plan),
+        ..Default::default()
+    });
+    let pkts = CampusMix::new(CampusMixConfig::sized(3, 256 << 10)).collect_all();
+    let (first, rest) = pkts.split_at(pkts.len() / 2);
+    for p in first {
+        k.nic_receive(p);
+    }
+    let mut bursts = 0;
+    while k.poll_burst(0, 0).is_some() {
+        bursts += 1;
+    }
+    assert!(bursts > 1, "the run before the stall is several bursts");
+    for p in rest {
+        k.nic_receive(p);
+    }
+    let queued = k.nic.nic.queue(0).len();
+    let ring_drops = k.nic_stats().ring_dropped_frames;
+    assert!(queued > 16, "a stalled poll would have had a burst to take");
+
+    assert!(k.poll_burst(0, stall).is_none());
+    assert_eq!(k.nic.nic.queue(0).len(), queued);
+    assert_eq!(k.nic_stats().ring_dropped_frames, ring_drops);
+
+    while k.poll_burst(0, after).is_some() {}
+    assert!(k.nic.nic.queue(0).is_empty());
+    let end = pkts.last().unwrap().ts_ns + 1;
+    k.finish(end);
+    k.drain_events(end, |k, ev| k.release_event(ev));
+    let s = k.stats();
+    assert_eq!(s.resilience.ring_stall_windows, 1);
+    assert_eq!(k.fastpath_stats().packets, pkts.len() as u64);
+    assert_eq!(s.stack.wire_packets, pkts.len() as u64);
+    assert_eq!(
+        s.stack.wire_packets,
+        s.stack.delivered_packets + s.stack.dropped_packets + s.stack.discarded_packets
+    );
+}
+
+/// The flow-export application (cutoff 0) on the fast path: every
+/// packet of an established stream is a cutoff discard, and the train of
+/// one stream's packets a burst carries is one journal entry holding the
+/// train's packets and bytes.
+#[test]
+fn a_cutoff_zero_train_in_a_burst_is_one_journal_entry() {
+    let mut k = kernel(ScapConfig {
+        dispatch: crate::DispatchMode::Fastpath,
+        cores: 1,
+        cutoff: crate::config::CutoffPolicy {
+            default: Some(0),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let udp = |i: u8| PacketBuilder::udp_v4([10, 0, 0, i], [172, 16, 0, 1], 1000, 53, &[i; 32]);
+    // One packet per flow opens the streams, then each sends a train.
+    for i in 0..8 {
+        k.nic_receive(&Packet::new(1 + u64::from(i), udp(i)));
+    }
+    while k.poll_burst(0, 10).is_some() {}
+    let opened = k.flight().total_recorded() as usize;
+    let mut ts = 100;
+    for i in 0..8 {
+        for _ in 0..4 {
+            ts += 1;
+            k.nic_receive(&Packet::new(ts, udp(i)));
+        }
+    }
+    assert!(k.poll_burst(0, 200).is_some());
+    assert!(k.poll_burst(0, 200).is_none(), "one burst took every train");
+    let entries = &k.flight().events()[opened..];
+    assert_eq!(entries.len(), 8);
+    let len = udp(0).len() as u64;
+    for e in entries {
+        assert_eq!(
+            (e.kind, e.reason),
+            (FlightKind::Discard, DropReason::Cutoff)
+        );
+        assert_eq!((e.a, e.b, e.ts_ns), (4, 4 * len, 200));
+    }
+    assert_eq!(k.stats().stack.discarded_packets, 8 + 32);
+}
+
 /// Feed `pkts` through whichever dispatch path the kernel is
 /// configured for, handing every chunk straight back.
 fn service_all(k: &mut ScapKernel, pkts: &[Packet]) {

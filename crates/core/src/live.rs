@@ -335,7 +335,7 @@ impl ScapBuilder {
         })
     }
 
-    /// Frames pulled per burst on the fast path (clamped to ≥ 1).
+    /// Frames per burst on the fast path (clamped to ≥ 1).
     pub fn fastpath_burst(mut self, frames: usize) -> Self {
         self.cfg.fastpath_burst = frames.max(1);
         self

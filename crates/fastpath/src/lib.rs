@@ -4,18 +4,18 @@
 //! # scap-fastpath
 //!
 //! Poll-mode kernel-bypass primitives: the batched building blocks of
-//! Scap's fast dispatch path. A poll-mode driver pulls packets from the
-//! NIC descriptor rings in bursts (DPDK-style, ~64 frames per pull); a
-//! ring entry carries what admission parsed out of its frame, so a burst
-//! comes off the ring ready for a pipeline of stages that each sweep the
-//! whole burst:
+//! Scap's fast dispatch path. It polls the NIC descriptor rings and
+//! takes packets in bursts (DPDK-style, ~64 frames at a time); a ring
+//! entry carries what admission parsed out of its frame, so a burst
+//! is ready, where it sits at the front of the ring, for a pipeline of
+//! stages that each sweep the whole burst:
 //!
 //! ```text
-//! pull burst ──► hash all ──► stage the table walk ──► per packet: probe ─► lane
-//! (frames +      (canonical    (loads only, three        (every line it needs
-//!  their parse)   key, dir,     sweeps: index lines →     already on its way
-//!                 sym_hash)     record + state → list     into cache)
-//!                               neighbours)
+//! burst at the ──► hash all ──► stage the table walk ──► per packet: probe ─► lane ──► drain
+//! ring's front     (canonical    (loads only, three        (every line it needs         the burst
+//! (frames +         key, dir,     sweeps: index lines →     already on its way
+//!  their parse)     sym_hash)     record + state → list     into cache)
+//!                                 neighbours)
 //! ```
 //!
 //! Batching amortizes the per-burst entry cost (ring access, poll
@@ -27,36 +27,18 @@
 //! of queueing one packet behind another (`scap_flow::table`, "Staging a
 //! burst"; DESIGN §9.1 has the measurements).
 //!
-//! This crate is deliberately a leaf: it knows about rings
-//! ([`scap_nic::RxQueue`]) and keys ([`scap_wire::FlowKey`]) — not about
-//! the flow table, kernel, arena, or event machinery. The `scap` core
-//! composes these primitives with the table's staging calls into its
+//! This crate is deliberately a leaf: it knows about keys
+//! ([`scap_wire::FlowKey`]) — not about rings, the flow table, kernel,
+//! arena, or event machinery. The `scap` core composes these primitives
+//! with the ring it borrows and the table's staging calls into its
 //! `poll_burst` dispatch loop, so both the classic and fast paths share
 //! one set of processing and accounting funnels.
 
-use scap_nic::RxQueue;
 use scap_wire::{Direction, FlowKey};
 
-/// Default frames pulled per burst (the DPDK sweet spot: large enough
-/// to amortize the pull, small enough to stay L1-resident).
+/// Default frames per burst (the DPDK sweet spot: large enough to
+/// amortize the ring access, small enough to stay L1-resident).
 pub const DEFAULT_BURST: usize = 64;
-
-/// Pull up to `max` items from a descriptor ring into `out` (cleared
-/// first). Returns the number pulled — `out.len()`.
-///
-/// A short read means the ring ran dry mid-burst; the fill ratio
-/// (`pulled / max`) is the classic poll-mode load signal, tracked by
-/// [`BurstStats`].
-pub fn pull_burst<T>(ring: &mut RxQueue<T>, max: usize, out: &mut Vec<T>) -> usize {
-    out.clear();
-    while out.len() < max {
-        match ring.pop() {
-            Some(item) => out.push(item),
-            None => break,
-        }
-    }
-    out.len()
-}
 
 /// A canonicalized, pre-hashed flow key: the output of the batched
 /// hash stage, ready for a prehashed flow-table probe.
@@ -139,20 +121,6 @@ mod tests {
             80,
             Transport::Tcp,
         )
-    }
-
-    #[test]
-    fn pull_burst_respects_max_and_drains() {
-        let mut ring = RxQueue::new(256);
-        for i in 0..100u32 {
-            assert!(ring.push(i));
-        }
-        let mut out = Vec::new();
-        assert_eq!(pull_burst(&mut ring, 64, &mut out), 64);
-        assert_eq!(out, (0..64).collect::<Vec<_>>());
-        assert_eq!(pull_burst(&mut ring, 64, &mut out), 36);
-        assert_eq!(pull_burst(&mut ring, 64, &mut out), 0);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!   locks; the single-writer-per-core discipline the kernel already
 //!   enforces makes the relaxed cursor race-free). When a ring wraps,
 //!   the overwritten events are **counted** — tracing never silently
-//!   loses its own loss (see [`FlightRecorder::dropped`]).
+//!   loses its own loss (see [`FlightRecorder::dropped`]). A loss that
+//!   repeats the newest entry (same stream, reason and timestamp) is
+//!   folded into it, so a burst of cutoff discards costs one entry, not
+//!   one per packet.
 //! * [`FlightEvent`] — a fixed-size record with static-enum identities
 //!   ([`FlightKind`], [`FlightLayer`], [`DropReason`]), a capture-wide
 //!   sequence number, a virtual/trace timestamp, and two payload words
@@ -442,6 +445,8 @@ pub const DEFAULT_RING_CAP: usize = 8192;
 struct Ring {
     slots: Vec<FlightEvent>,
     cap: usize,
+    /// The slot the next entry goes into (`recorded % cap`).
+    head: usize,
     recorded: u64,
     dropped: u64,
 }
@@ -451,6 +456,7 @@ impl Ring {
         Ring {
             slots: Vec::with_capacity(cap),
             cap,
+            head: 0,
             recorded: 0,
             dropped: 0,
         }
@@ -462,22 +468,35 @@ impl Ring {
             self.slots.push(ev);
         } else {
             // Wrap-around: the oldest event is overwritten, and counted.
-            let i = (self.recorded % self.cap as u64) as usize;
-            self.slots[i] = ev;
+            self.slots[self.head] = ev;
             self.dropped += 1;
         }
+        self.head = if self.head + 1 == self.cap {
+            0
+        } else {
+            self.head + 1
+        };
         self.recorded += 1;
+    }
+
+    /// The entry pushed last, if any.
+    #[inline]
+    fn newest_mut(&mut self) -> Option<&mut FlightEvent> {
+        let i = match self.head {
+            0 => self.slots.len().checked_sub(1)?,
+            h => h - 1,
+        };
+        self.slots.get_mut(i)
     }
 
     /// Surviving events, oldest first.
     fn events(&self) -> Vec<FlightEvent> {
-        if self.slots.len() < self.cap || self.recorded as usize <= self.cap {
+        if self.slots.len() < self.cap {
             return self.slots.clone();
         }
-        let head = (self.recorded % self.cap as u64) as usize;
         let mut out = Vec::with_capacity(self.cap);
-        out.extend_from_slice(&self.slots[head..]);
-        out.extend_from_slice(&self.slots[..head]);
+        out.extend_from_slice(&self.slots[self.head..]);
+        out.extend_from_slice(&self.slots[..self.head]);
         out
     }
 }
@@ -529,16 +548,34 @@ impl FlightRecorder {
     /// Record one event on `core`'s ring. Assigns the capture-wide
     /// sequence number and stamps the core; cores beyond the ring count
     /// collapse into the last ring.
+    ///
+    /// A loss ([`FlightKind::Drop`] / [`FlightKind::Discard`]) that
+    /// repeats the newest entry of the whole journal — same core, kind,
+    /// layer, reason, uid and timestamp — is folded into it: its packets
+    /// and bytes are added to that entry's `a`/`b`, and no entry, sequence
+    /// number or overwrite is spent on it. An entry is therefore a run of
+    /// identical losses, and the journal's loss sums stay exact.
     #[inline]
     pub fn emit(&mut self, core: usize, mut ev: FlightEvent) {
         let c = core.min(self.rings.len() - 1);
-        ev.seq = self.seq;
         ev.core = c as u8;
+        if matches!(ev.kind, FlightKind::Drop | FlightKind::Discard) {
+            if let Some(last) = self.rings[c].newest_mut() {
+                let (seq, a, b) = (last.seq, last.a, last.b);
+                if seq + 1 == self.seq && *last == (FlightEvent { seq, a, b, ..ev }) {
+                    last.a += ev.a;
+                    last.b += ev.b;
+                    return;
+                }
+            }
+        }
+        ev.seq = self.seq;
         self.seq += 1;
         self.rings[c].push(ev);
     }
 
-    /// Events ever recorded on one core (survivors + overwritten).
+    /// Journal entries ever recorded on one core (survivors +
+    /// overwritten; a folded run of losses is one entry).
     pub fn recorded(&self, core: usize) -> u64 {
         self.rings.get(core).map_or(0, |r| r.recorded)
     }
@@ -550,7 +587,7 @@ impl FlightRecorder {
         self.rings.get(core).map_or(0, |r| r.dropped)
     }
 
-    /// Total events ever recorded across all cores.
+    /// Total journal entries ever recorded across all cores.
     pub fn total_recorded(&self) -> u64 {
         self.rings.iter().map(|r| r.recorded).sum()
     }
@@ -650,7 +687,8 @@ pub struct Journal {
     pub ncores: usize,
     /// Ring capacity per core.
     pub ring_cap: u64,
-    /// Events ever recorded, per core (survivors + overwritten).
+    /// Entries ever recorded, per core (survivors + overwritten; a
+    /// folded run of losses is one entry).
     pub recorded: Vec<u64>,
     /// Events overwritten by wrap-around, per core.
     pub dropped: Vec<u64>,
@@ -756,7 +794,8 @@ pub struct AttributionRow {
     pub layer: FlightLayer,
     /// Why.
     pub reason: DropReason,
-    /// Number of loss events aggregated into this row.
+    /// Number of journal entries aggregated into this row (a folded run
+    /// of identical losses is one entry).
     pub events: u64,
     /// Packets lost (sum of `a`).
     pub pkts: u64,
@@ -818,6 +857,7 @@ pub fn top_reasons_line(events: &[FlightEvent], n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ev(kind: FlightKind, ts: u64) -> FlightEvent {
         FlightEvent::new(kind, FlightLayer::Kernel, ts)
@@ -936,27 +976,137 @@ mod tests {
 
     #[test]
     fn attribution_aggregates_losses() {
-        let mut rec = FlightRecorder::new(1, 64);
+        let mut rec = FlightRecorder::new(2, 64);
+        let ppl = || {
+            ev(FlightKind::Drop, 0)
+                .with_reason(DropReason::Ppl)
+                .with_vals(1, 100)
+        };
+        // Three identical losses in a row are one entry…
         for _ in 0..3 {
-            rec.emit(
-                0,
-                ev(FlightKind::Drop, 0)
-                    .with_reason(DropReason::Ppl)
-                    .with_vals(1, 100),
-            );
+            rec.emit(0, ppl());
         }
+        // … a non-loss event ends a run, and so does another core's loss.
+        rec.emit(0, ev(FlightKind::StreamCreated, 0)); // ignored
+        rec.emit(0, ppl());
+        rec.emit(1, ppl());
+        rec.emit(0, ppl());
         rec.emit(
             0,
             ev(FlightKind::Discard, 0)
                 .with_reason(DropReason::Cutoff)
                 .with_vals(2, 50),
         );
-        rec.emit(0, ev(FlightKind::StreamCreated, 0)); // ignored
+        assert_eq!(rec.total_recorded(), 6);
         let rows = attribution(&rec.events());
         assert_eq!(rows.len(), 2);
+        // A row counts journal entries; packets and bytes are exact.
         let ppl = rows.iter().find(|r| r.reason == DropReason::Ppl).unwrap();
-        assert_eq!((ppl.events, ppl.pkts, ppl.bytes), (3, 3, 300));
+        assert_eq!((ppl.events, ppl.pkts, ppl.bytes), (4, 6, 600));
         let line = top_reasons_line(&rec.events(), 3);
         assert!(line.contains("ppl"), "{line}");
+    }
+
+    /// One generated event: `(kind, layer)` selectors, `(core, uid,
+    /// ts_ns, reason)` from tiny domains so that runs happen, and the
+    /// payload words.
+    type Op = ((u8, u8), (usize, u64, u64, u8), (u64, u64));
+
+    fn op_event(((kind, layer), (_, uid, ts, reason), (a, b)): Op) -> FlightEvent {
+        let kind = [
+            FlightKind::Drop,
+            FlightKind::Discard,
+            FlightKind::StreamCreated,
+            FlightKind::CutoffHit,
+        ][kind as usize];
+        let layer = [FlightLayer::Kernel, FlightLayer::Nic][layer as usize];
+        let reason = [DropReason::Cutoff, DropReason::Ppl][reason as usize];
+        FlightEvent::new(kind, layer, ts)
+            .with_uid(uid)
+            .with_reason(reason)
+            .with_vals(a, b)
+    }
+
+    /// What the entries of one run have in common.
+    fn run_id(e: &FlightEvent) -> (u8, FlightKind, FlightLayer, DropReason, u64, u64) {
+        (e.core, e.kind, e.layer, e.reason, e.uid, e.ts_ns)
+    }
+
+    proptest! {
+        /// Folding is run-length merging: against a plain model that
+        /// merges each run of identical losses of the unfolded sequence
+        /// into one entry and then keeps each core's newest `cap`
+        /// entries, the recorder keeps the same entries field by field
+        /// (sequence numbers included), counts the same recorded and
+        /// overwritten entries per core, and its attribution sums equal
+        /// the unfolded sums.
+        #[test]
+        fn folding_is_run_length_merging(
+            ncores in 1usize..4,
+            cap in 1usize..9,
+            ops in proptest::collection::vec(
+                (
+                    (0u8..4, 0u8..2),
+                    (0usize..3, 0u64..2, 0u64..2, 0u8..2),
+                    (0u64..3, 0u64..1500),
+                ),
+                0..80,
+            ),
+        ) {
+            let mut rec = FlightRecorder::new(ncores, cap);
+            let mut roomy = FlightRecorder::new(ncores, ops.len().max(1));
+            let mut runs: Vec<FlightEvent> = Vec::new();
+            for &op in &ops {
+                let core = (op.1).0;
+                rec.emit(core, op_event(op));
+                roomy.emit(core, op_event(op));
+                let mut ev = op_event(op);
+                ev.core = core.min(ncores - 1) as u8;
+                let loss = matches!(ev.kind, FlightKind::Drop | FlightKind::Discard);
+                match runs.last_mut() {
+                    Some(last) if loss && run_id(last) == run_id(&ev) => {
+                        last.a += ev.a;
+                        last.b += ev.b;
+                    }
+                    _ => {
+                        ev.seq = runs.len() as u64;
+                        runs.push(ev);
+                    }
+                }
+            }
+            let mut survivors = Vec::new();
+            for c in 0..ncores {
+                let entries: Vec<FlightEvent> =
+                    runs.iter().filter(|e| e.core as usize == c).copied().collect();
+                let lost = entries.len().saturating_sub(cap);
+                prop_assert_eq!(rec.recorded(c), entries.len() as u64);
+                prop_assert_eq!(rec.dropped(c), lost as u64);
+                survivors.extend_from_slice(&entries[lost..]);
+            }
+            survivors.sort_by_key(|e| e.seq);
+            prop_assert_eq!(rec.events(), survivors);
+
+            // Nothing overwritten: the journal's losses are the unfolded
+            // losses, and a row counts the runs.
+            prop_assert_eq!(roomy.events(), runs.clone());
+            let unfolded: Vec<FlightEvent> = ops.iter().map(|&op| op_event(op)).collect();
+            let rows = attribution(&roomy.events());
+            let lost = |e: &&FlightEvent| matches!(e.kind, FlightKind::Drop | FlightKind::Discard);
+            prop_assert_eq!(
+                rows.iter().map(|r| r.pkts).sum::<u64>(),
+                unfolded.iter().filter(lost).map(|e| e.a).sum::<u64>()
+            );
+            for row in rows {
+                let key = |e: &FlightEvent| {
+                    (e.kind, e.layer, e.reason) == (row.kind, row.layer, row.reason)
+                };
+                let (pkts, bytes) = unfolded
+                    .iter()
+                    .filter(|e| key(e))
+                    .fold((0, 0), |(p, b), e| (p + e.a, b + e.b));
+                prop_assert_eq!((row.pkts, row.bytes), (pkts, bytes));
+                prop_assert_eq!(row.events, runs.iter().filter(|e| key(e)).count() as u64);
+            }
+        }
     }
 }

@@ -56,12 +56,33 @@ impl<T> RxQueue<T> {
     /// Dequeue the oldest item.
     pub fn pop(&mut self) -> Option<T> {
         let item = self.ring.pop_front();
-        // Start over at the first slot: `clear` rewinds an empty
-        // `VecDeque` (were it ever not to, only the locality is lost).
+        self.rewind_if_empty();
+        item
+    }
+
+    /// Lend the queued items out, oldest first, so that a consumer can
+    /// work on a burst where it sits and drain it afterwards; the ring
+    /// reads empty until [`RxQueue::put_back`] returns them. Nothing may
+    /// be pushed while they are out.
+    pub fn take(&mut self) -> VecDeque<T> {
+        std::mem::take(&mut self.ring)
+    }
+
+    /// Return the items [`RxQueue::take`] lent out, minus whatever the
+    /// consumer drained from the front.
+    pub fn put_back(&mut self, ring: VecDeque<T>) {
+        debug_assert!(self.ring.is_empty(), "pushed while the ring was lent");
+        self.ring = ring;
+        self.rewind_if_empty();
+    }
+
+    /// Start over at the first slot: `clear` rewinds an empty `VecDeque`
+    /// (were it ever not to, only the locality is lost).
+    #[inline]
+    fn rewind_if_empty(&mut self) {
         if self.ring.is_empty() {
             self.ring.clear();
         }
-        item
     }
 
     /// Current occupancy.
@@ -106,6 +127,38 @@ mod tests {
         assert_eq!(q.enqueued, 5);
         assert_eq!(q.dropped, 1);
         assert_eq!(q.max_depth, 4);
+    }
+
+    #[test]
+    fn a_lent_ring_comes_back_drained_and_rewinds_when_empty() {
+        let mut q = RxQueue::new(8);
+        for i in 0..6 {
+            assert!(q.push(i));
+        }
+        // Lent: the items sit in order, the ring reads empty.
+        let mut ring = q.take();
+        assert!(q.is_empty());
+        assert_eq!(ring.iter().copied().collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5]);
+        ring.drain(..4);
+        q.put_back(ring);
+        assert_eq!(q.len(), 2);
+        // A push after the return queues behind what was left.
+        assert!(q.push(6));
+        let mut ring = q.take();
+        assert_eq!(ring.iter().copied().collect::<Vec<_>>(), [4, 5, 6]);
+        while ring.pop_front().is_some() {}
+        q.put_back(ring);
+        assert!(q.is_empty());
+        // Drained, the storage starts over at its first slot: a full
+        // ring's worth of items sits in one contiguous run from there.
+        for i in 0..8 {
+            assert!(q.push(i));
+        }
+        let ring = q.take();
+        assert_eq!(ring.as_slices(), (&[0, 1, 2, 3, 4, 5, 6, 7][..], &[][..]));
+        q.put_back(ring);
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!((q.enqueued, q.dropped, q.max_depth), (15, 0, 8));
     }
 
     #[test]

@@ -27,15 +27,20 @@ use std::cell::Cell;
 
 /// Virtual core frequency anchoring cycle→ns conversion (2 GHz, the
 /// same anchor the sim cost model uses).
-pub const CORE_HZ: f64 = 2.0e9;
+pub const CORE_HZ: u64 = 2_000_000_000;
+
+/// Whole cycles per nanosecond at the anchor.
+const CYCLES_PER_NS: u64 = CORE_HZ / 1_000_000_000;
+const _: () = assert!(CYCLES_PER_NS * 1_000_000_000 == CORE_HZ);
 
 /// Records between refreshes of the cached exemplar threshold.
 const THRESHOLD_REFRESH: u64 = 256;
 
-/// Convert virtual cycles to nanoseconds at the [`CORE_HZ`] anchor.
+/// Convert virtual cycles to nanoseconds at the [`CORE_HZ`] anchor,
+/// rounded down: exact integer arithmetic for every input.
 #[inline]
 pub fn cycles_to_ns(cycles: u64) -> u64 {
-    (cycles as f64 * 1e9 / CORE_HZ) as u64
+    cycles / CYCLES_PER_NS
 }
 
 /// One tail-sampled outlier: the concrete packet behind a percentile.
@@ -394,5 +399,27 @@ mod tests {
         assert!(cost::store_seal_cycles(1 << 20) > cost::store_seal_cycles(64));
         assert!(cost::checkpoint_cycles(1 << 20) > cost::checkpoint_cycles(1 << 10));
         assert_eq!(cycles_to_ns(2_000_000_000), 1_000_000_000);
+    }
+
+    /// What `cycles_to_ns` computed in floating point, which rounds the
+    /// product once it passes 2^53.
+    fn float_cycles_to_ns(cycles: u64) -> u64 {
+        (cycles as f64 * 1e9 / 2.0e9) as u64
+    }
+
+    #[test]
+    fn integer_clock_equals_the_float_formula_below_2_pow_24() {
+        for c in 0..1u64 << 24 {
+            assert_eq!(cycles_to_ns(c), float_cycles_to_ns(c), "{c} cycles");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn integer_clock_equals_the_float_formula_below_2_pow_33(start in 0u64..1 << 33) {
+            for c in start..start + 1024 {
+                proptest::prop_assert_eq!(cycles_to_ns(c), float_cycles_to_ns(c), "{} cycles", c);
+            }
+        }
     }
 }

@@ -181,10 +181,26 @@ impl FlowKey {
     /// The canonical orientation is the lexicographically smaller
     /// `(addr, port)` endpoint first. Returns the canonical key and the
     /// direction of `self` relative to it.
+    ///
+    /// The order is the derived one of `(IpAddrBytes, u16)` — family,
+    /// then address bytes, then port — compared as integers: an address
+    /// read big-endian orders like its bytes.
+    #[inline]
     pub fn canonical(&self) -> (FlowKey, Direction) {
-        let a = (self.src, self.src_port);
-        let b = (self.dst, self.dst_port);
-        if a <= b {
+        let forward = match (self.src, self.dst) {
+            (IpAddrBytes::V4(s), IpAddrBytes::V4(d)) => {
+                let ep = |a: [u8; 4], port: u16| {
+                    (u64::from(u32::from_be_bytes(a)) << 16) | u64::from(port)
+                };
+                ep(s, self.src_port) <= ep(d, self.dst_port)
+            }
+            (IpAddrBytes::V6(s), IpAddrBytes::V6(d)) => {
+                (u128::from_be_bytes(s), self.src_port) <= (u128::from_be_bytes(d), self.dst_port)
+            }
+            // Mixed families (no constructor builds one): V4 sorts first.
+            (s, _) => matches!(s, IpAddrBytes::V4(_)),
+        };
+        if forward {
             (*self, Direction::Forward)
         } else {
             (self.reversed(), Direction::Reverse)
@@ -253,6 +269,19 @@ mod tests {
         FlowKey::new_v4([10, 0, 0, 1], [10, 0, 0, 2], 40000, 80, Transport::Tcp)
     }
 
+    /// A second address for `s`: `d` as drawn (`how` 0), `s` itself (1),
+    /// `s` but for its last bit (2), or `s` but for its top bit (3).
+    fn near<const N: usize>(s: [u8; N], d: [u8; N], how: u8) -> [u8; N] {
+        let mut n = s;
+        match how {
+            0 => return d,
+            1 => {}
+            2 => n[N - 1] ^= 1,
+            _ => n[0] ^= 0x80,
+        }
+        n
+    }
+
     #[test]
     fn reversed_swaps_endpoints() {
         let k = key();
@@ -305,6 +334,35 @@ mod tests {
             let (cc, dir) = c.canonical();
             prop_assert_eq!(c, cc);
             prop_assert_eq!(dir, Direction::Forward);
+        }
+
+        /// The integer comparison orients a key exactly as the derived
+        /// `(IpAddrBytes, u16)` order does, for both families, with
+        /// addresses and ports drawn from tiny domains so that equal
+        /// addresses, equal ports and equal endpoints all occur.
+        #[test]
+        fn canonical_matches_the_derived_order(
+            s4: [u8; 4],
+            d4: [u8; 4],
+            s6: [u8; 16],
+            d6: [u8; 16],
+            p: u16,
+            picks in (0u8..4, 0usize..3, 0usize..3),
+        ) {
+            let (how, sp, dp) = picks;
+            let ports = [0, p, u16::MAX];
+            let (sp, dp) = (ports[sp], ports[dp]);
+            for k in [
+                FlowKey::new_v4(s4, near(s4, d4, how), sp, dp, Transport::Udp),
+                FlowKey::new_v6(s6, near(s6, d6, how), sp, dp, Transport::Tcp),
+            ] {
+                let derived = if (k.src(), k.src_port()) <= (k.dst(), k.dst_port()) {
+                    (k, Direction::Forward)
+                } else {
+                    (k.reversed(), Direction::Reverse)
+                };
+                prop_assert_eq!(k.canonical(), derived);
+            }
         }
 
         /// Hash symmetry holds for arbitrary keys and seeds.

@@ -101,7 +101,9 @@ pub struct ParsedPacket<'a> {
     pub frame: &'a [u8],
     /// Ethernet type of the L3 payload.
     pub ethertype: EtherType,
-    /// Canonicalized flow key, if the packet has an L4 header we understand.
+    /// Directed flow key (source → destination as on the wire), if the
+    /// packet has an L4 header we understand; [`FlowKey::canonical`]
+    /// orients it.
     pub key: Option<FlowKey>,
     /// IP protocol number (6 = TCP, 17 = UDP, ...), if L3 parsed.
     pub ip_proto: Option<u8>,
