@@ -81,6 +81,24 @@ if grep -rn --exclude-dir=target --exclude-dir=.git --exclude=CHANGES.md --exclu
     echo "SideTable is back (see above)"; exit 1
 fi
 
+echo "== one dispatch switch, one way to share a capture =="
+# `ScapKernel::poll` is the only place the dispatch mode chooses the
+# classic or the fast path, and the tenant engine is the only §5.6
+# shared-capture layer: a second switch or the old stub coming back
+# fails here. `perf/` drives the two paths on purpose and is not scanned.
+if grep -rnE --include='*.rs' 'SharedApps|SharedApp\b|AppSlot|union_config' crates/ examples/ tests/; then
+    echo "the SharedApps stub is back (see above)"; exit 1
+fi
+if grep -rnE --include='*.rs' '\.(kernel_poll|poll_burst)\(' crates/ examples/ tests/ \
+        | grep -vE '^crates/core/src/(kernel[^:]*|driver\.rs):'; then
+    echo "kernel_poll/poll_burst called outside the kernel and ScapKernel::poll (see above)"; exit 1
+fi
+share_log=$(cargo run --release -q --example shared_capture) \
+    || { echo "the shared_capture example failed: $share_log"; exit 1; }
+[ "$(echo "$share_log" | grep -c ' conserved$')" -eq 3 ] \
+    && echo "$share_log" | grep -q "every tenant conserved" \
+    || { echo "shared_capture did not show every tenant conserved: $share_log"; exit 1; }
+
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
 

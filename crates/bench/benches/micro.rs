@@ -36,18 +36,9 @@ fn bench_fastpath_dispatch(c: &mut Criterion) {
             PacketBuilder::udp_v4(src, dst, sport, 53, &[])
         }
     };
-    let drain = |kernel: &mut ScapKernel, fastpath: bool, now: u64| {
+    let drain = |kernel: &mut ScapKernel, now: u64| {
         for core in 0..kernel.ncores() {
-            loop {
-                let w = if fastpath {
-                    kernel.poll_burst(core, now)
-                } else {
-                    kernel.kernel_poll(core, now)
-                };
-                if w.is_none() {
-                    break;
-                }
-            }
+            while kernel.poll(core, now).is_some() {}
             while kernel.next_event(core).is_some() {}
         }
     };
@@ -81,17 +72,16 @@ fn bench_fastpath_dispatch(c: &mut Criterion) {
             ..Default::default()
         };
         let mut kernel = ScapKernel::new(cfg);
-        let fastpath = mode == DispatchMode::Fastpath;
         // Preload: one empty-payload UDP packet per flow keeps every
         // record alive in the open-addressed table without touching
         // the arena.
         for i in 0..FLOWS {
             kernel.nic_receive(&scap_trace::Packet::new(u64::from(i) + 1, udp(i, false)));
             if i % 1024 == 1023 {
-                drain(&mut kernel, fastpath, u64::from(i) + 1);
+                drain(&mut kernel, u64::from(i) + 1);
             }
         }
-        drain(&mut kernel, fastpath, u64::from(FLOWS));
+        drain(&mut kernel, u64::from(FLOWS));
         let mut batches = if cold { &cold_pkts } else { &hot_pkts }
             .chunks(HITS)
             .cycle();
@@ -100,7 +90,7 @@ fn bench_fastpath_dispatch(c: &mut Criterion) {
                 for p in batches.next().expect("a cycle does not end") {
                     kernel.nic_receive(black_box(p));
                 }
-                drain(&mut kernel, fastpath, u64::from(FLOWS) + HITS as u64);
+                drain(&mut kernel, u64::from(FLOWS) + HITS as u64);
             })
         });
     }

@@ -29,7 +29,7 @@
 //!     continue with the remaining packets
 //! ```
 
-use scap::{Scap, StreamCtx};
+use scap::{DispatchMode, Scap, StreamCtx};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
 use scap_trace::pcap::{write_file, PcapReader};
 use std::sync::Arc;
@@ -240,7 +240,7 @@ fn main() {
         builder = builder.cutoff(c);
     }
     if fastpath {
-        builder = builder.fastpath(true);
+        builder = builder.dispatch(DispatchMode::Fastpath);
     }
     if offload {
         builder = builder.offload(true);
@@ -417,7 +417,7 @@ fn run_supervised(
             builder = builder.cutoff(c);
         }
         if fastpath {
-            builder = builder.fastpath(true);
+            builder = builder.dispatch(DispatchMode::Fastpath);
         }
         if offload {
             builder = builder.offload(true);

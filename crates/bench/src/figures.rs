@@ -638,7 +638,7 @@ pub fn fig12(_cfg: &ExpConfig) -> Vec<FigureResult> {
 /// plus the final resilience counters. Fully deterministic: the same
 /// seed produces byte-identical tables.
 pub fn faults(cfg: &ExpConfig) -> Vec<FigureResult> {
-    use scap::{mangle_packets, EventKind, FaultPlan};
+    use scap::{mangle_packets, FaultPlan};
 
     let wl = campus_workload(cfg);
     // Calm tail past the configured fault windows so the recovery half of
@@ -686,27 +686,14 @@ pub fn faults(cfg: &ExpConfig) -> Vec<FigureResult> {
     for (i, pkt) in packets.iter().enumerate() {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-            while let Some(ev) = kernel.next_event(core) {
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.service(now, ScapKernel::release_event);
         if (i + 1) % bucket == 0 || i + 1 == total {
             sample(&kernel, i + 1);
         }
     }
-    kernel.finish(now.saturating_add(1));
-    for core in 0..kernel.ncores() {
-        while let Some(ev) = kernel.next_event(core) {
-            if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                kernel.release_data(ev.stream.uid, dir, chunk);
-            }
-        }
-    }
+    let end = now.saturating_add(1);
+    kernel.finish(end);
+    kernel.drain_events(end, ScapKernel::release_event);
 
     let s = kernel.stats();
     let r = s.resilience;
@@ -898,7 +885,6 @@ pub fn telemetry(cfg: &ExpConfig) -> Vec<FigureResult> {
 /// retention statistics plus an index-only query check. Deterministic per
 /// seed: the same seed produces a byte-identical index dump.
 pub fn store(cfg: &ExpConfig) -> Vec<FigureResult> {
-    use scap::EventKind;
     use scap_store::{StoreConfig, StoreReader, StoreWriter};
 
     let wl = campus_workload(cfg);
@@ -923,27 +909,18 @@ pub fn store(cfg: &ExpConfig) -> Vec<FigureResult> {
     .expect("open store archive");
 
     let mut now = 0;
-    let drain = |kernel: &mut ScapKernel, writer: &mut StoreWriter| {
-        for core in 0..kernel.ncores() {
-            while let Some(ev) = kernel.next_event(core) {
-                writer.observe(&ev).expect("archive write");
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+    let mut archive = |kernel: &mut ScapKernel, ev: scap::Event| {
+        writer.observe(&ev).expect("archive write");
+        kernel.release_event(ev);
     };
     for pkt in &wl.trace {
         now = pkt.ts_ns;
         kernel.nic_receive(pkt);
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-        }
-        drain(&mut kernel, &mut writer);
+        kernel.service(now, &mut archive);
     }
-    kernel.finish(now.saturating_add(1));
-    drain(&mut kernel, &mut writer);
+    let end = now.saturating_add(1);
+    kernel.finish(end);
+    kernel.drain_events(end, &mut archive);
     let stats = writer.finish().expect("archive finish");
     drop(writer);
 
@@ -1051,7 +1028,6 @@ pub fn store(cfg: &ExpConfig) -> Vec<FigureResult> {
 /// and the crash. Deterministic per seed: same seed, same table.
 pub fn restart(cfg: &ExpConfig) -> Vec<FigureResult> {
     use scap::checkpoint::CheckpointImage;
-    use scap::EventKind;
 
     let wl = campus_workload(cfg);
     let trace = &wl.trace;
@@ -1074,16 +1050,10 @@ pub fn restart(cfg: &ExpConfig) -> Vec<FigureResult> {
         for (i, pkt) in trace[from..to].iter().enumerate() {
             let now = pkt.ts_ns;
             kernel.nic_receive(pkt);
-            for core in 0..kernel.ncores() {
-                while kernel.kernel_poll(core, now).is_some() {}
-                kernel.kernel_timers(core, now);
-                while let Some(ev) = kernel.next_event(core) {
-                    if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                        delivered += chunk.len as u64;
-                        kernel.release_data(ev.stream.uid, dir, chunk);
-                    }
-                }
-            }
+            kernel.service(now, |k, ev| {
+                delivered += ev.data_len() as u64;
+                k.release_event(ev);
+            });
             if let Some(every) = every {
                 if ((i + 1) as u64).is_multiple_of(every) {
                     seq += 1;
@@ -1099,14 +1069,10 @@ pub fn restart(cfg: &ExpConfig) -> Vec<FigureResult> {
         let now = trace.last().map_or(1, |p| p.ts_ns.saturating_add(1));
         kernel.finish(now);
         let mut delivered = 0u64;
-        for core in 0..kernel.ncores() {
-            while let Some(ev) = kernel.next_event(core) {
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    delivered += chunk.len as u64;
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.drain_events(now, |k, ev| {
+            delivered += ev.data_len() as u64;
+            k.release_event(ev);
+        });
         delivered
     }
 
@@ -1197,7 +1163,7 @@ pub fn flight(cfg: &ExpConfig) -> Vec<FigureResult> {
     use scap::checkpoint::CheckpointImage;
     use scap::flight::{attribution, decode_journal, top_reasons_line};
     use scap::telemetry::Metric;
-    use scap::{EventKind, FlightKind, ScapConfig};
+    use scap::{FlightKind, ScapConfig};
 
     let wl = campus_workload(cfg);
     let trace = &wl.trace;
@@ -1216,29 +1182,14 @@ pub fn flight(cfg: &ExpConfig) -> Vec<FigureResult> {
     // Synchronous drive over trace[from..to]; `finish` runs termination.
     fn drive(kernel: &mut ScapKernel, trace: &[scap_trace::Packet], from: usize, to: usize) {
         for pkt in &trace[from..to] {
-            let now = pkt.ts_ns;
             kernel.nic_receive(pkt);
-            for core in 0..kernel.ncores() {
-                while kernel.kernel_poll(core, now).is_some() {}
-                kernel.kernel_timers(core, now);
-                while let Some(ev) = kernel.next_event(core) {
-                    if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                        kernel.release_data(ev.stream.uid, dir, chunk);
-                    }
-                }
-            }
+            kernel.service(pkt.ts_ns, ScapKernel::release_event);
         }
     }
     fn finish(kernel: &mut ScapKernel, trace: &[scap_trace::Packet]) {
         let now = trace.last().map_or(1, |p| p.ts_ns.saturating_add(1));
         kernel.finish(now);
-        for core in 0..kernel.ncores() {
-            while let Some(ev) = kernel.next_event(core) {
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.drain_events(now, ScapKernel::release_event);
     }
 
     let mut kernel = build(ring_cap);
@@ -1440,7 +1391,7 @@ pub fn flight(cfg: &ExpConfig) -> Vec<FigureResult> {
 pub fn tenants(cfg: &ExpConfig) -> Vec<FigureResult> {
     use scap::flight::{decode_journal, DropReason, FlightKind, FlightLayer};
     use scap::tenant::{TenantEngine, TenantSpec, TenantState};
-    use scap::{EventKind, FaultPlan};
+    use scap::FaultPlan;
 
     const DELIVERY_BUDGET: u64 = 64 << 10;
     const STRIKE_LIMIT: u32 = 8;
@@ -1533,29 +1484,22 @@ pub fn tenants(cfg: &ExpConfig) -> Vec<FigureResult> {
         for pkt in &trace {
             now = pkt.ts_ns;
             kernel.nic_receive(pkt);
-            for core in 0..kernel.ncores() {
-                while kernel.kernel_poll(core, now).is_some() {}
-                kernel.kernel_timers(core, now);
-                while let Some(ev) = kernel.next_event(core) {
-                    engine.on_event(&ev, kernel.flight_mut());
-                    if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                        kernel.release_data(ev.stream.uid, dir, chunk);
-                    }
-                }
-            }
+            kernel.service(now, |k, ev| {
+                engine.on_event(&ev, k.flight_mut());
+                k.release_event(ev);
+            });
             drain_pass(&mut engine, &mut drained_events);
         }
         kernel.finish(now.saturating_add(1));
         // Consumers keep draining through the finish-time flush, a core
         // at a time, as they do between packets: a trace that leaves
         // more behind than a tenant's queue holds must not read as a
-        // slow consumer.
+        // slow consumer. Hand-written, because `drain_events` empties
+        // every core before a consumer could run.
         for core in 0..kernel.ncores() {
             while let Some(ev) = kernel.next_event(core) {
                 engine.on_event(&ev, kernel.flight_mut());
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
+                kernel.release_event(ev);
             }
             drain_pass(&mut engine, &mut drained_events);
         }
@@ -1738,7 +1682,7 @@ pub fn tenants(cfg: &ExpConfig) -> Vec<FigureResult> {
 /// flows.
 pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
     use scap::telemetry::Metric;
-    use scap::{DispatchMode, EventKind, ScapConfig};
+    use scap::{DispatchMode, ScapConfig};
     use scap_flight::{decode_journal, FlightKind};
     use scap_sim::{CostModel, Work};
     use scap_trace::Packet;
@@ -1779,8 +1723,9 @@ pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
 
     // Batched drive: enqueue a batch (well under the 4096-slot rings),
     // then poll every core dry and drain its events. Returns the
-    // accumulated `Work` receipt for the cost model.
-    fn drive(kernel: &mut ScapKernel, pkts: &[Packet], fastpath: bool) -> Work {
+    // accumulated `Work` receipt for the cost model. Hand-written, not
+    // `service`: it sums every poll's receipt and runs no timers.
+    fn drive(kernel: &mut ScapKernel, pkts: &[Packet]) -> Work {
         const BATCH: usize = 512;
         let mut work = Work::default();
         for batch in pkts.chunks(BATCH) {
@@ -1789,24 +1734,14 @@ pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
             }
             let now = batch.last().expect("non-empty batch").ts_ns;
             for core in 0..kernel.ncores() {
-                loop {
-                    let w = if fastpath {
-                        kernel.poll_burst(core, now)
-                    } else {
-                        kernel.kernel_poll(core, now)
-                    };
-                    match w {
-                        Some(w) => work.add(&w),
-                        None => break,
-                    }
+                while let Some(w) = kernel.poll(core, now) {
+                    work.add(&w);
                 }
                 while let Some(ev) = kernel.next_event(core) {
                     // Delivery span: producing packet's NIC ingress to
                     // this hand-off (exemplar-eligible).
                     kernel.note_delivery(&ev, now);
-                    if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                        kernel.release_data(ev.stream.uid, dir, chunk);
-                    }
+                    kernel.release_event(ev);
                 }
             }
         }
@@ -1832,10 +1767,9 @@ pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
         // Concurrency is the point: no flow may expire mid-run.
         sc.inactivity_timeout_ns = u64::MAX / 2;
         let mut kernel = ScapKernel::new(sc);
-        let is_fp = mode == DispatchMode::Fastpath;
 
         // Phase 1: the measured drive (insert pass + hit pass).
-        let work = drive(&mut kernel, pkts, is_fp);
+        let work = drive(&mut kernel, pkts);
         // Pulse acceptance on the measured phase, while every exemplar's
         // `pulse_exemplar` journal event is still in its flight ring
         // (finish() floods the rings with StreamTerminated events).
@@ -1893,22 +1827,9 @@ pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
             }
             let now = over.last().expect("overload packets").ts_ns;
             for core in 0..kernel.ncores() {
-                loop {
-                    let w = if is_fp {
-                        kernel.poll_burst(core, now)
-                    } else {
-                        kernel.kernel_poll(core, now)
-                    };
-                    if w.is_none() {
-                        break;
-                    }
-                }
-                while let Some(ev) = kernel.next_event(core) {
-                    if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                        kernel.release_data(ev.stream.uid, dir, chunk);
-                    }
-                }
+                while kernel.poll(core, now).is_some() {}
             }
+            kernel.drain_events(now, ScapKernel::release_event);
             let snap2 = kernel.telemetry_snapshot();
             let (w2, del2, drop2, disc2) = (
                 snap2.total(Metric::WirePackets),
@@ -1956,14 +1877,9 @@ pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
         let induced_drops = kernel.telemetry_snapshot().total(Metric::DroppedPackets);
 
         let fill_permille = kernel.fastpath_stats().fill_permille();
-        kernel.finish(pkts.last().map_or(1, |p| p.ts_ns) + OVERLOAD + 2);
-        for core in 0..kernel.ncores() {
-            while let Some(ev) = kernel.next_event(core) {
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        let end = pkts.last().map_or(1, |p| p.ts_ns) + OVERLOAD + 2;
+        kernel.finish(end);
+        kernel.drain_events(end, ScapKernel::release_event);
 
         let cycles = model.kernel_cycles(&work).max(1.0);
         let cyc_per_pkt = cycles / wire as f64;
@@ -2132,7 +2048,7 @@ pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
 /// against the flight journal.
 pub fn offload(cfg: &ExpConfig) -> Vec<FigureResult> {
     use scap::telemetry::Metric;
-    use scap::{EventKind, OffloadAction, OffloadRule, ScapConfig};
+    use scap::{OffloadAction, OffloadRule, ScapConfig};
     use scap_flight::{decode_journal, DropReason, FlightKind};
     use scap_trace::{Amplifier, AmplifyConfig, CampusMix, CampusMixConfig, Packet};
 
@@ -2263,15 +2179,7 @@ pub fn offload(cfg: &ExpConfig) -> Vec<FigureResult> {
         for p in batch.iter() {
             kernel.nic_receive(p);
         }
-        for core in 0..kernel.ncores() {
-            while kernel.kernel_poll(core, now).is_some() {}
-            kernel.kernel_timers(core, now);
-            while let Some(ev) = kernel.next_event(core) {
-                if let EventKind::Data { dir, chunk, .. } = ev.kind {
-                    kernel.release_data(ev.stream.uid, dir, chunk);
-                }
-            }
-        }
+        kernel.service(now, ScapKernel::release_event);
         batch.clear();
     };
     let mut last_ts = 0u64;

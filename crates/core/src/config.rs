@@ -47,7 +47,7 @@ impl CutoffPolicy {
 
     /// Collapse the policy to a single default cutoff, clearing stale
     /// per-direction and per-class overrides. This is the "widening"
-    /// rule shared by `union_config` (a new sharing subscriber must not
+    /// rule shared by `union_requirements` (a new tenant must not
     /// inherit a narrower class cutoff) and `apply_config` (a widened
     /// cutoff must clear the overrides that would silently re-narrow it).
     pub fn generalize_to(&mut self, default: Option<u64>) {
@@ -152,7 +152,7 @@ impl std::error::Error for ConfigError {}
 pub struct ConfigDelta {
     /// Replace the default cutoff. Widening (a larger value or `None` =
     /// unlimited) also clears per-direction/class overrides — the same
-    /// generalization `union_config` performs — and re-opens streams
+    /// generalization `union_requirements` performs — and re-opens streams
     /// whose old, narrower cutoff had already tripped.
     pub cutoff_default: Option<Option<u64>>,
     /// Replace the cutoff class list (applies to new streams).

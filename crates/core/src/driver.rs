@@ -5,14 +5,16 @@
 //! timers, then publishes to the core's event queue. That pass — poll
 //! the ring dry on the configured dispatch path, timers, drain the
 //! events into the caller's sink — is [`ScapKernel::service_core`]; the
-//! live driver, the shard fleet and `scapd` all call it once per burst
-//! of packets they have fed to [`ScapKernel::nic_receive`], so the
-//! dispatch mode is honoured everywhere and the per-burst cost is paid
-//! in one place.
+//! live driver, the shard fleet, `scapd` and the experiments all call it
+//! once per burst of packets they have fed to
+//! [`ScapKernel::nic_receive`], and the one step that reads the dispatch
+//! mode is [`ScapKernel::poll`], so the mode is honoured everywhere and
+//! the per-burst cost is paid in one place.
 
 use crate::config::DispatchMode;
 use crate::event::{Event, EventKind};
 use crate::kernel::ScapKernel;
+use scap_sim::Work;
 use scap_telemetry::{SpanTimer, Stage};
 
 /// Whether a service step records its stage spans.
@@ -28,6 +30,18 @@ pub enum StageClock {
 }
 
 impl ScapKernel {
+    /// Run the next packet (classic) or burst (fast path) at the front of
+    /// a core's RX ring, by [`crate::ScapConfig::dispatch`], and return
+    /// its work receipt; `None` once the ring is empty. The only place
+    /// the dispatch mode chooses between [`ScapKernel::kernel_poll`] and
+    /// [`ScapKernel::poll_burst`].
+    pub fn poll(&mut self, core: usize, now: u64) -> Option<Work> {
+        match self.config().dispatch {
+            DispatchMode::Classic => self.kernel_poll(core, now),
+            DispatchMode::Fastpath => self.poll_burst(core, now),
+        }
+    }
+
     /// Service one core: poll its RX ring dry (classic or fast path, by
     /// [`crate::ScapConfig::dispatch`]), run its timers at `now`, and
     /// hand every queued event to `sink` after noting its delivery
@@ -41,18 +55,13 @@ impl ScapKernel {
         sink: &mut impl FnMut(&mut ScapKernel, Event),
     ) {
         let span = (clock == StageClock::Wall).then(SpanTimer::start);
-        let stage = match self.config().dispatch {
-            DispatchMode::Classic => {
-                while self.kernel_poll(core, now).is_some() {}
-                Stage::Kernel
-            }
-            DispatchMode::Fastpath => {
-                while self.poll_burst(core, now).is_some() {}
-                Stage::Fastpath
-            }
-        };
+        while self.poll(core, now).is_some() {}
         self.kernel_timers(core, now);
         if let Some(span) = span {
+            let stage = match self.config().dispatch {
+                DispatchMode::Classic => Stage::Kernel,
+                DispatchMode::Fastpath => Stage::Fastpath,
+            };
             span.finish(self.telemetry(), core, stage);
         }
         let span =
@@ -92,6 +101,51 @@ impl ScapKernel {
     pub fn release_event(&mut self, ev: Event) {
         if let EventKind::Data { dir, chunk, .. } = ev.kind {
             self.release_data(ev.stream.uid, dir, chunk);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ScapConfig;
+    use scap_trace::Packet;
+    use scap_wire::PacketBuilder;
+
+    fn loaded_kernel(dispatch: DispatchMode) -> ScapKernel {
+        let mut k = ScapKernel::new(ScapConfig {
+            dispatch,
+            cores: 1,
+            ..ScapConfig::default()
+        });
+        for i in 0..8u8 {
+            let frame = PacketBuilder::udp_v4([10, 0, 0, i], [10, 0, 0, 200], 1000, 53, b"q");
+            k.nic_receive(&Packet::new(u64::from(i) + 1, frame));
+        }
+        k
+    }
+
+    /// `poll` is the one dispatch switch: its receipt shows a burst
+    /// exactly on the fast path, and the service step's wall-clock span
+    /// is booked to the stage of the path that ran.
+    #[test]
+    fn poll_runs_the_configured_dispatch_path() {
+        for mode in [DispatchMode::Classic, DispatchMode::Fastpath] {
+            let fast = mode == DispatchMode::Fastpath;
+            let mut k = loaded_kernel(mode);
+            let w = k.poll(0, 10).expect("frames are queued");
+            assert_eq!(w.fp_bursts > 0, fast, "{mode:?}: {w:?}");
+
+            let mut k = loaded_kernel(mode);
+            k.service_core(0, 10, StageClock::Wall, &mut |k, ev| k.release_event(ev));
+            let snap = k.telemetry_snapshot();
+            let (ran, idle) = if fast {
+                (Stage::Fastpath, Stage::Kernel)
+            } else {
+                (Stage::Kernel, Stage::Fastpath)
+            };
+            assert_eq!(snap.stage(ran).count(), 1, "{mode:?}");
+            assert_eq!(snap.stage(idle).count(), 0, "{mode:?}");
         }
     }
 }

@@ -479,7 +479,7 @@ impl ScapKernel {
     /// live stream through the same [`ControlOp`] path applications use;
     /// a *widened* cutoff re-opens streams whose old, narrower cutoff
     /// had tripped (clearing their NIC drop filters), exactly like
-    /// `union_config` generalizes cutoffs for shared captures. Filter
+    /// `union_requirements` generalizes cutoffs for tenants. Filter
     /// changes take effect on the next packet.
     pub fn try_apply_config(&mut self, delta: ConfigDelta) -> Result<(), crate::ConfigError> {
         delta.validate(&self.cfg)?;

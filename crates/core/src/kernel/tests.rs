@@ -1207,11 +1207,7 @@ fn differential_run(
             k.nic_receive(p);
         }
         let now = group.last().unwrap().ts_ns;
-        let poll = match dispatch {
-            crate::DispatchMode::Classic => ScapKernel::kernel_poll,
-            crate::DispatchMode::Fastpath => ScapKernel::poll_burst,
-        };
-        while let Some(w) = poll(&mut k, 0, now) {
+        while let Some(w) = k.poll(0, now) {
             work.add(&w);
         }
         k.kernel_timers(0, now);

@@ -52,12 +52,15 @@
 //!   runs the same kernel under the discrete-time performance engine,
 //!   plus the built-in application models used by the experiments.
 //! * [`driver`] — the per-burst service step (poll dry, timers, drain
-//!   events) shared by the live driver, the shard fleet and `scapd`.
+//!   events) shared by the live driver, the shard fleet, `scapd` and the
+//!   experiments, and [`ScapKernel::poll`], the one dispatch switch.
 //! * [`live`] — the threaded driver: per-core worker threads consuming
 //!   event queues, as `scap_start_capture` does.
-//! * [`sharing`] — multiple applications on one capture (§5.6): the
+//! * [`tenant`] — multiple applications on one capture (§5.6): the
 //!   kernel reassembles once under a generalized configuration and each
-//!   application sees its own filtered, cutoff-limited view.
+//!   tenant sees its own filtered, cutoff-limited view, with quotas.
+//! * [`sharing`] — that generalized configuration: the union of the
+//!   subscribers' filters, cutoffs and priorities.
 //! * [`event`] — events and the consistent per-event stream snapshot.
 
 pub mod checkpoint;
@@ -85,9 +88,7 @@ pub use live::{
     StreamCtx, WorkerStatus,
 };
 pub use shard::{FleetConfig, FleetStats, ShardFleet, ShardStatus};
-pub use sharing::{
-    union_config, union_priorities, union_requirements, AppSlot, Requirement, SharedApp, SharedApps,
-};
+pub use sharing::{union_priorities, union_requirements, Requirement};
 pub use stack::{apps, ScapSimStack, SimApp};
 pub use tenant::{
     AdmissionError, Delivery, Tenant, TenantEngine, TenantSpec, TenantState, TenantStats,

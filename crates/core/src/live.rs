@@ -325,16 +325,6 @@ impl ScapBuilder {
         self
     }
 
-    /// Enable the poll-mode kernel-bypass fast path (shorthand for
-    /// [`ScapBuilder::dispatch`] with [`crate::DispatchMode::Fastpath`]).
-    pub fn fastpath(self, yes: bool) -> Self {
-        self.dispatch(if yes {
-            crate::DispatchMode::Fastpath
-        } else {
-            crate::DispatchMode::Classic
-        })
-    }
-
     /// Frames per burst on the fast path (clamped to ≥ 1).
     pub fn fastpath_burst(mut self, frames: usize) -> Self {
         self.cfg.fastpath_burst = frames.max(1);

@@ -1,93 +1,21 @@
-//! Multiple applications sharing one capture (§5.6 of the paper).
+//! The generalized capture configuration for a shared capture (§5.6 of
+//! the paper).
 //!
 //! When several monitoring applications run on the same sensor, Scap
-//! performs flow tracking and stream reassembly **once**, in the kernel,
-//! and gives every application a shared (read-only) view of each stream.
+//! performs flow tracking and stream reassembly **once**, in the kernel.
 //! Because applications have different requirements, the kernel runs a
 //! *generalized* configuration — the union of all BPF filters, the
 //! largest of all cutoffs, packet records if anyone needs them — and the
-//! user-level stub applies each application's own restrictions when
-//! dispatching events: which streams it sees, and up to which stream
-//! offset.
-//!
-//! [`SharedApps`] is that stub: it implements [`SimApp`], so a shared
-//! application group drops into [`crate::ScapSimStack`] unchanged, and
-//! [`union_config`] computes the generalized kernel configuration.
+//! user-level side applies each application's own restrictions when it
+//! dispatches events. [`union_requirements`] computes that configuration;
+//! [`crate::tenant::TenantEngine`] is the user-level side.
 
 use crate::config::{PriorityPolicy, ScapConfig};
-use crate::event::{Event, EventKind, StreamSnapshot};
-use crate::stack::SimApp;
 use scap_filter::{Filter, FilterError};
-use scap_sim::Work;
-use scap_wire::Direction;
-
-/// One application's view of a shared capture.
-pub trait SharedApp {
-    /// A stream matching this application's filter was created.
-    fn on_created(&mut self, _s: &StreamSnapshot) -> Work {
-        Work::default()
-    }
-
-    /// Stream data within this application's cutoff. `offset` is the
-    /// stream offset of `data[0]`.
-    fn on_data(&mut self, s: &StreamSnapshot, dir: Direction, data: &[u8], offset: u64) -> Work;
-
-    /// A stream matching this application's filter terminated.
-    fn on_terminated(&mut self, _s: &StreamSnapshot) -> Work {
-        Work::default()
-    }
-
-    /// Matches found so far (for matching applications).
-    fn matches(&self) -> u64 {
-        0
-    }
-}
-
-/// An application slot: its requirements plus the application itself.
-pub struct AppSlot {
-    /// Display name (diagnostics).
-    pub name: String,
-    /// Stream filter; `None` = all streams.
-    pub filter: Option<Filter>,
-    /// Per-stream cutoff; `None` = unlimited.
-    pub cutoff: Option<u64>,
-    /// The application.
-    pub app: Box<dyn SharedApp>,
-    /// Events delivered to this application.
-    pub events: u64,
-    /// Data bytes this application actually received.
-    pub bytes: u64,
-}
-
-impl AppSlot {
-    /// Build a slot.
-    pub fn new(
-        name: &str,
-        filter: Option<Filter>,
-        cutoff: Option<u64>,
-        app: Box<dyn SharedApp>,
-    ) -> Self {
-        AppSlot {
-            name: name.to_string(),
-            filter,
-            cutoff,
-            app,
-            events: 0,
-            bytes: 0,
-        }
-    }
-
-    fn wants(&self, s: &StreamSnapshot) -> bool {
-        match &self.filter {
-            None => true,
-            Some(f) => f.matches_key(&s.key) || f.matches_key(&s.key.reversed()),
-        }
-    }
-}
 
 /// One subscriber's capture requirements — the filter/cutoff/priority
-/// triple a tenant or shared application brings to the capture,
-/// independent of the application code behind it.
+/// triple a tenant brings to the capture, independent of the
+/// application code behind it.
 #[derive(Debug, Clone, Default)]
 pub struct Requirement {
     /// Stream filter; `None` = all streams.
@@ -142,8 +70,8 @@ pub fn union_requirements(
     base.cutoff.generalize_to(cutoff);
     base.need_pkts = need_pkts;
     // Priorities are merged only when some subscriber states one: a set
-    // of priority-0 requirements (every plain shared-app group) leaves
-    // the base policy — and its PPL watermark count — untouched.
+    // of priority-0 requirements leaves the base policy — and its PPL
+    // watermark count — untouched.
     if reqs.iter().any(|r| r.priority > 0) {
         base.priorities = union_priorities(reqs);
         base.ppl.num_priorities = base.priorities.levels();
@@ -170,181 +98,9 @@ pub fn union_priorities(reqs: &[Requirement]) -> PriorityPolicy {
     PriorityPolicy { classes }
 }
 
-/// [`union_requirements`] over application slots (the §5.6 sharing
-/// stub's view: each slot's filter and cutoff, priorities untouched at
-/// their default).
-pub fn union_config(
-    base: ScapConfig,
-    slots: &[AppSlot],
-    need_pkts: bool,
-) -> Result<ScapConfig, FilterError> {
-    let reqs: Vec<Requirement> = slots
-        .iter()
-        .map(|s| Requirement {
-            filter: s.filter.clone(),
-            cutoff: s.cutoff,
-            priority: 0,
-        })
-        .collect();
-    union_requirements(base, &reqs, need_pkts)
-}
-
-/// The user-level dispatcher for shared captures.
-pub struct SharedApps {
-    slots: Vec<AppSlot>,
-}
-
-impl SharedApps {
-    /// Build from application slots.
-    pub fn new(slots: Vec<AppSlot>) -> Self {
-        SharedApps { slots }
-    }
-
-    /// The slots (inspection after a run).
-    pub fn slots(&self) -> &[AppSlot] {
-        &self.slots
-    }
-}
-
-impl SimApp for SharedApps {
-    fn on_event(&mut self, ev: &Event) -> Work {
-        let mut total = Work::default();
-        for slot in &mut self.slots {
-            if !slot.wants(&ev.stream) {
-                continue;
-            }
-            let w = match &ev.kind {
-                EventKind::Created => {
-                    slot.events += 1;
-                    slot.app.on_created(&ev.stream)
-                }
-                EventKind::Terminated => {
-                    slot.events += 1;
-                    slot.app.on_terminated(&ev.stream)
-                }
-                EventKind::Data { dir, chunk, .. } => {
-                    // Per-application cutoff: deliver only the prefix of
-                    // the stream this application asked for. The data is
-                    // shared — no copy — the slice just ends earlier.
-                    let cap = slot.cutoff.unwrap_or(u64::MAX);
-                    if chunk.start_offset >= cap {
-                        continue;
-                    }
-                    let allowed = ((cap - chunk.start_offset) as usize).min(chunk.len);
-                    slot.events += 1;
-                    slot.bytes += allowed as u64;
-                    slot.app.on_data(
-                        &ev.stream,
-                        *dir,
-                        &chunk.bytes()[..allowed],
-                        chunk.start_offset,
-                    )
-                }
-            };
-            total.add(&w);
-        }
-        total
-    }
-
-    fn matches(&self) -> u64 {
-        self.slots.iter().map(|s| s.app.matches()).sum()
-    }
-}
-
-/// Ready-made shared applications.
-pub mod shared_apps {
-    use super::SharedApp;
-    use crate::event::StreamSnapshot;
-    use scap_patterns::{AhoCorasick, MatcherState};
-    use scap_sim::Work;
-    use scap_wire::Direction;
-    use std::collections::HashMap;
-
-    /// Flow accounting: counts streams and wire bytes at termination.
-    #[derive(Default)]
-    pub struct SharedFlowStats {
-        /// Streams reported.
-        pub flows: u64,
-        /// Wire bytes across reported streams.
-        pub wire_bytes: u64,
-    }
-
-    impl SharedApp for SharedFlowStats {
-        fn on_data(&mut self, _s: &StreamSnapshot, _d: Direction, _data: &[u8], _o: u64) -> Work {
-            Work::default()
-        }
-
-        fn on_terminated(&mut self, s: &StreamSnapshot) -> Work {
-            self.flows += 1;
-            self.wire_bytes += s.total_bytes();
-            Work::default()
-        }
-    }
-
-    /// Pattern matching over the shared stream view.
-    pub struct SharedMatcher {
-        ac: AhoCorasick,
-        states: HashMap<(u64, u8), MatcherState>,
-        found: u64,
-        /// Data bytes scanned.
-        pub scanned: u64,
-    }
-
-    impl SharedMatcher {
-        /// Build from a compiled automaton.
-        pub fn new(ac: AhoCorasick) -> Self {
-            SharedMatcher {
-                ac,
-                states: HashMap::new(),
-                found: 0,
-                scanned: 0,
-            }
-        }
-    }
-
-    impl SharedApp for SharedMatcher {
-        fn on_data(&mut self, s: &StreamSnapshot, dir: Direction, data: &[u8], _o: u64) -> Work {
-            let st = self.states.entry((s.uid, dir.index() as u8)).or_default();
-            self.found += self.ac.count(st, data);
-            self.scanned += data.len() as u64;
-            Work {
-                u_bytes_scanned: data.len() as u64,
-                ..Default::default()
-            }
-        }
-
-        fn on_terminated(&mut self, s: &StreamSnapshot) -> Work {
-            self.states.remove(&(s.uid, 0));
-            self.states.remove(&(s.uid, 1));
-            Work::default()
-        }
-
-        fn matches(&self) -> u64 {
-            self.found
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::shared_apps::{SharedFlowStats, SharedMatcher};
     use super::*;
-    use crate::kernel::ScapKernel;
-    use crate::stack::ScapSimStack;
-    use scap_patterns::AhoCorasick;
-    use scap_sim::{CostModel, Engine, EngineConfig};
-    use scap_trace::gen::{CampusMix, CampusMixConfig};
-    use std::sync::Arc;
-
-    fn oracle() -> Engine {
-        Engine::new(EngineConfig {
-            model: CostModel {
-                core_hz: 1e15,
-                ..CostModel::default()
-            },
-            ..EngineConfig::default()
-        })
-    }
 
     fn base_config() -> ScapConfig {
         ScapConfig {
@@ -353,23 +109,21 @@ mod tests {
         }
     }
 
+    fn req(filter: Option<&str>, cutoff: Option<u64>) -> Requirement {
+        Requirement {
+            filter: filter.map(|f| Filter::new(f).unwrap()),
+            cutoff,
+            priority: 0,
+        }
+    }
+
     #[test]
-    fn union_config_generalizes_requirements() {
-        let slots = vec![
-            AppSlot::new(
-                "stats",
-                Some(Filter::new("tcp").unwrap()),
-                Some(0),
-                Box::new(SharedFlowStats::default()),
-            ),
-            AppSlot::new(
-                "ids",
-                Some(Filter::new("port 80").unwrap()),
-                Some(10_000),
-                Box::new(SharedFlowStats::default()),
-            ),
+    fn union_generalizes_requirements() {
+        let reqs = [
+            req(Some("tcp"), Some(0)),
+            req(Some("port 80"), Some(10_000)),
         ];
-        let cfg = union_config(base_config(), &slots, false).unwrap();
+        let cfg = union_requirements(base_config(), &reqs, false).unwrap();
         // Cutoff: the largest of (0, 10_000).
         assert_eq!(cfg.cutoff.default, Some(10_000));
         // Filter: the union matches both tcp and port-80 traffic.
@@ -390,25 +144,17 @@ mod tests {
         assert!(f.matches_frame(&udp80));
         assert!(!f.matches_frame(&udp53));
 
-        // Any unlimited app generalizes to "no cutoff, no filter".
-        let slots2 = vec![
-            AppSlot::new("all", None, None, Box::new(SharedFlowStats::default())),
-            AppSlot::new(
-                "ids",
-                Some(Filter::new("port 80").unwrap()),
-                Some(10),
-                Box::new(SharedFlowStats::default()),
-            ),
-        ];
-        let cfg2 = union_config(base_config(), &slots2, false).unwrap();
+        // Any unlimited subscriber generalizes to "no cutoff, no filter".
+        let reqs2 = [req(None, None), req(Some("port 80"), Some(10))];
+        let cfg2 = union_requirements(base_config(), &reqs2, false).unwrap();
         assert!(cfg2.filter.is_none());
         assert_eq!(cfg2.cutoff.default, None);
     }
 
     #[test]
-    fn union_config_empty_app_set_records_streams_only() {
-        let cfg = union_config(base_config(), &[], false).unwrap();
-        // No applications: every stream is visible (stream bookkeeping is
+    fn union_of_no_requirements_records_streams_only() {
+        let cfg = union_requirements(base_config(), &[], false).unwrap();
+        // No subscribers: every stream is visible (stream bookkeeping is
         // nearly free) but no payload is collected and no packet records
         // are produced.
         assert!(cfg.filter.is_none());
@@ -417,45 +163,29 @@ mod tests {
     }
 
     #[test]
-    fn union_config_single_unfiltered_app_keeps_its_cutoff() {
-        let slots = vec![AppSlot::new(
-            "only",
-            None,
-            Some(4096),
-            Box::new(SharedFlowStats::default()),
-        )];
-        let cfg = union_config(base_config(), &slots, true).unwrap();
+    fn union_of_one_unfiltered_requirement_keeps_its_cutoff() {
+        let cfg = union_requirements(base_config(), &[req(None, Some(4096))], true).unwrap();
         assert!(cfg.filter.is_none());
         assert_eq!(cfg.cutoff.default, Some(4096));
-        // Packet records requested by the group pass through.
+        // Packet records requested by the caller pass through.
         assert!(cfg.need_pkts);
     }
 
     #[test]
-    fn union_config_overrides_conflicting_base_cutoff_directions() {
+    fn union_overrides_conflicting_base_cutoff_directions() {
         // A base config carrying tighter per-direction and per-class
         // cutoffs must not leak into the generalized configuration — the
-        // largest application requirement wins in *both* directions.
+        // largest requirement wins in *both* directions.
         let mut base = base_config();
         base.cutoff.per_direction = [Some(64), Some(4)];
         base.cutoff
             .classes
             .push((Filter::new("port 80").unwrap(), 16));
-        let slots = vec![
-            AppSlot::new(
-                "small",
-                Some(Filter::new("tcp").unwrap()),
-                Some(0),
-                Box::new(SharedFlowStats::default()),
-            ),
-            AppSlot::new(
-                "large",
-                Some(Filter::new("port 80").unwrap()),
-                Some(10_000),
-                Box::new(SharedFlowStats::default()),
-            ),
+        let reqs = [
+            req(Some("tcp"), Some(0)),
+            req(Some("port 80"), Some(10_000)),
         ];
-        let cfg = union_config(base, &slots, false).unwrap();
+        let cfg = union_requirements(base, &reqs, false).unwrap();
         assert_eq!(cfg.cutoff.default, Some(10_000));
         assert_eq!(cfg.cutoff.per_direction, [None, None]);
         assert!(cfg.cutoff.classes.is_empty());
@@ -648,101 +378,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn two_apps_share_one_reassembly_pass() {
-        let pats = vec![b"XXSHAREDPATTERNXX".to_vec()];
-        let trace = CampusMix::new(CampusMixConfig {
-            patterns: Some(Arc::new(pats.clone())),
-            pattern_prob: 1.0,
-            ..CampusMixConfig::sized(41, 3 << 20)
-        })
-        .collect_all();
-        let total_flows = scap_trace::stats::TraceStats::from_packets(trace.iter()).flows;
-
-        let slots = vec![
-            AppSlot::new("stats", None, Some(0), Box::new(SharedFlowStats::default())),
-            AppSlot::new(
-                "matcher",
-                None,
-                None,
-                Box::new(SharedMatcher::new(AhoCorasick::new(&pats, false))),
-            ),
-        ];
-        let cfg = union_config(base_config(), &slots, false).unwrap();
-        let mut stack = ScapSimStack::new(ScapKernel::new(cfg), SharedApps::new(slots));
-        let report = oracle().run(trace, &mut stack);
-
-        assert_eq!(report.stats.dropped_packets, 0);
-        assert!(report.stats.matches > 0, "matcher found nothing");
-        // The kernel reassembled once; both apps were served from it.
-        let slots = stack.app().slots();
-        assert_eq!(slots[0].name, "stats");
-        assert!(slots[0].events >= total_flows); // termination events
-        assert!(slots[1].bytes > 0);
-        // The stats app asked for cutoff 0: it received no data bytes.
-        assert_eq!(slots[0].bytes, 0);
-    }
-
-    #[test]
-    fn per_app_filter_restricts_stream_visibility() {
-        let trace = CampusMix::new(CampusMixConfig::sized(43, 3 << 20)).collect_all();
-        let slots = vec![
-            AppSlot::new("all", None, Some(0), Box::new(SharedFlowStats::default())),
-            AppSlot::new(
-                "web",
-                Some(Filter::new("port 80").unwrap()),
-                Some(0),
-                Box::new(SharedFlowStats::default()),
-            ),
-        ];
-        let cfg = union_config(base_config(), &slots, false).unwrap();
-        let mut stack = ScapSimStack::new(ScapKernel::new(cfg), SharedApps::new(slots));
-        oracle().run(trace, &mut stack);
-        let slots = stack.app().slots();
-        let all_flows = slots[0].events;
-        let web_flows = slots[1].events;
-        assert!(web_flows > 0, "no port-80 streams seen");
-        assert!(
-            web_flows < all_flows / 2,
-            "web app saw {web_flows} of {all_flows} events — filter not applied?"
-        );
-    }
-
-    #[test]
-    fn per_app_cutoff_trims_delivery() {
-        let trace = CampusMix::new(CampusMixConfig::sized(47, 3 << 20)).collect_all();
-        let slots = vec![
-            AppSlot::new(
-                "headers",
-                None,
-                Some(512),
-                Box::new(SharedMatcher::new(AhoCorasick::new(
-                    &[b"x".to_vec()],
-                    false,
-                ))),
-            ),
-            AppSlot::new(
-                "full",
-                None,
-                None,
-                Box::new(SharedMatcher::new(AhoCorasick::new(
-                    &[b"x".to_vec()],
-                    false,
-                ))),
-            ),
-        ];
-        let cfg = union_config(base_config(), &slots, false).unwrap();
-        let mut stack = ScapSimStack::new(ScapKernel::new(cfg), SharedApps::new(slots));
-        oracle().run(trace, &mut stack);
-        let slots = stack.app().slots();
-        assert!(slots[0].bytes > 0);
-        assert!(
-            slots[0].bytes < slots[1].bytes / 2,
-            "cutoff app received {} vs full app {}",
-            slots[0].bytes,
-            slots[1].bytes
-        );
     }
 }

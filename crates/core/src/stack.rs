@@ -103,14 +103,6 @@ impl<A: SimApp> ScapSimStack<A> {
         }
     }
 
-    /// Pull work from a core's ring via the configured dispatch mode.
-    fn poll_dispatch(kernel: &mut ScapKernel, core: usize, now: u64) -> Option<Work> {
-        match kernel.config().dispatch {
-            crate::DispatchMode::Classic => kernel.kernel_poll(core, now),
-            crate::DispatchMode::Fastpath => kernel.poll_burst(core, now),
-        }
-    }
-
     fn deliver(kernel: &mut ScapKernel, app: &mut A, ev: Event, now_ns: u64) -> Work {
         kernel.note_delivery(&ev, now_ns);
         let mut w = Work {
@@ -145,7 +137,7 @@ impl<A: SimApp> CaptureStack for ScapSimStack<A> {
             let verdict = self.kernel.nic_receive(p);
             if let Some(q) = verdict.queue() {
                 while budgets.can_run(q) {
-                    match Self::poll_dispatch(&mut self.kernel, q, now_ns) {
+                    match self.kernel.poll(q, now_ns) {
                         Some(w) => {
                             budgets.charge_kernel(q, &w);
                             Self::record_kernel_spans(&self.kernel, &model, q, &w);
@@ -161,7 +153,7 @@ impl<A: SimApp> CaptureStack for ScapSimStack<A> {
             budgets.charge_kernel(core, &tw);
             Self::record_kernel_spans(&self.kernel, &model, core, &tw);
             while budgets.can_run(core) {
-                match Self::poll_dispatch(&mut self.kernel, core, now_ns) {
+                match self.kernel.poll(core, now_ns) {
                     Some(w) => {
                         budgets.charge_kernel(core, &w);
                         Self::record_kernel_spans(&self.kernel, &model, core, &w);

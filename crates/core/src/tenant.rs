@@ -818,6 +818,69 @@ mod tests {
         (engine, kernel)
     }
 
+    /// Tenants side by side on one capture, every consumer healthy: each
+    /// one's counters, by name.
+    fn side_by_side(seed: u64, specs: Vec<TenantSpec>) -> HashMap<String, TenantStats> {
+        let (engine, _) = run(specs, seed, 1 << 30, &[]);
+        assert!(engine.all_conserved());
+        engine
+            .tenants()
+            .iter()
+            .map(|t| (t.spec.name.clone(), t.stats))
+            .collect()
+    }
+
+    fn tenant(name: &str, filter: Option<&str>, cutoff: Option<u64>) -> TenantSpec {
+        TenantSpec {
+            name: name.into(),
+            filter: filter.map(Into::into),
+            cutoff,
+            priority: 0,
+            mem_share: 300,
+            disk_share: 300,
+        }
+    }
+
+    #[test]
+    fn a_tenant_filter_restricts_which_streams_it_sees() {
+        let stats = side_by_side(
+            43,
+            vec![
+                tenant("all", None, None),
+                tenant("web", Some("port 80"), None),
+            ],
+        );
+        let (all, web) = (stats["all"].events, stats["web"].events);
+        assert!(web > 0, "no port-80 streams seen");
+        assert!(web < all, "web tenant matched {web} of {all} events");
+    }
+
+    #[test]
+    fn a_tenant_cutoff_trims_only_its_own_view() {
+        let stats = side_by_side(
+            47,
+            vec![
+                tenant("stats", None, Some(0)),
+                tenant("headers", None, Some(512)),
+                tenant("full", None, None),
+            ],
+        );
+        let (headers, full) = (stats["headers"], stats["full"]);
+        // A cutoff-0 tenant gets no payload even though the shared
+        // capture, generalized for `full`, reassembles everything.
+        assert_eq!(stats["stats"].delivered_bytes, 0);
+        assert!(stats["stats"].discarded_bytes > 0);
+        assert!(headers.delivered_bytes > 0);
+        assert!(
+            headers.delivered_bytes < full.delivered_bytes / 2,
+            "cutoff tenant received {} vs full tenant {}",
+            headers.delivered_bytes,
+            full.delivered_bytes
+        );
+        assert!(headers.discarded_bytes > 0);
+        assert_eq!(full.discarded_bytes, 0);
+    }
+
     #[test]
     fn admission_control_enforces_quotas() {
         let mut eng = TenantEngine::new(1 << 20, 8);
