@@ -99,6 +99,23 @@ share_log=$(cargo run --release -q --example shared_capture) \
     && echo "$share_log" | grep -q "every tenant conserved" \
     || { echo "shared_capture did not show every tenant conserved: $share_log"; exit 1; }
 
+echo "== one format per artifact, one field codec =="
+# scapd publishes only OpenMetrics, the telemetry snapshot only JSONL, a
+# run only BENCH_summary.json, and the archive index encodes its stream
+# fields with the checkpoint's codec: a second serialization or a second
+# cursor coming back fails here.
+if grep -rn 'scapd-status' crates/; then
+    echo "a second scapd status file is back (see above)"; exit 1
+fi
+if grep -rnE 'fn to_csv|from_jsonl' crates/; then
+    echo "a second telemetry snapshot format is back (see above)"; exit 1
+fi
+if grep -rn 'trajectory' crates/; then
+    echo "the modelled trajectory is back (see above)"; exit 1
+fi
+files=$(grep -rlE --include='*.rs' 'struct Cursor\b' crates/ | wc -l)
+[ "$files" -eq 1 ] || { echo "\`struct Cursor\` is defined in $files files under crates/"; exit 1; }
+
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
 
@@ -116,8 +133,8 @@ echo "== perf/ package gate =="
 perf/check.sh
 
 echo "== experiments is the model: two same-seed runs, one diff =="
-# `experiments` reads no clock, so every file it writes except the
-# stamped trajectory.jsonl is a function of (--exp, --scale, --seed).
+# `experiments` reads no clock, so every file it writes is a function of
+# (--exp, --scale, --seed).
 # Two full runs must agree byte for byte with each other and with the
 # tables committed under results/ — the net every refactor leans on. The
 # experiments assert their own identities (conservation, flight-vs-
@@ -129,8 +146,10 @@ echo "== experiments is the model: two same-seed runs, one diff =="
 if target/release/experiments --exp nosuch --scale smoke >/dev/null 2>&1; then
     echo "experiments --exp nosuch exited 0"; exit 1
 fi
-if grep -nE 'Instant::now|SystemTime' crates/bench/src/figures.rs crates/bench/src/common.rs; then
-    echo "the model reads a clock (see above)"; exit 1
+# Every library file of scap-bench, not only the figures: a clock or a
+# subprocess (a git stamp) in any of them would make the output vary.
+if grep -nE 'Instant::now|SystemTime|Command::new' crates/bench/src/*.rs; then
+    echo "the model reads a clock or runs a command (see above)"; exit 1
 fi
 if grep -rnE 'fn [a-z_]*_section' crates/bench/src/; then
     echo "a bespoke summary section is back (see above)"; exit 1
@@ -142,12 +161,12 @@ for seed in 7 42; do
         target/release/experiments --exp all --scale smoke --seed "$seed" --out "$out" >/dev/null \
             || { echo "experiments --exp all --seed $seed failed"; exit 1; }
     done
-    diff -r -x trajectory.jsonl "$run_a" "$run_b" \
+    diff -r "$run_a" "$run_b" \
         || { echo "two seed-$seed runs differ (see above)"; exit 1; }
     [ "$seed" = 42 ] || rm -rf "$run_a" "$run_b"
 done
 # From here on, seed 42's runs.
-for f in $(git ls-files results | grep -v trajectory.jsonl); do
+for f in $(git ls-files results); do
     cmp "$f" "$run_a/${f#results/}" \
         || { echo "$f is stale: rerun that command without --out"; exit 1; }
 done
@@ -160,9 +179,9 @@ doc = json.load(open(f"{out}/BENCH_summary.json"))
 assert doc["schema"] == "scap-bench-summary/2" and doc["clock"] == "virtual", doc["schema"]
 assert (doc["scale"], doc["seed"]) == ("smoke", 42)
 tables = doc["tables"]
-# telemetry_{counters,series}.csv are registry exports, not tables.
+# telemetry_series.csv is the sampler's export, not a table.
 on_disk = {os.path.basename(p)[:-4] for p in glob.glob(f"{out}/*.csv")}
-on_disk -= {"telemetry_counters", "telemetry_series"}
+on_disk -= {"telemetry_series"}
 assert set(tables) == on_disk, set(tables) ^ on_disk
 same = lambda j, c: float(c) == j if isinstance(j, (int, float)) else c == j
 for name, t in tables.items():
@@ -171,16 +190,12 @@ for name, t in tables.items():
     assert len(rows) == len(t["rows"]), name
     for want, got in zip(rows, t["rows"]):
         assert len(want) == len(got) and all(map(same, got, want)), (name, want, got)
-# The pulse plane reports a real delivery tail and feeds the trajectory.
+# The pulse plane reports a real delivery tail.
 for exp in ("fastpath", "soak"):
     p99 = {r[0]: r[3] for r in tables[f"{exp}_latency"]["rows"]}
     assert p99["delivery"] > 0 and p99["kernel_dispatch"] > 0, (exp, p99)
-traj = json.loads(open(f"{out}/trajectory.jsonl").readlines()[-1])
-for key in ("git_sha", "p99_delivery_ns", "fastpath_pkts_per_sec", "soak_max_blackout_ms"):
-    assert key in traj, key
-assert "soak_pkts_per_sec" not in traj, "a wall-clock rate is back in the model"
 EOF
-for f in telemetry_counters.csv telemetry_series.csv telemetry_table.txt; do
+for f in telemetry_counters.jsonl telemetry_series.csv telemetry_table.txt; do
     test -s "$run_a/$f" || { echo "missing $f"; exit 1; }
 done
 target/release/scapstore verify "$run_a/flight_journal.bin" >/dev/null \
@@ -342,9 +357,12 @@ grep -q "^ok" "$scapd_dir/scapd-done" \
 web_bytes=$(sed -n 's/.*records, \([0-9]*\) payload bytes.*/\1/p' "$web_out")
 [ -n "$web_bytes" ] && [ "$web_bytes" -gt 0 ] \
     || { echo "healthy tenant delivered no bytes: $(cat "$web_out")"; exit 1; }
-grep -q '"name": "bulk", "id": 2, "state": "disconnected"' "$scapd_dir/scapd-status.json" \
+# `metrics` is the daemon's only status file.
+extra=$(ls "$scapd_dir" | grep -vE '^(metrics|scapd-done|scapd\.log|web\.consumer|attach-(web|bulk)\.conf|(web|bulk)\.(attached|spool|ack(\.tmp)?))$' || true)
+[ -z "$extra" ] || { echo "scapd wrote files beside its protocol: $extra"; exit 1; }
+grep -q 'tenant="bulk",id="2",state="disconnected"' "$scapd_dir/metrics" \
     || { echo "stalled tenant was not disconnected"; exit 1; }
-grep -q '"name": "web", "id": 1, "state": "active"' "$scapd_dir/scapd-status.json" \
+grep -q 'tenant="web",id="1",state="active"' "$scapd_dir/metrics" \
     || { echo "healthy tenant did not stay active"; exit 1; }
 panel=$(target/release/scaptop --scapd "$scapd_dir") \
     || { echo "scaptop --scapd failed"; exit 1; }
@@ -358,9 +376,16 @@ echo "$metrics_out" | grep -q '^# EOF$' \
     || { echo "metrics exposition lacks the # EOF terminator"; exit 1; }
 echo "$metrics_out" | grep -q 'scap_pulse_latency_ns_bucket' \
     || { echo "metrics exposition has no pulse histogram buckets"; exit 1; }
-target/release/scapctl status --dir "$scapd_dir" --json \
-    | python3 -m json.tool >/dev/null \
-    || { echo "scapctl status --json is not valid JSON"; exit 1; }
+status_out=$(target/release/scapctl status --dir "$scapd_dir") \
+    || { echo "scapctl status failed"; exit 1; }
+echo "$status_out" | grep -q $'^web\t1\tactive\t' \
+    && echo "$status_out" | grep -q $'^bulk\t2\tdisconnected\t' \
+    || { echo "scapctl status did not print both tenant rows: $status_out"; exit 1; }
+# A name outside [A-Za-z0-9_-]{1,64} is refused before any file is written.
+if target/release/scapctl attach --dir "$scapd_dir" --name 'a"b' --wait-ms 100 >/dev/null 2>&1 \
+        || ls "$scapd_dir" | grep -q '^attach-a'; then
+    echo "scapctl accepted the tenant name a\"b"; exit 1
+fi
 rm -rf "$scapd_dir"
 
 echo "CI green."

@@ -116,8 +116,4 @@ fn main() {
         Ok(path) => println!("summary: {}", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_summary.json: {e}"),
     }
-    match scap_bench::append_trajectory(&cfg, &produced) {
-        Ok(path) => println!("trajectory: {}", path.display()),
-        Err(e) => eprintln!("warning: could not append trajectory.jsonl: {e}"),
-    }
 }

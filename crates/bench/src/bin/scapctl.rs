@@ -16,9 +16,16 @@
 //! scapctl consume --dir D --name bulk --stall-after 4096
 //! scapctl detach  --dir D --name web
 //! scapctl metrics --dir D                       # validated OpenMetrics dump
-//! scapctl status  --dir D [--json]              # live tsv / final json status
+//! scapctl status  --dir D                       # tenant table (tsv), read from `metrics`
 //! ```
+//!
+//! `metrics` is the machine format; `status` renders its tenant rows
+//! for a person. A `--name` must be 1 to 64 of `[A-Za-z0-9_-]`, the
+//! daemon's admission rule: it becomes a file name in the control dir.
 
+use scap::checkpoint::write_atomic;
+use scap::tenant::valid_tenant_name;
+use scap_bench::render::{parse_scapd_status, TENANT_GAUGES};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -28,10 +35,9 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn write_atomic(path: &Path, content: &str) {
-    let tmp = path.with_extension("tmp-scapctl");
-    std::fs::write(&tmp, content)
-        .and_then(|()| std::fs::rename(&tmp, path))
+/// Write `content` to `path` atomically (temp file + rename).
+fn publish(path: &Path, content: &str) {
+    write_atomic(path, content.as_bytes())
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
 }
 
@@ -46,7 +52,6 @@ struct Flags {
     stall_after: Option<u64>,
     wait_ms: u64,
     poll_ms: u64,
-    json: bool,
 }
 
 fn parse_flags(args: &[String], needs_name: bool) -> Flags {
@@ -61,7 +66,6 @@ fn parse_flags(args: &[String], needs_name: bool) -> Flags {
         stall_after: None,
         wait_ms: 15_000,
         poll_ms: 10,
-        json: false,
     };
     let numarg = |args: &[String], i: usize, name: &str| -> u64 {
         args.get(i)
@@ -118,7 +122,6 @@ fn parse_flags(args: &[String], needs_name: bool) -> Flags {
                 i += 1;
                 f.poll_ms = numarg(args, i, "--poll-ms").max(1);
             }
-            "--json" => f.json = true,
             other => die(&format!("unknown flag {other}")),
         }
         i += 1;
@@ -128,6 +131,12 @@ fn parse_flags(args: &[String], needs_name: bool) -> Flags {
     }
     if needs_name && f.name.is_empty() {
         die("--name is required");
+    }
+    if !f.name.is_empty() && !valid_tenant_name(&f.name) {
+        die(&format!(
+            "--name {:?} is not 1 to 64 of [A-Za-z0-9_-]",
+            f.name
+        ));
     }
     f
 }
@@ -149,7 +158,7 @@ fn attach(f: &Flags) -> i32 {
     let rejected = f.dir.join(format!("{}.rejected", f.name));
     let _ = std::fs::remove_file(&granted);
     let _ = std::fs::remove_file(&rejected);
-    write_atomic(&f.dir.join(format!("attach-{}.conf", f.name)), &conf);
+    publish(&f.dir.join(format!("attach-{}.conf", f.name)), &conf);
     let deadline = Instant::now() + Duration::from_millis(f.wait_ms);
     loop {
         if let Ok(grant) = std::fs::read_to_string(&granted) {
@@ -215,7 +224,7 @@ fn consume(f: &Flags) -> i32 {
                 }
             }
             if !stalled {
-                write_atomic(&ack_path, &format!("{payload}\n"));
+                publish(&ack_path, &format!("{payload}\n"));
             }
         }
         if done && (stalled || len <= offset) {
@@ -232,15 +241,15 @@ fn consume(f: &Flags) -> i32 {
 }
 
 fn detach(f: &Flags) -> i32 {
-    write_atomic(&f.dir.join(format!("detach-{}", f.name)), "");
+    publish(&f.dir.join(format!("detach-{}", f.name)), "");
     println!("detach {} requested", f.name);
     0
 }
 
-/// Dump the daemon's OpenMetrics exposition, refusing to relay text
-/// that does not parse — a scrape that passes here is safe to hand to
-/// any OpenMetrics consumer.
-fn metrics(f: &Flags) -> i32 {
+/// Read the daemon's exposition, refusing text that does not parse: a
+/// scrape `scapctl metrics` relays is safe to hand to any OpenMetrics
+/// consumer.
+fn read_metrics(f: &Flags) -> String {
     let path = f.dir.join("metrics");
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         die(&format!(
@@ -248,38 +257,46 @@ fn metrics(f: &Flags) -> i32 {
             path.display()
         ))
     });
-    match scap::telemetry::openmetrics::validate(&text) {
-        Ok(samples) => {
-            print!("{text}");
-            eprintln!("scapctl: {samples} samples, exposition valid");
-            0
-        }
-        Err(why) => {
-            eprintln!("scapctl: invalid OpenMetrics exposition: {why}");
-            1
-        }
+    if let Err(why) = scap::telemetry::openmetrics::validate(&text) {
+        die(&format!("invalid OpenMetrics exposition: {why}"));
     }
+    text
 }
 
-/// Print the daemon's status: the live per-tenant tsv panel, or with
-/// `--json` the machine-readable status (which embeds the telemetry
-/// counter/gauge snapshot and the per-stage latency summary).
+/// Print the daemon's tenant table, read back from `metrics`: one
+/// tab-separated row per tenant, a column per `scapd_tenant_*` gauge.
 fn status(f: &Flags) -> i32 {
-    let path = if f.json {
-        f.dir.join("scapd-status.json")
-    } else {
-        f.dir.join("scapd-status.tsv")
-    };
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
-    print!("{text}");
+    let s = parse_scapd_status(&read_metrics(f)).unwrap_or_else(|e| die(&e));
+    println!(
+        "# fed={} total={} ts_ns={} conserved={}",
+        s.fed,
+        s.total,
+        s.ts_ns,
+        s.conserved()
+    );
+    let names: Vec<&str> = TENANT_GAUGES.iter().map(|(n, _)| *n).collect();
+    println!("tenant\tid\tstate\t{}\tconserved", names.join("\t"));
+    for mut r in s.tenants {
+        let cells: Vec<String> = TENANT_GAUGES
+            .iter()
+            .map(|(_, f)| f(&mut r).to_string())
+            .collect();
+        let conserved = r.conserved();
+        println!(
+            "{}\t{}\t{}\t{}\t{conserved}",
+            r.name,
+            r.id,
+            r.state,
+            cells.join("\t")
+        );
+    }
     0
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: scapctl <attach|consume|detach|metrics|status> --dir DIR \
-                 [--name NAME] [--json] \
+                 [--name NAME] \
                  [--filter F] [--cutoff B] [--priority P] [--mem PERMILLE] \
                  [--disk PERMILLE] [--stall-after BYTES] [--wait-ms MS] [--poll-ms MS]";
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
@@ -293,7 +310,10 @@ fn main() {
         "attach" => attach(&f),
         "consume" => consume(&f),
         "detach" => detach(&f),
-        "metrics" => metrics(&f),
+        "metrics" => {
+            print!("{}", read_metrics(&f));
+            0
+        }
         "status" => status(&f),
         other => die(&format!("unknown command {other} ({usage})")),
     };

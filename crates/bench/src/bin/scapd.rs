@@ -17,10 +17,15 @@
 //! <name>.ack           client -> scapd   consumed spool offset (flow control)
 //! detach-<name>        client -> scapd   hot-remove request
 //! shutdown             client -> scapd   stop the capture early
-//! scapd-status.tsv     scapd -> anyone   live per-tenant panel (scaptop --scapd)
-//! scapd-status.json    scapd -> CI       final machine-readable status
+//! metrics              scapd -> anyone   OpenMetrics status (scapctl, scaptop --scapd)
 //! scapd-done           scapd -> anyone   capture over; content "ok" or error
 //! ```
+//!
+//! `metrics` is the daemon's one status file, rewritten every 512
+//! packets and once at the end: the kernel's counters, gauges and pulse
+//! latency histograms, and the tenant table as `scapd_tenant_*` gauges,
+//! one series per tenant (detached ones with `state="detached"`).
+//! `scap_bench::render` writes and parses the tenant table.
 //!
 //! Flow control is a per-tenant ack window accounted in payload
 //! bytes: the client writes the payload byte count it has consumed to
@@ -34,8 +39,10 @@
 //! scapd --dir /tmp/ctl --await-tenants 2 --gen 2 --seed 42
 //! ```
 
-use scap::tenant::{TenantEngine, TenantSpec, TenantState};
+use scap::checkpoint::write_atomic;
+use scap::tenant::{Tenant, TenantEngine, TenantSpec, TenantState, TenantStats};
 use scap::{ScapConfig, ScapKernel};
+use scap_bench::render::{scapd_series, ScapdStatus, TenantRow};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
 use scap_trace::Packet;
 use std::collections::{HashMap, HashSet};
@@ -48,12 +55,10 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Write `content` to `path` atomically (tmp file + rename) so readers
+/// Write `content` to `path` atomically (temp file + rename) so readers
 /// polling the control dir never observe a half-written file.
-fn write_atomic(path: &Path, content: &str) {
-    let tmp = path.with_extension("tmp-scapd");
-    std::fs::write(&tmp, content)
-        .and_then(|()| std::fs::rename(&tmp, path))
+fn publish(path: &Path, content: &str) {
+    write_atomic(path, content.as_bytes())
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
 }
 
@@ -139,7 +144,8 @@ struct Daemon {
     /// Acked payload bytes per tenant id, cached from the `.ack`
     /// files so the per-packet drain pass does not hit the fs.
     acks: HashMap<u64, u64>,
-    detached: Vec<(String, scap::TenantStats)>,
+    /// Final rows of detached tenants, published beside the live ones.
+    detached: Vec<TenantRow>,
 }
 
 impl Daemon {
@@ -178,7 +184,7 @@ impl Daemon {
                     let cap = self.engine.tenant(id).map(|t| t.queue_cap()).unwrap_or(0);
                     self.spools
                         .insert(id, (name.clone(), Spool::open(&self.dir, &name)));
-                    write_atomic(
+                    publish(
                         &self.dir.join(format!("{name}.attached")),
                         &format!("id={id}\nqueue_cap={cap}\n"),
                     );
@@ -188,7 +194,7 @@ impl Daemon {
                     }
                 }
                 Err(e) => {
-                    write_atomic(
+                    publish(
                         &self.dir.join(format!("{name}.rejected")),
                         &format!("{e}\n"),
                     );
@@ -211,7 +217,7 @@ impl Daemon {
             let id = self.engine.tenant_by_name(&name).map(|t| t.id);
             if let Some(id) = id {
                 if let Some(stats) = self.engine.detach(id, now_ns, Some(kernel.flight_mut())) {
-                    self.detached.push((name.clone(), stats));
+                    self.detached.push(stats_row(&name, id, "detached", &stats));
                 }
                 self.spools.remove(&id);
                 self.acks.remove(&id);
@@ -284,43 +290,16 @@ impl Daemon {
         }
     }
 
-    fn write_status(&self, now_ns: u64, fed: usize, total: usize, done: bool) {
-        let mut out = format!(
-            "# ts_ns={now_ns} fed={fed} total={total} done={}\n",
-            u8::from(done)
-        );
-        out.push_str(
-            "tenant\tid\tstate\tmatched_B\tdelivered_B\tdrained_B\tdropped_B\t\
-             discarded_B\tqueue_B\tqueue_cap_B\theadroom_B\tstrikes\t\
-             spooled_payload_B\tacked_payload_B\n",
-        );
-        for t in self.engine.tenants() {
-            let (qb, _) = t.queue_depth();
-            let spool = self
-                .spools
-                .get(&t.id)
-                .map(|(_, sp)| sp.payload)
-                .unwrap_or(0);
-            let acked = self.acks.get(&t.id).copied().unwrap_or(0);
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                t.spec.name,
-                t.id,
-                state_name(t.state),
-                t.stats.matched_bytes,
-                t.stats.delivered_bytes,
-                t.stats.drained_bytes,
-                t.stats.dropped_bytes,
-                t.stats.discarded_bytes,
-                qb,
-                t.queue_cap(),
-                t.quota_headroom(),
-                t.stats.strikes,
-                spool,
-                acked,
-            ));
+    /// The live row of an attached tenant.
+    fn row(&self, t: &Tenant) -> TenantRow {
+        TenantRow {
+            queue: t.queue_depth().0,
+            queue_cap: t.queue_cap(),
+            headroom: t.quota_headroom(),
+            spooled: self.spools.get(&t.id).map_or(0, |(_, sp)| sp.payload),
+            acked: self.acks.get(&t.id).copied().unwrap_or(0),
+            ..stats_row(&t.spec.name, t.id, t.state.name(), &t.stats)
         }
-        write_atomic(&self.dir.join("scapd-status.tsv"), &out);
     }
 
     /// Publish the OpenMetrics exposition as `metrics` in the control
@@ -328,110 +307,47 @@ impl Daemon {
     /// `scapctl metrics` reads and validates it. The kernel's pulse
     /// plane and the tenant engine's queue-residency plane merge into
     /// one histogram family — their stages are disjoint.
-    fn write_metrics(&self, kernel: &ScapKernel, mode: &str) {
+    fn write_metrics(
+        &self,
+        kernel: &ScapKernel,
+        mode: &str,
+        now_ns: u64,
+        fed: usize,
+        total: usize,
+    ) {
         let mut om = scap::telemetry::openmetrics::OpenMetrics::new();
         let labels = [("proc", "scapd"), ("mode", mode)];
         om.registry(&kernel.telemetry_snapshot(), &labels);
         let mut pulse = kernel.pulse_snapshot();
         pulse.merge(&self.engine.pulse_snapshot());
         om.pulse(&pulse, &labels);
-        write_atomic(&self.dir.join("metrics"), &om.finish());
-    }
-
-    fn write_final_json(&self, packets: usize, kernel: &ScapKernel) {
-        let mut tenants = Vec::new();
-        for t in self.engine.tenants() {
-            let payload = self
-                .spools
-                .get(&t.id)
-                .map(|(_, sp)| sp.payload)
-                .unwrap_or(0);
-            tenants.push(format!(
-                "{{\"name\": \"{}\", \"id\": {}, \"state\": \"{}\", \
-                 \"matched_bytes\": {}, \"delivered_bytes\": {}, \"drained_bytes\": {}, \
-                 \"dropped_bytes\": {}, \"discarded_bytes\": {}, \"strikes\": {}, \
-                 \"spooled_payload_bytes\": {}, \"conserved\": {}}}",
-                t.spec.name,
-                t.id,
-                state_name(t.state),
-                t.stats.matched_bytes,
-                t.stats.delivered_bytes,
-                t.stats.drained_bytes,
-                t.stats.dropped_bytes,
-                t.stats.discarded_bytes,
-                t.stats.strikes,
-                payload,
-                t.stats.conserved(),
-            ));
-        }
-        for (name, s) in &self.detached {
-            tenants.push(format!(
-                "{{\"name\": \"{name}\", \"id\": null, \"state\": \"detached\", \
-                 \"matched_bytes\": {}, \"delivered_bytes\": {}, \"drained_bytes\": {}, \
-                 \"dropped_bytes\": {}, \"discarded_bytes\": {}, \"strikes\": {}, \
-                 \"spooled_payload_bytes\": 0, \"conserved\": {}}}",
-                s.matched_bytes,
-                s.delivered_bytes,
-                s.drained_bytes,
-                s.dropped_bytes,
-                s.discarded_bytes,
-                s.strikes,
-                s.conserved(),
-            ));
-        }
-        // Telemetry snapshot: every nonzero counter/gauge, so
-        // `scapctl status --json` sees the capture plane, not just the
-        // tenant table.
-        use scap::telemetry::{Gauge, Metric};
-        let snap = kernel.telemetry_snapshot();
-        let counters: Vec<String> = Metric::ALL
-            .iter()
-            .filter_map(|&m| {
-                let v = snap.total(m);
-                (v != 0).then(|| format!("\"{}\": {v}", m.name()))
-            })
-            .collect();
-        let gauges: Vec<String> = Gauge::ALL
-            .iter()
-            .filter_map(|&g| {
-                let v = snap.gauge_max(g);
-                (v != 0).then(|| format!("\"{}\": {v}", g.name()))
-            })
-            .collect();
-        let mut pulse = kernel.pulse_snapshot();
-        pulse.merge(&self.engine.pulse_snapshot());
-        let latency: Vec<String> = scap::telemetry::PulseStage::ALL
-            .iter()
-            .filter_map(|&st| {
-                let (count, p50, p99, _) = pulse.summary(st);
-                (count != 0).then(|| {
-                    format!(
-                        "{{\"stage\": \"{}\", \"count\": {count}, \"p50_ns\": {p50}, \
-                         \"p99_ns\": {p99}}}",
-                        st.name()
-                    )
-                })
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"packets\": {packets},\n  \"conserved\": {},\n  \"tenants\": [\n    {}\n  ],\n  \
-             \"telemetry\": {{\"counters\": {{{}}}, \"gauges\": {{{}}}}},\n  \
-             \"latency\": [{}]\n}}\n",
-            self.engine.all_conserved(),
-            tenants.join(",\n    "),
-            counters.join(", "),
-            gauges.join(", "),
-            latency.join(", "),
-        );
-        write_atomic(&self.dir.join("scapd-status.json"), &json);
+        let mut tenants: Vec<TenantRow> =
+            self.engine.tenants().iter().map(|t| self.row(t)).collect();
+        tenants.extend(self.detached.iter().cloned());
+        let status = ScapdStatus {
+            fed: fed as u64,
+            total: total as u64,
+            ts_ns: now_ns,
+            tenants,
+        };
+        scapd_series(&mut om, &status);
+        publish(&self.dir.join("metrics"), &om.finish());
     }
 }
 
-fn state_name(s: TenantState) -> &'static str {
-    match s {
-        TenantState::Active => "active",
-        TenantState::Degraded => "degraded",
-        TenantState::Disconnected => "disconnected",
+/// A tenant row carrying only what the engine's counters say.
+fn stats_row(name: &str, id: u64, state: &str, s: &TenantStats) -> TenantRow {
+    TenantRow {
+        name: name.into(),
+        id,
+        state: state.into(),
+        matched: s.matched_bytes,
+        delivered: s.delivered_bytes,
+        drained: s.drained_bytes,
+        dropped: s.dropped_bytes,
+        discarded: s.discarded_bytes,
+        strikes: s.strikes,
+        ..TenantRow::default()
     }
 }
 
@@ -502,13 +418,7 @@ fn main() {
     std::fs::create_dir_all(&dir)
         .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", dir.display())));
     // A fresh run owns the dir: clear markers a previous run left.
-    for stale in [
-        "scapd-done",
-        "scapd-status.tsv",
-        "scapd-status.json",
-        "metrics",
-        "shutdown",
-    ] {
+    for stale in ["scapd-done", "metrics", "shutdown"] {
         let _ = std::fs::remove_file(dir.join(stale));
     }
 
@@ -535,7 +445,7 @@ fn main() {
             break;
         }
         if Instant::now() > deadline {
-            write_atomic(&d.dir.join("scapd-done"), "error: attach wait timed out\n");
+            publish(&d.dir.join("scapd-done"), "error: attach wait timed out\n");
             die("timed out waiting for tenants to attach");
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -581,8 +491,7 @@ fn main() {
             d.process_attaches(now, Some(&mut kernel));
             d.process_detaches(now, &mut kernel);
             if ((idx + 1) % 512) == 0 {
-                d.write_status(now, idx + 1, total, false);
-                d.write_metrics(&kernel, mode);
+                d.write_metrics(&kernel, mode, now, idx + 1, total);
             }
             if d.dir.join("shutdown").exists() {
                 eprintln!("scapd: shutdown requested at packet {}", idx + 1);
@@ -620,26 +529,13 @@ fn main() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    d.write_status(now.saturating_add(1), total, total, true);
-    d.write_metrics(&kernel, mode);
-    d.write_final_json(total, &kernel);
-    let conserved = d.engine.all_conserved();
-    for t in d.engine.tenants() {
-        eprintln!(
-            "scapd: tenant {} [{}] matched {} B = delivered {} + dropped {} + discarded {}",
-            t.spec.name,
-            state_name(t.state),
-            t.stats.matched_bytes,
-            t.stats.delivered_bytes,
-            t.stats.dropped_bytes,
-            t.stats.discarded_bytes,
-        );
-    }
-    if conserved {
-        write_atomic(&d.dir.join("scapd-done"), "ok\n");
+    d.write_metrics(&kernel, mode, now.saturating_add(1), total, total);
+    // The per-tenant totals are in `metrics` (`scapctl status`).
+    if d.engine.all_conserved() {
+        publish(&d.dir.join("scapd-done"), "ok\n");
         eprintln!("scapd: capture complete, conservation holds");
     } else {
-        write_atomic(&d.dir.join("scapd-done"), "error: conservation violated\n");
+        publish(&d.dir.join("scapd-done"), "error: conservation violated\n");
         die("per-tenant conservation identity violated");
     }
 }

@@ -32,8 +32,9 @@
 //! conservation identity and the exit code reports it.
 //!
 //! With `--scapd DIR` scaptop does not capture anything itself: it
-//! polls the daemon's `scapd-status.tsv` in the control directory and
-//! renders a per-tenant panel — delivered rate, queue depth against
+//! polls the daemon's OpenMetrics `metrics` file in the control
+//! directory, reads the tenant rows back with
+//! [`scap_bench::render::parse_scapd_status`], and renders a per-tenant panel — delivered rate, queue depth against
 //! the quota cap, quota headroom, and drop attribution (slow-consumer
 //! drops vs the tenant's own cutoff discards) — until the daemon
 //! writes its `scapd-done` marker.
@@ -41,7 +42,8 @@
 use scap::telemetry::{Gauge, Metric, Snapshot};
 use scap::{DispatchMode, EventKind, ScapConfig, ScapKernel};
 use scap_bench::render::{
-    bar, latency_panel, mbit_per_sec, permille, rate_per_sec, Frame, LatencyHistory,
+    bar, latency_panel, mbit_per_sec, parse_scapd_status, permille, rate_per_sec, Frame,
+    LatencyHistory,
 };
 use scap_flight::{attribution, FlightKind};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
@@ -225,92 +227,35 @@ impl Dashboard {
     }
 }
 
-/// One parsed row of scapd's status table.
-#[derive(Clone, Default)]
-struct TenantRow {
-    name: String,
-    state: String,
-    matched: u64,
-    delivered: u64,
-    drained: u64,
-    dropped: u64,
-    discarded: u64,
-    queue: u64,
-    queue_cap: u64,
-    headroom: u64,
-    strikes: u64,
-    spool: u64,
-    acked: u64,
-}
-
-/// Parse `scapd-status.tsv`: a `# k=v ...` header line followed by a
-/// tab-separated tenant table.
-fn parse_scapd_status(text: &str) -> (HashMap<String, u64>, Vec<TenantRow>) {
-    let mut meta = HashMap::new();
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix('#') {
-            for kv in rest.split_whitespace() {
-                if let Some((k, v)) = kv.split_once('=') {
-                    if let Ok(n) = v.parse() {
-                        meta.insert(k.to_string(), n);
-                    }
-                }
-            }
-            continue;
-        }
-        let cols: Vec<&str> = line.split('\t').collect();
-        if cols.len() < 14 || cols[0] == "tenant" {
-            continue;
-        }
-        let num = |i: usize| cols[i].trim().parse().unwrap_or(0);
-        rows.push(TenantRow {
-            name: cols[0].to_string(),
-            state: cols[2].to_string(),
-            matched: num(3),
-            delivered: num(4),
-            drained: num(5),
-            dropped: num(6),
-            discarded: num(7),
-            queue: num(8),
-            queue_cap: num(9),
-            headroom: num(10),
-            strikes: num(11),
-            spool: num(12),
-            acked: num(13),
-        });
-    }
-    (meta, rows)
-}
-
 /// The `--scapd DIR` mode: a per-tenant panel over a live (or just
 /// finished) scapd control directory.
 fn scapd_panel(dir: &str, delay_ms: u64) -> ! {
-    let status = std::path::Path::new(dir).join("scapd-status.tsv");
+    let metrics = std::path::Path::new(dir).join("metrics");
     let done_marker = std::path::Path::new(dir).join("scapd-done");
     let mut frame = Frame::new(delay_ms.max(50));
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    let mut prev: HashMap<String, (u64, u64)> = HashMap::new(); // name -> (delivered, ts_ns)
+    // (name, id) -> (delivered, ts_ns)
+    let mut prev: HashMap<(String, u64), (u64, u64)> = HashMap::new();
     loop {
         let done = done_marker.exists();
-        let text = match std::fs::read_to_string(&status) {
+        let text = match std::fs::read_to_string(&metrics) {
             Ok(t) => t,
             Err(_) if !done => {
                 if std::time::Instant::now() > deadline {
-                    die("no scapd-status.tsv appeared (is scapd running?)");
+                    die("no metrics file appeared (is scapd running?)");
                 }
                 std::thread::sleep(std::time::Duration::from_millis(50));
                 continue;
             }
-            Err(e) => die(&format!("cannot read {}: {e}", status.display())),
+            Err(e) => die(&format!("cannot read {}: {e}", metrics.display())),
         };
-        let (meta, rows) = parse_scapd_status(&text);
-        let ts = meta.get("ts_ns").copied().unwrap_or(0);
+        let status = parse_scapd_status(&text).unwrap_or_else(|e| die(&e));
+        let (ts, rows) = (status.ts_ns, status.tenants);
         let out = frame.begin();
         out.push_str(&format!(
             "scapd @ {dir} — {}/{} packets | trace time {:.3} s | {} tenants{}\n\n",
-            meta.get("fed").copied().unwrap_or(0),
-            meta.get("total").copied().unwrap_or(0),
+            status.fed,
+            status.total,
             ts as f64 / 1e9,
             rows.len(),
             if done { " | done" } else { "" },
@@ -320,7 +265,8 @@ fn scapd_panel(dir: &str, delay_ms: u64) -> ! {
              drop attribution\n",
         );
         for r in &rows {
-            let (pd, pt) = prev.get(&r.name).copied().unwrap_or((r.delivered, ts));
+            let key = (r.name.clone(), r.id);
+            let (pd, pt) = prev.get(&key).copied().unwrap_or((r.delivered, ts));
             let dt = ts.saturating_sub(pt) as f64 / 1e9;
             let rate = mbit_per_sec(r.delivered - pd, dt);
             let fill = (r.queue * 1000).checked_div(r.queue_cap).unwrap_or(0);
@@ -340,9 +286,9 @@ fn scapd_panel(dir: &str, delay_ms: u64) -> ! {
             ));
             out.push_str(&format!(
                 "             spooled payload {} B / acked {} B / drained {} B / matched {} B\n",
-                r.spool, r.acked, r.drained, r.matched,
+                r.spooled, r.acked, r.drained, r.matched,
             ));
-            prev.insert(r.name.clone(), (r.delivered, ts));
+            prev.insert(key, (r.delivered, ts));
         }
         frame.flush();
         if done {

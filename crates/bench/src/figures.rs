@@ -782,7 +782,6 @@ pub fn telemetry(cfg: &ExpConfig) -> Vec<FigureResult> {
             }
         }
     };
-    write("telemetry_counters.csv", export::to_csv(&snap));
     write("telemetry_counters.jsonl", export::to_jsonl(&snap));
     write("telemetry_table.txt", export::to_table(&snap));
     write("telemetry_series.csv", export::series_to_csv(series));
@@ -1580,17 +1579,12 @@ pub fn tenants(cfg: &ExpConfig) -> Vec<FigureResult> {
                 solo_delivered
             );
         }
-        let state_str = match state {
-            TenantState::Active => "active",
-            TenantState::Degraded => "degraded",
-            TenantState::Disconnected => "disconnected",
-        };
         let pct = (stats.delivered_bytes * 100)
             .checked_div(solo_delivered)
             .unwrap_or(100);
         iso_rows.push(vec![
             name.clone(),
-            state_str.into(),
+            state.name().into(),
             solo_delivered.to_string(),
             stats.delivered_bytes.to_string(),
             pct.to_string(),

@@ -24,4 +24,4 @@ pub mod render;
 pub mod summary;
 
 pub use common::{ExpConfig, FigureResult, Scale};
-pub use summary::{append_trajectory, write_bench_summary};
+pub use summary::write_bench_summary;

@@ -8,7 +8,13 @@
 //! frames with a `----` separator on a pipe, optional wall-clock
 //! pacing). Keeping them here means a new panel cannot drift from the
 //! others' formatting.
+//!
+//! It also holds scapd's tenant table: [`ScapdStatus`] is what the
+//! daemon publishes in its OpenMetrics `metrics` file
+//! ([`scapd_series`]) and what `scaptop --scapd` and `scapctl status`
+//! read back from it ([`parse_scapd_status`]).
 
+use scap::telemetry::openmetrics::OpenMetrics;
 use std::io::{IsTerminal, Write};
 
 /// Render a permille gauge (0..=1000) as a percentage, e.g. `427` →
@@ -171,6 +177,181 @@ pub fn latency_panel(
     }
 }
 
+/// One tenant of a scapd instance, as its `metrics` file carries it:
+/// the `scapd_tenant_*` gauge families, one series per tenant labelled
+/// `tenant`, `id` and `state`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TenantRow {
+    /// Tenant name (`[A-Za-z0-9_-]{1,64}`, checked at admission).
+    pub name: String,
+    /// Tenant id.
+    pub id: u64,
+    /// `active`, `degraded`, `disconnected`, or `detached`.
+    pub state: String,
+    /// Bytes the tenant's filter matched.
+    pub matched: u64,
+    /// Bytes admitted to the tenant's queue.
+    pub delivered: u64,
+    /// Bytes the daemon drained from the queue into the spool.
+    pub drained: u64,
+    /// Bytes dropped by the slow-consumer ladder.
+    pub dropped: u64,
+    /// Bytes discarded by the tenant's own cutoff.
+    pub discarded: u64,
+    /// Bytes queued now.
+    pub queue: u64,
+    /// The queue's byte cap (the tenant's memory share).
+    pub queue_cap: u64,
+    /// Bytes left before the queue cap.
+    pub headroom: u64,
+    /// Strikes on the slow-consumer ladder.
+    pub strikes: u64,
+    /// Payload bytes written to the tenant's spool.
+    pub spooled: u64,
+    /// Payload bytes the consumer acked.
+    pub acked: u64,
+}
+
+impl TenantRow {
+    /// `matched = delivered + dropped + discarded`.
+    pub fn conserved(&self) -> bool {
+        self.matched == self.delivered + self.dropped + self.discarded
+    }
+}
+
+/// Accessor of one `u64` field of a status struct.
+pub type Field<T> = fn(&mut T) -> &mut u64;
+
+/// Each `scapd_tenant_<suffix>` gauge family and the [`TenantRow`]
+/// field it carries: the one list [`scapd_series`] writes and
+/// [`parse_scapd_status`] reads, so the two cannot disagree.
+pub const TENANT_GAUGES: [(&str, Field<TenantRow>); 11] = [
+    ("matched_bytes", |r| &mut r.matched),
+    ("delivered_bytes", |r| &mut r.delivered),
+    ("drained_bytes", |r| &mut r.drained),
+    ("dropped_bytes", |r| &mut r.dropped),
+    ("discarded_bytes", |r| &mut r.discarded),
+    ("queue_bytes", |r| &mut r.queue),
+    ("queue_cap_bytes", |r| &mut r.queue_cap),
+    ("headroom_bytes", |r| &mut r.headroom),
+    ("strikes", |r| &mut r.strikes),
+    ("spooled_payload_bytes", |r| &mut r.spooled),
+    ("acked_payload_bytes", |r| &mut r.acked),
+];
+
+/// A scapd instance's status: how far the capture got and every tenant,
+/// attached or detached.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ScapdStatus {
+    /// Trace packets fed to the kernel so far.
+    pub fed: u64,
+    /// Trace packets in the run.
+    pub total: u64,
+    /// Trace time of the last packet fed (ns).
+    pub ts_ns: u64,
+    /// One row per tenant, in attach order; detached tenants last.
+    pub tenants: Vec<TenantRow>,
+}
+
+impl ScapdStatus {
+    /// Every tenant conserves its matched bytes.
+    pub fn conserved(&self) -> bool {
+        self.tenants.iter().all(TenantRow::conserved)
+    }
+}
+
+const CAPTURE_GAUGES: [(&str, Field<ScapdStatus>); 3] = [
+    ("scapd_packets_fed", |s| &mut s.fed),
+    ("scapd_packets_total", |s| &mut s.total),
+    ("scapd_trace_time_ns", |s| &mut s.ts_ns),
+];
+
+/// Append a scapd status to an exposition: the capture-wide gauges,
+/// one `scapd_tenant_*` family per [`TENANT_GAUGES`] entry, and
+/// conservation as 0/1 gauges, capture-wide and per tenant.
+pub fn scapd_series(om: &mut OpenMetrics, s: &ScapdStatus) {
+    // The fields are `&mut` accessors: read them from a copy.
+    let mut s = s.clone();
+    for (name, field) in CAPTURE_GAUGES {
+        om.gauge(name, "", &[(Vec::new(), *field(&mut s))]);
+    }
+    om.gauge(
+        "scapd_conserved",
+        "",
+        &[(Vec::new(), u64::from(s.conserved()))],
+    );
+    let mut families: Vec<(String, Vec<u64>)> = TENANT_GAUGES
+        .iter()
+        .map(|(suffix, field)| {
+            let values = s.tenants.iter_mut().map(|r| *field(r)).collect();
+            (format!("scapd_tenant_{suffix}"), values)
+        })
+        .collect();
+    let conserved = s.tenants.iter().map(|r| u64::from(r.conserved()));
+    families.push(("scapd_tenant_conserved".into(), conserved.collect()));
+    let ids: Vec<String> = s.tenants.iter().map(|r| r.id.to_string()).collect();
+    let labels: Vec<Vec<(&str, &str)>> = s
+        .tenants
+        .iter()
+        .zip(&ids)
+        .map(|(r, id)| vec![("tenant", &*r.name), ("id", &**id), ("state", &*r.state)])
+        .collect();
+    for (name, values) in families {
+        let series: Vec<_> = labels.iter().cloned().zip(values).collect();
+        om.gauge(&name, "", &series);
+    }
+}
+
+/// Read a [`ScapdStatus`] back from an exposition [`scapd_series`]
+/// wrote into; other families are skipped. Label values are read as
+/// they stand: tenant names are `[A-Za-z0-9_-]` (admission checks it)
+/// and states are fixed words, so nothing in them is escaped.
+pub fn parse_scapd_status(text: &str) -> Result<ScapdStatus, String> {
+    let mut s = ScapdStatus::default();
+    for line in text.lines().filter(|l| l.starts_with("scapd_")) {
+        let bad = || format!("malformed sample {line:?}");
+        let (series, value) = line.rsplit_once(' ').ok_or_else(bad)?;
+        let value: u64 = value.parse().map_err(|_| bad())?;
+        let (name, labels) = series
+            .strip_suffix('}')
+            .and_then(|x| x.split_once('{'))
+            .unwrap_or((series, ""));
+        if let Some((_, field)) = CAPTURE_GAUGES.iter().find(|(n, _)| *n == name) {
+            *field(&mut s) = value;
+            continue;
+        }
+        let Some((_, field)) = name
+            .strip_prefix("scapd_tenant_")
+            .and_then(|suffix| TENANT_GAUGES.iter().find(|(n, _)| *n == suffix))
+        else {
+            continue;
+        };
+        let label = |k: &str| {
+            labels
+                .split(',')
+                .find_map(|kv| kv.strip_prefix(k)?.strip_prefix("=\"")?.strip_suffix('"'))
+                .ok_or_else(bad)
+        };
+        let (name, state) = (label("tenant")?, label("state")?);
+        let id: u64 = label("id")?.parse().map_err(|_| bad())?;
+        let at = match s.tenants.iter().position(|r| r.name == name && r.id == id) {
+            Some(at) => at,
+            None => {
+                let (name, state) = (name.to_string(), state.to_string());
+                s.tenants.push(TenantRow {
+                    name,
+                    id,
+                    state,
+                    ..TenantRow::default()
+                });
+                s.tenants.len() - 1
+            }
+        };
+        *field(&mut s.tenants[at]) = value;
+    }
+    Ok(s)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,5 +395,69 @@ mod tests {
         latency_panel(&mut out, &snap, &mut hist);
         assert!(out.contains("delivery"));
         assert!(!out.contains("no stage latencies"));
+    }
+
+    #[test]
+    fn scapd_status_round_trips_through_the_exposition() {
+        use scap::telemetry::openmetrics::validate;
+        let row = |name: &str, id: u64, state: &str, k: u64| TenantRow {
+            name: name.into(),
+            id,
+            state: state.into(),
+            matched: k * 100 + u64::from(k == 3),
+            delivered: k * 60,
+            drained: k * 50,
+            dropped: k * 30,
+            discarded: k * 10,
+            queue: k,
+            queue_cap: 39_321,
+            headroom: 39_321 - k,
+            strikes: k % 9,
+            spooled: k * 40,
+            acked: k * 20,
+        };
+        let status = ScapdStatus {
+            fed: 3584,
+            total: 4101,
+            ts_ns: 1_234_567_890,
+            tenants: vec![
+                row("web", 1, "active", 1),
+                row("bulk_2", 2, "disconnected", 2),
+                row("dns-mon", 3, "degraded", 3),
+                TenantRow {
+                    queue: 0,
+                    queue_cap: 0,
+                    headroom: 0,
+                    spooled: 0,
+                    acked: 0,
+                    ..row("web", 4, "detached", 4)
+                },
+            ],
+        };
+        // The daemon's exposition also carries the kernel's families.
+        let mut om = OpenMetrics::new();
+        om.counter("scap_wire_packets", "", &[("proc", "scapd")], 4101);
+        scapd_series(&mut om, &status);
+        let text = om.finish();
+        assert_eq!(validate(&text), Ok(1 + 4 + 12 * status.tenants.len()));
+        for line in [
+            "scapd_tenant_matched_bytes{tenant=\"bulk_2\",id=\"2\",state=\"disconnected\"} 200",
+            "scapd_tenant_acked_payload_bytes{tenant=\"web\",id=\"4\",state=\"detached\"} 0",
+            "scapd_tenant_conserved{tenant=\"dns-mon\",id=\"3\",state=\"degraded\"} 0",
+            "scapd_tenant_conserved{tenant=\"web\",id=\"1\",state=\"active\"} 1",
+            "scapd_conserved 0",
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "{line} missing from\n{text}"
+            );
+        }
+        assert_eq!(parse_scapd_status(&text), Ok(status));
+        assert_eq!(
+            parse_scapd_status(&OpenMetrics::new().finish()),
+            Ok(ScapdStatus::default())
+        );
+        assert!(parse_scapd_status("scapd_tenant_strikes{tenant=\"a\"} 1\n").is_err());
+        assert!(parse_scapd_status("scapd_packets_fed x\n").is_err());
     }
 }

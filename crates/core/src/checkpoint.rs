@@ -18,6 +18,13 @@
 //! the image. The owned [`StreamImage`] is the decode product; it
 //! re-encodes through the same writer by lending itself the same way.
 //!
+//! The fields the archive index shares with a stream record — the flow
+//! key, the direction and [`StreamStatus`] bytes and the eight-`u64`
+//! [`DirStats`] block — have one codec, [`put_key`] / [`decode_key`],
+//! [`status_to_u8`] / [`decode_status`], [`put_dir_stats`] /
+//! [`decode_dir_stats`] and [`decode_direction`], read through the
+//! bounded [`Cursor`]; `scap-store` encodes its index records with them.
+//!
 //! # File layout
 //!
 //! ```text
@@ -374,7 +381,9 @@ fn put_addr(b: &mut Vec<u8>, a: IpAddrBytes) {
     }
 }
 
-fn put_key(b: &mut Vec<u8>, key: &FlowKey) {
+/// Append a flow key: family byte (4/6), both addresses as 16 bytes
+/// (IPv4 zero-padded), both ports, transport protocol number.
+pub fn put_key(b: &mut Vec<u8>, key: &FlowKey) {
     b.push(match key.src() {
         IpAddrBytes::V4(_) => 4,
         IpAddrBytes::V6(_) => 6,
@@ -397,12 +406,29 @@ fn overlap_policy_to_u8(p: OverlapPolicy) -> u8 {
     }
 }
 
-fn status_to_u8(s: StreamStatus) -> u8 {
+/// The one-byte code of a [`StreamStatus`] (read by [`decode_status`]).
+pub fn status_to_u8(s: StreamStatus) -> u8 {
     match s {
         StreamStatus::Active => 0,
         StreamStatus::ClosedFin => 1,
         StreamStatus::ClosedRst => 2,
         StreamStatus::ClosedTimeout => 3,
+    }
+}
+
+/// Append one direction's counters as eight little-endian `u64`s.
+pub fn put_dir_stats(b: &mut Vec<u8>, d: &DirStats) {
+    for v in [
+        d.total_pkts,
+        d.total_bytes,
+        d.captured_bytes,
+        d.captured_pkts,
+        d.discarded_pkts,
+        d.discarded_bytes,
+        d.dropped_pkts,
+        d.dropped_bytes,
+    ] {
+        put_u64(b, v);
     }
 }
 
@@ -575,18 +601,7 @@ fn put_stream<K: KStateSource>(b: &mut Vec<u8>, s: &StreamImage<K>) {
     b.push(u8::from(s.cutoff_exceeded));
     b.push(u8::from(s.discarded));
     for d in &s.dirs {
-        for v in [
-            d.total_pkts,
-            d.total_bytes,
-            d.captured_bytes,
-            d.captured_pkts,
-            d.discarded_pkts,
-            d.discarded_bytes,
-            d.dropped_pkts,
-            d.dropped_bytes,
-        ] {
-            put_u64(b, v);
-        }
+        put_dir_stats(b, d);
     }
     put_u32(b, s.chunk_size);
     put_u32(b, s.overlap);
@@ -874,13 +889,14 @@ impl CheckpointImage {
 
 /// Bounded byte cursor: every read is length-checked, so decoding
 /// arbitrary or truncated input can fail but never panic.
-struct Cursor<'a> {
+pub struct Cursor<'a> {
     b: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(b: &'a [u8]) -> Self {
+    /// A cursor at the start of `b`.
+    pub fn new(b: &'a [u8]) -> Self {
         Cursor { b, pos: 0 }
     }
 
@@ -893,7 +909,8 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
 
@@ -909,7 +926,8 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -952,7 +970,8 @@ fn decode_filter_src(c: &mut Cursor<'_>) -> Result<Filter, CheckpointError> {
     Filter::new(&src).map_err(|e| corrupt(format!("bad filter {src:?}: {e}")))
 }
 
-fn decode_key(c: &mut Cursor<'_>) -> Result<FlowKey, CheckpointError> {
+/// Read a flow key written by [`put_key`].
+pub fn decode_key(c: &mut Cursor<'_>) -> Result<FlowKey, CheckpointError> {
     let family = c.u8()?;
     let src_raw = c.take(16)?;
     let dst_raw = c.take(16)?;
@@ -978,12 +997,38 @@ fn decode_key(c: &mut Cursor<'_>) -> Result<FlowKey, CheckpointError> {
     }
 }
 
-fn decode_direction(v: u8) -> Result<Direction, CheckpointError> {
+/// Read a direction byte (`Direction::index`); anything above 1 is corrupt.
+pub fn decode_direction(v: u8) -> Result<Direction, CheckpointError> {
     match v {
         0 => Ok(Direction::Forward),
         1 => Ok(Direction::Reverse),
         other => Err(corrupt(format!("bad direction {other}"))),
     }
+}
+
+/// Read a [`StreamStatus`] byte written by [`status_to_u8`].
+pub fn decode_status(v: u8) -> Result<StreamStatus, CheckpointError> {
+    match v {
+        0 => Ok(StreamStatus::Active),
+        1 => Ok(StreamStatus::ClosedFin),
+        2 => Ok(StreamStatus::ClosedRst),
+        3 => Ok(StreamStatus::ClosedTimeout),
+        other => Err(corrupt(format!("bad stream status {other}"))),
+    }
+}
+
+/// Read a [`DirStats`] block written by [`put_dir_stats`].
+pub fn decode_dir_stats(c: &mut Cursor<'_>) -> Result<DirStats, CheckpointError> {
+    Ok(DirStats {
+        total_pkts: c.u64()?,
+        total_bytes: c.u64()?,
+        captured_bytes: c.u64()?,
+        captured_pkts: c.u64()?,
+        discarded_pkts: c.u64()?,
+        discarded_bytes: c.u64()?,
+        dropped_pkts: c.u64()?,
+        dropped_bytes: c.u64()?,
+    })
 }
 
 fn decode_config_body(c: &mut Cursor<'_>) -> Result<ScapConfig, CheckpointError> {
@@ -1153,29 +1198,13 @@ fn decode_stream_body(c: &mut Cursor<'_>) -> Result<StreamImage, CheckpointError
     let first_dir = decode_direction(c.u8()?)?;
     let first_ts_ns = c.u64()?;
     let last_ts_ns = c.u64()?;
-    let status = match c.u8()? {
-        0 => StreamStatus::Active,
-        1 => StreamStatus::ClosedFin,
-        2 => StreamStatus::ClosedRst,
-        3 => StreamStatus::ClosedTimeout,
-        other => return Err(corrupt(format!("bad stream status {other}"))),
-    };
+    let status = decode_status(c.u8()?)?;
     let errors = c.u8()?;
     let priority = c.u8()?;
     let cutoff = [c.opt_u64()?, c.opt_u64()?];
     let cutoff_exceeded = c.bool()?;
     let discarded = c.bool()?;
-    let mut dirs = [DirStats::default(); 2];
-    for d in &mut dirs {
-        d.total_pkts = c.u64()?;
-        d.total_bytes = c.u64()?;
-        d.captured_bytes = c.u64()?;
-        d.captured_pkts = c.u64()?;
-        d.discarded_pkts = c.u64()?;
-        d.discarded_bytes = c.u64()?;
-        d.dropped_pkts = c.u64()?;
-        d.dropped_bytes = c.u64()?;
-    }
+    let dirs = [decode_dir_stats(c)?, decode_dir_stats(c)?];
     let chunk_size = c.u32()?;
     let overlap = c.u32()?;
     let reassembly_policy = if c.bool()? { Some(c.u8()?) } else { None };

@@ -304,11 +304,6 @@ pub mod apps {
                 per_packet: false,
             }
         }
-
-        /// Matches found so far.
-        pub fn total_matches(&self) -> u64 {
-            self.matches
-        }
     }
 
     impl SimApp for PatternMatchApp {

@@ -76,6 +76,9 @@ pub struct TenantSpec {
 /// can influence the capture, so a rejected attach is side-effect free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionError {
+    /// The name is not 1 to 64 of `[A-Za-z0-9_-]`: names become control
+    /// file names and OpenMetrics label values.
+    BadName(String),
     /// A tenant with this name is already attached.
     DuplicateName(String),
     /// `mem_share`/`disk_share` must be in `1..=1000` permille.
@@ -106,6 +109,9 @@ pub enum AdmissionError {
 impl core::fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
+            AdmissionError::BadName(n) => {
+                write!(f, "tenant name {n:?} is not 1 to 64 of [A-Za-z0-9_-]")
+            }
             AdmissionError::DuplicateName(n) => write!(f, "tenant name {n:?} already attached"),
             AdmissionError::ShareOutOfRange { mem, disk } => {
                 write!(
@@ -134,6 +140,14 @@ impl core::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
+/// Whether `name` may name a tenant: 1 to 64 of `[A-Za-z0-9_-]`.
+pub fn valid_tenant_name(name: &str) -> bool {
+    (1..=64).contains(&name.len())
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
+}
+
 /// Where a tenant sits on the slow-consumer ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantState {
@@ -149,6 +163,15 @@ pub enum TenantState {
 }
 
 impl TenantState {
+    /// Lower-case name, as tables and status files print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            TenantState::Active => "active",
+            TenantState::Degraded => "degraded",
+            TenantState::Disconnected => "disconnected",
+        }
+    }
+
     fn to_u8(self) -> u8 {
         match self {
             TenantState::Active => 0,
@@ -348,6 +371,9 @@ impl TenantEngine {
         now_ns: u64,
         flight: Option<&mut FlightRecorder>,
     ) -> Result<u64, AdmissionError> {
+        if !valid_tenant_name(&spec.name) {
+            return Err(AdmissionError::BadName(spec.name));
+        }
         if spec.mem_share == 0
             || spec.mem_share > 1000
             || spec.disk_share == 0
@@ -986,6 +1012,27 @@ mod tests {
                 None,
             )
             .is_ok());
+    }
+
+    #[test]
+    fn admission_rejects_names_outside_the_label_alphabet() {
+        let mut eng = TenantEngine::new(1 << 20, 8);
+        let spec = |name: &str| TenantSpec {
+            name: name.into(),
+            mem_share: 100,
+            disk_share: 100,
+            ..Default::default()
+        };
+        for bad in [String::new(), "a/b".into(), "a\"b".into(), "x".repeat(65)] {
+            assert_eq!(
+                eng.attach(spec(&bad), 0, None),
+                Err(AdmissionError::BadName(bad.clone()))
+            );
+        }
+        assert!(eng.tenants().is_empty(), "a rejected name attaches nothing");
+        assert!(eng.attach(spec("web"), 0, None).is_ok());
+        assert!(eng.attach(spec("bulk_2"), 0, None).is_ok());
+        assert!(eng.attach(spec(&"x".repeat(64)), 0, None).is_ok());
     }
 
     #[test]

@@ -86,6 +86,23 @@ pub fn file_header(magic: u32, id: u64) -> [u8; FILE_HEADER_LEN] {
     h
 }
 
+/// Read back a [`file_header`] carrying `file_magic`: the file id, or
+/// the reason the header was refused.
+pub fn read_file_header(data: &[u8], file_magic: u32) -> Result<u64, String> {
+    if data.len() < FILE_HEADER_LEN {
+        return Err(format!("file too short for header: {} bytes", data.len()));
+    }
+    let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
+    if magic != file_magic {
+        return Err(format!("bad file magic {magic:#010x}"));
+    }
+    let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
+    if version != FORMAT_VERSION {
+        return Err(format!("unsupported format version {version}"));
+    }
+    Ok(u64::from_le_bytes(data[8..16].try_into().unwrap()))
+}
+
 /// Frame a record in place at the end of `out`: reserve the header, let
 /// `body` append the record body, then patch in its length and CRC-32.
 /// The body bytes are written once, where they stay.
@@ -137,19 +154,7 @@ pub struct RecordScan {
 /// The error is the reason the header was refused, for the caller to
 /// wrap in its own error type.
 pub fn scan_records(data: &[u8], file_magic: u32) -> Result<RecordScan, String> {
-    if data.len() < FILE_HEADER_LEN {
-        return Err(format!("file too short for header: {} bytes", data.len()));
-    }
-    let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
-    if magic != file_magic {
-        return Err(format!("bad file magic {magic:#010x}"));
-    }
-    let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(format!("unsupported format version {version}"));
-    }
-    let file_id = u64::from_le_bytes(data[8..16].try_into().unwrap());
-
+    let file_id = read_file_header(data, file_magic)?;
     let mut records = Vec::new();
     let mut pos = FILE_HEADER_LEN;
     loop {

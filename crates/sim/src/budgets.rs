@@ -100,12 +100,6 @@ impl CoreBudgets {
         self.user_used[core] += cycles;
         ok
     }
-
-    /// Charge raw cycles as user time (fixed per-tick overheads).
-    pub fn charge_user_cycles(&mut self, core: usize, cycles: f64) {
-        self.remaining[core] -= cycles;
-        self.user_used[core] += cycles;
-    }
 }
 
 #[cfg(test)]

@@ -139,21 +139,6 @@ impl EngineReport {
     pub fn user_cpu_percent(&self) -> f64 {
         (100.0 * self.user_busy.iter().cloned().fold(0.0, f64::max)).min(100.0)
     }
-
-    /// Mean user utilization across the cores actually used.
-    pub fn user_cpu_percent_mean_active(&self) -> f64 {
-        let active: Vec<f64> = self
-            .user_busy
-            .iter()
-            .cloned()
-            .filter(|u| *u > 0.001)
-            .collect();
-        if active.is_empty() {
-            0.0
-        } else {
-            100.0 * active.iter().sum::<f64>() / active.len() as f64
-        }
-    }
 }
 
 /// The discrete-time engine.

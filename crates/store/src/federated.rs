@@ -104,11 +104,6 @@ impl FederatedReader {
         self.shards.len()
     }
 
-    /// The discovered `(shard, dir)` pairs, in shard order.
-    pub fn shard_dirs(&self) -> &[(usize, PathBuf)] {
-        &self.shards
-    }
-
     /// Run one filter-expression query against every shard archive with
     /// a per-shard time budget. See [`FederatedResult`] for the
     /// partial-result contract.

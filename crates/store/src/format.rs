@@ -20,16 +20,21 @@
 //! and simply cut off. A frame whose index record never made it is an
 //! *orphan*: readable garbage-collected space, never surfaced as data.
 
+use scap::checkpoint::{
+    decode_dir_stats, decode_direction, decode_key, decode_status, put_dir_stats, put_key,
+    status_to_u8, Cursor,
+};
 use scap::{StreamSnapshot, StreamUid};
 use scap_flow::{DirStats, StreamErrors, StreamStatus};
-use scap_wire::{Direction, FlowKey, IpAddrBytes, Transport};
+use scap_wire::{Direction, FlowKey};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::StoreError;
 
 // The archive shares its low-level codec — CRC-32, the 16-byte file
-// header, and the (magic, length, CRC) record framing — with the capture
+// header, the (magic, length, CRC) record framing and the stream fields
+// (flow key, direction, status, `DirStats`) — with the capture
 // checkpoint format in `scap::checkpoint`. One codec, two file families.
 pub use scap::checkpoint::{crc32, file_header, frame_record, FILE_HEADER_LEN, FORMAT_VERSION};
 
@@ -129,57 +134,12 @@ impl IndexRecord {
     }
 }
 
-fn status_to_u8(s: StreamStatus) -> u8 {
-    match s {
-        StreamStatus::Active => 0,
-        StreamStatus::ClosedFin => 1,
-        StreamStatus::ClosedRst => 2,
-        StreamStatus::ClosedTimeout => 3,
-    }
-}
-
-fn status_from_u8(v: u8) -> Result<StreamStatus, StoreError> {
-    Ok(match v {
-        0 => StreamStatus::Active,
-        1 => StreamStatus::ClosedFin,
-        2 => StreamStatus::ClosedRst,
-        3 => StreamStatus::ClosedTimeout,
-        other => return Err(StoreError::Corrupt(format!("bad stream status {other}"))),
-    })
-}
-
-fn put_addr(out: &mut Vec<u8>, a: IpAddrBytes) {
-    match a {
-        IpAddrBytes::V4(b) => {
-            out.extend_from_slice(&b);
-            out.extend_from_slice(&[0u8; 12]);
-        }
-        IpAddrBytes::V6(b) => out.extend_from_slice(&b),
-    }
-}
-
-fn get_addr(b: &[u8], family: u8) -> Result<IpAddrBytes, StoreError> {
-    Ok(match family {
-        4 => IpAddrBytes::V4(b[..4].try_into().unwrap()),
-        6 => IpAddrBytes::V6(b[..16].try_into().unwrap()),
-        other => return Err(StoreError::Corrupt(format!("bad address family {other}"))),
-    })
-}
-
 /// Encode a stream index-record body (kind byte included).
 pub fn encode_stream_body(r: &IndexRecord) -> Vec<u8> {
     let mut b = Vec::with_capacity(256);
     b.push(0u8); // kind: stream
     b.extend_from_slice(&r.uid.to_le_bytes());
-    b.push(match r.key.src() {
-        IpAddrBytes::V4(_) => 4,
-        IpAddrBytes::V6(_) => 6,
-    });
-    put_addr(&mut b, r.key.src());
-    put_addr(&mut b, r.key.dst());
-    b.extend_from_slice(&r.key.src_port().to_le_bytes());
-    b.extend_from_slice(&r.key.dst_port().to_le_bytes());
-    b.push(r.key.transport().proto_number());
+    put_key(&mut b, &r.key);
     b.push(r.first_dir.index() as u8);
     b.push(status_to_u8(r.status));
     b.push(r.errors.0);
@@ -189,18 +149,7 @@ pub fn encode_stream_body(r: &IndexRecord) -> Vec<u8> {
     b.extend_from_slice(&r.last_ts_ns.to_le_bytes());
     b.extend_from_slice(&r.chunks.to_le_bytes());
     for d in &r.dirs {
-        for v in [
-            d.total_pkts,
-            d.total_bytes,
-            d.captured_bytes,
-            d.captured_pkts,
-            d.discarded_pkts,
-            d.discarded_bytes,
-            d.dropped_pkts,
-            d.dropped_bytes,
-        ] {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
+        put_dir_stats(&mut b, d);
     }
     for e in &r.extents {
         b.extend_from_slice(&e.segment.to_le_bytes());
@@ -227,100 +176,36 @@ pub enum IndexEntry {
     Tombstone(StreamUid),
 }
 
-struct Cursor<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.pos + n > self.b.len() {
-            return Err(StoreError::Corrupt("index record body too short".into()));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 /// Decode an index-record body previously produced by
 /// [`encode_stream_body`] or [`encode_tombstone_body`].
 pub fn decode_body(body: &[u8]) -> Result<IndexEntry, StoreError> {
-    let mut c = Cursor { b: body, pos: 0 };
+    let mut c = Cursor::new(body);
     match c.u8()? {
         1 => Ok(IndexEntry::Tombstone(c.u64()?)),
-        0 => {
-            let uid = c.u64()?;
-            let family = c.u8()?;
-            let src = get_addr(c.take(16)?, family)?;
-            let dst = get_addr(c.take(16)?, family)?;
-            let src_port = c.u16()?;
-            let dst_port = c.u16()?;
-            let transport = Transport::from(c.u8()?);
-            let key = match (src, dst) {
-                (IpAddrBytes::V4(s), IpAddrBytes::V4(d)) => {
-                    FlowKey::new_v4(s, d, src_port, dst_port, transport)
-                }
-                (IpAddrBytes::V6(s), IpAddrBytes::V6(d)) => {
-                    FlowKey::new_v6(s, d, src_port, dst_port, transport)
-                }
-                _ => unreachable!("families decoded together"),
-            };
-            let first_dir = if c.u8()? == 0 {
-                Direction::Forward
-            } else {
-                Direction::Reverse
-            };
-            let status = status_from_u8(c.u8()?)?;
-            let errors = StreamErrors(c.u8()?);
-            let priority = c.u8()?;
-            let cutoff_exceeded = c.u8()? != 0;
-            let first_ts_ns = c.u64()?;
-            let last_ts_ns = c.u64()?;
-            let chunks = c.u64()?;
-            let mut dirs = [DirStats::default(), DirStats::default()];
-            for d in &mut dirs {
-                d.total_pkts = c.u64()?;
-                d.total_bytes = c.u64()?;
-                d.captured_bytes = c.u64()?;
-                d.captured_pkts = c.u64()?;
-                d.discarded_pkts = c.u64()?;
-                d.discarded_bytes = c.u64()?;
-                d.dropped_pkts = c.u64()?;
-                d.dropped_bytes = c.u64()?;
-            }
-            let mut extents = [Extent::default(); 2];
-            for e in &mut extents {
-                e.segment = c.u64()?;
-                e.offset = c.u64()?;
-                e.len = c.u64()?;
-            }
-            Ok(IndexEntry::Stream(Box::new(IndexRecord {
-                uid,
-                key,
-                first_dir,
-                status,
-                errors,
-                priority,
-                cutoff_exceeded,
-                first_ts_ns,
-                last_ts_ns,
-                chunks,
-                dirs,
-                extents,
-            })))
-        }
+        0 => Ok(IndexEntry::Stream(Box::new(IndexRecord {
+            uid: c.u64()?,
+            key: decode_key(&mut c)?,
+            first_dir: decode_direction(c.u8()?)?,
+            status: decode_status(c.u8()?)?,
+            errors: StreamErrors(c.u8()?),
+            priority: c.u8()?,
+            cutoff_exceeded: c.u8()? != 0,
+            first_ts_ns: c.u64()?,
+            last_ts_ns: c.u64()?,
+            chunks: c.u64()?,
+            dirs: [decode_dir_stats(&mut c)?, decode_dir_stats(&mut c)?],
+            extents: [extent(&mut c)?, extent(&mut c)?],
+        }))),
         other => Err(StoreError::Corrupt(format!("bad record kind {other}"))),
     }
+}
+
+fn extent(c: &mut Cursor<'_>) -> Result<Extent, StoreError> {
+    Ok(Extent {
+        segment: c.u64()?,
+        offset: c.u64()?,
+        len: c.u64()?,
+    })
 }
 
 /// Build the frame header preceding one direction's payload.
@@ -332,6 +217,16 @@ pub fn frame_header(uid: StreamUid, dir: Direction, payload: &[u8]) -> [u8; FRAM
     h[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     h[20..24].copy_from_slice(&crc32(payload).to_le_bytes());
     h
+}
+
+/// Read back a header built by [`frame_header`]: `(uid, direction
+/// index, payload length, payload CRC)`, or `None` when the magic is wrong.
+fn parse_frame_header(h: &[u8; FRAME_HEADER_LEN]) -> Option<(StreamUid, u8, usize, u32)> {
+    let word = |at: usize| u32::from_le_bytes([h[at], h[at + 1], h[at + 2], h[at + 3]]);
+    (word(0) == FRAME_MAGIC).then(|| {
+        let uid = u64::from_le_bytes(h[4..12].try_into().expect("an 8-byte range"));
+        (uid, h[12], word(16) as usize, word(20))
+    })
 }
 
 /// One valid frame found by [`scan_segment`].
@@ -373,29 +268,20 @@ pub fn scan_segment(path: &Path) -> Result<SegmentScan, StoreError> {
             torn_bytes: data.len() as u64,
         });
     }
-    let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
-    let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
-    if magic != SEG_MAGIC || version != FORMAT_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "{}: bad segment header",
-            path.display()
-        )));
-    }
-    let id = u64::from_le_bytes(data[8..16].try_into().unwrap());
+    let id = scap_flight::framing::read_file_header(&data, SEG_MAGIC)
+        .map_err(|_| StoreError::Corrupt(format!("{}: bad segment header", path.display())))?;
     let mut frames = Vec::new();
     let mut pos = FILE_HEADER_LEN;
     loop {
         if pos + FRAME_HEADER_LEN > data.len() {
             break;
         }
-        let h = &data[pos..pos + FRAME_HEADER_LEN];
-        if u32::from_le_bytes(h[0..4].try_into().unwrap()) != FRAME_MAGIC {
+        let h = data[pos..pos + FRAME_HEADER_LEN]
+            .try_into()
+            .expect("bounds checked above");
+        let Some((uid, dir, len, crc)) = parse_frame_header(h) else {
             break;
-        }
-        let uid = u64::from_le_bytes(h[4..12].try_into().unwrap());
-        let dir = h[12];
-        let len = u32::from_le_bytes(h[16..20].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(h[20..24].try_into().unwrap());
+        };
         let start = pos + FRAME_HEADER_LEN;
         if dir > 1 || start + len > data.len() || crc32(&data[start..start + len]) != crc {
             break;
@@ -477,21 +363,16 @@ pub fn read_extent(
     f.seek(SeekFrom::Start(e.offset))?;
     let mut h = [0u8; FRAME_HEADER_LEN];
     f.read_exact(&mut h)?;
-    let uid_got = u64::from_le_bytes(h[4..12].try_into().unwrap());
-    let len = u32::from_le_bytes(h[16..20].try_into().unwrap()) as u64;
-    let crc = u32::from_le_bytes(h[20..24].try_into().unwrap());
-    if u32::from_le_bytes(h[0..4].try_into().unwrap()) != FRAME_MAGIC
-        || uid_got != uid
-        || h[12] != dir_idx
-        || len != e.len
-    {
+    let Some((_, _, len, crc)) = parse_frame_header(&h)
+        .filter(|&(u, d, l, _)| u == uid && d == dir_idx && l as u64 == e.len)
+    else {
         return Err(StoreError::Corrupt(format!(
             "{}: frame at {} does not match index record for stream {uid}",
             path.display(),
             e.offset
         )));
-    }
-    let mut payload = vec![0u8; len as usize];
+    };
+    let mut payload = vec![0u8; len];
     f.read_exact(&mut payload)?;
     if crc32(&payload) != crc {
         return Err(StoreError::Corrupt(format!(
@@ -505,6 +386,7 @@ pub fn read_extent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scap_wire::Transport;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -582,5 +464,15 @@ mod tests {
         b.truncate(b.len() - 1);
         assert!(decode_body(&b).is_err());
         assert!(decode_body(&[9]).is_err());
+    }
+
+    #[test]
+    fn direction_byte_above_one_is_rejected() {
+        let mut b = encode_stream_body(&sample_record());
+        // kind (1) + uid (8) + flow key (1 + 16 + 16 + 2 + 2 + 1)
+        let at = 1 + 8 + 38;
+        assert_eq!(b[at], Direction::Reverse.index() as u8);
+        b[at] = 2;
+        assert!(decode_body(&b).is_err());
     }
 }

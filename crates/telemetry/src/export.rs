@@ -1,16 +1,14 @@
-//! Hand-rolled exporters: JSON-lines, CSV, aligned human table, and a
-//! JSON-lines parser for round-trip verification. No serde — the formats
-//! are fixed and tiny, and the repository's result writers are all
-//! hand-rolled for the same reason.
+//! Hand-rolled exporters: JSON-lines (the one machine serialization of
+//! a snapshot), an aligned human table, and the sampler's time series
+//! as CSV. No serde — the formats are fixed and tiny, and the
+//! repository's result writers are all hand-rolled for the same reason.
 //!
 //! Output ordering is fully deterministic: shards ascending, then the
 //! declaration order of [`Metric`]/[`Gauge`]/[`Stage`]. Zero-valued
-//! counters and gauges are omitted from JSON-lines (the parser restores
-//! them from the `meta` line) but kept in CSV so every run of the same
-//! configuration has the same row set.
+//! counters and gauges and empty stages are omitted from JSON-lines;
+//! the `meta` line gives the shard count.
 
-use crate::hist::{HistSnapshot, BUCKETS};
-use crate::registry::{ShardSnapshot, Snapshot};
+use crate::registry::Snapshot;
 use crate::sampler::Sampler;
 use crate::{Gauge, Metric, Stage};
 
@@ -52,105 +50,6 @@ pub fn to_jsonl(s: &Snapshot) -> String {
                 st.name(),
                 h.sum,
                 buckets.join(",")
-            ));
-        }
-    }
-    out
-}
-
-/// Parse the output of [`to_jsonl`] back into a snapshot. Only the exact
-/// format this module emits is accepted; anything else is an error.
-pub fn from_jsonl(text: &str) -> Result<Snapshot, String> {
-    let mut snap: Option<Snapshot> = None;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |msg: &str| format!("line {}: {msg}: {line}", lineno + 1);
-        let ty = json_str(line, "type").ok_or_else(|| err("missing type"))?;
-        if ty == "meta" {
-            let shards = json_u64(line, "shards").ok_or_else(|| err("missing shards"))? as usize;
-            snap = Some(Snapshot {
-                shards: (0..shards.max(1))
-                    .map(|_| ShardSnapshot::default())
-                    .collect(),
-            });
-            continue;
-        }
-        let snap = snap.as_mut().ok_or_else(|| err("record before meta"))?;
-        let shard = json_u64(line, "shard").ok_or_else(|| err("missing shard"))? as usize;
-        let name = json_str(line, "name").ok_or_else(|| err("missing name"))?;
-        let dst = snap
-            .shards
-            .get_mut(shard)
-            .ok_or_else(|| err("shard out of range"))?;
-        match ty.as_str() {
-            "counter" => {
-                let m = Metric::from_name(&name).ok_or_else(|| err("unknown counter"))?;
-                dst.counters[m.idx()] =
-                    json_u64(line, "value").ok_or_else(|| err("missing value"))?;
-            }
-            "gauge" => {
-                let g = Gauge::from_name(&name).ok_or_else(|| err("unknown gauge"))?;
-                dst.gauges[g.idx()] =
-                    json_u64(line, "value").ok_or_else(|| err("missing value"))?;
-            }
-            "stage" => {
-                let st = Stage::from_name(&name).ok_or_else(|| err("unknown stage"))?;
-                let sum = json_u64(line, "sum").ok_or_else(|| err("missing sum"))?;
-                let buckets = json_u64_array(line, "buckets").ok_or_else(|| err("bad buckets"))?;
-                if buckets.len() != BUCKETS {
-                    return Err(err("wrong bucket count"));
-                }
-                let h = &mut dst.stages[st.idx()];
-                h.sum = sum;
-                h.buckets.copy_from_slice(&buckets);
-            }
-            _ => return Err(err("unknown record type")),
-        }
-    }
-    snap.ok_or_else(|| "no meta line".to_string())
-}
-
-/// Serialize a snapshot as CSV: `kind,shard,name,field,value` rows, all
-/// counters and gauges (including zeros) plus count/sum/p50/p99 per
-/// stage histogram. Byte-identical across runs of a deterministic
-/// capture — the sim-mode determinism test compares exactly this.
-pub fn to_csv(s: &Snapshot) -> String {
-    let mut out = String::from("kind,shard,name,field,value\n");
-    for (i, shard) in s.shards.iter().enumerate() {
-        for m in Metric::ALL {
-            out.push_str(&format!(
-                "counter,{i},{},value,{}\n",
-                m.name(),
-                shard.counters[m.idx()]
-            ));
-        }
-        for g in Gauge::ALL {
-            out.push_str(&format!(
-                "gauge,{i},{},value,{}\n",
-                g.name(),
-                shard.gauges[g.idx()]
-            ));
-        }
-        for st in Stage::ALL {
-            let h = &shard.stages[st.idx()];
-            let hs = HistSnapshot {
-                buckets: h.buckets,
-                sum: h.sum,
-            };
-            out.push_str(&format!("stage,{i},{},count,{}\n", st.name(), hs.count()));
-            out.push_str(&format!("stage,{i},{},sum,{}\n", st.name(), hs.sum));
-            out.push_str(&format!(
-                "stage,{i},{},p50,{}\n",
-                st.name(),
-                hs.quantile(0.50)
-            ));
-            out.push_str(&format!(
-                "stage,{i},{},p99,{}\n",
-                st.name(),
-                hs.quantile(0.99)
             ));
         }
     }
@@ -215,36 +114,6 @@ pub fn series_to_csv(sampler: &Sampler) -> String {
     out
 }
 
-/// Extract a `"key":"string"` field from a single JSON-lines record.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// Extract a `"key":number` field from a single JSON-lines record.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extract a `"key":[n,n,...]` array field.
-fn json_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":[");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find(']')?;
-    line[start..start + end]
-        .split(',')
-        .map(|t| t.trim().parse().ok())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,47 +134,78 @@ mod tests {
         r.snapshot()
     }
 
-    /// Satellite: exporter round-trip — parsing the JSON-lines output
-    /// reconstructs the registry state exactly.
+    /// One line per nonzero counter and gauge, with its exact value,
+    /// one per non-empty stage, and nothing for the zeros.
     #[test]
-    fn jsonl_round_trip_is_exact() {
+    fn jsonl_has_one_exact_line_per_nonzero_value() {
         let snap = populated();
         let text = to_jsonl(&snap);
-        let back = from_jsonl(&text).expect("parse-back failed");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn jsonl_round_trip_of_empty_registry() {
-        let snap = PlainRegistry::new(2).snapshot();
-        assert_eq!(from_jsonl(&to_jsonl(&snap)).unwrap(), snap);
-    }
-
-    #[test]
-    fn from_jsonl_rejects_garbage() {
-        assert!(from_jsonl("").is_err());
-        assert!(from_jsonl("{\"type\":\"counter\",\"shard\":0}").is_err());
-        let bad_name =
-            "{\"type\":\"meta\",\"shards\":1}\n{\"type\":\"counter\",\"shard\":0,\"name\":\"nope\",\"value\":1}";
-        assert!(from_jsonl(bad_name).is_err());
-        let bad_shard =
-            "{\"type\":\"meta\",\"shards\":1}\n{\"type\":\"counter\",\"shard\":9,\"name\":\"wire_packets\",\"value\":1}";
-        assert!(from_jsonl(bad_shard).is_err());
-    }
-
-    #[test]
-    fn csv_and_table_are_deterministic_and_complete() {
-        let snap = populated();
-        let a = to_csv(&snap);
-        let b = to_csv(&snap);
-        assert_eq!(a, b);
-        // Every metric name appears even when zero (stable row set).
-        for m in Metric::ALL {
-            assert!(a.contains(m.name()), "CSV missing {}", m.name());
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "{\"type\":\"meta\",\"shards\":3}");
+        for (i, shard) in snap.shards.iter().enumerate() {
+            for m in Metric::ALL {
+                let v = shard.counters[m.idx()];
+                let line = format!(
+                    "{{\"type\":\"counter\",\"shard\":{i},\"name\":\"{}\",\"value\":{v}}}",
+                    m.name()
+                );
+                assert_eq!(
+                    lines.iter().filter(|l| **l == line).count(),
+                    usize::from(v != 0)
+                );
+            }
+            for g in Gauge::ALL {
+                let v = shard.gauges[g.idx()];
+                let line = format!(
+                    "{{\"type\":\"gauge\",\"shard\":{i},\"name\":\"{}\",\"value\":{v}}}",
+                    g.name()
+                );
+                assert_eq!(
+                    lines.iter().filter(|l| **l == line).count(),
+                    usize::from(v != 0)
+                );
+            }
+            for st in Stage::ALL {
+                let h = &shard.stages[st.idx()];
+                let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
+                let line = format!(
+                    "{{\"type\":\"stage\",\"shard\":{i},\"name\":\"{}\",\"sum\":{},\"buckets\":[{}]}}",
+                    st.name(),
+                    h.sum,
+                    buckets.join(",")
+                );
+                assert_eq!(
+                    lines.iter().filter(|l| **l == line).count(),
+                    usize::from(h.count() != 0),
+                    "{}",
+                    st.name()
+                );
+            }
         }
-        let t = to_table(&snap);
+        // 4 counters + 2 gauges + 2 stages after the meta line.
+        assert_eq!(lines.len(), 1 + 4 + 2 + 2, "{text}");
+    }
+
+    #[test]
+    fn jsonl_of_an_empty_registry_is_the_meta_line() {
+        assert_eq!(
+            to_jsonl(&PlainRegistry::new(2).snapshot()),
+            "{\"type\":\"meta\",\"shards\":2}\n"
+        );
+    }
+
+    #[test]
+    fn table_is_deterministic_and_lists_every_gauge_and_stage() {
+        let t = to_table(&populated());
+        assert_eq!(t, to_table(&populated()));
         assert!(t.contains("wire_packets"));
-        assert!(t.contains("governor_level"));
+        for name in Gauge::ALL
+            .iter()
+            .map(|g| g.name())
+            .chain(Stage::ALL.iter().map(|s| s.name()))
+        {
+            assert!(t.contains(name), "table missing {name}");
+        }
         assert!(t.contains("p99"));
     }
 

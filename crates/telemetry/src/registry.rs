@@ -88,12 +88,6 @@ impl<C: MetricCell> Registry<C> {
         self.shards[shard].gauges[g.idx()].get()
     }
 
-    /// All gauge values of one shard, in [`Gauge::ALL`] order (the row
-    /// layout the [`crate::Sampler`] stores).
-    pub fn gauge_row(&self, shard: usize) -> [u64; Gauge::COUNT] {
-        std::array::from_fn(|i| self.shards[shard].gauges[i].get())
-    }
-
     /// Record one observation into a stage histogram.
     #[inline]
     pub fn record_stage(&self, shard: usize, stage: Stage, v: u64) {

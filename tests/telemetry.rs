@@ -1,7 +1,6 @@
 //! Integration tests for the telemetry subsystem: the simulated pipeline
-//! must be deterministic per seed (byte-identical exports), the JSONL
-//! exporter must round-trip a real run's snapshot, and the merged
-//! counters must agree exactly with `ScapStats`.
+//! must be deterministic per seed (byte-identical exports) and the
+//! merged counters must agree exactly with `ScapStats`.
 
 use scap::telemetry::export;
 use scap::telemetry::{Metric, Snapshot, Stage};
@@ -33,23 +32,16 @@ fn run_sim(seed: u64) -> (Snapshot, String, ScapStats) {
 fn same_seed_produces_byte_identical_exports() {
     let (a, series_a, _) = run_sim(33);
     let (b, series_b, _) = run_sim(33);
-    assert_eq!(export::to_csv(&a), export::to_csv(&b));
+    assert!(a.total(Metric::WirePackets) > 0);
+    assert_eq!(export::to_jsonl(&a), export::to_jsonl(&b));
     assert_eq!(series_a, series_b);
 
     let (c, _, _) = run_sim(34);
     assert_ne!(
-        export::to_csv(&a),
-        export::to_csv(&c),
+        export::to_jsonl(&a),
+        export::to_jsonl(&c),
         "different seeds should produce different telemetry"
     );
-}
-
-#[test]
-fn jsonl_round_trips_a_real_snapshot() {
-    let (snap, _, _) = run_sim(7);
-    assert!(snap.total(Metric::WirePackets) > 0);
-    let parsed = export::from_jsonl(&export::to_jsonl(&snap)).expect("reparse");
-    assert_eq!(parsed, snap);
 }
 
 #[test]
