@@ -38,6 +38,11 @@ echo "== incremental checkpoints, release profile =="
 # `checkpoint_into`; that check is compiled out here, so the explicit
 # differential test is the net.
 cargo test -q --release -p scap-bench --test checkpoint_incremental
+# A flow pays only for the state it uses: header-only flows hold no box,
+# and a direction the gate turned away still reaches the image as an
+# empty assembler. (`StreamKState`'s size is a const assertion in
+# kernel/probe.rs: inline growth does not build.)
+cargo test -q --release -p scap --lib header_only_flows_hold_no_box
 
 echo "== staged bursts against per-packet dispatch, release profile =="
 # Overflow checks and `debug_assert!`s are compiled out here and the

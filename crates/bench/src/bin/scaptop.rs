@@ -569,7 +569,7 @@ fn main() {
             let e = streams
                 .entry(ev.stream.uid)
                 .or_insert_with(|| (ev.stream.key.to_string(), 0));
-            e.1 += chunk.len as u64;
+            e.1 += chunk.len() as u64;
         }
         kernel.release_event(ev);
     }

@@ -126,7 +126,7 @@ impl Event {
     /// Bytes of chunk data carried (0 for non-data events).
     pub fn data_len(&self) -> usize {
         match &self.kind {
-            EventKind::Data { chunk, .. } => chunk.len,
+            EventKind::Data { chunk, .. } => chunk.len(),
             _ => 0,
         }
     }

@@ -149,7 +149,7 @@ impl ScapKernel {
     /// Record the worker reading a delivered chunk; returns misses.
     pub fn user_touch_chunk(&mut self, chunk: &ChunkBuf) -> u64 {
         match self.ledger.cache.as_mut() {
-            Some(c) if chunk.sim_addr != 0 => c.access(chunk.sim_addr, chunk.len),
+            Some(c) if chunk.sim_addr != 0 => c.access(chunk.sim_addr, chunk.len()),
             _ => 0,
         }
     }
@@ -205,7 +205,8 @@ impl ScapKernel {
                     rec.chunk_size = chunk_size;
                     rec.overlap = overlap;
                 }
-                for asm in ks.into_iter().flat_map(|ks| ks.asm.iter_mut().flatten()) {
+                let boxed = ks.and_then(|ks| ks.seg.as_deref_mut());
+                for asm in boxed.into_iter().flat_map(|s| s.asm.iter_mut()) {
                     asm.set_geometry(chunk_size as usize, overlap as usize);
                 }
             }
@@ -224,7 +225,7 @@ impl ScapKernel {
             return; // tombstone: nothing to re-open
         };
         let still_beyond = (0..2).any(|d| {
-            let off = ks.asm[d].as_ref().map_or(0, |a| a.stream_offset());
+            let off = ks.offset(d);
             rec.cutoff[d].is_some_and(|c| off >= c)
         });
         if !rec.cutoff_exceeded || still_beyond {
@@ -460,13 +461,16 @@ impl ScapKernel {
     /// route chunk returns through here).
     pub fn release_data(&mut self, uid: StreamUid, dir: Direction, chunk: ChunkBuf) {
         // Not asked for, or the stream already gone: a plain release.
+        // A returned chunk was placed, so its stream has its box.
         let keeper = if self.emit.take_keep(uid, dir) {
-            self.flows.state_mut(uid)
+            self.flows
+                .state_mut(uid)
+                .and_then(|ks| ks.seg.as_deref_mut())
         } else {
             None
         };
         let done = match keeper {
-            Some(ks) => ks.kept[dir.index()].replace(chunk),
+            Some(seg) => seg.kept[dir.index()].replace(chunk),
             None => Some(chunk),
         };
         if let Some(chunk) = done {

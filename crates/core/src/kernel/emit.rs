@@ -9,13 +9,13 @@ use scap_flight::{DropReason, FlightLayer};
 use scap_flow::StreamRecord;
 use scap_memory::Arena;
 use scap_telemetry::{Metric, PulseStage};
-use scap_wire::Direction;
-use std::collections::{HashSet, VecDeque};
+use scap_wire::{Direction, IntSet};
+use std::collections::VecDeque;
 
 pub(crate) struct Emitter {
     queues: Vec<VecDeque<Event>>,
     /// Keep-chunk requests awaiting the chunk's return.
-    pending_keep: HashSet<(StreamUid, u8)>,
+    pending_keep: IntSet<(StreamUid, u8)>,
     queue_cap: usize,
 }
 
@@ -41,7 +41,7 @@ impl Emitter {
     pub(super) fn new(ncores: usize, queue_cap: usize) -> Self {
         Emitter {
             queues: (0..ncores).map(|_| VecDeque::new()).collect(),
-            pending_keep: HashSet::new(),
+            pending_keep: IntSet::default(),
             queue_cap,
         }
     }
@@ -66,7 +66,7 @@ impl Emitter {
             if let EventKind::Data { chunk, .. } = kind {
                 let at = At::new(at.core, rec.last_ts_ns, at.uid);
                 let why = DropReason::EventQueueFull;
-                ledger.dropped(at, FlightLayer::EventQueue, why, 0, chunk.len as u64);
+                ledger.dropped(at, FlightLayer::EventQueue, why, 0, chunk.len() as u64);
                 arena.release(chunk);
             }
             return;
@@ -114,13 +114,18 @@ impl Emitter {
         self.pending_keep.insert((uid, dir.index() as u8));
     }
 
-    /// Whether a returned chunk was asked to be kept (asked once).
+    /// Whether a returned chunk was asked to be kept (asked once). Every
+    /// returned chunk asks, and almost none was.
+    #[inline]
     pub(super) fn take_keep(&mut self, uid: StreamUid, dir: Direction) -> bool {
-        self.pending_keep.remove(&(uid, dir.index() as u8))
+        !self.pending_keep.is_empty() && self.pending_keep.remove(&(uid, dir.index() as u8))
     }
 
     /// A stream ended: its keep requests end with it.
     pub(super) fn forget(&mut self, uid: StreamUid) {
+        if self.pending_keep.is_empty() {
+            return;
+        }
         self.pending_keep.remove(&(uid, 0));
         self.pending_keep.remove(&(uid, 1));
     }

@@ -505,7 +505,7 @@ pub(super) fn estimate_filtered_sizes(
     if !ks.hw.fdir_installed {
         return;
     }
-    let Some(conn) = ks.conn.as_ref() else { return };
+    let Some(conn) = ks.conn() else { return };
     let fwd_est = conn.dir(dir).rel_offset_of(meta.seq);
     let rev_est = conn.dir(dir.flip()).rel_offset_of(meta.ack);
     if let Some(rec) = flows.get_mut(id) {

@@ -6,7 +6,7 @@
 
 use super::hw::{FilterState, Owner};
 use super::ledger::At;
-use super::probe::{FlowProbe, StreamKState};
+use super::probe::{FlowProbe, Segments, StreamKState};
 use super::ScapKernel;
 use crate::checkpoint::{
     self, AsmImage, CheckpointError, CheckpointGlobals, CheckpointImage, ConnView, KStateView,
@@ -144,11 +144,11 @@ impl ScapKernel {
                             fdir_installed,
                             fdir_timeout_ns,
                             fdir_software_fallback,
-                            conn: ks.conn.as_deref().map(ConnView::Live),
-                            asm: ks.asm.each_ref().map(|a| {
-                                a.as_ref().map(|a| AsmImage {
-                                    committed: a.stream_offset(),
-                                    pending: a.pending_bytes(),
+                            conn: ks.conn().map(ConnView::Live),
+                            asm: [0, 1].map(|d| {
+                                ks.opened[d].then(|| AsmImage {
+                                    committed: ks.offset(d),
+                                    pending: ks.pending(d),
                                 })
                             }),
                         }
@@ -328,17 +328,22 @@ impl ScapKernel {
         );
         let reasm_cfg =
             ReasmConfig::for_mode(self.cfg.reassembly_mode).with_policy(self.cfg.overlap_policy);
-        ks.conn = ksi
-            .conn
-            .as_ref()
-            .map(|ck| Box::new(TcpConn::restore(reasm_cfg, ck)));
         let chunk_size = if s.chunk_size == 0 {
             self.cfg.chunk_size.max(1)
         } else {
             s.chunk_size as usize
         };
         let overlap = (s.overlap as usize).min(chunk_size - 1);
-        for (asm, image) in ks.asm.iter_mut().zip(&ksi.asm) {
+        // A stream gets its box back when it had one: a tracked TCP
+        // connection, or bytes assembled in some direction. A direction
+        // opened at offset 0 with nothing pending is a bit.
+        let carried = |a: &AsmImage| a.committed > 0 || !a.pending.is_empty();
+        if ksi.conn.is_some() || ksi.asm.iter().flatten().any(carried) {
+            let mut seg = Segments::new(chunk_size, overlap);
+            seg.conn = ksi.conn.as_ref().map(|ck| TcpConn::restore(reasm_cfg, ck));
+            ks.seg = Some(Box::new(seg));
+        }
+        for (d, image) in ksi.asm.iter().enumerate() {
             let Some(a) = image else { continue };
             if a.pending.len() > chunk_size {
                 return Err(CheckpointError::Corrupt(format!(
@@ -346,7 +351,11 @@ impl ScapKernel {
                     s.uid
                 )));
             }
-            let resumed = ChunkAssembler::resume(
+            ks.opened[d] = true;
+            let Some(seg) = ks.seg.as_deref_mut() else {
+                continue;
+            };
+            seg.asm[d] = ChunkAssembler::resume(
                 &mut self.place.arena,
                 chunk_size,
                 overlap,
@@ -354,7 +363,6 @@ impl ScapKernel {
                 &a.pending,
             )
             .map_err(|_| corrupt("arena exhausted restoring pending chunk of"))?;
-            *asm = Some(resumed);
         }
         let owner = Owner {
             core,

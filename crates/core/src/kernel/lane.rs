@@ -9,7 +9,7 @@
 use super::emit::Emitter;
 use super::ledger::{At, Ledger};
 use super::place::{Placement, Placer};
-use super::probe::{assembler_for, StreamKState};
+use super::probe::StreamKState;
 use crate::config::ScapConfig;
 use crate::event::{EventKind, PacketRecord};
 use crate::governor::OverloadGovernor;
@@ -165,28 +165,28 @@ impl Lane<'_> {
     ) -> Vec<PacketRecord> {
         let (ks, at, d) = (&mut *self.ks, self.at, self.dir.index());
         let len = pkt.len() as u64;
+        let seg = (ks.seg.as_deref_mut()).expect("a placed packet's stream has its box");
         if self.cfg.need_pkts && payload_len > 0 {
             let first = placed.first_off;
-            ks.pkt_records[d].push(PacketRecord {
+            seg.pkt_records[d].push(PacketRecord {
                 ts_ns: pkt.ts_ns,
                 wire_len: len as u32,
                 payload_len: payload_len as u32,
                 chunk_off: first.map_or(u32::MAX, |o| o.min(u64::from(u32::MAX)) as u32),
             });
         }
-        if let Some(asm) = ks.asm[d].as_ref() {
-            if asm.has_pending() && !ks.flush_armed[d] {
-                ks.flush_armed[d] = true;
-                let due = at.now + self.cfg.flush_timeout_ns;
-                let offset = asm.stream_offset();
-                self.place
-                    .arm_flush(at.core, due, self.id, self.dir, offset);
-            }
+        let asm = &seg.asm[d];
+        if asm.has_pending() && !ks.flush_armed[d] {
+            ks.flush_armed[d] = true;
+            let due = at.now + self.cfg.flush_timeout_ns;
+            let offset = asm.stream_offset();
+            self.place
+                .arm_flush(at.core, due, self.id, self.dir, offset);
         }
         let mut packets = Vec::new();
         if !placed.completed.is_empty() {
             ks.flush_armed[d] = false;
-            packets = std::mem::take(&mut ks.pkt_records[d]);
+            packets = std::mem::take(&mut seg.pkt_records[d]);
         }
         if placed.oom {
             self.ledger
@@ -218,7 +218,12 @@ impl Lane<'_> {
         let (at, dir) = (self.at, self.dir);
         let mut packets = Some(packets);
         for chunk in completed {
-            let mut chunk = match self.ks.kept[dir.index()].take() {
+            let kept = self
+                .ks
+                .seg
+                .as_mut()
+                .and_then(|s| s.kept[dir.index()].take());
+            let mut chunk = match kept {
                 Some(kept) => self.place.merge(self.ledger, at.core, kept, chunk),
                 None => chunk,
             };
@@ -249,7 +254,7 @@ impl Lane<'_> {
             return owed;
         };
         let payload = parsed.payload();
-        let offset = self.ks.asm[d].as_ref().map_or(0, |a| a.stream_offset());
+        let offset = self.ks.offset(d);
         let (priority, was_exceeded) =
             (self.rec.priority.min(3) as usize, self.rec.cutoff_exceeded);
         let effective = self.effective_cutoff();
@@ -266,16 +271,18 @@ impl Lane<'_> {
             return owed;
         }
 
-        // Reassemble in place: the connection tracker (allocated on the
-        // stream's first segment) hands in-order bytes to the placement
-        // sink, which writes them into the stream's chunks without
-        // anything being lifted out.
+        // Reassemble in place: the connection tracker (allocated, with
+        // the stream's box, on its first segment past the gate) hands
+        // in-order bytes to the placement sink, which writes them into
+        // the stream's chunks without anything being lifted out.
         let cfg = self.cfg;
-        let conn = (self.ks.conn).get_or_insert_with(|| {
+        self.ks.opened[d] = true;
+        let seg = self.ks.segments(self.rec);
+        let conn = seg.conn.get_or_insert_with(|| {
             let reasm = ReasmConfig::for_mode(cfg.reassembly_mode).with_policy(cfg.overlap_policy);
-            Box::new(TcpConn::new(reasm))
+            TcpConn::new(reasm)
         });
-        let asm = self.ks.asm[d].get_or_insert_with(|| assembler_for(self.rec));
+        let asm = &mut seg.asm[d];
         let copied_before = asm.bytes_copied;
         let cap = effective.unwrap_or(u64::MAX);
         let mut placed = Placement::default();
@@ -303,8 +310,9 @@ impl Lane<'_> {
         let newly_beyond = !was_exceeded && effective.is_some_and(|c| offset_after >= c);
         if newly_beyond {
             self.rec.cutoff_exceeded = true;
-            if let Some(asm) = self.ks.asm[d].as_mut() {
-                self.place.flush_tail(asm, &mut placed.completed);
+            if let Some(seg) = self.ks.seg.as_deref_mut() {
+                self.place
+                    .flush_tail(&mut seg.asm[d], &mut placed.completed);
             }
             owed.cut = Some(false);
         }
@@ -341,11 +349,12 @@ impl Lane<'_> {
         }
         let (d, len) = (self.dir.index(), pkt.len() as u64);
         let effective = self.effective_cutoff();
-        let asm = self.ks.asm[d].get_or_insert_with(|| assembler_for(self.rec));
-        let offset = asm.stream_offset();
+        self.ks.opened[d] = true;
+        let offset = self.ks.offset(d);
         // Every datagram with payload faces the gate, and a stream it
         // turned away counts as cut off whoever asked for that. No NIC
-        // filters for UDP: the next datagram meets the gate again.
+        // filters for UDP: the next datagram meets the gate again. The
+        // stream's box waits for a datagram that gets through.
         if self.gate(len, offset, effective).is_some() {
             self.rec.cutoff_exceeded = true;
             return Owed::default();
@@ -360,9 +369,8 @@ impl Lane<'_> {
         let cap = effective.unwrap_or(u64::MAX);
         let allowed = ((cap - offset) as usize).min(payload.len()) as u64;
         let mut placed = Placement::default();
-        if let Some(asm) = self.ks.asm[d].as_mut() {
-            placed.put(&mut self.place.arena, asm, cap, offset, payload);
-        }
+        let asm = &mut self.ks.segments(self.rec).asm[d];
+        placed.put(&mut self.place.arena, asm, cap, offset, payload);
         self.note_copy(offset, allowed);
         let dstats = &mut self.rec.dirs[d];
         dstats.captured_pkts += 1;
@@ -546,8 +554,7 @@ mod tests {
         let emitted = |removed: bool| -> Event {
             with_lane(None, removed, |lane| {
                 let mut chunk = lane.place.arena.alloc(64, 4096).unwrap();
-                chunk.data[..5].copy_from_slice(b"hello");
-                chunk.len = 5;
+                chunk.extend_from_slice(b"hello");
                 let packets = vec![PacketRecord {
                     ts_ns: 5,
                     wire_len: 59,

@@ -67,7 +67,7 @@ impl Placer {
     #[inline]
     pub(super) fn flush_tail(&mut self, asm: &mut ChunkAssembler, completed: &mut Vec<ChunkBuf>) {
         match asm.flush() {
-            Some(tail) if tail.len > 0 => completed.push(tail),
+            Some(tail) if !tail.is_empty() => completed.push(tail),
             Some(empty) => self.arena.release(empty),
             None => {}
         }
@@ -109,12 +109,11 @@ impl Placer {
         kept: ChunkBuf,
         next: ChunkBuf,
     ) -> ChunkBuf {
-        let total = kept.len + next.len;
+        let total = kept.len() + next.len();
         match self.arena.alloc(total.max(1), kept.start_offset) {
             Ok(mut merged) => {
-                merged.data[..kept.len].copy_from_slice(kept.bytes());
-                merged.data[kept.len..total].copy_from_slice(next.bytes());
-                merged.len = total;
+                merged.extend_from_slice(kept.bytes());
+                merged.extend_from_slice(next.bytes());
                 merged.had_error = kept.had_error || next.had_error;
                 ledger.work.k_bytes_copied += total as u64;
                 ledger

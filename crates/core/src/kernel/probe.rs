@@ -14,36 +14,91 @@ use scap_memory::{ChunkAssembler, ChunkBuf};
 use scap_reassembly::TcpConn;
 use scap_telemetry::pulse::cost;
 use scap_telemetry::{cycles_to_ns, Metric, PulseStage};
-use scap_wire::Direction;
-use std::collections::HashMap;
+use scap_wire::{Direction, IntMap};
 use std::hint::black_box;
 
-/// Per-stream kernel-side state (in the flow record's slot).
+/// Per-stream kernel-side state (in the flow record's slot): what every
+/// tracked flow needs. What only a stream that carries segments needs
+/// sits behind `seg`, allocated when the stream's first TCP segment
+/// passes the gate or its first UDP payload is placed — so a header-only
+/// flow (a cutoff-0 flow-export flow, a lone SYN) costs this much and no
+/// more (DESIGN §9.4).
 pub(crate) struct StreamKState {
     pub(super) uid: StreamUid,
-    /// Allocated on the first TCP segment, so that UDP streams do not
-    /// carry it.
-    pub(super) conn: Option<Box<TcpConn>>,
-    pub(super) asm: [Option<ChunkAssembler>; 2],
-    pub(super) pkt_records: [Vec<PacketRecord>; 2],
-    pub(super) flush_armed: [bool; 2],
     /// NIC filter bookkeeping, written by the hardware-cutoff stage only.
     pub(super) hw: FilterState,
+    pub(super) flush_armed: [bool; 2],
+    /// The direction's chunk assembler exists. A UDP datagram with
+    /// payload opens it before the gate, so a direction the gate turned
+    /// away from its first byte has one, standing at offset 0 with
+    /// nothing pending, and no box; checkpoint images show it as such.
+    pub(super) opened: [bool; 2],
+    pub(super) seg: Option<Box<Segments>>,
+}
+
+// A slot holds this inline next to the flow record, once per tracked
+// flow: growing it is a deliberate decision, not a side effect.
+const _: () = assert!(std::mem::size_of::<StreamKState>() <= 64);
+
+/// The state of a stream that carries segments.
+pub(crate) struct Segments {
+    /// TCP's connection tracker (`None` for UDP).
+    pub(super) conn: Option<TcpConn>,
+    /// Both directions' assemblers. One its direction has not opened
+    /// stands at offset 0 with nothing pending, in the record's geometry:
+    /// what opening it would build.
+    pub(super) asm: [ChunkAssembler; 2],
+    pub(super) pkt_records: [Vec<PacketRecord>; 2],
     /// Chunks held back by `scap_keep_stream_chunk` for merging.
     pub(super) kept: [Option<ChunkBuf>; 2],
+}
+
+impl Segments {
+    /// Nothing assembled yet, chunks of `chunk` bytes replaying `overlap`.
+    pub(super) fn new(chunk: usize, overlap: usize) -> Self {
+        Segments {
+            conn: None,
+            asm: [0, 1].map(|_| ChunkAssembler::new(chunk, overlap)),
+            pkt_records: [Vec::new(), Vec::new()],
+            kept: [None, None],
+        }
+    }
 }
 
 impl StreamKState {
     pub(super) fn new(uid: StreamUid) -> Self {
         StreamKState {
             uid,
-            conn: None,
-            asm: [None, None],
-            pkt_records: [Vec::new(), Vec::new()],
-            flush_armed: [false, false],
             hw: FilterState::default(),
-            kept: [None, None],
+            flush_armed: [false, false],
+            opened: [false, false],
+            seg: None,
         }
+    }
+
+    /// Stream offset of direction `d`'s next byte.
+    #[inline]
+    pub(super) fn offset(&self, d: usize) -> u64 {
+        self.seg.as_ref().map_or(0, |s| s.asm[d].stream_offset())
+    }
+
+    /// The bytes of direction `d`'s partial chunk.
+    pub(super) fn pending(&self, d: usize) -> &[u8] {
+        self.seg.as_ref().map_or(&[], |s| s.asm[d].pending_bytes())
+    }
+
+    /// The box, allocated on first use in the geometry `rec` carries.
+    #[inline]
+    pub(super) fn segments(&mut self, rec: &StreamRecord) -> &mut Segments {
+        self.seg.get_or_insert_with(|| {
+            let (chunk, overlap) = geometry(rec);
+            Box::new(Segments::new(chunk, overlap))
+        })
+    }
+
+    /// TCP's connection tracker, once the stream has one.
+    pub(super) fn conn(&self) -> Option<&TcpConn> {
+        self.seg.as_ref()?.conn.as_ref()
     }
 }
 
@@ -80,7 +135,7 @@ pub(crate) struct FlowProbe {
     /// probe's `StreamId` reaches both, nothing is hashed twice.
     pub(super) cores: Vec<FlowTable<StreamKState>>,
     /// Capture-wide uid → (core, id) for control operations.
-    uid_index: HashMap<StreamUid, (usize, StreamId)>,
+    uid_index: IntMap<StreamUid, (usize, StreamId)>,
     /// The last uid handed out (checkpointed, so uids stay unique
     /// across a warm restart).
     pub(super) uid_counter: u64,
@@ -97,7 +152,7 @@ impl FlowProbe {
             .collect();
         FlowProbe {
             cores,
-            uid_index: HashMap::new(),
+            uid_index: IntMap::default(),
             uid_counter: 0,
             lookups: 0,
             stage_scratch: StageScratch::default(),
@@ -124,10 +179,8 @@ impl FlowProbe {
             let neighbours = flows.stage_record(slot, &hk.canon);
             links.extend(neighbours.into_iter().flatten());
             if let Some(ks) = flows.stage_state(slot) {
-                let offsets = ks
-                    .asm
-                    .each_ref()
-                    .map(|a| a.as_ref().map(|a| a.stream_offset()));
+                let offsets =
+                    (ks.seg.as_ref()).map(|s| s.asm.each_ref().map(ChunkAssembler::stream_offset));
                 black_box((ks.uid, offsets));
             }
         }
@@ -171,8 +224,6 @@ impl FlowProbe {
     pub(super) fn open(&mut self, core: usize, id: StreamId) -> StreamUid {
         self.uid_counter += 1;
         let uid = self.uid_counter;
-        // Built in the slot: the state is 360 bytes, and this is the
-        // create path of every stream.
         self.cores[core].set_state(id, StreamKState::new(uid));
         self.uid_index.insert(uid, (core, id));
         uid
@@ -213,9 +264,9 @@ impl FlowProbe {
     }
 }
 
-/// A fresh chunk assembler with the geometry the stream's record carries.
+/// The chunk size and overlap the stream's record carries, made valid.
 #[inline]
-pub(super) fn assembler_for(rec: &StreamRecord) -> ChunkAssembler {
+fn geometry(rec: &StreamRecord) -> (usize, usize) {
     let chunk = rec.chunk_size.max(1) as usize;
-    ChunkAssembler::new(chunk, (rec.overlap as usize).min(chunk - 1))
+    (chunk, (rec.overlap as usize).min(chunk - 1))
 }

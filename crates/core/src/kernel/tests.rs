@@ -163,7 +163,7 @@ fn cutoff_discards_tail_and_reports_flag() {
     let mut cutoff_seen = false;
     for e in &events {
         if let EventKind::Data { chunk, .. } = &e.kind {
-            data_bytes += chunk.len;
+            data_bytes += chunk.len();
         }
         if e.stream.cutoff_exceeded {
             cutoff_seen = true;
@@ -932,18 +932,15 @@ fn mid_capture(dispatch: crate::DispatchMode) -> (ScapKernel, Vec<Packet>, usize
             let cores = k.flows.cores.iter();
             cores.flat_map(|c| c.iter().filter_map(move |r| c.state(r.id)))
         };
-        states().any(|ks| {
-            ks.asm
-                .iter()
-                .flatten()
-                .any(|a| !a.pending_bytes().is_empty())
-        }) && states().any(|ks| {
-            ks.conn.as_ref().is_some_and(|c| {
-                c.dir(Direction::Forward).buffered_bytes()
-                    + c.dir(Direction::Reverse).buffered_bytes()
-                    > 0
+        states()
+            .any(|ks| (ks.seg.iter()).any(|s| s.asm.iter().any(|a| !a.pending_bytes().is_empty())))
+            && states().any(|ks| {
+                ks.conn().is_some_and(|c| {
+                    c.dir(Direction::Forward).buffered_bytes()
+                        + c.dir(Direction::Reverse).buffered_bytes()
+                        > 0
+                })
             })
-        })
     };
     while !both(&k) {
         service_all(&mut k, &pkts[stop..stop + 1]);
@@ -1059,6 +1056,127 @@ fn a_corrupted_copy_of_the_last_image_does_not_propagate() {
     k.checkpoint_into(pkts[stop + 39].ts_ns, 2, &mut image);
     let img = CheckpointImage::decode(&image).expect("next image decodes clean");
     assert_eq!(img.to_bytes(), image);
+}
+
+/// Header-only flows pay for no box: 1,200 cutoff-0 UDP flows (every
+/// third answered) and 1,000 TCP flows that shake hands and send one
+/// segment the cutoff turns away. No UDP flow holds a box; every TCP flow
+/// holds one, its connection tracker. Each direction the gate turned
+/// away, and each TCP direction that passed only headers, has an
+/// assembler at offset 0 with nothing pending: a checkpoint shows it as
+/// such, and a kernel restored from that image keeps it a bit, no box.
+#[test]
+fn header_only_flows_hold_no_box_and_image_their_empty_assemblers() {
+    let mut k = kernel(ScapConfig {
+        cores: 2,
+        inactivity_timeout_ns: u64::MAX / 2,
+        cutoff: crate::config::CutoffPolicy {
+            default: Some(0),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let (udp_flows, tcp_flows) = (1_200u32, 1_000u32);
+    let host = |i: u32| [10, 9, (i >> 8) as u8, i as u8];
+    let server = [172, 16, 0, 1];
+    let mut pkts = Vec::new();
+    let mut ts = 0;
+    let mut at = |frame: Vec<u8>| {
+        ts += 1_000;
+        Packet::new(ts, frame)
+    };
+    for i in 0..udp_flows {
+        pkts.push(at(PacketBuilder::udp_v4(
+            host(i),
+            server,
+            4000,
+            53,
+            &[1; 40],
+        )));
+        if i % 3 == 0 {
+            pkts.push(at(PacketBuilder::udp_v4(
+                server,
+                host(i),
+                53,
+                4000,
+                &[2; 90],
+            )));
+        }
+    }
+    let ack = TcpFlags::ACK;
+    for i in 0..tcp_flows {
+        let c = host(i);
+        for (from, to, sp, dp, seq, ackn, flags, payload) in [
+            (c, server, 5000, 80, 1, 0, TcpFlags::SYN, &b""[..]),
+            (server, c, 80, 5000, 9, 2, TcpFlags::SYN | ack, b""),
+            (c, server, 5000, 80, 2, 10, ack, b""),
+            (c, server, 5000, 80, 2, 10, ack, &[3; 300]),
+        ] {
+            let frame = PacketBuilder::tcp_v4(from, to, sp, dp, seq, ackn, flags, payload);
+            pkts.push(at(frame));
+        }
+    }
+    let now = pkts.last().unwrap().ts_ns;
+    let events = drive(&mut k, &pkts);
+    assert_eq!(events.iter().map(Event::data_len).sum::<usize>(), 0);
+
+    // (is UDP, answered) per uid, and each stream's state.
+    let check = |k: &ScapKernel| {
+        let mut seen = (0, 0);
+        for core in &k.flows.cores {
+            for rec in core.iter() {
+                let ks = core.state(rec.id).expect("no tombstones here");
+                if rec.key.transport() == Transport::Udp {
+                    seen.0 += 1;
+                    assert!(ks.seg.is_none(), "UDP uid {} holds a box", ks.uid);
+                    let answered = rec.dirs[Direction::Reverse.index()].total_pkts > 0;
+                    assert_eq!(ks.opened, [true, answered], "uid {}", ks.uid);
+                } else {
+                    seen.1 += 1;
+                    assert!(ks.conn().is_some(), "TCP uid {} has no tracker", ks.uid);
+                    assert_eq!(ks.opened, [true, true]);
+                    assert_eq!((ks.offset(0), ks.offset(1)), (0, 0));
+                }
+            }
+        }
+        assert_eq!(seen, (udp_flows, tcp_flows));
+    };
+    check(&k);
+
+    let bytes = k.checkpoint_bytes(now, 1);
+    let img = CheckpointImage::decode(&bytes).expect("image decodes");
+    let empty = Some(crate::checkpoint::AsmImage {
+        committed: 0,
+        pending: Vec::new(),
+    });
+    let mut gated = 0;
+    for s in &img.streams {
+        let ksi = s.kstate.as_ref().expect("a live stream");
+        let udp = s.key.transport() == Transport::Udp;
+        assert_eq!(ksi.conn.is_none(), udp, "uid {}", s.uid);
+        for d in 0..2 {
+            if udp && s.dirs[d].total_pkts == 0 {
+                assert_eq!(ksi.asm[d], None, "uid {} dir {d}", s.uid);
+            } else {
+                assert_eq!(ksi.asm[d], empty, "uid {} dir {d}", s.uid);
+                gated += 1;
+            }
+        }
+    }
+    assert_eq!(gated, udp_flows + udp_flows.div_ceil(3) + 2 * tcp_flows);
+
+    // Restored, the flows are as small as before and image the same.
+    let mut restored = ScapKernel::from_image(img, None).expect("restore");
+    check(&restored);
+    let again = CheckpointImage::decode(&restored.checkpoint_bytes(now, 2)).unwrap();
+    let before = CheckpointImage::decode(&bytes).unwrap();
+    let kstates = |img: &CheckpointImage| -> Vec<_> {
+        img.streams
+            .iter()
+            .map(|s| (s.uid, s.kstate.clone()))
+            .collect()
+    };
+    assert_eq!(kstates(&again), kstates(&before));
 }
 
 /// The traffic of one differential case, burst by burst: a preload that

@@ -87,9 +87,10 @@ impl ScapKernel {
             let d = dir.index();
             self.ledger.work.k_timer_ops += 1;
             ks.flush_armed[d] = false;
-            let Some(asm) = ks.asm[d].as_mut() else {
+            let Some(seg) = ks.seg.as_deref_mut() else {
                 continue;
             };
+            let asm = &mut seg.asm[d];
             if !asm.has_pending() || asm.stream_offset() < armed_offset {
                 continue;
             }
@@ -98,7 +99,7 @@ impl ScapKernel {
             if tail.is_empty() {
                 continue;
             }
-            let packets = std::mem::take(&mut ks.pkt_records[d]);
+            let packets = std::mem::take(&mut seg.pkt_records[d]);
             let uid = ks.uid;
             let mut lane = Lane {
                 cfg: &self.cfg,
@@ -172,15 +173,17 @@ impl ScapKernel {
             }
             let mut freed: Vec<ChunkBuf> = Vec::new();
             if let Some(ks) = ks {
-                for d in [0usize, 1] {
-                    freed.extend(ks.kept[d].take());
-                    freed.extend(ks.asm[d].as_mut().and_then(ChunkAssembler::flush));
-                    ks.flush_armed[d] = false;
+                ks.flush_armed = [false, false];
+                if let Some(seg) = ks.seg.as_deref_mut() {
+                    for d in [0usize, 1] {
+                        freed.extend(seg.kept[d].take());
+                        freed.extend(seg.asm[d].flush());
+                    }
                 }
             }
             let (at, why) = (At::new(c, now, uid), DropReason::PriorityEvict);
             for chunk in freed {
-                let lost = chunk.len as u64;
+                let lost = chunk.len() as u64;
                 self.ledger.dropped(at, FlightLayer::Memory, why, 0, lost);
                 self.place.arena.release(chunk);
             }
@@ -237,33 +240,43 @@ impl ScapKernel {
         let at = At::new(core, now, ks.uid);
         self.flows.close(ks.uid);
         self.emit.forget(ks.uid);
-        for kept in ks.kept.iter_mut().filter_map(Option::take) {
+        // The box goes with the stream: what it holds is flushed or
+        // released here.
+        let mut seg = ks.seg.take();
+        for kept in seg
+            .iter_mut()
+            .flat_map(|s| s.kept.iter_mut().filter_map(Option::take))
+        {
             self.place.arena.release(kept);
         }
         for dir in [Direction::Forward, Direction::Reverse] {
             let d = dir.index();
             let mut completed: Vec<ChunkBuf> = Vec::new();
-            let mut asm = ks.asm[d].take();
-            if let Some(conn) = ks.conn.as_mut() {
-                // Drain buffered out-of-order data.
-                let (chunk_size, overlap) = (self.cfg.chunk_size, self.cfg.overlap);
-                let a = asm.get_or_insert_with(|| ChunkAssembler::new(chunk_size, overlap));
-                let arena = &mut self.place.arena;
-                let mut copied = 0u64;
-                conn.dir_mut(dir).flush(&mut |_, data: &[u8]| {
-                    copied += data.len() as u64;
-                    let _ = a.append(arena, data, &mut completed);
-                });
-                self.ledger.work.k_bytes_copied += copied;
-                self.ledger
-                    .tele
-                    .add(core, Metric::KernelBytesCopied, copied);
-                self.ledger.delivered(core, 0, copied);
-            }
-            if let Some(a) = asm.as_mut() {
+            let mut packets = Vec::new();
+            if let Some(seg) = seg.as_deref_mut() {
+                let a = &mut seg.asm[d];
+                if let Some(conn) = seg.conn.as_mut() {
+                    // Drain buffered out-of-order data, into a fresh
+                    // assembler of the capture's geometry when the
+                    // direction had none.
+                    if !ks.opened[d] {
+                        *a = ChunkAssembler::new(self.cfg.chunk_size, self.cfg.overlap);
+                    }
+                    let arena = &mut self.place.arena;
+                    let mut copied = 0u64;
+                    conn.dir_mut(dir).flush(&mut |_, data: &[u8]| {
+                        copied += data.len() as u64;
+                        let _ = a.append(arena, data, &mut completed);
+                    });
+                    self.ledger.work.k_bytes_copied += copied;
+                    self.ledger
+                        .tele
+                        .add(core, Metric::KernelBytesCopied, copied);
+                    self.ledger.delivered(core, 0, copied);
+                }
                 self.place.flush_tail(a, &mut completed);
+                packets = std::mem::take(&mut seg.pkt_records[d]);
             }
-            let packets = std::mem::take(&mut ks.pkt_records[d]);
             let mut lane = Lane {
                 cfg: &self.cfg,
                 governor: &self.governor,

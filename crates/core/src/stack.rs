@@ -328,7 +328,7 @@ pub mod apps {
                             }
                             let start =
                                 (pr.chunk_off as u64).saturating_sub(chunk.start_offset) as usize;
-                            let end = (start + pr.payload_len as usize).min(chunk.len);
+                            let end = (start + pr.payload_len as usize).min(chunk.len());
                             if start >= end {
                                 continue;
                             }
@@ -337,13 +337,13 @@ pub mod apps {
                         }
                         self.matches += n;
                         Work {
-                            u_bytes_scanned: chunk.len as u64,
+                            u_bytes_scanned: chunk.len() as u64,
                             ..Default::default()
                         }
                     } else {
                         self.matches += self.ac.count(st, chunk.bytes());
                         Work {
-                            u_bytes_scanned: chunk.len as u64,
+                            u_bytes_scanned: chunk.len() as u64,
                             ..Default::default()
                         }
                     }

@@ -508,7 +508,7 @@ impl TenantEngine {
             t.stats.events += 1;
             let (kind, dir, len) = match &ev.kind {
                 EventKind::Created => (0u8, None, 0u64),
-                EventKind::Data { dir, chunk, .. } => (1, Some(*dir), chunk.len as u64),
+                EventKind::Data { dir, chunk, .. } => (1, Some(*dir), chunk.len() as u64),
                 EventKind::Terminated => (2, None, 0),
             };
             if kind != 1 {

@@ -22,11 +22,11 @@ impl std::error::Error for OutOfMemory {}
 /// An allocated block holding (part of) one stream chunk.
 #[derive(Debug)]
 pub struct ChunkBuf {
-    /// Block storage; capacity is the allocation class size.
-    pub data: Box<[u8]>,
-    /// Valid bytes written so far.
-    pub len: usize,
-    /// Stream offset of `data[0]` (for reporting and packet records).
+    /// The valid bytes; the capacity is the allocation class size. Only
+    /// written bytes exist, so a fresh block is never zero-filled.
+    data: Vec<u8>,
+    /// Stream offset of the chunk's first byte (for reporting and packet
+    /// records).
     pub start_offset: u64,
     /// True when reassembly noted an error inside this chunk (fast mode).
     pub had_error: bool,
@@ -38,16 +38,35 @@ pub struct ChunkBuf {
 impl ChunkBuf {
     /// The valid payload of the chunk.
     pub fn bytes(&self) -> &[u8] {
-        &self.data[..self.len]
+        &self.data
+    }
+
+    /// Valid bytes written so far.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Nothing written yet.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
     }
 
     /// Remaining capacity.
     pub fn room(&self) -> usize {
-        self.data.len() - self.len
+        self.data.capacity() - self.data.len()
+    }
+
+    /// Append `bytes` behind the valid ones; they must fit in [`room`].
+    ///
+    /// [`room`]: ChunkBuf::room
+    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+        assert!(bytes.len() <= self.room(), "chunk block overflow");
+        self.data.extend_from_slice(bytes);
     }
 }
 
 use scap_telemetry::{Metric, PlainRegistry};
+use scap_wire::IntMap;
 
 /// The block allocator.
 #[derive(Debug)]
@@ -56,7 +75,7 @@ pub struct Arena {
     used: usize,
     /// Free lists keyed by block size (blocks are reused exactly-sized;
     /// chunk sizes are few in practice — one per application config).
-    freelists: std::collections::HashMap<usize, Vec<Box<[u8]>>>,
+    freelists: IntMap<usize, Vec<Vec<u8>>>,
     /// Lifetime counters for diagnostics and the cost model.
     pub allocs: u64,
     /// Blocks handed back.
@@ -79,7 +98,7 @@ impl Arena {
         Arena {
             budget,
             used: 0,
-            freelists: std::collections::HashMap::new(),
+            freelists: IntMap::default(),
             allocs: 0,
             releases: 0,
             failures: 0,
@@ -138,7 +157,7 @@ impl Arena {
         }
         let data = match self.freelists.get_mut(&size).and_then(Vec::pop) {
             Some(b) => b,
-            None => vec![0u8; size].into_boxed_slice(),
+            None => Vec::with_capacity(size),
         };
         self.used += size;
         self.peak_used = self.peak_used.max(self.used);
@@ -146,7 +165,6 @@ impl Arena {
         self.tele.inc(0, Metric::ArenaAllocs);
         Ok(ChunkBuf {
             data,
-            len: 0,
             start_offset,
             had_error: false,
             sim_addr: 0,
@@ -155,11 +173,13 @@ impl Arena {
 
     /// Return a block to the arena (after the worker consumed the chunk).
     pub fn release(&mut self, chunk: ChunkBuf) {
-        let size = chunk.data.len();
+        let mut data = chunk.data;
+        let size = data.capacity();
         self.used -= size;
         self.releases += 1;
         self.tele.inc(0, Metric::ArenaReleases);
-        self.freelists.entry(size).or_default().push(chunk.data);
+        data.clear();
+        self.freelists.entry(size).or_default().push(data);
     }
 }
 
@@ -192,23 +212,25 @@ mod tests {
     #[test]
     fn freed_blocks_are_reused() {
         let mut a = Arena::new(1 << 20);
-        let c = a.alloc(8192, 0).unwrap();
+        let mut c = a.alloc(8192, 0).unwrap();
+        c.extend_from_slice(&[7; 100]);
         let ptr = c.data.as_ptr();
         a.release(c);
         let c2 = a.alloc(8192, 100).unwrap();
         assert_eq!(c2.data.as_ptr(), ptr, "block not recycled");
         assert_eq!(c2.start_offset, 100);
-        assert_eq!(c2.len, 0);
+        // Recycled empty, with the whole class to fill.
+        assert_eq!((c2.len(), c2.room()), (0, 8192));
+        assert_eq!(a.used(), 8192);
     }
 
     #[test]
     fn chunk_buf_accessors() {
         let mut a = Arena::new(1 << 16);
         let mut c = a.alloc(100, 7).unwrap();
-        c.data[..3].copy_from_slice(b"abc");
-        c.len = 3;
+        c.extend_from_slice(b"abc");
         assert_eq!(c.bytes(), b"abc");
-        assert_eq!(c.room(), 97);
+        assert_eq!((c.len(), c.room()), (3, 97));
     }
 
     #[test]

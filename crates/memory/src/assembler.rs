@@ -76,8 +76,7 @@ impl ChunkAssembler {
         };
         if !pending.is_empty() {
             let mut cur = arena.alloc(chunk_size, committed - pending.len() as u64)?;
-            cur.data[..pending.len()].copy_from_slice(pending);
-            cur.len = pending.len();
+            cur.extend_from_slice(pending);
             asm.cur = Some(cur);
         }
         Ok(asm)
@@ -100,12 +99,12 @@ impl ChunkAssembler {
 
     /// True when a partial chunk is buffered.
     pub fn has_pending(&self) -> bool {
-        self.cur.as_ref().is_some_and(|c| c.len > 0)
+        self.cur.as_ref().is_some_and(|c| !c.is_empty())
     }
 
     /// Bytes currently buffered in the partial chunk.
     pub fn pending_len(&self) -> usize {
-        self.cur.as_ref().map_or(0, |c| c.len)
+        self.cur.as_ref().map_or(0, ChunkBuf::len)
     }
 
     /// Append in-order payload. Completed chunks are pushed to `out`.
@@ -125,8 +124,7 @@ impl ChunkAssembler {
             }
             let cur = self.cur.as_mut().expect("just ensured");
             let take = data.len().min(cur.room());
-            cur.data[cur.len..cur.len + take].copy_from_slice(&data[..take]);
-            cur.len += take;
+            cur.extend_from_slice(&data[..take]);
             self.bytes_copied += take as u64;
             self.written += take as u64;
             data = &data[take..];
@@ -134,7 +132,7 @@ impl ChunkAssembler {
                 let full = self.cur.take().expect("full chunk present");
                 // Start the next chunk with the overlap tail of this one.
                 if self.overlap > 0 {
-                    let tail_start = full.len - self.overlap;
+                    let tail_start = full.len() - self.overlap;
                     let mut next = arena
                         .alloc(self.chunk_size, full.start_offset + tail_start as u64)
                         .inspect_err(|_| {
@@ -143,8 +141,7 @@ impl ChunkAssembler {
                         });
                     match next.as_mut() {
                         Ok(next_buf) => {
-                            next_buf.data[..self.overlap].copy_from_slice(&full.data[tail_start..]);
-                            next_buf.len = self.overlap;
+                            next_buf.extend_from_slice(&full.bytes()[tail_start..]);
                             self.bytes_copied += self.overlap as u64;
                             self.cur = Some(next.unwrap());
                         }
@@ -174,7 +171,7 @@ impl ChunkAssembler {
     /// Returns `None` when nothing is buffered.
     pub fn flush(&mut self) -> Option<ChunkBuf> {
         let c = self.cur.take()?;
-        if c.len == 0 {
+        if c.is_empty() {
             // An empty block (e.g. only overlap bytes pending with
             // overlap = 0) is not worth an event; the caller releases it.
             return Some(c);
@@ -223,7 +220,7 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(asm.pending_len(), 100);
         let c = asm.flush().unwrap();
-        assert_eq!(c.len, 100);
+        assert_eq!(c.len(), 100);
         assert_eq!(c.bytes(), &[9u8; 100][..]);
         assert!(asm.flush().is_none());
     }
@@ -282,7 +279,7 @@ mod tests {
         assert!(asm.append(&mut a, &[0u8; 200], &mut out).is_err());
         // The full first chunk was still delivered.
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].len, 128);
+        assert_eq!(out[0].len(), 128);
     }
 
     #[test]
@@ -316,14 +313,14 @@ mod tests {
                 asm.append(&mut a, piece, &mut out).unwrap();
             }
             if let Some(t) = asm.flush() {
-                if t.len > 0 { out.push(t); }
+                if !t.is_empty() { out.push(t); }
             }
             // Strip each chunk's overlap prefix (except the first) and
             // concatenate: must equal the input.
             let mut got = Vec::new();
             for c in &out {
                 let skip = (got.len() as u64).saturating_sub(c.start_offset) as usize;
-                prop_assert!(skip <= c.len);
+                prop_assert!(skip <= c.len());
                 got.extend_from_slice(&c.bytes()[skip..]);
             }
             prop_assert_eq!(got, data);

@@ -38,6 +38,9 @@ mod tests {
         // Two full 4 KB chunks completed; the rest is still assembling.
         assert_eq!(done.len(), 2);
         let tail = asm.flush().unwrap();
-        assert_eq!(done.iter().map(|c| c.len).sum::<usize>() + tail.len, 10_000);
+        assert_eq!(
+            done.iter().map(|c| c.len()).sum::<usize>() + tail.len(),
+            10_000
+        );
     }
 }

@@ -15,13 +15,16 @@
 //!
 //! The crate also provides the TCP sequence-number arithmetic ([`seq`])
 //! and the canonical bidirectional flow key ([`FlowKey`]) that the flow
-//! table, NIC RSS/FDIR emulation and reassembly engine all share.
+//! table, NIC RSS/FDIR emulation and reassembly engine all share, and the
+//! cheap hasher for the integer keys the capture assigns itself
+//! ([`int_hash`]).
 
 pub mod builder;
 pub mod checksum;
 pub mod ethernet;
 pub mod flow_key;
 pub mod icmp;
+pub mod int_hash;
 pub mod ipv4;
 pub mod ipv6;
 pub mod seq;
@@ -32,6 +35,7 @@ pub use builder::PacketBuilder;
 pub use ethernet::{EtherType, EthernetFrame, MacAddr};
 pub use flow_key::{splitmix64, Direction, FlowKey, IpAddrBytes, Transport};
 pub use icmp::IcmpPacket;
+pub use int_hash::{IntHasher, IntMap, IntSet};
 pub use ipv4::Ipv4Packet;
 pub use ipv6::Ipv6Packet;
 pub use seq::{seq_add, seq_diff, seq_ge, seq_gt, seq_le, seq_lt, SeqNum};

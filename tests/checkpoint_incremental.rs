@@ -19,14 +19,16 @@
 
 use proptest::prelude::*;
 use rand::Rng;
+use scap::checkpoint::AsmImage;
 use scap::checkpoint::CheckpointImage;
 use scap::{
     ControlOp, Direction, Event, EventKind, OffloadAction, OffloadRule, ScapConfig, ScapKernel,
     StreamUid,
 };
+use scap_filter::Filter;
 use scap_trace::{CampusMix, CampusMixConfig, Packet};
-use scap_wire::{parse_frame, PacketBuilder, TcpFlags};
-use std::collections::BTreeMap;
+use scap_wire::{parse_frame, FlowKey, PacketBuilder, TcpFlags};
+use std::collections::{BTreeMap, HashMap};
 
 /// What happens between two packets of a scenario.
 #[derive(Debug, Clone, Copy)]
@@ -36,6 +38,9 @@ enum Op {
     Control { kind: u8, pick: usize, value: u64 },
     /// Program an application rule for the flow of the `pick`-th packet.
     Offload { pick: usize, action: u8 },
+    /// `KeepChunk` in the packet's direction of the stream the `pick`-th
+    /// packet belongs to, if it is live.
+    Keep { pick: usize },
     /// Take a checkpoint (if this replay takes the one with this ordinal).
     Checkpoint(usize),
 }
@@ -93,13 +98,40 @@ fn churn(base: u32, n: u32, t0: u64, gap: u64) -> Vec<Packet> {
     out
 }
 
-/// Campus traffic plus two waves of short sessions, with control
-/// operations, application offload rules and checkpoints scattered over
-/// it. With `expiring`, the inactivity timeout is a quarter of the trace
-/// and the waves are further apart than that: the first wave's
-/// tombstones and lone SYNs expire, and the second wave takes over their
-/// pool slots. Without, no stream is ever idle long enough to expire, and
-/// no chunk is kept for merging.
+/// UDP flows that exchange a datagram each way every `gap` from `t0` to
+/// `t1`: the flows of `port` 5353 meet a cutoff of 0 (flow export: each
+/// direction has an assembler that never takes a byte, and the stream
+/// never gets a box), the others carry data from their first datagram.
+fn datagrams(t0: u64, t1: u64, gap: u64) -> Vec<Packet> {
+    let mut out = Vec::new();
+    let s = [172, 20, 0, 2];
+    for (i, port) in [5353u16, 5353, 5353, 5004, 5004, 5004]
+        .into_iter()
+        .enumerate()
+    {
+        let c = [10, 78, 0, i as u8];
+        let mut ts = t0 + i as u64 * gap / 6;
+        let mut n = 0u8;
+        while ts < t1 {
+            n = n.wrapping_add(1);
+            let ask = PacketBuilder::udp_v4(c, s, 30_000, port, &[n; 180]);
+            out.push(Packet::new(ts, ask));
+            let answer = PacketBuilder::udp_v4(s, c, port, 30_000, &[!n; 420]);
+            out.push(Packet::new(ts + gap / 2, answer));
+            ts += gap;
+        }
+    }
+    out
+}
+
+/// Campus traffic plus two waves of short sessions and a few long UDP
+/// flows, with control operations (`KeepChunk` requests among them),
+/// application offload rules and checkpoints scattered over it; half the
+/// scenarios deliver packet records. With `expiring`, the inactivity
+/// timeout is a quarter of the trace and the waves are further apart than
+/// that: the first wave's tombstones and lone SYNs expire, and the second
+/// wave takes over their pool slots. Without, no stream is ever idle long
+/// enough to expire.
 fn scenario(seed: u64, expiring: bool) -> (Scenario, proptest::TestRng) {
     use proptest::TestSeedableRng;
     let mut rng = proptest::TestRng::seed_from_u64(seed);
@@ -117,6 +149,7 @@ fn scenario(seed: u64, expiring: bool) -> (Scenario, proptest::TestRng) {
     let span = (t1 - t0).max(8_000_000);
     trace.extend(churn(0, 40, t0 + span / 16, span / 4_000));
     trace.extend(churn(1_000, 40, t0 + span * 3 / 4, span / 4_000));
+    trace.extend(datagrams(t0, t1, span / 24));
     trace.sort_by_key(|p| p.ts_ns);
 
     let mut cfg = ScapConfig {
@@ -133,11 +166,14 @@ fn scenario(seed: u64, expiring: bool) -> (Scenario, proptest::TestRng) {
         } else {
             scap::DispatchMode::Classic
         },
+        need_pkts: rng.random(),
         ..ScapConfig::default()
     };
     // Low enough that the larger campus streams trip it and the kernel
     // installs its own FDIR filters / offload drop rules.
     cfg.cutoff.default = Some(rng.random_range(4_000..40_000u64));
+    let export = Filter::new("udp port 5353").expect("a valid filter");
+    cfg.cutoff.classes.push((export, 0));
 
     let n = trace.len();
     let mut ops: Vec<(usize, Op)> = Vec::new();
@@ -162,6 +198,15 @@ fn scenario(seed: u64, expiring: bool) -> (Scenario, proptest::TestRng) {
                 action: rng.random_range(0..if expiring { 3u8 } else { 2 }),
             },
         ));
+    }
+    // A chunk held back for merging is not part of an image: a resumed
+    // capture delivers the next chunk alone, not the pair concatenated.
+    // Only images, not resumed bytes, are compared with it.
+    if expiring {
+        for _ in 0..6 {
+            let (at, pick) = (rng.random_range(0..n), rng.random_range(0..n));
+            ops.push((at, Op::Keep { pick }));
+        }
     }
     // Checkpoints at random indices, one pair back to back with nothing
     // in between, and one after the last packet (behind both waves, so
@@ -198,23 +243,27 @@ fn scenario(seed: u64, expiring: bool) -> (Scenario, proptest::TestRng) {
     (sc, rng)
 }
 
-/// What the application has seen so far: the uids created, in order, and
-/// every delivered byte at its stream offset.
+/// What the application has seen so far: the uids created, in order (and
+/// the newest per flow), and every delivered byte at its stream offset.
 #[derive(Clone, Default, PartialEq, Debug)]
 struct Seen {
     created: Vec<StreamUid>,
+    by_key: HashMap<FlowKey, StreamUid>,
     bytes: BTreeMap<(StreamUid, usize), Vec<Option<u8>>>,
 }
 
 impl Seen {
     fn on_event(&mut self, k: &mut ScapKernel, ev: Event) {
         match &ev.kind {
-            EventKind::Created => self.created.push(ev.stream.uid),
+            EventKind::Created => {
+                self.created.push(ev.stream.uid);
+                self.by_key.insert(ev.stream.key, ev.stream.uid);
+            }
             EventKind::Data { dir, chunk, .. } => {
                 let have = self.bytes.entry((ev.stream.uid, dir.index())).or_default();
                 let at = chunk.start_offset as usize;
-                if have.len() < at + chunk.len {
-                    have.resize(at + chunk.len, None);
+                if have.len() < at + chunk.len() {
+                    have.resize(at + chunk.len(), None);
                 }
                 for (slot, &b) in have[at..].iter_mut().zip(chunk.bytes()) {
                     *slot = Some(b);
@@ -316,6 +365,15 @@ impl Replay {
                     .kernel
                     .offload_install(OffloadRule::new(key, action, 1));
             }
+            Op::Keep { pick } => {
+                let Some(key) = parse_frame(&sc.trace[pick].frame).ok().and_then(|p| p.key) else {
+                    return;
+                };
+                let (canon, dir) = key.canonical();
+                if let Some(&uid) = self.seen.by_key.get(&canon) {
+                    self.kernel.control(ControlOp::KeepChunk(uid, dir));
+                }
+            }
             Op::Checkpoint(ordinal) => {
                 if take(ordinal) {
                     self.checkpoint(ordinal, pos);
@@ -396,6 +454,19 @@ proptest! {
         let last = CheckpointImage::decode(&all.images.last().unwrap().image).unwrap();
         prop_assert!(last.streams.iter().any(|s| s.kstate.is_none()));
         prop_assert!(last.streams.iter().any(|s| s.kstate.is_some()));
+        // … and the flow-export streams sit in the images with both
+        // directions opened and empty, next to UDP streams that carried
+        // data.
+        let images: Vec<_> = (all.images.iter())
+            .map(|t| CheckpointImage::decode(&t.image).unwrap())
+            .collect();
+        let udp = || {
+            let streams = images.iter().flat_map(|img| &img.streams);
+            streams.filter_map(|s| s.kstate.as_ref().filter(|ks| ks.conn.is_none()))
+        };
+        let empty = Some(AsmImage { committed: 0, pending: Vec::new() });
+        prop_assert!(udp().any(|ks| ks.asm == [empty.clone(), empty.clone()]));
+        prop_assert!(udp().any(|ks| ks.asm.iter().flatten().any(|a| a.committed > 0)));
 
         // Restore one of the images. The first image the restored kernel
         // takes has nothing to copy from; the later ones do, and each is

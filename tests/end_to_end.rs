@@ -206,7 +206,7 @@ fn keep_chunk_merges_into_next_delivery() {
     let EventKind::Data { chunk, dir, .. } = ev1.kind else {
         unreachable!()
     };
-    assert_eq!(chunk.len, 1024);
+    assert_eq!(chunk.len(), 1024);
     assert_eq!(chunk.start_offset, 0);
     assert_eq!(dir, ev1.stream.first_dir);
     // scap_keep_stream_chunk + chunk return.
@@ -226,7 +226,7 @@ fn keep_chunk_merges_into_next_delivery() {
         chunk.start_offset, 0,
         "merged chunk restarts at the kept offset"
     );
-    assert_eq!(chunk.len, 2048, "kept + next chunk");
+    assert_eq!(chunk.len(), 2048, "kept + next chunk");
     assert_eq!(&chunk.bytes()[..1024], &[b'a'; 1024][..]);
     assert_eq!(&chunk.bytes()[1024..], &[b'b'; 1024][..]);
     let _ = Direction::Forward;
