@@ -43,6 +43,13 @@ cargo test -q --release -p scap-bench --test checkpoint_incremental
 # empty assembler. (`StreamKState`'s size is a const assertion in
 # kernel/probe.rs: inline growth does not build.)
 cargo test -q --release -p scap --lib header_only_flows_hold_no_box
+# A record that fits its flow: a stream's cutoff is its class's unless an
+# application override (kept with its segments) says otherwise, and a
+# reload gives no stream a box; image → restore → image is byte-identical
+# for every kind of stream, what the record no longer holds included.
+# (`StreamRecord` ≤ 160 B and `StreamKState` ≤ 24 B are const assertions.)
+cargo test -q --release -p scap --lib stream_overrides_widen_narrow_reload_and_discard
+cargo test -q --release -p scap --lib image_restore_image_is_byte_identical
 
 echo "== staged bursts against per-packet dispatch, release profile =="
 # Overflow checks and `debug_assert!`s are compiled out here and the

@@ -280,10 +280,6 @@ impl<A: BaselineApp> UserStack<A> {
                         appended as usize,
                     );
                 }
-                if outcome.data.delivered > 0 || outcome.data.buffered > 0 {
-                    rec.dirs[dir.index()].captured_pkts += 1;
-                    rec.dirs[dir.index()].captured_bytes += appended;
-                }
                 if self.cfg.cutoff.is_some() && appended < outcome.data.delivered {
                     self.stats.discarded_bytes += outcome.data.delivered - appended;
                 }
@@ -309,8 +305,6 @@ impl<A: BaselineApp> UserStack<A> {
             ust.buf[dir.index()].extend_from_slice(&payload[..take]);
             self.buffered_bytes += take;
             work.u_bytes_copied += take as u64;
-            rec.dirs[dir.index()].captured_pkts += 1;
-            rec.dirs[dir.index()].captured_bytes += take as u64;
         }
 
         // Deliver chunk-sized pieces to the application.
@@ -393,8 +387,7 @@ impl<A: BaselineApp> UserStack<A> {
             if expired.is_empty() {
                 break;
             }
-            for rec in expired {
-                let id = rec.id;
+            for (id, rec) in expired {
                 if let Some(ust) = self.flows.take_state(id) {
                     // Reinstate briefly so finish_stream can read totals.
                     // (The record is already removed; use its values.)
@@ -521,7 +514,7 @@ impl<A: BaselineApp> CaptureStack for UserStack<A> {
             self.process_slot(&slot.packet, slot.captured, slot.addr, now_ns);
         }
         // Close every remaining stream.
-        let ids: Vec<StreamId> = self.flows.iter().map(|r| r.id).collect();
+        let ids: Vec<StreamId> = self.flows.iter().map(|(id, _)| id).collect();
         let mut work = Work::default();
         for id in ids {
             if let Some(ust) = self.flows.take_state(id) {

@@ -258,7 +258,9 @@ pub struct StreamImage<K = KStateImage> {
     pub errors: u8,
     /// PPL priority.
     pub priority: u8,
-    /// Per-direction cutoffs.
+    /// Per-direction cutoffs in force: the stream's class's under the
+    /// image's configuration, or an application's (`[None, None]` on a
+    /// TIME_WAIT tombstone).
     pub cutoff: [Option<u64>; 2],
     /// A cutoff already tripped.
     pub cutoff_exceeded: bool,
@@ -266,13 +268,18 @@ pub struct StreamImage<K = KStateImage> {
     pub discarded: bool,
     /// Per-direction byte/packet counters.
     pub dirs: [DirStats; 2],
-    /// Per-stream chunk-size override (0 = socket default).
+    /// Per-stream chunk size: the socket's unless an application set
+    /// its own (0 on a TIME_WAIT tombstone, and read as the socket's).
     pub chunk_size: u32,
-    /// Per-stream chunk-overlap override.
+    /// Per-stream chunk overlap, likewise.
     pub overlap: u32,
-    /// Per-stream reassembly-policy override.
+    /// Per-stream reassembly-policy override. An image field carried
+    /// through: only a restore writes it, and reassembly follows the
+    /// socket's `overlap_policy` whatever it says.
     pub reassembly_policy: Option<u8>,
-    /// Cumulative user processing time charged to the stream (ns).
+    /// Cumulative user processing time charged to the stream (ns). An
+    /// image field carried through: only a restore writes it, nothing
+    /// charges the §3.2 processing time.
     pub processing_time_ns: u64,
     /// Chunks delivered so far.
     pub chunks: u64,

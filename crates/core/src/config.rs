@@ -6,7 +6,7 @@ use scap_faults::FaultPlan;
 use scap_filter::Filter;
 use scap_memory::PplConfig;
 use scap_reassembly::{OverlapPolicy, ReassemblyMode};
-use scap_wire::{Direction, FlowKey};
+use scap_wire::FlowKey;
 
 /// Stream cutoffs: default, per-direction, and per-class (§2.1).
 ///
@@ -27,15 +27,24 @@ pub struct CutoffPolicy {
 impl CutoffPolicy {
     /// Effective per-direction cutoffs for a new stream.
     pub fn effective(&self, key: &FlowKey) -> [Option<u64>; 2] {
-        for (filter, value) in &self.classes {
-            if filter.matches_key(key) || filter.matches_key(&key.reversed()) {
-                return [Some(*value), Some(*value)];
-            }
+        let class = self.class_of(key);
+        [0, 1].map(|d| self.class_cutoff(class, d))
+    }
+
+    /// The first class matching `key` (in either direction), by index.
+    pub fn class_of(&self, key: &FlowKey) -> Option<usize> {
+        let matches = |f: &Filter| f.matches_key(key) || f.matches_key(&key.reversed());
+        self.classes.iter().position(|(f, _)| matches(f))
+    }
+
+    /// The cutoff of direction `d` (a `Direction::index`) for a stream
+    /// of class `class` (`None`: no class matched), which is the
+    /// direction's or the default cutoff.
+    pub fn class_cutoff(&self, class: Option<usize>, d: usize) -> Option<u64> {
+        match class.and_then(|c| self.classes.get(c)) {
+            Some(&(_, value)) => Some(value),
+            None => self.per_direction[d].or(self.default),
         }
-        [
-            self.per_direction[Direction::Forward.index()].or(self.default),
-            self.per_direction[Direction::Reverse.index()].or(self.default),
-        ]
     }
 
     /// True when no cutoff can ever apply (fast-path check).
@@ -349,7 +358,7 @@ impl Default for ScapConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scap_wire::Transport;
+    use scap_wire::{Direction, Transport};
 
     fn key(port: u16) -> FlowKey {
         FlowKey::new_v4([10, 0, 0, 1], [10, 0, 0, 2], 40000, port, Transport::Tcp)

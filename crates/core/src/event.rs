@@ -56,7 +56,10 @@ pub struct StreamSnapshot {
     pub last_ts_ns: u64,
     /// Chunks delivered so far (`sd->chunks`).
     pub chunks: u64,
-    /// Cumulative processing time previously charged (`sd->processing_time`).
+    /// Cumulative processing time previously charged
+    /// (`sd->processing_time`). An image field carried through: nothing
+    /// here charges the §3.2 processing time, so it is 0 unless a
+    /// restored checkpoint image carried a value.
     pub processing_time_ns: u64,
     /// Bytes skipped in the warm-restart blackout window (non-zero only
     /// on streams carrying [`StreamErrors::RESUMED`]).

@@ -49,11 +49,11 @@ use hw::{HwCutoff, HwDeps, Owner};
 use imager::Imager;
 use ledger::Ledger;
 use place::Placer;
-use probe::FlowProbe;
+use probe::{classify, Flags, FlowProbe};
 use scap_fastpath::BurstStats;
 use scap_faults::FrameFaultStats;
 use scap_flight::FlightRecorder;
-use scap_flow::{StreamErrors, StreamRecord};
+use scap_flow::{StreamErrors, StreamId, StreamRecord};
 use scap_memory::ChunkBuf;
 use scap_nic::OffloadRule;
 use scap_sim::CacheSim;
@@ -174,67 +174,47 @@ impl ScapKernel {
         let Some((core, id)) = self.flows.resolve(uid) else {
             return;
         };
-        let (ks, rec) = self.flows.cores[core].stream_mut(id);
+        let (Some(ks), Some(rec)) = self.flows.cores[core].stream_mut(id) else {
+            return;
+        };
         match op {
-            ControlOp::Discard(_) => {
-                if let Some(rec) = rec {
-                    rec.discarded = true;
-                }
-            }
+            ControlOp::Discard(_) => rec.discarded = true,
             ControlOp::SetCutoff(_, dir, value) => {
-                if let Some(rec) = rec {
-                    match dir {
-                        Some(d) => rec.cutoff[d.index()] = value,
-                        None => rec.cutoff = [value, value],
-                    }
+                let dirs = dir.map_or(0..2, |d| d.index()..d.index() + 1);
+                for d in dirs {
+                    ks.set_cutoff(rec, &self.cfg, d, value);
                 }
                 // A widened cutoff may re-open a stream whose old,
                 // narrower cutoff had tripped.
-                self.reopen_if_within_cutoff(Owner { core, id, uid });
+                let cutoffs = ks.cutoffs(rec, &self.cfg);
+                self.reopen_if_within(Owner { core, id, uid }, cutoffs);
             }
-            ControlOp::SetPriority(_, prio) => {
-                if let Some(rec) = rec {
-                    rec.priority = prio;
-                }
-            }
+            ControlOp::SetPriority(_, prio) => rec.priority = prio,
             ControlOp::KeepChunk(_, dir) => self.emit.keep(uid, dir),
             ControlOp::SetChunkGeometry(_, chunk_size, overlap) => {
                 let chunk_size = chunk_size.max(1);
                 let overlap = overlap.min(chunk_size - 1);
-                if let Some(rec) = rec {
-                    rec.chunk_size = chunk_size;
-                    rec.overlap = overlap;
-                }
-                let boxed = ks.and_then(|ks| ks.seg.as_deref_mut());
-                for asm in boxed.into_iter().flat_map(|s| s.asm.iter_mut()) {
-                    asm.set_geometry(chunk_size as usize, overlap as usize);
-                }
+                ks.set_geometry(&self.cfg, chunk_size, overlap);
             }
         }
     }
 
     /// After a cutoff change: if the stream had tripped its (narrower)
-    /// cutoff but every direction is now within the new one, re-open it —
+    /// cutoff but every direction is within `cutoffs` now, re-open it —
     /// clear the exceeded flag, pull the NIC drop filters, and reset the
     /// stream's FDIR bookkeeping so data collection resumes. Shared by
-    /// [`ControlOp::SetCutoff`] and the hot-reload path, which both go
-    /// through [`ScapKernel::control`].
-    fn reopen_if_within_cutoff(&mut self, o: Owner) {
+    /// [`ControlOp::SetCutoff`] and the hot-reload path.
+    fn reopen_if_within(&mut self, o: Owner, cutoffs: [Option<u64>; 2]) {
         let flows = &mut self.flows.cores[o.core];
-        let (Some(ks), Some(rec)) = (flows.state(o.id), flows.get(o.id)) else {
+        let (Some(ks), Some(rec)) = flows.stream_mut(o.id) else {
             return; // tombstone: nothing to re-open
         };
-        let still_beyond = (0..2).any(|d| {
-            let off = ks.offset(d);
-            rec.cutoff[d].is_some_and(|c| off >= c)
-        });
+        let still_beyond = (0..2).any(|d| cutoffs[d].is_some_and(|c| ks.offset(d) >= c));
         if !rec.cutoff_exceeded || still_beyond {
             return;
         }
+        rec.cutoff_exceeded = false;
         let key = rec.key;
-        if let Some(rec) = flows.get_mut(o.id) {
-            rec.cutoff_exceeded = false;
-        }
         let (hw, mut deps) = self.hw();
         hw.reopen(&mut deps, o, key);
     }
@@ -441,8 +421,9 @@ impl ScapKernel {
         self.flows.cores[core].len()
     }
 
-    /// Iterate live records on a core (tests and diagnostics).
-    pub fn streams_on_core(&self, core: usize) -> impl Iterator<Item = &StreamRecord> {
+    /// Iterate live records, with their handles, on a core (tests and
+    /// diagnostics).
+    pub fn streams_on_core(&self, core: usize) -> impl Iterator<Item = (StreamId, &StreamRecord)> {
         self.flows.cores[core].iter()
     }
 
@@ -497,6 +478,7 @@ impl ScapKernel {
     pub fn apply_config(&mut self, delta: ConfigDelta) {
         let cutoff_changed = delta.cutoff_default.is_some() || delta.cutoff_classes.is_some();
         let priorities_changed = delta.priorities.is_some();
+        let before = cutoff_changed.then(|| self.cfg.clone());
         // `apply_to` owns the widening rule (generalize vs narrow); the
         // per-stream re-open below is driven by each stream's own state.
         let _widened = delta.apply_to(&mut self.cfg);
@@ -504,19 +486,30 @@ impl ScapKernel {
             return;
         }
         for uid in self.flows.uids() {
-            let Some(key) = self.flows.record_mut(uid).map(|r| r.key) else {
+            let Some((core, id)) = self.flows.resolve(uid) else {
                 continue;
             };
-            if cutoff_changed {
-                let cutoffs = self.cfg.cutoff.effective(&key);
-                for d in [Direction::Forward, Direction::Reverse] {
-                    self.control(ControlOp::SetCutoff(uid, Some(d), cutoffs[d.index()]));
-                }
-            }
+            let (Some(ks), Some(rec)) = self.flows.cores[core].stream_mut(id) else {
+                continue;
+            };
             if priorities_changed {
-                let prio = self.cfg.priorities.for_key(&key);
-                self.control(ControlOp::SetPriority(uid, prio));
+                rec.priority = self.cfg.priorities.for_key(&rec.key);
             }
+            let Some(before) = &before else {
+                continue;
+            };
+            // Every cutoff becomes its class's under the new policy: the
+            // class is looked up again and the application's cutoffs go.
+            // The stream is re-opened as if its directions were set one
+            // after the other, forward first.
+            let old = ks.cutoffs(rec, before);
+            ks.flags
+                .set(Flags::OWN_CUTOFF[0] | Flags::OWN_CUTOFF[1], false);
+            classify(ks, rec, &self.cfg);
+            let new = ks.cutoffs(rec, &self.cfg);
+            let o = Owner { core, id, uid };
+            self.reopen_if_within(o, [new[0], old[1]]);
+            self.reopen_if_within(o, new);
         }
     }
 }

@@ -11,6 +11,7 @@
 use super::hw::estimate_filtered_sizes;
 use super::lane::Lane;
 use super::ledger::At;
+use super::probe::classify;
 use super::ScapKernel;
 use crate::event::EventKind;
 use scap_fastpath::{hash_key, HashedKey};
@@ -174,7 +175,10 @@ impl ScapKernel {
         // Wire accounting.
         rec.dirs[dir.index()].total_pkts += 1;
         rec.dirs[dir.index()].total_bytes += len;
-        let at = At { uid: ks.uid, ..at };
+        let at = At {
+            uid: ks.uid(),
+            ..at
+        };
         let mut lane = Lane {
             cfg: &self.cfg,
             governor: &self.governor,
@@ -207,8 +211,8 @@ impl ScapKernel {
         }
     }
 
-    /// A probe opened a record: make it a stream — configured cutoffs,
-    /// priority and chunk geometry, a uid, kernel state — and report it.
+    /// A probe opened a record: make it a stream — its cutoff class,
+    /// priority, a uid, kernel state — and report it.
     fn open_stream(&mut self, core: usize, id: StreamId, key: &FlowKey, ingress_ns: u64, now: u64) {
         let uid = self.flows.open(core, id);
         self.ledger.stats.stack.streams_created += 1;
@@ -216,19 +220,19 @@ impl ScapKernel {
         let created = FlightEvent::new(FlightKind::StreamCreated, FlightLayer::Kernel, now);
         self.ledger.journal(at, created);
         // Invariant: `created` implies the slot is live.
-        let rec = self.flows.cores[core].get_mut(id);
+        let (ks, rec) = self.flows.cores[core].stream_mut(id);
         debug_assert!(rec.is_some());
-        let Some(rec) = rec else { return };
-        rec.cutoff = self.cfg.cutoff.effective(key);
+        let (Some(ks), Some(rec)) = (ks, rec) else {
+            return;
+        };
+        classify(ks, rec, &self.cfg);
         // A `Mark` rule in the NIC offload table overrides the
         // configured priority policy: the tag rides the descriptor
         // and the PPL consumes it from stream creation on.
         let marked = self.nic.nic.offload().mark_for(key);
         rec.priority = marked.unwrap_or_else(|| self.cfg.priorities.for_key(key));
-        rec.chunk_size = self.cfg.chunk_size as u32;
-        rec.overlap = self.cfg.overlap as u32;
         let (arena, created) = (&mut self.place.arena, EventKind::Created);
         self.emit
-            .enqueue(&mut self.ledger, arena, at, rec, created, ingress_ns);
+            .enqueue(&mut self.ledger, arena, at, (rec, ks), created, ingress_ns);
     }
 }

@@ -1,9 +1,10 @@
 //! The emit stage: event creation. It owns the per-core event queues
 //! and the pending keep-chunk requests, builds every event the kernel
-//! reports from a consistent snapshot of the stream's record, and books
-//! what a full queue loses.
+//! reports from a consistent snapshot of the stream's record and kernel
+//! state, and books what a full queue loses.
 
 use super::ledger::{At, Ledger};
+use super::probe::StreamKState;
 use crate::event::{Event, EventKind, StreamSnapshot, StreamUid};
 use scap_flight::{DropReason, FlightLayer};
 use scap_flow::StreamRecord;
@@ -19,7 +20,8 @@ pub(crate) struct Emitter {
     queue_cap: usize,
 }
 
-fn snapshot(rec: &StreamRecord, uid: StreamUid) -> StreamSnapshot {
+fn snapshot((rec, ks): (&StreamRecord, &StreamKState), uid: StreamUid) -> StreamSnapshot {
+    let seg = ks.seg.as_deref();
     StreamSnapshot {
         uid,
         key: rec.key,
@@ -28,12 +30,12 @@ fn snapshot(rec: &StreamRecord, uid: StreamUid) -> StreamSnapshot {
         errors: rec.errors,
         priority: rec.priority,
         cutoff_exceeded: rec.cutoff_exceeded,
-        dirs: rec.dirs,
+        dirs: [0, 1].map(|d| ks.dir_stats(rec, d)),
         first_ts_ns: rec.first_ts_ns,
         last_ts_ns: rec.last_ts_ns,
-        chunks: rec.chunks,
-        processing_time_ns: rec.processing_time_ns,
-        resume_gap_bytes: rec.resume_gap_bytes,
+        chunks: seg.map_or(0, |s| s.chunks),
+        processing_time_ns: seg.map_or(0, |s| s.processing_time_ns),
+        resume_gap_bytes: seg.map_or(0, |s| s.resume_gap_bytes),
     }
 }
 
@@ -46,7 +48,7 @@ impl Emitter {
         }
     }
 
-    /// Queue an event of stream `at.uid` on `at.core`, or — the queue
+    /// Queue an event of `stream` (uid `at.uid`) on `at.core`, or — the queue
     /// being full — drop it, returning a data event's chunk to the arena
     /// and booking its bytes lost. `ingress_ns` is the NIC-ingress
     /// timestamp of the packet that produced it (the tick, for
@@ -56,7 +58,7 @@ impl Emitter {
         ledger: &mut Ledger,
         arena: &mut Arena,
         at: At,
-        rec: &StreamRecord,
+        stream: (&StreamRecord, &StreamKState),
         kind: EventKind,
         ingress_ns: u64,
     ) {
@@ -64,7 +66,7 @@ impl Emitter {
         if queue.len() >= self.queue_cap {
             ledger.tele.inc(at.core, Metric::KernelEventsDropped);
             if let EventKind::Data { chunk, .. } = kind {
-                let at = At::new(at.core, rec.last_ts_ns, at.uid);
+                let at = At::new(at.core, stream.0.last_ts_ns, at.uid);
                 let why = DropReason::EventQueueFull;
                 ledger.dropped(at, FlightLayer::EventQueue, why, 0, chunk.len() as u64);
                 arena.release(chunk);
@@ -86,7 +88,7 @@ impl Emitter {
             delay,
         );
         queue.push_back(Event {
-            stream: snapshot(rec, at.uid),
+            stream: snapshot(stream, at.uid),
             kind,
             core: at.core,
             ingress_ns,

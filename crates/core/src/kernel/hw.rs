@@ -4,12 +4,13 @@
 //! offload table, or the paper's four FDIR filters with a doubling
 //! timeout — and keeps the books that takes: filter deadlines, rule
 //! owners, the retry queue for installs the hardware refused, and the
-//! per-stream [`FilterState`]. It borrows the NIC from the admission
-//! stage and the streams from the flow probe; nothing else writes these.
+//! filter bits of each stream's [`Flags`]. It borrows the NIC from the
+//! admission stage and the streams from the flow probe; nothing else
+//! writes these.
 
 use super::admit::Admitted;
 use super::ledger::{At, Ledger};
-use super::probe::{FlowProbe, StreamKState};
+use super::probe::{Flags, FlowProbe, StreamKState};
 use crate::config::ScapConfig;
 use crate::event::StreamUid;
 use scap_flight::{FlightEvent, FlightKind, FlightLayer};
@@ -33,53 +34,6 @@ const FDIR_RETRY_MAX_ATTEMPTS: u32 = 5;
 /// Entries the offload table's clock hand examines per eviction (bounds
 /// the worst-case install latency at million-rule scale).
 const OFFLOAD_EVICT_SCAN: usize = 64;
-
-/// A stream's NIC filter bookkeeping.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FilterState {
-    fdir_installed: bool,
-    fdir_timeout_ns: u64,
-    /// A transiently failed install is parked on the retry queue.
-    fdir_retry_pending: bool,
-    /// Retries exhausted: the cutoff is enforced in software only.
-    fdir_software_fallback: bool,
-    /// A `Drop` rule for this stream is live in the NIC offload table.
-    offload_installed: bool,
-}
-
-impl Default for FilterState {
-    fn default() -> Self {
-        FilterState {
-            fdir_installed: false,
-            fdir_timeout_ns: FDIR_INITIAL_TIMEOUT_NS,
-            fdir_retry_pending: false,
-            fdir_software_fallback: false,
-            offload_installed: false,
-        }
-    }
-}
-
-impl FilterState {
-    /// The part of the state a checkpoint carries, put back.
-    pub(super) fn restored(fdir_installed: bool, timeout_ns: u64, software_fallback: bool) -> Self {
-        FilterState {
-            fdir_installed,
-            fdir_timeout_ns: timeout_ns,
-            fdir_software_fallback: software_fallback,
-            ..Default::default()
-        }
-    }
-
-    /// The part of the state a checkpoint carries: filters installed,
-    /// their timeout, software fallback.
-    pub(super) fn image(&self) -> (bool, u64, bool) {
-        (
-            self.fdir_installed,
-            self.fdir_timeout_ns,
-            self.fdir_software_fallback,
-        )
-    }
-}
 
 /// A stream as the stage's books name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,9 +60,15 @@ pub(crate) struct HwDeps<'a> {
 }
 
 impl HwDeps<'_> {
-    fn filter_state(&mut self, o: Owner) -> Option<&mut FilterState> {
-        let ks = self.flows.cores[o.core].state_mut(o.id)?;
-        Some(&mut ks.hw)
+    fn stream(&mut self, o: Owner) -> Option<&mut StreamKState> {
+        self.flows.cores[o.core].state_mut(o.id)
+    }
+
+    /// Set or clear filter bit `f` of stream `o`, if it still lives.
+    fn set(&mut self, o: Owner, f: Flags, on: bool) {
+        if let Some(ks) = self.stream(o) {
+            ks.flags.set(f, on);
+        }
     }
 
     /// Journal an event of `layer` about stream `o`.
@@ -169,8 +129,8 @@ impl HwCutoff {
         };
         let rule = OffloadRule::new(rec.key, OffloadAction::Drop, rec.priority);
         let uid = match flows.state(id) {
-            Some(ks) if ks.hw.offload_installed => return true, // already shunting
-            Some(ks) => ks.uid,
+            Some(ks) if ks.flags.has(Flags::OFFLOAD_INSTALLED) => return true, // already shunting
+            Some(ks) => ks.uid(),
             None => return false,
         };
         let owner = Owner { core, id, uid };
@@ -182,9 +142,7 @@ impl HwCutoff {
             d.ledger.stats.offload_ops += 1;
             if let Some(evicted) = d.nic.offload_evict(OFFLOAD_EVICT_SCAN) {
                 if let Some(evictee) = self.offload_owners.remove(&evicted.key.canonical().0) {
-                    if let Some(fs) = d.filter_state(evictee) {
-                        fs.offload_installed = false;
-                    }
+                    d.set(evictee, Flags::OFFLOAD_INSTALLED, false);
                 }
                 let (kind, prio) = (FlightKind::OffloadEvicted, u64::from(evicted.priority));
                 d.event(owner, now, kind, FlightLayer::Offload, prio, 0);
@@ -196,9 +154,7 @@ impl HwCutoff {
             Ok(()) | Err(OffloadError::Duplicate) => {}
             Err(_) => return false, // Busy/TableFull: fall back to FDIR
         }
-        if let Some(fs) = d.filter_state(owner) {
-            fs.offload_installed = true;
-        }
+        d.set(owner, Flags::OFFLOAD_INSTALLED, true);
         self.offload_owners.insert(rule.key, owner);
         let (kind, action) = (FlightKind::OffloadInstalled, rule.action.discriminant());
         d.event(owner, now, kind, FlightLayer::Offload, action.into(), 1);
@@ -240,17 +196,18 @@ impl HwCutoff {
         let Some(ks) = d.flows.cores[core].state_mut(id) else {
             return;
         };
-        let fs = &mut ks.hw;
-        if fs.fdir_installed || fs.fdir_retry_pending || fs.fdir_software_fallback {
+        let busy =
+            Flags::FDIR_INSTALLED | Flags::FDIR_RETRY_PENDING | Flags::FDIR_SOFTWARE_FALLBACK;
+        if ks.flags.any(busy) {
             return;
         }
         if reinstall {
-            fs.fdir_timeout_ns = fs.fdir_timeout_ns.saturating_mul(2);
+            ks.double_fdir_timeout();
         }
         let owner = Owner {
             core,
             id,
-            uid: ks.uid,
+            uid: ks.uid(),
         };
 
         // Make room (4 filters: two flag patterns × two directions) by
@@ -288,13 +245,14 @@ impl HwCutoff {
         now: u64,
         retry: Option<u32>,
     ) {
-        let Some(fs) = d.filter_state(o) else {
+        let Some(ks) = d.stream(o) else {
             return;
         };
-        fs.fdir_retry_pending = false;
-        fs.fdir_installed = true;
-        let timeout = fs.fdir_timeout_ns;
-        self.fdir_expiries.insert((now + timeout, o.uid), (o, key));
+        ks.flags.set(Flags::FDIR_RETRY_PENDING, false);
+        ks.flags.set(Flags::FDIR_INSTALLED, true);
+        let timeout = ks.fdir_timeout_ns();
+        self.fdir_expiries
+            .insert((now.saturating_add(timeout), o.uid), (o, key));
         let (kind, val) = match retry {
             None => (FlightKind::FdirInstalled, timeout),
             Some(attempt) => (FlightKind::FdirRetryOk, u64::from(attempt)),
@@ -320,9 +278,7 @@ impl HwCutoff {
             }
             None => self.fdir_expiries.retain(|&(_, uid), _| uid != o.uid),
         }
-        if let Some(fs) = d.filter_state(o) {
-            fs.fdir_installed = false;
-        }
+        d.set(o, Flags::FDIR_INSTALLED, false);
     }
 
     /// Program the paper's four drop filters for a stream. On a transient
@@ -355,9 +311,7 @@ impl HwCutoff {
 
     /// Park a transiently failed install on the backoff queue.
     fn enqueue_retry(&mut self, d: &mut HwDeps<'_>, o: Owner, attempts: u32, now: u64) {
-        if let Some(fs) = d.filter_state(o) {
-            fs.fdir_retry_pending = true;
-        }
+        d.set(o, Flags::FDIR_RETRY_PENDING, true);
         // Exponential backoff, capped, with deterministic jitter: up to
         // 25% of the raw delay, derived from the stream uid and attempt
         // number, so retriers that failed together de-synchronize
@@ -418,10 +372,8 @@ impl HwCutoff {
         if r.attempts + 1 >= FDIR_RETRY_MAX_ATTEMPTS {
             // Give up on the hardware: the kernel discard path already
             // enforces the cutoff; it just costs a DMA + header touch.
-            if let Some(fs) = d.filter_state(o) {
-                fs.fdir_retry_pending = false;
-                fs.fdir_software_fallback = true;
-            }
+            d.set(o, Flags::FDIR_RETRY_PENDING, false);
+            d.set(o, Flags::FDIR_SOFTWARE_FALLBACK, true);
             d.ledger.stats.resilience.fdir_fallback_software += 1;
             let spent = u64::from(r.attempts + 1);
             d.fdir_event(o, now, FlightKind::FdirFallback, spent, 0);
@@ -444,12 +396,12 @@ impl HwCutoff {
     /// A widened cutoff re-opened the stream: pull its NIC drop filters
     /// and start its bookkeeping over, so data collection resumes.
     pub(super) fn reopen(&mut self, d: &mut HwDeps<'_>, o: Owner, key: FlowKey) {
-        let Some(fs) = d.filter_state(o).map(|fs| *fs) else {
+        let Some(flags) = d.stream(o).map(|ks| ks.flags) else {
             return;
         };
-        self.release(d, o, key, &fs, false);
-        if let Some(fs) = d.filter_state(o) {
-            *fs = FilterState::default();
+        self.release(d, o, key, flags, false);
+        if let Some(ks) = d.stream(o) {
+            ks.reset_filters();
         }
     }
 
@@ -461,13 +413,13 @@ impl HwCutoff {
         d: &mut HwDeps<'_>,
         o: Owner,
         key: FlowKey,
-        fs: &FilterState,
+        flags: Flags,
         steered: bool,
     ) {
-        if fs.fdir_installed || steered {
+        if flags.has(Flags::FDIR_INSTALLED) || steered {
             self.retire_fdir(d, o, key, None);
         }
-        if fs.offload_installed {
+        if flags.has(Flags::OFFLOAD_INSTALLED) {
             self.remove_offload_rule(d, key);
         }
     }
@@ -479,13 +431,13 @@ impl HwCutoff {
     /// per-stream record).
     pub(super) fn adopt(&mut self, d: &mut HwDeps<'_>, o: Owner, key: FlowKey, from_ns: u64) {
         let dropped = matches!(d.nic.offload().action_for(&key), Some(OffloadAction::Drop));
-        let Some(fs) = d.filter_state(o) else { return };
-        if fs.fdir_installed {
-            let deadline = from_ns + fs.fdir_timeout_ns;
+        let Some(ks) = d.stream(o) else { return };
+        if ks.flags.has(Flags::FDIR_INSTALLED) {
+            let deadline = from_ns.saturating_add(ks.fdir_timeout_ns());
             self.fdir_expiries.insert((deadline, o.uid), (o, key));
         }
         if dropped {
-            fs.offload_installed = true;
+            ks.flags.set(Flags::OFFLOAD_INSTALLED, true);
             self.offload_owners.insert(key.canonical().0, o);
         }
     }
@@ -502,7 +454,7 @@ pub(super) fn estimate_filtered_sizes(
     let Some(ks) = flows.state(id) else {
         return;
     };
-    if !ks.hw.fdir_installed {
+    if !ks.flags.has(Flags::FDIR_INSTALLED) {
         return;
     }
     let Some(conn) = ks.conn() else { return };
@@ -582,8 +534,8 @@ mod tests {
             f(&mut self.hw, &mut deps)
         }
 
-        fn state(&self) -> FilterState {
-            self.flows.cores[0].state(self.owner.id).unwrap().hw
+        fn state(&self) -> Flags {
+            self.flows.cores[0].state(self.owner.id).unwrap().flags
         }
 
         fn journal(&self) -> Vec<FlightEvent> {
@@ -603,7 +555,7 @@ mod tests {
         // Busy: nothing installed, the partial install rolled back, the
         // stream parked on the retry queue.
         assert_eq!(b.nic.fdir().len(), 0);
-        assert!(b.state().fdir_retry_pending && !b.state().fdir_installed);
+        assert!(b.state().has(Flags::FDIR_RETRY_PENDING) && !b.state().has(Flags::FDIR_INSTALLED));
         let queued = b.last_event();
         assert_eq!(queued.kind, FlightKind::FdirRetryQueued);
         let (attempts, delay) = (queued.a, queued.b);
@@ -621,7 +573,7 @@ mod tests {
         let due = 1_000 + delay;
         b.with(|hw, d| hw.drain_retries(d, due));
         assert_eq!(b.nic.fdir().len(), 4);
-        assert!(b.state().fdir_installed && !b.state().fdir_retry_pending);
+        assert!(b.state().has(Flags::FDIR_INSTALLED) && !b.state().has(Flags::FDIR_RETRY_PENDING));
         assert_eq!(b.last_event().kind, FlightKind::FdirRetryOk);
         let r = b.ledger.stats.resilience;
         assert_eq!((r.fdir_retries, r.fdir_retry_successes), (1, 1));
@@ -630,7 +582,7 @@ mod tests {
         assert_eq!(b.nic.fdir().len(), 4);
         b.with(|hw, d| hw.expire(d, due + FDIR_INITIAL_TIMEOUT_NS));
         assert_eq!(b.nic.fdir().len(), 0);
-        assert!(!b.state().fdir_installed);
+        assert!(!b.state().has(Flags::FDIR_INSTALLED));
         assert_eq!(b.last_event().kind, FlightKind::FdirExpired);
     }
 
@@ -643,7 +595,7 @@ mod tests {
         // (up to the cap) until the attempt budget is spent.
         let mut now = 0;
         let mut delays = Vec::new();
-        while b.state().fdir_retry_pending {
+        while b.state().has(Flags::FDIR_RETRY_PENDING) {
             let queued = b.last_event();
             assert_eq!(queued.kind, FlightKind::FdirRetryQueued);
             assert_eq!(queued.a, delays.len() as u64);
@@ -654,7 +606,9 @@ mod tests {
         assert_eq!(delays.len(), FDIR_RETRY_MAX_ATTEMPTS as usize);
         assert!(delays.windows(2).all(|w| w[0] < w[1]), "{delays:?}");
         assert!(delays.iter().all(|&d| d <= FDIR_RETRY_CAP_NS));
-        assert!(b.state().fdir_software_fallback && !b.state().fdir_installed);
+        assert!(
+            b.state().has(Flags::FDIR_SOFTWARE_FALLBACK) && !b.state().has(Flags::FDIR_INSTALLED)
+        );
         assert_eq!(b.last_event().kind, FlightKind::FdirFallback);
         let r = b.ledger.stats.resilience;
         assert_eq!(r.fdir_retries, u64::from(FDIR_RETRY_MAX_ATTEMPTS));

@@ -4,21 +4,24 @@
 //! excuse a restore arms — and reads every other stage's state to write
 //! an image, or rebuilds every stage from one.
 
-use super::hw::{FilterState, Owner};
+use super::hw::Owner;
 use super::ledger::At;
-use super::probe::{FlowProbe, Segments, StreamKState};
+use super::probe::{classify, geometry, socket_geometry, Flags, FlowProbe, Segments, StreamKState};
 use super::ScapKernel;
 use crate::checkpoint::{
     self, AsmImage, CheckpointError, CheckpointGlobals, CheckpointImage, ConnView, KStateView,
     StreamImage, TenantImage,
 };
+use crate::config::ScapConfig;
+use crate::event::StreamUid;
 use scap_faults::FaultPlan;
 use scap_flight::{FlightEvent, FlightKind, FlightLayer};
-use scap_flow::{StreamErrors, StreamId};
+use scap_flow::{DirCounters, StreamErrors, StreamId, StreamRecord};
 use scap_memory::ChunkAssembler;
 use scap_reassembly::{ReasmConfig, TcpConn};
 use scap_telemetry::pulse::cost;
 use scap_telemetry::{cycles_to_ns, PulseStage, Stage};
+use std::num::NonZeroU64;
 use std::ops::Range;
 
 const CKPT: FlightLayer = FlightLayer::Checkpoint;
@@ -63,11 +66,67 @@ impl Imager {
         }
         self.resume_epoch_pending = false;
         for core in &mut flows.cores {
-            let ids: Vec<StreamId> = core.iter().map(|r| r.id).collect();
+            let ids: Vec<StreamId> = core.iter().map(|(id, _)| id).collect();
             for id in ids {
                 core.touch(id, now);
             }
         }
+    }
+}
+
+/// The image of stream `rec` on core `core`, assembled from its record,
+/// its kernel state `ks` (`None`: a TIME_WAIT tombstone, which was never
+/// given a cutoff or a chunk geometry) and the configuration.
+fn stream_image<'a>(
+    cfg: &ScapConfig,
+    core: usize,
+    uid: StreamUid,
+    rec: &StreamRecord,
+    ks: Option<&'a StreamKState>,
+) -> StreamImage<KStateView<'a>> {
+    let seg = ks.and_then(|ks| ks.seg.as_deref());
+    let (cutoff, [chunk_size, overlap]) = match ks {
+        Some(ks) => {
+            let own = seg.and_then(|s| s.geometry);
+            (ks.cutoffs(rec, cfg), own.unwrap_or(socket_geometry(cfg)))
+        }
+        None => ([None, None], [0, 0]),
+    };
+    StreamImage {
+        core: core as u32,
+        uid,
+        key: rec.key,
+        first_dir: rec.first_dir,
+        first_ts_ns: rec.first_ts_ns,
+        last_ts_ns: rec.last_ts_ns,
+        status: rec.status,
+        errors: rec.errors.0,
+        priority: rec.priority,
+        cutoff,
+        cutoff_exceeded: rec.cutoff_exceeded,
+        discarded: rec.discarded,
+        dirs: [0, 1].map(|d| match ks {
+            Some(ks) => ks.dir_stats(rec, d),
+            None => rec.dirs[d].with_captured(0, 0),
+        }),
+        chunk_size,
+        overlap,
+        reassembly_policy: seg.and_then(|s| s.reassembly_policy),
+        processing_time_ns: seg.map_or(0, |s| s.processing_time_ns),
+        chunks: seg.map_or(0, |s| s.chunks),
+        resume_gap_bytes: seg.map_or(0, |s| s.resume_gap_bytes),
+        kstate: ks.map(|ks| KStateView {
+            fdir_installed: ks.flags.has(Flags::FDIR_INSTALLED),
+            fdir_timeout_ns: ks.fdir_timeout_ns(),
+            fdir_software_fallback: ks.flags.has(Flags::FDIR_SOFTWARE_FALLBACK),
+            conn: ks.conn().map(ConnView::Live),
+            asm: [0, 1].map(|d| {
+                ks.opened(d).then(|| AsmImage {
+                    committed: ks.offset(d),
+                    pending: ks.pending(d),
+                })
+            }),
+        }),
     }
 }
 
@@ -97,63 +156,26 @@ impl ScapKernel {
         // (uid 0) in table order.
         let mut order = Vec::new();
         for (c, core) in cores.iter().enumerate() {
-            for rec in core.iter() {
-                let ks = core.state(rec.id);
-                order.push((ks.map_or(0, |k| k.uid), c, rec, ks));
+            for (id, rec) in core.iter() {
+                let ks = core.state(id);
+                order.push((ks.map_or(0, StreamKState::uid), c, id, rec, ks));
             }
         }
         order.sort_by_key(|&(uid, ..)| uid);
         last.frames.resize_with(cores.len(), Vec::new);
         let mut image = checkpoint::ImageWriter::begin(out, seq, &self.cfg, globals);
-        for (uid, c, rec, ks) in order {
-            let core = &cores[c];
+        for (uid, c, id, rec, ks) in order {
             let frames = &mut last.frames[c];
-            let slot = rec.id.slot();
+            let slot = id.slot();
             if slot >= frames.len() {
                 frames.resize(slot + 1, 0..0);
             }
             let kept = frames[slot].clone();
             let at = image.position();
-            if !kept.is_empty() && !core.touched(rec.id) {
+            if !kept.is_empty() && !cores[c].touched(id) {
                 image.stream_frame(&last.bytes[kept]);
             } else {
-                image.stream(&StreamImage {
-                    core: c as u32,
-                    uid,
-                    key: rec.key,
-                    first_dir: rec.first_dir,
-                    first_ts_ns: rec.first_ts_ns,
-                    last_ts_ns: rec.last_ts_ns,
-                    status: rec.status,
-                    errors: rec.errors.0,
-                    priority: rec.priority,
-                    cutoff: rec.cutoff,
-                    cutoff_exceeded: rec.cutoff_exceeded,
-                    discarded: rec.discarded,
-                    dirs: rec.dirs,
-                    chunk_size: rec.chunk_size,
-                    overlap: rec.overlap,
-                    reassembly_policy: rec.reassembly_policy,
-                    processing_time_ns: rec.processing_time_ns,
-                    chunks: rec.chunks,
-                    resume_gap_bytes: rec.resume_gap_bytes,
-                    kstate: ks.map(|ks| {
-                        let (fdir_installed, fdir_timeout_ns, fdir_software_fallback) =
-                            ks.hw.image();
-                        KStateView {
-                            fdir_installed,
-                            fdir_timeout_ns,
-                            fdir_software_fallback,
-                            conn: ks.conn().map(ConnView::Live),
-                            asm: [0, 1].map(|d| {
-                                ks.opened[d].then(|| AsmImage {
-                                    committed: ks.offset(d),
-                                    pending: ks.pending(d),
-                                })
-                            }),
-                        }
-                    }),
-                });
+                image.stream(&stream_image(&self.cfg, c, uid, rec, ks));
             }
             frames[slot] = at..image.position();
         }
@@ -282,7 +304,10 @@ impl ScapKernel {
     /// Put one checkpointed stream back: its record, and — unless it is
     /// a TIME_WAIT tombstone, whose record alone absorbs stray late
     /// packets exactly as before the restart — its kernel state, under
-    /// the uid it had. Returns the owner of a stream that resumed.
+    /// the uid it had. What the record does not hold comes back in the
+    /// stream's box, which it gets whenever its image carries any of it;
+    /// its cutoff class is looked up again under this kernel's config.
+    /// Returns the owner of a stream that resumed.
     fn restore_stream(
         &mut self,
         s: &StreamImage,
@@ -302,46 +327,65 @@ impl ScapKernel {
             rec.status = s.status;
             rec.errors = StreamErrors(s.errors);
             rec.priority = s.priority;
-            rec.cutoff = s.cutoff;
             rec.cutoff_exceeded = s.cutoff_exceeded;
             rec.discarded = s.discarded;
-            rec.dirs = s.dirs;
-            rec.chunk_size = s.chunk_size;
-            rec.overlap = s.overlap;
-            rec.reassembly_policy = s.reassembly_policy;
-            rec.processing_time_ns = s.processing_time_ns;
-            rec.chunks = s.chunks;
-            rec.resume_gap_bytes = s.resume_gap_bytes;
+            rec.dirs = s.dirs.each_ref().map(DirCounters::from);
             if s.kstate.is_some() {
                 rec.errors.set(StreamErrors::RESUMED);
             }
         }
         flows.touch(id, s.last_ts_ns);
+        let captured = s.dirs.map(|d| [d.captured_pkts, d.captured_bytes]);
+        let image_geometry = [s.chunk_size, s.overlap];
+        // Counters and image fields only a box holds.
+        let counted = captured != [[0; 2]; 2]
+            || [s.chunks, s.resume_gap_bytes, s.processing_time_ns] != [0; 3]
+            || s.reassembly_policy.is_some();
         let Some(ksi) = &s.kstate else {
+            // A tombstone is its record and nothing more.
+            if counted || s.cutoff != [None, None] || image_geometry != [0, 0] {
+                return Err(corrupt("stream state on the tombstone of"));
+            }
             return Ok(None);
         };
-        let mut ks = StreamKState::new(s.uid);
-        ks.hw = FilterState::restored(
-            ksi.fdir_installed,
-            ksi.fdir_timeout_ns,
-            ksi.fdir_software_fallback,
-        );
+        let uid = NonZeroU64::new(s.uid).ok_or_else(|| corrupt("kernel state for"))?;
+        let mut ks = StreamKState::new(uid);
+        let (installed, fallback) = (ksi.fdir_installed, ksi.fdir_software_fallback);
+        ks.restore_filters(installed, ksi.fdir_timeout_ns, fallback)
+            .ok_or_else(|| corrupt("FDIR timeout of no doubling on"))?;
         let reasm_cfg =
             ReasmConfig::for_mode(self.cfg.reassembly_mode).with_policy(self.cfg.overlap_policy);
-        let chunk_size = if s.chunk_size == 0 {
-            self.cfg.chunk_size.max(1)
+        let chunk = if s.chunk_size == 0 {
+            self.cfg.chunk_size as u32
         } else {
-            s.chunk_size as usize
+            s.chunk_size
         };
-        let overlap = (s.overlap as usize).min(chunk_size - 1);
+        let (chunk_size, overlap) = geometry(chunk, s.overlap);
+        let own_geometry = (image_geometry != socket_geometry(&self.cfg)).then_some(image_geometry);
         // A stream gets its box back when it had one: a tracked TCP
-        // connection, or bytes assembled in some direction. A direction
-        // opened at offset 0 with nothing pending is a bit.
+        // connection, bytes assembled in some direction, or a counter or
+        // override only a box holds. A direction opened at offset 0 with
+        // nothing pending is a bit.
         let carried = |a: &AsmImage| a.committed > 0 || !a.pending.is_empty();
-        if ksi.conn.is_some() || ksi.asm.iter().flatten().any(carried) {
+        let boxed = ksi.conn.is_some()
+            || ksi.asm.iter().flatten().any(carried)
+            || counted
+            || own_geometry.is_some();
+        if boxed {
             let mut seg = Segments::new(chunk_size, overlap);
             seg.conn = ksi.conn.as_ref().map(|ck| TcpConn::restore(reasm_cfg, ck));
+            seg.captured = captured;
+            seg.chunks = s.chunks;
+            seg.resume_gap_bytes = s.resume_gap_bytes;
+            seg.processing_time_ns = s.processing_time_ns;
+            seg.reassembly_policy = s.reassembly_policy;
+            seg.geometry = own_geometry;
             ks.seg = Some(Box::new(seg));
+        }
+        let rec = self.flows.cores[core].get_mut(id).expect("restored above");
+        classify(&mut ks, rec, &self.cfg);
+        for (d, &cutoff) in s.cutoff.iter().enumerate() {
+            ks.set_cutoff(rec, &self.cfg, d, cutoff);
         }
         for (d, image) in ksi.asm.iter().enumerate() {
             let Some(a) = image else { continue };
@@ -351,7 +395,7 @@ impl ScapKernel {
                     s.uid
                 )));
             }
-            ks.opened[d] = true;
+            ks.flags.set(Flags::OPENED[d], true);
             let Some(seg) = ks.seg.as_deref_mut() else {
                 continue;
             };

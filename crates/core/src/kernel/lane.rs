@@ -9,7 +9,7 @@
 use super::emit::Emitter;
 use super::ledger::{At, Ledger};
 use super::place::{Placement, Placer};
-use super::probe::StreamKState;
+use super::probe::{Flags, Segments, StreamKState};
 use crate::config::ScapConfig;
 use crate::event::{EventKind, PacketRecord};
 use crate::governor::OverloadGovernor;
@@ -55,22 +55,22 @@ fn tcp_faces_gate(flags: TcpFlags, payload: &[u8]) -> bool {
 }
 
 impl Lane<'_> {
-    /// The cutoff in force for the lane's direction: the configured one,
-    /// tightened to the governor's dynamic cap at levels 2+.
+    /// The stream's cutoff for the lane's direction, and the one in
+    /// force: that, tightened to the governor's dynamic cap at levels 2+.
     #[inline]
-    fn effective_cutoff(&self) -> Option<u64> {
-        match (
-            self.rec.cutoff[self.dir.index()],
-            self.governor.cutoff_cap(),
-        ) {
+    fn cutoffs(&self) -> (Option<u64>, Option<u64>) {
+        let own = self.ks.cutoff(self.rec, self.cfg, self.dir.index());
+        let effective = match (own, self.governor.cutoff_cap()) {
             (Some(c), Some(cap)) => Some(c.min(cap)),
             (None, Some(cap)) => Some(cap),
             (c, None) => c,
-        }
+        };
+        (own, effective)
     }
 
     /// The cutoff/discard gate, before any reassembly work: a direction
-    /// at or past its `effective` cutoff (zero cutoffs of flow-stats-only
+    /// at or past its `effective` cutoff (the stream's `own`, or tighter;
+    /// zero cutoffs of flow-stats-only
     /// applications included, §3.3.1), or a stream the application or
     /// the governor discarded, takes no more data. On a hit the packet
     /// is booked against the stream and discarded, with the reason that
@@ -78,7 +78,12 @@ impl Lane<'_> {
     /// its cutoff. Which packets face the gate — and what becomes of the
     /// stream's `cutoff_exceeded` flag — is the transport's business.
     #[inline]
-    fn gate(&mut self, len: u64, offset: u64, effective: Option<u64>) -> Option<bool> {
+    fn gate(
+        &mut self,
+        len: u64,
+        offset: u64,
+        (own, effective): (Option<u64>, Option<u64>),
+    ) -> Option<bool> {
         let (rec, d) = (&mut *self.rec, self.dir.index());
         let beyond = effective.is_some_and(|c| offset >= c);
         if !beyond && !rec.discarded {
@@ -86,7 +91,7 @@ impl Lane<'_> {
         }
         rec.dirs[d].discarded_pkts += 1;
         rec.dirs[d].discarded_bytes += len;
-        let beyond_configured = rec.cutoff[d].is_some_and(|c| offset >= c);
+        let beyond_configured = own.is_some_and(|c| offset >= c);
         let clamped = beyond && !beyond_configured && !rec.discarded;
         let reason = if rec.discarded && !beyond {
             DropReason::AppDiscard
@@ -166,6 +171,7 @@ impl Lane<'_> {
         let (ks, at, d) = (&mut *self.ks, self.at, self.dir.index());
         let len = pkt.len() as u64;
         let seg = (ks.seg.as_deref_mut()).expect("a placed packet's stream has its box");
+        let armed = Flags::FLUSH_ARMED[d];
         if self.cfg.need_pkts && payload_len > 0 {
             let first = placed.first_off;
             seg.pkt_records[d].push(PacketRecord {
@@ -176,8 +182,8 @@ impl Lane<'_> {
             });
         }
         let asm = &seg.asm[d];
-        if asm.has_pending() && !ks.flush_armed[d] {
-            ks.flush_armed[d] = true;
+        if asm.has_pending() && !ks.flags.has(armed) {
+            ks.flags.set(armed, true);
             let due = at.now + self.cfg.flush_timeout_ns;
             let offset = asm.stream_offset();
             self.place
@@ -185,7 +191,7 @@ impl Lane<'_> {
         }
         let mut packets = Vec::new();
         if !placed.completed.is_empty() {
-            ks.flush_armed[d] = false;
+            ks.flags.set(armed, false);
             packets = std::mem::take(&mut seg.pkt_records[d]);
         }
         if placed.oom {
@@ -218,25 +224,22 @@ impl Lane<'_> {
         let (at, dir) = (self.at, self.dir);
         let mut packets = Some(packets);
         for chunk in completed {
-            let kept = self
-                .ks
-                .seg
-                .as_mut()
-                .and_then(|s| s.kept[dir.index()].take());
-            let mut chunk = match kept {
+            let seg = (self.ks.seg.as_deref_mut()).expect("a chunk's stream has its box");
+            seg.chunks += 1;
+            let mut chunk = match seg.kept[dir.index()].take() {
                 Some(kept) => self.place.merge(self.ledger, at.core, kept, chunk),
                 None => chunk,
             };
             self.ledger.cache_stamp(&mut chunk, at.uid, dir);
-            self.rec.chunks += 1;
             let kind = EventKind::Data {
                 dir,
                 chunk,
                 packets: packets.take().unwrap_or_default(),
             };
             let arena = &mut self.place.arena;
+            let stream = (&*self.rec, &*self.ks);
             self.emit
-                .enqueue(self.ledger, arena, at, self.rec, kind, ingress_ns);
+                .enqueue(self.ledger, arena, at, stream, kind, ingress_ns);
         }
     }
 
@@ -257,9 +260,10 @@ impl Lane<'_> {
         let offset = self.ks.offset(d);
         let (priority, was_exceeded) =
             (self.rec.priority.min(3) as usize, self.rec.cutoff_exceeded);
-        let effective = self.effective_cutoff();
+        let cutoffs = self.cutoffs();
+        let (own, effective) = cutoffs;
         if tcp_faces_gate(meta.flags, payload) {
-            if let Some(beyond) = self.gate(len, offset, effective) {
+            if let Some(beyond) = self.gate(len, offset, cutoffs) {
                 self.rec.cutoff_exceeded |= beyond;
                 owed.cut = Some(was_exceeded);
                 return owed;
@@ -276,8 +280,8 @@ impl Lane<'_> {
         // in-order bytes to the placement sink, which writes them into
         // the stream's chunks without anything being lifted out.
         let cfg = self.cfg;
-        self.ks.opened[d] = true;
-        let seg = self.ks.segments(self.rec);
+        self.ks.flags.set(Flags::OPENED[d], true);
+        let seg = self.ks.segments(cfg);
         let conn = seg.conn.get_or_insert_with(|| {
             let reasm = ReasmConfig::for_mode(cfg.reassembly_mode).with_policy(cfg.overlap_policy);
             TcpConn::new(reasm)
@@ -294,8 +298,9 @@ impl Lane<'_> {
         let offset_after = asm.stream_offset();
         let flags = conn.flags();
         self.note_copy(offset_after.saturating_sub(copied), copied);
+        let seg = (self.ks.seg.as_deref_mut()).expect("just allocated");
         let duplicate = book_segment(
-            self.rec,
+            (self.rec, seg),
             d,
             &outcome,
             flags,
@@ -321,7 +326,7 @@ impl Lane<'_> {
             self.ledger.stats.dropped_by_priority[priority] += 1;
         }
         if newly_beyond {
-            let reason = if self.rec.cutoff[d].is_some_and(|c| offset_after >= c) {
+            let reason = if own.is_some_and(|c| offset_after >= c) {
                 DropReason::Cutoff
             } else {
                 DropReason::GovernorClamp
@@ -348,14 +353,14 @@ impl Lane<'_> {
             return self.done();
         }
         let (d, len) = (self.dir.index(), pkt.len() as u64);
-        let effective = self.effective_cutoff();
-        self.ks.opened[d] = true;
+        let cutoffs = self.cutoffs();
+        self.ks.flags.set(Flags::OPENED[d], true);
         let offset = self.ks.offset(d);
         // Every datagram with payload faces the gate, and a stream it
         // turned away counts as cut off whoever asked for that. No NIC
         // filters for UDP: the next datagram meets the gate again. The
         // stream's box waits for a datagram that gets through.
-        if self.gate(len, offset, effective).is_some() {
+        if self.gate(len, offset, cutoffs).is_some() {
             self.rec.cutoff_exceeded = true;
             return Owed::default();
         }
@@ -366,15 +371,16 @@ impl Lane<'_> {
         // A datagram is in order by definition: straight to placement.
         // No tail flush on reaching the cutoff; the flush timer closes
         // the last chunk.
-        let cap = effective.unwrap_or(u64::MAX);
+        let cap = cutoffs.1.unwrap_or(u64::MAX);
         let allowed = ((cap - offset) as usize).min(payload.len()) as u64;
         let mut placed = Placement::default();
-        let asm = &mut self.ks.segments(self.rec).asm[d];
-        placed.put(&mut self.place.arena, asm, cap, offset, payload);
+        let seg = self.ks.segments(self.cfg);
+        placed.put(&mut self.place.arena, &mut seg.asm[d], cap, offset, payload);
+        let captured = &mut seg.captured[d];
+        captured[0] += 1;
+        captured[1] += allowed;
         self.note_copy(offset, allowed);
         let dstats = &mut self.rec.dirs[d];
-        dstats.captured_pkts += 1;
-        dstats.captured_bytes += allowed;
         if placed.oom {
             dstats.dropped_pkts += 1;
             dstats.dropped_bytes += len;
@@ -385,15 +391,15 @@ impl Lane<'_> {
     }
 }
 
-/// Book one TCP segment's outcome against the stream's record: captured
-/// bytes, an arena refusal or a pure retransmission in direction `d`,
+/// Book one TCP segment's outcome against the stream's record and box:
+/// captured bytes, an arena refusal or a pure retransmission in direction `d`,
 /// the blackout hole the first segment after a warm restart skipped
 /// (bounded by the traffic between the checkpoint and the crash), and
 /// the reassembler's error flags. Returns a pure retransmission's
 /// duplicate bytes.
 #[inline]
 fn book_segment(
-    rec: &mut StreamRecord,
+    (rec, boxed): (&mut StreamRecord, &mut Segments),
     d: usize,
     seg: &SegOutcome,
     flags: ReasmFlags,
@@ -403,11 +409,12 @@ fn book_segment(
 ) -> Option<u64> {
     let captured = seg.data.delivered > 0 || seg.data.buffered > 0;
     let dup_only = !captured && seg.data.duplicate > 0;
-    let dstats = &mut rec.dirs[d];
     if captured {
-        dstats.captured_pkts += 1;
-        dstats.captured_bytes += (seg.data.delivered + seg.data.buffered).min(payload_len);
+        let c = &mut boxed.captured[d];
+        c[0] += 1;
+        c[1] += (seg.data.delivered + seg.data.buffered).min(payload_len);
     }
+    let dstats = &mut rec.dirs[d];
     if oom {
         dstats.dropped_pkts += 1;
         dstats.dropped_bytes += pkt_len;
@@ -415,7 +422,7 @@ fn book_segment(
         dstats.discarded_pkts += 1;
         dstats.discarded_bytes += seg.data.duplicate;
     }
-    rec.resume_gap_bytes += seg.data.resume_gap;
+    boxed.resume_gap_bytes += seg.data.resume_gap;
     for (rf, sf) in [
         (
             ReasmFlags::INCOMPLETE_HANDSHAKE,
@@ -475,7 +482,7 @@ mod tests {
             place: &mut Placer::new(&cfg, 1),
             emit: &mut Emitter::new(1, 8),
             ledger: &mut Ledger::new(&cfg, 1, 64),
-            ks: &mut StreamKState::new(at.uid),
+            ks: &mut StreamKState::new(std::num::NonZeroU64::new(at.uid).unwrap()),
             rec,
             at,
             id,
@@ -526,9 +533,11 @@ mod tests {
                     return None;
                 }
                 with_lane(cap, false, |lane| {
-                    lane.rec.cutoff = [cutoff, cutoff];
+                    for d in 0..2 {
+                        lane.ks.set_cutoff(lane.rec, lane.cfg, d, cutoff);
+                    }
                     lane.rec.discarded = discarded;
-                    let beyond = lane.gate(140, 1000, lane.effective_cutoff())?;
+                    let beyond = lane.gate(140, 1000, lane.cutoffs())?;
                     // A hit books the packet once, everywhere.
                     let journal = lane.ledger.flight.events();
                     assert_eq!(journal[0].kind, FlightKind::Discard);
@@ -561,9 +570,11 @@ mod tests {
                     payload_len: 5,
                     chunk_off: 0,
                 }];
+                lane.ks.segments(lane.cfg);
                 lane.emit_data(vec![chunk], packets, 7);
                 let queued = (lane.ledger.work.k_events, lane.emit.backlog(0));
-                assert_eq!((lane.rec.chunks, queued), (1, (1, 1)));
+                let chunks = lane.ks.seg.as_ref().unwrap().chunks;
+                assert_eq!((chunks, queued), (1, (1, 1)));
                 lane.emit.pop(0).unwrap()
             })
         };

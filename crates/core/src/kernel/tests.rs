@@ -1,3 +1,4 @@
+use super::probe::Flags;
 use super::*;
 use crate::checkpoint::CheckpointImage;
 use crate::event::EventKind;
@@ -456,21 +457,23 @@ fn a_dead_streams_flush_timer_spares_the_successor_in_its_slot() {
         |k: &mut ScapKernel| -> usize { collect_events(k).iter().map(|e| e.data_len()).sum() };
     // Stream A arms a timer (due at 54 ms) and ends before it fires.
     drive(&mut k, &http_session(&[b'A'; 500], b"")[..4]);
-    let a = k.streams_on_core(0).next().unwrap().id;
+    let a = k.streams_on_core(0).next().unwrap().0;
     assert_eq!(k.place.armed_flush_timers(0), 1);
     k.terminate_stream(0, a, StreamStatus::ClosedTimeout, 5_000_000, false);
     assert_eq!(data_len(&mut k), 500);
     // Stream B moves into A's slot and arms its own (due at 80 ms).
     let b_frame = PacketBuilder::udp_v4([10, 0, 0, 2], [10, 0, 0, 3], 5000, 53, &[b'B'; 300]);
     drive(&mut k, &[Packet::new(30_000_000, b_frame)]);
-    let b = k.streams_on_core(0).next().unwrap().id;
+    let b = k.streams_on_core(0).next().unwrap().0;
     assert_eq!(b.slot(), a.slot());
     assert_ne!(b, a);
     // A's timer comes due: no flush, no timer work, B stays armed.
     assert_eq!(k.kernel_timers(0, 60_000_000).k_timer_ops, 0);
     assert_eq!(data_len(&mut k), 0);
     let b_state = k.flows.cores[0].state(b).unwrap();
-    assert!(b_state.flush_armed.contains(&true));
+    assert!(b_state
+        .flags
+        .any(Flags::FLUSH_ARMED[0] | Flags::FLUSH_ARMED[1]));
     // B's own timer still delivers its partial chunk.
     assert_eq!(k.kernel_timers(0, 90_000_000).k_timer_ops, 1);
     assert_eq!(data_len(&mut k), 300);
@@ -550,7 +553,7 @@ fn ppl_sheds_low_priority_first_under_memory_pressure() {
     let mut hi_drops = 0u64;
     let mut lo_drops = 0u64;
     for c in 0..k.ncores() {
-        for rec in k.streams_on_core(c) {
+        for (_, rec) in k.streams_on_core(c) {
             let drops = rec.dirs[0].dropped_pkts + rec.dirs[1].dropped_pkts;
             if rec.priority == 1 {
                 hi_drops += drops;
@@ -930,7 +933,7 @@ fn mid_capture(dispatch: crate::DispatchMode) -> (ScapKernel, Vec<Packet>, usize
     let both = |k: &ScapKernel| {
         let states = || {
             let cores = k.flows.cores.iter();
-            cores.flat_map(|c| c.iter().filter_map(move |r| c.state(r.id)))
+            cores.flat_map(|c| c.iter().filter_map(move |(id, _)| c.state(id)))
         };
         states()
             .any(|ks| (ks.seg.iter()).any(|s| s.asm.iter().any(|a| !a.pending_bytes().is_empty())))
@@ -1124,17 +1127,18 @@ fn header_only_flows_hold_no_box_and_image_their_empty_assemblers() {
     let check = |k: &ScapKernel| {
         let mut seen = (0, 0);
         for core in &k.flows.cores {
-            for rec in core.iter() {
-                let ks = core.state(rec.id).expect("no tombstones here");
+            for (id, rec) in core.iter() {
+                let ks = core.state(id).expect("no tombstones here");
+                let opened = [ks.opened(0), ks.opened(1)];
                 if rec.key.transport() == Transport::Udp {
                     seen.0 += 1;
-                    assert!(ks.seg.is_none(), "UDP uid {} holds a box", ks.uid);
+                    assert!(ks.seg.is_none(), "UDP uid {} holds a box", ks.uid());
                     let answered = rec.dirs[Direction::Reverse.index()].total_pkts > 0;
-                    assert_eq!(ks.opened, [true, answered], "uid {}", ks.uid);
+                    assert_eq!(opened, [true, answered], "uid {}", ks.uid());
                 } else {
                     seen.1 += 1;
-                    assert!(ks.conn().is_some(), "TCP uid {} has no tracker", ks.uid);
-                    assert_eq!(ks.opened, [true, true]);
+                    assert!(ks.conn().is_some(), "TCP uid {} has no tracker", ks.uid());
+                    assert_eq!(opened, [true, true]);
                     assert_eq!((ks.offset(0), ks.offset(1)), (0, 0));
                 }
             }
@@ -1177,6 +1181,493 @@ fn header_only_flows_hold_no_box_and_image_their_empty_assemblers() {
             .collect()
     };
     assert_eq!(kstates(&again), kstates(&before));
+}
+
+/// Per-stream overrides over 1,100 cutoff-0 flows (600 UDP, 500 TCP):
+/// `SetCutoff` widening and narrowing per direction, `SetChunkGeometry`,
+/// a configuration reload that replaces the default and the classes, and
+/// `Discard`. The image shows each stream's effective cutoff and chunk
+/// geometry; its captured bytes and `cutoff_exceeded` show what the gate
+/// did with them, re-opening included. The reload resets every cutoff to
+/// its class's, keeps the app's geometry, and gives no box to a stream
+/// that had none.
+#[test]
+fn stream_overrides_widen_narrow_reload_and_discard() {
+    use scap_filter::Filter;
+    let mut k = kernel(ScapConfig {
+        cores: 1,
+        chunk_size: 4096,
+        inactivity_timeout_ns: u64::MAX / 2,
+        cutoff: crate::config::CutoffPolicy {
+            default: Some(0),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let (udp_flows, tcp_flows) = (600u32, 500u32);
+    let server = [172, 16, 0, 1];
+    let host = |i: u32| [10, 7, (i >> 8) as u8, i as u8];
+    let is_udp = |i: u32| i < udp_flows;
+    // Group of flow `i`: which override it is given.
+    let group = |i: u32| i % 8;
+    let ts = std::cell::Cell::new(0);
+    let at = |frame: Vec<u8>| {
+        ts.set(ts.get() + 1_000);
+        Packet::new(ts.get(), frame)
+    };
+    let ack = TcpFlags::ACK;
+    // Client → server payload of flow `i` at TCP sequence `seq`.
+    let data = |i: u32, seq: u32, len: usize| {
+        let c = host(i);
+        if is_udp(i) {
+            PacketBuilder::udp_v4(c, server, 4000, 53, &vec![1; len])
+        } else {
+            PacketBuilder::tcp_v4(c, server, 5000, 80, seq, 10, ack, &vec![2; len])
+        }
+    };
+    let flows = 0..udp_flows + tcp_flows;
+    // Phase 1: every UDP flow sends a datagram the cutoff turns away
+    // (every other one is answered); every TCP flow shakes hands.
+    let mut pkts = Vec::new();
+    for i in flows.clone() {
+        let c = host(i);
+        if is_udp(i) {
+            pkts.push(at(data(i, 0, 40)));
+            if i % 2 == 0 {
+                pkts.push(at(PacketBuilder::udp_v4(server, c, 53, 4000, &[3; 90])));
+            }
+        } else {
+            for (from, to, sp, dp, seq, ackn, flags) in [
+                (c, server, 5000, 80, 1, 0, TcpFlags::SYN),
+                (server, c, 80, 5000, 9, 2, TcpFlags::SYN | ack),
+                (c, server, 5000, 80, 2, 10, ack),
+            ] {
+                pkts.push(at(PacketBuilder::tcp_v4(
+                    from, to, sp, dp, seq, ackn, flags, b"",
+                )));
+            }
+        }
+    }
+    let events = drive(&mut k, &pkts);
+    let uid_of: std::collections::HashMap<FlowKey, StreamUid> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Created))
+        .map(|e| (e.stream.key, e.stream.uid))
+        .collect();
+    let key = |i: u32| {
+        let t = if is_udp(i) {
+            Transport::Udp
+        } else {
+            Transport::Tcp
+        };
+        let (sp, dp) = if is_udp(i) { (4000, 53) } else { (5000, 80) };
+        FlowKey::new_v4(host(i), server, sp, dp, t).canonical().0
+    };
+    let uids: Vec<StreamUid> = flows.clone().map(|i| uid_of[&key(i)]).collect();
+    let boxed = |k: &ScapKernel, uid: StreamUid| {
+        let (core, id) = k.flows.resolve(uid).expect("a live stream");
+        k.flows.cores[core]
+            .state(id)
+            .expect("kernel state")
+            .seg
+            .is_some()
+    };
+    let image = |k: &mut ScapKernel, seq: u64| {
+        let img =
+            CheckpointImage::decode(&k.checkpoint_bytes(ts.get(), seq)).expect("image decodes");
+        let by_uid: std::collections::HashMap<StreamUid, crate::checkpoint::StreamImage> =
+            img.streams.into_iter().map(|s| (s.uid, s)).collect();
+        by_uid
+    };
+    let fwd = Direction::Forward.index();
+    // The client sends first, so its direction is the one `key` names.
+    for i in flows.clone() {
+        assert_eq!(key(i).canonical().1, Direction::Forward);
+    }
+
+    // Phase 2: the overrides.
+    let (f, r) = (Direction::Forward, Direction::Reverse);
+    for i in flows.clone() {
+        let uid = uids[i as usize];
+        match group(i) {
+            0 => k.control(ControlOp::SetCutoff(uid, Some(f), Some(1_000))),
+            1 => k.control(ControlOp::SetCutoff(uid, None, Some(1_000))),
+            2 => {
+                k.control(ControlOp::SetCutoff(uid, Some(r), Some(500)));
+                k.control(ControlOp::SetCutoff(uid, Some(r), Some(0)));
+            }
+            3 => {
+                k.control(ControlOp::SetChunkGeometry(uid, 512, 64));
+                k.control(ControlOp::SetCutoff(uid, None, None));
+            }
+            4 => k.control(ControlOp::Discard(uid)),
+            5 => k.control(ControlOp::SetCutoff(uid, None, Some(0))),
+            6 => k.control(ControlOp::SetChunkGeometry(uid, 4096, 0)),
+            _ => {}
+        }
+    }
+    let img = image(&mut k, 1);
+    for i in flows.clone() {
+        let s = &img[&uids[i as usize]];
+        let want = match group(i) {
+            0 => [Some(1_000), Some(0)],
+            1 => [Some(1_000), Some(1_000)],
+            3 => [None, None],
+            _ => [Some(0), Some(0)],
+        };
+        assert_eq!(s.cutoff, want, "flow {i}");
+        let geometry = if group(i) == 3 { (512, 64) } else { (4096, 0) };
+        assert_eq!((s.chunk_size, s.overlap), geometry, "flow {i}");
+        // A flow is cut off from its first packet (a TCP flow by its
+        // SYN, at offset 0) until both directions are within a widened
+        // cutoff.
+        let exceeded = !matches!(group(i), 1 | 3);
+        assert_eq!(s.cutoff_exceeded, exceeded, "flow {i}");
+        assert_eq!(s.discarded, group(i) == 4, "flow {i}");
+        // Equal to what the stream already has, an override changes
+        // nothing, and a header-only UDP flow stays boxless.
+        if is_udp(i) && matches!(group(i), 4..=7) {
+            assert!(!boxed(&k, uids[i as usize]), "flow {i}");
+        }
+    }
+
+    // Phase 3: 700 bytes from every client.
+    let pkts: Vec<Packet> = flows.clone().map(|i| at(data(i, 2, 700))).collect();
+    let events = drive(&mut k, &pkts);
+    // Only group 3's 512-byte chunks fill before a flush.
+    let chunked: Vec<StreamUid> = flows
+        .clone()
+        .filter(|&i| group(i) == 3)
+        .map(|i| uids[i as usize])
+        .collect();
+    let mut filled = Vec::new();
+    for e in &events {
+        if let EventKind::Data { chunk, .. } = &e.kind {
+            assert_eq!(chunk.len(), 512, "uid {}", e.stream.uid);
+            filled.push(e.stream.uid);
+        }
+    }
+    assert_eq!(filled, chunked);
+    let img = image(&mut k, 2);
+    for i in flows.clone() {
+        let s = &img[&uids[i as usize]];
+        let widened = matches!(group(i), 0 | 1 | 3);
+        let captured = if widened { 700 } else { 0 };
+        assert_eq!(s.dirs[fwd].captured_bytes, captured, "flow {i}");
+        assert_eq!(s.cutoff_exceeded, !matches!(group(i), 1 | 3), "flow {i}");
+        // Group 3's 512-byte chunks: one complete, the rest pending.
+        let committed = s.kstate.as_ref().unwrap().asm[fwd]
+            .as_ref()
+            .map(|a| a.committed);
+        assert_eq!(committed.unwrap_or(0), captured, "flow {i}");
+        let pending = s.kstate.as_ref().unwrap().asm[fwd]
+            .as_ref()
+            .map_or(0, |a| a.pending.len());
+        let want = match group(i) {
+            3 => 700 - 512 + 64,
+            0 | 1 => 700,
+            _ => 0,
+        };
+        assert_eq!(pending, want, "flow {i}");
+        assert_eq!(s.chunks, u64::from(group(i) == 3), "flow {i}");
+    }
+
+    // Phase 4: a reload widens the default to 300 and puts UDP in a
+    // class of 50. Every stream's cutoff becomes its class's; the app's
+    // chunk geometry stays.
+    let had_box: Vec<bool> = uids.iter().map(|&uid| boxed(&k, uid)).collect();
+    k.try_apply_config(crate::config::ConfigDelta {
+        cutoff_default: Some(Some(300)),
+        cutoff_classes: Some(vec![(Filter::new("udp").unwrap(), 50)]),
+        ..Default::default()
+    })
+    .expect("a widening reload is valid");
+    let img = image(&mut k, 3);
+    for i in flows.clone() {
+        let s = &img[&uids[i as usize]];
+        let class = if is_udp(i) { 50 } else { 300 };
+        assert_eq!(s.cutoff, [Some(class), Some(class)], "flow {i}");
+        let geometry = if group(i) == 3 { (512, 64) } else { (4096, 0) };
+        assert_eq!((s.chunk_size, s.overlap), geometry, "flow {i}");
+        // Re-opened wherever both directions are within the new cutoff:
+        // all but group 0, whose 700 bytes are past it. (Groups 1 and 3
+        // are open and stay so until their next packet.)
+        assert_eq!(s.cutoff_exceeded, group(i) == 0, "flow {i}");
+        // The reload gave no stream a box it did not have.
+        let overridden = matches!(group(i), 0..=3);
+        if !overridden {
+            assert_eq!(boxed(&k, uids[i as usize]), had_box[i as usize], "flow {i}");
+        }
+        if is_udp(i) && !overridden {
+            assert!(!boxed(&k, uids[i as usize]), "flow {i}");
+        }
+    }
+
+    // Phase 5: 100 more bytes from every client meet the new cutoffs.
+    let pkts: Vec<Packet> = flows.clone().map(|i| at(data(i, 702, 100))).collect();
+    drive(&mut k, &pkts);
+    let img = image(&mut k, 4);
+    for i in flows.clone() {
+        let s = &img[&uids[i as usize]];
+        let cap = if is_udp(i) { 50 } else { 300 };
+        let before = if matches!(group(i), 0 | 1 | 3) {
+            700
+        } else {
+            0
+        };
+        let got = s.dirs[fwd].captured_bytes - before;
+        let want = match group(i) {
+            0 | 1 | 3 | 4 => 0,
+            _ => 100.min(cap),
+        };
+        assert_eq!(got, want, "flow {i}");
+        let exceeded = match group(i) {
+            0 | 1 | 3 => true,
+            4 => is_udp(i),
+            _ => false,
+        };
+        assert_eq!(s.cutoff_exceeded, exceeded, "flow {i}");
+        assert_eq!(s.discarded, group(i) == 4, "flow {i}");
+    }
+}
+
+/// Image → restore → image is byte-identical (the restart counter
+/// aside) for every kind of stream a kernel holds: header-only flows
+/// without a box, streams with app overrides (a cutoff other than their
+/// class's, a chunk geometry other than the socket's, with or without
+/// bytes assembled), a stream resumed across an earlier restart with a
+/// blackout gap, a stream whose NIC filters were reinstalled twice (its
+/// FDIR timeout doubled twice), and the two fields only an image writes
+/// (`reassembly_policy`, `processing_time_ns`).
+#[test]
+fn image_restore_image_is_byte_identical_for_every_kind_of_stream() {
+    use scap_filter::Filter;
+    let cfg = ScapConfig {
+        cores: 1,
+        use_fdir: true,
+        chunk_size: 4096,
+        inactivity_timeout_ns: u64::MAX / 2,
+        cutoff: crate::config::CutoffPolicy {
+            default: Some(1_000),
+            classes: vec![(Filter::new("udp").unwrap(), 0)],
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let server = [172, 16, 0, 2];
+    let ack = TcpFlags::ACK;
+    let tcp = |c: [u8; 4], port: u16| {
+        move |ts: u64, to_server: bool, seq: u32, flags: TcpFlags, payload: &[u8]| {
+            let frame = if to_server {
+                PacketBuilder::tcp_v4(c, server, port, 80, seq, 1, flags, payload)
+            } else {
+                PacketBuilder::tcp_v4(server, c, 80, port, seq, 1, flags, payload)
+            };
+            Packet::new(ts, frame)
+        }
+    };
+    fn handshake(p: impl Fn(u64, bool, u32, TcpFlags, &[u8]) -> Packet, ts: u64) -> Vec<Packet> {
+        let ack = TcpFlags::ACK;
+        vec![
+            p(ts, true, 0, TcpFlags::SYN, b""),
+            p(ts + 1, false, 0, TcpFlags::SYN | ack, b""),
+            p(ts + 2, true, 1, ack, b""),
+        ]
+    }
+    let ms = 1_000_000u64;
+
+    // A stream resumed across a restart: 300 bytes before the image, the
+    // next 400 lost in the blackout, then 200 more.
+    let r = tcp([10, 5, 0, 1], 6000);
+    let mut before = handshake(r, ms);
+    before.push(r(2 * ms, true, 1, ack, &[1; 300]));
+    let mut k0 = kernel(cfg.clone());
+    drive(&mut k0, &before);
+    let i0 = CheckpointImage::decode(&k0.checkpoint_bytes(2 * ms, 1)).unwrap();
+    let mut k = ScapKernel::from_image(i0, None).expect("restore");
+    drive(&mut k, &[r(3 * ms, true, 1 + 300 + 400, ack, &[1; 200])]);
+
+    // Header-only UDP flows, class cutoff 0, and two with overrides but
+    // no bytes: a cutoff, a chunk geometry.
+    let udp = |i: u8, ts: u64| {
+        Packet::new(
+            ts,
+            PacketBuilder::udp_v4([10, 6, 0, i], server, 4000, 53, &[2; 40]),
+        )
+    };
+    let udp_pkts: Vec<Packet> = (0..6).map(|i| udp(i, 4 * ms + u64::from(i))).collect();
+    let events = drive(&mut k, &udp_pkts);
+    let udp_uids: Vec<StreamUid> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Created))
+        .map(|e| e.stream.uid)
+        .collect();
+    assert_eq!(udp_uids.len(), 6);
+    k.control(ControlOp::SetCutoff(
+        udp_uids[0],
+        Some(Direction::Reverse),
+        Some(64),
+    ));
+    k.control(ControlOp::SetChunkGeometry(udp_uids[1], 256, 16));
+
+    // A TCP stream with both overrides and bytes pending.
+    let o = tcp([10, 7, 0, 1], 7000);
+    let mut pkts = handshake(o, 5 * ms);
+    pkts.push(o(6 * ms, true, 1, ack, &[3; 700]));
+    let events = drive(&mut k, &pkts);
+    let o_uid = events[0].stream.uid;
+    k.control(ControlOp::SetCutoff(
+        o_uid,
+        Some(Direction::Forward),
+        Some(50_000),
+    ));
+    k.control(ControlOp::SetChunkGeometry(o_uid, 512, 32));
+    drive(&mut k, &[o(7 * ms, true, 701, ack, &[3; 900])]);
+
+    // A stream past its cutoff whose FDIR filters timed out and were
+    // reinstalled twice: 2 s, then 4 s, then 8 s.
+    let f = tcp([10, 8, 0, 1], 8000);
+    let mut pkts = handshake(f, 8 * ms);
+    let s = 1_000 * ms;
+    let mut seq = 1;
+    for ts in [9 * ms, 3 * s, 3 * s + ms, 8 * s, 8 * s + ms] {
+        pkts.push(f(ts, false, seq, ack, &[4; 1_000]));
+        seq += 1_000;
+    }
+    drive(&mut k, &pkts);
+    let now = 8 * s + 2 * ms;
+
+    // The fields only an image writes, on a boxless flow and a boxed one.
+    let mut i1 = CheckpointImage::decode(&k.checkpoint_bytes(now, 1)).unwrap();
+    for s in &mut i1.streams {
+        if s.uid == udp_uids[2] {
+            s.processing_time_ns = 77;
+        }
+        if s.uid == udp_uids[3] {
+            s.reassembly_policy = Some(1);
+        }
+        if s.uid == o_uid {
+            s.processing_time_ns = 5;
+            s.reassembly_policy = Some(2);
+        }
+    }
+    let b1 = i1.to_bytes();
+    let i1 = CheckpointImage::decode(&b1).unwrap();
+
+    // The image holds every kind.
+    let find = |img: &CheckpointImage, uid: StreamUid| {
+        img.streams.iter().find(|s| s.uid == uid).unwrap().clone()
+    };
+    let resumed = &i1.streams[0];
+    assert!(StreamErrors(resumed.errors).contains(StreamErrors::RESUMED));
+    assert_eq!(resumed.resume_gap_bytes, 400);
+    let header_only = find(&i1, udp_uids[5]);
+    assert_eq!(header_only.cutoff, [Some(0), Some(0)]);
+    assert!(header_only.kstate.as_ref().unwrap().conn.is_none());
+    assert_eq!(find(&i1, udp_uids[0]).cutoff, [Some(0), Some(64)]);
+    assert_eq!(find(&i1, udp_uids[1]).chunk_size, 256);
+    let overridden = find(&i1, o_uid);
+    assert_eq!(overridden.cutoff, [Some(50_000), Some(1_000)]);
+    assert_eq!((overridden.chunk_size, overridden.overlap), (512, 32));
+    assert!(overridden.dirs[0].captured_bytes == 1_600 && overridden.chunks > 0);
+    let backed_off = i1
+        .streams
+        .iter()
+        .find(|s| s.key.src_port() == 8000 || s.key.dst_port() == 8000);
+    let backed_off = backed_off.unwrap().kstate.as_ref().unwrap();
+    assert!(backed_off.fdir_installed);
+    assert_eq!(backed_off.fdir_timeout_ns, 4 * hw::FDIR_INITIAL_TIMEOUT_NS);
+
+    // Restored, every stream images as it was (a first restore marks
+    // each live stream resumed) …
+    let mut k2 = ScapKernel::from_image(i1, None).expect("restore");
+    let b2 = k2.checkpoint_bytes(now, 1);
+    let i2 = CheckpointImage::decode(&b2).unwrap();
+    let i1 = CheckpointImage::decode(&b1).unwrap();
+    let unmarked = |img: &CheckpointImage| -> Vec<_> {
+        let streams = img.streams.iter().cloned();
+        streams
+            .map(|mut s| {
+                s.errors &= !StreamErrors::RESUMED.0;
+                s
+            })
+            .collect()
+    };
+    assert_eq!(unmarked(&i2), unmarked(&i1));
+    assert_eq!(i2.fdir, i1.fdir);
+    // … and restored again, byte for byte.
+    let mut k3 = ScapKernel::from_image(CheckpointImage::decode(&b2).unwrap(), None).unwrap();
+    let mut i3 = CheckpointImage::decode(&k3.checkpoint_bytes(now, 1)).unwrap();
+    assert_eq!(i3.globals.restarts, i2.globals.restarts + 1);
+    i3.globals.restarts = i2.globals.restarts;
+    assert_eq!(i3.to_bytes(), b2);
+}
+
+/// A restore refuses, as corrupt and without a panic, what this kernel
+/// could not have written: an FDIR timeout that is no doubling of the
+/// initial one, a live stream with uid 0, and a TIME_WAIT tombstone that
+/// carries more than its record.
+#[test]
+fn a_restore_rejects_stream_state_this_kernel_cannot_have_written() {
+    let mut k = kernel(ScapConfig {
+        cutoff: crate::config::CutoffPolicy {
+            default: Some(1000),
+            ..Default::default()
+        },
+        use_fdir: true,
+        chunk_size: 4096,
+        ..Default::default()
+    });
+    let pkts = http_session(b"Q", &vec![b'R'; 40_000]);
+    let stop = pkts.len() - 6;
+    drive(&mut k, &pkts[..stop]);
+    let now = pkts[stop - 1].ts_ns;
+    let image = k.checkpoint_bytes(now, 1);
+    let edited = |edit: &dyn Fn(&mut crate::checkpoint::StreamImage)| {
+        let mut img = CheckpointImage::decode(&image).unwrap();
+        assert_eq!(img.streams.len(), 1);
+        edit(&mut img.streams[0]);
+        let img = CheckpointImage::decode(&img.to_bytes()).expect("still decodes");
+        ScapKernel::from_image(img, None)
+    };
+    let rejects = |edit: &dyn Fn(&mut crate::checkpoint::StreamImage)| match edited(edit) {
+        Err(crate::checkpoint::CheckpointError::Corrupt(_)) => {}
+        Err(e) => panic!("not corrupt: {e}"),
+        Ok(_) => panic!("restored"),
+    };
+    for timeout in [0, 1, 3 * hw::FDIR_INITIAL_TIMEOUT_NS, u64::MAX - 1] {
+        rejects(&|s| s.kstate.as_mut().unwrap().fdir_timeout_ns = timeout);
+    }
+    rejects(&|s| s.uid = 0);
+    let tombstone = |s: &mut crate::checkpoint::StreamImage| {
+        s.kstate = None;
+        s.cutoff = [None, None];
+        (s.chunk_size, s.overlap) = (0, 0);
+        s.chunks = 0;
+        for d in &mut s.dirs {
+            (d.captured_pkts, d.captured_bytes) = (0, 0);
+        }
+    };
+    rejects(&|s| {
+        tombstone(s);
+        s.chunks = 1;
+    });
+    rejects(&|s| {
+        tombstone(s);
+        s.cutoff[1] = Some(5);
+    });
+    // A tombstone with nothing but its record restores, and a doubled
+    // timeout, saturated or not, is one this kernel writes back.
+    assert!(edited(&tombstone).is_ok());
+    for timeout in [4 * hw::FDIR_INITIAL_TIMEOUT_NS, u64::MAX] {
+        let restored = edited(&|s| s.kstate.as_mut().unwrap().fdir_timeout_ns = timeout);
+        let again = restored.unwrap().checkpoint_bytes(now, 1);
+        let again = CheckpointImage::decode(&again).unwrap();
+        assert_eq!(
+            again.streams[0].kstate.as_ref().unwrap().fdir_timeout_ns,
+            timeout
+        );
+    }
 }
 
 /// The traffic of one differential case, burst by burst: a preload that

@@ -5,7 +5,7 @@
 use super::hw::Owner;
 use super::lane::Lane;
 use super::ledger::At;
-use super::probe::StreamKState;
+use super::probe::{Flags, StreamKState};
 use super::ScapKernel;
 use crate::event::{EventKind, StreamUid};
 use scap_flight::{DropReason, FlightEvent, FlightKind, FlightLayer};
@@ -29,16 +29,16 @@ impl ScapKernel {
         // Inactivity expiration.
         let idle = self.cfg.inactivity_timeout_ns;
         let expired = self.flows.cores[core].expire_inactive(now, idle, EXPIRE_BATCH);
-        for rec in expired {
+        for (id, rec) in expired {
             self.ledger.work.k_timer_ops += 1;
-            let Some(ks) = self.flows.cores[core].take_state(rec.id) else {
+            let Some(ks) = self.flows.cores[core].take_state(id) else {
                 // TIME_WAIT tombstone aging out: already reported.
                 continue;
             };
             let expired = FlightEvent::new(FlightKind::StreamExpired, FlightLayer::Kernel, now);
-            self.ledger.journal(At::new(core, now, ks.uid), expired);
+            self.ledger.journal(At::new(core, now, ks.uid()), expired);
             self.ledger.stats.expired_streams += 1;
-            self.finish_removed_stream(core, rec, ks, now);
+            self.finish_removed_stream(core, id, rec, ks, now);
         }
 
         // Capture-wide machinery runs on core 0, which owns the single
@@ -86,7 +86,7 @@ impl ScapKernel {
             };
             let d = dir.index();
             self.ledger.work.k_timer_ops += 1;
-            ks.flush_armed[d] = false;
+            ks.flags.set(Flags::FLUSH_ARMED[d], false);
             let Some(seg) = ks.seg.as_deref_mut() else {
                 continue;
             };
@@ -100,7 +100,7 @@ impl ScapKernel {
                 continue;
             }
             let packets = std::mem::take(&mut seg.pkt_records[d]);
-            let uid = ks.uid;
+            let uid = ks.uid();
             let mut lane = Lane {
                 cfg: &self.cfg,
                 governor: &self.governor,
@@ -156,12 +156,12 @@ impl ScapKernel {
     fn evict_low_priority(&mut self, quota: usize, now: u64) {
         let mut candidates: Vec<(StreamUid, usize, StreamId)> = Vec::new();
         for (c, core) in self.flows.cores.iter().enumerate() {
-            for rec in core.iter() {
+            for (id, rec) in core.iter() {
                 if rec.priority != 0 || rec.discarded {
                     continue;
                 }
-                if let Some(ks) = core.state(rec.id) {
-                    candidates.push((ks.uid, c, rec.id));
+                if let Some(ks) = core.state(id) {
+                    candidates.push((ks.uid(), c, id));
                 }
             }
         }
@@ -173,7 +173,8 @@ impl ScapKernel {
             }
             let mut freed: Vec<ChunkBuf> = Vec::new();
             if let Some(ks) = ks {
-                ks.flush_armed = [false, false];
+                ks.flags
+                    .set(Flags::FLUSH_ARMED[0] | Flags::FLUSH_ARMED[1], false);
                 if let Some(seg) = ks.seg.as_deref_mut() {
                     for d in [0usize, 1] {
                         freed.extend(seg.kept[d].take());
@@ -215,7 +216,7 @@ impl ScapKernel {
         };
         rec.status = status;
         let (key, last_ts) = (rec.key, rec.last_ts_ns);
-        self.finish_removed_stream(core, rec, ks, now);
+        self.finish_removed_stream(core, id, rec, ks, now);
         if timewait {
             // A full table just means no tombstone: late packets of the
             // 5-tuple will create a fresh (noise) stream instead.
@@ -228,38 +229,37 @@ impl ScapKernel {
         }
     }
 
-    /// Flush and report a stream whose record and state are already out
-    /// of the tables.
+    /// Flush and report stream `id`, whose record and state are already
+    /// out of the tables.
     fn finish_removed_stream(
         &mut self,
         core: usize,
+        id: StreamId,
         mut rec: StreamRecord,
         mut ks: StreamKState,
         now: u64,
     ) {
-        let at = At::new(core, now, ks.uid);
-        self.flows.close(ks.uid);
-        self.emit.forget(ks.uid);
+        let at = At::new(core, now, ks.uid());
+        self.flows.close(ks.uid());
+        self.emit.forget(ks.uid());
         // The box goes with the stream: what it holds is flushed or
-        // released here.
-        let mut seg = ks.seg.take();
-        for kept in seg
-            .iter_mut()
-            .flat_map(|s| s.kept.iter_mut().filter_map(Option::take))
-        {
+        // released here, and it is dropped with the state once the
+        // stream is reported.
+        for kept in (ks.seg.iter_mut()).flat_map(|s| s.kept.iter_mut().filter_map(Option::take)) {
             self.place.arena.release(kept);
         }
         for dir in [Direction::Forward, Direction::Reverse] {
             let d = dir.index();
             let mut completed: Vec<ChunkBuf> = Vec::new();
             let mut packets = Vec::new();
-            if let Some(seg) = seg.as_deref_mut() {
+            let opened = ks.opened(d);
+            if let Some(seg) = ks.seg.as_deref_mut() {
                 let a = &mut seg.asm[d];
                 if let Some(conn) = seg.conn.as_mut() {
                     // Drain buffered out-of-order data, into a fresh
                     // assembler of the capture's geometry when the
                     // direction had none.
-                    if !ks.opened[d] {
+                    if !opened {
                         *a = ChunkAssembler::new(self.cfg.chunk_size, self.cfg.overlap);
                     }
                     let arena = &mut self.place.arena;
@@ -283,7 +283,7 @@ impl ScapKernel {
                 place: &mut self.place,
                 emit: &mut self.emit,
                 ledger: &mut self.ledger,
-                id: rec.id,
+                id,
                 ks: &mut ks,
                 rec: &mut rec,
                 at,
@@ -293,23 +293,21 @@ impl ScapKernel {
         }
         let owner = Owner {
             core,
-            id: rec.id,
-            uid: ks.uid,
+            id,
+            uid: ks.uid(),
         };
         let steered = self.cfg.use_fdir_balancing;
         let (hw, mut deps) = self.hw();
-        hw.release(&mut deps, owner, rec.key, &ks.hw, steered);
+        hw.release(&mut deps, owner, rec.key, ks.flags, steered);
 
-        let (total_bytes, total_pkts) = rec.dirs.iter().fold((0u64, 0u64), |(b, p), d| {
-            (b + d.total_bytes, p + d.total_pkts)
-        });
+        let (total_bytes, total_pkts) = (rec.total_bytes(), rec.total_pkts());
         let last = rec.last_ts_ns;
         let ended = FlightEvent::new(FlightKind::StreamTerminated, FlightLayer::Kernel, last);
         self.ledger
             .journal(at, ended.with_vals(total_bytes, total_pkts));
         let (arena, ended) = (&mut self.place.arena, EventKind::Terminated);
         self.emit
-            .enqueue(&mut self.ledger, arena, at, &rec, ended, now);
+            .enqueue(&mut self.ledger, arena, at, (&rec, &ks), ended, now);
         self.ledger.stats.stack.streams_reported += 1;
     }
 
@@ -319,7 +317,7 @@ impl ScapKernel {
         self.nic.drain_mode = true;
         for core in 0..self.ncores() {
             while self.kernel_poll(core, now).is_some() {}
-            let ids: Vec<StreamId> = self.flows.cores[core].iter().map(|r| r.id).collect();
+            let ids: Vec<StreamId> = self.flows.cores[core].iter().map(|(id, _)| id).collect();
             for id in ids {
                 self.terminate_stream(core, id, StreamStatus::ClosedTimeout, now, false);
             }

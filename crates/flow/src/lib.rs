@@ -31,7 +31,7 @@ pub mod record;
 pub mod table;
 
 pub use index::GroupIndex;
-pub use record::{DirStats, StreamErrors, StreamId, StreamRecord, StreamStatus};
+pub use record::{DirCounters, DirStats, StreamErrors, StreamId, StreamRecord, StreamStatus};
 pub use table::{FlowTable, FlowTableConfig, Lookup};
 
 #[cfg(test)]

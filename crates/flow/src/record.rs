@@ -57,7 +57,7 @@ impl StreamErrors {
     pub const WORKER_FAILURE: StreamErrors = StreamErrors(0x10);
     /// The stream survived a warm restart: it was restored from a
     /// checkpoint, and packets arriving during the restart blackout were
-    /// lost (see `resume_gap_bytes` on the record).
+    /// lost (see the stream's `resume_gap_bytes`).
     pub const RESUMED: StreamErrors = StreamErrors(0x20);
 
     /// Set the given flag(s).
@@ -77,7 +77,7 @@ impl StreamErrors {
 }
 
 /// Per-direction byte/packet counters (the paper's "all, dropped,
-/// discarded, and captured" accounting).
+/// discarded, and captured" accounting), as events and images show them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirStats {
     /// Everything observed on the wire for this direction.
@@ -98,83 +98,119 @@ pub struct DirStats {
     pub dropped_bytes: u64,
 }
 
+/// The counters of one direction that every flow's packets move:
+/// [`DirStats`] without `captured_*`, which only a stream that carries
+/// segments moves and keeps with its segments.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DirCounters {
+    /// Everything observed on the wire for this direction.
+    pub total_pkts: u64,
+    /// Total wire bytes (frame lengths).
+    pub total_bytes: u64,
+    /// Packets deliberately not kept (cutoff, duplicates, filters).
+    pub discarded_pkts: u64,
+    /// Bytes deliberately not kept.
+    pub discarded_bytes: u64,
+    /// Packets lost to overload (memory/queue pressure); a PPL drop
+    /// happens before any segment is kept, so these stay here.
+    pub dropped_pkts: u64,
+    /// Bytes lost to overload.
+    pub dropped_bytes: u64,
+}
+
+impl DirCounters {
+    /// The full [`DirStats`], given the direction's captured packets
+    /// and bytes.
+    pub fn with_captured(&self, captured_pkts: u64, captured_bytes: u64) -> DirStats {
+        DirStats {
+            total_pkts: self.total_pkts,
+            total_bytes: self.total_bytes,
+            captured_bytes,
+            captured_pkts,
+            discarded_pkts: self.discarded_pkts,
+            discarded_bytes: self.discarded_bytes,
+            dropped_pkts: self.dropped_pkts,
+            dropped_bytes: self.dropped_bytes,
+        }
+    }
+}
+
+impl From<&DirStats> for DirCounters {
+    /// The counters of `d` the record keeps (its `captured_*` aside).
+    fn from(d: &DirStats) -> Self {
+        DirCounters {
+            total_pkts: d.total_pkts,
+            total_bytes: d.total_bytes,
+            discarded_pkts: d.discarded_pkts,
+            discarded_bytes: d.discarded_bytes,
+            dropped_pkts: d.dropped_pkts,
+            dropped_bytes: d.dropped_bytes,
+        }
+    }
+}
+
 /// A tracked stream: one bidirectional transport flow.
 ///
 /// The paper materializes one `stream_t` per direction with a pointer to
 /// its opposite; here the two directions live in one record (`dirs[0]` is
 /// the canonical [`Direction::Forward`]), which makes the opposite-
 /// direction link free and keeps both halves on one cache line group.
+///
+/// The record holds only what every flow's packets move. Its handle is
+/// the slot's position and generation ([`StreamId`]), its access-list
+/// links are the table's, and what a stream moves only once it carries
+/// segments (captured counts, chunks), or only once an application
+/// overrides it (cutoff, chunk geometry), is kept by the table's owner
+/// with the stream's segments. A header-only flow costs this much.
 #[derive(Debug, Clone)]
 pub struct StreamRecord {
-    /// Handle of this record.
-    pub id: StreamId,
     /// Canonical (direction-independent) flow key.
     pub key: FlowKey,
-    /// Direction of the first observed packet relative to `key`; the API
-    /// layer uses it to present client/server orientation.
-    pub first_dir: Direction,
     /// Timestamp of the first packet (ns).
     pub first_ts_ns: u64,
     /// Timestamp of the most recent packet (ns).
     pub last_ts_ns: u64,
+    /// Per-direction counters.
+    pub dirs: [DirCounters; 2],
+    /// Direction of the first observed packet relative to `key`; the API
+    /// layer uses it to present client/server orientation.
+    pub first_dir: Direction,
     /// Lifecycle status.
     pub status: StreamStatus,
     /// Error flags accumulated by reassembly.
     pub errors: StreamErrors,
     /// Application-assigned priority (0 = lowest). Used by PPL.
     pub priority: u8,
-    /// Per-direction stream cutoff in payload bytes (`None` = unlimited).
-    pub cutoff: [Option<u64>; 2],
     /// True once a cutoff was exceeded (stream stays tracked for stats).
     pub cutoff_exceeded: bool,
     /// The application asked to discard the rest of this stream.
     pub discarded: bool,
-    /// Per-direction counters.
-    pub dirs: [DirStats; 2],
-    /// Chunk size override (0 = socket default).
-    pub chunk_size: u32,
-    /// Chunk overlap override.
-    pub overlap: u32,
-    /// Per-stream reassembly-policy override (target-based reassembly);
-    /// `None` follows the socket default.
-    pub reassembly_policy: Option<u8>,
-    /// Cumulative user-level processing time charged to this stream (ns);
-    /// lets applications spot algorithmic-complexity attacks (§3.2).
-    pub processing_time_ns: u64,
-    /// Number of chunks delivered so far.
-    pub chunks: u64,
-    /// Payload bytes skipped over the warm-restart blackout window
-    /// (0 for streams that never crossed a restart). Bounded by the
-    /// checkpoint interval worth of traffic.
-    pub resume_gap_bytes: u64,
-    // Intrusive access-list links (most-recently-used list).
-    pub(crate) lru_prev: Option<u32>,
-    pub(crate) lru_next: Option<u32>,
+    /// Which cutoff class of its owner's policy the stream's key matched
+    /// ([`StreamRecord::NO_CLASS`]: none); the policy gives it a cutoff.
+    pub cutoff_class: u16,
 }
 
+// One record per tracked flow, inline in the table's slot: growing it is
+// a deliberate decision, not a side effect.
+const _: () = assert!(std::mem::size_of::<StreamRecord>() <= 160);
+
 impl StreamRecord {
-    pub(crate) fn new(id: StreamId, key: FlowKey, first_dir: Direction, now: u64) -> Self {
+    /// [`StreamRecord::cutoff_class`] of a stream no class matched.
+    pub const NO_CLASS: u16 = u16::MAX;
+
+    pub(crate) fn new(key: FlowKey, first_dir: Direction, now: u64) -> Self {
         StreamRecord {
-            id,
             key,
-            first_dir,
             first_ts_ns: now,
             last_ts_ns: now,
+            dirs: [DirCounters::default(); 2],
+            first_dir,
             status: StreamStatus::Active,
             errors: StreamErrors::default(),
             priority: 0,
-            cutoff: [None, None],
             cutoff_exceeded: false,
             discarded: false,
-            dirs: [DirStats::default(), DirStats::default()],
-            chunk_size: 0,
-            overlap: 0,
-            reassembly_policy: None,
-            processing_time_ns: 0,
-            chunks: 0,
-            resume_gap_bytes: 0,
-            lru_prev: None,
-            lru_next: None,
+            cutoff_class: Self::NO_CLASS,
         }
     }
 
@@ -187,16 +223,6 @@ impl StreamRecord {
     pub fn total_pkts(&self) -> u64 {
         self.dirs[0].total_pkts + self.dirs[1].total_pkts
     }
-
-    /// Captured payload bytes over both directions.
-    pub fn captured_bytes(&self) -> u64 {
-        self.dirs[0].captured_bytes + self.dirs[1].captured_bytes
-    }
-
-    /// The effective cutoff for a direction.
-    pub fn cutoff_for(&self, dir: Direction) -> Option<u64> {
-        self.cutoff[dir.index()]
-    }
 }
 
 #[cfg(test)]
@@ -206,15 +232,7 @@ mod tests {
 
     fn rec() -> StreamRecord {
         let key = FlowKey::new_v4([1, 2, 3, 4], [5, 6, 7, 8], 10, 20, Transport::Tcp);
-        StreamRecord::new(
-            StreamId {
-                slot: 0,
-                generation: 1,
-            },
-            key,
-            Direction::Forward,
-            42,
-        )
+        StreamRecord::new(key, Direction::Forward, 42)
     }
 
     #[test]
@@ -239,24 +257,17 @@ mod tests {
     }
 
     #[test]
-    fn per_direction_cutoffs() {
-        let mut r = rec();
-        r.cutoff[Direction::Forward.index()] = Some(100);
-        assert_eq!(r.cutoff_for(Direction::Forward), Some(100));
-        assert_eq!(r.cutoff_for(Direction::Reverse), None);
-    }
-
-    #[test]
     fn aggregates_sum_both_directions() {
         let mut r = rec();
         r.dirs[0].total_bytes = 10;
         r.dirs[1].total_bytes = 5;
         r.dirs[0].total_pkts = 2;
         r.dirs[1].total_pkts = 1;
-        r.dirs[0].captured_bytes = 7;
         assert_eq!(r.total_bytes(), 15);
         assert_eq!(r.total_pkts(), 3);
-        assert_eq!(r.captured_bytes(), 7);
+        let full = r.dirs[0].with_captured(1, 7);
+        assert_eq!((full.total_bytes, full.captured_bytes), (10, 7));
+        assert_eq!(DirCounters::from(&full), r.dirs[0]);
     }
 
     #[test]

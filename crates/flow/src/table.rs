@@ -19,7 +19,10 @@
 //!
 //! The record pool (slot + generation) and the intrusive access-list
 //! LRU are unchanged from the chained design: [`StreamId`]s stay stable
-//! across rehashes, checkpoints, and both dispatch paths.
+//! across rehashes, checkpoints, and both dispatch paths. A slot's
+//! position and generation *are* its record's handle, and its
+//! access-list links are the slot's, not the record's: the record holds
+//! only what its flow's packets move.
 //!
 //! # A slot, not a sidecar
 //!
@@ -32,8 +35,9 @@
 //! bounds check or generation compare, and the two sit on adjacent
 //! lines. The table never looks inside an `S`. State is set on a live
 //! record and outlives the record's removal — [`FlowTable::remove`] and
-//! the expiry and eviction calls hand back the record, the owner then
-//! takes the state — until it is taken or the slot's next tenant arrives.
+//! the expiry and eviction calls hand back the record (the last two with
+//! its handle), the owner then takes the state — until it is taken or
+//! the slot's next tenant arrives.
 //! A record without state is a complete thing (the kernel's TIME_WAIT
 //! tombstones), and `FlowTable<()>`, a table of bare records, is the
 //! default.
@@ -117,15 +121,27 @@ pub enum TableFull {
     MaxFlows,
 }
 
+/// The access-list link that points nowhere.
+const NIL: u32 = u32::MAX;
+
 struct Slot<S> {
     generation: u32,
     /// Epoch of the last insert into, `&mut` borrow of, or removal from
     /// this slot (see the module docs). Sixteen bits, so that with the
-    /// generation and the one byte an `Option<()>` takes the header of a
-    /// `Slot<()>` is still eight bytes.
+    /// generation, the links and the one byte an `Option<()>` takes the
+    /// header of a `Slot<()>` is sixteen bytes.
     stamp: u16,
+    /// Access-list neighbours of the record (more recent, less recent),
+    /// [`NIL`] at either end. Meaningful only while the slot holds one.
+    prev: u32,
+    next: u32,
     record: Option<StreamRecord>,
     state: Option<S>,
+}
+
+/// A link as a slot position.
+fn link(l: u32) -> Option<u32> {
+    (l != NIL).then_some(l)
 }
 
 /// Probe `index` for `h`/`canon`, counting ctrl groups examined into
@@ -320,11 +336,8 @@ impl<S> FlowTable<S> {
         } else {
             &self.index
         };
-        let rec = self.slots[*idx.get(pos) as usize]
-            .record
-            .as_ref()
-            .expect("found position holds live record");
-        Some((rec.id, dir))
+        let slot = *idx.get(pos);
+        Some((self.id_of(slot), dir))
     }
 
     /// Find or create the stream for `key`. `now` stamps creation time.
@@ -364,6 +377,8 @@ impl<S> FlowTable<S> {
                 self.slots.push(Slot {
                     generation: 0,
                     stamp: 0,
+                    prev: NIL,
+                    next: NIL,
                     record: None,
                     state: None,
                 });
@@ -378,7 +393,7 @@ impl<S> FlowTable<S> {
             slot,
             generation: s.generation,
         };
-        s.record = Some(StreamRecord::new(id, *canon, dir, now));
+        s.record = Some(StreamRecord::new(*canon, dir, now));
         // Whatever an earlier tenant left behind goes with it.
         s.state = None;
         self.index.insert(h, slot);
@@ -390,6 +405,15 @@ impl<S> FlowTable<S> {
             created: true,
             direction: dir,
         })
+    }
+
+    /// The handle of whatever occupies pool slot `slot`.
+    #[inline]
+    fn id_of(&self, slot: u32) -> StreamId {
+        StreamId {
+            slot,
+            generation: self.slots[slot as usize].generation,
+        }
     }
 
     /// The slot of `id`, while `id` is the generation occupying it.
@@ -517,14 +541,14 @@ impl<S> FlowTable<S> {
 
     /// Expire streams whose `last_ts_ns` is older than `now - timeout_ns`,
     /// walking from the stale end of the access list. Expired records are
-    /// removed and returned (for termination events). At most
-    /// `max_per_call` are expired per call, bounding softirq work.
+    /// removed and returned with their handles (for termination events).
+    /// At most `max_per_call` are expired per call, bounding softirq work.
     pub fn expire_inactive(
         &mut self,
         now: u64,
         timeout_ns: u64,
         max_per_call: usize,
-    ) -> Vec<StreamRecord> {
+    ) -> Vec<(StreamId, StreamRecord)> {
         let deadline = now.saturating_sub(timeout_ns);
         let mut out = Vec::new();
         while out.len() < max_per_call {
@@ -536,20 +560,19 @@ impl<S> FlowTable<S> {
             if rec.last_ts_ns >= deadline {
                 break;
             }
-            let id = rec.id;
+            let id = self.id_of(tail);
             let mut rec = self.remove(id).expect("tail record removable");
             rec.status = crate::record::StreamStatus::ClosedTimeout;
-            out.push(rec);
+            out.push((id, rec));
         }
         out
     }
 
     /// Evict the least-recently-active stream (memory-pressure policy:
     /// "always store newer streams by removing the older ones", §6.4).
-    pub fn evict_oldest(&mut self) -> Option<StreamRecord> {
-        let tail = self.lru_tail?;
-        let id = self.slots[tail as usize].record.as_ref()?.id;
-        self.remove(id)
+    pub fn evict_oldest(&mut self) -> Option<(StreamId, StreamRecord)> {
+        let id = self.id_of(self.lru_tail?);
+        Some((id, self.remove(id)?))
     }
 
     /// Tiered eviction: scan up to `max_scan` records from the stale end
@@ -557,11 +580,12 @@ impl<S> FlowTable<S> {
     /// (the stalest wins a priority tie). Falls back to plain LRU when
     /// every scanned stream shares one priority — so under pressure,
     /// old low-priority flows go before old high-priority ones.
-    pub fn evict_tiered(&mut self, max_scan: usize) -> Option<StreamRecord> {
+    pub fn evict_tiered(&mut self, max_scan: usize) -> Option<(StreamId, StreamRecord)> {
         let mut cur = self.lru_tail?;
-        let mut best: Option<(u8, StreamId)> = None;
+        let mut best: Option<(u8, u32)> = None;
         for _ in 0..max_scan.max(1) {
-            let rec = self.slots[cur as usize]
+            let s = &self.slots[cur as usize];
+            let rec = s
                 .record
                 .as_ref()
                 .expect("access list points at live records");
@@ -570,28 +594,37 @@ impl<S> FlowTable<S> {
                 Some((p, _)) => rec.priority < p,
             };
             if better {
-                best = Some((rec.priority, rec.id));
+                best = Some((rec.priority, cur));
                 if rec.priority == 0 {
                     break; // nothing outranks the bottom tier
                 }
             }
-            match rec.lru_prev {
+            match link(s.prev) {
                 Some(prev) => cur = prev,
                 None => break,
             }
         }
-        self.remove(best?.1)
+        let id = self.id_of(best?.1);
+        Some((id, self.remove(id)?))
     }
 
-    /// Iterate over all live records (diagnostics, final flush).
-    pub fn iter(&self) -> impl Iterator<Item = &StreamRecord> {
-        self.slots.iter().filter_map(|s| s.record.as_ref())
+    /// Iterate over all live records with their handles (diagnostics,
+    /// final flush), in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (StreamId, &StreamRecord)> {
+        self.slots.iter().enumerate().filter_map(|(slot, s)| {
+            let id = StreamId {
+                slot: slot as u32,
+                generation: s.generation,
+            };
+            Some((id, s.record.as_ref()?))
+        })
     }
 
     /// Drain every live record (end-of-capture flush), in slot order.
-    pub fn drain_all(&mut self) -> Vec<StreamRecord> {
-        let ids: Vec<StreamId> = self.iter().map(|r| r.id).collect();
-        ids.into_iter().filter_map(|id| self.remove(id)).collect()
+    pub fn drain_all(&mut self) -> Vec<(StreamId, StreamRecord)> {
+        let ids: Vec<StreamId> = self.iter().map(|(id, _)| id).collect();
+        let drained = ids.into_iter().map(|id| Some((id, self.remove(id)?)));
+        drained.flatten().collect()
     }
 
     // ---- staging (see the module docs) ----
@@ -622,7 +655,7 @@ impl<S> FlowTable<S> {
             rec.dirs[1].total_pkts,
             rec.discarded,
         ));
-        [rec.lru_prev, rec.lru_next]
+        [link(s.prev), link(s.next)]
     }
 
     /// With the second link: whatever state pool slot `slot` holds, of
@@ -636,24 +669,18 @@ impl<S> FlowTable<S> {
     /// Third link: read the access-list links of the record in pool slot
     /// `slot`, which relinking a neighbour writes.
     pub fn stage_links(&self, slot: u32) {
-        let rec = self
-            .slots
-            .get(slot as usize)
-            .and_then(|s| s.record.as_ref());
-        black_box(rec.map(|rec| (rec.lru_prev, rec.lru_next)));
+        black_box(self.slots.get(slot as usize).map(|s| (s.prev, s.next)));
     }
 
     // ---- intrusive access list ----
 
     fn lru_push_front(&mut self, slot: u32) {
         let old_head = self.lru_head;
-        {
-            let rec = self.slots[slot as usize].record.as_mut().unwrap();
-            rec.lru_prev = None;
-            rec.lru_next = old_head;
-        }
+        let s = &mut self.slots[slot as usize];
+        s.prev = NIL;
+        s.next = old_head.unwrap_or(NIL);
         if let Some(h) = old_head {
-            self.slots[h as usize].record.as_mut().unwrap().lru_prev = Some(slot);
+            self.slots[h as usize].prev = slot;
         }
         self.lru_head = Some(slot);
         if self.lru_tail.is_none() {
@@ -662,21 +689,18 @@ impl<S> FlowTable<S> {
     }
 
     fn lru_unlink(&mut self, slot: u32) {
-        let (prev, next) = {
-            let rec = self.slots[slot as usize].record.as_ref().unwrap();
-            (rec.lru_prev, rec.lru_next)
-        };
+        let s = &mut self.slots[slot as usize];
+        let (prev, next) = (link(s.prev), link(s.next));
+        s.prev = NIL;
+        s.next = NIL;
         match prev {
-            Some(p) => self.slots[p as usize].record.as_mut().unwrap().lru_next = next,
+            Some(p) => self.slots[p as usize].next = next.unwrap_or(NIL),
             None => self.lru_head = next,
         }
         match next {
-            Some(n) => self.slots[n as usize].record.as_mut().unwrap().lru_prev = prev,
+            Some(n) => self.slots[n as usize].prev = prev.unwrap_or(NIL),
             None => self.lru_tail = prev,
         }
-        let rec = self.slots[slot as usize].record.as_mut().unwrap();
-        rec.lru_prev = None;
-        rec.lru_next = None;
     }
 }
 
@@ -803,7 +827,7 @@ mod tests {
         t.next_epoch();
         let gone = t.expire_inactive(1_000_000, 10, 64);
         assert_eq!(gone.len(), 5);
-        assert!(gone.iter().all(|r| t.touched(r.id)));
+        assert!(gone.iter().all(|&(id, _)| t.touched(id)));
         assert!(!t.touched(reused));
     }
 
@@ -813,8 +837,8 @@ mod tests {
         let [a, b, c] = [1, 2, 3].map(|i| t.lookup_or_insert(&key(i), 10).unwrap().id);
         t.next_epoch();
         let links = |t: &FlowTable, id: StreamId| {
-            let rec = t.get(id).unwrap();
-            (rec.lru_prev, rec.lru_next)
+            let s = &t.slots[id.slot as usize];
+            (link(s.prev), link(s.next))
         };
         let (of_a, of_b) = (links(&t, a), links(&t, b));
         assert_eq!(
@@ -832,7 +856,7 @@ mod tests {
         t.touch(a, 60);
         assert_eq!(links(&t, a), (None, Some(c.slot)));
         assert_eq!(links(&t, c), (Some(a.slot), Some(b.slot)));
-        let order = std::iter::from_fn(|| t.evict_oldest().map(|r| r.id));
+        let order = std::iter::from_fn(|| t.evict_oldest().map(|(id, _)| id));
         assert_eq!(order.collect::<Vec<_>>(), [b, c, a]);
     }
 
@@ -947,14 +971,14 @@ mod tests {
         for id in ids
             .iter()
             .copied()
-            .chain(staged.iter().map(|r| r.id).collect::<Vec<_>>())
+            .chain(staged.iter().map(|(id, _)| id).collect::<Vec<_>>())
         {
             assert_eq!(staged.touched(id), twin.touched(id));
             assert_eq!(staged.state(id), twin.state(id));
         }
         let drain = |t: &mut FlowTable<u32>| -> Vec<(StreamId, u64)> {
             std::iter::from_fn(|| t.evict_oldest())
-                .map(|r| (r.id, r.last_ts_ns))
+                .map(|(id, r)| (id, r.last_ts_ns))
                 .collect()
         };
         let order = drain(&mut staged);
@@ -1035,7 +1059,7 @@ mod tests {
     #[test]
     fn a_table_of_bare_records_pays_nothing_for_the_state_it_lacks() {
         use std::mem::size_of;
-        assert_eq!(size_of::<Slot<()>>(), size_of::<StreamRecord>() + 8);
+        assert_eq!(size_of::<Slot<()>>(), size_of::<StreamRecord>() + 16);
         assert_eq!(
             size_of::<Slot<[u64; 4]>>(),
             size_of::<Slot<()>>() + size_of::<Option<[u64; 4]>>()
@@ -1051,13 +1075,13 @@ mod tests {
         // Touch a at t=5000 so it is fresh again.
         t.touch(a, 5_000);
         let expired = t.expire_inactive(6_000, 2_500, 64);
-        let ids: Vec<StreamId> = expired.iter().map(|r| r.id).collect();
+        let ids: Vec<StreamId> = expired.iter().map(|&(id, _)| id).collect();
         assert!(ids.contains(&b));
         assert!(ids.contains(&c));
         assert!(!ids.contains(&a));
         assert!(expired
             .iter()
-            .all(|r| r.status == crate::record::StreamStatus::ClosedTimeout));
+            .all(|(_, r)| r.status == crate::record::StreamStatus::ClosedTimeout));
         assert_eq!(t.len(), 1);
     }
 
@@ -1079,10 +1103,8 @@ mod tests {
         let b = t.lookup_or_insert(&key(2), 200).unwrap().id;
         // b is newer, but touching a makes a the most recent.
         t.touch(a, 300);
-        let evicted = t.evict_oldest().unwrap();
-        assert_eq!(evicted.id, b);
-        let evicted2 = t.evict_oldest().unwrap();
-        assert_eq!(evicted2.id, a);
+        assert_eq!(t.evict_oldest().unwrap().0, b);
+        assert_eq!(t.evict_oldest().unwrap().0, a);
         assert!(t.evict_oldest().is_none());
     }
 
@@ -1096,17 +1118,17 @@ mod tests {
         t.get_mut(b).unwrap().priority = 0;
         t.get_mut(c).unwrap().priority = 1;
         // Low-priority b goes first even though a is staler.
-        assert_eq!(t.evict_tiered(8).unwrap().id, b);
+        assert_eq!(t.evict_tiered(8).unwrap().0, b);
         // Among the rest, the lowest remaining priority wins.
-        assert_eq!(t.evict_tiered(8).unwrap().id, c);
-        assert_eq!(t.evict_tiered(8).unwrap().id, a);
+        assert_eq!(t.evict_tiered(8).unwrap().0, c);
+        assert_eq!(t.evict_tiered(8).unwrap().0, a);
         assert!(t.evict_tiered(8).is_none());
         // A scan window of 1 degenerates to plain LRU.
         let d = t.lookup_or_insert(&key(4), 400).unwrap().id;
         let e = t.lookup_or_insert(&key(5), 500).unwrap().id;
         t.get_mut(d).unwrap().priority = 7;
-        assert_eq!(t.evict_tiered(1).unwrap().id, d);
-        assert_eq!(t.evict_tiered(1).unwrap().id, e);
+        assert_eq!(t.evict_tiered(1).unwrap().0, d);
+        assert_eq!(t.evict_tiered(1).unwrap().0, e);
     }
 
     #[test]
@@ -1169,10 +1191,7 @@ mod tests {
         // Drain any pending rehash via mutations; the table stays exact.
         while t.rehash_pending() {
             let (i, id) = live.pop().unwrap();
-            assert_eq!(
-                t.remove(id).unwrap().id,
-                t.get(id).map(|r| r.id).unwrap_or(id)
-            );
+            assert!(t.remove(id).is_some());
             assert!(t.lookup(&key(i)).is_none());
         }
         assert_eq!(t.len(), live.len());
@@ -1346,7 +1365,7 @@ mod tests {
                     _ => {
                         // Expire everything idle > 25 ticks; mirror in model.
                         let expired = t.expire_inactive(now, 25, usize::MAX);
-                        for rec in &expired {
+                        for (_, rec) in &expired {
                             prop_assert_eq!(
                                 rec.status,
                                 crate::record::StreamStatus::ClosedTimeout
@@ -1394,7 +1413,7 @@ mod tests {
                     1 => {
                         let evicted = t.evict_oldest();
                         match (evicted, order.pop()) {
-                            (Some(rec), Some((_, id, _))) => prop_assert_eq!(rec.id, id),
+                            (Some((got, _)), Some((_, id, _))) => prop_assert_eq!(got, id),
                             (None, None) => {}
                             _ => prop_assert!(false, "evict_oldest disagrees with model"),
                         }
@@ -1405,7 +1424,7 @@ mod tests {
                         if order.is_empty() {
                             prop_assert!(evicted.is_none());
                         } else {
-                            let rec = evicted.expect("non-empty table evicts");
+                            let (id, rec) = evicted.expect("non-empty table evicts");
                             let window: Vec<&(u32, StreamId, u8)> =
                                 order.iter().rev().take(WINDOW).collect();
                             let min_prio =
@@ -1413,8 +1432,8 @@ mod tests {
                             prop_assert_eq!(rec.priority, min_prio);
                             // The stalest min-priority entry in the window.
                             let want = window.iter().find(|(.., p)| *p == min_prio).unwrap().1;
-                            prop_assert_eq!(rec.id, want);
-                            let posn = order.iter().position(|(_, id, _)| *id == rec.id).unwrap();
+                            prop_assert_eq!(id, want);
+                            let posn = order.iter().position(|&(_, o, _)| o == id).unwrap();
                             order.remove(posn);
                         }
                     }
