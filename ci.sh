@@ -50,6 +50,14 @@ cargo test -q --release -p scap --lib header_only_flows_hold_no_box
 # (`StreamRecord` ≤ 160 B and `StreamKState` ≤ 24 B are const assertions.)
 cargo test -q --release -p scap --lib stream_overrides_widen_narrow_reload_and_discard
 cargo test -q --release -p scap --lib image_restore_image_is_byte_identical
+# A block that fits its chunk: the arena's and the assembler's tests (the
+# differential against full-size blocks, the bounded free lists) and the
+# kernel's guards — 3,000 short sessions hold ≤ 512 B of block per open
+# direction, a restore puts pending chunks in blocks of their class, a
+# small kept chunk merges with a full one — on the optimised code.
+cargo test -q --release -p scap-memory
+cargo test -q --release -p scap --lib -- short_sessions_hold_blocks_that_fit_their_chunks \
+    a_restore_puts_each_pending_chunk_in_a_block_of_its_class a_small_kept_chunk_merges_with_a_full_one
 
 echo "== staged bursts against per-packet dispatch, release profile =="
 # Overflow checks and `debug_assert!`s are compiled out here and the

@@ -562,7 +562,7 @@ mod tests {
     fn a_removed_streams_tail_is_the_event_a_live_streams_chunk_is() {
         let emitted = |removed: bool| -> Event {
             with_lane(None, removed, |lane| {
-                let mut chunk = lane.place.arena.alloc(64, 4096).unwrap();
+                let mut chunk = lane.place.arena.alloc(64, 5, 4096).unwrap();
                 chunk.extend_from_slice(b"hello");
                 let packets = vec![PacketRecord {
                     ts_ns: 5,

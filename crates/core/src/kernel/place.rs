@@ -110,7 +110,7 @@ impl Placer {
         next: ChunkBuf,
     ) -> ChunkBuf {
         let total = kept.len() + next.len();
-        match self.arena.alloc(total.max(1), kept.start_offset) {
+        match self.arena.alloc(total.max(1), total, kept.start_offset) {
             Ok(mut merged) => {
                 merged.extend_from_slice(kept.bytes());
                 merged.extend_from_slice(next.bytes());

@@ -1670,6 +1670,252 @@ fn a_restore_rejects_stream_state_this_kernel_cannot_have_written() {
     }
 }
 
+/// One TCP session's packets towards `server:80` from `client:port`,
+/// handshake first: the client's payload as `client_segments`, then the
+/// server's, each in frames of at most 1,000 bytes, `ts` nanoseconds
+/// apart from `t0`.
+fn tcp_session(
+    (client, port): ([u8; 4], u16),
+    t0: u64,
+    client_segments: &[&[u8]],
+    server_segments: &[&[u8]],
+) -> Vec<Packet> {
+    let server = [172, 16, 0, 9];
+    let ack = TcpFlags::ACK;
+    let mut ts = t0;
+    let mut at = |frame: Vec<u8>| {
+        ts += 1_000;
+        Packet::new(ts, frame)
+    };
+    let mut pkts = vec![
+        at(PacketBuilder::tcp_v4(
+            client,
+            server,
+            port,
+            80,
+            1,
+            0,
+            TcpFlags::SYN,
+            b"",
+        )),
+        at(PacketBuilder::tcp_v4(
+            server,
+            client,
+            80,
+            port,
+            9,
+            2,
+            TcpFlags::SYN | ack,
+            b"",
+        )),
+        at(PacketBuilder::tcp_v4(
+            client, server, port, 80, 2, 10, ack, b"",
+        )),
+    ];
+    let (mut cseq, mut sseq) = (2u32, 10u32);
+    for (to_server, segments) in [(true, client_segments), (false, server_segments)] {
+        for seg in segments.iter().flat_map(|s| s.chunks(1_000)) {
+            let frame = if to_server {
+                PacketBuilder::tcp_v4(client, server, port, 80, cseq, sseq, ack, seg)
+            } else {
+                PacketBuilder::tcp_v4(server, client, 80, port, sseq, cseq, ack, seg)
+            };
+            pkts.push(at(frame));
+            *(if to_server { &mut cseq } else { &mut sseq }) += seg.len() as u32;
+        }
+    }
+    pkts
+}
+
+/// The directions holding a partial chunk, over every core.
+fn pending_directions(k: &ScapKernel) -> usize {
+    let cores = k.flows.cores.iter();
+    let states = cores.flat_map(|core| core.iter().filter_map(|(id, _)| core.state(id)));
+    let boxes = states.filter_map(|ks| ks.seg.as_deref());
+    boxes
+        .flat_map(|seg| seg.asm.iter())
+        .filter(|a| a.has_pending())
+        .count()
+}
+
+/// A block fits its chunk: 3,000 concurrent short TCP sessions with
+/// 200-byte segments (half the clients send two) keep every direction's
+/// partial chunk open. The budget charges each the full 16 KiB chunk, as
+/// it always has; the arena holds at most 512 bytes of block for each.
+#[test]
+fn short_sessions_hold_blocks_that_fit_their_chunks() {
+    let mut k = kernel(ScapConfig {
+        cores: 2,
+        memory_bytes: 1 << 30,
+        flush_timeout_ns: u64::MAX / 2,
+        inactivity_timeout_ns: u64::MAX / 2,
+        ..Default::default()
+    });
+    let sessions = 3_000u32;
+    let seg = [7u8; 200];
+    let pkts: Vec<Packet> = (0..sessions)
+        .flat_map(|i| {
+            let client = ([10, 20, (i >> 8) as u8, i as u8], 5_000);
+            let ask: &[&[u8]] = if i % 2 == 0 { &[&seg, &seg] } else { &[&seg] };
+            tcp_session(client, u64::from(i) * 10_000, ask, &[&seg])
+        })
+        .collect();
+    let events = drive(&mut k, &pkts);
+    assert_eq!(events.iter().map(Event::data_len).sum::<usize>(), 0);
+    assert_eq!(k.stats().stack.dropped_packets, 0);
+    let dirs = pending_directions(&k);
+    assert_eq!(dirs, 2 * sessions as usize);
+    let arena = &k.place.arena;
+    assert_eq!(arena.used(), dirs * k.cfg.chunk_size);
+    assert!(
+        arena.block_bytes() <= dirs * 512,
+        "{} B of blocks for {dirs} directions",
+        arena.block_bytes()
+    );
+}
+
+/// Data events as (direction, start offset, bytes).
+fn chunks_of(events: &[Event]) -> Vec<(Direction, u64, Vec<u8>)> {
+    let data = events.iter().filter_map(|e| match &e.kind {
+        EventKind::Data { dir, chunk, .. } => {
+            Some((*dir, chunk.start_offset, chunk.bytes().to_vec()))
+        }
+        _ => None,
+    });
+    data.collect()
+}
+
+/// Restore across block classes: partial chunks of 200 B, 4 KiB + 1 and
+/// `chunk_size` − 1 come back in blocks of their own class (256, 8,192
+/// and 16,384 bytes), charged the full chunk each; image → restore →
+/// image is byte-identical; and the restored kernel completes the chunks
+/// exactly as the kernel that wrote the image does.
+#[test]
+fn a_restore_puts_each_pending_chunk_in_a_block_of_its_class() {
+    let cfg = ScapConfig {
+        cores: 1,
+        flush_timeout_ns: u64::MAX / 2,
+        inactivity_timeout_ns: u64::MAX / 2,
+        ..Default::default()
+    };
+    let chunk = cfg.chunk_size;
+    let pending = [200, 4 << 10 | 1, chunk - 1];
+    let bytes =
+        |i: usize, n: usize| -> Vec<u8> { (0..n).map(|b| (b % 251) as u8 ^ i as u8).collect() };
+    let client = |i: usize| ([10, 30, 0, i as u8], 6_000);
+    let mut k = kernel(cfg);
+    for (i, &n) in pending.iter().enumerate() {
+        let pkts = tcp_session(client(i), i as u64 * 1_000_000, &[&bytes(i, n)], &[]);
+        assert!(chunks_of(&drive(&mut k, &pkts)).is_empty());
+    }
+    let now = 10_000_000;
+    let b1 = k.checkpoint_bytes(now, 1);
+
+    let mut k2 = ScapKernel::from_image(CheckpointImage::decode(&b1).unwrap(), None).unwrap();
+    let arena = &k2.place.arena;
+    assert_eq!(arena.used(), 3 * chunk);
+    assert_eq!(arena.block_bytes(), 256 + 8192 + 16384);
+    let b2 = k2.checkpoint_bytes(now, 1);
+    let mut k3 = ScapKernel::from_image(CheckpointImage::decode(&b2).unwrap(), None).unwrap();
+    let mut i3 = CheckpointImage::decode(&k3.checkpoint_bytes(now, 1)).unwrap();
+    let i2 = CheckpointImage::decode(&b2).unwrap();
+    assert_eq!(i3.globals.restarts, i2.globals.restarts + 1);
+    i3.globals.restarts = i2.globals.restarts;
+    assert_eq!(i3.to_bytes(), b2);
+
+    // Each stream sends a chunk and a half more.
+    let more: Vec<Packet> = (pending.iter().enumerate())
+        .flat_map(|(i, &n)| {
+            let tail = bytes(i + 3, chunk + chunk / 2);
+            let (c, port) = client(i);
+            let pkts = tail.chunks(1_000).scan(2 + n as u32, |seq, seg| {
+                let frame = PacketBuilder::tcp_v4(
+                    c,
+                    [172, 16, 0, 9],
+                    port,
+                    80,
+                    *seq,
+                    10,
+                    TcpFlags::ACK,
+                    seg,
+                );
+                *seq += seg.len() as u32;
+                Some(frame)
+            });
+            pkts.collect::<Vec<_>>()
+        })
+        .enumerate()
+        .map(|(j, frame)| Packet::new(now + j as u64 * 1_000, frame))
+        .collect();
+    let (wrote, restored) = (drive(&mut k, &more), drive(&mut k3, &more));
+    assert_eq!(chunks_of(&restored), chunks_of(&wrote));
+    assert_eq!(chunks_of(&wrote).len(), 3 + 1);
+    assert_eq!(k3.place.arena.used(), k.place.arena.used());
+}
+
+/// A small kept chunk merges with a full one: a 200-byte chunk the flush
+/// timer delivered is kept, and the next 16 KiB chunk comes out merged
+/// behind it, in one block of the merged size; returned, it leaves the
+/// budget as it found it.
+#[test]
+fn a_small_kept_chunk_merges_with_a_full_one() {
+    let mut k = kernel(ScapConfig {
+        cores: 1,
+        flush_timeout_ns: 50_000_000,
+        ..Default::default()
+    });
+    let chunk = k.cfg.chunk_size;
+    let first = tcp_session(([10, 40, 0, 1], 7_000), 0, &[&[b'a'; 200]], &[]);
+    drive(&mut k, &first);
+    let mut flushed = Vec::new();
+    k.service(1_000_000_000, |_, ev| flushed.push(ev));
+    let ev = flushed.pop().expect("the flush timer delivered the chunk");
+    let (
+        uid,
+        EventKind::Data {
+            dir, chunk: small, ..
+        },
+    ) = (ev.stream.uid, ev.kind)
+    else {
+        panic!("not a data event")
+    };
+    assert_eq!(
+        (small.len(), small.capacity(), small.size()),
+        (200, 256, chunk)
+    );
+    k.control(ControlOp::KeepChunk(uid, dir));
+    k.release_data(uid, dir, small);
+
+    let full: Vec<Packet> = (0..chunk / 1_024)
+        .map(|j| {
+            let seq = 2 + 200 + (j * 1_024) as u32;
+            let frame = PacketBuilder::tcp_v4(
+                [10, 40, 0, 1],
+                [172, 16, 0, 9],
+                7_000,
+                80,
+                seq,
+                10,
+                TcpFlags::ACK,
+                &[b'b'; 1_024],
+            );
+            Packet::new(2_000_000_000 + j as u64, frame)
+        })
+        .collect();
+    let mut merged = drive(&mut k, &full);
+    let ev = merged.pop().expect("the merged chunk");
+    assert!(merged.iter().all(|e| e.data_len() == 0));
+    let EventKind::Data { chunk: m, .. } = ev.kind else {
+        panic!("not a data event")
+    };
+    assert_eq!((m.start_offset, m.len()), (0, 200 + chunk));
+    assert_eq!((m.size(), m.capacity()), (200 + chunk, 200 + chunk));
+    assert!(m.bytes()[..200].iter().all(|&b| b == b'a'));
+    assert!(m.bytes()[200..].iter().all(|&b| b == b'b'));
+    k.release_data(uid, dir, m);
+    assert_eq!(k.place.arena.used(), 0);
+}
+
 /// The traffic of one differential case, burst by burst: a preload that
 /// leaves the (single) core's index a few inserts short of growing, then
 /// bursts of the given sizes (the first a full 128, so that the index

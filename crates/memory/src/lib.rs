@@ -7,11 +7,14 @@
 //!
 //! * [`arena`] — the large buffer the kernel module allocates and maps
 //!   into user space, modelled as a budgeted block allocator with
-//!   per-size-class free lists. Streams get contiguous blocks of their
-//!   chunk size; the fill fraction drives overload policy.
+//!   per-size-class free lists. The budget charges every open chunk its
+//!   full chunk size, and that fill fraction drives overload policy; the
+//!   block that holds a chunk's bytes is contiguous and only as large as
+//!   its power-of-two class (from 256 bytes up to the chunk size).
 //! * [`assembler`] — per-direction chunk assembly: payload is copied
-//!   *once*, directly into the stream's current block (the paper's core
-//!   performance argument against user-level reassembly), with chunk
+//!   *once* from the frame, directly into the stream's current block (the
+//!   paper's core performance argument against user-level reassembly;
+//!   the bytes of a chunk whose block grows move once more), with chunk
 //!   completion, flush, and inter-chunk overlap.
 //! * [`ppl`] — Prioritized Packet Loss (§2.2): the
 //!   `base_threshold`/watermark scheme that sheds low-priority packets
