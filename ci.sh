@@ -32,6 +32,13 @@ if grep -rnE 'thread::sleep|unsafe *(\{|fn|impl)' crates/store/src/; then
 fi
 grep -qE '^const MAX_IN_FLIGHT_BYTES: usize = ' crates/store/src/writer.rs \
     || { echo "the archive writer's in-flight bound is not a const"; exit 1; }
+# A segment scan (writer recovery, verify) streams the file through one
+# 64 KiB buffer: reading the whole segment into memory is not back.
+scan=$(sed -n '/^pub fn scan_segment/,/^}/p' crates/store/src/format.rs)
+[ -n "$scan" ] || { echo "scan_segment not found in scap-store's format.rs"; exit 1; }
+if echo "$scan" | grep -q 'fs::read('; then
+    echo "scan_segment reads the whole segment: $scan"; exit 1
+fi
 
 echo "== incremental checkpoints, release profile =="
 # Debug builds compare every checkpoint image with a full encode inside
@@ -54,10 +61,12 @@ cargo test -q --release -p scap --lib image_restore_image_is_byte_identical
 # differential against full-size blocks, the bounded free lists) and the
 # kernel's guards — 3,000 short sessions hold ≤ 512 B of block per open
 # direction, a restore puts pending chunks in blocks of their class, a
-# small kept chunk merges with a full one — on the optimised code.
+# small kept chunk merges with a full one, a hundred merges of distinct
+# totals reuse a few power-of-two blocks — on the optimised code.
 cargo test -q --release -p scap-memory
 cargo test -q --release -p scap --lib -- short_sessions_hold_blocks_that_fit_their_chunks \
-    a_restore_puts_each_pending_chunk_in_a_block_of_its_class a_small_kept_chunk_merges_with_a_full_one
+    a_restore_puts_each_pending_chunk_in_a_block_of_its_class a_small_kept_chunk_merges_with_a_full_one \
+    merges_of_distinct_totals_reuse_their_blocks
 
 echo "== staged bursts against per-packet dispatch, release profile =="
 # Overflow checks and `debug_assert!`s are compiled out here and the

@@ -102,6 +102,9 @@ impl Placer {
     }
 
     /// Concatenate a kept chunk with its successor into one larger chunk.
+    /// The budget charges their total; the block is the power-of-two
+    /// class that holds it, so a merged block goes back to a free list
+    /// later merges and chunks draw from.
     pub(super) fn merge(
         &mut self,
         ledger: &mut Ledger,
@@ -110,7 +113,7 @@ impl Placer {
         next: ChunkBuf,
     ) -> ChunkBuf {
         let total = kept.len() + next.len();
-        match self.arena.alloc(total.max(1), total, kept.start_offset) {
+        match self.arena.alloc_pow2(total.max(1), kept.start_offset) {
             Ok(mut merged) => {
                 merged.extend_from_slice(kept.bytes());
                 merged.extend_from_slice(next.bytes());

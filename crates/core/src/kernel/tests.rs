@@ -1909,11 +1909,49 @@ fn a_small_kept_chunk_merges_with_a_full_one() {
         panic!("not a data event")
     };
     assert_eq!((m.start_offset, m.len()), (0, 200 + chunk));
-    assert_eq!((m.size(), m.capacity()), (200 + chunk, 200 + chunk));
+    // The budget charges the total; the block is the class that holds it.
+    assert_eq!(
+        (m.size(), m.capacity()),
+        (200 + chunk, (200 + chunk).next_power_of_two())
+    );
     assert!(m.bytes()[..200].iter().all(|&b| b == b'a'));
     assert!(m.bytes()[200..].iter().all(|&b| b == b'b'));
     k.release_data(uid, dir, m);
     assert_eq!(k.place.arena.used(), 0);
+}
+
+/// Merges of distinct totals share power-of-two blocks: a hundred
+/// `KeepChunk` merges of 16,384–16,483 bytes leave a few blocks behind,
+/// not one parked block per total.
+#[test]
+fn merges_of_distinct_totals_reuse_their_blocks() {
+    let mut k = kernel(ScapConfig {
+        cores: 1,
+        ..Default::default()
+    });
+    let chunk = k.cfg.chunk_size;
+    let copied = k.ledger.work.k_bytes_copied;
+    let mut merged_bytes = 0;
+    for i in 0..100 {
+        let arena = &mut k.place.arena;
+        let mut kept = arena.alloc(chunk, 1 + i, 0).unwrap();
+        kept.extend_from_slice(&vec![b'k'; 1 + i]);
+        let mut next = arena.alloc(chunk, chunk - 1, (1 + i) as u64).unwrap();
+        next.extend_from_slice(&vec![b'n'; chunk - 1]);
+        let m = k.place.merge(&mut k.ledger, 0, kept, next);
+        assert_eq!((m.len(), m.start_offset), (chunk + i, 0));
+        assert_eq!(k.place.arena.used(), chunk + i);
+        merged_bytes += m.len() as u64;
+        k.place.arena.release(m);
+    }
+    assert_eq!(k.ledger.work.k_bytes_copied - copied, merged_bytes);
+    let arena = &k.place.arena;
+    assert_eq!(arena.used(), 0);
+    assert!(
+        arena.block_bytes() <= 4 * 2 * chunk,
+        "{} bytes of blocks after 100 merges",
+        arena.block_bytes()
+    );
 }
 
 /// The traffic of one differential case, burst by burst: a preload that

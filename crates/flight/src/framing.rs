@@ -53,14 +53,24 @@ static CRC_TABLES: [[u32; 256]; SLICE] = {
 };
 
 /// CRC-32 checksum (IEEE), the integrity check on every record and
-/// payload frame. Slicing-by-16: sixteen independent table lookups fold
-/// sixteen input bytes per step (only four of them wait on the running
-/// state), the tail goes byte-at-a-time. The twelve lookups that do not
-/// wait on the state are folded first and the four that do last, so a
-/// step's loop-carried path is four lookups and a two-level fold, not a
-/// sixteen-long XOR chain behind them (≈ 1.9× the bytes per second).
+/// payload frame.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    crc32_update(0, data)
+}
+
+/// The CRC-32 of the input so far, whose CRC is `prev`, followed by
+/// `data`: `crc32_update(crc32(a), b) == crc32(a ++ b)`, and
+/// `crc32_update(0, b) == crc32(b)`. A reader checks a long payload
+/// piece by piece with it, never holding the whole.
+///
+/// Slicing-by-16: sixteen independent table lookups fold sixteen input
+/// bytes per step (only four of them wait on the running state), the
+/// tail goes byte-at-a-time. The twelve lookups that do not wait on the
+/// state are folded first and the four that do last, so a step's
+/// loop-carried path is four lookups and a two-level fold, not a
+/// sixteen-long XOR chain behind them (≈ 1.9× the bytes per second).
+pub fn crc32_update(prev: u32, data: &[u8]) -> u32 {
+    let mut c = prev ^ 0xFFFF_FFFF;
     let mut blocks = data.chunks_exact(SLICE);
     for block in &mut blocks {
         let t = |i: usize, b: u8| CRC_TABLES[SLICE - 1 - i][usize::from(b)];

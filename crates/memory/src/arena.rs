@@ -71,7 +71,9 @@ impl ChunkBuf {
         self.size as usize
     }
 
-    /// Bytes the physical block holds; never more than [`size`].
+    /// Bytes the physical block holds: at most [`size`], except for a
+    /// chunk made by [`Arena::alloc_pow2`], whose block is the power of
+    /// two that holds it.
     ///
     /// [`size`]: ChunkBuf::size
     pub fn capacity(&self) -> usize {
@@ -213,6 +215,27 @@ impl Arena {
         fill: usize,
         start_offset: u64,
     ) -> Result<ChunkBuf, OutOfMemory> {
+        self.charge(size, self.class(fill, size), start_offset)
+    }
+
+    /// Allocate a chunk of a one-off logical size `size` (two chunks
+    /// merged into one), charging `size` to the budget. Its block is the
+    /// power-of-two class that holds it, not a class capped at `size`:
+    /// the block then comes from, and goes back to, a free list other
+    /// allocations share, instead of one only a chunk of the very same
+    /// size would ever pop.
+    pub fn alloc_pow2(&mut self, size: usize, start_offset: u64) -> Result<ChunkBuf, OutOfMemory> {
+        self.charge(size, size.max(MIN_CLASS).next_power_of_two(), start_offset)
+    }
+
+    /// Charge `size` to the budget and hand out a chunk of that logical
+    /// size in a block of `class` bytes.
+    fn charge(
+        &mut self,
+        size: usize,
+        class: usize,
+        start_offset: u64,
+    ) -> Result<ChunkBuf, OutOfMemory> {
         assert!(size > 0);
         let fits = self.used + self.reserved + size <= self.budget;
         let (true, Ok(logical)) = (fits, u32::try_from(size)) else {
@@ -220,7 +243,7 @@ impl Arena {
             self.tele.inc(0, Metric::ArenaAllocFailures);
             return Err(OutOfMemory);
         };
-        let data = self.block(self.class(fill, size));
+        let data = self.block(class);
         self.used += size;
         self.peak_used = self.peak_used.max(self.used);
         self.allocs += 1;
@@ -388,6 +411,30 @@ mod tests {
         let again = a.alloc(16384, 10, 0).unwrap();
         assert_eq!(again.data.as_ptr(), small);
         assert_eq!(a.block_bytes(), 256 + 8192 + 16384);
+    }
+
+    #[test]
+    fn one_off_sizes_share_power_of_two_blocks() {
+        let mut a = Arena::new(1 << 20);
+        let c = a.alloc_pow2(16_385, 3).unwrap();
+        assert_eq!(
+            (c.size(), c.capacity(), c.start_offset),
+            (16_385, 32_768, 3)
+        );
+        assert_eq!(a.used(), 16_385);
+        a.release(c);
+        // A different size of the same class takes the parked block.
+        let c = a.alloc_pow2(20_000, 0).unwrap();
+        assert_eq!(a.block_bytes(), 32_768);
+        a.release(c);
+        // Small ones share the classes the assembler draws from.
+        let c = a.alloc_pow2(1, 0).unwrap();
+        assert_eq!((c.size(), c.capacity()), (1, MIN_CLASS));
+        a.release(c);
+        let c = a.alloc(16_384, 10, 0).unwrap();
+        assert_eq!(a.block_bytes(), 32_768 + MIN_CLASS);
+        a.release(c);
+        assert_eq!(a.used(), 0);
     }
 
     #[test]

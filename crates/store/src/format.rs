@@ -27,7 +27,7 @@ use scap::checkpoint::{
 use scap::{StreamSnapshot, StreamUid};
 use scap_flow::{DirStats, StreamErrors, StreamStatus};
 use scap_wire::{Direction, FlowKey};
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::StoreError;
@@ -37,6 +37,7 @@ use crate::StoreError;
 // (flow key, direction, status, `DirStats`) — with the capture
 // checkpoint format in `scap::checkpoint`. One codec, two file families.
 pub use scap::checkpoint::{crc32, file_header, frame_record, FILE_HEADER_LEN, FORMAT_VERSION};
+use scap_flight::framing::crc32_update;
 
 /// Segment-file magic ("SSEG").
 pub const SEG_MAGIC: u32 = 0x5347_4553;
@@ -255,51 +256,76 @@ pub struct SegmentScan {
     pub torn_bytes: u64,
 }
 
+/// Bytes a segment scan holds at a time: its one read buffer, whatever
+/// the segment size.
+pub(crate) const SCAN_PIECE: usize = 64 << 10;
+
 /// Scan a segment file, validating every frame (magic, bounds, payload
 /// CRC) and stopping at the first invalid byte: everything after is the
-/// torn tail a crashed writer left behind.
+/// torn tail a crashed writer left behind. The file streams through one
+/// [`SCAN_PIECE`]-byte buffer and each payload's CRC is folded piece by
+/// piece, so writer recovery and `verify` hold a frame header and a
+/// piece, never the segment.
 pub fn scan_segment(path: &Path) -> Result<SegmentScan, StoreError> {
-    let data = std::fs::read(path)?;
-    if data.len() < FILE_HEADER_LEN {
+    let file = std::fs::File::open(path)?;
+    let file_len = file.metadata()?.len();
+    if file_len < FILE_HEADER_LEN as u64 {
         return Ok(SegmentScan {
             id: 0,
             frames: Vec::new(),
             valid_len: 0,
-            torn_bytes: data.len() as u64,
+            torn_bytes: file_len,
         });
     }
-    let id = scap_flight::framing::read_file_header(&data, SEG_MAGIC)
+    let mut r = BufReader::with_capacity(SCAN_PIECE, file);
+    let mut head = [0u8; FILE_HEADER_LEN];
+    r.read_exact(&mut head)?;
+    let id = scap_flight::framing::read_file_header(&head, SEG_MAGIC)
         .map_err(|_| StoreError::Corrupt(format!("{}: bad segment header", path.display())))?;
     let mut frames = Vec::new();
-    let mut pos = FILE_HEADER_LEN;
-    loop {
-        if pos + FRAME_HEADER_LEN > data.len() {
-            break;
-        }
-        let h = data[pos..pos + FRAME_HEADER_LEN]
-            .try_into()
-            .expect("bounds checked above");
-        let Some((uid, dir, len, crc)) = parse_frame_header(h) else {
+    let mut pos = FILE_HEADER_LEN as u64;
+    while pos + FRAME_HEADER_LEN as u64 <= file_len {
+        let mut h = [0u8; FRAME_HEADER_LEN];
+        r.read_exact(&mut h)?;
+        let Some((uid, dir, len, crc)) = parse_frame_header(&h) else {
             break;
         };
-        let start = pos + FRAME_HEADER_LEN;
-        if dir > 1 || start + len > data.len() || crc32(&data[start..start + len]) != crc {
+        let end = pos + (FRAME_HEADER_LEN + len) as u64;
+        if dir > 1 || end > file_len || payload_crc(&mut r, len)? != crc {
             break;
         }
         frames.push(FrameInfo {
             uid,
             dir,
-            offset: pos as u64,
+            offset: pos,
             len: len as u64,
         });
-        pos = start + len;
+        pos = end;
     }
     Ok(SegmentScan {
         id,
         frames,
-        valid_len: pos as u64,
-        torn_bytes: (data.len() - pos) as u64,
+        valid_len: pos,
+        torn_bytes: file_len - pos,
     })
+}
+
+/// The CRC-32 of the next `len` bytes of `r`, folded one buffered piece
+/// at a time. A file that ends early (it shrank under the scan) fails
+/// the read.
+fn payload_crc(r: &mut impl BufRead, mut len: usize) -> Result<u32, StoreError> {
+    let mut crc = 0;
+    while len > 0 {
+        let piece = r.fill_buf()?;
+        if piece.is_empty() {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+        }
+        let n = piece.len().min(len);
+        crc = crc32_update(crc, &piece[..n]);
+        r.consume(n);
+        len -= n;
+    }
+    Ok(crc)
 }
 
 /// Result of scanning the sidecar index.
@@ -360,6 +386,7 @@ pub fn read_extent(
     }
     let path = segment_path(dir_path, e.segment);
     let mut f = std::fs::File::open(&path)?;
+    let seg_len = f.metadata()?.len();
     f.seek(SeekFrom::Start(e.offset))?;
     let mut h = [0u8; FRAME_HEADER_LEN];
     f.read_exact(&mut h)?;
@@ -372,6 +399,16 @@ pub fn read_extent(
             e.offset
         )));
     };
+    // The length came off the disk: the segment must hold that many
+    // bytes before any are allocated for them.
+    let end = e.offset.checked_add((FRAME_HEADER_LEN + len) as u64);
+    if end.is_none_or(|end| end > seg_len) {
+        return Err(StoreError::Corrupt(format!(
+            "{}: frame at {} claims {len} bytes past the segment's end",
+            path.display(),
+            e.offset
+        )));
+    }
     let mut payload = vec![0u8; len];
     f.read_exact(&mut payload)?;
     if crc32(&payload) != crc {

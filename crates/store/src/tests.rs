@@ -1,14 +1,22 @@
 //! End-to-end writer/reader tests over real temp directories.
 
-use crate::{Extent, StoreConfig, StoreError, StoreReader, StoreWriter};
+use crate::format::{
+    file_header, frame_header, frame_record, segment_path, FILE_HEADER_LEN, FRAME_HEADER_LEN,
+    FRAME_MAGIC, IDX_MAGIC, SCAN_PIECE, SEG_MAGIC,
+};
+use crate::{
+    crc32, encode_stream_body, scan_segment, Extent, FrameInfo, IndexRecord, SegmentScan,
+    StoreConfig, StoreError, StoreReader, StoreWriter, INDEX_FILE,
+};
 use proptest::prelude::*;
 use scap::{StreamSnapshot, StreamUid};
 use scap_faults::{FaultPlan, StoreFault, StoreFaultConfig, StoreInjector};
+use scap_flight::framing::crc32_update;
 use scap_flow::{DirStats, StreamErrors, StreamStatus};
 use scap_telemetry::Metric;
 use scap_wire::{Direction, FlowKey, Transport};
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A fresh per-test temp directory (no wall clock: keyed on pid + name).
 fn tmp_dir(name: &str) -> PathBuf {
@@ -628,5 +636,201 @@ proptest! {
         check(!m.torn);
         drop(StoreWriter::open(StoreConfig::new(&dir)).unwrap());
         check(true);
+    }
+}
+
+/// The whole-file segment scan that `scan_segment` replaced: it reads
+/// the segment into memory and walks it there. The streaming scan must
+/// give the same result on every file.
+fn scan_segment_whole(path: &Path) -> Result<SegmentScan, StoreError> {
+    let data = std::fs::read(path)?;
+    if data.len() < FILE_HEADER_LEN {
+        return Ok(SegmentScan {
+            id: 0,
+            frames: Vec::new(),
+            valid_len: 0,
+            torn_bytes: data.len() as u64,
+        });
+    }
+    let id = scap_flight::framing::read_file_header(&data, SEG_MAGIC)
+        .map_err(|_| StoreError::Corrupt(format!("{}: bad segment header", path.display())))?;
+    let word = |at: usize| u32::from_le_bytes(data[at..at + 4].try_into().unwrap());
+    let mut frames = Vec::new();
+    let mut pos = FILE_HEADER_LEN;
+    while pos + FRAME_HEADER_LEN <= data.len() && word(pos) == FRAME_MAGIC {
+        let uid = u64::from_le_bytes(data[pos + 4..pos + 12].try_into().unwrap());
+        let (dir, len, crc) = (data[pos + 12], word(pos + 16) as usize, word(pos + 20));
+        let start = pos + FRAME_HEADER_LEN;
+        if dir > 1 || start + len > data.len() || crc32(&data[start..start + len]) != crc {
+            break;
+        }
+        frames.push(FrameInfo {
+            uid,
+            dir,
+            offset: pos as u64,
+            len: len as u64,
+        });
+        pos = start + len;
+    }
+    Ok(SegmentScan {
+        id,
+        frames,
+        valid_len: pos as u64,
+        torn_bytes: (data.len() - pos) as u64,
+    })
+}
+
+/// A payload length for a frame whose payload starts at file offset
+/// `at`: empty, small, ending within two bytes either side of a
+/// read-piece boundary, or up to a few pieces long.
+fn frame_len(kind: u8, raw: u32, at: usize) -> usize {
+    let raw = raw as usize;
+    match kind % 4 {
+        0 => 0,
+        1 => raw % 300,
+        2 => {
+            let boundary = (at / SCAN_PIECE + 1 + raw % 2) * SCAN_PIECE;
+            (boundary + raw % 5).saturating_sub(at + 2)
+        }
+        _ => raw % (3 * SCAN_PIECE + 1000),
+    }
+}
+
+/// A segment of `frames` (length kind, direction, seed) and the offset
+/// of each frame header in it.
+fn build_segment(frames: &[(u8, u8, u32)]) -> (Vec<u8>, Vec<usize>) {
+    let mut seg = file_header(SEG_MAGIC, 7).to_vec();
+    let mut starts = Vec::new();
+    for (i, &(kind, dir, raw)) in frames.iter().enumerate() {
+        let uid = u64::from(raw) * 8 + i as u64;
+        let body = payload(uid, frame_len(kind, raw, seg.len() + FRAME_HEADER_LEN));
+        let d = [Direction::Forward, Direction::Reverse][usize::from(dir % 2)];
+        starts.push(seg.len());
+        seg.extend_from_slice(&frame_header(uid, d, &body));
+        seg.extend_from_slice(&body);
+    }
+    (seg, starts)
+}
+
+/// Damage a segment the ways a crash, a bad disk or a bad copy does.
+fn mutate(seg: &mut Vec<u8>, starts: &[usize], kind: u8, at: u32, sub: u8) {
+    let (at, aimed) = (at as usize, sub.is_multiple_of(2));
+    // A frame header to aim at (none in a segment without frames).
+    let frame = starts.get(at % starts.len().max(1)).copied();
+    match (kind % 7, frame) {
+        // Truncation anywhere, or just around a frame boundary (inside
+        // the previous payload, at the boundary, inside the header,
+        // right after it).
+        (1, Some(f)) if aimed => {
+            let cut = (f + [0, 1, 23, 24, 25][usize::from(sub / 2) % 5]).saturating_sub(1);
+            seg.truncate(cut.min(seg.len()));
+        }
+        (1, _) => seg.truncate(at % (seg.len() + 1)),
+        // One bit flipped: in a frame header, or anywhere.
+        (2, Some(f)) if aimed => {
+            seg[f + at % FRAME_HEADER_LEN] ^= 1 << (sub % 8);
+        }
+        (2, _) => {
+            let pos = at % seg.len();
+            seg[pos] ^= 1 << (sub % 8);
+        }
+        (3, Some(f)) => seg[f] ^= 0xFF,
+        (4, Some(f)) => seg[f + 12] = 2,
+        // A length that runs past the end of the file.
+        (5, Some(f)) => {
+            let past = (seg.len() - f - FRAME_HEADER_LEN) as u32 + 1 + at as u32 % 1000;
+            let len = if aimed { past } else { u32::MAX };
+            seg[f + 16..f + 20].copy_from_slice(&len.to_le_bytes());
+        }
+        // A copy of one frame spliced in at a frame boundary, or anywhere.
+        (6, Some(f)) => {
+            let end = starts
+                .iter()
+                .find(|&&s| s > f)
+                .copied()
+                .unwrap_or(seg.len());
+            let copy = seg[f..end].to_vec();
+            let to = if aimed {
+                starts[usize::from(sub) % starts.len()]
+            } else {
+                at % (seg.len() + 1)
+            };
+            seg.splice(to..to, copy);
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    /// The streaming scan and the whole-file scan it replaced agree on
+    /// every segment: clean ones of 0–6 frames whose payloads straddle
+    /// the read buffer, and ones truncated, bit-flipped, with a bad
+    /// magic, a direction of 2, a length past the end or a frame
+    /// spliced in.
+    #[test]
+    fn streaming_scan_matches_the_whole_file_scan(
+        frames in proptest::collection::vec((0u8..4, 0u8..2, any::<u32>()), 0..7),
+        damage in (0u8..7, any::<u32>(), any::<u8>()),
+    ) {
+        let dir = tmp_dir("scan-differential");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut seg, starts) = build_segment(&frames);
+        let (kind, at, sub) = damage;
+        mutate(&mut seg, &starts, kind, at, sub);
+        let path = dir.join("seg-000007.scapseg");
+        std::fs::write(&path, &seg).unwrap();
+        let text = |r: Result<SegmentScan, StoreError>| r.map_err(|e| e.to_string());
+        let streamed = text(scan_segment(&path));
+        prop_assert_eq!(&streamed, &text(scan_segment_whole(&path)));
+        if kind == 0 {
+            let scan = streamed.unwrap();
+            prop_assert_eq!(scan.frames.len(), frames.len());
+            prop_assert_eq!((scan.valid_len, scan.torn_bytes), (seg.len() as u64, 0));
+        }
+    }
+
+    /// `crc32_update` continues a CRC across any split of its input.
+    #[test]
+    fn crc32_update_continues_across_a_split(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        at in 0usize..601,
+    ) {
+        let (a, b) = bytes.split_at(at.min(bytes.len()));
+        prop_assert_eq!(crc32_update(crc32(a), b), crc32(&bytes));
+    }
+}
+
+/// A frame header and an index record that agree on a 4 GiB length get
+/// `Corrupt` from the reader before it allocates a byte for them.
+#[test]
+fn an_extent_longer_than_its_segment_is_corrupt() {
+    let dir = tmp_dir("huge-extent");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (uid, len) = (5, 0xFFFF_FF00u32);
+    let mut seg = file_header(SEG_MAGIC, 1).to_vec();
+    let mut h = frame_header(uid, Direction::Forward, &[]);
+    h[16..20].copy_from_slice(&len.to_le_bytes());
+    seg.extend_from_slice(&h);
+    seg.extend_from_slice(&payload(uid, 100));
+    std::fs::write(segment_path(&dir, 1), &seg).unwrap();
+    let extent = Extent {
+        segment: 1,
+        offset: FILE_HEADER_LEN as u64,
+        len: u64::from(len),
+    };
+    let rec =
+        IndexRecord::from_snapshot(&snap(uid, 80, 0, 1_000, 100), [extent, Extent::default()]);
+    let mut idx = file_header(IDX_MAGIC, 0).to_vec();
+    idx.extend_from_slice(&frame_record(&encode_stream_body(&rec)));
+    std::fs::write(dir.join(INDEX_FILE), &idx).unwrap();
+
+    let r = StoreReader::open(&dir).unwrap();
+    assert_eq!(
+        r.get(uid).map(|rec| rec.extents[0].len),
+        Some(u64::from(len))
+    );
+    match r.read_stream(uid) {
+        Err(StoreError::Corrupt(why)) => assert!(why.contains("past the segment's end"), "{why}"),
+        other => panic!("expected Corrupt, got {other:?}"),
     }
 }
