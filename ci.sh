@@ -67,6 +67,14 @@ cargo test -q --release -p scap-memory
 cargo test -q --release -p scap --lib -- short_sessions_hold_blocks_that_fit_their_chunks \
     a_restore_puts_each_pending_chunk_in_a_block_of_its_class a_small_kept_chunk_merges_with_a_full_one \
     merges_of_distinct_totals_reuse_their_blocks
+# A stream is found where it lives: a control operation resolves by key in
+# the flow tables, then by uid — an ended stream, a TIME_WAIT tombstone and
+# a kept chunk of an ended stream reach nothing, a stream steered off its
+# RSS core still takes ops — and a worker panic or stall marks the stream
+# the worker held.
+cargo test -q --release -p scap --lib -- an_op_on_an_ended_stream_leaves_the_newer_stream_of_its_tuple_alone \
+    an_op_on_a_time_wait_tombstone_is_ignored a_stream_steered_off_its_rss_core_still_takes_ops \
+    a_kept_chunk_whose_stream_ended_is_released_plainly a_worker_fault_flags_the_stream_it_held
 
 echo "== staged bursts against per-packet dispatch, release profile =="
 # Overflow checks and `debug_assert!`s are compiled out here and the
@@ -108,6 +116,12 @@ done
 if grep -rn --exclude-dir=target --exclude-dir=.git --exclude=CHANGES.md --exclude=ROADMAP.md \
         --exclude=EXPERIMENTS.md --exclude=ISSUE.md --exclude=ci.sh 'SideTable' . ; then
     echo "SideTable is back (see above)"; exit 1
+fi
+# The flow tables are the only index of streams: no capture-wide map keyed
+# by uid beside them.
+if grep -nE 'uid_index|(IntMap|IntSet|HashMap|HashSet|BTreeMap|BTreeSet)<\(?StreamUid' \
+        crates/core/src/kernel/probe.rs; then
+    echo "kernel/probe.rs keeps a map keyed by StreamUid (see above)"; exit 1
 fi
 
 echo "== one dispatch switch, one way to share a capture =="

@@ -14,6 +14,28 @@ use scap_wire::{Direction, FlowKey};
 /// all cores, never recycled).
 pub type StreamUid = u64;
 
+/// A stream as a control operation names it: its uid and its canonical
+/// flow key, which every snapshot of it carries. The kernel finds the
+/// stream by the key, in the flow table it lives in, and acts only where
+/// that slot holds the uid, so an operation on a stream that ended — its
+/// 5-tuple perhaps reused since — reaches nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StreamRef {
+    /// Capture-wide stream id.
+    pub uid: StreamUid,
+    /// Canonical flow key.
+    pub key: FlowKey,
+}
+
+impl From<&StreamSnapshot> for StreamRef {
+    fn from(s: &StreamSnapshot) -> Self {
+        StreamRef {
+            uid: s.uid,
+            key: s.key,
+        }
+    }
+}
+
 /// Per-packet record for packet delivery (§5.7): metadata plus the
 /// location of the packet's payload inside the delivered chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

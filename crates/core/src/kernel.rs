@@ -41,7 +41,7 @@ mod timers;
 pub use ledger::{ResilienceStats, ScapStats};
 
 use crate::config::{ConfigDelta, ScapConfig};
-use crate::event::{Event, StreamUid};
+use crate::event::{Event, StreamRef, StreamUid};
 use crate::governor::OverloadGovernor;
 use admit::NicStage;
 use emit::Emitter;
@@ -61,33 +61,34 @@ use scap_telemetry::{Metric, PlainRegistry, PulseSnapshot, Sampler, Snapshot};
 use scap_wire::{Direction, FlowKey};
 
 /// Per-stream control operations (the `scap_set_stream_*` family and
-/// `scap_discard_stream` / `scap_keep_stream_chunk` of Table 1),
-/// addressed by the capture-wide stream uid.
+/// `scap_discard_stream` / `scap_keep_stream_chunk` of Table 1), each
+/// naming its stream by uid and canonical key — a [`StreamRef`], made
+/// from any snapshot of the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlOp {
     /// Stop collecting data for this stream (`scap_discard_stream`).
-    Discard(StreamUid),
+    Discard(StreamRef),
     /// Change the stream's cutoff; `None` direction applies to both.
-    SetCutoff(StreamUid, Option<Direction>, Option<u64>),
+    SetCutoff(StreamRef, Option<Direction>, Option<u64>),
     /// Change the stream's priority (`scap_set_stream_priority`).
-    SetPriority(StreamUid, u8),
+    SetPriority(StreamRef, u8),
     /// Merge the stream's last chunk into the next one
     /// (`scap_keep_stream_chunk`); takes effect when the delivered chunk
     /// is returned via [`ScapKernel::release_data`].
-    KeepChunk(StreamUid, Direction),
+    KeepChunk(StreamRef, Direction),
     /// Change the stream's chunk size and overlap
     /// (`scap_set_stream_parameter`); applies from the next chunk.
-    SetChunkGeometry(StreamUid, u32, u32),
+    SetChunkGeometry(StreamRef, u32, u32),
 }
 
 impl ControlOp {
-    fn uid(&self) -> StreamUid {
+    fn stream(&self) -> StreamRef {
         match *self {
-            ControlOp::Discard(uid)
-            | ControlOp::SetCutoff(uid, ..)
-            | ControlOp::SetPriority(uid, _)
-            | ControlOp::KeepChunk(uid, _)
-            | ControlOp::SetChunkGeometry(uid, ..) => uid,
+            ControlOp::Discard(s)
+            | ControlOp::SetCutoff(s, ..)
+            | ControlOp::SetPriority(s, _)
+            | ControlOp::KeepChunk(s, _)
+            | ControlOp::SetChunkGeometry(s, ..) => s,
         }
     }
 }
@@ -99,7 +100,7 @@ pub struct ScapKernel {
     nic: NicStage,
     /// Hardware cutoff: FDIR / offload filter management.
     hw: HwCutoff,
-    /// Flow probe: per-core flow tables, stream state, the uid space.
+    /// Flow probe: per-core flow tables, stream state, the uid counter.
     flows: FlowProbe,
     /// Placement: the chunk arena and flush timers.
     place: Placer,
@@ -166,17 +167,23 @@ impl ScapKernel {
         (&mut self.hw, deps)
     }
 
-    /// Apply a per-stream control operation (`scap_set_stream_*`).
-    /// Operations on already-terminated streams are silently ignored,
+    /// Apply a per-stream control operation (`scap_set_stream_*`). The
+    /// stream is looked up by key in the flow table of the core the NIC
+    /// queues the key to, then in the other cores' tables, and only a
+    /// slot that holds its uid is acted on. Operations on
+    /// already-terminated streams — on a TIME_WAIT tombstone, or on a
+    /// 5-tuple a newer stream has taken since — are silently ignored,
     /// matching the racy-but-safe semantics of the real socket calls.
     pub fn control(&mut self, op: ControlOp) {
-        let uid = op.uid();
-        let Some((core, id)) = self.flows.resolve(uid) else {
+        let stream = op.stream();
+        let home = self.nic.nic.rss_queue(&stream.key);
+        let Some((core, id)) = self.flows.find(home, &stream) else {
             return;
         };
         let (Some(ks), Some(rec)) = self.flows.cores[core].stream_mut(id) else {
             return;
         };
+        let uid = stream.uid;
         match op {
             ControlOp::Discard(_) => rec.discarded = true,
             ControlOp::SetCutoff(_, dir, value) => {
@@ -190,7 +197,7 @@ impl ScapKernel {
                 self.reopen_if_within(Owner { core, id, uid }, cutoffs);
             }
             ControlOp::SetPriority(_, prio) => rec.priority = prio,
-            ControlOp::KeepChunk(_, dir) => self.emit.keep(uid, dir),
+            ControlOp::KeepChunk(_, dir) => self.emit.keep(uid, dir, (core, id)),
             ControlOp::SetChunkGeometry(_, chunk_size, overlap) => {
                 let chunk_size = chunk_size.max(1);
                 let overlap = overlap.min(chunk_size - 1);
@@ -343,9 +350,15 @@ impl ScapKernel {
 
     /// Set an error flag on a live stream (the live driver's watchdog
     /// marks streams whose worker died mid-dispatch). No-op if the stream
-    /// already terminated.
+    /// already terminated. The watchdog knows only the uid, so this walks
+    /// the flow tables: it runs once per worker panic or stall, while
+    /// handing it the key would cost the worker a 40-byte store per
+    /// event where it now stores the uid.
     pub fn flag_stream_error(&mut self, uid: StreamUid, err: StreamErrors) {
-        if let Some(rec) = self.flows.record_mut(uid) {
+        let Some((core, id)) = self.flows.scan(uid) else {
+            return;
+        };
+        if let Some(rec) = self.flows.cores[core].get_mut(id) {
             rec.errors.set(err);
         }
     }
@@ -441,15 +454,15 @@ impl ScapKernel {
     /// request for the stream (live-mode workers and the sim stack both
     /// route chunk returns through here).
     pub fn release_data(&mut self, uid: StreamUid, dir: Direction, chunk: ChunkBuf) {
-        // Not asked for, or the stream already gone: a plain release.
-        // A returned chunk was placed, so its stream has its box.
-        let keeper = if self.emit.take_keep(uid, dir) {
-            self.flows
-                .state_mut(uid)
-                .and_then(|ks| ks.seg.as_deref_mut())
-        } else {
-            None
-        };
+        // Not asked for, or the stream no longer in the slot it was
+        // found at: a plain release. A returned chunk was placed, so its
+        // stream has its box.
+        let keeper = self
+            .emit
+            .take_keep(uid, dir)
+            .filter(|&(core, id)| self.flows.holds(core, id, uid))
+            .and_then(|(core, id)| self.flows.cores[core].state_mut(id))
+            .and_then(|ks| ks.seg.as_deref_mut());
         let done = match keeper {
             Some(seg) => seg.kept[dir.index()].replace(chunk),
             None => Some(chunk),
@@ -485,10 +498,7 @@ impl ScapKernel {
         if !cutoff_changed && !priorities_changed {
             return;
         }
-        for uid in self.flows.uids() {
-            let Some((core, id)) = self.flows.resolve(uid) else {
-                continue;
-            };
+        for (uid, core, id) in self.flows.by_uid(|_| true) {
             let (Some(ks), Some(rec)) = self.flows.cores[core].stream_mut(id) else {
                 continue;
             };

@@ -7,16 +7,17 @@ use super::ledger::{At, Ledger};
 use super::probe::StreamKState;
 use crate::event::{Event, EventKind, StreamSnapshot, StreamUid};
 use scap_flight::{DropReason, FlightLayer};
-use scap_flow::StreamRecord;
+use scap_flow::{StreamId, StreamRecord};
 use scap_memory::Arena;
 use scap_telemetry::{Metric, PulseStage};
-use scap_wire::{Direction, IntSet};
+use scap_wire::{Direction, IntMap};
 use std::collections::VecDeque;
 
 pub(crate) struct Emitter {
     queues: Vec<VecDeque<Event>>,
-    /// Keep-chunk requests awaiting the chunk's return.
-    pending_keep: IntSet<(StreamUid, u8)>,
+    /// Keep-chunk requests awaiting the chunk's return, each with the
+    /// `(core, id)` its stream was found at when the request applied.
+    pending_keep: IntMap<(StreamUid, u8), (usize, StreamId)>,
     queue_cap: usize,
 }
 
@@ -43,7 +44,7 @@ impl Emitter {
     pub(super) fn new(ncores: usize, queue_cap: usize) -> Self {
         Emitter {
             queues: (0..ncores).map(|_| VecDeque::new()).collect(),
-            pending_keep: IntSet::default(),
+            pending_keep: IntMap::default(),
             queue_cap,
         }
     }
@@ -111,16 +112,25 @@ impl Emitter {
         fullest as f64 / self.queue_cap.max(1) as f64
     }
 
-    /// `scap_keep_stream_chunk`: hold the stream's next returned chunk.
-    pub(super) fn keep(&mut self, uid: StreamUid, dir: Direction) {
-        self.pending_keep.insert((uid, dir.index() as u8));
+    /// `scap_keep_stream_chunk`: hold the next returned chunk of stream
+    /// `uid`, found at `at`.
+    pub(super) fn keep(&mut self, uid: StreamUid, dir: Direction, at: (usize, StreamId)) {
+        self.pending_keep.insert((uid, dir.index() as u8), at);
     }
 
-    /// Whether a returned chunk was asked to be kept (asked once). Every
-    /// returned chunk asks, and almost none was.
+    /// Where the stream of a returned chunk that was asked to be kept
+    /// was found (asked once). Every returned chunk asks, and almost none
+    /// was.
     #[inline]
-    pub(super) fn take_keep(&mut self, uid: StreamUid, dir: Direction) -> bool {
-        !self.pending_keep.is_empty() && self.pending_keep.remove(&(uid, dir.index() as u8))
+    pub(super) fn take_keep(
+        &mut self,
+        uid: StreamUid,
+        dir: Direction,
+    ) -> Option<(usize, StreamId)> {
+        if self.pending_keep.is_empty() {
+            return None;
+        }
+        self.pending_keep.remove(&(uid, dir.index() as u8))
     }
 
     /// A stream ended: its keep requests end with it.

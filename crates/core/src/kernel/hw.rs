@@ -340,9 +340,9 @@ impl HwCutoff {
         }
         let pending = std::mem::take(&mut self.fdir_retry);
         for r in pending {
-            // The stream may have terminated (and its uid been recycled
-            // into a different slot) while the retry was parked.
-            if d.flows.resolve(r.owner.uid) != Some((r.owner.core, r.owner.id)) {
+            // The stream may have terminated (and its slot been taken by
+            // another) while the retry was parked.
+            if !d.flows.holds(r.owner.core, r.owner.id, r.owner.uid) {
                 continue;
             }
             if r.next_try_ns > now {

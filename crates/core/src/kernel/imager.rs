@@ -413,7 +413,7 @@ impl ScapKernel {
             id,
             uid: s.uid,
         };
-        self.flows.adopt(core, id, ks);
+        self.flows.cores[core].set_state(id, ks);
         let resumed = FlightEvent::new(FlightKind::StreamResumed, CKPT, image_ts_ns);
         self.ledger
             .journal(At::new(core, image_ts_ns, s.uid), resumed);

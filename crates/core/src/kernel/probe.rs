@@ -1,13 +1,14 @@
 //! The flow-probe stage: the per-core flow tables, each slot holding a
 //! stream's record and its kernel-side state, and the capture-wide uid
-//! space. One probe per packet resolves record and state together; the
+//! counter. One probe per packet resolves record and state together; the
 //! later stages mutate both in place through the table the burst loop
-//! lends them.
+//! lends them. The tables are the only index of streams: a control
+//! operation finds its stream by key, then checks the uid.
 
 use super::hw::FDIR_INITIAL_TIMEOUT_NS;
 use super::ledger::Ledger;
 use crate::config::ScapConfig;
-use crate::event::{PacketRecord, StreamUid};
+use crate::event::{PacketRecord, StreamRef, StreamUid};
 use scap_fastpath::HashedKey;
 use scap_flow::table::TableFull;
 use scap_flow::{DirStats, FlowTable, FlowTableConfig, StreamId, StreamRecord};
@@ -15,7 +16,7 @@ use scap_memory::{ChunkAssembler, ChunkBuf};
 use scap_reassembly::TcpConn;
 use scap_telemetry::pulse::cost;
 use scap_telemetry::{cycles_to_ns, Metric, PulseStage};
-use scap_wire::{Direction, IntMap};
+use scap_wire::Direction;
 use std::hint::black_box;
 use std::num::NonZeroU64;
 
@@ -353,8 +354,6 @@ pub(crate) struct FlowProbe {
     /// One table per core: record and kernel state share a slot, the
     /// probe's `StreamId` reaches both, nothing is hashed twice.
     pub(super) cores: Vec<FlowTable<StreamKState>>,
-    /// Capture-wide uid → (core, id) for control operations.
-    uid_index: IntMap<StreamUid, (usize, StreamId)>,
     /// The last uid handed out (checkpointed, so uids stay unique
     /// across a warm restart).
     pub(super) uid_counter: u64,
@@ -371,7 +370,6 @@ impl FlowProbe {
             .collect();
         FlowProbe {
             cores,
-            uid_index: IntMap::default(),
             uid_counter: 0,
             lookups: 0,
             stage_scratch: StageScratch::default(),
@@ -444,42 +442,55 @@ impl FlowProbe {
         self.uid_counter += 1;
         let uid = NonZeroU64::new(self.uid_counter).expect("uids count from 1");
         self.cores[core].set_state(id, StreamKState::new(uid));
-        self.uid_index.insert(uid.get(), (core, id));
         uid.get()
     }
 
-    /// Install a restored stream's kernel state under the uid it carries.
-    pub(super) fn adopt(&mut self, core: usize, id: StreamId, ks: StreamKState) {
-        self.uid_index.insert(ks.uid(), (core, id));
-        self.cores[core].set_state(id, ks);
+    /// Whether slot `id` of `core`'s table holds the live stream `uid`:
+    /// the one check behind every handle found or kept off the packet
+    /// path. A slot found by key may hold a TIME_WAIT tombstone or a
+    /// newer stream of the 5-tuple.
+    pub(super) fn holds(&self, core: usize, id: StreamId, uid: StreamUid) -> bool {
+        self.cores[core].state(id).is_some_and(|ks| ks.uid() == uid)
     }
 
-    /// A stream ended: its uid no longer resolves.
-    pub(super) fn close(&mut self, uid: StreamUid) {
-        self.uid_index.remove(&uid);
+    /// The live stream `s` names: its key probed in the table of `home`
+    /// (the core the NIC queues the key to), then in the other cores'
+    /// (a stream FDIR steered off its RSS core), taken only where the
+    /// slot holds its uid. A tombstone or a newer stream of the 5-tuple
+    /// is not it.
+    pub(super) fn find(&self, home: usize, s: &StreamRef) -> Option<(usize, StreamId)> {
+        let others = (0..self.cores.len()).filter(|&c| c != home);
+        std::iter::once(home).chain(others).find_map(|core| {
+            let id = self.cores[core].peek(&s.key)?;
+            self.holds(core, id, s.uid).then_some((core, id))
+        })
     }
 
-    pub(super) fn resolve(&self, uid: StreamUid) -> Option<(usize, StreamId)> {
-        self.uid_index.get(&uid).copied()
+    /// The live stream `uid`, by a walk of every table: for a caller
+    /// that holds no key and runs once in a long while.
+    pub(super) fn scan(&self, uid: StreamUid) -> Option<(usize, StreamId)> {
+        self.cores.iter().enumerate().find_map(|(core, flows)| {
+            let mut ids = flows.iter().map(|(id, _)| id);
+            ids.find(|&id| self.holds(core, id, uid))
+                .map(|id| (core, id))
+        })
     }
 
-    /// The record behind a live uid.
-    pub(super) fn record_mut(&mut self, uid: StreamUid) -> Option<&mut StreamRecord> {
-        let (core, id) = self.resolve(uid)?;
-        self.cores[core].get_mut(id)
-    }
-
-    /// The kernel state behind a live uid.
-    pub(super) fn state_mut(&mut self, uid: StreamUid) -> Option<&mut StreamKState> {
-        let (core, id) = self.resolve(uid)?;
-        self.cores[core].state_mut(id)
-    }
-
-    /// Every live uid, ascending.
-    pub(super) fn uids(&self) -> Vec<StreamUid> {
-        let mut uids: Vec<StreamUid> = self.uid_index.keys().copied().collect();
-        uids.sort_unstable();
-        uids
+    /// Every live stream whose record `keep` takes, as `(uid, core, id)`
+    /// in ascending uid order: the order reloads and evictions act in,
+    /// so that what they journal does not depend on slot positions.
+    pub(super) fn by_uid(
+        &self,
+        keep: impl Fn(&StreamRecord) -> bool,
+    ) -> Vec<(StreamUid, usize, StreamId)> {
+        let mut live = Vec::new();
+        for (core, flows) in self.cores.iter().enumerate() {
+            for (id, _) in flows.iter().filter(|(_, rec)| keep(rec)) {
+                live.extend(flows.state(id).map(|ks| (ks.uid(), core, id)));
+            }
+        }
+        live.sort_unstable_by_key(|&(uid, ..)| uid);
+        live
     }
 }
 

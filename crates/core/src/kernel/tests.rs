@@ -1,7 +1,7 @@
-use super::probe::Flags;
+use super::probe::{Flags, StreamKState};
 use super::*;
 use crate::checkpoint::CheckpointImage;
-use crate::event::EventKind;
+use crate::event::{EventKind, StreamRef};
 use scap_flight::{DropReason, FlightKind};
 use scap_flow::StreamStatus;
 use scap_nic::{NicVerdict, OffloadAction};
@@ -1249,10 +1249,10 @@ fn stream_overrides_widen_narrow_reload_and_discard() {
         }
     }
     let events = drive(&mut k, &pkts);
-    let uid_of: std::collections::HashMap<FlowKey, StreamUid> = events
+    let named: std::collections::HashMap<FlowKey, StreamRef> = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::Created))
-        .map(|e| (e.stream.key, e.stream.uid))
+        .map(|e| (e.stream.key, StreamRef::from(&e.stream)))
         .collect();
     let key = |i: u32| {
         let t = if is_udp(i) {
@@ -1263,9 +1263,10 @@ fn stream_overrides_widen_narrow_reload_and_discard() {
         let (sp, dp) = if is_udp(i) { (4000, 53) } else { (5000, 80) };
         FlowKey::new_v4(host(i), server, sp, dp, t).canonical().0
     };
-    let uids: Vec<StreamUid> = flows.clone().map(|i| uid_of[&key(i)]).collect();
-    let boxed = |k: &ScapKernel, uid: StreamUid| {
-        let (core, id) = k.flows.resolve(uid).expect("a live stream");
+    let streams: Vec<StreamRef> = flows.clone().map(|i| named[&key(i)]).collect();
+    let uids: Vec<StreamUid> = streams.iter().map(|s| s.uid).collect();
+    let boxed = |k: &ScapKernel, s: StreamRef| {
+        let (core, id) = k.flows.find(0, &s).expect("a live stream");
         k.flows.cores[core]
             .state(id)
             .expect("kernel state")
@@ -1288,7 +1289,7 @@ fn stream_overrides_widen_narrow_reload_and_discard() {
     // Phase 2: the overrides.
     let (f, r) = (Direction::Forward, Direction::Reverse);
     for i in flows.clone() {
-        let uid = uids[i as usize];
+        let uid = streams[i as usize];
         match group(i) {
             0 => k.control(ControlOp::SetCutoff(uid, Some(f), Some(1_000))),
             1 => k.control(ControlOp::SetCutoff(uid, None, Some(1_000))),
@@ -1327,7 +1328,7 @@ fn stream_overrides_widen_narrow_reload_and_discard() {
         // Equal to what the stream already has, an override changes
         // nothing, and a header-only UDP flow stays boxless.
         if is_udp(i) && matches!(group(i), 4..=7) {
-            assert!(!boxed(&k, uids[i as usize]), "flow {i}");
+            assert!(!boxed(&k, streams[i as usize]), "flow {i}");
         }
     }
 
@@ -1375,7 +1376,7 @@ fn stream_overrides_widen_narrow_reload_and_discard() {
     // Phase 4: a reload widens the default to 300 and puts UDP in a
     // class of 50. Every stream's cutoff becomes its class's; the app's
     // chunk geometry stays.
-    let had_box: Vec<bool> = uids.iter().map(|&uid| boxed(&k, uid)).collect();
+    let had_box: Vec<bool> = streams.iter().map(|&s| boxed(&k, s)).collect();
     k.try_apply_config(crate::config::ConfigDelta {
         cutoff_default: Some(Some(300)),
         cutoff_classes: Some(vec![(Filter::new("udp").unwrap(), 50)]),
@@ -1396,10 +1397,14 @@ fn stream_overrides_widen_narrow_reload_and_discard() {
         // The reload gave no stream a box it did not have.
         let overridden = matches!(group(i), 0..=3);
         if !overridden {
-            assert_eq!(boxed(&k, uids[i as usize]), had_box[i as usize], "flow {i}");
+            assert_eq!(
+                boxed(&k, streams[i as usize]),
+                had_box[i as usize],
+                "flow {i}"
+            );
         }
         if is_udp(i) && !overridden {
-            assert!(!boxed(&k, uids[i as usize]), "flow {i}");
+            assert!(!boxed(&k, streams[i as usize]), "flow {i}");
         }
     }
 
@@ -1497,31 +1502,33 @@ fn image_restore_image_is_byte_identical_for_every_kind_of_stream() {
     };
     let udp_pkts: Vec<Packet> = (0..6).map(|i| udp(i, 4 * ms + u64::from(i))).collect();
     let events = drive(&mut k, &udp_pkts);
-    let udp_uids: Vec<StreamUid> = events
+    let udp: Vec<StreamRef> = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::Created))
-        .map(|e| e.stream.uid)
+        .map(|e| StreamRef::from(&e.stream))
         .collect();
+    let udp_uids: Vec<StreamUid> = udp.iter().map(|s| s.uid).collect();
     assert_eq!(udp_uids.len(), 6);
     k.control(ControlOp::SetCutoff(
-        udp_uids[0],
+        udp[0],
         Some(Direction::Reverse),
         Some(64),
     ));
-    k.control(ControlOp::SetChunkGeometry(udp_uids[1], 256, 16));
+    k.control(ControlOp::SetChunkGeometry(udp[1], 256, 16));
 
     // A TCP stream with both overrides and bytes pending.
     let o = tcp([10, 7, 0, 1], 7000);
     let mut pkts = handshake(o, 5 * ms);
     pkts.push(o(6 * ms, true, 1, ack, &[3; 700]));
     let events = drive(&mut k, &pkts);
-    let o_uid = events[0].stream.uid;
+    let o_stream = StreamRef::from(&events[0].stream);
+    let o_uid = o_stream.uid;
     k.control(ControlOp::SetCutoff(
-        o_uid,
+        o_stream,
         Some(Direction::Forward),
         Some(50_000),
     ));
-    k.control(ControlOp::SetChunkGeometry(o_uid, 512, 32));
+    k.control(ControlOp::SetChunkGeometry(o_stream, 512, 32));
     drive(&mut k, &[o(7 * ms, true, 701, ack, &[3; 900])]);
 
     // A stream past its cutoff whose FDIR filters timed out and were
@@ -1871,19 +1878,20 @@ fn a_small_kept_chunk_merges_with_a_full_one() {
     k.service(1_000_000_000, |_, ev| flushed.push(ev));
     let ev = flushed.pop().expect("the flush timer delivered the chunk");
     let (
-        uid,
+        stream,
         EventKind::Data {
             dir, chunk: small, ..
         },
-    ) = (ev.stream.uid, ev.kind)
+    ) = (StreamRef::from(&ev.stream), ev.kind)
     else {
         panic!("not a data event")
     };
+    let uid = stream.uid;
     assert_eq!(
         (small.len(), small.capacity(), small.size()),
         (200, 256, chunk)
     );
-    k.control(ControlOp::KeepChunk(uid, dir));
+    k.control(ControlOp::KeepChunk(stream, dir));
     k.release_data(uid, dir, small);
 
     let full: Vec<Packet> = (0..chunk / 1_024)
@@ -2157,5 +2165,221 @@ proptest::proptest! {
             let fast = differential_run(crate::DispatchMode::Fastpath, burst, &trace);
             assert_eq!(classic, fast, "fast path, burst {burst}");
         }
+    }
+}
+
+/// Every stream's checkpoint frame: what a control operation could
+/// change about a stream, tombstones included.
+fn stream_images(k: &mut ScapKernel, now: u64) -> Vec<crate::checkpoint::StreamImage> {
+    let image = k.checkpoint_bytes(now, 1);
+    CheckpointImage::decode(&image)
+        .expect("image decodes")
+        .streams
+}
+
+/// One of every control operation on `s`, the `KeepChunk` on `dir`.
+fn every_op(k: &mut ScapKernel, s: StreamRef, dir: Direction) {
+    k.control(ControlOp::SetPriority(s, 7));
+    k.control(ControlOp::SetCutoff(s, None, Some(0)));
+    k.control(ControlOp::SetChunkGeometry(s, 256, 16));
+    k.control(ControlOp::KeepChunk(s, dir));
+    k.control(ControlOp::Discard(s));
+}
+
+/// The streams `events` report created, as their snapshots name them.
+fn created(events: &[Event]) -> Vec<StreamRef> {
+    let created = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Created));
+    created.map(|e| StreamRef::from(&e.stream)).collect()
+}
+
+/// `tcp_session` closed by a FIN from each side after its client data.
+fn closed_session(client: ([u8; 4], u16), t0: u64, data: &[u8]) -> Vec<Packet> {
+    let mut pkts = tcp_session(client, t0, &[data], &[]);
+    let (c, port, s) = (client.0, client.1, [172, 16, 0, 9]);
+    let (cseq, fin) = (2 + data.len() as u32, TcpFlags::FIN | TcpFlags::ACK);
+    let ts = pkts.last().map_or(t0, |p| p.ts_ns);
+    pkts.push(Packet::new(
+        ts + 1_000,
+        PacketBuilder::tcp_v4(c, s, port, 80, cseq, 10, fin, b""),
+    ));
+    pkts.push(Packet::new(
+        ts + 2_000,
+        PacketBuilder::tcp_v4(s, c, 80, port, 10, cseq + 1, fin, b""),
+    ));
+    pkts
+}
+
+/// A two-core kernel that steers new connections off an overloaded RSS
+/// core, and client ports of `[10, 60, 0, 1]` that RSS sends to core 0.
+fn balancing_kernel() -> (ScapKernel, Vec<u16>) {
+    let k = kernel(ScapConfig {
+        cores: 2,
+        use_fdir_balancing: true,
+        balance_threshold: 1.2,
+        ..Default::default()
+    });
+    let to_core0 = |&port: &u16| {
+        let key = FlowKey::new_v4([10, 60, 0, 1], [172, 16, 0, 9], port, 80, Transport::Tcp);
+        k.nic.nic.rss_queue(&key) == 0
+    };
+    let ports = (1024u16..).filter(to_core0).take(24).collect();
+    (k, ports)
+}
+
+/// Open a connection from each of `ports` with a lone SYN, at `t0`
+/// onwards: enough of them leave core 0 overloaded.
+fn syn_flood(k: &mut ScapKernel, ports: &[u16], t0: u64) {
+    let syns: Vec<Packet> = (ports.iter().enumerate())
+        .map(|(i, &p)| {
+            let syn = TcpFlags::SYN;
+            let frame =
+                PacketBuilder::tcp_v4([10, 60, 0, 1], [172, 16, 0, 9], p, 80, 1, 0, syn, b"");
+            Packet::new(t0 + i as u64, frame)
+        })
+        .collect();
+    drive(k, &syns);
+}
+
+/// The core stream `s` lives on, if it lives: a walk of the tables that
+/// shares nothing with how the kernel looks it up.
+fn core_of(k: &ScapKernel, s: &StreamRef) -> Option<usize> {
+    k.flows.cores.iter().position(|flows| {
+        let states = flows.iter().filter_map(|(id, _)| flows.state(id));
+        states.map(StreamKState::uid).any(|uid| uid == s.uid)
+    })
+}
+
+/// An operation naming a stream that ended reaches nothing, not even the
+/// newer stream that has its 5-tuple now; the newer stream's own name
+/// does reach it.
+#[test]
+fn an_op_on_an_ended_stream_leaves_the_newer_stream_of_its_tuple_alone() {
+    let mut k = kernel(ScapConfig {
+        cores: 1,
+        inactivity_timeout_ns: 1_000_000_000,
+        ..Default::default()
+    });
+    let client = ([10, 50, 0, 1], 6_000);
+    let old = created(&drive(&mut k, &tcp_session(client, 0, &[&[1; 300]], &[])))[0];
+    // The old stream times out (no tombstone), the tuple comes back.
+    k.service(5_000_000_000, |k, ev| k.release_event(ev));
+    let events = drive(
+        &mut k,
+        &tcp_session(client, 6_000_000_000, &[&[2; 300]], &[]),
+    );
+    let new = created(&events)[0];
+    assert_eq!((new.key, core_of(&k, &old)), (old.key, None));
+    assert_ne!(new.uid, old.uid);
+    let now = 7_000_000_000;
+    let before = stream_images(&mut k, now);
+    every_op(&mut k, old, Direction::Forward);
+    assert_eq!(stream_images(&mut k, now), before);
+    every_op(&mut k, new, Direction::Forward);
+    let after = stream_images(&mut k, now);
+    assert_eq!((after[0].uid, after[0].priority), (new.uid, 7));
+    assert!(after[0].discarded);
+}
+
+/// An operation naming a stream whose TIME_WAIT tombstone holds its
+/// 5-tuple changes nothing: not the tombstone on the stream's RSS core,
+/// not the newer connection of the 5-tuple that balancing put on the
+/// other core — which its own name still reaches.
+#[test]
+fn an_op_on_a_time_wait_tombstone_is_ignored() {
+    let (mut k, ports) = balancing_kernel();
+    let session = closed_session(([10, 60, 0, 1], ports[0]), 0, &[3; 100]);
+    let events = drive(&mut k, &session);
+    let old = created(&events)[0];
+    let ended = events
+        .iter()
+        .find(|e| matches!(e.kind, EventKind::Terminated));
+    assert_eq!(
+        ended.map(|e| e.stream.status),
+        Some(StreamStatus::ClosedFin)
+    );
+    let tombstone = k.flows.cores[0].peek(&old.key).expect("a tombstone");
+    assert!(k.flows.cores[0].state(tombstone).is_none());
+    syn_flood(&mut k, &ports[1..], 1_000_000);
+    // The 5-tuple again: a new connection, steered to core 1.
+    let again = tcp_session(([10, 60, 0, 1], ports[0]), 2_000_000, &[&[4; 100]], &[]);
+    let new = created(&drive(&mut k, &again))[0];
+    assert_eq!((new.key, core_of(&k, &new)), (old.key, Some(1)));
+    let now = 3_000_000;
+    let before = stream_images(&mut k, now);
+    let on_core0 = |s: &crate::checkpoint::StreamImage| s.core == 0 && s.key == old.key;
+    assert!(before.iter().any(|s| on_core0(s) && s.kstate.is_none()));
+    every_op(&mut k, old, Direction::Forward);
+    assert_eq!(stream_images(&mut k, now), before);
+    k.control(ControlOp::SetPriority(new, 7));
+    let after = stream_images(&mut k, now);
+    let newer = after.iter().find(|s| s.uid == new.uid).unwrap();
+    assert_eq!((newer.core, newer.priority), (1, 7));
+}
+
+/// A stream FDIR balancing steered off its RSS core is found on the core
+/// it lives on, by every operation.
+#[test]
+fn a_stream_steered_off_its_rss_core_still_takes_ops() {
+    let (mut k, ports) = balancing_kernel();
+    syn_flood(&mut k, &ports[1..], 0);
+    let data = [5; 1_500];
+    let session = tcp_session(([10, 60, 0, 1], ports[0]), 1_000_000, &[&data], &[]);
+    let s = created(&drive(&mut k, &session))[0];
+    assert_eq!(k.nic.nic.rss_queue(&s.key), 0);
+    assert_eq!(core_of(&k, &s), Some(1));
+    every_op(&mut k, s, Direction::Forward);
+    let images = stream_images(&mut k, 2_000_000);
+    let image = images.iter().find(|i| i.uid == s.uid).unwrap();
+    assert_eq!((image.core, image.priority, image.discarded), (1, 7, true));
+    assert_eq!(image.cutoff, [Some(0), Some(0)]);
+    assert_eq!((image.chunk_size, image.overlap), (256, 16));
+}
+
+/// A `KeepChunk` whose stream ends before the chunk comes back — asked
+/// while the stream lived, or after, when a newer stream has its 5-tuple
+/// — gives a plain release: the chunk goes back to the arena, and no
+/// stream holds it.
+#[test]
+fn a_kept_chunk_whose_stream_ended_is_released_plainly() {
+    for asked_while_alive in [true, false] {
+        let mut k = kernel(ScapConfig {
+            cores: 1,
+            flush_timeout_ns: 50_000_000,
+            inactivity_timeout_ns: 1_000_000_000,
+            ..Default::default()
+        });
+        let client = ([10, 70, 0, 1], 7_000);
+        drive(&mut k, &tcp_session(client, 0, &[&[b'a'; 200]], &[]));
+        let mut flushed = Vec::new();
+        k.service(100_000_000, |_, ev| flushed.push(ev));
+        let ev = flushed.pop().expect("the flush timer delivered the chunk");
+        let old = StreamRef::from(&ev.stream);
+        let EventKind::Data { dir, chunk, .. } = ev.kind else {
+            panic!("not a data event")
+        };
+        if asked_while_alive {
+            k.control(ControlOp::KeepChunk(old, dir));
+        }
+        // The stream times out; the 5-tuple comes back with a partial
+        // chunk of its own, so the newer stream has a box.
+        k.service(5_000_000_000, |k, ev| k.release_event(ev));
+        drive(
+            &mut k,
+            &tcp_session(client, 6_000_000_000, &[&[b'b'; 300]], &[]),
+        );
+        let new = k.flows.cores[0].peek(&old.key).expect("the newer stream");
+        if !asked_while_alive {
+            k.control(ControlOp::KeepChunk(old, dir));
+        }
+        let used = k.place.arena.used();
+        k.release_data(old.uid, dir, chunk);
+        assert!(k.place.arena.used() < used, "kept: {asked_while_alive}");
+        let seg = k.flows.cores[0].state(new).unwrap().seg.as_deref().unwrap();
+        assert!(
+            seg.kept.iter().all(Option::is_none),
+            "kept: {asked_while_alive}"
+        );
     }
 }

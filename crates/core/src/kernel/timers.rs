@@ -7,7 +7,7 @@ use super::lane::Lane;
 use super::ledger::At;
 use super::probe::{Flags, StreamKState};
 use super::ScapKernel;
-use crate::event::{EventKind, StreamUid};
+use crate::event::EventKind;
 use scap_flight::{DropReason, FlightEvent, FlightKind, FlightLayer};
 use scap_flow::{StreamId, StreamRecord, StreamStatus};
 use scap_memory::{ChunkAssembler, ChunkBuf};
@@ -154,18 +154,7 @@ impl ScapKernel {
     /// accumulating (§3.3.1 semantics) while their memory is freed.
     /// Candidates are ordered by uid so eviction is deterministic.
     fn evict_low_priority(&mut self, quota: usize, now: u64) {
-        let mut candidates: Vec<(StreamUid, usize, StreamId)> = Vec::new();
-        for (c, core) in self.flows.cores.iter().enumerate() {
-            for (id, rec) in core.iter() {
-                if rec.priority != 0 || rec.discarded {
-                    continue;
-                }
-                if let Some(ks) = core.state(id) {
-                    candidates.push((ks.uid(), c, id));
-                }
-            }
-        }
-        candidates.sort_unstable_by_key(|&(uid, ..)| uid);
+        let candidates = self.flows.by_uid(|rec| rec.priority == 0 && !rec.discarded);
         for (uid, c, id) in candidates.into_iter().take(quota) {
             let (ks, rec) = self.flows.cores[c].stream_mut(id);
             if let Some(rec) = rec {
@@ -240,7 +229,6 @@ impl ScapKernel {
         now: u64,
     ) {
         let at = At::new(core, now, ks.uid());
-        self.flows.close(ks.uid());
         self.emit.forget(ks.uid());
         // The box goes with the stream: what it holds is flushed or
         // released here, and it is dropped with the state once the

@@ -80,7 +80,7 @@ pub use config::{
     ConfigDelta, ConfigError, CutoffPolicy, DispatchMode, PriorityPolicy, ScapConfig,
 };
 pub use driver::StageClock;
-pub use event::{Event, EventKind, PacketRecord, StreamSnapshot, StreamUid};
+pub use event::{Event, EventKind, PacketRecord, StreamRef, StreamSnapshot, StreamUid};
 pub use governor::{GovernorConfig, GovernorStats, OverloadGovernor};
 pub use kernel::{ControlOp, ResilienceStats, ScapKernel, ScapStats};
 pub use live::{

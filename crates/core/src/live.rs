@@ -47,7 +47,7 @@
 use crate::checkpoint::{self, CheckpointError};
 use crate::config::{ConfigDelta, ConfigError, ScapConfig};
 use crate::driver::StageClock;
-use crate::event::{PacketRecord, StreamSnapshot};
+use crate::event::{PacketRecord, StreamRef, StreamSnapshot};
 use crate::kernel::{ControlOp, ScapKernel, ScapStats};
 use crew::{Crew, WorkerHandlers};
 use scap_faults::{FaultPlan, FrameFaultStats, WorkerFault};
@@ -100,39 +100,42 @@ pub struct StreamCtx<'a> {
 }
 
 impl StreamCtx<'_> {
+    /// This stream, as a control operation names it.
+    fn named(&self) -> StreamRef {
+        self.stream.into()
+    }
+
     /// `scap_discard_stream`: stop collecting data for this stream.
     pub fn discard_stream(&self) {
-        let _ = self.ctl.send(ControlOp::Discard(self.stream.uid));
+        let _ = self.ctl.send(ControlOp::Discard(self.named()));
     }
 
     /// `scap_set_stream_cutoff`.
     pub fn set_stream_cutoff(&self, cutoff: u64) {
         let _ = self
             .ctl
-            .send(ControlOp::SetCutoff(self.stream.uid, None, Some(cutoff)));
+            .send(ControlOp::SetCutoff(self.named(), None, Some(cutoff)));
     }
 
     /// Per-direction stream cutoff.
     pub fn set_stream_cutoff_direction(&self, dir: Direction, cutoff: u64) {
-        let _ = self.ctl.send(ControlOp::SetCutoff(
-            self.stream.uid,
-            Some(dir),
-            Some(cutoff),
-        ));
+        let _ = self
+            .ctl
+            .send(ControlOp::SetCutoff(self.named(), Some(dir), Some(cutoff)));
     }
 
     /// `scap_set_stream_priority`.
     pub fn set_stream_priority(&self, priority: u8) {
         let _ = self
             .ctl
-            .send(ControlOp::SetPriority(self.stream.uid, priority));
+            .send(ControlOp::SetPriority(self.named(), priority));
     }
 
     /// `scap_set_stream_parameter` for chunk geometry: change this
     /// stream's chunk size and overlap from the next chunk on.
     pub fn set_chunk_geometry(&self, chunk_size: u32, overlap: u32) {
         let _ = self.ctl.send(ControlOp::SetChunkGeometry(
-            self.stream.uid,
+            self.named(),
             chunk_size,
             overlap,
         ));
@@ -146,7 +149,7 @@ impl StreamCtx<'_> {
     /// socket-based call has).
     pub fn keep_chunk(&self) {
         if let Some(d) = self.dir {
-            let _ = self.ctl.send(ControlOp::KeepChunk(self.stream.uid, d));
+            let _ = self.ctl.send(ControlOp::KeepChunk(self.named(), d));
         }
     }
 
@@ -1216,6 +1219,113 @@ mod tests {
             stats.resilience.watchdog_breaker_trips, 0,
             "a single panic must stay far below the default breaker threshold"
         );
+    }
+
+    /// One TCP session of `segments` 1000-byte client segments, closed
+    /// only at the end.
+    fn long_session(segments: u32) -> Vec<Packet> {
+        use scap_wire::{PacketBuilder, TcpFlags};
+        let (c, s, cp, sp) = ([10, 0, 0, 1], [10, 0, 0, 2], 40000, 80);
+        let ack = TcpFlags::ACK;
+        let mut frames = vec![
+            PacketBuilder::tcp_v4(c, s, cp, sp, 0, 0, TcpFlags::SYN, b""),
+            PacketBuilder::tcp_v4(s, c, sp, cp, 0, 1, TcpFlags::SYN | ack, b""),
+        ];
+        for i in 0..segments {
+            frames.push(PacketBuilder::tcp_v4(
+                c,
+                s,
+                cp,
+                sp,
+                1 + i * 1000,
+                1,
+                ack,
+                &[7; 1000],
+            ));
+        }
+        let end = 1 + segments * 1000;
+        frames.push(PacketBuilder::tcp_v4(
+            c,
+            s,
+            cp,
+            sp,
+            end,
+            1,
+            TcpFlags::FIN | ack,
+            b"",
+        ));
+        frames.push(PacketBuilder::tcp_v4(
+            s,
+            c,
+            sp,
+            cp,
+            1,
+            end + 1,
+            TcpFlags::FIN | ack,
+            b"",
+        ));
+        let ts = |i: usize| i as u64 * 10_000;
+        frames
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| Packet::new(ts(i), f))
+            .collect()
+    }
+
+    /// A worker that dies or wedges holding an event marks that event's
+    /// stream: its termination snapshot carries `WORKER_FAILURE`.
+    #[test]
+    fn a_worker_fault_flags_the_stream_it_held() {
+        use scap_faults::WorkerFaultKind;
+        use scap_flow::StreamErrors;
+        for kind in [WorkerFaultKind::Panic, WorkerFaultKind::Stall(250_000_000)] {
+            let plan = FaultPlan {
+                workers: vec![WorkerFault {
+                    worker: 0,
+                    after_events: 5,
+                    kind,
+                }],
+                ..FaultPlan::new(1)
+            };
+            let mut scap = Scap::builder()
+                .cores(1)
+                .worker_threads(1)
+                .chunk_size(1024)
+                .fault_plan(plan)
+                .stats_interval(64)
+                .try_build()
+                .unwrap();
+            // The stats hook runs on the kernel thread: sleeping in it
+            // keeps the capture going for many watchdog passes after the
+            // fault, so the watchdog, not the final drain, finds it.
+            scap.dispatch_stats(|_| std::thread::sleep(std::time::Duration::from_millis(4)));
+            let ended = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let e = ended.clone();
+            scap.dispatch_termination(move |ctx| {
+                e.lock().unwrap().push((ctx.stream.uid, ctx.stream.errors));
+            });
+            let stats = scap.start_capture(long_session(3000));
+            assert_eq!(stats.stack.streams_created, 1, "{kind:?}");
+            let journal = scap.flight_journal().expect("journal after capture");
+            let journal = scap_flight::decode_journal(&journal).expect("journal decodes");
+            let fault = match kind {
+                WorkerFaultKind::Panic => FlightKind::WorkerPanic,
+                WorkerFaultKind::Stall(_) => FlightKind::WorkerStall,
+            };
+            let held: Vec<u64> = (journal.events.iter())
+                .filter(|e| e.kind == fault)
+                .map(|e| e.uid)
+                .collect();
+            let ended = ended.lock().unwrap();
+            assert_eq!(ended.len(), 1, "{kind:?}: {ended:?}");
+            let (uid, errors) = ended[0];
+            assert!(!held.is_empty(), "{kind:?}: no fault journaled");
+            assert!(held.iter().all(|&h| h == uid), "{kind:?}: {held:?}");
+            assert!(
+                errors.contains(StreamErrors::WORKER_FAILURE),
+                "{kind:?}: {errors:?}"
+            );
+        }
     }
 
     #[test]

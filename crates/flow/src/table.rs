@@ -340,6 +340,24 @@ impl<S> FlowTable<S> {
         Some((self.id_of(slot), dir))
     }
 
+    /// [`FlowTable::lookup`] for a caller off the packet path: the same
+    /// walk, counted nowhere ([`FlowTable::probes`] is the cost model's
+    /// input) and touching nothing.
+    pub fn peek(&self, key: &FlowKey) -> Option<StreamId> {
+        let (canon, _) = key.canonical();
+        let h = self.hash(&canon);
+        let mut uncounted = 0;
+        let mut find_in = |idx| find(idx, h, &canon, &self.slots, &mut uncounted);
+        let slot = match find_in(&self.index) {
+            Some(pos) => *self.index.get(pos),
+            None => {
+                let (old, _) = self.old.as_ref()?;
+                *old.get(find_in(old)?)
+            }
+        };
+        Some(self.id_of(slot))
+    }
+
     /// Find or create the stream for `key`. `now` stamps creation time.
     pub fn lookup_or_insert(&mut self, key: &FlowKey, now: u64) -> Result<Lookup, TableFull> {
         let (canon, dir) = key.canonical();
@@ -753,6 +771,31 @@ mod tests {
         for i in (0..10_000).step_by(997) {
             assert!(t.lookup(&key(i)).is_some());
         }
+    }
+
+    #[test]
+    fn peek_finds_what_lookup_finds_and_counts_nothing() {
+        let mut t = FlowTable::new(
+            FlowTableConfig {
+                initial_capacity: 16,
+                max_flows: None,
+            },
+            7,
+        );
+        let (mut ids, mut mid_rehash) = (Vec::new(), 0);
+        for i in 0..3_000 {
+            ids.push(t.lookup_or_insert(&key(i), 0).unwrap().id);
+            mid_rehash += usize::from(t.rehash_pending());
+            t.next_epoch();
+            let probes = t.probes;
+            for j in [0, i / 2, i] {
+                assert_eq!(t.peek(&key(j).reversed()), Some(ids[j as usize]));
+                assert!(!t.touched(ids[j as usize]));
+            }
+            assert_eq!(t.peek(&key(i + 1)), None);
+            assert_eq!(t.probes, probes);
+        }
+        assert!(mid_rehash > 0, "never peeked into a pending old index");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use scap::checkpoint::AsmImage;
 use scap::checkpoint::CheckpointImage;
 use scap::{
     ControlOp, Direction, Event, EventKind, OffloadAction, OffloadRule, ScapConfig, ScapKernel,
-    StreamUid,
+    StreamRef, StreamUid,
 };
 use scap_filter::Filter;
 use scap_trace::{CampusMix, CampusMixConfig, Packet};
@@ -243,12 +243,13 @@ fn scenario(seed: u64, expiring: bool) -> (Scenario, proptest::TestRng) {
     (sc, rng)
 }
 
-/// What the application has seen so far: the uids created, in order (and
-/// the newest per flow), and every delivered byte at its stream offset.
+/// What the application has seen so far: the streams created, in order
+/// (and the newest per flow), as their created snapshots name them, and
+/// every delivered byte at its stream offset.
 #[derive(Clone, Default, PartialEq, Debug)]
 struct Seen {
-    created: Vec<StreamUid>,
-    by_key: HashMap<FlowKey, StreamUid>,
+    created: Vec<StreamRef>,
+    by_key: HashMap<FlowKey, StreamRef>,
     bytes: BTreeMap<(StreamUid, usize), Vec<Option<u8>>>,
 }
 
@@ -256,8 +257,9 @@ impl Seen {
     fn on_event(&mut self, k: &mut ScapKernel, ev: Event) {
         match &ev.kind {
             EventKind::Created => {
-                self.created.push(ev.stream.uid);
-                self.by_key.insert(ev.stream.key, ev.stream.uid);
+                self.created.push(StreamRef::from(&ev.stream));
+                self.by_key
+                    .insert(ev.stream.key, StreamRef::from(&ev.stream));
             }
             EventKind::Data { dir, chunk, .. } => {
                 let have = self.bytes.entry((ev.stream.uid, dir.index())).or_default();
@@ -340,16 +342,17 @@ impl Replay {
         match op {
             Op::Control { kind, pick, value } => {
                 let created = &self.seen.created;
-                let Some(&uid) = created.get(pick % created.len().max(1)) else {
+                let Some(&stream) = created.get(pick % created.len().max(1)) else {
                     return;
                 };
                 let dir = [Direction::Forward, Direction::Reverse][(value & 1) as usize];
+                let widened = (value & 2 != 0).then_some(value * 8);
                 self.kernel.control(match kind {
-                    0 => ControlOp::SetCutoff(uid, Some(dir), Some(value)),
-                    1 => ControlOp::SetCutoff(uid, None, (value & 2 != 0).then_some(value * 8)),
-                    2 => ControlOp::SetPriority(uid, (value % 3) as u8),
-                    3 => ControlOp::Discard(uid),
-                    _ => ControlOp::KeepChunk(uid, dir),
+                    0 => ControlOp::SetCutoff(stream, Some(dir), Some(value)),
+                    1 => ControlOp::SetCutoff(stream, None, widened),
+                    2 => ControlOp::SetPriority(stream, (value % 3) as u8),
+                    3 => ControlOp::Discard(stream),
+                    _ => ControlOp::KeepChunk(stream, dir),
                 });
             }
             Op::Offload { pick, action } => {
@@ -370,8 +373,8 @@ impl Replay {
                     return;
                 };
                 let (canon, dir) = key.canonical();
-                if let Some(&uid) = self.seen.by_key.get(&canon) {
-                    self.kernel.control(ControlOp::KeepChunk(uid, dir));
+                if let Some(&stream) = self.seen.by_key.get(&canon) {
+                    self.kernel.control(ControlOp::KeepChunk(stream, dir));
                 }
             }
             Op::Checkpoint(ordinal) => {

@@ -164,7 +164,7 @@ fn strict_and_fast_modes_agree_without_loss() {
 
 #[test]
 fn keep_chunk_merges_into_next_delivery() {
-    use scap::{ControlOp, Direction, EventKind};
+    use scap::{ControlOp, Direction, EventKind, StreamRef};
     use scap_wire::{PacketBuilder, TcpFlags};
     // Drive the kernel directly so the keep-chunk control round-trip is
     // deterministic (in the threaded driver it is asynchronous).
@@ -202,7 +202,7 @@ fn keep_chunk_merges_into_next_delivery() {
         PacketBuilder::tcp_v4(c, s, 7, 80, 101, 501, TcpFlags::ACK, &[b'a'; 1024]),
     )
     .expect("first chunk");
-    let uid = ev1.stream.uid;
+    let stream = StreamRef::from(&ev1.stream);
     let EventKind::Data { chunk, dir, .. } = ev1.kind else {
         unreachable!()
     };
@@ -210,8 +210,8 @@ fn keep_chunk_merges_into_next_delivery() {
     assert_eq!(chunk.start_offset, 0);
     assert_eq!(dir, ev1.stream.first_dir);
     // scap_keep_stream_chunk + chunk return.
-    kernel.control(ControlOp::KeepChunk(uid, dir));
-    kernel.release_data(uid, dir, chunk);
+    kernel.control(ControlOp::KeepChunk(stream, dir));
+    kernel.release_data(stream.uid, dir, chunk);
 
     // Second 1 KB of data: its completed chunk must come out merged.
     let ev2 = feed(
