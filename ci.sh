@@ -144,9 +144,10 @@ share_log=$(cargo run --release -q --example shared_capture) \
 
 echo "== one format per artifact, one field codec =="
 # scapd publishes only OpenMetrics, the telemetry snapshot only JSONL, a
-# run only BENCH_summary.json, and the archive index encodes its stream
-# fields with the checkpoint's codec: a second serialization or a second
-# cursor coming back fails here.
+# run only BENCH_summary.json, and checkpoint, tenant and archive-index
+# records are declared once as field lists over the checkpoint's `Field`
+# codec: a second serialization, a second cursor or a hand-written
+# encoder/decoder pair coming back fails here.
 if grep -rn 'scapd-status' crates/; then
     echo "a second scapd status file is back (see above)"; exit 1
 fi
@@ -158,6 +159,9 @@ if grep -rn 'trajectory' crates/; then
 fi
 files=$(grep -rlE --include='*.rs' 'struct Cursor\b' crates/ | wc -l)
 [ "$files" -eq 1 ] || { echo "\`struct Cursor\` is defined in $files files under crates/"; exit 1; }
+if grep -rnE --include='*.rs' 'fn (put_u32|put_u64|put_opt_u64|status_to_u8|decode_[a-z0-9_]*_body)\b' crates/; then
+    echo "a hand-written field encoder or record decoder is back (see above)"; exit 1
+fi
 
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings

@@ -18,12 +18,11 @@
 //! the image. The owned [`StreamImage`] is the decode product; it
 //! re-encodes through the same writer by lending itself the same way.
 //!
-//! The fields the archive index shares with a stream record — the flow
-//! key, the direction and [`StreamStatus`] bytes and the eight-`u64`
-//! [`DirStats`] block — have one codec, [`put_key`] / [`decode_key`],
-//! [`status_to_u8`] / [`decode_status`], [`put_dir_stats`] /
-//! [`decode_dir_stats`] and [`decode_direction`], read through the
-//! bounded [`Cursor`]; `scap-store` encodes its index records with them.
+//! Record bodies have one codec: [`Put`] writes a value, [`Field`] reads
+//! it back through the bounded [`Cursor`], and a record is declared once
+//! as its ordered field list ([`record_fields!`]) — enums as a table of
+//! byte codes — so the field order of each record is written down in one
+//! place. `scap-store` declares its index records with the same macro.
 //!
 //! # File layout
 //!
@@ -54,16 +53,21 @@
 //!   in the restart blackout are skipped on the first post-resume
 //!   segment and accounted in `resume_gap_bytes` — bounded by the
 //!   traffic that arrived between the checkpoint and the crash.
+//! * A CRC-clean record is still not trusted: a byte code outside its
+//!   table, a length longer than the bytes left, or a configuration the
+//!   kernel cannot be rebuilt from fails the decode instead of the
+//!   restore.
 //!
 //! [`StreamErrors::RESUMED`]: scap_flow::StreamErrors::RESUMED
 
 use std::path::Path;
 
-use crate::config::{ConfigDelta, CutoffPolicy, PriorityPolicy, ScapConfig};
+use crate::config::{ConfigDelta, CutoffPolicy, DispatchMode, PriorityPolicy, ScapConfig};
 use crate::event::StreamUid;
 use crate::governor::GovernorConfig;
+use crate::tenant::TenantState;
 use scap_filter::Filter;
-use scap_flow::{DirStats, StreamStatus};
+use scap_flow::{DirStats, StreamErrors, StreamStatus};
 use scap_memory::PplConfig;
 use scap_nic::{FdirAction, FdirFilter, FlexMatch, OffloadAction, OffloadRule};
 use scap_reassembly::{
@@ -72,7 +76,7 @@ use scap_reassembly::{
 use scap_wire::{Direction, FlowKey, IpAddrBytes, Transport};
 
 // ---------------------------------------------------------------------------
-// Shared record codec (also used by scap-store via re-export)
+// Shared record framing (also used by scap-store via re-export)
 // ---------------------------------------------------------------------------
 
 use scap_flight::framing::scan_records;
@@ -83,6 +87,14 @@ pub use scap_flight::framing::{
 
 /// Checkpoint-file magic ("SCKP").
 pub const CKPT_MAGIC: u32 = 0x504B_4353;
+
+/// Largest flight-journal ring a restore builds. The ring is allocated
+/// up front; the largest any capture configures is `1 << 17`.
+const MAX_FLIGHT_RING_CAP: usize = 1 << 20;
+
+/// Largest offload rule table a restore builds. The table is allocated
+/// up front; the default capacity is `1 << 20`.
+const MAX_OFFLOAD_CAPACITY: usize = 1 << 22;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -187,10 +199,10 @@ pub enum ConnView<'a> {
     Image(&'a ConnCheckpoint),
 }
 
-/// Borrowed form of [`KStateImage`], the only shape the stream-record
-/// encoder reads: the kernel fills it from a live stream's state, a
-/// decoded [`KStateImage`] lends itself as one. No payload byte is
-/// copied to build it.
+/// Borrowed form of [`KStateImage`], the shape the stream-record encoder
+/// writes: the kernel fills it from a live stream's state, a decoded
+/// [`KStateImage`] lends itself as one. No payload byte is copied to
+/// build it.
 #[derive(Debug, Clone, Copy)]
 pub struct KStateView<'a> {
     /// See [`KStateImage::fdir_installed`].
@@ -205,20 +217,9 @@ pub struct KStateView<'a> {
     pub asm: [Option<AsmImage<&'a [u8]>>; 2],
 }
 
-/// Kernel-side stream state the encoder can borrow as a [`KStateView`].
-pub trait KStateSource {
+impl KStateImage {
     /// Lend this state to the encoder.
-    fn view(&self) -> KStateView<'_>;
-}
-
-impl KStateSource for KStateView<'_> {
-    fn view(&self) -> KStateView<'_> {
-        *self
-    }
-}
-
-impl KStateSource for KStateImage {
-    fn view(&self) -> KStateView<'_> {
+    pub fn view(&self) -> KStateView<'_> {
         KStateView {
             fdir_installed: self.fdir_installed,
             fdir_timeout_ns: self.fdir_timeout_ns,
@@ -333,8 +334,8 @@ pub struct TenantImage {
     pub mem_share: u32,
     /// Disk share in permille of the archive budget.
     pub disk_share: u32,
-    /// Slow-consumer ladder state (encodes `TenantState`).
-    pub state: u8,
+    /// Slow-consumer ladder state.
+    pub state: TenantState,
     /// Bytes delivered to this tenant so far.
     pub delivered_bytes: u64,
     /// Bytes dropped on this tenant's full queue so far.
@@ -344,445 +345,473 @@ pub struct TenantImage {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// The field codec
 // ---------------------------------------------------------------------------
 
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
+/// A value a record body can carry: [`Put::put`] appends its encoding.
+/// Borrowed views (a live stream's [`KStateView`]) are only written;
+/// everything that is also read back is a [`Field`].
+pub trait Put {
+    /// Append this value's encoding to `b`.
+    fn put(&self, b: &mut Vec<u8>);
 
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(b: &mut Vec<u8>, v: f64) {
-    b.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_opt_u64(b: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            b.push(1);
-            put_u64(b, x);
+    /// Append the elements of a slice, without a length (`u8` copies
+    /// them in one go).
+    fn put_all(v: &[Self], b: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for x in v {
+            x.put(b);
         }
-        None => b.push(0),
     }
 }
 
-fn put_bytes(b: &mut Vec<u8>, v: &[u8]) {
-    put_u32(b, v.len() as u32);
-    b.extend_from_slice(v);
-}
+/// A value read back by [`Field::get`], exactly as [`Put::put`] wrote
+/// it. Reading fails — never panics, never allocates more than the
+/// bytes left call for — on anything else.
+pub trait Field: Put + Sized {
+    /// Read one value.
+    fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError>;
 
-fn put_str(b: &mut Vec<u8>, s: &str) {
-    put_bytes(b, s.as_bytes());
-}
-
-fn put_addr(b: &mut Vec<u8>, a: IpAddrBytes) {
-    match a {
-        IpAddrBytes::V4(x) => {
-            b.extend_from_slice(&x);
-            b.extend_from_slice(&[0u8; 12]);
-        }
-        IpAddrBytes::V6(x) => b.extend_from_slice(&x),
+    /// Read `n` elements of a slice written by [`Put::put_all`] (`u8`
+    /// copies them in one go).
+    fn get_all(c: &mut Cursor<'_>, n: usize) -> Result<Vec<Self>, CheckpointError> {
+        (0..n).map(|_| Self::get(c)).collect()
     }
 }
 
-/// Append a flow key: family byte (4/6), both addresses as 16 bytes
-/// (IPv4 zero-padded), both ports, transport protocol number.
-pub fn put_key(b: &mut Vec<u8>, key: &FlowKey) {
-    b.push(match key.src() {
-        IpAddrBytes::V4(_) => 4,
-        IpAddrBytes::V6(_) => 6,
-    });
-    put_addr(b, key.src());
-    put_addr(b, key.dst());
-    b.extend_from_slice(&key.src_port().to_le_bytes());
-    b.extend_from_slice(&key.dst_port().to_le_bytes());
-    b.push(key.transport().proto_number());
-}
-
-fn overlap_policy_to_u8(p: OverlapPolicy) -> u8 {
-    match p {
-        OverlapPolicy::First => 0,
-        OverlapPolicy::Last => 1,
-        OverlapPolicy::Bsd => 2,
-        OverlapPolicy::Windows => 3,
-        OverlapPolicy::Solaris => 4,
-        OverlapPolicy::Linux => 5,
-    }
-}
-
-/// The one-byte code of a [`StreamStatus`] (read by [`decode_status`]).
-pub fn status_to_u8(s: StreamStatus) -> u8 {
-    match s {
-        StreamStatus::Active => 0,
-        StreamStatus::ClosedFin => 1,
-        StreamStatus::ClosedRst => 2,
-        StreamStatus::ClosedTimeout => 3,
-    }
-}
-
-/// Append one direction's counters as eight little-endian `u64`s.
-pub fn put_dir_stats(b: &mut Vec<u8>, d: &DirStats) {
-    for v in [
-        d.total_pkts,
-        d.total_bytes,
-        d.captured_bytes,
-        d.captured_pkts,
-        d.discarded_pkts,
-        d.discarded_bytes,
-        d.dropped_pkts,
-        d.dropped_bytes,
-    ] {
-        put_u64(b, v);
-    }
-}
-
-fn put_config(b: &mut Vec<u8>, cfg: &ScapConfig) {
-    b.push(REC_CONFIG);
-    put_u64(b, cfg.memory_bytes as u64);
-    b.push(match cfg.reassembly_mode {
-        ReassemblyMode::Strict => 0,
-        ReassemblyMode::Fast => 1,
-    });
-    b.push(overlap_policy_to_u8(cfg.overlap_policy));
-    b.push(u8::from(cfg.need_pkts));
-    match &cfg.filter {
-        Some(f) => {
-            b.push(1);
-            put_str(b, f.source());
-        }
-        None => b.push(0),
-    }
-    put_opt_u64(b, cfg.cutoff.default);
-    put_opt_u64(b, cfg.cutoff.per_direction[0]);
-    put_opt_u64(b, cfg.cutoff.per_direction[1]);
-    put_u32(b, cfg.cutoff.classes.len() as u32);
-    for (f, v) in &cfg.cutoff.classes {
-        put_str(b, f.source());
-        put_u64(b, *v);
-    }
-    put_u32(b, cfg.priorities.classes.len() as u32);
-    for (f, p) in &cfg.priorities.classes {
-        put_str(b, f.source());
-        b.push(*p);
-    }
-    put_u64(b, cfg.worker_threads as u64);
-    put_u64(b, cfg.cores as u64);
-    put_u64(b, cfg.chunk_size as u64);
-    put_u64(b, cfg.overlap as u64);
-    put_u64(b, cfg.flush_timeout_ns);
-    put_u64(b, cfg.inactivity_timeout_ns);
-    put_f64(b, cfg.ppl.base_threshold);
-    b.push(cfg.ppl.num_priorities);
-    put_opt_u64(b, cfg.ppl.overload_cutoff);
-    b.push(u8::from(cfg.use_fdir));
-    b.push(u8::from(cfg.use_fdir_balancing));
-    put_f64(b, cfg.balance_threshold);
-    put_u64(b, cfg.rx_ring_slots as u64);
-    put_u64(b, cfg.event_queue_cap as u64);
-    for e in cfg.governor.enter {
-        put_f64(b, e);
-    }
-    put_f64(b, cfg.governor.exit);
-    put_u32(b, cfg.governor.calm_ticks);
-    put_u64(b, cfg.governor.tick_ns);
-    put_u64(b, cfg.governor.cutoff_caps[0]);
-    put_u64(b, cfg.governor.cutoff_caps[1]);
-    put_f64(b, cfg.governor.ppl_boost);
-    put_u64(b, cfg.governor.evict_batch as u64);
-    put_u64(b, cfg.telemetry_sample_interval_ns);
-    put_u64(b, cfg.telemetry_series_cap as u64);
-    put_u64(b, cfg.flight_ring_cap as u64);
-    b.push(match cfg.dispatch {
-        crate::config::DispatchMode::Classic => 0,
-        crate::config::DispatchMode::Fastpath => 1,
-    });
-    put_u64(b, cfg.fastpath_burst as u64);
-    b.push(u8::from(cfg.use_offload));
-    put_u64(b, cfg.offload_capacity as u64);
-    put_u32(b, cfg.watchdog_breaker_threshold);
-    put_u64(b, cfg.watchdog_breaker_window_ns);
-    put_u32(b, cfg.pulse_exemplar_permille);
-    put_u64(b, cfg.pulse_exemplar_cap as u64);
-}
-
-fn put_globals(b: &mut Vec<u8>, g: &CheckpointGlobals) {
-    b.push(REC_GLOBALS);
-    put_u64(b, g.ts_ns);
-    put_u64(b, g.uid_counter);
-    b.push(g.governor_level);
-    put_u64(b, g.restarts);
-}
-
-/// One direction's reassembly state: `counters` are the delivered,
-/// duplicate and gap byte totals, `segments` the buffered out-of-order
-/// extents in ascending offset order.
-fn put_dir_state<'a>(
-    b: &mut Vec<u8>,
-    base_seq: Option<u32>,
-    expected: u64,
-    flags: u8,
-    counters: [u64; 3],
-    segments: impl ExactSizeIterator<Item = (u64, &'a [u8])>,
-) {
-    match base_seq {
-        Some(s) => {
-            b.push(1);
-            put_u32(b, s);
-        }
-        None => b.push(0),
-    }
-    put_u64(b, expected);
-    b.push(flags);
-    for v in counters {
-        put_u64(b, v);
-    }
-    put_u32(b, segments.len() as u32);
-    for (off, data) in segments {
-        put_u64(b, off);
-        put_bytes(b, data);
-    }
-}
-
-fn put_conn(b: &mut Vec<u8>, conn: ConnView<'_>) {
-    let (phase, client_dir, fin_seen) = match conn {
-        ConnView::Live(c) => (c.phase(), c.client_dir(), c.fin_seen()),
-        ConnView::Image(c) => (c.phase, c.client_dir, c.fin_seen),
+/// Declare a record's codec as its ordered field list: [`Put`] writes
+/// the fields in this order and [`Field`] reads them back in the same
+/// order. `impl[generics] View => Owned { .. }` writes a borrowed view
+/// and reads the owned type that lends it; `; field: expr` fills fields
+/// the record does not carry; `then |v| expr` checks (or rebuilds) what
+/// was read and returns the `Result`.
+#[macro_export]
+macro_rules! record_fields {
+    ($ty:ident { $($body:tt)* } $($then:tt)*) => {
+        $crate::record_fields!(impl[] $ty => $ty { $($body)* } $($then)*);
     };
-    b.push(match phase {
-        ConnPhase::Opening => 0,
-        ConnPhase::Established => 1,
-        ConnPhase::ClosedFin => 2,
-        ConnPhase::ClosedRst => 3,
-    });
-    match client_dir {
-        Some(d) => {
-            b.push(1);
-            b.push(d.index() as u8);
-        }
-        None => b.push(0),
-    }
-    b.push(u8::from(fin_seen[0]));
-    b.push(u8::from(fin_seen[1]));
-    match conn {
-        ConnView::Live(c) => {
-            for d in [Direction::Forward, Direction::Reverse].map(|d| c.dir(d)) {
-                let counters = [d.delivered_bytes, d.duplicate_bytes, d.gap_bytes];
-                put_dir_state(
-                    b,
-                    d.base_seq(),
-                    d.expected(),
-                    d.flags.0,
-                    counters,
-                    d.segments(),
-                );
+    (impl[$($g:tt)*] $put:ty => $get:ident {
+        $($f:ident),+ $(,)? $(; $($x:ident: $e:expr),+ $(,)?)?
+    } $(then |$v:ident| $then:expr)?) => {
+        impl<$($g)*> $crate::checkpoint::Put for $put {
+            fn put(&self, b: &mut Vec<u8>) {
+                $($crate::checkpoint::Put::put(&self.$f, b);)+
             }
         }
-        ConnView::Image(c) => {
-            for d in &c.dirs {
-                let counters = [d.delivered_bytes, d.duplicate_bytes, d.gap_bytes];
-                let segments = d.segments.iter().map(|(off, data)| (*off, data.as_slice()));
-                put_dir_state(b, d.base_seq, d.expected, d.flags, counters, segments);
+        impl $crate::checkpoint::Field for $get {
+            fn get(
+                c: &mut $crate::checkpoint::Cursor<'_>,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                let read: Self = $get {
+                    $($f: $crate::checkpoint::Field::get(c)?,)+
+                    $($($x: $e,)+)?
+                };
+                $crate::record_fields!(@then read $(|$v| $then)?)
             }
         }
-    }
-}
-
-/// The one stream-record encoder: owned images and the kernel's live
-/// views both come through here.
-fn put_stream<K: KStateSource>(b: &mut Vec<u8>, s: &StreamImage<K>) {
-    b.push(REC_STREAM);
-    put_u32(b, s.core);
-    put_u64(b, s.uid);
-    put_key(b, &s.key);
-    b.push(s.first_dir.index() as u8);
-    put_u64(b, s.first_ts_ns);
-    put_u64(b, s.last_ts_ns);
-    b.push(status_to_u8(s.status));
-    b.push(s.errors);
-    b.push(s.priority);
-    put_opt_u64(b, s.cutoff[0]);
-    put_opt_u64(b, s.cutoff[1]);
-    b.push(u8::from(s.cutoff_exceeded));
-    b.push(u8::from(s.discarded));
-    for d in &s.dirs {
-        put_dir_stats(b, d);
-    }
-    put_u32(b, s.chunk_size);
-    put_u32(b, s.overlap);
-    match s.reassembly_policy {
-        Some(p) => {
-            b.push(1);
-            b.push(p);
-        }
-        None => b.push(0),
-    }
-    put_u64(b, s.processing_time_ns);
-    put_u64(b, s.chunks);
-    put_u64(b, s.resume_gap_bytes);
-    let Some(ks) = s.kstate.as_ref().map(KStateSource::view) else {
-        b.push(0);
-        return;
     };
-    b.push(1);
-    b.push(u8::from(ks.fdir_installed));
-    put_u64(b, ks.fdir_timeout_ns);
-    b.push(u8::from(ks.fdir_software_fallback));
-    match ks.conn {
-        None => b.push(0),
-        Some(conn) => {
-            b.push(1);
-            put_conn(b, conn);
-        }
-    }
-    for a in ks.asm {
-        match a {
-            None => b.push(0),
-            Some(a) => {
-                b.push(1);
-                put_u64(b, a.committed);
-                put_bytes(b, a.pending);
-            }
-        }
-    }
+    (@then $read:ident) => { Ok($read) };
+    (@then $read:ident |$v:ident| $then:expr) => {{ let $v = $read; $then }};
 }
 
-fn encode_filter(f: &FdirFilter) -> Vec<u8> {
-    let mut b = Vec::with_capacity(48);
-    put_key(&mut b, &f.key);
-    match f.flex {
-        Some(fx) => {
-            b.push(1);
-            b.extend_from_slice(&fx.offset.to_le_bytes());
-            b.extend_from_slice(&fx.value.to_le_bytes());
-        }
-        None => b.push(0),
-    }
-    match f.action {
-        FdirAction::Drop => b.push(0),
-        FdirAction::ToQueue(q) => {
-            b.push(1);
-            put_u64(&mut b, q as u64);
-        }
-    }
-    b
-}
-
-/// Body of the FDIR and offload records: `kind`, a count, then the
-/// per-entry encodings sorted by their bytes. Both tables hash by key,
-/// so the caller's iteration order is not deterministic; sorting makes
-/// identical sets always produce identical checkpoints.
-fn put_sorted(b: &mut Vec<u8>, kind: u8, mut enc: Vec<Vec<u8>>) {
-    enc.sort_unstable();
-    b.push(kind);
-    put_u32(b, enc.len() as u32);
-    for e in enc {
-        b.extend_from_slice(&e);
-    }
-}
-
-fn encode_offload_rule(r: &OffloadRule) -> Vec<u8> {
-    let mut b = Vec::with_capacity(48);
-    put_key(&mut b, &r.key);
-    b.push(r.action.discriminant());
-    match r.action {
-        OffloadAction::Bypass | OffloadAction::Drop => {}
-        OffloadAction::Mark(tag) => b.push(tag),
-        OffloadAction::Sample(n) => put_u32(&mut b, n),
-    }
-    b.push(r.priority);
-    b
-}
-
-fn decode_offload_body(c: &mut Cursor<'_>) -> Result<Vec<OffloadRule>, CheckpointError> {
-    let n = c.u32()?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        let key = decode_key(c)?;
-        let action = match c.u8()? {
-            0 => OffloadAction::Bypass,
-            1 => OffloadAction::Drop,
-            2 => OffloadAction::Mark(c.u8()?),
-            3 => {
-                let every = c.u32()?;
-                if every == 0 {
-                    return Err(corrupt("offload sample rate of zero"));
+/// Declare an enum's one-byte codes, and for a variant that carries
+/// values the fields that follow its byte. A byte not in the table is
+/// corrupt.
+macro_rules! byte_codes {
+    ($ty:ident, $what:literal { $($v:ident $(($($p:ident),+))? = $n:literal),+ $(,)? }) => {
+        impl Put for $ty {
+            fn put(&self, b: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v $(($($p),+))? => {
+                        b.push($n);
+                        $($($p.put(b);)+)?
+                    })+
                 }
-                OffloadAction::Sample(every)
             }
-            other => return Err(corrupt(format!("bad offload action {other}"))),
-        };
-        let priority = c.u8()?;
-        out.push(OffloadRule::new(key, action, priority));
-    }
-    Ok(out)
-}
-
-fn put_tenants(b: &mut Vec<u8>, tenants: &[TenantImage]) {
-    // Ascending-id order regardless of input order: the byte output is
-    // a pure function of the tenant table.
-    let mut order: Vec<&TenantImage> = tenants.iter().collect();
-    order.sort_by_key(|t| t.id);
-    b.push(REC_TENANTS);
-    put_u32(b, tenants.len() as u32);
-    for t in order {
-        put_u64(b, t.id);
-        put_str(b, &t.name);
-        match &t.filter_src {
-            Some(src) => {
-                b.push(1);
-                put_str(b, src);
-            }
-            None => b.push(0),
         }
-        put_opt_u64(b, t.cutoff);
-        b.push(t.priority);
-        put_u32(b, t.mem_share);
-        put_u32(b, t.disk_share);
-        b.push(t.state);
-        put_u64(b, t.delivered_bytes);
-        put_u64(b, t.dropped_bytes);
-        put_u64(b, t.discarded_bytes);
+        impl Field for $ty {
+            fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+                Ok(match u8::get(c)? {
+                    $($n => $ty::$v $(($({ let $p = Field::get(c)?; $p }),+))?,)+
+                    other => return Err(corrupt(format!(concat!("bad ", $what, " {}"), other))),
+                })
+            }
+        }
+    };
+}
+
+impl Put for u8 {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(*self);
+    }
+
+    fn put_all(v: &[u8], b: &mut Vec<u8>) {
+        b.extend_from_slice(v);
     }
 }
 
-fn decode_tenants_body(c: &mut Cursor<'_>) -> Result<Vec<TenantImage>, CheckpointError> {
-    let n = c.u32()? as usize;
-    let mut tenants = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let id = c.u64()?;
-        let name = c.str()?;
-        let filter_src = if c.bool()? {
-            let src = c.str()?;
-            // Validate at decode time: a tenant filter that no longer
-            // compiles must fail the restore, not the next attach.
-            Filter::new(&src).map_err(|e| corrupt(format!("bad tenant filter {src:?}: {e}")))?;
-            Some(src)
+impl Field for u8 {
+    fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        Ok(c.take(1)?[0])
+    }
+
+    fn get_all(c: &mut Cursor<'_>, n: usize) -> Result<Vec<u8>, CheckpointError> {
+        Ok(c.take(n)?.to_vec())
+    }
+}
+
+macro_rules! le_fields {
+    ($($t:ty),+) => {$(
+        impl Put for $t {
+            fn put(&self, b: &mut Vec<u8>) {
+                b.extend_from_slice(&self.to_le_bytes());
+            }
+        }
+        impl Field for $t {
+            fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+                Ok(<$t>::from_le_bytes(c.array()?))
+            }
+        }
+    )+};
+}
+
+le_fields!(u16, u32, u64);
+
+/// Declare types written as another field type: `put` maps a value to
+/// its representation, `get` reads the representation back and checks it.
+macro_rules! via_fields {
+    ($($t:ty => $repr:ty { put |$x:ident| $to:expr, get |$r:ident| $from:expr })+) => {$(
+        impl Put for $t {
+            fn put(&self, b: &mut Vec<u8>) {
+                let $x = self;
+                Put::put(&$to, b);
+            }
+        }
+        impl Field for $t {
+            fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+                let $r = <$repr>::get(c)?;
+                $from
+            }
+        }
+    )+};
+}
+
+via_fields! {
+    usize => u64 {
+        put |x| *x as u64,
+        get |r| usize::try_from(r).map_err(|_| corrupt("size field out of range"))
+    }
+    f64 => u64 { put |x| x.to_bits(), get |r| Ok(f64::from_bits(r)) }
+    bool => u8 {
+        put |x| u8::from(*x),
+        get |r| match r {
+            0 | 1 => Ok(r == 1),
+            other => Err(corrupt(format!("bad flag byte {other}"))),
+        }
+    }
+    StreamErrors => u8 { put |x| x.0, get |r| Ok(StreamErrors(r)) }
+    String => Vec<u8> {
+        put |x| x.as_bytes(),
+        get |r| String::from_utf8(r).map_err(|_| corrupt("invalid UTF-8 in string field"))
+    }
+    // A filter travels as its source and is compiled when read: one
+    // that no longer compiles fails the restore, not the first packet.
+    Filter => String {
+        put |x| x.source().as_bytes(),
+        get |r| Filter::new(&r).map_err(|e| corrupt(format!("bad filter {r:?}: {e}")))
+    }
+}
+
+impl<T: Put> Put for Option<T> {
+    fn put(&self, b: &mut Vec<u8>) {
+        self.is_some().put(b);
+        if let Some(v) = self {
+            v.put(b);
+        }
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        Ok(if bool::get(c)? {
+            Some(T::get(c)?)
         } else {
             None
-        };
-        let t = TenantImage {
-            id,
-            name,
-            filter_src,
-            cutoff: c.opt_u64()?,
-            priority: c.u8()?,
-            mem_share: c.u32()?,
-            disk_share: c.u32()?,
-            state: c.u8()?,
-            delivered_bytes: c.u64()?,
-            dropped_bytes: c.u64()?,
-            discarded_bytes: c.u64()?,
-        };
-        if tenants.iter().any(|p: &TenantImage| p.id >= t.id) {
-            return Err(corrupt("tenant table not in ascending-id order"));
-        }
-        tenants.push(t);
+        })
     }
-    Ok(tenants)
 }
+
+impl<T: Put, const N: usize> Put for [T; N] {
+    fn put(&self, b: &mut Vec<u8>) {
+        T::put_all(self, b);
+    }
+}
+
+impl<T: Field + Default, const N: usize> Field for [T; N] {
+    fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        let mut a: [T; N] = std::array::from_fn(|_| T::default());
+        for x in &mut a {
+            *x = T::get(c)?;
+        }
+        Ok(a)
+    }
+}
+
+impl<A: Put, B: Put> Put for (A, B) {
+    fn put(&self, b: &mut Vec<u8>) {
+        self.0.put(b);
+        self.1.put(b);
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        Ok((A::get(c)?, B::get(c)?))
+    }
+}
+
+/// A slice is its `u32` length, then its elements.
+impl<T: Put> Put for [T] {
+    fn put(&self, b: &mut Vec<u8>) {
+        (self.len() as u32).put(b);
+        T::put_all(self, b);
+    }
+}
+
+impl<T: Put + ?Sized> Put for &T {
+    fn put(&self, b: &mut Vec<u8>) {
+        (**self).put(b);
+    }
+}
+
+impl<T: Put> Put for Vec<T> {
+    fn put(&self, b: &mut Vec<u8>) {
+        self.as_slice().put(b);
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        let n = u32::get(c)? as usize;
+        // Every element takes at least one byte: a longer count is
+        // corruption, not an allocation request.
+        if n > c.left() {
+            return Err(corrupt("length field exceeds record size"));
+        }
+        T::get_all(c, n)
+    }
+}
+
+/// A flow key: family byte (4/6), both addresses as 16 bytes (IPv4
+/// zero-padded), both ports, transport protocol number.
+impl Put for FlowKey {
+    fn put(&self, b: &mut Vec<u8>) {
+        let wide = |addr| match addr {
+            IpAddrBytes::V4([w, x, y, z]) => {
+                (4u8, [w, x, y, z, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+            }
+            IpAddrBytes::V6(x) => (6, x),
+        };
+        let ((family, src), (_, dst)) = (wide(self.src()), wide(self.dst()));
+        family.put(b);
+        [src, dst].put(b);
+        [self.src_port(), self.dst_port()].put(b);
+        self.transport().proto_number().put(b);
+    }
+}
+
+impl Field for FlowKey {
+    fn get(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        let family = u8::get(c)?;
+        let (src, dst) = (c.array::<16>()?, c.array::<16>()?);
+        let [sp, dp] = <[u16; 2]>::get(c)?;
+        let transport = Transport::from(u8::get(c)?);
+        let v4 = |a: [u8; 16]| [a[0], a[1], a[2], a[3]];
+        match family {
+            4 => Ok(FlowKey::new_v4(v4(src), v4(dst), sp, dp, transport)),
+            6 => Ok(FlowKey::new_v6(src, dst, sp, dp, transport)),
+            other => Err(corrupt(format!("bad address family {other}"))),
+        }
+    }
+}
+
+byte_codes!(ReassemblyMode, "reassembly mode" { Strict = 0, Fast = 1 });
+byte_codes!(OverlapPolicy, "overlap policy" {
+    First = 0, Last = 1, Bsd = 2, Windows = 3, Solaris = 4, Linux = 5,
+});
+byte_codes!(DispatchMode, "dispatch mode" { Classic = 0, Fastpath = 1 });
+byte_codes!(StreamStatus, "stream status" {
+    Active = 0, ClosedFin = 1, ClosedRst = 2, ClosedTimeout = 3,
+});
+byte_codes!(Direction, "direction" { Forward = 0, Reverse = 1 });
+byte_codes!(ConnPhase, "connection phase" {
+    Opening = 0, Established = 1, ClosedFin = 2, ClosedRst = 3,
+});
+byte_codes!(TenantState, "tenant state" { Active = 0, Degraded = 1, Disconnected = 2 });
+byte_codes!(FdirAction, "FDIR action" { Drop = 0, ToQueue(queue) = 1 });
+byte_codes!(OffloadAction, "offload action" {
+    Bypass = 0, Drop = 1, Mark(tag) = 2, Sample(every) = 3,
+});
+
+// ---------------------------------------------------------------------------
+// Records
+// ---------------------------------------------------------------------------
+
+record_fields! { CutoffPolicy { default, per_direction, classes } }
+record_fields! { PriorityPolicy { classes } }
+record_fields! { PplConfig { base_threshold, num_priorities, overload_cutoff } }
+record_fields! {
+    GovernorConfig { enter, exit, calm_ticks, tick_ns, cutoff_caps, ppl_boost, evict_batch }
+}
+
+record_fields! {
+    ScapConfig {
+        memory_bytes, reassembly_mode, overlap_policy, need_pkts, filter, cutoff, priorities,
+        worker_threads, cores, chunk_size, overlap, flush_timeout_ns, inactivity_timeout_ns,
+        ppl, use_fdir, use_fdir_balancing, balance_threshold, rx_ring_slots, event_queue_cap,
+        governor, telemetry_sample_interval_ns, telemetry_series_cap, flight_ring_cap,
+        dispatch, fastpath_burst, use_offload, offload_capacity, watchdog_breaker_threshold,
+        watchdog_breaker_window_ns, pulse_exemplar_permille, pulse_exemplar_cap;
+        faults: None,
+    } then |cfg| restorable(cfg)
+}
+
+/// A configuration the kernel can be rebuilt from: a CRC-clean config
+/// record that would make the restore panic, or allocate more than any
+/// capture asks for, is refused here.
+fn restorable(cfg: ScapConfig) -> Result<ScapConfig, CheckpointError> {
+    let (cores, ring, rules) = (cfg.cores, cfg.flight_ring_cap, cfg.offload_capacity);
+    if cores == 0 || cfg.chunk_size == 0 || cfg.overlap >= cfg.chunk_size {
+        return Err(corrupt("invalid capture geometry in config record"));
+    }
+    if cores > scap_nic::rss::MAX_QUEUES {
+        return Err(corrupt(format!("{cores} cores, more than RSS has queues")));
+    }
+    if ring > MAX_FLIGHT_RING_CAP {
+        return Err(corrupt(format!("flight ring of {ring} entries")));
+    }
+    if rules > MAX_OFFLOAD_CAPACITY || (cfg.use_offload && rules == 0) {
+        return Err(corrupt(format!("offload table of {rules} rules")));
+    }
+    Ok(cfg)
+}
+
+record_fields! { CheckpointGlobals { ts_ns, uid_counter, governor_level, restarts } }
+record_fields! {
+    DirStats {
+        total_pkts, total_bytes, captured_bytes, captured_pkts,
+        discarded_pkts, discarded_bytes, dropped_pkts, dropped_bytes,
+    }
+}
+record_fields! {
+    DirState { base_seq, expected, flags, delivered_bytes, duplicate_bytes, gap_bytes, segments }
+}
+record_fields! { ConnCheckpoint { phase, client_dir, fin_seen, dirs } }
+
+/// The view side of [`ConnCheckpoint`]'s field list: a connection still
+/// inside the kernel writes its buffered segments from the reassembler's
+/// own memory, through accessors rather than fields.
+impl Put for ConnView<'_> {
+    fn put(&self, b: &mut Vec<u8>) {
+        let c = match self {
+            ConnView::Image(c) => return c.put(b),
+            ConnView::Live(c) => c,
+        };
+        c.phase().put(b);
+        c.client_dir().put(b);
+        c.fin_seen().put(b);
+        for d in [Direction::Forward, Direction::Reverse].map(|d| c.dir(d)) {
+            d.base_seq().put(b);
+            d.expected().put(b);
+            d.flags.0.put(b);
+            [d.delivered_bytes, d.duplicate_bytes, d.gap_bytes].put(b);
+            let segments = d.segments();
+            (segments.len() as u32).put(b);
+            segments.for_each(|segment| segment.put(b));
+        }
+    }
+}
+
+record_fields! {
+    impl[B: Put] AsmImage<B> => AsmImage { committed, pending } then |a| {
+        if (a.pending.len() as u64) > a.committed {
+            return Err(corrupt("pending bytes exceed committed offset"));
+        }
+        Ok(a)
+    }
+}
+
+record_fields! {
+    impl['a] KStateView<'a> => KStateImage {
+        fdir_installed, fdir_timeout_ns, fdir_software_fallback, conn, asm,
+    }
+}
+
+impl Put for KStateImage {
+    fn put(&self, b: &mut Vec<u8>) {
+        self.view().put(b);
+    }
+}
+
+record_fields! {
+    impl[K: Put] StreamImage<K> => StreamImage {
+        core, uid, key, first_dir, first_ts_ns, last_ts_ns, status, errors, priority, cutoff,
+        cutoff_exceeded, discarded, dirs, chunk_size, overlap, reassembly_policy,
+        processing_time_ns, chunks, resume_gap_bytes, kstate,
+    }
+}
+
+record_fields! { FlexMatch { offset, value } }
+record_fields! { FdirFilter { key, flex, action } }
+record_fields! {
+    OffloadRule { key, action, priority } then |r| match r.action {
+        OffloadAction::Sample(0) => Err(corrupt("offload sample rate of zero")),
+        _ => Ok(OffloadRule::new(r.key, r.action, r.priority)),
+    }
+}
+
+record_fields! {
+    TenantImage {
+        id, name, filter_src, cutoff, priority, mem_share, disk_share, state,
+        delivered_bytes, dropped_bytes, discarded_bytes,
+    } then |t| match t.filter_src.as_deref().map(Filter::new) {
+        // A tenant filter that no longer compiles must fail the
+        // restore, not the next attach.
+        Some(Err(e)) => Err(corrupt(format!("bad tenant filter: {e}"))),
+        _ => Ok(t),
+    }
+}
+
+/// The FDIR and offload record bodies: a count, then the entries sorted
+/// by their bytes. Both tables hash by key, so the order they hand their
+/// entries out in is not deterministic; sorting makes identical sets
+/// always produce identical checkpoints.
+struct SortedSet<'a, T>(&'a [T]);
+
+impl<T: Put> Put for SortedSet<'_, T> {
+    fn put(&self, b: &mut Vec<u8>) {
+        let mut enc: Vec<Vec<u8>> = self
+            .0
+            .iter()
+            .map(|x| {
+                let mut e = Vec::with_capacity(48);
+                x.put(&mut e);
+                e
+            })
+            .collect();
+        enc.sort_unstable();
+        (enc.len() as u32).put(b);
+        for e in enc {
+            b.extend_from_slice(&e);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Encoding
+// ---------------------------------------------------------------------------
 
 /// One-pass checkpoint encoder over a caller-owned buffer: every record
 /// is framed in place, so an image costs one write per byte and, when
@@ -803,16 +832,25 @@ impl<'a> ImageWriter<'a> {
     ) -> Self {
         out.clear();
         out.extend_from_slice(&file_header(CKPT_MAGIC, seq));
-        frame_record_into(out, |b| put_config(b, cfg));
-        frame_record_into(out, |b| put_globals(b, globals));
-        ImageWriter { out }
+        let mut w = ImageWriter { out };
+        w.record(REC_CONFIG, cfg);
+        w.record(REC_GLOBALS, globals);
+        w
+    }
+
+    /// Frame one record: its kind byte, then its body.
+    fn record(&mut self, kind: u8, body: &impl Put) {
+        frame_record_into(self.out, |b| {
+            b.push(kind);
+            body.put(b);
+        });
     }
 
     /// Append one stream record. The image's bytes are a pure function
     /// of the captured state only if streams arrive in ascending-uid
     /// order, equal uids in a stable order: the caller sorts.
-    pub fn stream<K: KStateSource>(&mut self, s: &StreamImage<K>) {
-        frame_record_into(self.out, |b| put_stream(b, s));
+    pub fn stream<K: Put>(&mut self, s: &StreamImage<K>) {
+        self.record(REC_STREAM, s);
     }
 
     /// Append a stream record that is already framed: one whole
@@ -830,63 +868,36 @@ impl<'a> ImageWriter<'a> {
     }
 
     /// Close the image: the FDIR filter set, the offload rules and the
-    /// tenant table (the last two only when non-empty), the end marker.
-    pub fn finish(self, fdir: &[FdirFilter], offload: &[OffloadRule], tenants: &[TenantImage]) {
-        let out = self.out;
-        frame_record_into(out, |b| {
-            put_sorted(b, REC_FDIR, fdir.iter().map(encode_filter).collect());
-        });
+    /// tenant table (the last two only when non-empty, the tenants in
+    /// ascending-id order), the end marker.
+    pub fn finish(mut self, fdir: &[FdirFilter], offload: &[OffloadRule], tenants: &[TenantImage]) {
+        self.record(REC_FDIR, &SortedSet(fdir));
         if !offload.is_empty() {
-            frame_record_into(out, |b| {
-                put_sorted(
-                    b,
-                    REC_OFFLOAD,
-                    offload.iter().map(encode_offload_rule).collect(),
-                );
-            });
+            self.record(REC_OFFLOAD, &SortedSet(offload));
         }
         if !tenants.is_empty() {
-            frame_record_into(out, |b| put_tenants(b, tenants));
+            let mut order: Vec<&TenantImage> = tenants.iter().collect();
+            order.sort_by_key(|t| t.id);
+            self.record(REC_TENANTS, &order);
         }
-        frame_record_into(out, |b| b.push(REC_END));
+        frame_record_into(self.out, |b| b.push(REC_END));
     }
-}
-
-/// Encode a full checkpoint file from its parts. `streams` are written
-/// in ascending-uid order regardless of input order, so the byte output
-/// is a pure function of the captured state.
-pub fn encode_image(
-    seq: u64,
-    cfg: &ScapConfig,
-    globals: &CheckpointGlobals,
-    streams: &[StreamImage],
-    fdir: &[FdirFilter],
-    offload: &[OffloadRule],
-    tenants: &[TenantImage],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
-    let mut order: Vec<&StreamImage> = streams.iter().collect();
-    order.sort_by_key(|s| s.uid);
-    let mut w = ImageWriter::begin(&mut out, seq, cfg, globals);
-    for s in order {
-        w.stream(s);
-    }
-    w.finish(fdir, offload, tenants);
-    out
 }
 
 impl CheckpointImage {
-    /// Re-encode this image to checkpoint-file bytes.
+    /// Encode this image to checkpoint-file bytes. Streams are written
+    /// in ascending-uid order regardless of their order here, so the
+    /// bytes are a pure function of the captured state.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode_image(
-            self.seq,
-            &self.config,
-            &self.globals,
-            &self.streams,
-            &self.fdir,
-            &self.offload,
-            &self.tenants,
-        )
+        let mut out = Vec::with_capacity(4096);
+        let mut order: Vec<&StreamImage> = self.streams.iter().collect();
+        order.sort_by_key(|s| s.uid);
+        let mut w = ImageWriter::begin(&mut out, self.seq, &self.config, &self.globals);
+        for s in order {
+            w.stream(s);
+        }
+        w.finish(&self.fdir, &self.offload, &self.tenants);
+        out
     }
 }
 
@@ -908,7 +919,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.b.len() {
+        if n > self.left() {
             return Err(corrupt("record body too short"));
         }
         let s = &self.b[self.pos..self.pos + n];
@@ -916,402 +927,25 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    /// The next byte.
-    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
 
-    fn bool(&mut self) -> Result<bool, CheckpointError> {
-        Ok(self.u8()? != 0)
+    /// Bytes not read yet.
+    fn left(&self) -> usize {
+        self.b.len() - self.pos
     }
 
-    fn u16(&mut self) -> Result<u16, CheckpointError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// The next little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
-        let n = self.u32()? as usize;
-        // An implausible length is corruption, not an allocation request.
-        if n > self.b.len() {
-            return Err(corrupt("length field exceeds record size"));
-        }
-        self.take(n)
-    }
-
-    fn str(&mut self) -> Result<String, CheckpointError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| corrupt("invalid UTF-8 in string field"))
-    }
-
+    /// Fail unless every byte was read.
     fn done(&self) -> Result<(), CheckpointError> {
-        if self.pos != self.b.len() {
+        if self.left() != 0 {
             return Err(corrupt("trailing bytes in record body"));
         }
         Ok(())
     }
-}
-
-fn decode_filter_src(c: &mut Cursor<'_>) -> Result<Filter, CheckpointError> {
-    let src = c.str()?;
-    Filter::new(&src).map_err(|e| corrupt(format!("bad filter {src:?}: {e}")))
-}
-
-/// Read a flow key written by [`put_key`].
-pub fn decode_key(c: &mut Cursor<'_>) -> Result<FlowKey, CheckpointError> {
-    let family = c.u8()?;
-    let src_raw = c.take(16)?;
-    let dst_raw = c.take(16)?;
-    let src_port = c.u16()?;
-    let dst_port = c.u16()?;
-    let transport = Transport::from(c.u8()?);
-    match family {
-        4 => Ok(FlowKey::new_v4(
-            src_raw[..4].try_into().unwrap(),
-            dst_raw[..4].try_into().unwrap(),
-            src_port,
-            dst_port,
-            transport,
-        )),
-        6 => Ok(FlowKey::new_v6(
-            src_raw.try_into().unwrap(),
-            dst_raw.try_into().unwrap(),
-            src_port,
-            dst_port,
-            transport,
-        )),
-        other => Err(corrupt(format!("bad address family {other}"))),
-    }
-}
-
-/// Read a direction byte (`Direction::index`); anything above 1 is corrupt.
-pub fn decode_direction(v: u8) -> Result<Direction, CheckpointError> {
-    match v {
-        0 => Ok(Direction::Forward),
-        1 => Ok(Direction::Reverse),
-        other => Err(corrupt(format!("bad direction {other}"))),
-    }
-}
-
-/// Read a [`StreamStatus`] byte written by [`status_to_u8`].
-pub fn decode_status(v: u8) -> Result<StreamStatus, CheckpointError> {
-    match v {
-        0 => Ok(StreamStatus::Active),
-        1 => Ok(StreamStatus::ClosedFin),
-        2 => Ok(StreamStatus::ClosedRst),
-        3 => Ok(StreamStatus::ClosedTimeout),
-        other => Err(corrupt(format!("bad stream status {other}"))),
-    }
-}
-
-/// Read a [`DirStats`] block written by [`put_dir_stats`].
-pub fn decode_dir_stats(c: &mut Cursor<'_>) -> Result<DirStats, CheckpointError> {
-    Ok(DirStats {
-        total_pkts: c.u64()?,
-        total_bytes: c.u64()?,
-        captured_bytes: c.u64()?,
-        captured_pkts: c.u64()?,
-        discarded_pkts: c.u64()?,
-        discarded_bytes: c.u64()?,
-        dropped_pkts: c.u64()?,
-        dropped_bytes: c.u64()?,
-    })
-}
-
-fn decode_config_body(c: &mut Cursor<'_>) -> Result<ScapConfig, CheckpointError> {
-    let memory_bytes = c.u64()? as usize;
-    let reassembly_mode = match c.u8()? {
-        0 => ReassemblyMode::Strict,
-        1 => ReassemblyMode::Fast,
-        other => return Err(corrupt(format!("bad reassembly mode {other}"))),
-    };
-    let overlap_policy = match c.u8()? {
-        0 => OverlapPolicy::First,
-        1 => OverlapPolicy::Last,
-        2 => OverlapPolicy::Bsd,
-        3 => OverlapPolicy::Windows,
-        4 => OverlapPolicy::Solaris,
-        5 => OverlapPolicy::Linux,
-        other => return Err(corrupt(format!("bad overlap policy {other}"))),
-    };
-    let need_pkts = c.bool()?;
-    let filter = if c.bool()? {
-        Some(decode_filter_src(c)?)
-    } else {
-        None
-    };
-    let default = c.opt_u64()?;
-    let per_direction = [c.opt_u64()?, c.opt_u64()?];
-    let nclasses = c.u32()?;
-    let mut classes = Vec::new();
-    for _ in 0..nclasses {
-        let f = decode_filter_src(c)?;
-        let v = c.u64()?;
-        classes.push((f, v));
-    }
-    let nprio = c.u32()?;
-    let mut prio_classes = Vec::new();
-    for _ in 0..nprio {
-        let f = decode_filter_src(c)?;
-        let p = c.u8()?;
-        prio_classes.push((f, p));
-    }
-    let worker_threads = c.u64()? as usize;
-    let cores = c.u64()? as usize;
-    let chunk_size = c.u64()? as usize;
-    let overlap = c.u64()? as usize;
-    let flush_timeout_ns = c.u64()?;
-    let inactivity_timeout_ns = c.u64()?;
-    let ppl = PplConfig {
-        base_threshold: c.f64()?,
-        num_priorities: c.u8()?,
-        overload_cutoff: c.opt_u64()?,
-    };
-    let use_fdir = c.bool()?;
-    let use_fdir_balancing = c.bool()?;
-    let balance_threshold = c.f64()?;
-    let rx_ring_slots = c.u64()? as usize;
-    let event_queue_cap = c.u64()? as usize;
-    let governor = GovernorConfig {
-        enter: [c.f64()?, c.f64()?, c.f64()?],
-        exit: c.f64()?,
-        calm_ticks: c.u32()?,
-        tick_ns: c.u64()?,
-        cutoff_caps: [c.u64()?, c.u64()?],
-        ppl_boost: c.f64()?,
-        evict_batch: c.u64()? as usize,
-    };
-    let telemetry_sample_interval_ns = c.u64()?;
-    let telemetry_series_cap = c.u64()? as usize;
-    let flight_ring_cap = c.u64()? as usize;
-    let dispatch = match c.u8()? {
-        0 => crate::config::DispatchMode::Classic,
-        1 => crate::config::DispatchMode::Fastpath,
-        other => return Err(corrupt(format!("unknown dispatch mode {other}"))),
-    };
-    let fastpath_burst = c.u64()? as usize;
-    let use_offload = c.bool()?;
-    let offload_capacity = c.u64()? as usize;
-    let watchdog_breaker_threshold = c.u32()?;
-    let watchdog_breaker_window_ns = c.u64()?;
-    let pulse_exemplar_permille = c.u32()?;
-    let pulse_exemplar_cap = c.u64()? as usize;
-    if cores == 0 || chunk_size == 0 || overlap >= chunk_size {
-        return Err(corrupt("invalid capture geometry in config record"));
-    }
-    if use_offload && offload_capacity == 0 {
-        return Err(corrupt("offload enabled with zero rule capacity"));
-    }
-    Ok(ScapConfig {
-        memory_bytes,
-        reassembly_mode,
-        overlap_policy,
-        need_pkts,
-        filter,
-        cutoff: CutoffPolicy {
-            default,
-            per_direction,
-            classes,
-        },
-        priorities: PriorityPolicy {
-            classes: prio_classes,
-        },
-        worker_threads,
-        cores,
-        chunk_size,
-        overlap,
-        flush_timeout_ns,
-        inactivity_timeout_ns,
-        ppl,
-        use_fdir,
-        use_fdir_balancing,
-        balance_threshold,
-        rx_ring_slots,
-        event_queue_cap,
-        governor,
-        faults: None,
-        telemetry_sample_interval_ns,
-        telemetry_series_cap,
-        flight_ring_cap,
-        dispatch,
-        fastpath_burst,
-        use_offload,
-        offload_capacity,
-        watchdog_breaker_threshold,
-        watchdog_breaker_window_ns,
-        pulse_exemplar_permille,
-        pulse_exemplar_cap,
-    })
-}
-
-fn decode_globals_body(c: &mut Cursor<'_>) -> Result<CheckpointGlobals, CheckpointError> {
-    Ok(CheckpointGlobals {
-        ts_ns: c.u64()?,
-        uid_counter: c.u64()?,
-        governor_level: c.u8()?,
-        restarts: c.u64()?,
-    })
-}
-
-fn decode_dir_state(c: &mut Cursor<'_>) -> Result<DirState, CheckpointError> {
-    let base_seq = if c.bool()? { Some(c.u32()?) } else { None };
-    let expected = c.u64()?;
-    let flags = c.u8()?;
-    let delivered_bytes = c.u64()?;
-    let duplicate_bytes = c.u64()?;
-    let gap_bytes = c.u64()?;
-    let nsegs = c.u32()?;
-    let mut segments = Vec::new();
-    for _ in 0..nsegs {
-        let off = c.u64()?;
-        let data = c.bytes()?.to_vec();
-        segments.push((off, data));
-    }
-    Ok(DirState {
-        base_seq,
-        expected,
-        flags,
-        delivered_bytes,
-        duplicate_bytes,
-        gap_bytes,
-        segments,
-    })
-}
-
-fn decode_stream_body(c: &mut Cursor<'_>) -> Result<StreamImage, CheckpointError> {
-    let core = c.u32()?;
-    let uid = c.u64()?;
-    let key = decode_key(c)?;
-    let first_dir = decode_direction(c.u8()?)?;
-    let first_ts_ns = c.u64()?;
-    let last_ts_ns = c.u64()?;
-    let status = decode_status(c.u8()?)?;
-    let errors = c.u8()?;
-    let priority = c.u8()?;
-    let cutoff = [c.opt_u64()?, c.opt_u64()?];
-    let cutoff_exceeded = c.bool()?;
-    let discarded = c.bool()?;
-    let dirs = [decode_dir_stats(c)?, decode_dir_stats(c)?];
-    let chunk_size = c.u32()?;
-    let overlap = c.u32()?;
-    let reassembly_policy = if c.bool()? { Some(c.u8()?) } else { None };
-    let processing_time_ns = c.u64()?;
-    let chunks = c.u64()?;
-    let resume_gap_bytes = c.u64()?;
-    let kstate = if c.bool()? {
-        let fdir_installed = c.bool()?;
-        let fdir_timeout_ns = c.u64()?;
-        let fdir_software_fallback = c.bool()?;
-        let conn = if c.bool()? {
-            let phase = match c.u8()? {
-                0 => ConnPhase::Opening,
-                1 => ConnPhase::Established,
-                2 => ConnPhase::ClosedFin,
-                3 => ConnPhase::ClosedRst,
-                other => return Err(corrupt(format!("bad connection phase {other}"))),
-            };
-            let client_dir = if c.bool()? {
-                Some(decode_direction(c.u8()?)?)
-            } else {
-                None
-            };
-            let fin_seen = [c.bool()?, c.bool()?];
-            let dirs = [decode_dir_state(c)?, decode_dir_state(c)?];
-            Some(ConnCheckpoint {
-                phase,
-                client_dir,
-                fin_seen,
-                dirs,
-            })
-        } else {
-            None
-        };
-        let mut asm: [Option<AsmImage>; 2] = [None, None];
-        for a in &mut asm {
-            if c.bool()? {
-                let committed = c.u64()?;
-                let pending = c.bytes()?.to_vec();
-                if (pending.len() as u64) > committed {
-                    return Err(corrupt("pending bytes exceed committed offset"));
-                }
-                *a = Some(AsmImage { committed, pending });
-            }
-        }
-        Some(KStateImage {
-            fdir_installed,
-            fdir_timeout_ns,
-            fdir_software_fallback,
-            conn,
-            asm,
-        })
-    } else {
-        None
-    };
-    Ok(StreamImage {
-        core,
-        uid,
-        key,
-        first_dir,
-        first_ts_ns,
-        last_ts_ns,
-        status,
-        errors,
-        priority,
-        cutoff,
-        cutoff_exceeded,
-        discarded,
-        dirs,
-        chunk_size,
-        overlap,
-        reassembly_policy,
-        processing_time_ns,
-        chunks,
-        resume_gap_bytes,
-        kstate,
-    })
-}
-
-fn decode_fdir_body(c: &mut Cursor<'_>) -> Result<Vec<FdirFilter>, CheckpointError> {
-    let n = c.u32()?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        let key = decode_key(c)?;
-        let flex = if c.bool()? {
-            Some(FlexMatch {
-                offset: c.u16()?,
-                value: c.u16()?,
-            })
-        } else {
-            None
-        };
-        let action = match c.u8()? {
-            0 => FdirAction::Drop,
-            1 => FdirAction::ToQueue(c.u64()? as usize),
-            other => return Err(corrupt(format!("bad FDIR action {other}"))),
-        };
-        out.push(FdirFilter { key, flex, action });
-    }
-    Ok(out)
 }
 
 impl CheckpointImage {
@@ -1326,31 +960,29 @@ impl CheckpointImage {
         let mut streams = Vec::new();
         let mut fdir = Vec::new();
         let mut offload = Vec::new();
-        let mut tenants = Vec::new();
+        let mut tenants: Vec<TenantImage> = Vec::new();
         let mut ended = false;
         for rec in &scan.records {
             if ended {
                 return Err(corrupt("record after end marker"));
             }
-            let body = &data[rec.body.clone()];
-            let mut c = Cursor::new(body);
-            match c.u8()? {
-                REC_CONFIG => {
-                    if config.is_some() {
-                        return Err(corrupt("duplicate config record"));
-                    }
-                    config = Some(decode_config_body(&mut c)?);
+            let mut c = Cursor::new(&data[rec.body.clone()]);
+            match u8::get(&mut c)? {
+                REC_CONFIG if config.is_some() => return Err(corrupt("duplicate config record")),
+                REC_CONFIG => config = Some(ScapConfig::get(&mut c)?),
+                REC_GLOBALS if globals.is_some() => {
+                    return Err(corrupt("duplicate globals record"))
                 }
-                REC_GLOBALS => {
-                    if globals.is_some() {
-                        return Err(corrupt("duplicate globals record"));
+                REC_GLOBALS => globals = Some(CheckpointGlobals::get(&mut c)?),
+                REC_STREAM => streams.push(StreamImage::get(&mut c)?),
+                REC_FDIR => fdir.extend(Vec::<FdirFilter>::get(&mut c)?),
+                REC_OFFLOAD => offload.extend(Vec::<OffloadRule>::get(&mut c)?),
+                REC_TENANTS => {
+                    tenants = Vec::get(&mut c)?;
+                    if tenants.windows(2).any(|w| w[0].id >= w[1].id) {
+                        return Err(corrupt("tenant table not in ascending-id order"));
                     }
-                    globals = Some(decode_globals_body(&mut c)?);
                 }
-                REC_STREAM => streams.push(decode_stream_body(&mut c)?),
-                REC_FDIR => fdir.extend(decode_fdir_body(&mut c)?),
-                REC_OFFLOAD => offload.extend(decode_offload_body(&mut c)?),
-                REC_TENANTS => tenants = decode_tenants_body(&mut c)?,
                 REC_END => ended = true,
                 other => return Err(corrupt(format!("unknown record kind {other:#04x}"))),
             }
@@ -1517,10 +1149,32 @@ impl ConfigDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scap_flow::StreamErrors;
+    use proptest::prelude::*;
+    use scap_wire::splitmix64;
 
     fn key(port: u16) -> FlowKey {
         FlowKey::new_v4([10, 0, 0, 1], [10, 0, 0, 2], 40_000, port, Transport::Tcp)
+    }
+
+    /// An image holding nothing but the default configuration.
+    fn bare() -> CheckpointImage {
+        CheckpointImage {
+            seq: 0,
+            config: ScapConfig::default(),
+            globals: CheckpointGlobals::default(),
+            streams: Vec::new(),
+            fdir: Vec::new(),
+            offload: Vec::new(),
+            tenants: Vec::new(),
+        }
+    }
+
+    /// `image` with one more record, framed with a valid CRC, in front
+    /// of its end marker.
+    fn with_record_before_end(mut image: Vec<u8>, body: &[u8]) -> Vec<u8> {
+        let end = image.len() - (REC_HEADER_LEN + 1);
+        image.splice(end..end, frame_record(body));
+        image
     }
 
     fn sample_stream(uid: u64) -> StreamImage {
@@ -1605,7 +1259,15 @@ mod tests {
             FdirFilter::drop_tcp_flags(key(80), scap_wire::TcpFlags::ACK),
             FdirFilter::steer(key(443), 3),
         ];
-        encode_image(7, &cfg, &globals, &streams, &fdir, &[], &[])
+        CheckpointImage {
+            seq: 7,
+            config: cfg,
+            globals,
+            streams,
+            fdir,
+            ..bare()
+        }
+        .to_bytes()
     }
 
     #[test]
@@ -1685,20 +1347,21 @@ mod tests {
 
     #[test]
     fn fdir_order_is_canonicalized() {
-        let cfg = ScapConfig::default();
-        let globals = CheckpointGlobals::default();
         let a = FdirFilter::drop_tcp_flags(key(80), scap_wire::TcpFlags::ACK);
         let b = FdirFilter::steer(key(443), 1);
-        let x = encode_image(0, &cfg, &globals, &[], &[a, b], &[], &[]);
-        let y = encode_image(0, &cfg, &globals, &[], &[b, a], &[], &[]);
-        assert_eq!(x, y);
+        let x = CheckpointImage {
+            fdir: vec![a, b],
+            ..bare()
+        };
+        let y = CheckpointImage {
+            fdir: vec![b, a],
+            ..bare()
+        };
+        assert_eq!(x.to_bytes(), y.to_bytes());
     }
 
     #[test]
     fn offload_rules_round_trip_in_canonical_order() {
-        use scap_nic::OffloadAction;
-        let cfg = ScapConfig::default();
-        let globals = CheckpointGlobals::default();
         let rules = vec![
             OffloadRule::new(key(443), OffloadAction::Sample(128), 1),
             OffloadRule::new(key(80), OffloadAction::Drop, 0),
@@ -1707,8 +1370,16 @@ mod tests {
         ];
         let mut rev = rules.clone();
         rev.reverse();
-        let x = encode_image(0, &cfg, &globals, &[], &[], &rules, &[]);
-        let y = encode_image(0, &cfg, &globals, &[], &[], &rev, &[]);
+        let x = CheckpointImage {
+            offload: rules.clone(),
+            ..bare()
+        }
+        .to_bytes();
+        let y = CheckpointImage {
+            offload: rev,
+            ..bare()
+        }
+        .to_bytes();
         assert_eq!(x, y, "rule order must not change the bytes");
         let img = CheckpointImage::decode(&x).unwrap();
         assert_eq!(img.offload.len(), 4);
@@ -1719,23 +1390,15 @@ mod tests {
 
         // An offload-free image writes no offload record at all, so
         // captures without the stage stay byte-identical.
-        let plain = encode_image(0, &cfg, &globals, &[], &[], &[], &[]);
-        let img = CheckpointImage::decode(&plain).unwrap();
+        let img = CheckpointImage::decode(&bare().to_bytes()).unwrap();
         assert!(img.offload.is_empty());
 
         // A zero sample rate is corruption, not a divide-by-zero later:
-        // frame a hand-built offload record with rate 0 and a valid CRC.
+        // a hand-built offload record with rate 0 and a valid CRC.
         let mut body = vec![REC_OFFLOAD];
-        put_u32(&mut body, 1);
-        put_key(&mut body, &key(80));
-        body.push(3); // Sample
-        put_u32(&mut body, 0); // rate 0: invalid
-        body.push(0); // priority
-        let mut bad = Vec::new();
-        ImageWriter::begin(&mut bad, 0, &cfg, &globals);
-        frame_record_into(&mut bad, |b| put_sorted(b, REC_FDIR, Vec::new()));
-        bad.extend_from_slice(&frame_record(&body));
-        bad.extend_from_slice(&frame_record(&[REC_END]));
+        (1u32, key(80)).put(&mut body);
+        body.extend_from_slice(&[3, 0, 0, 0, 0, 0]); // Sample, rate 0, priority 0
+        let bad = with_record_before_end(bare().to_bytes(), &body);
         let err = CheckpointImage::decode(&bad).unwrap_err();
         assert!(
             err.to_string().contains("sample rate"),
@@ -1745,18 +1408,8 @@ mod tests {
 
     #[test]
     fn recovery_cycles_scale_with_state() {
-        let empty = CheckpointImage::decode(&encode_image(
-            0,
-            &ScapConfig::default(),
-            &CheckpointGlobals::default(),
-            &[],
-            &[],
-            &[],
-            &[],
-        ))
-        .unwrap();
         let full = CheckpointImage::decode(&sample_image_bytes()).unwrap();
-        assert!(recovery_cycles(&full) > recovery_cycles(&empty));
+        assert!(recovery_cycles(&full) > recovery_cycles(&bare()));
     }
 
     #[test]
@@ -1770,7 +1423,7 @@ mod tests {
                 priority: 2,
                 mem_share: 600,
                 disk_share: 500,
-                state: 1,
+                state: TenantState::Degraded,
                 delivered_bytes: 10,
                 dropped_bytes: 2,
                 discarded_bytes: 1,
@@ -1781,15 +1434,12 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let bytes = encode_image(
-            3,
-            &ScapConfig::default(),
-            &CheckpointGlobals::default(),
-            &[],
-            &[],
-            &[],
-            &tenants,
-        );
+        let bytes = CheckpointImage {
+            seq: 3,
+            tenants,
+            ..bare()
+        }
+        .to_bytes();
         let img = CheckpointImage::decode(&bytes).unwrap();
         // Ascending-id canonical order regardless of input order.
         assert_eq!(img.tenants.len(), 2);
@@ -1798,6 +1448,7 @@ mod tests {
         assert_eq!(img.tenants[1].name, "ids");
         assert_eq!(img.tenants[1].filter_src.as_deref(), Some("tcp"));
         assert_eq!(img.tenants[1].cutoff, Some(4096));
+        assert_eq!(img.tenants[1].state, TenantState::Degraded);
         assert_eq!(img.tenants[1].delivered_bytes, 10);
         assert_eq!(img.to_bytes(), bytes);
 
@@ -1808,21 +1459,99 @@ mod tests {
 
         // A tenant whose stored filter no longer compiles is corruption,
         // not a silent pass-through.
-        let bad = vec![TenantImage {
-            id: 1,
-            filter_src: Some("((".into()),
-            ..Default::default()
-        }];
-        let bytes = encode_image(
-            0,
-            &ScapConfig::default(),
-            &CheckpointGlobals::default(),
-            &[],
-            &[],
-            &[],
-            &bad,
+        let bad = CheckpointImage {
+            tenants: vec![TenantImage {
+                id: 1,
+                filter_src: Some("((".into()),
+                ..Default::default()
+            }],
+            ..bare()
+        };
+        assert!(CheckpointImage::decode(&bad.to_bytes()).is_err());
+    }
+
+    /// A tenants record, byte by byte, whose one row has ladder state
+    /// byte `state`.
+    fn tenants_record(state: u8) -> Vec<u8> {
+        let mut body = vec![REC_TENANTS];
+        body.extend_from_slice(&1u32.to_le_bytes()); // one tenant
+        body.extend_from_slice(&4u64.to_le_bytes()); // id
+        body.extend_from_slice(&3u32.to_le_bytes());
+        body.extend_from_slice(b"ids"); // name
+        body.extend_from_slice(&[0, 0, 0]); // no filter, no cutoff, priority 0
+        body.extend_from_slice(&500u32.to_le_bytes()); // memory share
+        body.extend_from_slice(&500u32.to_le_bytes()); // disk share
+        body.push(state);
+        body.extend_from_slice(&[0; 24]); // delivered, dropped, discarded
+        body
+    }
+
+    /// A ladder state byte outside the table is corrupt, not a tenant
+    /// restored as `Active`.
+    #[test]
+    fn a_tenant_state_byte_that_is_not_a_state_is_refused() {
+        let good = with_record_before_end(bare().to_bytes(), &tenants_record(2));
+        let img = CheckpointImage::decode(&good).unwrap();
+        assert_eq!(img.tenants[0].state, TenantState::Disconnected);
+        let bad = with_record_before_end(bare().to_bytes(), &tenants_record(9));
+        let err = CheckpointImage::decode(&bad).unwrap_err();
+        assert!(
+            err.to_string().contains("tenant state"),
+            "wrong error: {err}"
         );
-        assert!(CheckpointImage::decode(&bytes).is_err());
+    }
+
+    /// The bytes of a bare image whose configuration `edit` changed.
+    fn image_with(edit: impl FnOnce(&mut ScapConfig)) -> Vec<u8> {
+        let mut img = bare();
+        edit(&mut img.config);
+        img.to_bytes()
+    }
+
+    /// More cores than RSS has queues are refused at decode: the
+    /// restore's RSS setup would panic on them.
+    #[test]
+    fn a_config_with_more_cores_than_rss_queues_is_refused() {
+        let at_limit = image_with(|c| c.cores = scap_nic::rss::MAX_QUEUES);
+        assert!(CheckpointImage::decode(&at_limit).is_ok());
+        let bad = image_with(|c| c.cores = 1 << 40);
+        let err = CheckpointImage::decode(&bad).unwrap_err();
+        assert!(err.to_string().contains("cores"), "wrong error: {err}");
+    }
+
+    /// A flight ring of `usize::MAX / 4` entries is refused at decode:
+    /// the restore would panic allocating it (`capacity overflow`).
+    #[test]
+    fn a_config_with_an_oversized_flight_ring_is_refused() {
+        let at_limit = image_with(|c| c.flight_ring_cap = MAX_FLIGHT_RING_CAP);
+        assert!(CheckpointImage::decode(&at_limit).is_ok());
+        let bad = image_with(|c| c.flight_ring_cap = usize::MAX / 4);
+        let err = CheckpointImage::decode(&bad).unwrap_err();
+        assert!(
+            err.to_string().contains("flight ring"),
+            "wrong error: {err}"
+        );
+    }
+
+    /// An offload table of `usize::MAX / 4` rules is refused at decode:
+    /// allocating it would abort the process, past the reach of
+    /// `catch_unwind`.
+    #[test]
+    fn a_config_with_an_oversized_offload_table_is_refused() {
+        let at_limit = image_with(|c| {
+            c.use_offload = true;
+            c.offload_capacity = MAX_OFFLOAD_CAPACITY;
+        });
+        assert!(CheckpointImage::decode(&at_limit).is_ok());
+        let bad = image_with(|c| {
+            c.use_offload = true;
+            c.offload_capacity = usize::MAX / 4;
+        });
+        let err = CheckpointImage::decode(&bad).unwrap_err();
+        assert!(
+            err.to_string().contains("offload table"),
+            "wrong error: {err}"
+        );
     }
 
     #[test]
@@ -1849,5 +1578,349 @@ mod tests {
         .apply_to(&mut cfg);
         assert!(!widened);
         assert_eq!(cfg.cutoff.default, Some(10));
+    }
+
+    /// Random records for the round-trip properties, from one seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = splitmix64(self.0);
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn flag(&mut self) -> bool {
+            self.below(2) == 1
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+
+        fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> Option<T> {
+            self.flag().then(|| f(self))
+        }
+
+        fn f64(&mut self) -> f64 {
+            f64::from_bits(self.next())
+        }
+
+        fn bytes(&mut self, max: u64) -> Vec<u8> {
+            (0..self.below(max + 1))
+                .map(|_| self.next() as u8)
+                .collect()
+        }
+
+        fn key(&mut self) -> FlowKey {
+            let [a, b] = [self.next(), self.next()].map(u64::to_le_bytes);
+            let (ports, proto) = (self.next(), Transport::from(self.next() as u8));
+            let (sp, dp) = (ports as u16, (ports >> 16) as u16);
+            if self.flag() {
+                let v4 = |x: [u8; 8]| [x[0], x[1], x[2], x[3]];
+                FlowKey::new_v4(v4(a), v4(b), sp, dp, proto)
+            } else {
+                let v6 = |x: [u8; 8]| [x, x].concat().try_into().unwrap();
+                FlowKey::new_v6(v6(a), v6(b), sp, dp, proto)
+            }
+        }
+
+        fn filter(&mut self) -> Filter {
+            let src = self.pick(&["tcp", "udp", "port 80", "host 10.0.0.1", "not icmp"]);
+            Filter::new(src).unwrap()
+        }
+
+        fn config(&mut self) -> ScapConfig {
+            let chunk_size = 1 + self.below(1 << 20);
+            ScapConfig {
+                memory_bytes: self.next() as usize,
+                reassembly_mode: self.pick(&[ReassemblyMode::Strict, ReassemblyMode::Fast]),
+                overlap_policy: self.pick(&[
+                    OverlapPolicy::First,
+                    OverlapPolicy::Last,
+                    OverlapPolicy::Bsd,
+                    OverlapPolicy::Windows,
+                    OverlapPolicy::Solaris,
+                    OverlapPolicy::Linux,
+                ]),
+                need_pkts: self.flag(),
+                filter: self.opt(Gen::filter),
+                cutoff: CutoffPolicy {
+                    default: self.opt(Gen::next),
+                    per_direction: [self.opt(Gen::next), self.opt(Gen::next)],
+                    classes: (0..self.below(3))
+                        .map(|_| (self.filter(), self.next()))
+                        .collect(),
+                },
+                priorities: PriorityPolicy {
+                    classes: (0..self.below(3))
+                        .map(|_| (self.filter(), self.next() as u8))
+                        .collect(),
+                },
+                worker_threads: self.below(64) as usize,
+                cores: 1 + self.below(scap_nic::rss::MAX_QUEUES as u64) as usize,
+                chunk_size: chunk_size as usize,
+                overlap: self.below(chunk_size) as usize,
+                flush_timeout_ns: self.next(),
+                inactivity_timeout_ns: self.next(),
+                ppl: PplConfig {
+                    base_threshold: self.f64(),
+                    num_priorities: self.next() as u8,
+                    overload_cutoff: self.opt(Gen::next),
+                },
+                use_fdir: self.flag(),
+                use_fdir_balancing: self.flag(),
+                balance_threshold: self.f64(),
+                rx_ring_slots: self.next() as usize,
+                event_queue_cap: self.next() as usize,
+                governor: GovernorConfig {
+                    enter: [self.f64(), self.f64(), self.f64()],
+                    exit: self.f64(),
+                    calm_ticks: self.next() as u32,
+                    tick_ns: self.next(),
+                    cutoff_caps: [self.next(), self.next()],
+                    ppl_boost: self.f64(),
+                    evict_batch: self.next() as usize,
+                },
+                faults: None,
+                telemetry_sample_interval_ns: self.next(),
+                telemetry_series_cap: self.next() as usize,
+                flight_ring_cap: self.below(MAX_FLIGHT_RING_CAP as u64 + 1) as usize,
+                dispatch: self.pick(&[DispatchMode::Classic, DispatchMode::Fastpath]),
+                fastpath_burst: self.next() as usize,
+                use_offload: self.flag(),
+                offload_capacity: 1 + self.below(MAX_OFFLOAD_CAPACITY as u64) as usize,
+                watchdog_breaker_threshold: self.next() as u32,
+                watchdog_breaker_window_ns: self.next(),
+                pulse_exemplar_permille: self.next() as u32,
+                pulse_exemplar_cap: self.next() as usize,
+            }
+        }
+
+        fn dir_stats(&mut self) -> DirStats {
+            DirStats {
+                total_pkts: self.next(),
+                total_bytes: self.next(),
+                captured_bytes: self.next(),
+                captured_pkts: self.next(),
+                discarded_pkts: self.next(),
+                discarded_bytes: self.next(),
+                dropped_pkts: self.next(),
+                dropped_bytes: self.next(),
+            }
+        }
+
+        fn dir_state(&mut self) -> DirState {
+            DirState {
+                base_seq: self.opt(|g| g.next() as u32),
+                expected: self.next(),
+                flags: self.next() as u8,
+                delivered_bytes: self.next(),
+                duplicate_bytes: self.next(),
+                gap_bytes: self.next(),
+                segments: (0..self.below(3))
+                    .map(|_| (self.next(), self.bytes(64)))
+                    .collect(),
+            }
+        }
+
+        fn asm(&mut self) -> AsmImage {
+            let pending = self.bytes(64);
+            AsmImage {
+                committed: pending.len() as u64 + self.below(1 << 40),
+                pending,
+            }
+        }
+
+        fn direction(&mut self) -> Direction {
+            self.pick(&[Direction::Forward, Direction::Reverse])
+        }
+
+        /// A stream with or without kernel state, connection and
+        /// buffered segments.
+        fn stream(&mut self) -> StreamImage {
+            StreamImage {
+                core: self.below(4) as u32,
+                uid: self.next(),
+                key: self.key(),
+                first_dir: self.direction(),
+                first_ts_ns: self.next(),
+                last_ts_ns: self.next(),
+                status: self.pick(&[
+                    StreamStatus::Active,
+                    StreamStatus::ClosedFin,
+                    StreamStatus::ClosedRst,
+                    StreamStatus::ClosedTimeout,
+                ]),
+                errors: self.next() as u8,
+                priority: self.next() as u8,
+                cutoff: [self.opt(Gen::next), self.opt(Gen::next)],
+                cutoff_exceeded: self.flag(),
+                discarded: self.flag(),
+                dirs: [self.dir_stats(), self.dir_stats()],
+                chunk_size: self.next() as u32,
+                overlap: self.next() as u32,
+                reassembly_policy: self.opt(|g| g.next() as u8),
+                processing_time_ns: self.next(),
+                chunks: self.next(),
+                resume_gap_bytes: self.next(),
+                kstate: self.opt(|g| KStateImage {
+                    fdir_installed: g.flag(),
+                    fdir_timeout_ns: g.next(),
+                    fdir_software_fallback: g.flag(),
+                    conn: g.opt(|g| ConnCheckpoint {
+                        phase: g.pick(&[
+                            ConnPhase::Opening,
+                            ConnPhase::Established,
+                            ConnPhase::ClosedFin,
+                            ConnPhase::ClosedRst,
+                        ]),
+                        client_dir: g.opt(Gen::direction),
+                        fin_seen: [g.flag(), g.flag()],
+                        dirs: [g.dir_state(), g.dir_state()],
+                    }),
+                    asm: [g.opt(Gen::asm), g.opt(Gen::asm)],
+                }),
+            }
+        }
+
+        fn fdir(&mut self) -> FdirFilter {
+            FdirFilter {
+                key: self.key(),
+                flex: self.opt(|g| FlexMatch {
+                    offset: g.next() as u16,
+                    value: g.next() as u16,
+                }),
+                action: match self.flag() {
+                    true => FdirAction::ToQueue(self.next() as usize),
+                    false => FdirAction::Drop,
+                },
+            }
+        }
+
+        fn offload(&mut self) -> OffloadRule {
+            let action = match self.below(4) {
+                0 => OffloadAction::Bypass,
+                1 => OffloadAction::Drop,
+                2 => OffloadAction::Mark(self.next() as u8),
+                _ => OffloadAction::Sample(1 + self.below(u64::from(u32::MAX)) as u32),
+            };
+            OffloadRule::new(self.key(), action, self.next() as u8)
+        }
+
+        fn tenant(&mut self, id: u64) -> TenantImage {
+            TenantImage {
+                id,
+                name: (0..1 + self.below(8))
+                    .map(|_| char::from(b'a' + self.below(26) as u8))
+                    .collect(),
+                filter_src: self.opt(|g| g.filter().source().to_string()),
+                cutoff: self.opt(Gen::next),
+                priority: self.next() as u8,
+                mem_share: self.next() as u32,
+                disk_share: self.next() as u32,
+                state: self.pick(&[
+                    TenantState::Active,
+                    TenantState::Degraded,
+                    TenantState::Disconnected,
+                ]),
+                delivered_bytes: self.next(),
+                dropped_bytes: self.next(),
+                discarded_bytes: self.next(),
+            }
+        }
+    }
+
+    fn encoded(v: &impl Put) -> Vec<u8> {
+        let mut b = Vec::new();
+        v.put(&mut b);
+        b
+    }
+
+    /// Read one `T` that must take up all of `b`.
+    fn decoded<T: Field>(b: &[u8]) -> T {
+        let mut c = Cursor::new(b);
+        let v = T::get(&mut c).unwrap();
+        c.done().unwrap();
+        v
+    }
+
+    proptest! {
+        /// A configuration, cutoff and priority classes included, reads
+        /// back as itself (compared by its `Debug` form: a compiled
+        /// filter has no `==`, a NaN threshold is not equal to itself).
+        #[test]
+        fn config_records_round_trip(seed: u64) {
+            let cfg = Gen(seed).config();
+            let bytes = encoded(&cfg);
+            let back: ScapConfig = decoded(&bytes);
+            prop_assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+            prop_assert_eq!(encoded(&back), bytes);
+        }
+
+        #[test]
+        fn globals_records_round_trip(ts_ns: u64, uid_counter: u64, governor_level: u8, restarts: u64) {
+            let g = CheckpointGlobals { ts_ns, uid_counter, governor_level, restarts };
+            prop_assert_eq!(decoded::<CheckpointGlobals>(&encoded(&g)), g);
+        }
+
+        /// Streams with and without kernel state, a connection and
+        /// buffered segments, alone and inside a whole image.
+        #[test]
+        fn stream_records_round_trip(seed: u64) {
+            let s = Gen(seed).stream();
+            prop_assert_eq!(&decoded::<StreamImage>(&encoded(&s)), &s);
+            let img = CheckpointImage {
+                config: ScapConfig { cores: 4, ..ScapConfig::default() },
+                globals: CheckpointGlobals { uid_counter: s.uid, ..Default::default() },
+                streams: vec![s.clone()],
+                ..bare()
+            };
+            let back = CheckpointImage::decode(&img.to_bytes()).unwrap();
+            prop_assert_eq!(&back.streams, &img.streams);
+        }
+
+        #[test]
+        fn fdir_records_round_trip(seed: u64, n in 0usize..6) {
+            let mut g = Gen(seed);
+            let fdir: Vec<FdirFilter> = (0..n).map(|_| g.fdir()).collect();
+            for f in &fdir {
+                prop_assert_eq!(&decoded::<FdirFilter>(&encoded(f)), f);
+            }
+            let bytes = CheckpointImage { fdir: fdir.clone(), ..bare() }.to_bytes();
+            let back = CheckpointImage::decode(&bytes).unwrap();
+            prop_assert!(back.fdir.len() == n && fdir.iter().all(|f| back.fdir.contains(f)));
+            prop_assert_eq!(back.to_bytes(), bytes);
+        }
+
+        #[test]
+        fn offload_records_round_trip(seed: u64, n in 1usize..6) {
+            let mut g = Gen(seed);
+            let offload: Vec<OffloadRule> = (0..n).map(|_| g.offload()).collect();
+            for r in &offload {
+                prop_assert_eq!(&decoded::<OffloadRule>(&encoded(r)), r);
+            }
+            let bytes = CheckpointImage { offload: offload.clone(), ..bare() }.to_bytes();
+            let back = CheckpointImage::decode(&bytes).unwrap();
+            prop_assert!(back.offload.len() == n && offload.iter().all(|r| back.offload.contains(r)));
+            prop_assert_eq!(back.to_bytes(), bytes);
+        }
+
+        #[test]
+        fn tenant_records_round_trip(seed: u64, n in 1usize..5) {
+            let mut g = Gen(seed);
+            let tenants: Vec<TenantImage> =
+                (0..n as u64).map(|i| { let id = i * 8 + g.below(8); g.tenant(id) }).collect();
+            for t in &tenants {
+                prop_assert_eq!(&decoded::<TenantImage>(&encoded(t)), t);
+            }
+            let mut shuffled = tenants.clone();
+            shuffled.rotate_left(g.below(n as u64) as usize);
+            let bytes = CheckpointImage { tenants: shuffled, ..bare() }.to_bytes();
+            prop_assert_eq!(CheckpointImage::decode(&bytes).unwrap().tenants, tenants);
+        }
     }
 }

@@ -149,9 +149,10 @@ pub fn valid_tenant_name(name: &str) -> bool {
 }
 
 /// Where a tenant sits on the slow-consumer ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TenantState {
     /// Delivering normally.
+    #[default]
     Active,
     /// Queue overflowed: effective cutoff halved, overflow dropped with
     /// provenance, strikes accumulating. Recovers to `Active` when the
@@ -169,22 +170,6 @@ impl TenantState {
             TenantState::Active => "active",
             TenantState::Degraded => "degraded",
             TenantState::Disconnected => "disconnected",
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            TenantState::Active => 0,
-            TenantState::Degraded => 1,
-            TenantState::Disconnected => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> TenantState {
-        match v {
-            1 => TenantState::Degraded,
-            2 => TenantState::Disconnected,
-            _ => TenantState::Active,
         }
     }
 }
@@ -680,7 +665,7 @@ impl TenantEngine {
                 priority: t.spec.priority,
                 mem_share: t.spec.mem_share,
                 disk_share: t.spec.disk_share,
-                state: t.state.to_u8(),
+                state: t.state,
                 delivered_bytes: t.stats.delivered_bytes,
                 dropped_bytes: t.stats.dropped_bytes,
                 discarded_bytes: t.stats.discarded_bytes,
@@ -709,7 +694,7 @@ impl TenantEngine {
                     mem_share: img.mem_share,
                     disk_share: img.disk_share,
                 },
-                state: TenantState::from_u8(img.state),
+                state: img.state,
                 stats: TenantStats {
                     matched_bytes: img.delivered_bytes + img.dropped_bytes + img.discarded_bytes,
                     delivered_bytes: img.delivered_bytes,

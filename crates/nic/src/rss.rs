@@ -25,6 +25,9 @@ use scap_wire::{FlowKey, IpAddrBytes};
 /// Longest hash input: an IPv6 address pair plus the two ports.
 const MAX_INPUT: usize = 36;
 
+/// Most RX queues RSS can spread over: one per indirection-table entry.
+pub const MAX_QUEUES: usize = 128;
+
 /// The symmetric RSS key (repeating 0x6D5A), 40 bytes — enough windows for
 /// IPv6 inputs (36 input bytes need 36+4 key bytes; we keep 52 for slack).
 pub const SYMMETRIC_RSS_KEY: [u8; 52] = {
@@ -78,7 +81,7 @@ impl RssHasher {
     /// Symmetric-key hasher dispatching over `nqueues` queues with the
     /// default round-robin indirection table.
     pub fn symmetric(nqueues: usize) -> Self {
-        assert!(nqueues > 0 && nqueues <= 128);
+        assert!(nqueues > 0 && nqueues <= MAX_QUEUES);
         let mut indirection = [0u8; 128];
         for (i, e) in indirection.iter_mut().enumerate() {
             *e = (i % nqueues) as u8;

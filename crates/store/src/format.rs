@@ -20,10 +20,7 @@
 //! and simply cut off. A frame whose index record never made it is an
 //! *orphan*: readable garbage-collected space, never surfaced as data.
 
-use scap::checkpoint::{
-    decode_dir_stats, decode_direction, decode_key, decode_status, put_dir_stats, put_key,
-    status_to_u8, Cursor,
-};
+use scap::checkpoint::{Cursor, Field, Put};
 use scap::{StreamSnapshot, StreamUid};
 use scap_flow::{DirStats, StreamErrors, StreamStatus};
 use scap_wire::{Direction, FlowKey};
@@ -33,9 +30,10 @@ use std::path::{Path, PathBuf};
 use crate::StoreError;
 
 // The archive shares its low-level codec — CRC-32, the 16-byte file
-// header, the (magic, length, CRC) record framing and the stream fields
-// (flow key, direction, status, `DirStats`) — with the capture
-// checkpoint format in `scap::checkpoint`. One codec, two file families.
+// header, the (magic, length, CRC) record framing and the field codec
+// its index records are declared in (`Put`/`Field`, `record_fields!`) —
+// with the capture checkpoint format in `scap::checkpoint`. One codec,
+// two file families.
 pub use scap::checkpoint::{crc32, file_header, frame_record, FILE_HEADER_LEN, FORMAT_VERSION};
 use scap_flight::framing::crc32_update;
 
@@ -135,36 +133,29 @@ impl IndexRecord {
     }
 }
 
+scap::record_fields! { Extent { segment, offset, len } }
+scap::record_fields! {
+    IndexRecord {
+        uid, key, first_dir, status, errors, priority, cutoff_exceeded,
+        first_ts_ns, last_ts_ns, chunks, dirs, extents,
+    }
+}
+
+/// Index-record kind bytes (first body byte).
+const KIND_STREAM: u8 = 0;
+const KIND_TOMBSTONE: u8 = 1;
+
 /// Encode a stream index-record body (kind byte included).
 pub fn encode_stream_body(r: &IndexRecord) -> Vec<u8> {
     let mut b = Vec::with_capacity(256);
-    b.push(0u8); // kind: stream
-    b.extend_from_slice(&r.uid.to_le_bytes());
-    put_key(&mut b, &r.key);
-    b.push(r.first_dir.index() as u8);
-    b.push(status_to_u8(r.status));
-    b.push(r.errors.0);
-    b.push(r.priority);
-    b.push(u8::from(r.cutoff_exceeded));
-    b.extend_from_slice(&r.first_ts_ns.to_le_bytes());
-    b.extend_from_slice(&r.last_ts_ns.to_le_bytes());
-    b.extend_from_slice(&r.chunks.to_le_bytes());
-    for d in &r.dirs {
-        put_dir_stats(&mut b, d);
-    }
-    for e in &r.extents {
-        b.extend_from_slice(&e.segment.to_le_bytes());
-        b.extend_from_slice(&e.offset.to_le_bytes());
-        b.extend_from_slice(&e.len.to_le_bytes());
-    }
+    (KIND_STREAM, r).put(&mut b);
     b
 }
 
 /// Encode a tombstone body for `uid` (kind byte included).
 pub fn encode_tombstone_body(uid: StreamUid) -> Vec<u8> {
     let mut b = Vec::with_capacity(9);
-    b.push(1u8); // kind: tombstone
-    b.extend_from_slice(&uid.to_le_bytes());
+    (KIND_TOMBSTONE, uid).put(&mut b);
     b
 }
 
@@ -181,32 +172,11 @@ pub enum IndexEntry {
 /// [`encode_stream_body`] or [`encode_tombstone_body`].
 pub fn decode_body(body: &[u8]) -> Result<IndexEntry, StoreError> {
     let mut c = Cursor::new(body);
-    match c.u8()? {
-        1 => Ok(IndexEntry::Tombstone(c.u64()?)),
-        0 => Ok(IndexEntry::Stream(Box::new(IndexRecord {
-            uid: c.u64()?,
-            key: decode_key(&mut c)?,
-            first_dir: decode_direction(c.u8()?)?,
-            status: decode_status(c.u8()?)?,
-            errors: StreamErrors(c.u8()?),
-            priority: c.u8()?,
-            cutoff_exceeded: c.u8()? != 0,
-            first_ts_ns: c.u64()?,
-            last_ts_ns: c.u64()?,
-            chunks: c.u64()?,
-            dirs: [decode_dir_stats(&mut c)?, decode_dir_stats(&mut c)?],
-            extents: [extent(&mut c)?, extent(&mut c)?],
-        }))),
+    match u8::get(&mut c)? {
+        KIND_TOMBSTONE => Ok(IndexEntry::Tombstone(u64::get(&mut c)?)),
+        KIND_STREAM => Ok(IndexEntry::Stream(Box::new(IndexRecord::get(&mut c)?))),
         other => Err(StoreError::Corrupt(format!("bad record kind {other}"))),
     }
-}
-
-fn extent(c: &mut Cursor<'_>) -> Result<Extent, StoreError> {
-    Ok(Extent {
-        segment: c.u64()?,
-        offset: c.u64()?,
-        len: c.u64()?,
-    })
 }
 
 /// Build the frame header preceding one direction's payload.

@@ -5,8 +5,9 @@ use crate::format::{
     FRAME_MAGIC, IDX_MAGIC, SCAN_PIECE, SEG_MAGIC,
 };
 use crate::{
-    crc32, encode_stream_body, scan_segment, Extent, FrameInfo, IndexRecord, SegmentScan,
-    StoreConfig, StoreError, StoreReader, StoreWriter, INDEX_FILE,
+    crc32, decode_body, encode_stream_body, encode_tombstone_body, scan_segment, Extent, FrameInfo,
+    IndexEntry, IndexRecord, SegmentScan, StoreConfig, StoreError, StoreReader, StoreWriter,
+    INDEX_FILE,
 };
 use proptest::prelude::*;
 use scap::{StreamSnapshot, StreamUid};
@@ -832,5 +833,91 @@ fn an_extent_longer_than_its_segment_is_corrupt() {
     match r.read_stream(uid) {
         Err(StoreError::Corrupt(why)) => assert!(why.contains("past the segment's end"), "{why}"),
         other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+/// An index record with every field drawn from `seed`.
+fn arb_index_record(seed: u64) -> IndexRecord {
+    let mut state = seed;
+    let mut next = || {
+        state = scap_wire::splitmix64(state);
+        state
+    };
+    let mut dirs = [DirStats::default(); 2];
+    for d in &mut dirs {
+        *d = DirStats {
+            total_pkts: next(),
+            total_bytes: next(),
+            captured_bytes: next(),
+            captured_pkts: next(),
+            discarded_pkts: next(),
+            discarded_bytes: next(),
+            dropped_pkts: next(),
+            dropped_bytes: next(),
+        };
+    }
+    let [a, b, ports, proto] = [next(), next(), next(), next()];
+    let key = if a & 1 == 0 {
+        FlowKey::new_v4(
+            (a as u32).to_le_bytes(),
+            (b as u32).to_le_bytes(),
+            ports as u16,
+            (ports >> 16) as u16,
+            Transport::from(proto as u8),
+        )
+    } else {
+        let wide = |x: u64| {
+            [x.to_le_bytes(), x.to_be_bytes()]
+                .concat()
+                .try_into()
+                .unwrap()
+        };
+        let (sp, dp) = (ports as u16, (ports >> 16) as u16);
+        FlowKey::new_v6(wide(a), wide(b), sp, dp, Transport::from(proto as u8))
+    };
+    let extent = |s: u64, o: u64, l: u64| Extent {
+        segment: s,
+        offset: o,
+        len: l,
+    };
+    let statuses = [
+        StreamStatus::Active,
+        StreamStatus::ClosedFin,
+        StreamStatus::ClosedRst,
+        StreamStatus::ClosedTimeout,
+    ];
+    IndexRecord {
+        uid: next(),
+        key,
+        first_dir: [Direction::Forward, Direction::Reverse][(next() % 2) as usize],
+        status: statuses[(next() % 4) as usize],
+        errors: StreamErrors(next() as u8),
+        priority: next() as u8,
+        cutoff_exceeded: next() % 2 == 1,
+        first_ts_ns: next(),
+        last_ts_ns: next(),
+        chunks: next(),
+        dirs,
+        extents: [
+            extent(next(), next(), next()),
+            extent(next(), next(), next()),
+        ],
+    }
+}
+
+proptest! {
+    /// An index stream record reads back as itself.
+    #[test]
+    fn index_stream_records_round_trip(seed: u64) {
+        let rec = arb_index_record(seed);
+        let back = decode_body(&encode_stream_body(&rec)).unwrap();
+        prop_assert_eq!(back, IndexEntry::Stream(Box::new(rec)));
+    }
+
+    /// An index tombstone reads back as itself.
+    #[test]
+    fn index_tombstones_round_trip(uid: u64) {
+        let back = decode_body(&encode_tombstone_body(uid)).unwrap();
+        prop_assert_eq!(back, IndexEntry::Tombstone(uid));
     }
 }

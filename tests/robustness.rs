@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use scap::apps::StreamTouchApp;
+use scap::checkpoint::{frame_record, FILE_HEADER_LEN, REC_HEADER_LEN};
 use scap::{Scap, ScapConfig, ScapKernel, ScapSimStack, StreamCtx};
 use scap_bench::common::oracle_engine;
 use scap_trace::Packet;
@@ -157,6 +158,37 @@ fn sample_checkpoint(seed: u64) -> Vec<u8> {
     bytes
 }
 
+/// The record bodies of a checkpoint, in file order.
+fn record_bodies(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut bodies = Vec::new();
+    let mut at = FILE_HEADER_LEN;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+        let body = at + REC_HEADER_LEN;
+        bodies.push(bytes[body..body + len].to_vec());
+        at = body + len;
+    }
+    bodies
+}
+
+/// A checkpoint with `bytes`' file header and `bodies` as its records,
+/// every one framed with a valid CRC.
+fn reframed(bytes: &[u8], bodies: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = bytes[..FILE_HEADER_LEN].to_vec();
+    for body in bodies {
+        out.extend_from_slice(&frame_record(body));
+    }
+    out
+}
+
+/// Decode `bytes` and, when that succeeds, rebuild a kernel from the
+/// image: either may refuse, neither may panic.
+fn restore(bytes: &[u8]) {
+    if let Ok(img) = scap::CheckpointImage::decode(bytes) {
+        let _ = ScapKernel::from_image(img, None);
+    }
+}
+
 proptest! {
     /// Checkpoint decode never panics on arbitrary bytes.
     #[test]
@@ -196,6 +228,44 @@ proptest! {
         let len = bytes.len();
         bytes[pos % len] ^= flip;
         let _ = scap::CheckpointImage::decode(&bytes);
+    }
+
+    /// A random body under a valid CRC, under each record kind byte (in
+    /// place of the record of that kind, or in front of the end marker
+    /// when the checkpoint has none), is refused or restored: never a
+    /// panic, never an abort.
+    #[test]
+    fn crc_clean_random_records_never_panic(
+        seed in 0u64..3,
+        kind in 0x10u8..0x17,
+        body in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let bytes = sample_checkpoint(seed);
+        let mut bodies = record_bodies(&bytes);
+        let record = [&[kind][..], &body].concat();
+        match bodies.iter().position(|b| b[0] == kind) {
+            Some(i) => bodies[i] = record,
+            None => bodies.insert(bodies.len() - 1, record),
+        }
+        restore(&reframed(&bytes, &bodies));
+    }
+
+    /// A real record with one byte changed and its CRC made valid again
+    /// is refused or restored: never a panic, never an abort.
+    #[test]
+    fn crc_clean_edited_records_never_panic(
+        seed in 0u64..3,
+        which: usize,
+        at: usize,
+        value: u8,
+    ) {
+        let bytes = sample_checkpoint(seed);
+        let mut bodies = record_bodies(&bytes);
+        let n = bodies.len();
+        let body = &mut bodies[which % n];
+        let len = body.len();
+        body[at % len] = value;
+        restore(&reframed(&bytes, &bodies));
     }
 }
 
