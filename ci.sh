@@ -14,6 +14,12 @@ echo "== chaos tests, release profile =="
 # so its outcome depends on how fast the kernel thread is: run it at
 # both speeds.
 cargo test -q --release -p scap-bench --test chaos
+# One fault, one verdict: the live watchdog judges a worker panic or
+# wedge exactly once against the wall clock, twenty times over.
+for i in $(seq 20); do
+    cargo test -q --release -p scap --lib a_worker_fault_flags_the_stream_it_held >/dev/null \
+        || { echo "a worker fault was not judged exactly once on run $i"; exit 1; }
+done
 
 echo "== archive pipeline, release profile =="
 # Each StoreWriter hands its bytes to a writer thread of its own: run

@@ -689,6 +689,14 @@ fn restorable(cfg: ScapConfig) -> Result<ScapConfig, CheckpointError> {
     if cores > scap_nic::rss::MAX_QUEUES {
         return Err(corrupt(format!("{cores} cores, more than RSS has queues")));
     }
+    // A capture spawns one thread per worker slot, and events reach slot
+    // `core % workers`: a slot past the core count would sit idle.
+    let workers = cfg.worker_threads;
+    if workers > scap_nic::rss::MAX_QUEUES {
+        return Err(corrupt(format!(
+            "{workers} worker threads, more than RSS has queues"
+        )));
+    }
     if ring > MAX_FLIGHT_RING_CAP {
         return Err(corrupt(format!("flight ring of {ring} entries")));
     }
@@ -940,7 +948,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Fail unless every byte was read.
-    fn done(&self) -> Result<(), CheckpointError> {
+    pub fn done(&self) -> Result<(), CheckpointError> {
         if self.left() != 0 {
             return Err(corrupt("trailing bytes in record body"));
         }
@@ -1517,6 +1525,21 @@ mod tests {
         let bad = image_with(|c| c.cores = 1 << 40);
         let err = CheckpointImage::decode(&bad).unwrap_err();
         assert!(err.to_string().contains("cores"), "wrong error: {err}");
+    }
+
+    /// More worker threads than RSS has queues are refused at decode: a
+    /// resumed capture would spawn every one of them. Decode only — no
+    /// capture starts, so no thread is spawned here.
+    #[test]
+    fn a_config_with_more_worker_threads_than_rss_queues_is_refused() {
+        let at_limit = image_with(|c| c.worker_threads = scap_nic::rss::MAX_QUEUES);
+        assert!(CheckpointImage::decode(&at_limit).is_ok());
+        let bad = image_with(|c| c.worker_threads = 1 << 40);
+        let err = CheckpointImage::decode(&bad).unwrap_err();
+        assert!(
+            err.to_string().contains("worker threads"),
+            "wrong error: {err}"
+        );
     }
 
     /// A flight ring of `usize::MAX / 4` entries is refused at decode:

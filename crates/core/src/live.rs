@@ -33,13 +33,13 @@
 //!
 //! ## Fault tolerance
 //!
-//! A capture must outlive its workers. Each worker publishes a heartbeat
-//! (events completed) and the uid of the stream it is currently
+//! A capture must outlive its workers. Each worker thread publishes a
+//! heartbeat (events completed) and the uid of the stream it is currently
 //! dispatching; a watchdog on the kernel thread notices dead workers
 //! (their thread finished while the event queue was still open) and
-//! wedged workers (heartbeat stalled with work outstanding). Dead workers
-//! are respawned on the same shared event queue, wedged ones get a fresh
-//! sibling on that queue, and the affected stream is flagged with
+//! wedged workers (one event held past a grace), judges each fault once,
+//! puts one fresh thread on the same shared event queue for it, and flags
+//! the affected stream with
 //! [`crate::StreamErrors::WORKER_FAILURE`]. [`Scap::start_capture`] therefore
 //! never panics because a callback did; the damage report is available
 //! from [`Scap::last_capture_error`].
@@ -481,7 +481,7 @@ pub struct WorkerStatus {
     /// Events its threads dispatched to completion.
     pub events_handled: u64,
     /// Events written off: held by a thread that died mid-dispatch, or
-    /// outstanding when the breaker parked the slot.
+    /// queued on the slot once the breaker parked it.
     pub events_lost: u64,
 }
 
@@ -786,9 +786,7 @@ impl Scap {
                 }
                 span.finish(kernel.telemetry(), 0, Stage::Nic);
                 for core in 0..ncores {
-                    kernel.service_core(core, now, StageClock::Wall, &mut |k, ev| {
-                        crew.fan_out(k, ev)
-                    });
+                    kernel.service_core(core, now, StageClock::Wall, &mut |_, ev| crew.fan_out(ev));
                     // Between cores, not once per burst: a small arena
                     // needs its chunks back before the next core's
                     // packets ask for them.
@@ -833,7 +831,7 @@ impl Scap {
             if killed.is_none() {
                 let end = now.saturating_add(1);
                 kernel.finish(end);
-                kernel.drain_events(end, |k, ev| crew.fan_out(k, ev));
+                kernel.drain_events(end, |_, ev| crew.fan_out(ev));
                 crew.hand_off();
                 // Wait for the workers to drain their queues. A killed
                 // capture skips this: the process is "dead", we only
@@ -1273,7 +1271,9 @@ mod tests {
     }
 
     /// A worker that dies or wedges holding an event marks that event's
-    /// stream: its termination snapshot carries `WORKER_FAILURE`.
+    /// stream: its termination snapshot carries `WORKER_FAILURE`. The
+    /// fault gets exactly one verdict, of its own kind, and one
+    /// replacement — however many watchdog passes see it.
     #[test]
     fn a_worker_fault_flags_the_stream_it_held() {
         use scap_faults::WorkerFaultKind;
@@ -1297,7 +1297,9 @@ mod tests {
                 .unwrap();
             // The stats hook runs on the kernel thread: sleeping in it
             // keeps the capture going for many watchdog passes after the
-            // fault, so the watchdog, not the final drain, finds it.
+            // fault, so the watchdog finds it while the stream is still
+            // live — the final drain runs after every stream has ended,
+            // too late to flag one.
             scap.dispatch_stats(|_| std::thread::sleep(std::time::Duration::from_millis(4)));
             let ended = Arc::new(std::sync::Mutex::new(Vec::new()));
             let e = ended.clone();
@@ -1308,19 +1310,28 @@ mod tests {
             assert_eq!(stats.stack.streams_created, 1, "{kind:?}");
             let journal = scap.flight_journal().expect("journal after capture");
             let journal = scap_flight::decode_journal(&journal).expect("journal decodes");
-            let fault = match kind {
-                WorkerFaultKind::Panic => FlightKind::WorkerPanic,
-                WorkerFaultKind::Stall(_) => FlightKind::WorkerStall,
+            let (fault, other) = match kind {
+                WorkerFaultKind::Panic => (FlightKind::WorkerPanic, FlightKind::WorkerStall),
+                WorkerFaultKind::Stall(_) => (FlightKind::WorkerStall, FlightKind::WorkerPanic),
             };
-            let held: Vec<u64> = (journal.events.iter())
-                .filter(|e| e.kind == fault)
-                .map(|e| e.uid)
-                .collect();
+            let verdicts = |k: FlightKind| -> Vec<u64> {
+                (journal.events.iter())
+                    .filter(|e| e.kind == k)
+                    .map(|e| e.uid)
+                    .collect()
+            };
             let ended = ended.lock().unwrap();
             assert_eq!(ended.len(), 1, "{kind:?}: {ended:?}");
             let (uid, errors) = ended[0];
-            assert!(!held.is_empty(), "{kind:?}: no fault journaled");
-            assert!(held.iter().all(|&h| h == uid), "{kind:?}: {held:?}");
+            assert_eq!(verdicts(fault), [uid], "{kind:?}");
+            assert_eq!(verdicts(other), [], "{kind:?}");
+            let r = &stats.resilience;
+            let one = u64::from(fault == FlightKind::WorkerPanic);
+            assert_eq!(
+                (r.worker_panics, r.worker_stalls_detected, r.worker_restarts),
+                (one, 1 - one, 1),
+                "{kind:?}"
+            );
             assert!(
                 errors.contains(StreamErrors::WORKER_FAILURE),
                 "{kind:?}: {errors:?}"

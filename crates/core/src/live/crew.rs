@@ -7,6 +7,9 @@
 //! and sends the same buffer back with only the data events left in it,
 //! so their chunks return to the arena and the buffer carries a later
 //! burst.
+//!
+//! The watchdog keeps one [`Worker`] record per thread and judges it by
+//! a [`Lease`] on the crew's one clock (DESIGN.md §4.1, "Worker failures").
 
 use super::{EventSink, Handler, StreamCtx, WorkerStatus};
 use crate::event::{Event, EventKind};
@@ -14,31 +17,33 @@ use crate::kernel::{ControlOp, ScapKernel};
 use scap_faults::{WorkerFault, WorkerFaultKind};
 use scap_flight::{FlightEvent, FlightKind, FlightLayer};
 use scap_flow::StreamErrors;
+use scap_shard::{CircuitBreaker, Lease};
 use scap_telemetry::{AtomicRegistry, Metric, SpanTimer, Stage};
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long a worker's heartbeat may sit still (with work outstanding)
-/// before the watchdog declares it wedged.
+/// How long a thread may hold one event before the watchdog declares it
+/// wedged.
 const STALL_GRACE: Duration = Duration::from_millis(30);
 /// Upper bound on one wait for the workers to catch up.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 /// Longest such a wait blocks on the release channel before it runs
 /// another watchdog pass.
 const WATCHDOG_PACE: Duration = Duration::from_millis(2);
+/// Set in a heartbeat's uid by the thread's panic hook.
+const DYING: u64 = 1 << 63;
 
-/// What a worker slot is handed per burst. It comes back on the release
-/// channel holding only its data events, whose chunks the kernel
-/// recycles, and the emptied buffer carries a later burst.
+/// What a worker slot is handed per burst. It comes back holding only
+/// its data events, whose chunks the kernel recycles, to carry a later one.
 type Batch = Vec<Event>;
 
-/// A worker slot's queue of batches, shared by the worker and any
-/// replacement or sibling threads. The lock is held only to move a
-/// batch, never across a callback.
+/// A worker slot's queue of batches, shared by every thread on the slot.
+/// The lock is held only to move a batch, never across a callback.
 #[derive(Default)]
 struct Inbox {
     queue: Mutex<Queue>,
@@ -59,9 +64,8 @@ impl Inbox {
         self.queue.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Queue a batch at the back (the kernel thread's hand-off) or, with
-    /// `front`, ahead of everything queued (what a dying worker had not
-    /// reached yet).
+    /// Queue a batch at the back (the hand-off) or, with `front`, ahead of
+    /// everything queued (what a dying worker had not reached yet).
     fn push(&self, batch: Batch, front: bool) {
         let mut q = self.lock();
         if front {
@@ -81,16 +85,8 @@ impl Inbox {
 
     /// Block for the next batch; `None` once closed and drained.
     fn pop(&self) -> Option<Batch> {
-        let mut q = self.lock();
-        loop {
-            if let Some(batch) = q.batches.pop_front() {
-                return Some(batch);
-            }
-            if q.closed {
-                return None;
-            }
-            q = self.ready.wait(q).unwrap_or_else(|p| p.into_inner());
-        }
+        let q = (self.ready).wait_while(self.lock(), |q| q.batches.is_empty() && !q.closed);
+        q.unwrap_or_else(|p| p.into_inner()).batches.pop_front()
     }
 }
 
@@ -126,17 +122,51 @@ struct WorkerEnv {
     tele: Arc<AtomicRegistry>,
 }
 
+/// What a worker thread publishes: events it completed, and the uid of
+/// the stream whose event it holds (0 = none; [`DYING`] once it panics).
+#[derive(Default)]
+struct Heartbeat {
+    events: AtomicU64,
+    uid: AtomicU64,
+}
+
+impl Heartbeat {
+    fn read(&self) -> (u64, u64) {
+        let uid = self.uid.load(Ordering::SeqCst);
+        (self.events.load(Ordering::SeqCst), uid)
+    }
+}
+
+thread_local! {
+    static HEARTBEAT: OnceCell<Arc<Heartbeat>> = const { OnceCell::new() };
+}
+
+/// Wrap the process's panic hook, once: a worker's panic marks its
+/// heartbeat before the old hook runs, which may outlast the grace (the
+/// default with `RUST_BACKTRACE` set). A hook set later drops the mark.
+fn mark_worker_panics() {
+    static WRAP: Once = Once::new();
+    WRAP.call_once(|| {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let _ =
+                HEARTBEAT.try_with(|h| h.get().map(|b| b.uid.fetch_or(DYING, Ordering::SeqCst)));
+            hook(info);
+        }));
+    });
+}
+
 /// A worker thread: dispatch batches from the slot's inbox until it is
 /// closed and drained.
 fn worker_loop(
     env: &WorkerEnv,
     inbox: &Inbox,
-    heartbeat: &AtomicU64,
-    current_uid: &AtomicU64,
+    beat: Arc<Heartbeat>,
     faults: &[WorkerFault],
     shard: usize,
 ) {
-    let mut events_seen = 0u64;
+    let beat = HEARTBEAT.with(|h| h.get_or_init(|| beat).clone());
+    let mut events = 0u64;
     while let Some(batch) = inbox.pop() {
         let mut held = Held {
             batch,
@@ -145,18 +175,12 @@ fn worker_loop(
             rel: &env.rel,
         };
         while let Some(ev) = held.batch.get(held.next) {
-            events_seen += 1;
-            current_uid.store(ev.stream.uid, Ordering::SeqCst);
-            for f in faults {
-                if f.after_events == events_seen {
-                    match f.kind {
-                        WorkerFaultKind::Stall(ns) => {
-                            std::thread::sleep(Duration::from_nanos(ns));
-                        }
-                        WorkerFaultKind::Panic => {
-                            panic!("injected worker fault");
-                        }
-                    }
+            beat.uid.store(ev.stream.uid, Ordering::SeqCst);
+            events += 1;
+            for f in faults.iter().filter(|f| f.after_events == events) {
+                match f.kind {
+                    WorkerFaultKind::Stall(ns) => std::thread::sleep(Duration::from_nanos(ns)),
+                    WorkerFaultKind::Panic => panic!("injected worker fault"),
                 }
             }
             let span = SpanTimer::start();
@@ -164,49 +188,97 @@ fn worker_loop(
             span.finish(&env.tele, shard, Stage::Worker);
             env.tele.inc(shard, Metric::WorkerEventsHandled);
             held.next += 1;
-            heartbeat.fetch_add(1, Ordering::SeqCst);
-            current_uid.store(0, Ordering::SeqCst);
+            beat.events.store(events, Ordering::SeqCst);
+            beat.uid.store(0, Ordering::SeqCst);
         }
     }
 }
 
+/// What the watchdog last saw a thread publish, the lease that renewed,
+/// and whether the fault it is in was judged.
+struct Watch {
+    seen: (u64, u64),
+    lease: Lease,
+    judged: bool,
+}
+
+impl Watch {
+    /// A thread starts idle: the first event it takes renews the lease.
+    fn new() -> Self {
+        Watch {
+            seen: (0, 0),
+            lease: Lease::new(STALL_GRACE.as_nanos() as u64, 0),
+            judged: false,
+        }
+    }
+
+    /// The verdict on a thread whose heartbeat reads `seen` at `now` ns on
+    /// the crew's clock, `ended` once joined (`Some(true)`: it panicked): a
+    /// fault not judged yet — one event held past the grace, or a panic —
+    /// or `None`. Plain data in, no clock read.
+    fn judge(&mut self, seen: (u64, u64), ended: Option<bool>, now: u64) -> Option<FlightKind> {
+        let (moved, dying) = ((seen.0, seen.1 & !DYING), seen.1 & DYING != 0);
+        if moved != self.seen {
+            // It completed or took an event (a panic hook's mark is no move).
+            (self.seen, self.judged) = (moved, false);
+            self.lease.beat(now);
+        } else if moved.1 != 0 {
+            self.lease.offered(); // still on the same event
+        }
+        let fault = match ended {
+            Some(panicked) => panicked.then_some(FlightKind::WorkerPanic),
+            None if dying || !self.lease.expired(now) => None,
+            None => Some(FlightKind::WorkerStall),
+        };
+        let fresh = fault.filter(|_| !self.judged);
+        self.judged |= fresh.is_some();
+        fresh
+    }
+}
+
+struct Worker<'scope> {
+    thread: ScopedJoinHandle<'scope, ()>,
+    beat: Arc<Heartbeat>,
+    watch: Watch,
+}
+
 /// One worker slot's bookkeeping on the kernel thread.
-struct WorkerSlot {
-    /// The queue, shared with the worker and any replacements.
+struct WorkerSlot<'scope> {
     inbox: Arc<Inbox>,
     /// Events of the burst in progress, handed over at its end.
     batch: Batch,
-    /// Events completed by threads on this queue.
-    heartbeat: Arc<AtomicU64>,
-    /// Uid of the stream currently being dispatched (0 = idle).
-    current_uid: Arc<AtomicU64>,
-    /// Events sent into this queue.
-    sent: u64,
-    /// Events known lost to panics (held mid-dispatch by a dead thread).
-    lost: u64,
-    last_beat: u64,
-    last_beat_at: Instant,
-    stall_flagged: bool,
-    panics: u64,
-    stalls: u64,
-    restarts: u64,
-    /// Respawn circuit breaker: too many panics/stalls inside the
-    /// configured window parks the slot instead of thrashing forever.
-    breaker: scap_shard::CircuitBreaker,
-    /// Parked by the breaker: no further respawns; queued events are
-    /// accounted as lost and new events are recycled at fan-out.
-    parked: bool,
+    /// The first thread, replacements, and wedged threads still running.
+    threads: Vec<Worker<'scope>>,
+    /// Its outcome (`events_handled`: by threads joined so far).
+    st: WorkerStatus,
+    /// Too many faults inside its window trip it and park the slot: no
+    /// more threads, and what reaches its closed queue is written off.
+    breaker: CircuitBreaker,
 }
 
-/// The worker side of a capture as the kernel thread sees it: the slots,
-/// their threads, and the channels back from them.
+impl WorkerSlot<'_> {
+    fn handled(&self) -> u64 {
+        self.st.events_handled + self.threads.iter().map(|w| w.beat.read().0).sum::<u64>()
+    }
+
+    /// Events sent, neither handled nor written off yet.
+    fn owed(&self) -> u64 {
+        (self.st.events_sent).saturating_sub(self.handled() + self.st.events_lost)
+    }
+}
+
+fn journal(kernel: &mut ScapKernel, kind: FlightKind, now: u64, uid: u64, i: usize, b: u64) {
+    let ev = FlightEvent::new(kind, FlightLayer::Worker, now).with_uid(uid);
+    kernel.flight_mut().emit(0, ev.with_vals(i as u64, b));
+}
+
+/// The worker side of a capture as the kernel thread sees it.
 pub(super) struct Crew<'scope, 'env> {
     scope: &'scope Scope<'scope, 'env>,
     env: WorkerEnv,
-    slots: Vec<WorkerSlot>,
-    handles: Vec<Option<ScopedJoinHandle<'scope, ()>>>,
-    /// Siblings put next to wedged workers.
-    extra: Vec<ScopedJoinHandle<'scope, ()>>,
+    /// The watchdog's clock, read once per pass.
+    epoch: Instant,
+    slots: Vec<WorkerSlot<'scope>>,
     /// Emptied batch buffers awaiting reuse.
     spare: Vec<Batch>,
     // PF_SCAP-socket stand-ins.
@@ -221,15 +293,15 @@ impl<'scope, 'env> Crew<'scope, 'env> {
         scope: &'scope Scope<'scope, 'env>,
         handlers: WorkerHandlers,
         nworkers: usize,
-        breaker: scap_shard::CircuitBreaker,
+        breaker: CircuitBreaker,
         faults: &[WorkerFault],
     ) -> Self {
         let (ctl, ctl_rx) = channel();
         let (rel, rel_rx) = channel();
-        // Worker-side telemetry is shared across threads, so it uses the
-        // atomic backend (one shard per worker slot); the kernel-side
-        // registries stay plain because only that thread drives them.
+        // Worker-side telemetry is shared across threads: the atomic
+        // backend, one shard per slot (the kernel's stay plain).
         let tele = Arc::new(AtomicRegistry::new(nworkers));
+        mark_worker_panics();
         let mut crew = Crew {
             scope,
             env: WorkerEnv {
@@ -238,73 +310,55 @@ impl<'scope, 'env> Crew<'scope, 'env> {
                 rel,
                 tele,
             },
+            epoch: Instant::now(),
             slots: Vec::with_capacity(nworkers),
-            handles: Vec::with_capacity(nworkers),
-            extra: Vec::new(),
             spare: Vec::new(),
             ctl_rx,
             rel_rx,
         };
         for w in 0..nworkers {
-            crew.slots.push(WorkerSlot {
-                inbox: Arc::default(),
-                batch: Batch::new(),
-                heartbeat: Arc::default(),
-                current_uid: Arc::default(),
-                sent: 0,
-                lost: 0,
-                last_beat: 0,
-                last_beat_at: Instant::now(),
-                stall_flagged: false,
+            let st = WorkerStatus {
+                worker: w,
                 panics: 0,
                 stalls: 0,
                 restarts: 0,
+                events_sent: 0,
+                events_handled: 0,
+                events_lost: 0,
+            };
+            crew.slots.push(WorkerSlot {
+                inbox: Arc::default(),
+                batch: Batch::new(),
+                threads: Vec::new(),
+                st,
                 breaker: breaker.clone(),
-                parked: false,
             });
             let armed = faults.iter().copied().filter(|f| f.worker == w).collect();
-            let handle = crew.spawn(w, crew.slots[w].current_uid.clone(), armed);
-            crew.handles.push(Some(handle));
+            crew.spawn(w, armed);
         }
         crew
     }
 
-    /// Close the queues, join every thread (workers drain what is still
-    /// queued first), collect the last control operations and chunks, and
-    /// report each slot's outcome and the workers' telemetry.
+    /// Close the queues, join every thread (workers drain what is queued
+    /// first), collect the last control operations and chunks, and report.
     pub(super) fn finish(
         mut self,
         kernel: &mut ScapKernel,
         now: u64,
     ) -> (Vec<WorkerStatus>, scap_telemetry::Snapshot) {
-        for slot in &self.slots {
-            slot.inbox.close();
-        }
+        let clock = self.clock_ns();
+        self.slots.iter().for_each(|sl| sl.inbox.close());
         for i in 0..self.slots.len() {
-            if self.handles[i].take().is_some_and(|h| h.join().is_err()) {
-                // Died after the last watchdog pass.
-                self.note_panic(kernel, i, now);
+            // A death after the last pass is judged here; a replacement
+            // drains the closed queue.
+            while let Some(w) = self.slots[i].threads.pop() {
+                self.bury(kernel, i, w, now, clock);
             }
-        }
-        for h in std::mem::take(&mut self.extra) {
-            let _ = h.join();
+            self.write_off(kernel, i);
         }
         self.drain_control(kernel);
         self.drain_released(kernel);
-        let statuses: Vec<WorkerStatus> = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, sl)| WorkerStatus {
-                worker: i,
-                panics: sl.panics,
-                stalls: sl.stalls,
-                restarts: sl.restarts,
-                events_sent: sl.sent,
-                events_handled: sl.heartbeat.load(Ordering::SeqCst),
-                events_lost: sl.lost,
-            })
-            .collect();
+        let statuses: Vec<WorkerStatus> = self.slots.iter().map(|sl| sl.st).collect();
         kernel.set_worker_heartbeats(statuses.iter().map(|st| st.events_handled).sum());
         (statuses, self.telemetry())
     }
@@ -314,33 +368,29 @@ impl<'scope, 'env> Crew<'scope, 'env> {
         self.env.tele.snapshot()
     }
 
-    /// Spawn a thread on slot `i`'s inbox.
-    fn spawn(
-        &self,
-        i: usize,
-        current_uid: Arc<AtomicU64>,
-        faults: Vec<WorkerFault>,
-    ) -> ScopedJoinHandle<'scope, ()> {
-        let env = self.env.clone();
-        let inbox = self.slots[i].inbox.clone();
-        let heartbeat = self.slots[i].heartbeat.clone();
-        self.scope
-            .spawn(move || worker_loop(&env, &inbox, &heartbeat, &current_uid, &faults, i))
+    fn clock_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Put a thread on slot `i`'s queue with `faults` armed on it.
+    fn spawn(&mut self, i: usize, faults: Vec<WorkerFault>) {
+        let (env, inbox) = (self.env.clone(), self.slots[i].inbox.clone());
+        let beat = Arc::new(Heartbeat::default());
+        let b = beat.clone();
+        let thread = (self.scope).spawn(move || worker_loop(&env, &inbox, b, &faults, i));
+        self.slots[i].threads.push(Worker {
+            thread,
+            beat,
+            watch: Watch::new(),
+        });
     }
 
     /// Route one kernel event to its worker slot's pending batch.
-    pub(super) fn fan_out(&mut self, kernel: &mut ScapKernel, ev: Event) {
+    pub(super) fn fan_out(&mut self, ev: Event) {
         let n = self.slots.len();
         let slot = &mut self.slots[ev.core % n];
-        slot.sent += 1;
-        if slot.parked {
-            // The event cannot be handled; count the loss and recycle
-            // its chunk.
-            slot.lost += 1;
-            kernel.release_event(ev);
-        } else {
-            slot.batch.push(ev);
-        }
+        slot.st.events_sent += 1;
+        slot.batch.push(ev);
     }
 
     /// Hand every slot the events of the burst as one batch.
@@ -379,22 +429,17 @@ impl<'scope, 'env> Crew<'scope, 'env> {
         span.finish(kernel.telemetry(), 0, Stage::Memory);
     }
 
-    /// Wait — still watching for deaths and stalls, which would otherwise
-    /// hold the wait hostage — until no slot owes more than `allow`
-    /// events (sent, neither handled nor written off yet).
+    /// Wait — still watching for deaths and stalls, which would hold it
+    /// hostage — until no slot owes more than `allow` events.
     pub(super) fn catch_up(&mut self, kernel: &mut ScapKernel, now: u64, allow: u64) {
-        let behind = |slots: &[WorkerSlot]| {
-            slots.iter().any(|sl| {
-                let done = sl.heartbeat.load(Ordering::SeqCst) + sl.lost;
-                sl.sent.saturating_sub(done) > allow
-            })
-        };
-        if !behind(&self.slots) {
-            return; // the usual case under overload, once per packet
-        }
-        let deadline = Instant::now() + DRAIN_DEADLINE;
-        while behind(&self.slots) && Instant::now() <= deadline {
-            self.watchdog(kernel, now);
+        // Not behind is the usual case under overload, once per packet.
+        let mut deadline = None;
+        while self.slots.iter().any(|sl| sl.owed() > allow) {
+            let clock = self.clock_ns();
+            if clock > *deadline.get_or_insert(clock + DRAIN_DEADLINE.as_nanos() as u64) {
+                break;
+            }
+            self.pass(kernel, now, clock);
             self.drain_control(kernel);
             // Every finished batch comes back on the release channel, so
             // block there; the timeout paces the watchdog.
@@ -404,132 +449,89 @@ impl<'scope, 'env> Crew<'scope, 'env> {
         }
     }
 
-    /// A thread of slot `i` died in a callback: count it, journal it,
-    /// flag the stream it held.
-    fn note_panic(&mut self, kernel: &mut ScapKernel, i: usize, now: u64) {
-        let slot = &mut self.slots[i];
-        slot.panics += 1;
-        kernel.resilience_mut().worker_panics += 1;
-        let uid = slot.current_uid.swap(0, Ordering::SeqCst);
-        kernel.flight_mut().emit(
-            0,
-            FlightEvent::new(FlightKind::WorkerPanic, FlightLayer::Worker, now)
-                .with_uid(uid)
-                .with_vals(i as u64, 0),
-        );
+    pub(super) fn watchdog(&mut self, kernel: &mut ScapKernel, now: u64) {
+        let clock = self.clock_ns();
+        self.pass(kernel, now, clock);
+    }
+
+    /// A pass at `clock` on the crew's clock; `now` is the trace time the
+    /// journal and the breakers read.
+    fn pass(&mut self, kernel: &mut ScapKernel, now: u64, clock: u64) {
+        kernel.set_worker_heartbeats(self.slots.iter().map(WorkerSlot::handled).sum());
+        for i in 0..self.slots.len() {
+            let mut j = 0;
+            while let Some(w) = self.slots[i].threads.get_mut(j) {
+                if w.thread.is_finished() {
+                    let w = self.slots[i].threads.swap_remove(j);
+                    self.bury(kernel, i, w, now, clock);
+                    continue;
+                }
+                let seen = w.beat.read();
+                j += 1;
+                // A wedged thread cannot be killed: it stays, and a fresh
+                // one moves the queue.
+                if let Some(kind) = w.watch.judge(seen, None, clock) {
+                    self.fault(kernel, i, kind, seen.1, now);
+                }
+            }
+            self.write_off(kernel, i);
+        }
+    }
+
+    /// Join an ended thread of slot `i`: a panic writes off the event it
+    /// held.
+    fn bury(&mut self, kernel: &mut ScapKernel, i: usize, mut w: Worker, now: u64, clock: u64) {
+        let panicked = w.thread.join().is_err();
+        let seen = w.beat.read();
+        self.slots[i].st.events_handled += seen.0;
+        self.slots[i].st.events_lost += u64::from(panicked);
+        if let Some(kind) = w.watch.judge(seen, Some(panicked), clock) {
+            self.fault(kernel, i, kind, seen.1, now);
+        }
+    }
+
+    /// A fault's one verdict on slot `i` (`WorkerPanic` or `WorkerStall`):
+    /// count and journal it, flag the stream the thread held, and put a
+    /// fresh thread (no faults armed) on the queue, unless the fault trips
+    /// the slot's breaker.
+    fn fault(&mut self, kernel: &mut ScapKernel, i: usize, kind: FlightKind, uid: u64, now: u64) {
+        let (slot, r, uid) = (&mut self.slots[i], kernel.resilience_mut(), uid & !DYING);
+        if kind == FlightKind::WorkerPanic {
+            slot.st.panics += 1;
+            r.worker_panics += 1;
+        } else {
+            slot.st.stalls += 1;
+            r.worker_stalls_detected += 1;
+        }
+        journal(kernel, kind, now, uid, i, 0);
         if uid != 0 {
             kernel.flag_stream_error(uid, StreamErrors::WORKER_FAILURE);
         }
-    }
-
-    /// Record a failure of slot `i` with its breaker. A tripped breaker
-    /// parks the slot: close its queue, account every outstanding event
-    /// as lost (so shutdown drain terminates), and surface the trip in
-    /// `ResilienceStats` and the flight journal. Returns whether it did.
-    fn tripped(&mut self, kernel: &mut ScapKernel, i: usize, now: u64) -> bool {
-        let slot = &mut self.slots[i];
-        if !slot.breaker.record_failure(now) {
-            return false;
+        if slot.breaker.is_tripped() {
+            return;
         }
-        slot.parked = true;
-        slot.inbox.close();
-        let beat = slot.heartbeat.load(Ordering::SeqCst);
-        slot.lost = slot.sent.saturating_sub(beat);
-        let fails = u64::from(slot.breaker.failures_in_window());
-        kernel.resilience_mut().watchdog_breaker_trips += 1;
-        kernel.flight_mut().emit(
-            0,
-            FlightEvent::new(FlightKind::BreakerTripped, FlightLayer::Worker, now)
-                .with_vals(i as u64, fails),
-        );
-        true
-    }
-
-    /// A fresh thread went onto slot `i`'s queue.
-    fn note_restart(&mut self, kernel: &mut ScapKernel, i: usize, now: u64) {
-        self.slots[i].restarts += 1;
+        if slot.breaker.record_failure(now) {
+            slot.inbox.close();
+            let fails = u64::from(slot.breaker.failures_in_window());
+            kernel.resilience_mut().watchdog_breaker_trips += 1;
+            journal(kernel, FlightKind::BreakerTripped, now, 0, i, fails);
+            return;
+        }
+        slot.st.restarts += 1;
         kernel.resilience_mut().worker_restarts += 1;
-        kernel.flight_mut().emit(
-            0,
-            FlightEvent::new(FlightKind::WorkerRestart, FlightLayer::Worker, now)
-                .with_vals(i as u64, 0),
-        );
+        journal(kernel, FlightKind::WorkerRestart, now, 0, i, 0);
+        self.spawn(i, Vec::new());
     }
 
-    /// One watchdog pass: respawn dead workers, sibling wedged ones, flag
-    /// the streams they were holding.
-    pub(super) fn watchdog(&mut self, kernel: &mut ScapKernel, now: u64) {
-        let beats: u64 = self
-            .slots
-            .iter()
-            .map(|sl| sl.heartbeat.load(Ordering::SeqCst))
-            .sum();
-        kernel.set_worker_heartbeats(beats);
-        for i in 0..self.slots.len() {
-            if self.slots[i].parked {
-                continue;
-            }
-            // A finished thread while its queue is still open means the
-            // thread died: a clean exit only happens after close.
-            if self.handles[i].as_ref().is_some_and(|h| h.is_finished()) {
-                if self.handles[i].take().is_some_and(|h| h.join().is_err()) {
-                    self.slots[i].lost += 1; // the event it was dispatching is gone
-                    self.note_panic(kernel, i, now);
-                }
-                // M failures inside the window: stop respawning.
-                if self.tripped(kernel, i, now) {
-                    continue;
-                }
-                // Respawn on the same shared queue; the replacement picks
-                // up exactly where the dead worker left off. Scheduled
-                // faults are not re-armed for replacements.
-                let uid = self.slots[i].current_uid.clone();
-                self.handles[i] = Some(self.spawn(i, uid, Vec::new()));
-                self.note_restart(kernel, i, now);
-                let slot = &mut self.slots[i];
-                slot.last_beat = slot.heartbeat.load(Ordering::SeqCst);
-                slot.last_beat_at = Instant::now();
-                slot.stall_flagged = false;
-                continue;
-            }
-
-            let slot = &mut self.slots[i];
-            let beat = slot.heartbeat.load(Ordering::SeqCst);
-            if beat != slot.last_beat {
-                slot.last_beat = beat;
-                slot.last_beat_at = Instant::now();
-                slot.stall_flagged = false;
-                continue;
-            }
-            // Heartbeat flat: wedged if there is (or was) work it should
-            // be making progress on.
-            let uid = slot.current_uid.load(Ordering::SeqCst);
-            let busy = uid != 0 || slot.sent > beat.saturating_add(slot.lost);
-            if busy && !slot.stall_flagged && slot.last_beat_at.elapsed() >= STALL_GRACE {
-                slot.stall_flagged = true;
-                slot.stalls += 1;
-                kernel.resilience_mut().worker_stalls_detected += 1;
-                kernel.flight_mut().emit(
-                    0,
-                    FlightEvent::new(FlightKind::WorkerStall, FlightLayer::Worker, now)
-                        .with_uid(uid)
-                        .with_vals(i as u64, 0),
-                );
-                if uid != 0 {
-                    kernel.flag_stream_error(uid, StreamErrors::WORKER_FAILURE);
-                }
-                // Same breaker policy for the sibling path: a slot that
-                // keeps wedging stops getting fresh threads thrown at it.
-                if self.tripped(kernel, i, now) {
-                    continue;
-                }
-                // Threads cannot be killed; leave the wedged worker alone
-                // and put a fresh sibling on the same queue so the
-                // backlog moves.
-                let sibling = self.spawn(i, Arc::new(AtomicU64::new(0)), Vec::new());
-                self.extra.push(sibling);
-                self.note_restart(kernel, i, now);
-            }
+    /// Recycle what is queued on slot `i`, once parked, as lost.
+    fn write_off(&mut self, kernel: &mut ScapKernel, i: usize) {
+        if !self.slots[i].breaker.is_tripped() {
+            return;
+        }
+        let queued = std::mem::take(&mut self.slots[i].inbox.lock().batches);
+        for batch in queued {
+            self.slots[i].st.events_lost += batch.len() as u64;
+            self.recycle(kernel, batch);
         }
     }
 }
@@ -546,44 +548,40 @@ pub(super) struct WorkerHandlers {
 
 impl WorkerHandlers {
     fn dispatch(&self, ev: &Event, ctl: &Sender<ControlOp>) {
-        let mut ctx = StreamCtx {
-            stream: &ev.stream,
-            dir: None,
-            data: None,
-            data_offset: 0,
-            packet_records: &[],
-            ctl,
-        };
-        let handler = match &ev.kind {
+        let stream = &ev.stream;
+        let (handler, dir, chunk, packet_records) = match &ev.kind {
             EventKind::Created => {
-                for s in &self.sinks {
-                    s.on_created(&ev.stream);
-                }
-                &self.on_create
+                self.sinks.iter().for_each(|s| s.on_created(stream));
+                (&self.on_create, None, None, &[][..])
             }
             EventKind::Data {
                 dir,
                 chunk,
                 packets,
             } => {
-                ctx.dir = Some(*dir);
-                ctx.data = Some(chunk.bytes());
-                ctx.data_offset = chunk.start_offset;
-                ctx.packet_records = packets.as_slice();
-                for s in &self.sinks {
-                    s.on_data(&ev.stream, *dir, chunk.bytes(), chunk.start_offset);
-                }
-                &self.on_data
+                let (data, at) = (chunk.bytes(), chunk.start_offset);
+                self.sinks
+                    .iter()
+                    .for_each(|s| s.on_data(stream, *dir, data, at));
+                (&self.on_data, Some(*dir), Some(chunk), &packets[..])
             }
             EventKind::Terminated => {
-                for s in &self.sinks {
-                    s.on_terminated(&ev.stream);
-                }
-                &self.on_termination
+                self.sinks.iter().for_each(|s| s.on_terminated(stream));
+                (&self.on_termination, None, None, &[][..])
             }
         };
         if let Some(h) = handler {
-            h(&ctx);
+            h(&StreamCtx {
+                stream,
+                dir,
+                data: chunk.map(|c| c.bytes()),
+                data_offset: chunk.map_or(0, |c| c.start_offset),
+                packet_records,
+                ctl,
+            });
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

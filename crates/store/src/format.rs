@@ -169,14 +169,17 @@ pub enum IndexEntry {
 }
 
 /// Decode an index-record body previously produced by
-/// [`encode_stream_body`] or [`encode_tombstone_body`].
+/// [`encode_stream_body`] or [`encode_tombstone_body`]. The body must end
+/// where its fields do.
 pub fn decode_body(body: &[u8]) -> Result<IndexEntry, StoreError> {
     let mut c = Cursor::new(body);
-    match u8::get(&mut c)? {
-        KIND_TOMBSTONE => Ok(IndexEntry::Tombstone(u64::get(&mut c)?)),
-        KIND_STREAM => Ok(IndexEntry::Stream(Box::new(IndexRecord::get(&mut c)?))),
-        other => Err(StoreError::Corrupt(format!("bad record kind {other}"))),
-    }
+    let entry = match u8::get(&mut c)? {
+        KIND_TOMBSTONE => IndexEntry::Tombstone(u64::get(&mut c)?),
+        KIND_STREAM => IndexEntry::Stream(Box::new(IndexRecord::get(&mut c)?)),
+        other => return Err(StoreError::Corrupt(format!("bad record kind {other}"))),
+    };
+    c.done()?;
+    Ok(entry)
 }
 
 /// Build the frame header preceding one direction's payload.

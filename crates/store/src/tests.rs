@@ -5,9 +5,9 @@ use crate::format::{
     FRAME_MAGIC, IDX_MAGIC, SCAN_PIECE, SEG_MAGIC,
 };
 use crate::{
-    crc32, decode_body, encode_stream_body, encode_tombstone_body, scan_segment, Extent, FrameInfo,
-    IndexEntry, IndexRecord, SegmentScan, StoreConfig, StoreError, StoreReader, StoreWriter,
-    INDEX_FILE,
+    crc32, decode_body, encode_stream_body, encode_tombstone_body, scan_index, scan_segment,
+    Extent, FrameInfo, IndexEntry, IndexRecord, SegmentScan, StoreConfig, StoreError, StoreReader,
+    StoreWriter, INDEX_FILE,
 };
 use proptest::prelude::*;
 use scap::{StreamSnapshot, StreamUid};
@@ -903,6 +903,29 @@ fn arb_index_record(seed: u64) -> IndexRecord {
             extent(next(), next(), next()),
         ],
     }
+}
+
+/// An index record must end where its fields do: a CRC-clean record with
+/// one byte appended is torn, like everything after it.
+#[test]
+fn an_index_record_with_trailing_bytes_is_torn() {
+    let dir = tmp_dir("idx-trailing");
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = frame_record(&encode_tombstone_body(7));
+    let mut long = encode_stream_body(&arb_index_record(3));
+    long.push(0);
+    assert!(decode_body(&long).is_err());
+    let mut data = file_header(IDX_MAGIC, 0).to_vec();
+    data.extend_from_slice(&good);
+    data.extend_from_slice(&frame_record(&long));
+    data.extend_from_slice(&good);
+    let path = dir.join(INDEX_FILE);
+    std::fs::write(&path, &data).unwrap();
+    let scan = scan_index(&path).unwrap();
+    assert_eq!(scan.entries, vec![IndexEntry::Tombstone(7)]);
+    assert_eq!(scan.valid_len, (FILE_HEADER_LEN + good.len()) as u64);
+    assert_eq!(scan.torn_bytes, data.len() as u64 - scan.valid_len);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {
