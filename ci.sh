@@ -105,6 +105,12 @@ if echo "$clock" | grep -q 'f64'; then
     echo "cycles_to_ns uses floating point: $clock"; exit 1
 fi
 
+echo "== the campus generator, release profile =="
+# The generator's pinned trace digests and its word-at-a-time payload
+# fill against the per-byte definition, on the optimised code that
+# `perf` times and every experiment replays.
+cargo test -q --release -p scap-trace
+
 echo "== table reference models, release profile =="
 # The proptests of the shared index and of both tables built on it
 # (against HashMap / BTreeMap models), on the optimised code the

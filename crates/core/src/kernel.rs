@@ -349,18 +349,17 @@ impl ScapKernel {
     }
 
     /// Set an error flag on a live stream (the live driver's watchdog
-    /// marks streams whose worker died mid-dispatch). No-op if the stream
-    /// already terminated. The watchdog knows only the uid, so this walks
-    /// the flow tables: it runs once per worker panic or stall, while
-    /// handing it the key would cost the worker a 40-byte store per
-    /// event where it now stores the uid.
-    pub fn flag_stream_error(&mut self, uid: StreamUid, err: StreamErrors) {
+    /// marks streams whose worker died mid-dispatch); `false`, and no-op,
+    /// if the stream already terminated. The watchdog knows only the uid,
+    /// so this walks the flow tables: it runs once per worker panic or
+    /// stall, while handing it the key would cost the worker a 40-byte
+    /// store per event where it now stores the uid.
+    pub fn flag_stream_error(&mut self, uid: StreamUid, err: StreamErrors) -> bool {
         let Some((core, id)) = self.flows.scan(uid) else {
-            return;
+            return false;
         };
-        if let Some(rec) = self.flows.cores[core].get_mut(id) {
-            rec.errors.set(err);
-        }
+        let rec = self.flows.cores[core].get_mut(id);
+        rec.map(|rec| rec.errors.set(err)).is_some()
     }
 
     /// Raw NIC counters (diagnostics).

@@ -829,13 +829,16 @@ impl Scap {
             }
 
             if killed.is_none() {
+                // Wait for the workers to drain their queues, twice. A
+                // killed capture skips this: the process is "dead", we
+                // only join threads. The first wait comes before `finish`
+                // ends every stream, so the watchdog judges a fault found
+                // there while the stream the worker held is still live.
+                crew.catch_up(&mut kernel, now, 0);
                 let end = now.saturating_add(1);
                 kernel.finish(end);
                 kernel.drain_events(end, |_, ev| crew.fan_out(ev));
                 crew.hand_off();
-                // Wait for the workers to drain their queues. A killed
-                // capture skips this: the process is "dead", we only
-                // join threads.
                 crew.catch_up(&mut kernel, now, 0);
             }
             let (statuses, worker_tele) = crew.finish(&mut kernel, now);
@@ -1220,8 +1223,9 @@ mod tests {
     }
 
     /// One TCP session of `segments` 1000-byte client segments, closed
-    /// only at the end.
-    fn long_session(segments: u32) -> Vec<Packet> {
+    /// by both FINs at the end when `close`, else left open for the
+    /// capture's `finish` to end.
+    fn long_session(segments: u32, close: bool) -> Vec<Packet> {
         use scap_wire::{PacketBuilder, TcpFlags};
         let (c, s, cp, sp) = ([10, 0, 0, 1], [10, 0, 0, 2], 40000, 80);
         let ack = TcpFlags::ACK;
@@ -1241,27 +1245,11 @@ mod tests {
                 &[7; 1000],
             ));
         }
-        let end = 1 + segments * 1000;
-        frames.push(PacketBuilder::tcp_v4(
-            c,
-            s,
-            cp,
-            sp,
-            end,
-            1,
-            TcpFlags::FIN | ack,
-            b"",
-        ));
-        frames.push(PacketBuilder::tcp_v4(
-            s,
-            c,
-            sp,
-            cp,
-            1,
-            end + 1,
-            TcpFlags::FIN | ack,
-            b"",
-        ));
+        let (end, fin) = (1 + segments * 1000, TcpFlags::FIN | ack);
+        if close {
+            frames.push(PacketBuilder::tcp_v4(c, s, cp, sp, end, 1, fin, b""));
+            frames.push(PacketBuilder::tcp_v4(s, c, sp, cp, 1, end + 1, fin, b""));
+        }
         let ts = |i: usize| i as u64 * 10_000;
         frames
             .into_iter()
@@ -1271,14 +1259,17 @@ mod tests {
     }
 
     /// A worker that dies or wedges holding an event marks that event's
-    /// stream: its termination snapshot carries `WORKER_FAILURE`. The
-    /// fault gets exactly one verdict, of its own kind, and one
-    /// replacement — however many watchdog passes see it.
+    /// stream: its termination snapshot carries `WORKER_FAILURE`, whether
+    /// the FINs end the stream before the fault is judged or `finish`
+    /// ends it after. The fault gets exactly one verdict, of its own kind,
+    /// and one replacement — however many watchdog passes see it.
     #[test]
     fn a_worker_fault_flags_the_stream_it_held() {
         use scap_faults::WorkerFaultKind;
         use scap_flow::StreamErrors;
-        for kind in [WorkerFaultKind::Panic, WorkerFaultKind::Stall(250_000_000)] {
+        let kinds = [WorkerFaultKind::Panic, WorkerFaultKind::Stall(250_000_000)];
+        let cases = [false, true].map(|c| kinds.map(|k| (c, k))).concat();
+        for (close, kind) in cases {
             let plan = FaultPlan {
                 workers: vec![WorkerFault {
                     worker: 0,
@@ -1292,22 +1283,16 @@ mod tests {
                 .worker_threads(1)
                 .chunk_size(1024)
                 .fault_plan(plan)
-                .stats_interval(64)
                 .try_build()
                 .unwrap();
-            // The stats hook runs on the kernel thread: sleeping in it
-            // keeps the capture going for many watchdog passes after the
-            // fault, so the watchdog finds it while the stream is still
-            // live — the final drain runs after every stream has ended,
-            // too late to flag one.
-            scap.dispatch_stats(|_| std::thread::sleep(std::time::Duration::from_millis(4)));
             let ended = Arc::new(std::sync::Mutex::new(Vec::new()));
             let e = ended.clone();
             scap.dispatch_termination(move |ctx| {
                 e.lock().unwrap().push((ctx.stream.uid, ctx.stream.errors));
             });
-            let stats = scap.start_capture(long_session(3000));
-            assert_eq!(stats.stack.streams_created, 1, "{kind:?}");
+            let stats = scap.start_capture(long_session(3000, close));
+            let case = format!("{kind:?}, closed by FINs: {close}");
+            assert_eq!(stats.stack.streams_created, 1, "{case}");
             let journal = scap.flight_journal().expect("journal after capture");
             let journal = scap_flight::decode_journal(&journal).expect("journal decodes");
             let (fault, other) = match kind {
@@ -1321,21 +1306,18 @@ mod tests {
                     .collect()
             };
             let ended = ended.lock().unwrap();
-            assert_eq!(ended.len(), 1, "{kind:?}: {ended:?}");
+            assert_eq!(ended.len(), 1, "{case}: {ended:?}");
             let (uid, errors) = ended[0];
-            assert_eq!(verdicts(fault), [uid], "{kind:?}");
-            assert_eq!(verdicts(other), [], "{kind:?}");
+            assert_eq!(verdicts(fault), [uid], "{case}");
+            assert_eq!(verdicts(other), [], "{case}");
             let r = &stats.resilience;
             let one = u64::from(fault == FlightKind::WorkerPanic);
             assert_eq!(
                 (r.worker_panics, r.worker_stalls_detected, r.worker_restarts),
                 (one, 1 - one, 1),
-                "{kind:?}"
+                "{case}"
             );
-            assert!(
-                errors.contains(StreamErrors::WORKER_FAILURE),
-                "{kind:?}: {errors:?}"
-            );
+            assert_eq!(errors, StreamErrors::WORKER_FAILURE, "{case}");
         }
     }
 

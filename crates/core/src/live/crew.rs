@@ -120,6 +120,28 @@ struct WorkerEnv {
     ctl: Sender<ControlOp>,
     rel: Sender<Batch>,
     tele: Arc<AtomicRegistry>,
+    ended: Arc<Ended>,
+}
+
+/// Streams a fault was judged on after the kernel had ended them. Their
+/// termination event is already queued behind the faulting one, so the
+/// worker that delivers it flags it `WORKER_FAILURE`. (A uid whose
+/// termination was itself the faulting event, or was written off, stays:
+/// one per such fault.)
+#[derive(Default)]
+struct Ended(Mutex<Vec<u64>>);
+
+impl Ended {
+    fn lock(&self) -> MutexGuard<'_, Vec<u64>> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Whether `uid` is one of them; it is not any more.
+    fn take(&self, uid: u64) -> bool {
+        let mut uids = self.lock();
+        let at = uids.iter().position(|&u| u == uid);
+        at.map(|i| uids.swap_remove(i)).is_some()
+    }
 }
 
 /// What a worker thread publishes: events it completed, and the uid of
@@ -174,7 +196,7 @@ fn worker_loop(
             inbox,
             rel: &env.rel,
         };
-        while let Some(ev) = held.batch.get(held.next) {
+        while let Some(ev) = held.batch.get_mut(held.next) {
             beat.uid.store(ev.stream.uid, Ordering::SeqCst);
             events += 1;
             for f in faults.iter().filter(|f| f.after_events == events) {
@@ -182,6 +204,9 @@ fn worker_loop(
                     WorkerFaultKind::Stall(ns) => std::thread::sleep(Duration::from_nanos(ns)),
                     WorkerFaultKind::Panic => panic!("injected worker fault"),
                 }
+            }
+            if matches!(ev.kind, EventKind::Terminated) && env.ended.take(ev.stream.uid) {
+                ev.stream.errors.set(StreamErrors::WORKER_FAILURE);
             }
             let span = SpanTimer::start();
             env.handlers.dispatch(ev, &env.ctl);
@@ -309,6 +334,7 @@ impl<'scope, 'env> Crew<'scope, 'env> {
                 ctl,
                 rel,
                 tele,
+                ended: Arc::default(),
             },
             epoch: Instant::now(),
             slots: Vec::with_capacity(nworkers),
@@ -491,9 +517,10 @@ impl<'scope, 'env> Crew<'scope, 'env> {
     }
 
     /// A fault's one verdict on slot `i` (`WorkerPanic` or `WorkerStall`):
-    /// count and journal it, flag the stream the thread held, and put a
-    /// fresh thread (no faults armed) on the queue, unless the fault trips
-    /// the slot's breaker.
+    /// count and journal it, flag the stream the thread held (or, if the
+    /// kernel has ended it, its termination event), and put a fresh thread
+    /// (no faults armed) on the queue, unless the fault trips the slot's
+    /// breaker.
     fn fault(&mut self, kernel: &mut ScapKernel, i: usize, kind: FlightKind, uid: u64, now: u64) {
         let (slot, r, uid) = (&mut self.slots[i], kernel.resilience_mut(), uid & !DYING);
         if kind == FlightKind::WorkerPanic {
@@ -504,8 +531,8 @@ impl<'scope, 'env> Crew<'scope, 'env> {
             r.worker_stalls_detected += 1;
         }
         journal(kernel, kind, now, uid, i, 0);
-        if uid != 0 {
-            kernel.flag_stream_error(uid, StreamErrors::WORKER_FAILURE);
+        if uid != 0 && !kernel.flag_stream_error(uid, StreamErrors::WORKER_FAILURE) {
+            self.env.ended.lock().push(uid);
         }
         if slot.breaker.is_tripped() {
             return;

@@ -334,3 +334,48 @@ fn a_wedged_worker_that_dies_is_not_judged_twice() {
     assert_eq!(watch.judge((0, 7 | DYING), None, 1), None);
     assert_eq!(watch.judge((0, 7 | DYING), None, 100 * GRACE), None);
 }
+
+/// A fault judged after the kernel has ended the stream the thread held
+/// flags that stream's termination event, queued behind the faulting one:
+/// the kernel's record is gone, the event the application sees is not.
+#[test]
+fn a_fault_on_an_ended_stream_flags_its_termination_event() {
+    let (mut kernel, mut events) = streams(1);
+    kernel.finish(2);
+    kernel.drain_events(2, |k, ev| match ev.kind {
+        EventKind::Terminated => events.push(ev),
+        _ => k.release_event(ev),
+    });
+    assert_eq!(events.len(), 2);
+    let uid = events[0].stream.uid;
+    assert!(!kernel.flag_stream_error(uid, StreamErrors::WORKER_FAILURE));
+    let ended = Arc::new(Mutex::new(Vec::new()));
+    let e = ended.clone();
+    let handlers = WorkerHandlers {
+        on_create: Some(Arc::new(|_: &StreamCtx<'_>| panic!("scheduled fault"))),
+        on_data: None,
+        on_termination: Some(Arc::new(move |ctx: &StreamCtx<'_>| {
+            e.lock().unwrap().push((ctx.stream.uid, ctx.stream.errors));
+        })),
+        sinks: Vec::new(),
+    };
+    let breaker = CircuitBreaker::new(8, u64::MAX);
+    let (statuses, _) = std::thread::scope(|s| {
+        let mut crew = Crew::start(s, handlers, 1, breaker, &[]);
+        events.into_iter().for_each(|ev| crew.fan_out(ev));
+        crew.hand_off();
+        // The thread dies before the queue closes or after; either way
+        // `finish` joins it, judges it, and its replacement delivers the
+        // termination.
+        crew.finish(&mut kernel, 2)
+    });
+    assert_eq!(
+        *ended.lock().unwrap(),
+        [(uid, StreamErrors::WORKER_FAILURE)]
+    );
+    let w = statuses[0];
+    assert_eq!(
+        (w.panics, w.restarts, w.events_handled, w.events_lost),
+        (1, 1, 1, 1)
+    );
+}

@@ -263,14 +263,34 @@ fn box_muller(rng: &mut StdRng) -> f64 {
 ///
 /// Mostly printable ASCII so HTTP-ish pattern matching behaves like real
 /// traffic. Byte at offset `o` depends only on the arguments, so any two
-/// packets covering the same stream range carry identical bytes.
+/// packets covering the same stream range carry identical bytes: it is
+/// byte `o % 8` (little-endian) of `splitmix64(seed ^ dir << 56 ^ o / 8)`,
+/// mapped to `0x20 + b % 0x5F`.
 pub fn fill_payload(buf: &mut [u8], flow_seed: u64, dir: u8, offset: u64) {
-    for (i, b) in buf.iter_mut().enumerate() {
-        let o = offset + i as u64;
-        let h = splitmix64(flow_seed ^ (u64::from(dir) << 56) ^ (o / 8));
-        let byte = (h >> ((o % 8) * 8)) as u8;
-        // Map into mostly-printable space.
-        *b = 0x20 + (byte % 0x5F);
+    let base = flow_seed ^ (u64::from(dir) << 56);
+    let word = |w: u64| splitmix64(base ^ w).to_le_bytes();
+    // One hash per 8-byte word of the stream: an unaligned head, whole
+    // words, then a tail.
+    let skip = (offset % 8) as usize;
+    let head = ((8 - skip) % 8).min(buf.len());
+    let (head_buf, rest) = buf.split_at_mut(head);
+    if head > 0 {
+        head_buf.copy_from_slice(&word(offset / 8)[skip..skip + head]);
+    }
+    let mut w = offset.div_ceil(8);
+    let mut words = rest.chunks_exact_mut(8);
+    for out in &mut words {
+        out.copy_from_slice(&word(w));
+        w += 1;
+    }
+    let tail = words.into_remainder();
+    if !tail.is_empty() {
+        tail.copy_from_slice(&word(w)[..tail.len()]);
+    }
+    // Map into mostly-printable space, in a pass of its own so that it
+    // runs across the whole buffer at once.
+    for b in buf {
+        *b = 0x20 + *b % 0x5F;
     }
 }
 
@@ -283,9 +303,8 @@ fn overlay_embeds(buf: &mut [u8], offset: u64, embeds: &[(u64, Arc<Vec<u8>>)]) {
         if *eoff < end && pend > offset {
             let from = (*eoff).max(offset);
             let to = pend.min(end);
-            for o in from..to {
-                buf[(o - offset) as usize] = pat[(o - eoff) as usize];
-            }
+            buf[(from - offset) as usize..(to - offset) as usize]
+                .copy_from_slice(&pat[(from - eoff) as usize..(to - eoff) as usize]);
         }
     }
 }
@@ -329,11 +348,10 @@ struct DirPlan {
 }
 
 impl DirPlan {
-    fn segment(&self, flow_seed: u64, dir: u8, offset: u64, len: usize) -> Vec<u8> {
-        let mut buf = vec![0u8; len];
-        fill_payload(&mut buf, flow_seed, dir, offset);
-        overlay_embeds(&mut buf, offset, &self.embeds);
-        buf
+    /// Fill `buf` with the stream bytes at `offset`, embeds included.
+    fn fill(&self, buf: &mut [u8], flow_seed: u64, dir: u8, offset: u64) {
+        fill_payload(buf, flow_seed, dir, offset);
+        overlay_embeds(buf, offset, &self.embeds);
     }
 }
 
@@ -446,9 +464,13 @@ fn build_tcp_session(
         let mut t = start_t;
         let mut off = 0u64;
         let mut segs_since_ack = 0u32;
+        // One buffer for the direction: each segment (and its overlapping
+        // copy, once the segment is on the wire) is filled into it.
+        let mut buf = vec![0u8; mss];
         while off < plan.total {
             let len = ((plan.total - off) as usize).min(mss);
-            let payload = plan.segment(flow_seed, dir, off, len);
+            plan.fill(&mut buf[..len], flow_seed, dir, off);
+            let payload = &buf[..len];
             let seq = isn.wrapping_add(1).wrapping_add(off as u32);
             let mut flags = TcpFlags::ACK;
             if off + len as u64 >= plan.total {
@@ -464,7 +486,7 @@ fn build_tcp_session(
                     seq,
                     peer_isn.wrapping_add(1),
                     flags,
-                    &payload,
+                    payload,
                 ),
             ));
 
@@ -480,7 +502,7 @@ fn build_tcp_session(
                         seq,
                         peer_isn.wrapping_add(1),
                         flags,
-                        &payload,
+                        payload,
                     ),
                 ));
             }
@@ -492,7 +514,8 @@ fn build_tcp_session(
                 let ov_end = (off + half as u64 + ov_len as u64).min(plan.total);
                 let ov_len = (ov_end - off - half as u64) as usize;
                 if ov_len > 0 {
-                    let ov_payload = plan.segment(flow_seed, dir, off + half as u64, ov_len);
+                    plan.fill(&mut buf[..ov_len], flow_seed, dir, off + half as u64);
+                    let ov_payload = &buf[..ov_len];
                     pkts.push(Packet::new(
                         t + seg_gap_ns / 2,
                         tcp(
@@ -503,7 +526,7 @@ fn build_tcp_session(
                             seq.wrapping_add(half as u32),
                             peer_isn.wrapping_add(1),
                             TcpFlags::ACK,
-                            &ov_payload,
+                            ov_payload,
                         ),
                     ));
                 }
@@ -704,6 +727,72 @@ fn build_icmp_session(rng: &mut StdRng, flow_seed: u64, t0: u64) -> Vec<Packet> 
 mod tests {
     use super::*;
     use crate::stats::TraceStats;
+    use proptest::prelude::*;
+
+    /// `fill_payload`'s definition, one hash per byte.
+    fn fill_payload_per_byte(buf: &mut [u8], flow_seed: u64, dir: u8, offset: u64) {
+        for (i, b) in buf.iter_mut().enumerate() {
+            let o = offset + i as u64;
+            let h = splitmix64(flow_seed ^ (u64::from(dir) << 56) ^ (o / 8));
+            *b = 0x20 + ((h >> ((o % 8) * 8)) as u8 % 0x5F);
+        }
+    }
+
+    proptest! {
+        /// The word-at-a-time fill writes the bytes of the definition,
+        /// whatever the alignment of the range's two ends.
+        #[test]
+        fn fill_payload_matches_the_per_byte_definition(
+            seed: u64,
+            dir: u8,
+            offset in 0u64..1 << 40,
+            len in 0usize..3000,
+        ) {
+            for len in [0, 1, 7, 8, 9, 15, len] {
+                let mut got = vec![0u8; len];
+                let mut want = vec![0u8; len];
+                fill_payload(&mut got, seed, dir, offset);
+                fill_payload_per_byte(&mut want, seed, dir, offset);
+                prop_assert_eq!(got, want, "seed {} dir {} offset {} len {}", seed, dir, offset, len);
+            }
+        }
+    }
+
+    /// FNV-1a over every packet's timestamp, frame length and frame bytes.
+    fn trace_digest(pkts: &[Packet]) -> (usize, u64) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in pkts {
+            let head = [p.ts_ns.to_le_bytes(), (p.len() as u64).to_le_bytes()];
+            for &b in head.iter().flatten().chain(p.frame.iter()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        (pkts.len(), h)
+    }
+
+    #[test]
+    fn campus_mix_output_is_pinned() {
+        // The generator feeds every experiment and benchmark: a change to
+        // any byte it emits must be deliberate, and must update these.
+        for (seed, bytes, want) in [
+            (42, 2 << 20, (3334, 0xcdbb_c36f_cde0_2da5)),
+            (7, 1 << 20, (1860, 0x88cb_f477_41e7_fac7)),
+        ] {
+            let pkts = CampusMix::new(CampusMixConfig::sized(seed, bytes)).collect_all();
+            assert_eq!(trace_digest(&pkts), want, "seed {seed}, {bytes} bytes");
+        }
+        // Embedded patterns overlay the fill.
+        let cfg = CampusMixConfig {
+            patterns: Some(Arc::new(vec![
+                b"XXWEBATTACKXX".to_vec(),
+                b"GET /etc/passwd".to_vec(),
+            ])),
+            pattern_prob: 1.0,
+            ..CampusMixConfig::sized(5, 4 << 20)
+        };
+        let pkts = CampusMix::new(cfg).collect_all();
+        assert_eq!(trace_digest(&pkts), (6560, 0x6ee2_824a_b1b1_39dc));
+    }
 
     #[test]
     fn generator_is_deterministic() {
@@ -814,8 +903,9 @@ mod tests {
             total: 5000,
             embeds: vec![],
         };
-        let s1 = plan.segment(99, 0, 1000, 100);
-        let s2 = plan.segment(99, 0, 1050, 100);
+        let (mut s1, mut s2) = ([0u8; 100], [0u8; 100]);
+        plan.fill(&mut s1, 99, 0, 1000);
+        plan.fill(&mut s2, 99, 0, 1050);
         assert_eq!(&s1[50..], &s2[..50]);
     }
 }
