@@ -9,49 +9,31 @@
 //! experiments --out results/         # output directory
 //! ```
 
+use scap_bench::cli::Args;
 use scap_bench::figures::{run_experiment, ALL_EXPERIMENTS};
 use scap_bench::{ExpConfig, Scale};
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut exps: Vec<String> = Vec::new();
+    let mut exps: Vec<&str> = Vec::new();
     let mut scale = Scale::default_scale();
     let mut out_dir = String::from("results");
     let mut seed = 42u64;
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--exp" => {
-                i += 1;
-                while i < args.len() && !args[i].starts_with("--") {
-                    exps.push(args[i].clone());
-                    i += 1;
+    let mut flags = Args::new(&args, die);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--exp" => exps.extend(flags.values()),
+            "--scale" => {
+                scale = match flags.value::<String>("smoke or default").as_str() {
+                    "smoke" => Scale::smoke(),
+                    "default" => Scale::default_scale(),
+                    other => die(&format!("unknown scale '{other}' (use smoke|default)")),
                 }
             }
-            "--scale" => {
-                i += 1;
-                scale = match args.get(i).map(String::as_str) {
-                    Some("smoke") => Scale::smoke(),
-                    Some("default") | None => Scale::default_scale(),
-                    Some(other) => {
-                        eprintln!("unknown scale '{other}' (use smoke|default)");
-                        std::process::exit(2);
-                    }
-                };
-                i += 1;
-            }
-            "--out" => {
-                i += 1;
-                out_dir = args.get(i).cloned().unwrap_or(out_dir);
-                i += 1;
-            }
-            "--seed" => {
-                i += 1;
-                seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(seed);
-                i += 1;
-            }
+            "--out" => out_dir = flags.value("a directory"),
+            "--seed" => seed = flags.value("a number"),
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [--exp <id>... | --exp all] [--scale smoke|default] \
@@ -60,10 +42,7 @@ fn main() {
                 );
                 return;
             }
-            other => {
-                eprintln!("unknown argument '{other}' (try --help)");
-                std::process::exit(2);
-            }
+            other => die(&format!("unknown argument '{other}' (try --help)")),
         }
     }
 
@@ -71,16 +50,15 @@ fn main() {
     // exit as proof must not pass on a mistyped experiment.
     if let Some(bad) = exps
         .iter()
-        .find(|e| *e != "all" && !ALL_EXPERIMENTS.contains(&e.as_str()))
+        .find(|e| **e != "all" && !ALL_EXPERIMENTS.contains(e))
     {
-        eprintln!(
+        die(&format!(
             "unknown experiment '{bad}' (ids: {})",
             ALL_EXPERIMENTS.join(" ")
-        );
-        std::process::exit(2);
+        ));
     }
-    if exps.is_empty() || exps.iter().any(|e| e == "all") {
-        exps = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+    if exps.is_empty() || exps.contains(&"all") {
+        exps = ALL_EXPERIMENTS.to_vec();
     }
 
     let mut cfg = ExpConfig::new(scale);
@@ -116,4 +94,9 @@ fn main() {
         Ok(path) => println!("summary: {}", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_summary.json: {e}"),
     }
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("experiments: {msg}");
+    std::process::exit(2);
 }

@@ -13,9 +13,12 @@
 //! scapcat trace.pcap --cutoff 4096           # keep 4 KB per stream
 //! scapcat --gen 8 out.pcap                   # write an 8 MB synthetic pcap
 //! scapcat --top 20 trace.pcap                # largest 20 streams
-//! scapcat --stats-interval 5000 trace.pcap   # telemetry table to stderr
-//!                                            # every 5000 packets, plus a
-//!                                            # final drop-attribution line
+//! scapcat --stats-interval 5000 trace.pcap   # OpenMetrics to stderr
+//!                                            # every 5000 packets and at
+//!                                            # the end (for `scaptop -`)
+//! scapcat --shards 4 [--storm] trace.pcap    # a shard fleet (under a
+//!                                            # seeded kill storm); no
+//!                                            # per-stream table
 //! scapcat --trace 17 trace.pcap              # full flight-recorder
 //!                                            # lifecycle of stream uid 17
 //! scapcat --trace "port 80" trace.pcap       # same, for every stream
@@ -29,9 +32,17 @@
 //!     continue with the remaining packets
 //! ```
 
-use scap::{DispatchMode, Scap, StreamCtx};
+use scap::flight::decode_journal;
+use scap::telemetry::{Metric, Snapshot};
+use scap::{
+    DispatchMode, FaultPlan, FleetConfig, Scap, ScapBuilder, ScapConfig, ShardFleet, StreamCtx,
+};
+use scap_bench::cli::Args;
+use scap_bench::render::{exposition, fleet_series, loss_series, Progress};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
 use scap_trace::pcap::{write_file, PcapReader};
+use scap_trace::Packet;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -52,8 +63,8 @@ fn main() {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: scapcat [--gen MB out.pcap] [--cutoff BYTES] [--top N] \
-             [--fastpath] [--offload] [--burst FRAMES] \
-             [--stats-interval PKTS] [--write out.pcap] [--trace UID|FILTER] \
+             [--fastpath] [--offload] [--burst FRAMES] [--stats-interval PKTS] \
+             [--shards N [--storm]] [--write out.pcap] [--trace UID|FILTER] \
              [--supervise [--checkpoint-every PKTS] [--ckpt FILE] [--kill-at PKT]] \
              <file.pcap> [filter]"
         );
@@ -86,97 +97,37 @@ fn main() {
     let mut fastpath = false;
     let mut offload = false;
     let mut burst: Option<usize> = None;
+    let mut shards: Option<usize> = None;
+    let mut storm = false;
     let mut kill_at: Option<u64> = None;
     let mut ckpt_every: u64 = 1000;
     let mut ckpt_path: Option<String> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut positional: Vec<&str> = Vec::new();
+    let mut flags = Args::new(&args, die);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--supervise" => supervise = true,
             "--fastpath" => fastpath = true,
             "--offload" => offload = true,
-            "--burst" => {
-                i += 1;
-                burst = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| die("--burst needs a frame count")),
-                );
-            }
-            "--kill-at" => {
-                i += 1;
-                kill_at = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--kill-at needs a packet index")),
-                );
-            }
-            "--checkpoint-every" => {
-                i += 1;
-                ckpt_every = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &u64| n > 0)
-                    .unwrap_or_else(|| die("--checkpoint-every needs a packet count"));
-            }
-            "--ckpt" => {
-                i += 1;
-                ckpt_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--ckpt needs a file path")),
-                );
-            }
-            "--cutoff" => {
-                i += 1;
-                cutoff = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--cutoff needs a byte count")),
-                );
-            }
-            "--stats-interval" => {
-                i += 1;
-                stats_interval = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--stats-interval needs a packet count")),
-                );
-            }
-            "--top" => {
-                i += 1;
-                top = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--top needs a number"));
-            }
-            "--write" => {
-                i += 1;
-                write_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--write needs an output path")),
-                );
-            }
-            "--trace" => {
-                i += 1;
-                trace_query = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--trace needs a stream uid or 5-tuple filter")),
-                );
-            }
+            "--storm" => storm = true,
+            "--shards" => shards = Some(flags.value::<NonZeroUsize>("a shard count").get()),
+            "--burst" => burst = Some(flags.value::<NonZeroUsize>("a frame count").get()),
+            "--kill-at" => kill_at = Some(flags.value("a packet index")),
+            "--checkpoint-every" => ckpt_every = flags.value::<NonZeroU64>("a packet count").get(),
+            "--ckpt" => ckpt_path = Some(flags.value("a file path")),
+            "--cutoff" => cutoff = Some(flags.value("a byte count")),
+            "--stats-interval" => stats_interval = Some(flags.value("a packet count")),
+            "--top" => top = flags.value("a number"),
+            "--write" => write_out = Some(flags.value("an output path")),
+            "--trace" => trace_query = Some(flags.value("a stream uid or 5-tuple filter")),
             other if other.starts_with("--") => die(&format!("unknown flag {other}")),
-            _ => positional.push(&args[i]),
+            _ => positional.push(arg),
         }
-        i += 1;
     }
     let Some(path) = positional.first() else {
         die("no pcap file given")
     };
-    let filter = positional.get(1).map(|s| s.as_str()).unwrap_or("");
+    let filter = positional.get(1).copied().unwrap_or("");
 
     let f = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("cannot open {path}: {e}")));
     let packets = PcapReader::new(f)
@@ -184,11 +135,26 @@ fn main() {
         .read_all()
         .unwrap_or_else(|e| die(&format!("read error: {e}")));
 
+    // The capture flags, for the plain and the supervised capture alike.
+    let capture = || {
+        let mut b = Scap::builder()
+            .filter(filter)
+            .worker_threads(2)
+            .offload(offload);
+        if let Some(c) = cutoff {
+            b = b.cutoff(c);
+        }
+        if fastpath {
+            b = b.dispatch(DispatchMode::Fastpath);
+        }
+        if let Some(n) = burst {
+            b = b.fastpath_burst(n);
+        }
+        b
+    };
     if supervise {
         let ckpt = ckpt_path.unwrap_or_else(|| format!("{path}.ckpt"));
-        run_supervised(
-            packets, filter, cutoff, fastpath, offload, burst, kill_at, ckpt_every, &ckpt,
-        );
+        run_supervised(packets, &capture, kill_at, ckpt_every, &ckpt);
         return;
     }
 
@@ -199,7 +165,7 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("bad filter expression: {e}")));
         let mut budgets: std::collections::HashMap<scap::FlowKey, u64> =
             std::collections::HashMap::new();
-        let kept: Vec<scap_trace::Packet> = packets
+        let kept: Vec<Packet> = packets
             .iter()
             .filter(|p| {
                 if !filt.matches_frame(&p.frame) {
@@ -234,29 +200,60 @@ fn main() {
         );
     }
 
+    let mode = if fastpath { "fastpath" } else { "classic" };
+    let labels = [("proc", "scapcat"), ("mode", mode)];
+    if let Some(nshards) = shards {
+        // The capture flags apply to every shard's kernel.
+        let d = ScapConfig::default();
+        let filter = scap_filter::Filter::new(filter)
+            .unwrap_or_else(|e| die(&format!("bad filter expression: {e}")));
+        let mut shard = ScapConfig {
+            filter: Some(filter),
+            use_offload: offload,
+            fastpath_burst: burst.unwrap_or(d.fastpath_burst),
+            ..d
+        };
+        shard.cutoff.default = cutoff;
+        if fastpath {
+            shard.dispatch = DispatchMode::Fastpath;
+        }
+        let cfg = FleetConfig {
+            nshards,
+            shard,
+            faults: storm.then(|| FaultPlan::shard_storm(42, nshards)),
+            ..FleetConfig::default()
+        };
+        run_fleet(&packets, cfg, stats_interval, &labels);
+    }
+
     let flows: Arc<Mutex<Vec<FlowLine>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut builder = Scap::builder().filter(filter).worker_threads(2);
-    if let Some(c) = cutoff {
-        builder = builder.cutoff(c);
-    }
-    if fastpath {
-        builder = builder.dispatch(DispatchMode::Fastpath);
-    }
-    if offload {
-        builder = builder.offload(true);
-    }
-    if let Some(n) = burst {
-        builder = builder.fastpath_burst(n);
-    }
+    let mut builder = capture();
     if let Some(n) = stats_interval {
         builder = builder.stats_interval(n);
     }
     let mut scap = builder
         .try_build()
         .unwrap_or_else(|e| die(&format!("bad filter expression: {e}")));
+    // Each packet's trace time: an exposition says how far the capture got.
+    let times: Arc<[u64]> = packets.iter().map(|p| p.ts_ns).collect();
+    let publish = move |fed: u64, snap: &Snapshot, pulse: &_, journals: Option<&[_]>| {
+        let total = times.len() as u64;
+        let ts_ns = fed
+            .checked_sub(1)
+            .and_then(|i| times.get(i as usize))
+            .map_or(0, |&t| t);
+        let progress = Progress { fed, total, ts_ns };
+        let text = exposition(&labels, progress, snap, pulse, |om| {
+            if let Some(journals) = journals {
+                loss_series(om, journals);
+            }
+        });
+        eprint!("{text}");
+    };
     if stats_interval.is_some() {
-        scap.dispatch_stats(|snap| {
-            eprintln!("{}", scap::telemetry::export::to_table(snap));
+        let publish = publish.clone();
+        scap.dispatch_stats(move |snap, pulse| {
+            publish(snap.total(Metric::WirePackets), snap, pulse, None)
         });
     }
     {
@@ -320,20 +317,17 @@ fn main() {
         );
     }
     if stats_interval.is_some() {
-        if let Some(snap) = scap.telemetry_snapshot() {
-            eprintln!(
-                "\nfinal telemetry:\n{}",
-                scap::telemetry::export::to_table(snap)
-            );
-        }
-        // One-line drop attribution from the flight recorder: where and
-        // why the capture lost packets, worst offenders first.
-        if let Some(j) = scap
-            .flight_journal()
-            .and_then(|b| scap::flight::decode_journal(&b).ok())
-        {
-            eprintln!("{}", scap::flight::top_reasons_line(&j.events, 3));
-        }
+        // The final exposition adds the flight journal's loss rows:
+        // where and why the capture lost packets.
+        let journal = scap.flight_journal().and_then(|b| decode_journal(&b).ok());
+        let snap = scap.telemetry_snapshot().cloned().unwrap_or_default();
+        let pulse = scap.pulse_snapshot().unwrap_or_default();
+        publish(
+            stats.stack.wire_packets,
+            &snap,
+            &pulse,
+            Some(journal.as_slice()),
+        );
     }
 
     // --trace UID|FILTER: stream-scoped flight-recorder query — the full
@@ -343,8 +337,8 @@ fn main() {
         let bytes = scap
             .flight_journal()
             .unwrap_or_else(|| die("no flight journal (capture did not run)"));
-        let journal = scap::flight::decode_journal(&bytes)
-            .unwrap_or_else(|e| die(&format!("flight journal: {e}")));
+        let journal =
+            decode_journal(&bytes).unwrap_or_else(|e| die(&format!("flight journal: {e}")));
         let uids: Vec<u64> = match q.parse::<u64>() {
             Ok(uid) => vec![uid],
             Err(_) => {
@@ -387,14 +381,9 @@ fn main() {
 /// latest checkpoint and feed it the packets the dead run never admitted.
 /// The packets between the last checkpoint and the crash are the blackout
 /// window — resumed streams carry the RESUMED flag and a bounded gap.
-#[allow(clippy::too_many_arguments)]
 fn run_supervised(
-    packets: Vec<scap_trace::Packet>,
-    filter: &str,
-    cutoff: Option<u64>,
-    fastpath: bool,
-    offload: bool,
-    burst: Option<usize>,
+    packets: Vec<Packet>,
+    capture: &dyn Fn() -> ScapBuilder,
     kill_at: Option<u64>,
     ckpt_every: u64,
     ckpt: &str,
@@ -409,22 +398,7 @@ fn run_supervised(
         if attempts > 16 {
             die("too many restarts; giving up");
         }
-        let mut builder = Scap::builder()
-            .filter(filter)
-            .worker_threads(2)
-            .checkpoint_every(ckpt_every, ckpt);
-        if let Some(c) = cutoff {
-            builder = builder.cutoff(c);
-        }
-        if fastpath {
-            builder = builder.dispatch(DispatchMode::Fastpath);
-        }
-        if offload {
-            builder = builder.offload(true);
-        }
-        if let Some(n) = burst {
-            builder = builder.fastpath_burst(n);
-        }
+        let mut builder = capture().checkpoint_every(ckpt_every, ckpt);
         if let Some(n) = kill.take() {
             builder = builder.fault_plan(scap::FaultPlan {
                 kill_at_packet: Some(n),
@@ -465,6 +439,55 @@ fn run_supervised(
             }
         }
     }
+}
+
+/// `--shards N [--storm]`: partition the trace across a supervised
+/// shard fleet. With `--stats-interval` it publishes the fleet's rows
+/// every interval and, once finished, with its loss rows and its
+/// conservation. Exits 1 unless the fleet conserves.
+fn run_fleet(trace: &[Packet], cfg: FleetConfig, every: Option<u64>, labels: &[(&str, &str)]) -> ! {
+    let backoff_cap_ns = cfg.backoff_cap_ns;
+    let mut fleet = ShardFleet::new(cfg);
+    let total = trace.len() as u64;
+    let publish = |fleet: &ShardFleet, fed: u64, ts_ns: u64, journals: Option<&[_]>| {
+        let progress = Progress { fed, total, ts_ns };
+        let (idle, pulse) = (Snapshot::empty(1), fleet.fleet_pulse());
+        let text = exposition(labels, progress, &idle, &pulse, |om| {
+            fleet_series(om, fleet, journals.is_some());
+            if let Some(journals) = journals {
+                loss_series(om, journals);
+            }
+        });
+        eprint!("{text}");
+    };
+    let mut now = 0u64;
+    for (i, pkt) in trace.iter().enumerate() {
+        now = pkt.ts_ns;
+        fleet.offer(pkt);
+        let fed = i as u64 + 1;
+        if every.is_some_and(|n| fed.is_multiple_of(n)) {
+            publish(&fleet, fed, now, None);
+        }
+    }
+    // Let pending respawns land, then flush.
+    fleet.tick(now + backoff_cap_ns + 1);
+    fleet.finish(now + backoff_cap_ns + 2);
+    if every.is_some() {
+        let journals = fleet.journals();
+        let decoded: Vec<_> = journals
+            .iter()
+            .filter_map(|b| decode_journal(b).ok())
+            .collect();
+        publish(&fleet, total, now, Some(&decoded));
+    }
+    let fs = fleet.fleet_stats();
+    let conserved = fs.packets_conserved() && fs.bytes_conserved();
+    let verdict = if conserved { "ok" } else { "VIOLATED" };
+    println!(
+        "fleet capture complete: {} packets | {} kills / {} respawns | conservation {verdict}",
+        fs.wire_packets, fs.kills, fs.respawns,
+    );
+    std::process::exit(i32::from(!conserved));
 }
 
 fn die(msg: &str) -> ! {

@@ -25,7 +25,8 @@
 
 use scap::checkpoint::write_atomic;
 use scap::tenant::valid_tenant_name;
-use scap_bench::render::{parse_scapd_status, TENANT_GAUGES};
+use scap_bench::cli::Args;
+use scap_bench::render::{parse_scapd_status, Rows, TenantRow};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -67,64 +68,21 @@ fn parse_flags(args: &[String], needs_name: bool) -> Flags {
         wait_ms: 15_000,
         poll_ms: 10,
     };
-    let numarg = |args: &[String], i: usize, name: &str| -> u64 {
-        args.get(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| die(&format!("{name} needs a number")))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dir" => {
-                i += 1;
-                f.dir = PathBuf::from(args.get(i).unwrap_or_else(|| die("--dir needs a path")));
-            }
-            "--name" => {
-                i += 1;
-                f.name = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--name needs a value"))
-                    .clone();
-            }
-            "--filter" => {
-                i += 1;
-                f.filter = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--filter needs a value"))
-                        .clone(),
-                );
-            }
-            "--cutoff" => {
-                i += 1;
-                f.cutoff = Some(numarg(args, i, "--cutoff"));
-            }
-            "--priority" => {
-                i += 1;
-                f.priority = numarg(args, i, "--priority") as u8;
-            }
-            "--mem" => {
-                i += 1;
-                f.mem = numarg(args, i, "--mem") as u32;
-            }
-            "--disk" => {
-                i += 1;
-                f.disk = numarg(args, i, "--disk") as u32;
-            }
-            "--stall-after" => {
-                i += 1;
-                f.stall_after = Some(numarg(args, i, "--stall-after"));
-            }
-            "--wait-ms" => {
-                i += 1;
-                f.wait_ms = numarg(args, i, "--wait-ms");
-            }
-            "--poll-ms" => {
-                i += 1;
-                f.poll_ms = numarg(args, i, "--poll-ms").max(1);
-            }
+    let mut flags = Args::new(args, die);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--dir" => f.dir = flags.value("a path"),
+            "--name" => f.name = flags.value("a value"),
+            "--filter" => f.filter = Some(flags.value("a value")),
+            "--cutoff" => f.cutoff = Some(flags.value("a number")),
+            "--priority" => f.priority = flags.value("a number"),
+            "--mem" => f.mem = flags.value("a number"),
+            "--disk" => f.disk = flags.value("a number"),
+            "--stall-after" => f.stall_after = Some(flags.value("a number")),
+            "--wait-ms" => f.wait_ms = flags.value("a number"),
+            "--poll-ms" => f.poll_ms = flags.value::<u64>("a number").max(1),
             other => die(&format!("unknown flag {other}")),
         }
-        i += 1;
     }
     if f.dir.as_os_str().is_empty() {
         die("--dir is required");
@@ -269,15 +227,15 @@ fn status(f: &Flags) -> i32 {
     let s = parse_scapd_status(&read_metrics(f)).unwrap_or_else(|e| die(&e));
     println!(
         "# fed={} total={} ts_ns={} conserved={}",
-        s.fed,
-        s.total,
-        s.ts_ns,
+        s.progress.fed,
+        s.progress.total,
+        s.progress.ts_ns,
         s.conserved()
     );
-    let names: Vec<&str> = TENANT_GAUGES.iter().map(|(n, _)| *n).collect();
+    let names: Vec<&str> = TenantRow::FIELDS.iter().map(|(n, _)| *n).collect();
     println!("tenant\tid\tstate\t{}\tconserved", names.join("\t"));
     for mut r in s.tenants {
-        let cells: Vec<String> = TENANT_GAUGES
+        let cells: Vec<String> = TenantRow::FIELDS
             .iter()
             .map(|(_, f)| f(&mut r).to_string())
             .collect();

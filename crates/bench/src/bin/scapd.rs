@@ -42,7 +42,8 @@
 use scap::checkpoint::write_atomic;
 use scap::tenant::{Tenant, TenantEngine, TenantSpec, TenantState, TenantStats};
 use scap::{ScapConfig, ScapKernel};
-use scap_bench::render::{scapd_series, ScapdStatus, TenantRow};
+use scap_bench::cli::Args;
+use scap_bench::render::{exposition, scapd_series, Progress, ScapdStatus, TenantRow};
 use scap_trace::gen::{CampusMix, CampusMixConfig};
 use scap_trace::Packet;
 use std::collections::{HashMap, HashSet};
@@ -315,23 +316,25 @@ impl Daemon {
         fed: usize,
         total: usize,
     ) {
-        let mut om = scap::telemetry::openmetrics::OpenMetrics::new();
         let labels = [("proc", "scapd"), ("mode", mode)];
-        om.registry(&kernel.telemetry_snapshot(), &labels);
         let mut pulse = kernel.pulse_snapshot();
         pulse.merge(&self.engine.pulse_snapshot());
-        om.pulse(&pulse, &labels);
         let mut tenants: Vec<TenantRow> =
             self.engine.tenants().iter().map(|t| self.row(t)).collect();
         tenants.extend(self.detached.iter().cloned());
         let status = ScapdStatus {
-            fed: fed as u64,
-            total: total as u64,
-            ts_ns: now_ns,
+            progress: Progress {
+                fed: fed as u64,
+                total: total as u64,
+                ts_ns: now_ns,
+            },
             tenants,
         };
-        scapd_series(&mut om, &status);
-        publish(&self.dir.join("metrics"), &om.finish());
+        let snap = kernel.telemetry_snapshot();
+        let text = exposition(&labels, status.progress, &snap, &pulse, |om| {
+            scapd_series(om, &status)
+        });
+        publish(&self.dir.join("metrics"), &text);
     }
 }
 
@@ -368,51 +371,19 @@ fn main() {
     let mut window: u64 = 64 << 10;
     let mut pace_us: u64 = 300;
     let mut attach_wait_ms: u64 = 30_000;
-    let numarg = |args: &[String], i: usize, name: &str| -> u64 {
-        args.get(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| die(&format!("{name} needs a number")))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dir" => {
-                i += 1;
-                dir = Some(PathBuf::from(
-                    args.get(i).unwrap_or_else(|| die("--dir needs a path")),
-                ));
-            }
-            "--await-tenants" => {
-                i += 1;
-                await_tenants = numarg(&args, i, "--await-tenants") as usize;
-            }
-            "--gen" => {
-                i += 1;
-                gen_mb = numarg(&args, i, "--gen");
-            }
-            "--seed" => {
-                i += 1;
-                seed = numarg(&args, i, "--seed");
-            }
-            "--budget" => {
-                i += 1;
-                budget = numarg(&args, i, "--budget");
-            }
-            "--window" => {
-                i += 1;
-                window = numarg(&args, i, "--window");
-            }
-            "--pace-us" => {
-                i += 1;
-                pace_us = numarg(&args, i, "--pace-us");
-            }
-            "--attach-wait-ms" => {
-                i += 1;
-                attach_wait_ms = numarg(&args, i, "--attach-wait-ms");
-            }
+    let mut flags = Args::new(&args, die);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--dir" => dir = Some(flags.value("a path")),
+            "--await-tenants" => await_tenants = flags.value("a number"),
+            "--gen" => gen_mb = flags.value("a number"),
+            "--seed" => seed = flags.value("a number"),
+            "--budget" => budget = flags.value("a number"),
+            "--window" => window = flags.value("a number"),
+            "--pace-us" => pace_us = flags.value("a number"),
+            "--attach-wait-ms" => attach_wait_ms = flags.value("a number"),
             other => die(&format!("unknown flag {other}")),
         }
-        i += 1;
     }
     let dir = dir.unwrap_or_else(|| die("--dir is required"));
     std::fs::create_dir_all(&dir)

@@ -377,7 +377,8 @@ fn verify_flight(path: &str) {
             j.torn_bytes
         );
     }
-    println!("{}", scap::flight::top_reasons_line(&j.events, 3));
+    let rows = scap::flight::attribution(&j.events);
+    println!("{}", scap::flight::top_reasons_line(rows, 3));
     let tail = j.events.len().saturating_sub(8);
     for e in &j.events[tail..] {
         println!("{}", e.format());

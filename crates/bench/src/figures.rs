@@ -1318,7 +1318,7 @@ pub fn flight(cfg: &ExpConfig) -> Vec<FigureResult> {
         ],
         rows: attr_rows,
         notes: vec![
-            top_reasons_line(&journal.events, 3),
+            top_reasons_line(attribution(&journal.events), 3),
             "every row was emitted inside the kernel's loss-accounting funnel, so the sums \
              reconcile against telemetry by construction"
                 .into(),

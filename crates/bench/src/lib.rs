@@ -18,6 +18,7 @@
 //! EXPERIMENTS.md in the repository root records a full run against the
 //! paper's reported numbers.
 
+pub mod cli;
 pub mod common;
 pub mod figures;
 pub mod render;

@@ -53,7 +53,7 @@ use crew::{Crew, WorkerHandlers};
 use scap_faults::{FaultPlan, FrameFaultStats, WorkerFault};
 use scap_filter::{Filter, FilterError};
 use scap_reassembly::{OverlapPolicy, ReassemblyMode};
-use scap_telemetry::{Sampler, Snapshot, SpanTimer, Stage};
+use scap_telemetry::{PulseSnapshot, Sampler, Snapshot, SpanTimer, Stage};
 use scap_trace::Packet;
 use scap_wire::Direction;
 use std::path::{Path, PathBuf};
@@ -593,8 +593,9 @@ pub struct Scap {
     last_series: Option<Sampler>,
 }
 
-/// Periodic-stats callback type: runs on the kernel thread.
-pub type StatsHandler = Arc<dyn Fn(&Snapshot) + Send + Sync>;
+/// Periodic-stats callback type: runs on the kernel thread with the
+/// merged telemetry snapshot and the kernel's pulse plane.
+pub type StatsHandler = Arc<dyn Fn(&Snapshot, &PulseSnapshot) + Send + Sync>;
 
 /// Most packets fed to the NIC between two service passes. Also the
 /// watchdog cadence, so a burst never spans a watchdog pass.
@@ -635,9 +636,12 @@ impl Scap {
     }
 
     /// Install the periodic-stats hook: called on the kernel thread with
-    /// a merged telemetry snapshot every
+    /// a merged telemetry snapshot and the kernel's pulse plane every
     /// [`ScapBuilder::stats_interval`] packets during capture.
-    pub fn dispatch_stats<F: Fn(&Snapshot) + Send + Sync + 'static>(&mut self, f: F) {
+    pub fn dispatch_stats<F: Fn(&Snapshot, &PulseSnapshot) + Send + Sync + 'static>(
+        &mut self,
+        f: F,
+    ) {
         self.on_stats = Some(Arc::new(f));
     }
 
@@ -646,6 +650,12 @@ impl Scap {
     /// histograms under this driver.
     pub fn telemetry_snapshot(&self) -> Option<&Snapshot> {
         self.last_telemetry.as_ref()
+    }
+
+    /// The kernel's pulse plane (per-stage latency histograms and tail
+    /// exemplars) as the most recent capture left it.
+    pub fn pulse_snapshot(&self) -> Option<PulseSnapshot> {
+        self.kernel.as_ref().map(ScapKernel::pulse_snapshot)
     }
 
     /// Gauge time-series sampled during the most recent capture, keyed
@@ -820,7 +830,7 @@ impl Scap {
                     if npkts.is_multiple_of(every) {
                         let mut snap = kernel.telemetry_snapshot();
                         snap.merge(&crew.telemetry());
-                        hook(&snap);
+                        hook(&snap, &kernel.pulse_snapshot());
                     }
                 }
                 if npkts.is_multiple_of(MAX_BURST) {
@@ -1156,8 +1166,9 @@ mod tests {
         let calls = Arc::new(AtomicU64::new(0));
         let mut scap = Scap::builder().stats_interval(500).try_build().unwrap();
         let c = calls.clone();
-        scap.dispatch_stats(move |snap| {
+        scap.dispatch_stats(move |snap, pulse| {
             assert!(snap.total(Metric::WirePackets) > 0);
+            assert!(!pulse.is_empty());
             c.fetch_add(1, Ordering::Relaxed);
         });
         scap.start_capture(trace());

@@ -96,7 +96,7 @@ fn ordinals(max_burst: u64, pkts: &[Packet], kill_at: u64, tag: &str) -> Ordinal
         .with_max_burst(max_burst);
     let calls = Arc::new(Mutex::new(Vec::new()));
     let c = calls.clone();
-    scap.dispatch_stats(move |snap| c.lock().unwrap().push(snap.total(Metric::WirePackets)));
+    scap.dispatch_stats(move |snap, _| c.lock().unwrap().push(snap.total(Metric::WirePackets)));
     let stats = scap.start_capture(pkts.iter().cloned());
     let img = checkpoint::read_image(&path).expect("a checkpoint was written");
     let _ = std::fs::remove_file(&path);

@@ -198,8 +198,8 @@ struct ShardSlot {
     retired_pulse: PulseSnapshot,
 }
 
-/// A point-in-time status row for one shard (the `scaptop --shards`
-/// panel and the soak experiment's per-shard figure).
+/// A point-in-time status row for one shard (`scapcat --shards`'s
+/// `scap_shard_*` gauges and the soak experiment's per-shard figure).
 #[derive(Debug, Clone)]
 pub struct ShardStatus {
     /// Shard index.

@@ -830,10 +830,10 @@ pub fn attribution(events: &[FlightEvent]) -> Vec<AttributionRow> {
         .collect()
 }
 
-/// The top `n` loss reasons by packets, rendered as a one-line summary
-/// (for `scapcat --stats-interval`).
-pub fn top_reasons_line(events: &[FlightEvent], n: usize) -> String {
-    let mut rows = attribution(events);
+/// The top `n` loss reasons by packets, rendered as a one-line summary,
+/// from rows aggregated by [`attribution`] (or read back from an
+/// exposition's `scap_loss_*` families).
+pub fn top_reasons_line(mut rows: Vec<AttributionRow>, n: usize) -> String {
     rows.sort_by_key(|r| std::cmp::Reverse((r.pkts, r.bytes)));
     if rows.is_empty() {
         return "drops: none".to_string();
@@ -1003,7 +1003,7 @@ mod tests {
         // A row counts journal entries; packets and bytes are exact.
         let ppl = rows.iter().find(|r| r.reason == DropReason::Ppl).unwrap();
         assert_eq!((ppl.events, ppl.pkts, ppl.bytes), (4, 6, 600));
-        let line = top_reasons_line(&rec.events(), 3);
+        let line = top_reasons_line(attribution(&rec.events()), 3);
         assert!(line.contains("ppl"), "{line}");
     }
 
