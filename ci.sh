@@ -154,6 +154,15 @@ share_log=$(cargo run --release -q --example shared_capture) \
     && echo "$share_log" | grep -q "every tenant conserved" \
     || { echo "shared_capture did not show every tenant conserved: $share_log"; exit 1; }
 
+echo "== one counter plane in the kernel =="
+# The kernel books each fact once, in its registry, and returns no
+# receipt: the simulator (crates/core/src/stack.rs) prices the deltas of
+# those counters around each call. The model's receipt type coming back
+# into the kernel fails here.
+if grep -rnw Work crates/core/src/kernel/ crates/core/src/kernel.rs crates/core/src/driver.rs; then
+    echo "the kernel names the model's Work receipt again (see above)"; exit 1
+fi
+
 echo "== one format per artifact, one field codec =="
 # scapd publishes only OpenMetrics, the telemetry snapshot only JSONL, a
 # run only BENCH_summary.json, and checkpoint, tenant and archive-index
@@ -286,6 +295,13 @@ echo "$sup_log" | grep -q "supervised capture complete after 1 restart" \
 cargo run --release -p scap-bench --bin scapstore -- \
     verify "$sup_out/scap.ckpt" --repair >/dev/null \
     || { echo "checkpoint left by the supervisor failed verify"; exit 1; }
+# A flag the supervised capture would drop is refused (exit 2), not ignored.
+set +e
+target/release/scapcat --supervise --stats-interval 500 "$sup_out/trace.pcap" >/dev/null 2>&1
+refused=$?
+set -e
+[ "$refused" -eq 2 ] \
+    || { echo "scapcat --supervise --stats-interval exited $refused, not 2"; exit 1; }
 
 echo "== flight black box after the kill =="
 test -s "$sup_out/scap.ckpt.flight" \

@@ -103,8 +103,12 @@ fn main() {
     let mut ckpt_every: u64 = 1000;
     let mut ckpt_path: Option<String> = None;
     let mut positional: Vec<&str> = Vec::new();
+    let mut given: Vec<&str> = Vec::new();
     let mut flags = Args::new(&args, die);
     while let Some(arg) = flags.next() {
+        if arg.starts_with("--") {
+            given.push(arg);
+        }
         match arg {
             "--supervise" => supervise = true,
             "--fastpath" => fastpath = true,
@@ -124,6 +128,7 @@ fn main() {
             _ => positional.push(arg),
         }
     }
+    refuse_ignored_flags(&given);
     let Some(path) = positional.first() else {
         die("no pcap file given")
     };
@@ -488,6 +493,28 @@ fn run_fleet(trace: &[Packet], cfg: FleetConfig, every: Option<u64>, labels: &[(
         fs.wire_packets, fs.kills, fs.respawns,
     );
     std::process::exit(i32::from(!conserved));
+}
+
+/// Refuse a flag the chosen mode would drop silently: a supervised
+/// capture applies none of the output flags and runs one kernel, a fleet
+/// prints no per-stream table, and the kill storm and the checkpoint
+/// flags belong to the fleet and to the supervisor.
+fn refuse_ignored_flags(given: &[&str]) {
+    let has = |flag: &str| given.contains(&flag);
+    let rules = [
+        ("with", "--supervise", "--stats-interval --top --write"),
+        ("with", "--supervise", "--trace --shards --storm"),
+        ("with", "--shards", "--top --trace"),
+        ("without", "--shards", "--storm"),
+        ("without", "--supervise", "--kill-at --ckpt"),
+        ("without", "--supervise", "--checkpoint-every"),
+    ];
+    for (how, mode, flags) in rules {
+        let ignored = has(mode) == (how == "with");
+        if let Some(flag) = flags.split(' ').find(|&f| ignored && has(f)) {
+            die(&format!("{flag} has no effect {how} {mode}"));
+        }
+    }
 }
 
 fn die(msg: &str) -> ! {

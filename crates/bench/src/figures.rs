@@ -1675,6 +1675,7 @@ pub fn tenants(cfg: &ExpConfig) -> Vec<FigureResult> {
 /// A second figure ablates the burst size (8..128 frames) at 128 K
 /// flows.
 pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
+    use scap::stack::priced_poll;
     use scap::telemetry::Metric;
     use scap::{DispatchMode, ScapConfig};
     use scap_flight::{decode_journal, FlightKind};
@@ -1716,9 +1717,9 @@ pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
     }
 
     // Batched drive: enqueue a batch (well under the 4096-slot rings),
-    // then poll every core dry and drain its events. Returns the
-    // accumulated `Work` receipt for the cost model. Hand-written, not
-    // `service`: it sums every poll's receipt and runs no timers.
+    // then poll every core dry and drain its events. Returns the sum of
+    // every poll's work as the simulator prices it (`priced_poll`).
+    // Hand-written, not `service`: it prices polls and runs no timers.
     fn drive(kernel: &mut ScapKernel, pkts: &[Packet]) -> Work {
         const BATCH: usize = 512;
         let mut work = Work::default();
@@ -1728,7 +1729,7 @@ pub fn fastpath(cfg: &ExpConfig) -> Vec<FigureResult> {
             }
             let now = batch.last().expect("non-empty batch").ts_ns;
             for core in 0..kernel.ncores() {
-                while let Some(w) = kernel.poll(core, now) {
+                while let Some(w) = priced_poll(kernel, core, now) {
                     work.add(&w);
                 }
                 while let Some(ev) = kernel.next_event(core) {

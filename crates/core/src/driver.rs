@@ -14,7 +14,6 @@
 use crate::config::DispatchMode;
 use crate::event::{Event, EventKind};
 use crate::kernel::ScapKernel;
-use scap_sim::Work;
 use scap_telemetry::{SpanTimer, Stage};
 
 /// Whether a service step records its stage spans.
@@ -31,11 +30,11 @@ pub enum StageClock {
 
 impl ScapKernel {
     /// Run the next packet (classic) or burst (fast path) at the front of
-    /// a core's RX ring, by [`crate::ScapConfig::dispatch`], and return
-    /// its work receipt; `None` once the ring is empty. The only place
-    /// the dispatch mode chooses between [`ScapKernel::kernel_poll`] and
+    /// a core's RX ring, by [`crate::ScapConfig::dispatch`]; returns the
+    /// packets processed, `None` once the ring is empty. The only place
+    /// the dispatch mode chooses [`ScapKernel::kernel_poll`] or
     /// [`ScapKernel::poll_burst`].
-    pub fn poll(&mut self, core: usize, now: u64) -> Option<Work> {
+    pub fn poll(&mut self, core: usize, now: u64) -> Option<usize> {
         match self.config().dispatch {
             DispatchMode::Classic => self.kernel_poll(core, now),
             DispatchMode::Fastpath => self.poll_burst(core, now),
@@ -109,6 +108,7 @@ impl ScapKernel {
 mod tests {
     use super::*;
     use crate::config::ScapConfig;
+    use scap_telemetry::Metric;
     use scap_trace::Packet;
     use scap_wire::PacketBuilder;
 
@@ -125,16 +125,18 @@ mod tests {
         k
     }
 
-    /// `poll` is the one dispatch switch: its receipt shows a burst
-    /// exactly on the fast path, and the service step's wall-clock span
-    /// is booked to the stage of the path that ran.
+    /// `poll` is the one dispatch switch: it books a burst exactly on the
+    /// fast path, and the service step's wall-clock span is booked to
+    /// the stage of the path that ran.
     #[test]
     fn poll_runs_the_configured_dispatch_path() {
         for mode in [DispatchMode::Classic, DispatchMode::Fastpath] {
             let fast = mode == DispatchMode::Fastpath;
             let mut k = loaded_kernel(mode);
-            let w = k.poll(0, 10).expect("frames are queued");
-            assert_eq!(w.fp_bursts > 0, fast, "{mode:?}: {w:?}");
+            let n = k.poll(0, 10).expect("frames are queued");
+            assert_eq!(n, if fast { 8 } else { 1 }, "{mode:?}");
+            let bursts = k.telemetry().total(Metric::FastpathBursts);
+            assert_eq!(bursts > 0, fast, "{mode:?}: {bursts} bursts");
 
             let mut k = loaded_kernel(mode);
             k.service_core(0, 10, StageClock::Wall, &mut |k, ev| k.release_event(ev));

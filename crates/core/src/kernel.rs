@@ -4,10 +4,10 @@
 //! of the paper).
 //!
 //! The type is driver-agnostic: the simulation driver pulls packets
-//! through it under cycle budgets and collects the returned [`Work`]
-//! receipts; the live threaded driver calls the same methods and ignores
-//! the receipts. All algorithmic behaviour (what gets tracked, copied,
-//! discarded, dropped, reported) lives here, once.
+//! through it under cycle budgets and prices what its counters moved in
+//! each call; the live threaded driver calls the same methods. All
+//! algorithmic behaviour (what gets tracked, copied, discarded, dropped,
+//! reported) lives here, once.
 //!
 //! [`ScapKernel`] itself is a composer. The state lives in stages along
 //! the data path, one file each, each owning the fields only it writes
@@ -16,7 +16,7 @@
 //! ```text
 //! admit ══ rings ══▶ probe ──▶ lane: gate ▶ reassemble ▶ place ▶ emit     ledger
 //! (NIC)              (flow tables,          (arena, flush      (event     (stats, telemetry,
-//!   ▲                 stream state)          timers)            queues)    flight, pulse, work)
+//!   ▲                 stream state)          timers)            queues)    flight, pulse, cache)
 //!   └── hw (FDIR / offload cutoff filters) ◀── owed by a stream past its cutoff
 //!                                                                          imager (checkpoints)
 //! ```
@@ -145,6 +145,11 @@ impl ScapKernel {
     /// Total cache misses recorded (0 when no cache model is attached).
     pub fn cache_misses(&self) -> u64 {
         self.ledger.cache.as_ref().map_or(0, |c| c.misses)
+    }
+
+    /// FDIR and offload-table installs and removals so far.
+    pub(crate) fn filter_ops(&self) -> u64 {
+        self.ledger.stats.fdir_ops + self.ledger.stats.offload_ops
     }
 
     /// Record the worker reading a delivered chunk; returns misses.

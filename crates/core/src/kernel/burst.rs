@@ -19,7 +19,6 @@ use scap_flight::{DropReason, FlightEvent, FlightKind, FlightLayer};
 use scap_flow::{StreamId, StreamStatus};
 use scap_nic::NicVerdict;
 use scap_reassembly::CloseKind;
-use scap_sim::Work;
 use scap_telemetry::Metric;
 use scap_trace::Packet;
 use scap_wire::{parse_frame, FlowKey, ParsedPacket, Transport};
@@ -47,33 +46,28 @@ impl ScapKernel {
             .receive(&self.cfg, &self.flows, &mut self.ledger, pkt, parsed)
     }
 
-    /// Process one packet from a core's RX ring. Returns the work done,
-    /// or `None` when the ring was empty.
-    pub fn kernel_poll(&mut self, core: usize, now: u64) -> Option<Work> {
+    /// Process one packet from a core's RX ring. Returns the packets
+    /// processed (1), or `None` when the ring was empty.
+    pub fn kernel_poll(&mut self, core: usize, now: u64) -> Option<usize> {
         let frame = self.nic.pop(core, now)?;
-        self.ledger.work = Work {
-            k_packets: 1,
-            ..Default::default()
-        };
         self.process_frame(core, &frame.pkt, &frame.parsed(), None, now);
-        Some(std::mem::take(&mut self.ledger.work))
+        Some(1)
     }
 
     /// Poll-mode fast path: run up to `fastpath_burst` packets at the
     /// front of a core's RX ring through the batched pipeline, where they
     /// sit — hash all → flow lookup → reassembly/cutoff → delivery — and
-    /// drain them. Returns the burst's work receipt, or `None` when the
+    /// drain them. Returns the packets processed, or `None` when the
     /// ring was empty.
     ///
     /// Delivered streams are byte-identical to per-packet
     /// [`ScapKernel::kernel_poll`] dispatch: both funnel into the same
-    /// per-packet processing and accounting, so the conservation
-    /// identity and flight reconciliation hold unchanged. What differs
-    /// is the cost structure: the ring access is paid once per burst
-    /// (`fp_bursts`), each packet is charged the amortized batched rate
-    /// (`fp_packets`) instead of the softirq entry, and payload reaches
-    /// the arena chunks by reference (no kernel copy charge).
-    pub fn poll_burst(&mut self, core: usize, now: u64) -> Option<Work> {
+    /// per-packet processing and accounting — payload is copied into
+    /// the arena chunks the same way — so the conservation identity and
+    /// flight reconciliation hold unchanged. What differs is the order
+    /// of the work: keys are hashed and the table walk is staged for
+    /// the whole burst before the per-packet pass.
+    pub fn poll_burst(&mut self, core: usize, now: u64) -> Option<usize> {
         let burst = self.cfg.fastpath_burst.max(1);
         // The burst stays where it sits, at the front of the ring.
         let (mut ring, n) = self.nic.lend(core, now, burst)?;
@@ -87,11 +81,6 @@ impl ScapKernel {
         self.flows.stage(core, &hashed);
         // Prehashed flow lookup, reassembly/cutoff, delivery — the same
         // per-packet path the classic poll uses.
-        self.ledger.work = Work {
-            fp_bursts: 1,
-            fp_packets: n as u64,
-            ..Default::default()
-        };
         self.ledger.tele.inc(core, Metric::FastpathBursts);
         self.ledger
             .tele
@@ -99,14 +88,10 @@ impl ScapKernel {
         for (frame, hk) in ring.range(..n).zip(&hashed) {
             self.process_frame(core, &frame.pkt, &frame.parsed(), hk.as_ref(), now);
         }
-        // Zero-copy delivery: chunk payload is handed over by reference
-        // into the arena, so the per-byte kernel copy charge of the
-        // emulated path does not apply here.
-        self.ledger.work.k_bytes_copied = 0;
         ring.drain(..n);
         self.nic.nic.queue_mut(core).put_back(ring);
         self.nic.hashed = hashed;
-        Some(std::mem::take(&mut self.ledger.work))
+        Some(n)
     }
 
     /// One frame off a ring, with the parse admission made of it: the
@@ -125,7 +110,9 @@ impl ScapKernel {
         now: u64,
     ) {
         let len = pkt.len() as u64;
-        self.ledger.work.k_bytes_touched += HDR_TOUCH_BYTES.min(len);
+        self.ledger
+            .tele
+            .add(core, Metric::KernelBytesTouched, HDR_TOUCH_BYTES.min(len));
         let (at, kernel) = (At::new(core, now, 0), FlightLayer::Kernel);
         // Socket-wide BPF filter: discard early, in the kernel.
         let filter = self.cfg.filter.as_ref();

@@ -74,7 +74,6 @@ impl Emitter {
             }
             return;
         }
-        ledger.work.k_events += 1;
         ledger.tele.inc(at.core, Metric::KernelEventsEnqueued);
         if matches!(kind, EventKind::Data { .. }) {
             ledger.tele.inc(at.core, Metric::KernelChunksPlaced);

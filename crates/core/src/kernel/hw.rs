@@ -138,7 +138,6 @@ impl HwCutoff {
         // coldest lowest-priority rule, folding its hit counters into
         // the aggregates so accounting never loses a frame.
         if d.nic.offload().free() == 0 {
-            d.ledger.work.k_fdir_ops += 1;
             d.ledger.stats.offload_ops += 1;
             if let Some(evicted) = d.nic.offload_evict(OFFLOAD_EVICT_SCAN) {
                 if let Some(evictee) = self.offload_owners.remove(&evicted.key.canonical().0) {
@@ -148,7 +147,6 @@ impl HwCutoff {
                 d.event(owner, now, kind, FlightLayer::Offload, prio, 0);
             }
         }
-        d.ledger.work.k_fdir_ops += 1;
         d.ledger.stats.offload_ops += 1;
         match d.nic.offload_install(rule) {
             Ok(()) | Err(OffloadError::Duplicate) => {}
@@ -166,7 +164,6 @@ impl HwCutoff {
     /// its aggregates, so no hit is ever lost to a remove.
     fn remove_offload_rule(&mut self, d: &mut HwDeps<'_>, key: FlowKey) {
         if d.nic.offload_uninstall(&key).is_ok() {
-            d.ledger.work.k_fdir_ops += 1;
             d.ledger.stats.offload_ops += 1;
         }
         self.disown_offload(&key);
@@ -269,7 +266,6 @@ impl HwCutoff {
         let removed =
             d.nic.fdir_uninstall_all_for(&key) + d.nic.fdir_uninstall_all_for(&key.reversed());
         if removed > 0 {
-            d.ledger.work.k_fdir_ops += 1;
             d.ledger.stats.fdir_ops += 1;
         }
         match deadline {
@@ -290,14 +286,12 @@ impl HwCutoff {
         for dkey in [key, key.reversed()] {
             for flags in [TcpFlags::ACK, TcpFlags::ACK | TcpFlags::PSH] {
                 let filter = FdirFilter::drop_tcp_flags(dkey, flags);
-                d.ledger.work.k_fdir_ops += 1;
                 d.ledger.stats.fdir_ops += 1;
                 match d.nic.fdir_install(filter) {
                     Ok(()) => added.push(filter),
                     Err(FdirError::Busy) => {
                         for f in &added {
                             let _ = d.nic.fdir_uninstall(&f.key, f.flex);
-                            d.ledger.work.k_fdir_ops += 1;
                             d.ledger.stats.fdir_ops += 1;
                         }
                         return false;
@@ -350,7 +344,7 @@ impl HwCutoff {
                 continue;
             }
             d.ledger.stats.resilience.fdir_retries += 1;
-            d.ledger.work.k_timer_ops += 1;
+            d.ledger.tele.inc(r.owner.core, Metric::KernelTimerOps);
             if self.retry(d, r, now) {
                 d.ledger.stats.resilience.fdir_retry_successes += 1;
             }
@@ -389,7 +383,7 @@ impl HwCutoff {
         while let Some((deadline, o, key)) = self.soonest().filter(|&(at, ..)| at <= now) {
             self.retire_fdir(d, o, key, Some(deadline));
             d.fdir_event(o, now, FlightKind::FdirExpired, 0, 0);
-            d.ledger.work.k_timer_ops += 1;
+            d.ledger.tele.inc(o.core, Metric::KernelTimerOps);
         }
     }
 

@@ -142,7 +142,6 @@ impl Lane<'_> {
     /// `copied` payload bytes went into the stream's chunks at `offset`.
     #[inline]
     fn note_copy(&mut self, offset: u64, copied: u64) {
-        self.ledger.work.k_bytes_copied += copied;
         let core = self.at.core;
         self.ledger
             .tele
@@ -572,7 +571,8 @@ mod tests {
                 }];
                 lane.ks.segments(lane.cfg);
                 lane.emit_data(vec![chunk], packets, 7);
-                let queued = (lane.ledger.work.k_events, lane.emit.backlog(0));
+                let events = lane.ledger.tele.total(Metric::KernelEventsEnqueued);
+                let queued = (events, lane.emit.backlog(0));
                 let chunks = lane.ks.seg.as_ref().unwrap().chunks;
                 assert_eq!((chunks, queued), (1, (1, 1)));
                 lane.emit.pop(0).unwrap()

@@ -1,16 +1,16 @@
 //! The accounting ledger: the capture's counters, telemetry registry,
-//! flight journal, latency pulse plane, gauge series, the work receipt
-//! of the call in progress and the optional cache model, with the three
-//! funnels every packet's conservation exit goes through. The other
-//! stages record into it through the `&mut Ledger` the burst loop hands
-//! down; none of them keeps a counter of its own.
+//! flight journal, latency pulse plane, gauge series and the optional
+//! cache model, with the three funnels every packet's conservation exit
+//! goes through. The other stages record into it through the
+//! `&mut Ledger` the burst loop hands down; none of them keeps a counter
+//! of its own, and none books a fact twice.
 
 use super::probe::Probed;
 use crate::config::ScapConfig;
 use crate::event::{Event, StreamUid};
 use scap_flight::{DropReason, FlightEvent, FlightKind, FlightLayer, FlightRecorder};
 use scap_memory::ChunkBuf;
-use scap_sim::{CacheSim, StackStats, Work};
+use scap_sim::{CacheSim, StackStats};
 use scap_telemetry::{Gauge, Metric, PlainRegistry, Pulse, PulseStage, Sampler};
 use scap_wire::Direction;
 
@@ -144,9 +144,6 @@ pub(crate) struct Ledger {
     /// Last worker-heartbeat count reported by the driver (gauge input;
     /// 0 under the sim driver until the stack reports deliveries).
     pub(super) worker_heartbeats: u64,
-    /// The receipt of the poll or timer pass in progress: its entry
-    /// point starts it afresh and hands it to the driver on return.
-    pub(super) work: Work,
     /// Optional cache model (Fig. 7 locality experiment).
     pub(super) cache: Option<CacheSim>,
     /// Synthetic DMA-buffer cursor for frame-header touches.
@@ -169,7 +166,6 @@ impl Ledger {
             pulse: Pulse::new(cfg.pulse_exemplar_permille, cfg.pulse_exemplar_cap),
             sampler: Sampler::new(cfg.telemetry_sample_interval_ns, cfg.telemetry_series_cap),
             worker_heartbeats: 0,
-            work: Work::default(),
             cache: None,
             dma_cursor: 0,
         }
@@ -267,16 +263,16 @@ impl Ledger {
         let Some(c) = self.cache.as_mut() else { return };
         // Freshly DMA'd frame: the header lines are cold.
         self.dma_cursor = (self.dma_cursor + 2048) % (512 << 20);
-        let mut misses = c.access(0x6000_0000 + self.dma_cursor, 64);
+        c.access(0x6000_0000 + self.dma_cursor, 64);
         // The open-addressed index: each probe step reads one ctrl
         // group (16 tag bytes, four groups per 64-byte line).
         let ctrl_base = 0x98_0000_0000 + ((core as u64) << 28);
         let group = scap_flow::table::GROUP;
         for step in 0..p.probes {
-            misses += c.access(ctrl_base + (p.group + step) * group as u64, group);
+            c.access(ctrl_base + (p.group + step) * group as u64, group);
         }
         let rec_addr = 0xA0_0000_0000 + ((core as u64) << 28) + (p.id.slot() as u64) * 256;
-        self.work.k_cache_misses += misses + c.access(rec_addr, 128);
+        c.access(rec_addr, 128);
     }
 
     /// Cache model: `len` payload bytes written into a stream's chunk
@@ -284,7 +280,7 @@ impl Ledger {
     #[inline]
     pub(super) fn cache_write(&mut self, uid: StreamUid, dir: Direction, offset: u64, len: u64) {
         if let Some(c) = self.cache.as_mut() {
-            self.work.k_cache_misses += c.access(chunk_region_addr(uid, dir, offset), len as usize);
+            c.access(chunk_region_addr(uid, dir, offset), len as usize);
         }
     }
 

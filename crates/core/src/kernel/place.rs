@@ -118,7 +118,6 @@ impl Placer {
                 merged.extend_from_slice(kept.bytes());
                 merged.extend_from_slice(next.bytes());
                 merged.had_error = kept.had_error || next.had_error;
-                ledger.work.k_bytes_copied += total as u64;
                 ledger
                     .tele
                     .add(core, Metric::KernelBytesCopied, total as u64);

@@ -426,7 +426,6 @@ impl FlowProbe {
             PulseStage::FlowTable,
             cycles_to_ns(cost::flow_table_cycles(probes)),
         );
-        ledger.work.k_hash_probes += probes;
         ledger.tele.add(core, Metric::KernelHashProbes, probes);
         Ok(Probed {
             id: lookup.id,

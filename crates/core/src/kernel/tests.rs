@@ -468,14 +468,18 @@ fn a_dead_streams_flush_timer_spares_the_successor_in_its_slot() {
     assert_eq!(b.slot(), a.slot());
     assert_ne!(b, a);
     // A's timer comes due: no flush, no timer work, B stays armed.
-    assert_eq!(k.kernel_timers(0, 60_000_000).k_timer_ops, 0);
+    let timer_ops = |k: &ScapKernel| k.telemetry().total(Metric::KernelTimerOps);
+    let before = timer_ops(&k);
+    k.kernel_timers(0, 60_000_000);
+    assert_eq!(timer_ops(&k) - before, 0);
     assert_eq!(data_len(&mut k), 0);
     let b_state = k.flows.cores[0].state(b).unwrap();
     assert!(b_state
         .flags
         .any(Flags::FLUSH_ARMED[0] | Flags::FLUSH_ARMED[1]));
     // B's own timer still delivers its partial chunk.
-    assert_eq!(k.kernel_timers(0, 90_000_000).k_timer_ops, 1);
+    k.kernel_timers(0, 90_000_000);
+    assert_eq!(timer_ops(&k) - before, 1);
     assert_eq!(data_len(&mut k), 300);
 }
 
@@ -1938,7 +1942,7 @@ fn merges_of_distinct_totals_reuse_their_blocks() {
         ..Default::default()
     });
     let chunk = k.cfg.chunk_size;
-    let copied = k.ledger.work.k_bytes_copied;
+    let copied = k.telemetry().total(Metric::KernelBytesCopied);
     let mut merged_bytes = 0;
     for i in 0..100 {
         let arena = &mut k.place.arena;
@@ -1952,7 +1956,8 @@ fn merges_of_distinct_totals_reuse_their_blocks() {
         merged_bytes += m.len() as u64;
         k.place.arena.release(m);
     }
-    assert_eq!(k.ledger.work.k_bytes_copied - copied, merged_bytes);
+    let copied = k.telemetry().total(Metric::KernelBytesCopied) - copied;
+    assert_eq!(copied, merged_bytes);
     let arena = &k.place.arena;
     assert_eq!(arena.used(), 0);
     assert!(
@@ -2102,15 +2107,12 @@ fn differential_run(
     });
     k.set_cache(scap_sim::CacheSim::paper_l2());
     let mut delivered = std::collections::BTreeMap::<_, Vec<u8>>::new();
-    let mut work = scap_sim::Work::default();
     for group in trace {
         for p in group {
             k.nic_receive(p);
         }
         let now = group.last().unwrap().ts_ns;
-        while let Some(w) = k.poll(0, now) {
-            work.add(&w);
-        }
+        while k.poll(0, now).is_some() {}
         k.kernel_timers(0, now);
         k.drain_events(now, |k, ev| {
             if let EventKind::Data { dir, chunk, .. } = &ev.kind {
@@ -2135,8 +2137,8 @@ fn differential_run(
         stats: format!("{:?}", k.stats()),
         delivered,
         table_probes: k.flows.cores.iter().map(|c| c.probes).collect(),
-        hash_probes: work.k_hash_probes,
-        cache_misses: work.k_cache_misses,
+        hash_probes: k.telemetry().total(Metric::KernelHashProbes),
+        cache_misses: k.cache_misses(),
         index_capacity: flows.index_capacity(),
         journal: journal
             .iter()
@@ -2149,7 +2151,7 @@ fn differential_run(
 proptest::proptest! {
     /// Classic dispatch, the fast path a frame at a time and the fast
     /// path in staged bursts of 64 are one machine: same statistics, same
-    /// bytes per stream, same probe counts in the table, the receipts and
+    /// bytes per stream, same probe counts in the table, the registry and
     /// the cache model, same journal — while streams are created, closed
     /// and re-opened inside a burst and the index grows under it.
     #[test]

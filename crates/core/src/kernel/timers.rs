@@ -11,7 +11,6 @@ use crate::event::EventKind;
 use scap_flight::{DropReason, FlightEvent, FlightKind, FlightLayer};
 use scap_flow::{StreamId, StreamRecord, StreamStatus};
 use scap_memory::{ChunkAssembler, ChunkBuf};
-use scap_sim::Work;
 use scap_telemetry::{Gauge, Metric};
 use scap_wire::Direction;
 
@@ -21,16 +20,15 @@ const EXPIRE_BATCH: usize = 256;
 impl ScapKernel {
     /// Periodic kernel timers for one core: flush timeouts, inactivity
     /// expiration, and (on core 0) FDIR filter timeouts.
-    pub fn kernel_timers(&mut self, core: usize, now: u64) -> Work {
+    pub fn kernel_timers(&mut self, core: usize, now: u64) {
         self.imager.excuse_blackout(&mut self.flows, now);
-        self.ledger.work = Work::default();
         self.flush_due_chunks(core, now);
 
         // Inactivity expiration.
         let idle = self.cfg.inactivity_timeout_ns;
         let expired = self.flows.cores[core].expire_inactive(now, idle, EXPIRE_BATCH);
         for (id, rec) in expired {
-            self.ledger.work.k_timer_ops += 1;
+            self.ledger.tele.inc(core, Metric::KernelTimerOps);
             let Some(ks) = self.flows.cores[core].take_state(id) else {
                 // TIME_WAIT tombstone aging out: already reported.
                 continue;
@@ -72,7 +70,6 @@ impl ScapKernel {
             let (hw, mut deps) = self.hw();
             hw.expire(&mut deps, now);
         }
-        std::mem::take(&mut self.ledger.work)
     }
 
     /// Flush timeouts: a partial chunk that has waited out its timer, and
@@ -85,7 +82,7 @@ impl ScapKernel {
                 continue;
             };
             let d = dir.index();
-            self.ledger.work.k_timer_ops += 1;
+            self.ledger.tele.inc(core, Metric::KernelTimerOps);
             ks.flags.set(Flags::FLUSH_ARMED[d], false);
             let Some(seg) = ks.seg.as_deref_mut() else {
                 continue;
@@ -180,7 +177,7 @@ impl ScapKernel {
             let evicted = FlightEvent::new(FlightKind::StreamEvicted, FlightLayer::Governor, now);
             self.ledger.journal(at, evicted.with_reason(why));
             self.ledger.stats.resilience.evicted_streams += 1;
-            self.ledger.work.k_timer_ops += 1;
+            self.ledger.tele.inc(c, Metric::KernelTimerOps);
         }
     }
 
@@ -256,7 +253,6 @@ impl ScapKernel {
                         copied += data.len() as u64;
                         let _ = a.append(arena, data, &mut completed);
                     });
-                    self.ledger.work.k_bytes_copied += copied;
                     self.ledger
                         .tele
                         .add(core, Metric::KernelBytesCopied, copied);

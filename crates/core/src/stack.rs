@@ -8,13 +8,68 @@
 //! single-worker comparison experiments — each worker round-robins over
 //! the queues it covers.
 
+use crate::config::DispatchMode;
 use crate::event::{Event, EventKind};
 use crate::kernel::ScapKernel;
-use scap_sim::{CacheSim, CaptureStack, CoreBudgets, CostModel, StackStats, Work};
+use scap_sim::{CacheSim, CaptureStack, CoreBudgets, StackStats, Work};
 use scap_telemetry::{Metric, Stage};
 use scap_trace::Packet;
-#[allow(unused_imports)]
-use CacheSim as _CacheSimUsed;
+
+/// What the kernel has counted so far that the cost model prices, as
+/// one receipt, summed over every core: core 0's timer pass works on
+/// streams of every core, and the NIC books on shard 0.
+fn counted(kernel: &ScapKernel) -> Work {
+    let t = kernel.telemetry();
+    Work {
+        k_bytes_copied: t.total(Metric::KernelBytesCopied),
+        k_bytes_touched: t.total(Metric::KernelBytesTouched),
+        k_hash_probes: t.total(Metric::KernelHashProbes),
+        k_events: t.total(Metric::KernelEventsEnqueued),
+        k_fdir_ops: kernel.filter_ops(),
+        k_timer_ops: t.total(Metric::KernelTimerOps),
+        k_cache_misses: kernel.cache_misses(),
+        ..Work::default()
+    }
+}
+
+/// Run `call` on the kernel and price what it counted meanwhile. What the
+/// kernel did between calls (NIC admission, application calls, worker
+/// reads) is in no receipt.
+fn priced<T>(kernel: &mut ScapKernel, call: impl FnOnce(&mut ScapKernel) -> T) -> (T, Work) {
+    let (b, out) = (counted(kernel), call(kernel));
+    let a = counted(kernel);
+    let w = Work {
+        k_bytes_copied: a.k_bytes_copied - b.k_bytes_copied,
+        k_bytes_touched: a.k_bytes_touched - b.k_bytes_touched,
+        k_hash_probes: a.k_hash_probes - b.k_hash_probes,
+        k_events: a.k_events - b.k_events,
+        k_fdir_ops: a.k_fdir_ops - b.k_fdir_ops,
+        k_timer_ops: a.k_timer_ops - b.k_timer_ops,
+        k_cache_misses: a.k_cache_misses - b.k_cache_misses,
+        ..Work::default()
+    };
+    (out, w)
+}
+
+/// Run the next poll ([`ScapKernel::poll`]) on `core` and price what it
+/// counted, as the receipt the cost model and the core budgets charge;
+/// `None` once the ring is empty.
+pub fn priced_poll(kernel: &mut ScapKernel, core: usize, now: u64) -> Option<Work> {
+    let (n, mut w) = priced(kernel, |k| k.poll(core, now));
+    let n = n? as u64;
+    match kernel.config().dispatch {
+        DispatchMode::Classic => w.k_packets = n,
+        DispatchMode::Fastpath => {
+            // The model's one exemption: a fast-path poll pays a burst
+            // pull and a batched rate per packet, and no copy (the code
+            // copies in both modes; a timer pass pays for it in both).
+            w.fp_bursts = 1;
+            w.fp_packets = n;
+            w.k_bytes_copied = 0;
+        }
+    }
+    Some(w)
+}
 
 /// A user-level application under simulation.
 ///
@@ -74,13 +129,14 @@ impl<A: SimApp> ScapSimStack<A> {
         &self.app
     }
 
-    /// Split one kernel work receipt into per-stage virtual-cycle spans
-    /// and record them into the kernel's telemetry registry. The same
-    /// stage histograms hold wall-clock nanoseconds under the live
-    /// driver; here they hold deterministic virtual cycles, so a seeded
-    /// run always produces identical telemetry.
-    fn record_kernel_spans(kernel: &ScapKernel, model: &CostModel, core: usize, w: &Work) {
-        let tele = kernel.telemetry();
+    /// Charge one priced kernel call to `core`'s budget, and split it
+    /// into per-stage virtual-cycle spans in the kernel's telemetry
+    /// registry. The same stage histograms hold wall-clock nanoseconds
+    /// under the live driver; here they hold deterministic virtual
+    /// cycles, so a seeded run always produces identical telemetry.
+    fn charge_kernel(&self, budgets: &mut CoreBudgets, core: usize, w: &Work) {
+        budgets.charge_kernel(core, w);
+        let (model, tele) = (budgets.model(), self.kernel.telemetry());
         let nic = w.k_packets as f64 * model.cyc_k_packet;
         let kern = w.k_hash_probes as f64 * model.cyc_k_hash_probe
             + w.k_bytes_touched as f64 * model.cyc_k_byte_touch
@@ -100,6 +156,16 @@ impl<A: SimApp> ScapSimStack<A> {
             if cyc > 0.0 {
                 tele.record_stage(core, stage, cyc as u64);
             }
+        }
+    }
+
+    /// Poll `core`'s ring while the core has budget left.
+    fn softirq(&mut self, budgets: &mut CoreBudgets, core: usize, now_ns: u64) {
+        while budgets.can_run(core) {
+            let Some(w) = priced_poll(&mut self.kernel, core, now_ns) else {
+                break;
+            };
+            self.charge_kernel(budgets, core, &w);
         }
     }
 
@@ -134,33 +200,15 @@ impl<A: SimApp> CaptureStack for ScapSimStack<A> {
         let ncores = self.kernel.ncores();
         let model = *budgets.model();
         for p in packets {
-            let verdict = self.kernel.nic_receive(p);
-            if let Some(q) = verdict.queue() {
-                while budgets.can_run(q) {
-                    match self.kernel.poll(q, now_ns) {
-                        Some(w) => {
-                            budgets.charge_kernel(q, &w);
-                            Self::record_kernel_spans(&self.kernel, &model, q, &w);
-                        }
-                        None => break,
-                    }
-                }
+            if let Some(q) = self.kernel.nic_receive(p).queue() {
+                self.softirq(budgets, q, now_ns);
             }
         }
         // Timers, plus backlog drain on cores that regained budget.
         for core in 0..ncores {
-            let tw = self.kernel.kernel_timers(core, now_ns);
-            budgets.charge_kernel(core, &tw);
-            Self::record_kernel_spans(&self.kernel, &model, core, &tw);
-            while budgets.can_run(core) {
-                match self.kernel.poll(core, now_ns) {
-                    Some(w) => {
-                        budgets.charge_kernel(core, &w);
-                        Self::record_kernel_spans(&self.kernel, &model, core, &w);
-                    }
-                    None => break,
-                }
-            }
+            let (_, tw) = priced(&mut self.kernel, |k| k.kernel_timers(core, now_ns));
+            self.charge_kernel(budgets, core, &tw);
+            self.softirq(budgets, core, now_ns);
         }
 
         // Stage 3 — workers: each pinned to its core, consuming the event
@@ -499,6 +547,193 @@ mod tests {
             eight < one / 2.0,
             "8 workers ({eight:.1}%) should drop far less than 1 ({one:.1}%)"
         );
+    }
+}
+
+#[cfg(test)]
+mod priced_work_tests {
+    use super::*;
+    use crate::config::{CutoffPolicy, DispatchMode, ScapConfig};
+    use scap_sim::{CostModel, Engine, EngineConfig, EngineReport};
+    use scap_telemetry::Snapshot;
+    use scap_wire::{PacketBuilder, TcpFlags};
+
+    const CORES: usize = 4;
+
+    /// Eight TCP sessions over the cores, each sending past a 1 KB
+    /// cutoff (FDIR filters go in, and time out 2 s later on core 0's
+    /// timer pass), leaving a partial chunk (a flush timeout) and a
+    /// segment beyond a hole (copied out of reassembly when the stream
+    /// expires); a lone UDP packet at 3 s takes the clock past the
+    /// inactivity timeout.
+    fn trace() -> Vec<Packet> {
+        let mut pkts = Vec::new();
+        for i in 0..8u8 {
+            let (c, s, cp) = ([10, 0, 0, i + 1], [93, 184, 216, 34], 40_000 + u16::from(i));
+            let (ic, is) = (1_000u32, 5_000u32);
+            let (ack, psh) = (TcpFlags::ACK, TcpFlags::ACK | TcpFlags::PSH);
+            let up = |seq, flags, data: &[u8]| {
+                PacketBuilder::tcp_v4(c, s, cp, 80, seq, is + 1, flags, data)
+            };
+            let down = |seq, flags, data: &[u8]| {
+                PacketBuilder::tcp_v4(s, c, 80, cp, seq, ic + 1, flags, data)
+            };
+            let frames = [
+                up(ic, TcpFlags::SYN, b""),
+                down(is, TcpFlags::SYN | TcpFlags::ACK, b""),
+                up(ic + 1, ack, b""),
+                down(is + 1, psh, &[b's'; 300]),
+                down(is + 401, psh, &[b'h'; 200]),
+                up(ic + 1, psh, &[b'a'; 600]),
+                up(ic + 601, psh, &[b'b'; 600]),
+                up(ic + 1201, psh, &[b'c'; 600]),
+            ];
+            let t0 = 1_000_000 * u64::from(i) + 1;
+            for (j, frame) in frames.into_iter().enumerate() {
+                pkts.push(Packet::new(t0 + 10_000 * j as u64, frame));
+            }
+        }
+        pkts.sort_by_key(|p| p.ts_ns);
+        let clock = PacketBuilder::udp_v4([10, 9, 9, 9], [10, 9, 9, 8], 5353, 53, b"tick");
+        pkts.push(Packet::new(3_000_000_000, clock));
+        pkts
+    }
+
+    fn run(dispatch: DispatchMode, model: CostModel) -> (EngineReport, Snapshot) {
+        let kernel = ScapKernel::new(ScapConfig {
+            dispatch,
+            cores: CORES,
+            use_fdir: true,
+            cutoff: CutoffPolicy {
+                default: Some(1_000),
+                ..Default::default()
+            },
+            inactivity_timeout_ns: 2_500_000_000,
+            ..ScapConfig::default()
+        });
+        let mut stack = ScapSimStack::new(kernel, apps::StreamTouchApp::default())
+            .with_cache(CacheSim::paper_l2());
+        let engine = Engine::new(EngineConfig {
+            ncores: CORES,
+            model,
+            ..EngineConfig::default()
+        });
+        let report = engine.run(trace(), &mut stack);
+        (report, stack.kernel().telemetry_snapshot())
+    }
+
+    /// Stage, count, sum, non-empty buckets.
+    type Hist = (Stage, u64, u64, &'static [(usize, u64)]);
+
+    // Pinned while the kernel still filled the receipts itself: the
+    // priced deltas of its counters must give the same histograms and
+    // the same kernel time, cycle for cycle.
+    const CLASSIC: [Hist; 5] = [
+        (Stage::Nic, 57, 34_200, &[(10, 57)]),
+        (
+            Stage::Kernel,
+            82,
+            93_832,
+            &[(7, 9), (8, 57), (12, 8), (13, 8)],
+        ),
+        (
+            Stage::Memory,
+            33,
+            12_004,
+            &[(3, 1), (8, 8), (9, 16), (10, 8)],
+        ),
+        (Stage::EventQueue, 34, 16_800, &[(9, 26), (10, 8)]),
+        (Stage::Fastpath, 0, 0, &[]),
+    ];
+    const CLASSIC_BUSY: [f64; CORES] = [
+        6.239520159946684e-6,
+        1.5942352549150285e-5,
+        0.0,
+        6.376941019660114e-6,
+    ];
+    const FASTPATH: [Hist; 5] = [
+        (Stage::Nic, 0, 0, &[]),
+        (
+            Stage::Kernel,
+            82,
+            93_832,
+            &[(7, 9), (8, 57), (12, 8), (13, 8)],
+        ),
+        (Stage::Memory, 8, 1_600, &[(8, 8)]),
+        (Stage::EventQueue, 34, 16_800, &[(9, 26), (10, 8)]),
+        (Stage::Fastpath, 57, 42_750, &[(10, 57)]),
+    ];
+    const FASTPATH_BUSY: [f64; CORES] = [
+        6.222192602465845e-6,
+        1.573408863712096e-5,
+        0.0,
+        6.293635454848384e-6,
+    ];
+
+    /// One price of the cost model.
+    type Price = fn(&mut CostModel) -> &mut f64;
+
+    /// A stage histogram as (count, sum, non-empty buckets).
+    type Pinned = (u64, u64, Vec<(usize, u64)>);
+
+    fn pinned(snap: &Snapshot, stage: Stage) -> Pinned {
+        let h = snap.stage(stage);
+        let buckets = (h.buckets.iter().enumerate())
+            .filter(|&(_, &n)| n > 0)
+            .map(|(b, &n)| (b, n))
+            .collect();
+        (h.count(), h.sum, buckets)
+    }
+
+    /// The model's input is what the kernel counted around each call:
+    /// the five kernel stage histograms the simulator fills from the
+    /// priced receipts, and the kernel time they charge, are pinned in
+    /// both dispatch modes, and every receipt field the mode charges is
+    /// non-zero on this trace (a model that prices that field alone, at
+    /// a cycle apiece, sees kernel time).
+    #[test]
+    fn the_simulator_prices_what_the_kernel_counted() {
+        for dispatch in [DispatchMode::Classic, DispatchMode::Fastpath] {
+            let (report, snap) = run(dispatch, CostModel::default());
+            let (want, busy) = match dispatch {
+                DispatchMode::Classic => (CLASSIC, CLASSIC_BUSY),
+                DispatchMode::Fastpath => (FASTPATH, FASTPATH_BUSY),
+            };
+            for (stage, count, sum, buckets) in want {
+                let want = (count, sum, buckets.to_vec());
+                assert_eq!(pinned(&snap, stage), want, "{dispatch:?} {stage:?}");
+            }
+            assert_eq!(report.kernel_busy, busy, "{dispatch:?}");
+
+            let fields: [(&str, Price); 10] = [
+                ("k_packets", |m| &mut m.cyc_k_packet),
+                ("fp_bursts", |m| &mut m.cyc_fp_burst),
+                ("fp_packets", |m| &mut m.cyc_fp_packet),
+                ("k_bytes_copied", |m| &mut m.cyc_k_byte_copy),
+                ("k_bytes_touched", |m| &mut m.cyc_k_byte_touch),
+                ("k_hash_probes", |m| &mut m.cyc_k_hash_probe),
+                ("k_events", |m| &mut m.cyc_k_event),
+                ("k_fdir_ops", |m| &mut m.cyc_k_fdir_op),
+                ("k_timer_ops", |m| &mut m.cyc_k_timer_op),
+                ("k_cache_misses", |m| &mut m.cyc_cache_miss),
+            ];
+            let mut silent = CostModel::default();
+            for (_, price) in &fields {
+                *price(&mut silent) = 0.0;
+            }
+            let fast = dispatch == DispatchMode::Fastpath;
+            for (name, price) in fields {
+                let mut model = silent;
+                *price(&mut model) = 1.0;
+                let busy: f64 = run(dispatch, model).0.kernel_busy.iter().sum();
+                let charged = match name {
+                    "k_packets" => !fast,
+                    "fp_bursts" | "fp_packets" => fast,
+                    _ => true,
+                };
+                assert_eq!(busy > 0.0, charged, "{dispatch:?}: {name} = {busy}");
+            }
+        }
     }
 }
 

@@ -230,6 +230,10 @@ static_ids! {
         FdirRetryBackoffNs => "fdir_retry_backoff_ns",
         /// FDIR install retries parked on the backoff queue.
         FdirRetriesQueued => "fdir_retries_queued",
+        /// Header bytes the kernel examined, `min(64, frame length)` each.
+        KernelBytesTouched => "kernel_bytes_touched",
+        /// Flush timeouts, expiries, evictions, FDIR retries and timeouts.
+        KernelTimerOps => "kernel_timer_ops",
     }
 }
 
